@@ -62,7 +62,7 @@ pub fn table2() -> String {
     }
     out.push_str(
         "note: SPIDER computation uses the exact (2r+c)/4 = 3.5 as the paper's\n\
-         table does; the uniformly-ceiled formula gives 64 (see EXPERIMENTS.md).\n",
+         table does; ceiling (2r+c)/4 to 4, as the memory rows do, gives 64.\n",
     );
     out
 }

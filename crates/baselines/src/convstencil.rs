@@ -73,7 +73,7 @@ impl ConvStencil {
 
     /// 1D variant: the paper's formulas are 2D-only; this is the analogous
     /// degenerate form (one kernel-matrix strip, zero-padded to the next
-    /// multiple of four), documented in EXPERIMENTS.md.
+    /// multiple of four).
     fn charge_1d(&self, r: u64, n: u64) -> PerfCounters {
         let mut c = PerfCounters::new();
         const E: u64 = 8;

@@ -178,7 +178,9 @@ fn emit_json() {
     // Telemetry overhead guard: the same warm 2D workload with telemetry on
     // (the default) and explicitly off. `telemetry_on_requests_per_sec`
     // carries the gated `_per_sec` suffix, so instrumentation creeping past
-    // the 15% tolerance fails the bench gate.
+    // the 15% tolerance fails the bench gate. Every lock this workload
+    // takes is a ranked `spider_core::sync` lock, so the same key gates
+    // the wrappers' release-build cost.
     let telemetry_rps = |opts: RuntimeOptions| {
         let rt = SpiderRuntime::new(GpuDevice::a100(), opts);
         rt.run_batch(&build_batch(0, 1)); // populate caches
@@ -237,16 +239,6 @@ fn emit_json() {
         requests as f64 / wall
     };
 
-    // Ranked-lock overhead guard: every lock this workload touches (plan
-    // cache, tuner memo, scheduler state, buffer pool, telemetry registry)
-    // is an `OrderedMutex`/`OrderedRwLock` from `spider_core::sync`. In
-    // release builds the wrappers must be transparent newtypes over the
-    // std primitives, so this rate — the same warm workload as
-    // `telemetry_on_requests_per_sec` — carries the gated `_per_sec`
-    // suffix: wrapper cost creeping past the 15% tolerance fails the
-    // bench gate.
-    let guard_on_rps = telemetry_rps(options());
-
     // Multi-tenant SLO scene: the canonical noisy-neighbor traffic (paced
     // victim vs closed-loop bully) under weights + admission quota. The
     // victim's p99 wait carries the inverted-gate `_p99_wait_us` suffix —
@@ -261,7 +253,7 @@ fn emit_json() {
     let fairness = slo.fairness_ratio(traffic::VICTIM, traffic::NOISY);
 
     let json = format!(
-        "{{\n  \"bench\": \"runtime_throughput\",\n  \"batch_size\": {},\n  \"warm_batches\": {},\n  \"cold_requests_per_sec\": {:.3},\n  \"warm_requests_per_sec\": {:.3},\n  \"warm_batch_hit_rate\": {:.4},\n  \"simulated_gstencils_per_sec\": {:.4},\n  \"scheduler_requests_per_sec\": {:.3},\n  \"scheduler_mean_wait_ms\": {:.3},\n  \"scheduler_p99_wait_us\": {:.1},\n  \"scheduler_dispatch_waves\": {},\n  \"scheduler_coalesced_groups\": {},\n  \"volume_requests_per_sec\": {:.3},\n  \"volume_simulated_gstencils_per_sec\": {:.4},\n  \"mixed_scheduler_requests_per_sec\": {:.3},\n  \"mixed_volumetric_requests\": {},\n  \"telemetry_on_requests_per_sec\": {:.3},\n  \"telemetry_off_requests_per_sec\": {:.3},\n  \"watchtower_on_requests_per_sec\": {:.3},\n  \"guard_on_requests_per_sec\": {:.3},\n  \"traffic_victim_p99_wait_us\": {:.1},\n  \"traffic_noisy_p99_wait_ms\": {:.3},\n  \"traffic_victim_completed\": {},\n  \"traffic_noisy_rejected\": {},\n  \"traffic_fairness_victim_per_noisy\": {:.4},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cached_plans\": {},\n  \"tuned_scenarios\": {}\n}}\n",
+        "{{\n  \"bench\": \"runtime_throughput\",\n  \"batch_size\": {},\n  \"warm_batches\": {},\n  \"cold_requests_per_sec\": {:.3},\n  \"warm_requests_per_sec\": {:.3},\n  \"warm_batch_hit_rate\": {:.4},\n  \"simulated_gstencils_per_sec\": {:.4},\n  \"scheduler_requests_per_sec\": {:.3},\n  \"scheduler_mean_wait_ms\": {:.3},\n  \"scheduler_p99_wait_us\": {:.1},\n  \"scheduler_dispatch_waves\": {},\n  \"scheduler_coalesced_groups\": {},\n  \"volume_requests_per_sec\": {:.3},\n  \"volume_simulated_gstencils_per_sec\": {:.4},\n  \"mixed_scheduler_requests_per_sec\": {:.3},\n  \"mixed_volumetric_requests\": {},\n  \"telemetry_on_requests_per_sec\": {:.3},\n  \"telemetry_off_requests_per_sec\": {:.3},\n  \"watchtower_on_requests_per_sec\": {:.3},\n  \"traffic_victim_p99_wait_us\": {:.1},\n  \"traffic_noisy_p99_wait_ms\": {:.3},\n  \"traffic_victim_completed\": {},\n  \"traffic_noisy_rejected\": {},\n  \"traffic_fairness_victim_per_noisy\": {:.4},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cached_plans\": {},\n  \"tuned_scenarios\": {}\n}}\n",
         cold.outcomes.len(),
         WARM_BATCHES,
         cold.requests_per_sec(),
@@ -280,7 +272,6 @@ fn emit_json() {
         telemetry_on_rps,
         telemetry_off_rps,
         watchtower_on_rps,
-        guard_on_rps,
         victim.p99_wait_us,
         noisy.p99_wait_us / 1e3,
         victim.completed,

@@ -2,7 +2,7 @@
 //!
 //! Prints the compute / DRAM / shared-memory / issue time components (in
 //! picoseconds per point) for every method on a chosen shape, which is how
-//! the model calibration in EXPERIMENTS.md was performed.
+//! the simulator's timing model was calibrated.
 
 use spider_baselines::BaselineKind;
 use spider_bench::suite::{baseline_result, benchmark_kernel, spider_result};

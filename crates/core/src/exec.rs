@@ -393,9 +393,7 @@ impl<'d> SpiderExecutor<'d> {
         let launch_share = 1.0 / valid.max(1) as f64;
         feedback.on_batch_launch(valid, wave_blocks, launch_share);
         let dims = LaunchDims::new(wave_blocks, self.config.tiling.threads_per_block());
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let cores = rayon::current_num_threads();
         let inner_saturates = wave_blocks >= (valid.max(1) * cores) as u64;
         let per_grid: Vec<(Vec<PerfCounters>, u64)> = if valid <= 1 || cores <= 1 || inner_saturates
         {

@@ -9,7 +9,10 @@
 //! interleaving. Release builds compile the bookkeeping out entirely: the
 //! wrappers are `size_of`-identical to the raw `std::sync` locks (asserted
 //! by a release-profile test below) and every method is a transparent
-//! forward, a property the `guard_on_requests_per_sec` bench key gates.
+//! forward, a property the `telemetry_on_requests_per_sec` bench key gates:
+//! its warm `run_batch` workload takes the runtime's ranked locks (plan
+//! cache, tuner, results, buffer pool, telemetry), and every rank uses the
+//! same generic wrapper, so the key covers the wrapper's cost for all ranks.
 //!
 //! ## The global lock order
 //!

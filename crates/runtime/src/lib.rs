@@ -21,7 +21,8 @@
 //!        ▼
 //!  ┌─────────────────────── SpiderRuntime::run_batch ───────────────────┐
 //!  │                                                                    │
-//!  │  group by plan_key ──► worker pool (std::thread::scope)            │
+//!  │  group by plan_key ──► worker pool (std::thread::scope), sized     │
+//!  │                        by the core count read once per process     │
 //!  │                           │  │  │                                  │
 //!  │                           ▼  ▼  ▼      per request:                │
 //!  │   ┌───────────┐   ┌─────────────────┐                              │
@@ -68,7 +69,9 @@
 //!   requests never execute). Each dispatch wave coalesces the
 //!   top-priority cohort by plan key through [`SpiderRuntime::run_group`],
 //!   which shares one executor per exec-key subgroup via the
-//!   `spider_core` coalesced entry points.
+//!   `spider_core` coalesced entry points. The queue is indexed, so a
+//!   wave costs O(wave), not O(queue). The dispatcher thread is always one
+//!   of a wave's workers, so a one-worker wave spawns no thread.
 //!
 //! ## Quickstart
 //!

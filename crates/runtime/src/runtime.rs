@@ -974,9 +974,7 @@ impl SpiderRuntime {
         let groups = contiguous_key_runs(&order, |i| requests[i].plan_key());
 
         let workers = if self.options.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| (n.get() / 2).max(1))
-                .unwrap_or(1)
+            (spider_core::current_num_threads() / 2).max(1)
         } else {
             self.options.workers
         }

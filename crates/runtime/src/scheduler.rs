@@ -35,10 +35,45 @@
 //! a wave, groups execute across a small worker pool; with
 //! `SchedulerOptions { workers: 1, .. }` group completion order is
 //! deterministic (cohort submission order) — the configuration the property
-//! tests and the demo use.
+//! tests and the demo use. The dispatcher thread is always one of a wave's
+//! workers and spawns scoped threads only for the others, so a wave that
+//! resolves to one worker (one group, `workers: 1`, or `workers: 0` on
+//! fewer than four cores) spawns no thread at all.
+//!
+//! ## The queue index
+//!
+//! The admission queue is indexed so that no operation scans it. Tickets
+//! are stamped under the state lock, so ticket order is age order, and the
+//! queue keeps:
+//!
+//! * every queued request, by ticket;
+//! * one FIFO **lane** per (tenant, base priority). Along a lane the
+//!   effective priority never rises (older requests have aged at least as
+//!   far), so the top cohort is a prefix of each lane whose head is at the
+//!   top level, a tenant's deficit-round-robin share is a prefix of its
+//!   lanes merged by ticket, and the `ShedLowestPriority` victim (lowest
+//!   level, then youngest) is one of the lane tails;
+//! * the queued deadlines, soonest first;
+//! * a multiset of queued DRR costs per base level, which supplies the DRR
+//!   quantum (see `drr_round`).
+//!
+//! With n requests queued in L non-empty lanes:
+//!
+//! | operation | cost |
+//! |---|---|
+//! | `submit`, `try_submit` | O(log n); picking a `ShedLowestPriority` victim adds O(L log n) |
+//! | `cancel`, and the expiry of each lapsed request | O(log n) |
+//! | one dispatch wave that selects m requests | O(L + m log n) |
+//! | `poll` of a queued ticket | O(its position) |
+//! | `poll` of any other ticket | O(1) |
+//!
+//! The m selected requests are the whole top cohort without tenants and
+//! one DRR round of it with them; all of them dispatch unless
+//! `max_coalesce` holds some back for a later wave.
 
 use spider_core::sync::{LockRank, OrderedMutex, OrderedMutexGuard};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
@@ -382,13 +417,118 @@ struct SlotEntry {
 }
 
 struct QueuedEntry {
-    ticket: u64,
     req: StencilRequest,
     submitted: Instant,
 }
 
+/// One FIFO lane: ticket → submission time, oldest first.
+type Lane = BTreeMap<u64, Instant>;
+
+/// The admission queue, indexed so that no operation scans it (costs in
+/// the module docs).
+///
+/// Tickets are stamped under the state lock, so ticket order is age order.
+/// Along one lane (a tenant's requests at one base priority) effective
+/// priority therefore never rises, which turns every question a wave asks
+/// into an end or a prefix of some lane.
+#[derive(Default)]
+struct Queue {
+    /// Every queued request, by ticket (= queue order).
+    entries: BTreeMap<u64, QueuedEntry>,
+    /// One lane per (tenant, base priority level); empty lanes are dropped.
+    lanes: BTreeMap<(TenantId, u8), Lane>,
+    /// Queued deadlines, soonest first.
+    deadlines: BTreeSet<(Instant, u64)>,
+    /// Multiset of queued DRR costs: (base level, cost) → count.
+    costs: BTreeMap<(u8, u64), usize>,
+}
+
+impl Queue {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn push(&mut self, ticket: u64, entry: QueuedEntry) {
+        let level = entry.req.priority.level();
+        self.lanes
+            .entry((entry.req.tenant, level))
+            .or_default()
+            .insert(ticket, entry.submitted);
+        if let Some(deadline) = entry.req.deadline {
+            self.deadlines.insert((deadline.instant(), ticket));
+        }
+        *self.costs.entry((level, drr_cost(&entry.req))).or_default() += 1;
+        self.entries.insert(ticket, entry);
+    }
+
+    /// Take `ticket` out of every index; `None` if it is not queued.
+    fn remove(&mut self, ticket: u64) -> Option<QueuedEntry> {
+        let entry = self.entries.remove(&ticket)?;
+        let level = entry.req.priority.level();
+        let lane_key = (entry.req.tenant, level);
+        if let Some(lane) = self.lanes.get_mut(&lane_key) {
+            lane.remove(&ticket);
+            if lane.is_empty() {
+                self.lanes.remove(&lane_key);
+            }
+        }
+        if let Some(deadline) = entry.req.deadline {
+            self.deadlines.remove(&(deadline.instant(), ticket));
+        }
+        let cost_key = (level, drr_cost(&entry.req));
+        if let Some(n) = self.costs.get_mut(&cost_key) {
+            *n -= 1;
+            if *n == 0 {
+                self.costs.remove(&cost_key);
+            }
+        }
+        Some(entry)
+    }
+
+    /// Queued requests of `tenant` — the admission-quota denominator.
+    fn queued_of(&self, tenant: TenantId) -> usize {
+        self.lanes
+            .range((tenant, 0)..=(tenant, u8::MAX))
+            .map(|(_, lane)| lane.len())
+            .sum()
+    }
+
+    /// Remove every request whose deadline has passed at `now`; returned
+    /// in ticket order.
+    fn take_lapsed(&mut self, now: Instant) -> Vec<(u64, QueuedEntry)> {
+        let mut lapsed: Vec<u64> = self
+            .deadlines
+            .iter()
+            .take_while(|(at, _)| *at <= now)
+            .map(|&(_, ticket)| ticket)
+            .collect();
+        lapsed.sort_unstable();
+        lapsed
+            .into_iter()
+            .filter_map(|ticket| Some((ticket, self.remove(ticket)?)))
+            .collect()
+    }
+
+    /// The `ShedLowestPriority` victim and its effective level: lowest
+    /// level, then youngest. Each lane's tail is its lowest-level and
+    /// youngest entry, so the victim is one of the tails.
+    fn victim(&self, now: Instant, aging_step: Option<Duration>) -> Option<(u64, u8)> {
+        self.lanes
+            .iter()
+            .filter_map(|(&(_, base), lane)| {
+                let (&ticket, &submitted) = lane.last_key_value()?;
+                Some((ticket, effective_level(base, submitted, now, aging_step)))
+            })
+            .min_by_key(|&(ticket, level)| (level, Reverse(ticket)))
+    }
+}
+
 struct State {
-    queue: Vec<QueuedEntry>,
+    queue: Queue,
     slots: HashMap<u64, SlotEntry>,
     next_ticket: u64,
     paused: bool,
@@ -404,9 +544,6 @@ struct State {
     /// counter bump lands in exactly one tenant's entry, so the per-tenant
     /// rows sum to the global row — `drain` asserts it.
     tenant_stats: BTreeMap<TenantId, QueueStats>,
-    /// Currently queued (not yet dispatched) requests per tenant — the
-    /// admission-quota denominator.
-    tenant_queued: HashMap<TenantId, usize>,
     /// Deficit-round-robin credit per tenant, in cost units (grid points ×
     /// sweeps). Carried across waves; forfeited when the tenant's cohort
     /// queue empties (classic DRR).
@@ -426,14 +563,6 @@ impl State {
     /// The per-tenant stats row for `tenant`, created on first touch.
     fn tenant_stats_mut(&mut self, tenant: TenantId) -> &mut QueueStats {
         self.tenant_stats.entry(tenant).or_default()
-    }
-
-    /// Drop one from `tenant`'s queued count (requests leave the queue by
-    /// dispatch, shed, expiry or cancellation — all four call this).
-    fn dec_queued(&mut self, tenant: TenantId) {
-        if let Some(n) = self.tenant_queued.get_mut(&tenant) {
-            *n = n.saturating_sub(1);
-        }
     }
 }
 
@@ -466,7 +595,7 @@ impl SpiderScheduler {
                 LockRank::SchedulerState,
                 "scheduler.state",
                 State {
-                    queue: Vec::new(),
+                    queue: Queue::default(),
                     slots: HashMap::new(),
                     next_ticket: 0,
                     paused: options.start_paused,
@@ -475,7 +604,6 @@ impl SpiderScheduler {
                     running: 0,
                     stats: QueueStats::default(),
                     tenant_stats: BTreeMap::new(),
-                    tenant_queued: HashMap::new(),
                     deficits: BTreeMap::new(),
                     completion_order: Vec::new(),
                     first_submit: None,
@@ -543,7 +671,7 @@ impl SpiderScheduler {
             // over-quota tenant is refused outright rather than allowed to
             // park against (or shed) everyone else's queue share.
             if let Some(quota) = self.options.quota_of(req.tenant) {
-                let queued = st.tenant_queued.get(&req.tenant).copied().unwrap_or(0);
+                let queued = st.queue.queued_of(req.tenant);
                 if queued >= quota {
                     st.stats.rejected += 1;
                     st.tenant_stats_mut(req.tenant).rejected += 1;
@@ -569,36 +697,25 @@ impl SpiderScheduler {
                 }
                 BackpressurePolicy::ShedLowestPriority => {
                     let now = Instant::now();
-                    let aging = self.options.aging_step;
-                    let (victim_idx, victim_level) = st
+                    let (victim, victim_level) = st
                         .queue
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, q)| {
-                            (effective_level(q, now, aging), std::cmp::Reverse(q.ticket))
-                        })
-                        .map(|(i, q)| (i, effective_level(q, now, aging)))
+                        .victim(now, self.options.aging_step)
                         .expect("full queue has a victim"); // guard: branch is only taken when the queue is full
                     if req.priority.level() <= victim_level {
                         // The newcomer is the least important: shed on
                         // arrival, but still hand back a pollable ticket.
-                        let ticket = alloc_ticket(&mut st, &req);
+                        let plan_key = req.plan_key();
+                        let ticket = alloc_ticket(&mut st, &req, plan_key);
                         st.stats.submitted += 1;
                         {
                             let ts = st.tenant_stats_mut(req.tenant);
                             ts.submitted += 1;
                             ts.shed += 1;
                         }
+                        t.record_attempt(req.id, plan_key, req.attempt, EventKind::Admit, 0.0);
                         t.record_attempt(
                             req.id,
-                            req.plan_key(),
-                            req.attempt,
-                            EventKind::Admit,
-                            0.0,
-                        );
-                        t.record_attempt(
-                            req.id,
-                            req.plan_key(),
+                            plan_key,
                             req.attempt,
                             EventKind::Complete {
                                 terminal: Terminal::Shed,
@@ -610,15 +727,12 @@ impl SpiderScheduler {
                         self.shared.idle.notify_all();
                         return Ok(Ticket { seq: ticket });
                     }
-                    let victim = st.queue.remove(victim_idx);
-                    let waited = now
-                        .saturating_duration_since(victim.submitted)
-                        .as_secs_f64();
-                    trace_queue_exit(&t, &victim.req, waited, Terminal::Shed);
-                    finish(&mut st, victim.ticket, Slot::Shed);
+                    let entry = st.queue.remove(victim).expect("the victim is queued"); // guard: victim() returns a queued ticket
+                    let waited = now.saturating_duration_since(entry.submitted).as_secs_f64();
+                    trace_queue_exit(&t, &entry.req, waited, Terminal::Shed);
+                    finish(&mut st, victim, Slot::Shed);
                     st.stats.shed += 1;
-                    st.tenant_stats_mut(victim.req.tenant).shed += 1;
-                    st.dec_queued(victim.req.tenant);
+                    st.tenant_stats_mut(entry.req.tenant).shed += 1;
                     self.shared.idle.notify_all();
                 }
             }
@@ -647,7 +761,7 @@ impl SpiderScheduler {
             self.shared.idle.notify_all();
         }
         if let Some(quota) = self.options.quota_of(req.tenant) {
-            let queued = st.tenant_queued.get(&req.tenant).copied().unwrap_or(0);
+            let queued = st.queue.queued_of(req.tenant);
             if queued >= quota {
                 st.stats.rejected += 1;
                 st.tenant_stats_mut(req.tenant).rejected += 1;
@@ -682,17 +796,17 @@ impl SpiderScheduler {
         };
         match &entry.slot {
             Slot::Queued => {
-                let now = Instant::now();
-                let position = st
+                let entry = st
                     .queue
-                    .iter()
-                    .position(|q| q.ticket == ticket.seq)
+                    .entries
+                    .get(&ticket.seq)
                     .expect("queued slot has a queue entry"); // guard: Queued status implies a live queue entry
                 RequestStatus::Queued {
-                    position,
+                    position: st.queue.entries.range(..ticket.seq).count(),
                     effective_priority: Priority::from_level(effective_level(
-                        &st.queue[position],
-                        now,
+                        entry.req.priority.level(),
+                        entry.submitted,
+                        Instant::now(),
                         self.options.aging_step,
                     )),
                 }
@@ -720,16 +834,11 @@ impl SpiderScheduler {
     /// double-execute.
     pub fn cancel(&self, ticket: Ticket) -> bool {
         let mut st = self.lock();
-        let Some(entry) = st.slots.get(&ticket.seq) else {
+        // Only queued tickets are in the queue: running, terminal and
+        // unknown ones fall through here.
+        let Some(entry) = st.queue.remove(ticket.seq) else {
             return false;
         };
-        if !matches!(entry.slot, Slot::Queued) {
-            return false;
-        }
-        let Some(pos) = st.queue.iter().position(|q| q.ticket == ticket.seq) else {
-            return false;
-        };
-        let entry = st.queue.remove(pos);
         let waited = entry.submitted.elapsed().as_secs_f64();
         trace_queue_exit(
             self.runtime.telemetry(),
@@ -740,7 +849,6 @@ impl SpiderScheduler {
         finish(&mut st, ticket.seq, Slot::Cancelled);
         st.stats.cancelled += 1;
         st.tenant_stats_mut(entry.req.tenant).cancelled += 1;
-        st.dec_queued(entry.req.tenant);
         drop(st);
         // A freed slot may unblock a parked submitter; a drained queue may
         // be what a drain() caller is waiting on.
@@ -777,14 +885,13 @@ impl SpiderScheduler {
         st.killed = true;
         st.shutdown = true;
         let mut unstarted = Vec::new();
-        for entry in std::mem::take(&mut st.queue) {
+        for (ticket, entry) in std::mem::take(&mut st.queue).entries {
             let waited = entry.submitted.elapsed().as_secs_f64();
             trace_queue_exit(&t, &entry.req, waited, Terminal::Cancelled);
-            finish(&mut st, entry.ticket, Slot::Cancelled);
+            finish(&mut st, ticket, Slot::Cancelled);
             st.stats.cancelled += 1;
             st.tenant_stats_mut(entry.req.tenant).cancelled += 1;
-            st.dec_queued(entry.req.tenant);
-            unstarted.push((Ticket { seq: entry.ticket }, entry.req));
+            unstarted.push((Ticket { seq: ticket }, entry.req));
         }
         let mut running: Vec<u64> = st
             .slots
@@ -1125,38 +1232,35 @@ impl Drop for SpiderScheduler {
 /// or implicitly abandoned by shed/expire/cancel — terminal events carry
 /// the verdict either way).
 fn admit(st: &mut State, req: StencilRequest, t: &Telemetry) -> u64 {
-    let ticket = alloc_ticket(st, &req);
+    let plan_key = req.plan_key();
+    let ticket = alloc_ticket(st, &req, plan_key);
+    let now = Instant::now();
     st.stats.submitted += 1;
-    let tenant_depth = {
-        let n = st.tenant_queued.entry(req.tenant).or_insert(0);
-        *n += 1;
-        *n
-    };
-    {
-        let ts = st.tenant_stats_mut(req.tenant);
-        ts.submitted += 1;
-        ts.max_depth = ts.max_depth.max(tenant_depth);
-    }
-    if st.first_submit.is_none() {
-        st.first_submit = Some(Instant::now());
-    }
+    st.first_submit.get_or_insert(now);
     st.beats += 1;
-    t.record_attempt(req.id, req.plan_key(), req.attempt, EventKind::Admit, 0.0);
-    t.record_attempt(req.id, req.plan_key(), req.attempt, EventKind::Queued, 0.0);
+    t.record_attempt(req.id, plan_key, req.attempt, EventKind::Admit, 0.0);
+    t.record_attempt(req.id, plan_key, req.attempt, EventKind::Queued, 0.0);
     t.record_attempt(
         req.id,
-        req.plan_key(),
+        plan_key,
         req.attempt,
         EventKind::SpanEnter {
             phase: Phase::Queue,
         },
         0.0,
     );
-    st.queue.push(QueuedEntry {
+    let tenant = req.tenant;
+    st.queue.push(
         ticket,
-        req,
-        submitted: Instant::now(),
-    });
+        QueuedEntry {
+            req,
+            submitted: now,
+        },
+    );
+    let tenant_depth = st.queue.queued_of(tenant);
+    let ts = st.tenant_stats_mut(tenant);
+    ts.submitted += 1;
+    ts.max_depth = ts.max_depth.max(tenant_depth);
     st.stats.max_depth = st.stats.max_depth.max(st.queue.len());
     ticket
 }
@@ -1183,15 +1287,16 @@ fn trace_queue_exit(t: &Telemetry, req: &StencilRequest, waited_s: f64, terminal
     );
 }
 
-/// Allocate a ticket and its slot for `req` (does not enqueue).
-fn alloc_ticket(st: &mut State, req: &StencilRequest) -> u64 {
+/// Allocate a ticket and its slot for `req`, whose plan key is
+/// `plan_key` (does not enqueue).
+fn alloc_ticket(st: &mut State, req: &StencilRequest, plan_key: u64) -> u64 {
     let ticket = st.next_ticket;
     st.next_ticket += 1;
     st.slots.insert(
         ticket,
         SlotEntry {
             req_id: req.id,
-            plan_key: req.plan_key(),
+            plan_key,
             tenant: req.tenant,
             attempt: req.attempt,
             slot: Slot::Queued,
@@ -1208,49 +1313,36 @@ fn finish(st: &mut State, ticket: u64, slot: Slot) {
     st.last_terminal = Some(Instant::now());
 }
 
-/// Expire every queued request whose deadline has passed. Returns how many
-/// were expired (callers notify `space`/`idle` when > 0).
+/// Expire every queued request whose deadline has passed, oldest first.
+/// Returns how many were expired (callers notify `space`/`idle` when > 0).
 fn expire_due(st: &mut State, t: &Telemetry) -> usize {
     let now = Instant::now();
-    let mut expired = 0;
-    let mut i = 0;
-    while i < st.queue.len() {
-        let due = st.queue[i]
-            .req
-            .deadline
-            .is_some_and(|d| d.is_expired_at(now));
-        if due {
-            let entry = st.queue.remove(i);
-            let waited = now.saturating_duration_since(entry.submitted).as_secs_f64();
-            trace_queue_exit(t, &entry.req, waited, Terminal::Expired);
-            finish(st, entry.ticket, Slot::Expired);
-            st.stats.expired += 1;
-            st.tenant_stats_mut(entry.req.tenant).expired += 1;
-            st.dec_queued(entry.req.tenant);
-            expired += 1;
-        } else {
-            i += 1;
-        }
+    let lapsed = st.queue.take_lapsed(now);
+    for (ticket, entry) in &lapsed {
+        let waited = now.saturating_duration_since(entry.submitted).as_secs_f64();
+        trace_queue_exit(t, &entry.req, waited, Terminal::Expired);
+        finish(st, *ticket, Slot::Expired);
+        st.stats.expired += 1;
+        st.tenant_stats_mut(entry.req.tenant).expired += 1;
     }
-    if expired > 0 {
+    if !lapsed.is_empty() {
         // Retiring due work is progress too — lazy expiry driven by a poll
         // or submit must keep the heartbeat advancing.
         st.beats += 1;
     }
-    expired
+    lapsed.len()
 }
 
-/// Effective priority level of a queued entry: base plus one per elapsed
-/// aging step, capped at [`Priority::High`].
-fn effective_level(entry: &QueuedEntry, now: Instant, aging_step: Option<Duration>) -> u8 {
-    let base = entry.req.priority.level();
+/// Effective priority level of a request queued at `submitted`: its base
+/// level plus one per elapsed aging step, capped at [`Priority::High`].
+fn effective_level(base: u8, submitted: Instant, now: Instant, aging_step: Option<Duration>) -> u8 {
     let Some(step) = aging_step else {
         return base;
     };
     if step.is_zero() {
         return Priority::High.level();
     }
-    let bumps = (now.saturating_duration_since(entry.submitted).as_nanos() / step.as_nanos())
+    let bumps = (now.saturating_duration_since(submitted).as_nanos() / step.as_nanos())
         .min(u128::from(Priority::High.level())) as u8;
     (base + bumps).min(Priority::High.level())
 }
@@ -1274,60 +1366,185 @@ fn drr_cost(req: &StencilRequest) -> u64 {
         .max(1)
 }
 
-/// One deficit-round-robin round over the top-priority cohort: refill each
-/// active tenant's deficit by `weight × quantum`, then let it dispatch its
-/// oldest cohort requests while the deficit covers their cost.
+/// A lane of the top cohort: its tenant, base level and entries.
+type CohortLane<'a> = (TenantId, u8, &'a Lane);
+
+/// The next wave's members in ticket (submission) order: the
+/// top-effective-priority cohort, or one deficit-round-robin round over it
+/// when tenants are registered. A lane's head is its oldest and therefore
+/// highest-level entry, so the top level is the highest head and the
+/// cohort is a prefix of each lane whose head is at that level.
+fn wave_members(st: &mut State, options: &SchedulerOptions, now: Instant) -> Vec<u64> {
+    let level =
+        |base: u8, submitted: &Instant| effective_level(base, *submitted, now, options.aging_step);
+    let head_level = |(&(_, base), lane): (&(TenantId, u8), &Lane)| {
+        lane.first_key_value().map(|(_, s)| level(base, s))
+    };
+    let Some(top) = st.queue.lanes.iter().filter_map(head_level).max() else {
+        return Vec::new();
+    };
+    let in_cohort = |base: u8, submitted: &Instant| level(base, submitted) == top;
+    let cohort: Vec<CohortLane<'_>> = st
+        .queue
+        .lanes
+        .iter()
+        .filter(|&lane| head_level(lane) == Some(top))
+        .map(|(&(tenant, base), lane)| (tenant, base, lane))
+        .collect();
+    let mut members: Vec<u64> = if options.tenants.is_empty() {
+        cohort
+            .iter()
+            .flat_map(|&(_, base, lane)| {
+                lane.iter()
+                    .take_while(move |(_, s)| in_cohort(base, s))
+                    .map(|(&ticket, _)| ticket)
+            })
+            .collect()
+    } else {
+        drr_round(&cohort, in_cohort, &st.queue, &mut st.deficits, options)
+    };
+    members.sort_unstable();
+    members
+}
+
+/// One deficit-round-robin round over the cohort: refill each active
+/// tenant's deficit by `weight × quantum`, then let it dispatch its oldest
+/// cohort requests while the deficit covers their cost. A tenant's cohort
+/// requests, oldest first, are its cohort lanes' prefixes merged by ticket.
 ///
-/// The quantum is the largest single-request cost in the cohort, so every
-/// active tenant (weight ≥ 1) places at least its head request — a wave is
-/// never empty and no tenant starves — while a weight-10 tenant places ~10×
-/// the work of a weight-1 tenant. Leftover deficit carries to the next
-/// wave; a tenant that empties its cohort queue forfeits the remainder
-/// (classic DRR — credit must not accumulate while idle).
+/// The quantum is the largest request cost queued at the base levels the
+/// cohort draws from, read off the cost multiset. It covers every cohort
+/// request, so every active tenant (weight ≥ 1) places at least its head
+/// request — a wave is never empty and no tenant starves — while a
+/// weight-10 tenant places ~10× the work of a weight-1 tenant. Without
+/// aging it is exactly the cohort's largest cost; once aging splits a base
+/// level between cohorts, the level's younger requests count too. Leftover
+/// deficit carries to the next wave; a tenant that empties its cohort
+/// queue forfeits the remainder (classic DRR — credit must not accumulate
+/// while idle).
 ///
-/// Returns the selected queue indices in queue (submission) order.
-fn drr_round(st: &mut State, cohort: &[usize], options: &SchedulerOptions) -> Vec<usize> {
+/// Returns the selected tickets, tenant by tenant.
+fn drr_round(
+    cohort: &[CohortLane<'_>],
+    in_cohort: impl Fn(u8, &Instant) -> bool,
+    queue: &Queue,
+    deficits: &mut BTreeMap<TenantId, u64>,
+    options: &SchedulerOptions,
+) -> Vec<u64> {
     let quantum = cohort
         .iter()
-        .map(|&i| drr_cost(&st.queue[i].req))
+        .filter_map(|&(_, base, _)| queue.costs.range((base, 0)..=(base, u64::MAX)).next_back())
+        .map(|(&(_, cost), _)| cost)
         .max()
         .unwrap_or(1);
-    let mut per_tenant: BTreeMap<TenantId, VecDeque<usize>> = BTreeMap::new();
-    for &i in cohort {
-        per_tenant
-            .entry(st.queue[i].req.tenant)
-            .or_default()
-            .push_back(i);
-    }
     let mut selected = Vec::new();
-    for (tenant, mut pending) in per_tenant {
+    // Lanes are keyed (tenant, level), so a tenant's lanes are adjacent.
+    for lanes in cohort.chunk_by(|a, b| a.0 == b.0) {
+        let tenant = lanes[0].0;
         let refill = options.weight_of(tenant).saturating_mul(quantum);
-        let deficit = st.deficits.entry(tenant).or_insert(0);
+        let deficit = deficits.entry(tenant).or_insert(0);
         *deficit = deficit.saturating_add(refill);
-        while let Some(&i) = pending.front() {
-            let cost = drr_cost(&st.queue[i].req);
+        let mut heads: Vec<_> = lanes
+            .iter()
+            .map(|&(_, base, lane)| (base, lane.iter().peekable()))
+            .collect();
+        let emptied = loop {
+            let oldest = heads
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(h, (base, lane))| {
+                    let &(&ticket, submitted) = lane.peek()?;
+                    in_cohort(*base, submitted).then_some((ticket, h))
+                })
+                .min();
+            let Some((ticket, h)) = oldest else {
+                break true;
+            };
+            let cost = drr_cost(&queue.entries[&ticket].req);
             if *deficit < cost {
-                break;
+                break false;
             }
             *deficit -= cost;
-            selected.push(i);
-            pending.pop_front();
-        }
-        if pending.is_empty() {
+            selected.push(ticket);
+            heads[h].1.next();
+        };
+        if emptied {
             *deficit = 0;
         }
     }
-    selected.sort_unstable();
     selected
 }
 
-/// The dispatcher: pick the top-effective-priority cohort, cut it to one
-/// weighted-fair round when tenants are registered, coalesce the wave by
-/// plan key, execute the groups across a worker pool, mark completions.
+/// Take the next wave off the queue: its members, grouped by plan key
+/// (oldest group first) under the coalescing cap, leave the queue as
+/// `Running`; members over the cap stay queued for a later wave.
+fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) -> Vec<WaveGroup> {
+    let now = Instant::now();
+    let mut wave: Vec<WaveGroup> = Vec::new();
+    let mut group_of: HashMap<u64, usize> = HashMap::new();
+    for ticket in wave_members(st, options, now) {
+        let key = st.slots[&ticket].plan_key;
+        let g = match group_of.get(&key) {
+            Some(&g)
+                if options.max_coalesce != 0 && wave[g].tickets.len() >= options.max_coalesce =>
+            {
+                continue;
+            }
+            Some(&g) => g,
+            None => {
+                group_of.insert(key, wave.len());
+                wave.push(WaveGroup::default());
+                wave.len() - 1
+            }
+        };
+        let entry = st.queue.remove(ticket).expect("wave members are queued"); // guard: members were read from the queue under this lock
+        let wait = now.saturating_duration_since(entry.submitted).as_secs_f64();
+        let cost = drr_cost(&entry.req);
+        st.stats.total_wait_s += wait;
+        st.stats.max_wait_s = st.stats.max_wait_s.max(wait);
+        st.stats.wait_hist.record(wait);
+        st.stats.served_cost += cost;
+        {
+            let ts = st.tenant_stats_mut(entry.req.tenant);
+            ts.total_wait_s += wait;
+            ts.max_wait_s = ts.max_wait_s.max(wait);
+            ts.wait_hist.record(wait);
+            ts.served_cost += cost;
+        }
+        // Close the queue span opened at admission and fold the wait into
+        // the plan's queue-phase accumulator.
+        telemetry.record_attempt(
+            entry.req.id,
+            key,
+            entry.req.attempt,
+            EventKind::SpanExit {
+                phase: Phase::Queue,
+                elapsed_s: wait,
+            },
+            0.0,
+        );
+        if telemetry.enabled() {
+            telemetry.profiler().touch(key, &entry.req.scenario());
+            telemetry.profiler().add_phase(key, Phase::Queue, wait);
+        }
+        st.slots.get_mut(&ticket).expect("known ticket").slot = Slot::Running; // guard: queued tickets have slots
+        wave[g].tickets.push(ticket);
+        wave[g].requests.push(entry.req);
+    }
+    st.running += wave.iter().map(|g| g.tickets.len()).sum::<usize>();
+    st.beats += 1;
+    st.stats.dispatch_waves += 1;
+    st.stats.coalesced_groups += wave.len() as u64;
+    wave
+}
+
+/// The dispatcher: form a wave under the state lock, then execute its
+/// groups, with this thread as one of the wave's workers and scoped
+/// threads as the others.
 fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &SchedulerOptions) {
     let telemetry = Arc::clone(runtime.telemetry());
     loop {
-        let wave: Vec<WaveGroup> = {
+        let wave = {
             let mut st = shared.state.lock();
             loop {
                 if st.shutdown {
@@ -1342,161 +1559,70 @@ fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &Scheduler
                 }
                 st = st.wait_on(&shared.work);
             }
-            let now = Instant::now();
-            let top = st
-                .queue
-                .iter()
-                .map(|q| effective_level(q, now, options.aging_step))
-                .max()
-                .expect("non-empty queue"); // guard: guarded by the non-empty check above
-            let cohort: Vec<usize> = (0..st.queue.len())
-                .filter(|&i| effective_level(&st.queue[i], now, options.aging_step) == top)
-                .collect();
-            // With registered tenants, cut the cohort to one weighted-fair
-            // DRR round; tenant-unaware schedulers dispatch it whole.
-            let members = if options.tenants.is_empty() {
-                cohort
-            } else {
-                drr_round(&mut st, &cohort, options)
-            };
-            // Group the wave members by plan key, oldest group first,
-            // respecting the per-group coalescing cap.
-            let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-            for &i in &members {
-                let entry = &st.queue[i];
-                let key = entry.req.plan_key();
-                match groups.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, members))
-                        if options.max_coalesce == 0 || members.len() < options.max_coalesce =>
-                    {
-                        members.push(i)
-                    }
-                    Some(_) => {} // over the cap: stays queued for a later wave
-                    None => groups.push((key, vec![i])),
-                }
-            }
-            let mut assignment: Vec<Option<usize>> = vec![None; st.queue.len()];
-            for (g, (_, members)) in groups.iter().enumerate() {
-                for &i in members {
-                    assignment[i] = Some(g);
-                }
-            }
-            let mut wave: Vec<WaveGroup> =
-                (0..groups.len()).map(|_| WaveGroup::default()).collect();
-            let mut remaining = Vec::with_capacity(st.queue.len());
-            for (i, entry) in std::mem::take(&mut st.queue).into_iter().enumerate() {
-                match assignment[i] {
-                    Some(g) => {
-                        let wait = now.saturating_duration_since(entry.submitted).as_secs_f64();
-                        let cost = drr_cost(&entry.req);
-                        st.stats.total_wait_s += wait;
-                        st.stats.max_wait_s = st.stats.max_wait_s.max(wait);
-                        st.stats.wait_hist.record(wait);
-                        st.stats.served_cost += cost;
-                        {
-                            let ts = st.tenant_stats_mut(entry.req.tenant);
-                            ts.total_wait_s += wait;
-                            ts.max_wait_s = ts.max_wait_s.max(wait);
-                            ts.wait_hist.record(wait);
-                            ts.served_cost += cost;
-                        }
-                        st.dec_queued(entry.req.tenant);
-                        // Close the queue span opened at admission and fold
-                        // the wait into the plan's queue-phase accumulator.
-                        telemetry.record_attempt(
-                            entry.req.id,
-                            entry.req.plan_key(),
-                            entry.req.attempt,
-                            EventKind::SpanExit {
-                                phase: Phase::Queue,
-                                elapsed_s: wait,
-                            },
-                            0.0,
-                        );
-                        if telemetry.enabled() {
-                            let key = entry.req.plan_key();
-                            telemetry.profiler().touch(key, &entry.req.scenario());
-                            telemetry.profiler().add_phase(key, Phase::Queue, wait);
-                        }
-                        st.slots.get_mut(&entry.ticket).expect("known ticket").slot = Slot::Running; // guard: entry was popped from the queue of this state
-                        wave[g].tickets.push(entry.ticket);
-                        wave[g].requests.push(entry.req);
-                    }
-                    None => remaining.push(entry),
-                }
-            }
-            st.queue = remaining;
-            st.running += wave.iter().map(|g| g.tickets.len()).sum::<usize>();
-            st.beats += 1;
-            st.stats.dispatch_waves += 1;
-            st.stats.coalesced_groups += wave.len() as u64;
-            wave
+            form_wave(&mut st, options, &telemetry)
         };
         shared.space.notify_all();
 
-        // Execute the wave's groups across the worker pool; each group is
-        // one `run_group` call (shared plan + coalesced executors inside).
         let workers = if options.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| (n.get() / 2).max(1))
-                .unwrap_or(1)
+            (spider_core::current_num_threads() / 2).max(1)
         } else {
             options.workers
         }
         .min(wave.len().max(1));
         let next = AtomicUsize::new(0);
+        let run = || run_groups(shared, runtime, &wave, &next);
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    if g >= wave.len() {
-                        break;
-                    }
-                    let group = &wave[g];
-                    let results = runtime.run_group(&group.requests);
-                    let mut st = shared.state.lock();
-                    let mut finished = 0u64;
-                    for ((&ticket, result), req) in
-                        group.tickets.iter().zip(results).zip(&group.requests)
-                    {
-                        // A kill may already have recorded this slot's
-                        // verdict (`Failed(DeviceLost)`) and zeroed the
-                        // running count while the wave was in flight —
-                        // the simulated device died under us, so the
-                        // result is discarded, not double-finished.
-                        if !matches!(st.slots.get(&ticket).map(|e| &e.slot), Some(Slot::Running)) {
-                            continue;
-                        }
-                        match result {
-                            Ok(outcome) => {
-                                finish(&mut st, ticket, Slot::Done(Box::new(outcome)));
-                                st.stats.completed += 1;
-                                st.tenant_stats_mut(req.tenant).completed += 1;
-                            }
-                            Err(e) => {
-                                finish(
-                                    &mut st,
-                                    ticket,
-                                    Slot::Failed(FailureReason::Execution(e.to_string())),
-                                );
-                                st.stats.failed += 1;
-                                st.tenant_stats_mut(req.tenant).failed += 1;
-                            }
-                        }
-                        st.running -= 1;
-                        finished += 1;
-                    }
-                    if finished > 0 {
-                        // Completions are progress; a kill that already
-                        // discarded the results (finished == 0) is not —
-                        // the corpse must not look alive.
-                        st.beats += 1;
-                    }
-                    drop(st);
-                    shared.idle.notify_all();
-                });
+            for _ in 1..workers {
+                s.spawn(run);
             }
+            run();
         });
+    }
+}
+
+/// A wave worker: claim groups one at a time, execute each as one
+/// `run_group` call (shared plan + coalesced executors inside), and mark
+/// its tickets' verdicts.
+fn run_groups(shared: &Shared, runtime: &SpiderRuntime, wave: &[WaveGroup], next: &AtomicUsize) {
+    while let Some(group) = wave.get(next.fetch_add(1, Ordering::Relaxed)) {
+        let results = runtime.run_group(&group.requests);
+        let mut st = shared.state.lock();
+        let mut finished = 0u64;
+        for ((&ticket, result), req) in group.tickets.iter().zip(results).zip(&group.requests) {
+            // A kill may already have recorded this slot's verdict
+            // (`Failed(DeviceLost)`) and zeroed the running count while
+            // the wave was in flight — the simulated device died under us,
+            // so the result is discarded, not double-finished.
+            if !matches!(st.slots.get(&ticket).map(|e| &e.slot), Some(Slot::Running)) {
+                continue;
+            }
+            match result {
+                Ok(outcome) => {
+                    finish(&mut st, ticket, Slot::Done(Box::new(outcome)));
+                    st.stats.completed += 1;
+                    st.tenant_stats_mut(req.tenant).completed += 1;
+                }
+                Err(e) => {
+                    finish(
+                        &mut st,
+                        ticket,
+                        Slot::Failed(FailureReason::Execution(e.to_string())),
+                    );
+                    st.stats.failed += 1;
+                    st.tenant_stats_mut(req.tenant).failed += 1;
+                }
+            }
+            st.running -= 1;
+            finished += 1;
+        }
+        if finished > 0 {
+            // Completions are progress; a kill that already discarded the
+            // results (finished == 0) is not — the corpse must not look
+            // alive.
+            st.beats += 1;
+        }
+        drop(st);
+        shared.idle.notify_all();
     }
 }
 
@@ -1683,6 +1809,31 @@ mod tests {
         assert_eq!(report.outcomes.len(), 1);
         assert_eq!(report.queue.unwrap().expired, 1);
         assert!(report.rates_are_finite());
+    }
+
+    #[test]
+    fn deadlines_lapsing_together_expire_oldest_first() {
+        // The deadline index is ordered by deadline, not by ticket: requests
+        // whose deadlines lapse before the same sweep still leave the queue
+        // in submission order.
+        let s = sched(SchedulerOptions {
+            start_paused: true,
+            ..SchedulerOptions::default()
+        });
+        let now = Instant::now();
+        let tickets: Vec<Ticket> = [60, 20, 40]
+            .into_iter()
+            .enumerate()
+            .map(|(i, ms)| {
+                let deadline = crate::Deadline::at(now + Duration::from_millis(ms));
+                s.submit(req(i as u64, Priority::Normal).with_deadline(deadline))
+                    .unwrap()
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(100));
+        let report = s.drain();
+        assert_eq!(report.queue.unwrap().expired, 3);
+        assert_eq!(s.completion_order(), tickets);
     }
 
     #[test]

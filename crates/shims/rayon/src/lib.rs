@@ -3,8 +3,9 @@
 //! The build environment has no network access to crates.io, so this crate
 //! provides the *subset* of rayon's API the workspace actually uses —
 //! `into_par_iter` on integer ranges and `Vec`, `par_chunks_mut` on slices,
-//! and the `map`/`for_each`/`enumerate`/`skip`/`take`/`collect` adapters —
-//! implemented with real data parallelism over `std::thread::scope`.
+//! the `map`/`for_each`/`enumerate`/`skip`/`take`/`collect` adapters and
+//! `current_num_threads` — implemented with real data parallelism over
+//! `std::thread::scope`.
 //!
 //! Semantics match rayon where it matters for this workspace:
 //!
@@ -16,7 +17,18 @@
 //! contiguous chunk per available core. For the block-shaped workloads here
 //! (simulated thread blocks, grid rows) that is within noise of rayon.
 
+use std::sync::OnceLock;
 use std::thread;
+
+/// The number of threads parallel calls fan out across: the machine's
+/// available parallelism, read once per process. (Rayon reports its global
+/// pool's size, which defaults to the same number.) Reading it on every
+/// call is not free: on Linux `available_parallelism` re-reads the cgroup
+/// CPU quota each time.
+pub fn current_num_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// One contiguous chunk per core, executed under `std::thread::scope`.
 fn parallel_map_vec<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
@@ -26,10 +38,7 @@ where
     F: Fn(I) -> R + Sync,
 {
     let n = items.len();
-    let workers = thread::available_parallelism()
-        .map(|w| w.get())
-        .unwrap_or(1)
-        .min(n.max(1));
+    let workers = current_num_threads().min(n.max(1));
     if workers <= 1 || n <= 1 {
         return items.into_iter().map(f).collect();
     }
