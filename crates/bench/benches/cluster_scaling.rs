@@ -68,7 +68,6 @@ fn specs(n: usize) -> Vec<DeviceSpec> {
     (0..n)
         .map(|i| {
             DeviceSpec::a100(format!("dev{i}")).with_scheduler_options(SchedulerOptions {
-                workers: 1,
                 start_paused: true,
                 aging_step: None,
                 ..SchedulerOptions::default()
@@ -229,25 +228,40 @@ fn emit_json() {
     let (elastic_rps, elastic_lost) = measure_elastic();
     assert_eq!(elastic_lost, 0, "elastic scale curve lost requests");
 
-    let json = format!(
-        "{{\n  \"bench\": \"cluster_scaling\",\n  \"batch_requests\": {BATCH},\n  \"distinct_plans\": {DISTINCT_PLANS},\n  \"cluster_warm_1dev_requests_per_sec\": {:.1},\n  \"cluster_warm_2dev_requests_per_sec\": {:.1},\n  \"cluster_warm_4dev_requests_per_sec\": {:.1},\n  \"cluster_warm_8dev_requests_per_sec\": {:.1},\n  \"cluster_warm_4dev_gstencils_per_sec\": {:.4},\n  \"cluster_scaling_2dev_vs_1dev\": {:.3},\n  \"cluster_scaling_4dev_vs_1dev\": {:.3},\n  \"cluster_scaling_8dev_vs_1dev\": {:.3},\n  \"cluster_warm_4dev_hit_rate\": {:.4},\n  \"cluster_warm_4dev_steals\": {},\n  \"elastic_requests_per_sec\": {elastic_rps:.1},\n  \"elastic_lost_requests\": {elastic_lost},\n  \"planstore_cold_first_batch_ms\": {:.3},\n  \"planstore_warmstart_first_batch_ms\": {:.3},\n  \"planstore_warm_start_speedup\": {:.3}\n}}\n",
-        rps_at(1),
-        rps_at(2),
-        rps_at(4),
-        rps_at(8),
-        per_dev.iter().find(|&&(d, ..)| d == 4).unwrap().2,
-        rps_at(2) / rps_at(1),
-        rps_at(4) / rps_at(1),
-        rps_at(8) / rps_at(1),
-        per_dev.iter().find(|&&(d, ..)| d == 4).unwrap().3,
-        per_dev.iter().find(|&&(d, ..)| d == 4).unwrap().4,
-        cold_first_batch_s * 1e3,
-        warm_first_batch_s * 1e3,
-        cold_first_batch_s / warm_first_batch_s,
+    let &(_, _, gsps_4dev, hit_rate_4dev, steals_4dev) =
+        per_dev.iter().find(|&&(d, ..)| d == 4).expect("measured");
+    spider_bench::write_bench_json(
+        "cluster_scaling",
+        "BENCH_CLUSTER_JSON",
+        "BENCH_cluster.json",
+        &[
+            ("batch_requests", BATCH as f64, 0),
+            ("distinct_plans", DISTINCT_PLANS as f64, 0),
+            ("cluster_warm_1dev_requests_per_sec", rps_at(1), 1),
+            ("cluster_warm_2dev_requests_per_sec", rps_at(2), 1),
+            ("cluster_warm_4dev_requests_per_sec", rps_at(4), 1),
+            ("cluster_warm_8dev_requests_per_sec", rps_at(8), 1),
+            ("cluster_warm_4dev_gstencils_per_sec", gsps_4dev, 4),
+            ("cluster_scaling_2dev_vs_1dev", rps_at(2) / rps_at(1), 3),
+            ("cluster_scaling_4dev_vs_1dev", rps_at(4) / rps_at(1), 3),
+            ("cluster_scaling_8dev_vs_1dev", rps_at(8) / rps_at(1), 3),
+            ("cluster_warm_4dev_hit_rate", hit_rate_4dev, 4),
+            ("cluster_warm_4dev_steals", steals_4dev as f64, 0),
+            ("elastic_requests_per_sec", elastic_rps, 1),
+            ("elastic_lost_requests", elastic_lost as f64, 0),
+            ("planstore_cold_first_batch_ms", cold_first_batch_s * 1e3, 3),
+            (
+                "planstore_warmstart_first_batch_ms",
+                warm_first_batch_s * 1e3,
+                3,
+            ),
+            (
+                "planstore_warm_start_speedup",
+                cold_first_batch_s / warm_first_batch_s,
+                3,
+            ),
+        ],
     );
-    let path = std::env::var("BENCH_CLUSTER_JSON").unwrap_or_else(|_| "BENCH_cluster.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_cluster.json");
-    println!("wrote {path}:\n{json}");
 }
 
 fn main() {

@@ -89,7 +89,7 @@ fn host_mpoints(points: usize, reps: usize, mut sweep: impl FnMut()) -> f64 {
 
 fn emit_json() {
     let dev = GpuDevice::a100();
-    let mut fields: Vec<(String, f64)> = Vec::new();
+    let mut fields: Vec<(String, f64, usize)> = Vec::new();
 
     // Simulated throughput (deterministic, gated): one sweep at a
     // serving-representative extent per dimension and mode.
@@ -100,6 +100,7 @@ fn emit_json() {
         fields.push((
             format!("core_2d_{}_gstencils_per_sec", mode_tag(mode)),
             report.gstencils_per_sec(),
+            4,
         ));
     }
     let plan1 = SpiderPlan::compile(&kernel_1d()).unwrap();
@@ -109,6 +110,7 @@ fn emit_json() {
         fields.push((
             format!("core_1d_{}_gstencils_per_sec", mode_tag(mode)),
             report.gstencils_per_sec(),
+            4,
         ));
     }
     let kernel3 = Kernel3D::random_box(1, SEED);
@@ -120,6 +122,7 @@ fn emit_json() {
         fields.push((
             format!("core_3d_{}_gstencils_per_sec", mode_tag(mode)),
             report.gstencils_per_sec(),
+            4,
         ));
     }
 
@@ -132,6 +135,7 @@ fn emit_json() {
         host_mpoints(256 * 512, 9, || {
             exec.run_2d(&plan2, &mut grid, 1).unwrap();
         }),
+        4,
     ));
     let mut line = Grid1D::<f32>::random(1 << 18, 3, SEED);
     exec.run_1d(&plan1, &mut line, 1).unwrap();
@@ -140,6 +144,7 @@ fn emit_json() {
         host_mpoints(1 << 18, 9, || {
             exec.run_1d(&plan1, &mut line, 1).unwrap();
         }),
+        4,
     ));
     let exec3 = Spider3DExecutor::new(&dev, ExecMode::SparseTcOptimized);
     let mut vol = Grid3D::<f32>::random(8, 96, 96, 1, SEED);
@@ -149,16 +154,10 @@ fn emit_json() {
         host_mpoints(8 * 96 * 96, 5, || {
             exec3.run(&plan3, &mut vol, 1).unwrap();
         }),
+        4,
     ));
 
-    let mut json = String::from("{\n  \"bench\": \"core_step\"");
-    for (key, value) in &fields {
-        json.push_str(&format!(",\n  \"{key}\": {value:.4}"));
-    }
-    json.push_str("\n}\n");
-    let path = std::env::var("BENCH_CORE_JSON").unwrap_or_else(|_| "BENCH_core.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_core.json");
-    println!("wrote {path}:\n{json}");
+    spider_bench::write_bench_json("core_step", "BENCH_CORE_JSON", "BENCH_core.json", &fields);
 }
 
 fn main() {

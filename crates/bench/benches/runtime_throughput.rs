@@ -252,39 +252,56 @@ fn emit_json() {
     let noisy = slo.tenant(traffic::NOISY).expect("noisy row");
     let fairness = slo.fairness_ratio(traffic::VICTIM, traffic::NOISY);
 
-    let json = format!(
-        "{{\n  \"bench\": \"runtime_throughput\",\n  \"batch_size\": {},\n  \"warm_batches\": {},\n  \"cold_requests_per_sec\": {:.3},\n  \"warm_requests_per_sec\": {:.3},\n  \"warm_batch_hit_rate\": {:.4},\n  \"simulated_gstencils_per_sec\": {:.4},\n  \"scheduler_requests_per_sec\": {:.3},\n  \"scheduler_mean_wait_ms\": {:.3},\n  \"scheduler_p99_wait_us\": {:.1},\n  \"scheduler_dispatch_waves\": {},\n  \"scheduler_coalesced_groups\": {},\n  \"volume_requests_per_sec\": {:.3},\n  \"volume_simulated_gstencils_per_sec\": {:.4},\n  \"mixed_scheduler_requests_per_sec\": {:.3},\n  \"mixed_volumetric_requests\": {},\n  \"telemetry_on_requests_per_sec\": {:.3},\n  \"telemetry_off_requests_per_sec\": {:.3},\n  \"watchtower_on_requests_per_sec\": {:.3},\n  \"traffic_victim_p99_wait_us\": {:.1},\n  \"traffic_noisy_p99_wait_ms\": {:.3},\n  \"traffic_victim_completed\": {},\n  \"traffic_noisy_rejected\": {},\n  \"traffic_fairness_victim_per_noisy\": {:.4},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cached_plans\": {},\n  \"tuned_scenarios\": {}\n}}\n",
-        cold.outcomes.len(),
-        WARM_BATCHES,
-        cold.requests_per_sec(),
-        warm_requests as f64 / warm_wall,
-        warm_hit_rate,
-        sim_gsps,
-        sched_rps,
-        sched_queue.mean_wait_s() * 1e3,
-        sched_queue.p99_wait_s() * 1e6,
-        sched_queue.dispatch_waves,
-        sched_queue.coalesced_groups,
-        vol_rps,
-        vol_sim_gsps,
-        mixed_rps,
-        mixed_report.volumetric_completed(),
-        telemetry_on_rps,
-        telemetry_off_rps,
-        watchtower_on_rps,
-        victim.p99_wait_us,
-        noisy.p99_wait_us / 1e3,
-        victim.completed,
-        noisy.rejected,
-        fairness,
-        stats.hits,
-        stats.misses,
-        sched.runtime().cached_plans(),
-        sched.runtime().tuned_scenarios(),
+    spider_bench::write_bench_json(
+        "runtime_throughput",
+        "BENCH_RUNTIME_JSON",
+        "BENCH_runtime.json",
+        &[
+            ("batch_size", cold.outcomes.len() as f64, 0),
+            ("warm_batches", WARM_BATCHES as f64, 0),
+            ("cold_requests_per_sec", cold.requests_per_sec(), 3),
+            ("warm_requests_per_sec", warm_requests as f64 / warm_wall, 3),
+            ("warm_batch_hit_rate", warm_hit_rate, 4),
+            ("simulated_gstencils_per_sec", sim_gsps, 4),
+            ("scheduler_requests_per_sec", sched_rps, 3),
+            ("scheduler_mean_wait_ms", sched_queue.mean_wait_s() * 1e3, 3),
+            ("scheduler_p99_wait_us", sched_queue.p99_wait_s() * 1e6, 1),
+            (
+                "scheduler_dispatch_waves",
+                sched_queue.dispatch_waves as f64,
+                0,
+            ),
+            (
+                "scheduler_coalesced_groups",
+                sched_queue.coalesced_groups as f64,
+                0,
+            ),
+            ("volume_requests_per_sec", vol_rps, 3),
+            ("volume_simulated_gstencils_per_sec", vol_sim_gsps, 4),
+            ("mixed_scheduler_requests_per_sec", mixed_rps, 3),
+            (
+                "mixed_volumetric_requests",
+                mixed_report.volumetric_completed() as f64,
+                0,
+            ),
+            ("telemetry_on_requests_per_sec", telemetry_on_rps, 3),
+            ("telemetry_off_requests_per_sec", telemetry_off_rps, 3),
+            ("watchtower_on_requests_per_sec", watchtower_on_rps, 3),
+            ("traffic_victim_p99_wait_us", victim.p99_wait_us, 1),
+            ("traffic_noisy_p99_wait_ms", noisy.p99_wait_us / 1e3, 3),
+            ("traffic_victim_completed", victim.completed as f64, 0),
+            ("traffic_noisy_rejected", noisy.rejected as f64, 0),
+            ("traffic_fairness_victim_per_noisy", fairness, 4),
+            ("cache_hits", stats.hits as f64, 0),
+            ("cache_misses", stats.misses as f64, 0),
+            ("cached_plans", sched.runtime().cached_plans() as f64, 0),
+            (
+                "tuned_scenarios",
+                sched.runtime().tuned_scenarios() as f64,
+                0,
+            ),
+        ],
     );
-    let path = std::env::var("BENCH_RUNTIME_JSON").unwrap_or_else(|_| "BENCH_runtime.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_runtime.json");
-    println!("wrote {path}:\n{json}");
 }
 
 fn main() {

@@ -25,5 +25,5 @@ pub mod suite;
 pub mod table3;
 pub mod traffic;
 
-pub use report::{render, Series};
+pub use report::{render, write_bench_json, Series};
 pub use suite::{benchmark_kernel, MethodResult};

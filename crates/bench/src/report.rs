@@ -56,6 +56,37 @@ pub fn render_csv(x_label: &str, xs: &[String], series: &[Series]) -> String {
     out
 }
 
+/// Write a flat `BENCH_*.json` object — `"bench": bench`, then one
+/// numeric field per `(key, value, decimals)`, in order — to the path named
+/// by the environment variable `path_var` (default `default_path`), and
+/// echo it. `bench_gate` compares these files key for key against the
+/// committed baselines, so a key keeps its precision from run to run.
+pub fn write_bench_json<K: AsRef<str>>(
+    bench: &str,
+    path_var: &str,
+    default_path: &str,
+    fields: &[(K, f64, usize)],
+) {
+    let json = bench_json(bench, fields);
+    let path = std::env::var(path_var).unwrap_or_else(|_| default_path.into());
+    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}:\n{json}");
+}
+
+fn bench_json<K: AsRef<str>>(bench: &str, fields: &[(K, f64, usize)]) -> String {
+    let mut json = format!("{{\n  \"bench\": \"{bench}\"");
+    for (key, value, decimals) in fields {
+        json.push_str(&format!(
+            ",\n  \"{}\": {:.*}",
+            key.as_ref(),
+            decimals,
+            value
+        ));
+    }
+    json.push_str("\n}\n");
+    json
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,6 +105,18 @@ mod tests {
                 },
             ],
         )
+    }
+
+    #[test]
+    fn bench_json_keeps_each_fields_precision() {
+        let json = bench_json(
+            "b",
+            &[("n", 12.0, 0), ("rate", 0.5, 3), ("p99_us", 256.0, 1)],
+        );
+        assert_eq!(
+            json,
+            "{\n  \"bench\": \"b\",\n  \"n\": 12,\n  \"rate\": 0.500,\n  \"p99_us\": 256.0\n}\n"
+        );
     }
 
     #[test]

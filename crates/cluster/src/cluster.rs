@@ -1577,7 +1577,6 @@ mod tests {
         (0..n)
             .map(|i| {
                 DeviceSpec::a100(format!("dev{i}")).with_scheduler_options(SchedulerOptions {
-                    workers: 1,
                     start_paused: paused,
                     aging_step: None,
                     ..SchedulerOptions::default()

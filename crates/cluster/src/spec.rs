@@ -26,7 +26,8 @@ pub struct DeviceSpec {
 impl DeviceSpec {
     /// An A100 shard with the given name and serving defaults tuned for
     /// cluster membership: one worker lane per device (the cluster scales
-    /// across devices, not inside them) and a paused-start-free scheduler.
+    /// across devices, not inside them; the runtime's worker count sizes
+    /// the scheduler's waves too) and a paused-start-free scheduler.
     pub fn a100(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
@@ -35,10 +36,7 @@ impl DeviceSpec {
                 workers: 1,
                 ..RuntimeOptions::default()
             },
-            scheduler: SchedulerOptions {
-                workers: 1,
-                ..SchedulerOptions::default()
-            },
+            scheduler: SchedulerOptions::default(),
         }
     }
 
@@ -71,7 +69,6 @@ mod tests {
         let s = DeviceSpec::a100("dev0");
         assert_eq!(s.name, "dev0");
         assert_eq!(s.runtime.workers, 1);
-        assert_eq!(s.scheduler.workers, 1);
         assert_eq!(s.spec_key(), GpuSpecs::a100_pcie_80gb().fingerprint());
     }
 }

@@ -107,6 +107,23 @@ impl BatchFeedback for NoFeedback {
     fn on_grid_done(&mut self, _index: usize, _report: &KernelReport) {}
 }
 
+/// Run a one-grid coalesced batch and return the grid's report: the solo
+/// entry points are this batch, so a single-grid report is exactly the
+/// batched-launch report with a launch share of 1.
+fn solo(
+    batch: impl FnOnce(&mut dyn BatchFeedback) -> Result<(), String>,
+) -> Result<KernelReport, String> {
+    struct Keep(Option<KernelReport>);
+    impl BatchFeedback for Keep {
+        fn on_grid_done(&mut self, _index: usize, report: &KernelReport) {
+            self.0 = Some(report.clone());
+        }
+    }
+    let mut keep = Keep(None);
+    batch(&mut keep)?;
+    Ok(keep.0.expect("a batch that succeeds reports every grid"))
+}
+
 /// SPIDER's simulated-GPU executor.
 pub struct SpiderExecutor<'d> {
     device: &'d GpuDevice,
@@ -171,7 +188,8 @@ impl<'d> SpiderExecutor<'d> {
         self.device
     }
 
-    /// Run `steps` sweeps of a 2D stencil, updating `grid` in place.
+    /// Run `steps` sweeps of a 2D stencil, updating `grid` in place — a
+    /// one-grid [`Self::run_2d_coalesced`] batch.
     ///
     /// The grid is quantized through FP16 (the storage type of the modeled
     /// pipeline) on entry and after every sweep.
@@ -181,21 +199,7 @@ impl<'d> SpiderExecutor<'d> {
         grid: &mut Grid2D<f32>,
         steps: usize,
     ) -> Result<KernelReport, String> {
-        self.validate_2d(plan, grid)?;
-        let dims = LaunchDims::new(
-            self.config.tiling.blocks_2d(grid.rows(), grid.cols()),
-            self.config.tiling.threads_per_block(),
-        );
-        let points = (grid.rows() * grid.cols()) as u64;
-        let mut report: Option<KernelReport> = None;
-        self.sweep_2d(plan, grid, steps, |counters| {
-            let r = self.device.report(counters, dims, points);
-            report = Some(match report.take() {
-                None => r,
-                Some(prev) => prev.merge_sequential(&r),
-            });
-        });
-        Ok(report.expect("at least one step"))
+        solo(|fb| self.run_2d_coalesced(plan, std::slice::from_mut(grid), steps, fb))
     }
 
     fn validate_2d(&self, plan: &SpiderPlan, grid: &Grid2D<f32>) -> Result<(), String> {
@@ -212,50 +216,38 @@ impl<'d> SpiderExecutor<'d> {
         Ok(())
     }
 
-    /// The functional heart of [`Self::run_2d`]: quantize, then `steps`
-    /// boundary-refill + sweep rounds, ping-ponging between the caller's
-    /// grid and a pooled scratch grid (no clone). `on_step` fires once per
-    /// sweep with that sweep's counters.
+    /// The functional heart of [`Self::run_2d_coalesced`]: quantize, then
+    /// `steps` boundary-refill + sweep rounds, ping-ponging between the
+    /// caller's grid and a pooled scratch grid (no clone). Returns each
+    /// sweep's counters, in order.
     fn sweep_2d(
         &self,
         plan: &SpiderPlan,
         grid: &mut Grid2D<f32>,
         steps: usize,
-        mut on_step: impl FnMut(PerfCounters),
-    ) {
+    ) -> Vec<PerfCounters> {
         quantize_grid_2d(grid);
         let buf = self.pool.take_copy_of(grid.padded());
         let mut scratch = Grid2D::from_padded_vec(grid.rows(), grid.cols(), grid.halo(), buf);
+        let mut per_step = Vec::with_capacity(steps.max(1));
         for _ in 0..steps.max(1) {
             self.config.boundary.apply_2d(grid);
-            on_step(self.step_2d(plan, grid, &mut scratch));
+            per_step.push(self.step_2d(plan, grid, &mut scratch));
             std::mem::swap(grid, &mut scratch);
         }
         self.pool.put(scratch.into_padded_vec());
+        per_step
     }
 
-    /// Run `steps` sweeps of a 1D stencil.
+    /// Run `steps` sweeps of a 1D stencil — a one-grid
+    /// [`Self::run_1d_coalesced`] batch.
     pub fn run_1d(
         &self,
         plan: &SpiderPlan,
         grid: &mut Grid1D<f32>,
         steps: usize,
     ) -> Result<KernelReport, String> {
-        self.validate_1d(plan, grid)?;
-        let dims = LaunchDims::new(
-            self.config.tiling.blocks_1d(grid.len()),
-            self.config.tiling.threads_per_block(),
-        );
-        let points = grid.len() as u64;
-        let mut report: Option<KernelReport> = None;
-        self.sweep_1d(plan, grid, steps, |counters| {
-            let r = self.device.report(counters, dims, points);
-            report = Some(match report.take() {
-                None => r,
-                Some(prev) => prev.merge_sequential(&r),
-            });
-        });
-        Ok(report.expect("at least one step"))
+        solo(|fb| self.run_1d_coalesced(plan, std::slice::from_mut(grid), steps, fb))
     }
 
     fn validate_1d(&self, plan: &SpiderPlan, grid: &Grid1D<f32>) -> Result<(), String> {
@@ -274,17 +266,18 @@ impl<'d> SpiderExecutor<'d> {
         plan: &SpiderPlan,
         grid: &mut Grid1D<f32>,
         steps: usize,
-        mut on_step: impl FnMut(PerfCounters),
-    ) {
+    ) -> Vec<PerfCounters> {
         quantize_grid_1d(grid);
         let buf = self.pool.take_copy_of(grid.padded());
         let mut scratch = Grid1D::from_padded_vec(grid.len(), grid.halo(), buf);
+        let mut per_step = Vec::with_capacity(steps.max(1));
         for _ in 0..steps.max(1) {
             self.config.boundary.apply_1d(grid);
-            on_step(self.step_1d(plan, grid, &mut scratch));
+            per_step.push(self.step_1d(plan, grid, &mut scratch));
             std::mem::swap(grid, &mut scratch);
         }
         self.pool.put(scratch.into_padded_vec());
+        per_step
     }
 
     /// Run a coalesced batch of 2D grids under one plan and one executor.
@@ -302,8 +295,7 @@ impl<'d> SpiderExecutor<'d> {
     /// kernel-launch overhead shared by the group (each member's report
     /// carries `1/n` of it) and the occupancy ramp driven by the group's
     /// combined block residency — the reason a serving layer coalesces small
-    /// grids at all. A single-grid "batch" is exactly a [`Self::run_2d`]
-    /// report.
+    /// grids at all. [`Self::run_2d`] is the single-grid batch.
     ///
     /// `feedback` fires once per grid, in input order, after the whole batch
     /// finishes its sweeps. Results are delivered exclusively through the
@@ -325,11 +317,7 @@ impl<'d> SpiderExecutor<'d> {
             feedback,
             |g| self.validate_2d(plan, g),
             |g| t.blocks_2d(g.rows(), g.cols()),
-            |g| {
-                let mut counters = Vec::with_capacity(steps.max(1));
-                self.sweep_2d(plan, g, steps, |c| counters.push(c));
-                (counters, (g.rows() * g.cols()) as u64)
-            },
+            |g| (self.sweep_2d(plan, g, steps), (g.rows() * g.cols()) as u64),
         )
     }
 
@@ -348,11 +336,7 @@ impl<'d> SpiderExecutor<'d> {
             feedback,
             |g| self.validate_1d(plan, g),
             |g| t.blocks_1d(g.len()),
-            |g| {
-                let mut counters = Vec::with_capacity(steps.max(1));
-                self.sweep_1d(plan, g, steps, |c| counters.push(c));
-                (counters, g.len() as u64)
-            },
+            |g| (self.sweep_1d(plan, g, steps), g.len() as u64),
         )
     }
 
@@ -370,8 +354,8 @@ impl<'d> SpiderExecutor<'d> {
     /// cores each take a contiguous chunk of grids, which keeps result
     /// order — and therefore feedback order — equal to input order. (The
     /// rayon shim spawns raw scoped threads per call, so every avoided
-    /// layer is a real reduction in live threads under `run_batch`'s own
-    /// worker pool.)
+    /// layer is a real reduction in live threads under the serving
+    /// runtime's own group fan-out.)
     pub(crate) fn run_coalesced_impl<G: Send>(
         &self,
         grids: &mut [G],

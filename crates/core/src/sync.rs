@@ -41,11 +41,11 @@
 //! | 740 | `MetricSeries` | nothing (leaf) |
 //! | 760 | `Profiler` | nothing (leaf) |
 //!
-//! Worker threads spawned for execution (`run_batch`, the rayon shim) carry
-//! their own empty rank stacks, so cross-thread pipelines — e.g. a tuner dry
-//! run that allocates pool buffers on workers while the submitting thread
-//! holds a memo slot — are naturally in scope: each thread's *own* nesting
-//! is what the order constrains.
+//! Worker threads spawned for execution (the runtime's group fan-out, the
+//! rayon shim) carry their own empty rank stacks, so cross-thread
+//! pipelines — e.g. a tuner dry run that allocates pool buffers on workers
+//! while the submitting thread holds a memo slot — are naturally in scope:
+//! each thread's *own* nesting is what the order constrains.
 //!
 //! ## Condvar integration
 //!

@@ -19,23 +19,24 @@
 //!  StencilRequest queue (heterogeneous: 1D/2D/3D, box/star, any radius/size)
 //!        │
 //!        ▼
-//!  ┌─────────────────────── SpiderRuntime::run_batch ───────────────────┐
+//!  ┌─────── SpiderRuntime::run_batch / execute (a group of one) ────────┐
 //!  │                                                                    │
-//!  │  group by plan_key ──► worker pool (std::thread::scope), sized     │
-//!  │                        by the core count read once per process     │
+//!  │  group by plan_key ──► fan_out over `workers` threads, the caller  │
+//!  │                        one of them; one worker spawns no thread    │
 //!  │                           │  │  │                                  │
-//!  │                           ▼  ▼  ▼      per request:                │
+//!  │                           ▼  ▼  ▼      run_group, per group:       │
 //!  │   ┌───────────┐   ┌─────────────────┐                              │
 //!  │   │ PlanCache │◄──┤ 1. plan lookup  │  fingerprint(kernel, mode)   │
-//!  │   │ LRU, Arc- │   │    (compile on  │  → Arc<SpiderPlan>           │
-//!  │   │ shared    │──►│     miss)       │                              │
+//!  │   │ LRU, Arc- │   │    (compile on  │  → Arc<SpiderPlan>, once per │
+//!  │   │ shared    │──►│     miss)       │  request                     │
 //!  │   └───────────┘   ├─────────────────┤                              │
 //!  │   ┌───────────┐   │ 2. tiling      │  closed-form pre-rank         │
 //!  │   │ AutoTuner │◄──┤    selection   │  (spider-analysis::tuning)    │
 //!  │   │ memoized  │──►│                │  + simulator dry-run          │
 //!  │   └───────────┘   ├────────────────┤                               │
-//!  │                   │ 3. execute     │  SpiderExecutor::run_1d/2d    │
-//!  │                   │    (simulated) │  → KernelReport + checksum    │
+//!  │                   │ 3. execute     │  run_*_coalesced (3D: run)    │
+//!  │                   │    (simulated) │  per exec-key subgroup →      │
+//!  │                   │                │  KernelReport + checksum each │
 //!  │                   └────────────────┘                               │
 //!  └────────────────────────────┬───────────────────────────────────────┘
 //!                               ▼
@@ -55,11 +56,13 @@
 //!   default config) on the simulator, memoize the winner. The default is
 //!   always in the dry-run set, so the tuned config never loses to it under
 //!   the simulator's metric.
-//! * [`runtime::SpiderRuntime`] — single-request execution
-//!   ([`SpiderRuntime::execute`]) and batched serving
-//!   ([`SpiderRuntime::run_batch`]): requests are grouped by plan key so one
-//!   group member pays compile+tune and the rest hit, then fanned across a
-//!   worker pool; results aggregate into a [`report::RuntimeReport`].
+//! * [`runtime::SpiderRuntime`] — one request path,
+//!   [`SpiderRuntime::run_group`]: single-request execution
+//!   ([`SpiderRuntime::execute`]) is a group of one, and batched serving
+//!   ([`SpiderRuntime::run_batch`]) groups requests by plan key so one
+//!   group member pays compile+tune and the rest hit, then fans the groups
+//!   out over [`RuntimeOptions::workers`] threads; results aggregate into a
+//!   [`report::RuntimeReport`].
 //! * [`scheduler::SpiderScheduler`] — the async front end: `submit` returns
 //!   a [`scheduler::Ticket`] immediately, `poll` reports progress, `drain`
 //!   blocks until quiescence. A bounded admission queue applies a
@@ -70,8 +73,9 @@
 //!   top-priority cohort by plan key through [`SpiderRuntime::run_group`],
 //!   which shares one executor per exec-key subgroup via the
 //!   `spider_core` coalesced entry points. The queue is indexed, so a
-//!   wave costs O(wave), not O(queue). The dispatcher thread is always one
-//!   of a wave's workers, so a one-worker wave spawns no thread.
+//!   wave costs O(wave), not O(queue). Waves fan their groups out the way
+//!   `run_batch` does, over the runtime's workers with the dispatcher
+//!   thread as one of them, so a one-worker wave spawns no thread.
 //!
 //! ## Quickstart
 //!

@@ -1,5 +1,5 @@
-//! The runtime itself: plan cache + autotuner + batched worker-pool
-//! scheduler behind one handle.
+//! The runtime itself: plan cache + autotuner + the one request path
+//! ([`SpiderRuntime::run_group`]) and its group fan-out, behind one handle.
 
 use spider_core::sync::{LockRank, OrderedMutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,6 +13,8 @@ use spider_core::pool::{BufferPool, PoolStats};
 use spider_core::tiling::TilingConfig;
 use spider_gpu_sim::timing::KernelReport;
 use spider_gpu_sim::GpuDevice;
+use spider_stencil::dim3::Grid3D;
+use spider_stencil::{Grid1D, Grid2D};
 use spider_telemetry::{
     Counter, EventKind, Histogram, Phase, ResolveSource, Telemetry, TelemetryConfig, Terminal,
 };
@@ -62,9 +64,12 @@ impl From<PlanError> for RuntimeError {
 pub struct RuntimeOptions {
     /// Plan-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Worker threads for batch execution; `0` = half the available cores
-    /// (the per-request simulation is itself block-parallel, so full-width
-    /// batching oversubscribes).
+    /// Worker threads that plan-key groups fan out over, in
+    /// [`SpiderRuntime::run_batch`] and in the waves of a
+    /// [`crate::SpiderScheduler`] serving this runtime; `0` = half the
+    /// available cores (the per-request simulation is itself
+    /// block-parallel, so full-width fan-out oversubscribes), `1` = every
+    /// group on the calling thread, in order.
     pub workers: usize,
     /// Whether to autotune tilings (`false` = always the default config).
     pub autotune: bool,
@@ -414,179 +419,16 @@ impl SpiderRuntime {
     /// Execute one request end to end: plan lookup (compile on miss), tiling
     /// selection, functional simulated execution, output checksum.
     ///
-    /// Emits the request's full trace (admit → plan-resolve → tune →
-    /// execute → complete) and updates metrics + the phase profiler; all of
-    /// it is skipped when telemetry is disabled and none of it touches the
-    /// numerics either way.
+    /// A one-request [`Self::run_group`] after the `Admit` event, so a solo
+    /// request takes the serving path: the same trace (admit →
+    /// plan-resolve → tune → execute → complete, every event stamped with
+    /// the request's attempt), metrics and phase profile, all skipped when
+    /// telemetry is disabled and none of it touching the numerics.
     pub fn execute(&self, req: &StencilRequest) -> Result<RequestOutcome, RuntimeError> {
-        let start = Instant::now();
-        let t = &self.telemetry;
-        let plan_key = req.plan_key();
-        t.record_attempt(req.id, plan_key, req.attempt, EventKind::Admit, 0.0);
-        if t.enabled() {
-            t.profiler().touch(plan_key, &req.scenario());
-        }
-        match self.execute_inner(req, plan_key) {
-            Ok(out) => {
-                let sim_s = out.report.time_s();
-                t.record_attempt(
-                    req.id,
-                    plan_key,
-                    req.attempt,
-                    EventKind::Complete {
-                        terminal: Terminal::Done,
-                    },
-                    sim_s,
-                );
-                if t.enabled() {
-                    self.meters.completed.inc();
-                    if out.volumetric {
-                        self.meters.volumetric.inc();
-                    }
-                    self.meters
-                        .service_us
-                        .record(start.elapsed().as_secs_f64() * 1e6);
-                    self.meters.sim_exec_us.record(sim_s * 1e6);
-                    t.profiler().add_request(plan_key, sim_s);
-                }
-                Ok(out)
-            }
-            Err(e) => {
-                t.record_attempt(
-                    req.id,
-                    plan_key,
-                    req.attempt,
-                    EventKind::Complete {
-                        terminal: Terminal::Failed,
-                    },
-                    0.0,
-                );
-                if t.enabled() {
-                    self.meters.failed.inc();
-                    self.meters
-                        .service_us
-                        .record(start.elapsed().as_secs_f64() * 1e6);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn execute_inner(
-        &self,
-        req: &StencilRequest,
-        plan_key: u64,
-    ) -> Result<RequestOutcome, RuntimeError> {
-        let t = &self.telemetry;
-        if !req.dims_consistent() {
-            return Err(RuntimeError::DimensionMismatch {
-                id: req.id,
-                scenario: req.scenario(),
-            });
-        }
-        let span = t.span_attempt(req.id, plan_key, req.attempt, Phase::Resolve);
-        let resolved = self.resolve_plan(plan_key, &req.kernel, req.tenant);
-        span.exit();
-        let (plan, cache_hit, source) = resolved?;
-        t.record_attempt(
-            req.id,
-            plan_key,
-            req.attempt,
-            EventKind::PlanResolve { source },
-            0.0,
-        );
-        if source == ResolveSource::Compile && t.enabled() {
-            self.meters.compiles.inc();
-            t.profiler().add_compile(plan_key);
-        }
-
-        let span = t.span_attempt(req.id, plan_key, req.attempt, Phase::Tune);
-        let (tiling, tuned, tuner_memo_hit, dry_runs) = self.select_tiling(&plan, req, plan_key);
-        span.exit();
-        t.record(
-            req.id,
-            plan_key,
-            EventKind::Tune {
-                memo_hit: tuner_memo_hit,
-                dry_runs,
-            },
-            0.0,
-        );
-
-        let exec_span = t.span_attempt(req.id, plan_key, req.attempt, Phase::Exec);
-
-        let config = ExecConfig {
-            tiling,
-            ..ExecConfig::default()
-        };
-        let (report, checksum) = match req.grid {
-            GridSpec::D1 { .. } => {
-                let exec = SpiderExecutor::with_shared_pool(
-                    &self.device,
-                    req.mode,
-                    config,
-                    self.pool.clone(),
-                );
-                let plan = plan.planar().expect("dims checked: planar plan"); // guard: plan variant follows the dims match arm
-                let mut grid = req.materialize_1d();
-                let report = exec
-                    .run_1d(plan, &mut grid, req.steps)
-                    .map_err(RuntimeError::Exec)?;
-                (report, output_checksum(grid.padded()))
-            }
-            GridSpec::D2 { .. } => {
-                let exec = SpiderExecutor::with_shared_pool(
-                    &self.device,
-                    req.mode,
-                    config,
-                    self.pool.clone(),
-                );
-                let plan = plan.planar().expect("dims checked: planar plan"); // guard: plan variant follows the dims match arm
-                let mut grid = req.materialize_2d();
-                let report = exec
-                    .run_2d(plan, &mut grid, req.steps)
-                    .map_err(RuntimeError::Exec)?;
-                (report, output_checksum(grid.padded()))
-            }
-            GridSpec::D3 { .. } => {
-                let exec = Spider3DExecutor::with_shared_pool(
-                    &self.device,
-                    req.mode,
-                    config,
-                    self.pool.clone(),
-                );
-                let plan = plan.volumetric().expect("dims checked: volumetric plan"); // guard: plan variant follows the dims match arm
-                let mut grid = req.materialize_3d();
-                let report = exec
-                    .run(plan, &mut grid, req.steps)
-                    .map_err(RuntimeError::Exec)?;
-                (report, output_checksum(grid.padded()))
-            }
-        };
-        exec_span.exit();
-        t.record_attempt(
-            req.id,
-            plan_key,
-            req.attempt,
-            EventKind::Execute {
-                wave_id: t.next_wave_id(),
-                coalesced: false,
-                launch_share: 1.0,
-            },
-            report.time_s(),
-        );
-        Ok(RequestOutcome {
-            id: req.id,
-            scenario: req.scenario(),
-            cache_hit,
-            tuned,
-            tuner_memo_hit,
-            coalesced: false,
-            volumetric: req.is_volumetric(),
-            tiling,
-            report,
-            checksum,
-        })
+        self.telemetry
+            .record_attempt(req.id, req.plan_key(), req.attempt, EventKind::Admit, 0.0);
+        let mut results = self.run_group(std::slice::from_ref(req));
+        results.pop().expect("one result per request") // guard: run_group returns one result per input
     }
 
     /// Resolve the tiling for a request against an already-resolved plan.
@@ -627,10 +469,11 @@ impl SpiderRuntime {
     /// completion order. Plan lookups are still recorded per request so
     /// cache statistics stay comparable with [`Self::run_batch`].
     ///
-    /// Results come back in input order and are bit-identical to what
-    /// [`Self::execute`] produces for each request alone: the executor holds
-    /// no cross-grid state, so sharing it cannot change a single output bit
-    /// (the scheduler property tests pin this down).
+    /// Results come back in input order, and each output is bit-identical
+    /// to the request's run alone — a one-request group, which is what
+    /// [`Self::execute`] runs: the executor holds no cross-grid state, so
+    /// sharing it cannot change a single output bit (the scheduler property
+    /// tests pin this down).
     pub fn run_group(
         &self,
         requests: &[StencilRequest],
@@ -680,7 +523,9 @@ impl SpiderRuntime {
                 t.profiler().touch(key, &first.scenario());
             }
         }
-        let mut fail = |i: usize, req: &StencilRequest, e: RuntimeError| {
+        // Every failure (dims, plan, executor) records the same terminal
+        // event and meters, and becomes the member's result.
+        let failed = |req: &StencilRequest, e: RuntimeError| {
             t.record_attempt(
                 req.id,
                 req.plan_key(),
@@ -696,7 +541,7 @@ impl SpiderRuntime {
                     .service_us
                     .record(group_start.elapsed().as_secs_f64() * 1e6);
             }
-            results[i] = Some(Err(e));
+            Err(e)
         };
         for (i, req) in requests.iter().enumerate() {
             debug_assert_eq!(
@@ -705,14 +550,11 @@ impl SpiderRuntime {
                 "run_group requires a single plan key"
             );
             if !req.dims_consistent() {
-                fail(
-                    i,
-                    req,
-                    RuntimeError::DimensionMismatch {
-                        id: req.id,
-                        scenario: req.scenario(),
-                    },
-                );
+                let e = RuntimeError::DimensionMismatch {
+                    id: req.id,
+                    scenario: req.scenario(),
+                };
+                results[i] = Some(failed(req, e));
                 continue;
             }
             let span = t.span_attempt(req.id, req.plan_key(), req.attempt, Phase::Resolve);
@@ -734,7 +576,7 @@ impl SpiderRuntime {
                     plan = Some(p);
                     lookups[i] = Some(hit);
                 }
-                Err(e) => fail(i, req, e.into()),
+                Err(e) => results[i] = Some(failed(req, e.into())),
             }
         }
         let Some(plan) = plan else {
@@ -756,17 +598,19 @@ impl SpiderRuntime {
             let (tiling, tuned, head_memo_hit, head_dry_runs) =
                 self.select_tiling(&plan, head, head.plan_key());
             span.exit();
+            // The head pays the dry-runs (if any) and reports whether the
+            // memo was already warm; every later member hits the entry that
+            // call guaranteed (the tuner memoizes per plan/grid/mode, and the
+            // subgroup shares all three).
+            let memo_hit = |slot: usize| tuned && (slot > 0 || head_memo_hit);
             for (slot, &i) in members.iter().enumerate() {
                 let req = &requests[i];
-                // Trace parity with the memo-hit accounting below: the head
-                // pays the dry-runs (if any); every later member rides its
-                // memo entry.
                 t.record_attempt(
                     req.id,
                     req.plan_key(),
                     req.attempt,
                     EventKind::Tune {
-                        memo_hit: tuned && (slot > 0 || head_memo_hit),
+                        memo_hit: memo_hit(slot),
                         dry_runs: if slot == 0 { head_dry_runs } else { 0 },
                     },
                     0.0,
@@ -787,85 +631,51 @@ impl SpiderRuntime {
                 wave_id,
             };
             let exec_span = t.span_attempt(head.id, head.plan_key(), head.attempt, Phase::Exec);
-            let run = match head.grid {
-                GridSpec::D1 { .. } => {
-                    let exec = SpiderExecutor::with_shared_pool(
-                        &self.device,
-                        head.mode,
-                        config,
-                        self.pool.clone(),
-                    );
-                    let plan = plan.planar().expect("dims checked: planar plan"); // guard: plan variant follows the dims match arm
-                    let mut grids: Vec<_> = members
-                        .iter()
-                        .map(|&i| requests[i].materialize_1d())
-                        .collect();
-                    let r = exec.run_1d_coalesced(plan, &mut grids, head.steps, &mut fb);
-                    r.map(|()| grids.iter().map(|g| output_checksum(g.padded())).collect())
-                }
-                GridSpec::D2 { .. } => {
-                    let exec = SpiderExecutor::with_shared_pool(
-                        &self.device,
-                        head.mode,
-                        config,
-                        self.pool.clone(),
-                    );
-                    let plan = plan.planar().expect("dims checked: planar plan"); // guard: plan variant follows the dims match arm
-                    let mut grids: Vec<_> = members
-                        .iter()
-                        .map(|&i| requests[i].materialize_2d())
-                        .collect();
-                    let r = exec.run_2d_coalesced(plan, &mut grids, head.steps, &mut fb);
-                    r.map(|()| grids.iter().map(|g| output_checksum(g.padded())).collect())
-                }
-                GridSpec::D3 { .. } => {
-                    // Volumes share the subgroup's plan resolution, tuned
-                    // plane tiling and scratch pool; each volume then runs
-                    // its own per-step plane waves (a volume's sweep *is*
-                    // already a batched launch — see `Spider3DExecutor`),
-                    // so per-volume reports and data stay bit-identical to
-                    // a solo run under the same tiling.
-                    let exec = Spider3DExecutor::with_shared_pool(
-                        &self.device,
-                        head.mode,
-                        config,
-                        self.pool.clone(),
-                    );
-                    let plan = plan.volumetric().expect("dims checked: volumetric plan"); // guard: plan variant follows the dims match arm
-                    let mut checksums = Vec::with_capacity(members.len());
-                    let mut err = None;
-                    for (slot, &i) in members.iter().enumerate() {
-                        let mut grid = requests[i].materialize_3d();
-                        match exec.run(plan, &mut grid, head.steps) {
-                            Ok(report) => {
-                                fb.on_grid_done(slot, &report);
-                                checksums.push(output_checksum(grid.padded()));
-                            }
-                            Err(e) => {
-                                err = Some(e);
-                                break;
-                            }
+            let exec = SpiderExecutor::with_shared_pool(
+                &self.device,
+                head.mode,
+                config,
+                self.pool.clone(),
+            );
+            let run = match (&plan, head.grid) {
+                (CachedPlan::Planar(p), GridSpec::D1 { .. }) => run_checksummed(
+                    members.iter().map(|&i| requests[i].materialize_1d()),
+                    |grids| exec.run_1d_coalesced(p, grids, head.steps, &mut fb),
+                    Grid1D::padded,
+                ),
+                (CachedPlan::Planar(p), GridSpec::D2 { .. }) => run_checksummed(
+                    members.iter().map(|&i| requests[i].materialize_2d()),
+                    |grids| exec.run_2d_coalesced(p, grids, head.steps, &mut fb),
+                    Grid2D::padded,
+                ),
+                // A volume's sweep is already a batched launch (see
+                // `Spider3DExecutor`), so the subgroup's volumes share the
+                // plan, tuned plane tiling and scratch pool but run one by
+                // one: each report stays bit-identical to a solo run.
+                (CachedPlan::Volumetric(p), GridSpec::D3 { .. }) => run_checksummed(
+                    members.iter().map(|&i| requests[i].materialize_3d()),
+                    |grids| {
+                        let exec = Spider3DExecutor::with_shared_pool(
+                            &self.device,
+                            head.mode,
+                            config,
+                            self.pool.clone(),
+                        );
+                        for (slot, grid) in grids.iter_mut().enumerate() {
+                            fb.on_grid_done(slot, &exec.run(p, grid, head.steps)?);
                         }
-                    }
-                    match err {
-                        None => Ok(checksums),
-                        Some(e) => Err(e),
-                    }
-                }
+                        Ok(())
+                    },
+                    Grid3D::padded,
+                ),
+                _ => Err("plan and grid dimensionality differ".into()),
             };
             exec_span.exit();
             match run {
                 Ok(checksums) => {
-                    let checksums: Vec<u64> = checksums;
                     let launch_share = 1.0 / members.len() as f64;
                     for (slot, &i) in members.iter().enumerate() {
                         let req = &requests[i];
-                        // Memo-hit parity with `execute`: the head's tune
-                        // call reports whether the memo was already warm;
-                        // every later member hits the entry that call
-                        // guaranteed (the tuner memoizes per plan/grid/mode,
-                        // and the subgroup shares all three).
-                        let memo_hit = slot > 0 || head_memo_hit;
                         let sim_s = fb.reports[slot].time_s();
                         t.record_attempt(
                             req.id,
@@ -903,7 +713,7 @@ impl SpiderRuntime {
                             scenario: req.scenario(),
                             cache_hit: lookups[i].expect("looked up"), // guard: lookup phase populated one entry per request
                             tuned,
-                            tuner_memo_hit: tuned && memo_hit,
+                            tuner_memo_hit: memo_hit(slot),
                             coalesced,
                             volumetric: req.is_volumetric(),
                             tiling,
@@ -916,23 +726,7 @@ impl SpiderRuntime {
                     // A shared-executor failure is attributed to every
                     // member: the whole subgroup ran under one launch plan.
                     for &i in members {
-                        let req = &requests[i];
-                        t.record_attempt(
-                            req.id,
-                            req.plan_key(),
-                            req.attempt,
-                            EventKind::Complete {
-                                terminal: Terminal::Failed,
-                            },
-                            0.0,
-                        );
-                        if t.enabled() {
-                            self.meters.failed.inc();
-                            self.meters
-                                .service_us
-                                .record(group_start.elapsed().as_secs_f64() * 1e6);
-                        }
-                        results[i] = Some(Err(RuntimeError::Exec(e.clone())));
+                        results[i] = Some(failed(&requests[i], RuntimeError::Exec(e.clone())));
                     }
                 }
             }
@@ -943,19 +737,21 @@ impl SpiderRuntime {
             .collect()
     }
 
-    /// Execute a heterogeneous batch across the worker pool.
+    /// Execute a heterogeneous batch, its plan-key groups fanned out over
+    /// [`RuntimeOptions::workers`].
     ///
     /// The batch is split into plan-key groups (submission order preserved
-    /// within each group) and every group goes through [`Self::run_group`]:
-    /// one plan resolution per group, one configured executor per exec-key
+    /// within each group) and every group goes through [`Self::run_group`]
+    /// — the path [`Self::execute`] takes with a group of one: one plan
+    /// resolution per group, one configured executor per exec-key
     /// subgroup, and — for subgroups larger than one — a coalesced batched
     /// launch whose shared overhead and pooled occupancy show up directly in
-    /// the outcomes' simulated timing. Workers parallelize across groups.
-    /// Results come back in submission order regardless; grid data and
-    /// checksums are bit-identical to per-request [`Self::execute`] calls,
-    /// while coalesced members' [`spider_gpu_sim::timing::KernelReport`]s
-    /// intentionally differ from solo runs — they carry their share of the
-    /// batched launch (amortized overhead, combined-residency occupancy).
+    /// the outcomes' simulated timing. Results come back in submission
+    /// order regardless; grid data and checksums are bit-identical to
+    /// running each request alone, while coalesced members'
+    /// [`spider_gpu_sim::timing::KernelReport`]s intentionally differ from
+    /// solo runs — they carry their share of the batched launch (amortized
+    /// overhead, combined-residency occupancy).
     pub fn run_batch(&self, requests: &[StencilRequest]) -> RuntimeReport {
         let start = Instant::now();
         for req in requests {
@@ -973,44 +769,26 @@ impl SpiderRuntime {
         order.sort_by_cached_key(|&i| (requests[i].plan_key(), i));
         let groups = contiguous_key_runs(&order, |i| requests[i].plan_key());
 
-        let workers = if self.options.workers == 0 {
-            (spider_core::current_num_threads() / 2).max(1)
-        } else {
-            self.options.workers
-        }
-        .min(groups.len().max(1));
-
-        let next = AtomicUsize::new(0);
         let results: OrderedMutex<Vec<Option<Result<RequestOutcome, RuntimeError>>>> =
             OrderedMutex::new(
                 LockRank::RuntimeResults,
                 "runtime.results",
                 (0..requests.len()).map(|_| None).collect(),
             );
-
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    if slot >= groups.len() {
-                        break;
-                    }
-                    let members = groups[slot];
-                    let reqs: Vec<StencilRequest> =
-                        members.iter().map(|&i| requests[i].clone()).collect();
-                    let group_results = self.run_group(&reqs);
-                    let mut slots = results.lock();
-                    for (&idx, result) in members.iter().zip(group_results) {
-                        slots[idx] = Some(result);
-                    }
-                });
+        self.fan_out(groups.len(), |g| {
+            let members = groups[g];
+            let reqs: Vec<StencilRequest> = members.iter().map(|&i| requests[i].clone()).collect();
+            let group_results = self.run_group(&reqs);
+            let mut slots = results.lock();
+            for (&idx, result) in members.iter().zip(group_results) {
+                slots[idx] = Some(result);
             }
         });
 
         let mut outcomes = Vec::with_capacity(requests.len());
         let mut failures = Vec::new();
         for (idx, result) in results.into_inner().into_iter().enumerate() {
-            // guard: scope join means every worker wrote its slot
+            // guard: fan_out returns after every job wrote its slots
             match result.expect("every slot executed") {
                 Ok(outcome) => outcomes.push(outcome),
                 Err(e) => failures.push((requests[idx].id, e.to_string())),
@@ -1027,6 +805,46 @@ impl SpiderRuntime {
             profile: self.telemetry.profiler().top(8),
         }
     }
+
+    /// Run `job(0)`, …, `job(jobs - 1)` on up to [`RuntimeOptions::workers`]
+    /// threads, each claiming the next unclaimed index. The calling thread
+    /// is one of the workers and the others are scoped, so every job has
+    /// finished on return, and a one-worker fan-out runs every job on the
+    /// calling thread, in index order, spawning nothing. Batch groups
+    /// ([`Self::run_batch`]) and scheduler wave groups both fan out here.
+    pub(crate) fn fan_out(&self, jobs: usize, job: impl Fn(usize) + Sync) {
+        let workers = match self.options.workers {
+            0 => (spider_core::current_num_threads() / 2).max(1),
+            n => n,
+        };
+        let next = AtomicUsize::new(0);
+        let run = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                break;
+            }
+            job(i);
+        };
+        std::thread::scope(|s| {
+            for _ in 1..workers.min(jobs) {
+                s.spawn(run);
+            }
+            run();
+        });
+    }
+}
+
+/// Run one exec-key subgroup: materialize its grids, execute them as one
+/// batch through `run`, and checksum each output — the executor path every
+/// dimensionality of [`SpiderRuntime::run_group`] shares.
+fn run_checksummed<G>(
+    grids: impl Iterator<Item = G>,
+    run: impl FnOnce(&mut [G]) -> Result<(), String>,
+    padded: impl Fn(&G) -> &[f32],
+) -> Result<Vec<u64>, String> {
+    let mut grids: Vec<G> = grids.collect();
+    run(&mut grids)?;
+    Ok(grids.iter().map(|g| output_checksum(padded(g))).collect())
 }
 
 /// Split a key-sorted index order into its maximal runs of equal keys —
@@ -1119,6 +937,39 @@ mod tests {
         assert!(out2.cache_hit);
         assert_eq!(out.checksum, out2.checksum);
         assert_eq!(out.tiling, out2.tiling);
+    }
+
+    #[test]
+    fn execute_stamps_a_retry_attempt_on_every_trace_event() {
+        let rt = runtime();
+        let mut req = StencilRequest::new_2d(7, StencilKernel::jacobi_2d(), 64, 64);
+        req.attempt = 1;
+        rt.execute(&req).unwrap();
+        let timeline = rt.telemetry().trace().timeline(req.id);
+        assert!(timeline
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::Tune { .. })));
+        assert!(timeline.iter().all(|e| e.attempt == 1), "{timeline:?}");
+    }
+
+    #[test]
+    fn one_worker_fan_out_runs_every_job_on_the_caller_in_order() {
+        let rt = SpiderRuntime::new(
+            GpuDevice::a100(),
+            RuntimeOptions {
+                workers: 1,
+                ..RuntimeOptions::default()
+            },
+        );
+        let caller = std::thread::current().id();
+        let ran = std::sync::Mutex::new(Vec::new());
+        rt.fan_out(5, |i| {
+            ran.lock().unwrap().push((i, std::thread::current().id()));
+        });
+        let ran = ran.into_inner().unwrap();
+        let order: Vec<usize> = ran.iter().map(|&(i, _)| i).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+        assert!(ran.iter().all(|&(_, thread)| thread == caller));
     }
 
     #[test]

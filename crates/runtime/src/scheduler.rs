@@ -32,13 +32,13 @@
 //!
 //! Waves are serialized: every request of a higher effective priority
 //! completes before any request of a lower one starts (aging aside). Within
-//! a wave, groups execute across a small worker pool; with
-//! `SchedulerOptions { workers: 1, .. }` group completion order is
-//! deterministic (cohort submission order) — the configuration the property
-//! tests and the demo use. The dispatcher thread is always one of a wave's
-//! workers and spawns scoped threads only for the others, so a wave that
-//! resolves to one worker (one group, `workers: 1`, or `workers: 0` on
-//! fewer than four cores) spawns no thread at all.
+//! a wave, groups fan out over the runtime's workers
+//! ([`crate::RuntimeOptions::workers`]); with one worker, group completion
+//! order is deterministic (cohort submission order) — the configuration
+//! the property tests and the demo use. The dispatcher thread is always one
+//! of a wave's workers and spawns scoped threads only for the others, so a
+//! wave that resolves to one worker (one group, `workers: 1`, or
+//! `workers: 0` on fewer than four cores) spawns no thread at all.
 //!
 //! ## The queue index
 //!
@@ -74,7 +74,6 @@
 use spider_core::sync::{LockRank, OrderedMutex, OrderedMutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -175,10 +174,6 @@ pub struct SchedulerOptions {
     /// [`SpiderScheduler::resume`]. Lets tests and demos saturate the queue
     /// deterministically before anything runs.
     pub start_paused: bool,
-    /// Worker threads per dispatch wave (parallelism across plan-key
-    /// groups); `0` = half the available cores, `1` = deterministic group
-    /// ordering.
-    pub workers: usize,
     /// Cap on requests coalesced into one plan-key group per wave
     /// (`0` = unlimited).
     pub max_coalesce: usize,
@@ -200,7 +195,6 @@ impl Default for SchedulerOptions {
             policy: BackpressurePolicy::Block,
             aging_step: Some(Duration::from_millis(250)),
             start_paused: false,
-            workers: 0,
             max_coalesce: 0,
             tenants: Vec::new(),
         }
@@ -1538,9 +1532,9 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
     wave
 }
 
-/// The dispatcher: form a wave under the state lock, then execute its
-/// groups, with this thread as one of the wave's workers and scoped
-/// threads as the others.
+/// The dispatcher: form a wave under the state lock, then fan its groups
+/// out over the runtime's workers ([`SpiderRuntime::fan_out`]), this thread
+/// being one of them.
 fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &SchedulerOptions) {
     let telemetry = Arc::clone(runtime.telemetry());
     loop {
@@ -1562,68 +1556,51 @@ fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &Scheduler
             form_wave(&mut st, options, &telemetry)
         };
         shared.space.notify_all();
-
-        let workers = if options.workers == 0 {
-            (spider_core::current_num_threads() / 2).max(1)
-        } else {
-            options.workers
-        }
-        .min(wave.len().max(1));
-        let next = AtomicUsize::new(0);
-        let run = || run_groups(shared, runtime, &wave, &next);
-        std::thread::scope(|s| {
-            for _ in 1..workers {
-                s.spawn(run);
-            }
-            run();
-        });
+        runtime.fan_out(wave.len(), |g| run_wave_group(shared, runtime, &wave[g]));
     }
 }
 
-/// A wave worker: claim groups one at a time, execute each as one
-/// `run_group` call (shared plan + coalesced executors inside), and mark
-/// its tickets' verdicts.
-fn run_groups(shared: &Shared, runtime: &SpiderRuntime, wave: &[WaveGroup], next: &AtomicUsize) {
-    while let Some(group) = wave.get(next.fetch_add(1, Ordering::Relaxed)) {
-        let results = runtime.run_group(&group.requests);
-        let mut st = shared.state.lock();
-        let mut finished = 0u64;
-        for ((&ticket, result), req) in group.tickets.iter().zip(results).zip(&group.requests) {
-            // A kill may already have recorded this slot's verdict
-            // (`Failed(DeviceLost)`) and zeroed the running count while
-            // the wave was in flight — the simulated device died under us,
-            // so the result is discarded, not double-finished.
-            if !matches!(st.slots.get(&ticket).map(|e| &e.slot), Some(Slot::Running)) {
-                continue;
-            }
-            match result {
-                Ok(outcome) => {
-                    finish(&mut st, ticket, Slot::Done(Box::new(outcome)));
-                    st.stats.completed += 1;
-                    st.tenant_stats_mut(req.tenant).completed += 1;
-                }
-                Err(e) => {
-                    finish(
-                        &mut st,
-                        ticket,
-                        Slot::Failed(FailureReason::Execution(e.to_string())),
-                    );
-                    st.stats.failed += 1;
-                    st.tenant_stats_mut(req.tenant).failed += 1;
-                }
-            }
-            st.running -= 1;
-            finished += 1;
+/// Execute one wave group as one `run_group` call (shared plan + coalesced
+/// executors inside) and mark its tickets' verdicts.
+fn run_wave_group(shared: &Shared, runtime: &SpiderRuntime, group: &WaveGroup) {
+    let results = runtime.run_group(&group.requests);
+    let mut st = shared.state.lock();
+    let mut finished = 0u64;
+    for ((&ticket, result), req) in group.tickets.iter().zip(results).zip(&group.requests) {
+        // A kill may already have recorded this slot's verdict
+        // (`Failed(DeviceLost)`) and zeroed the running count while
+        // the wave was in flight — the simulated device died under us,
+        // so the result is discarded, not double-finished.
+        if !matches!(st.slots.get(&ticket).map(|e| &e.slot), Some(Slot::Running)) {
+            continue;
         }
-        if finished > 0 {
-            // Completions are progress; a kill that already discarded the
-            // results (finished == 0) is not — the corpse must not look
-            // alive.
-            st.beats += 1;
+        match result {
+            Ok(outcome) => {
+                finish(&mut st, ticket, Slot::Done(Box::new(outcome)));
+                st.stats.completed += 1;
+                st.tenant_stats_mut(req.tenant).completed += 1;
+            }
+            Err(e) => {
+                finish(
+                    &mut st,
+                    ticket,
+                    Slot::Failed(FailureReason::Execution(e.to_string())),
+                );
+                st.stats.failed += 1;
+                st.tenant_stats_mut(req.tenant).failed += 1;
+            }
         }
-        drop(st);
-        shared.idle.notify_all();
+        st.running -= 1;
+        finished += 1;
     }
+    if finished > 0 {
+        // Completions are progress; a kill that already discarded the
+        // results (finished == 0) is not — the corpse must not look
+        // alive.
+        st.beats += 1;
+    }
+    drop(st);
+    shared.idle.notify_all();
 }
 
 #[cfg(test)]
@@ -1634,11 +1611,17 @@ mod tests {
     use spider_stencil::StencilKernel;
 
     fn sched(options: SchedulerOptions) -> SpiderScheduler {
+        sched_on(2, options)
+    }
+
+    /// A scheduler over a runtime whose waves fan out over `workers`
+    /// threads; `1` completes each wave's groups in cohort order.
+    fn sched_on(workers: usize, options: SchedulerOptions) -> SpiderScheduler {
         let rt = SpiderRuntime::new(
             GpuDevice::a100(),
             RuntimeOptions {
                 cache_capacity: 16,
-                workers: 2,
+                workers,
                 tuner_dry_run_cap: 1 << 12,
                 tuner_shortlist: 2,
                 ..RuntimeOptions::default()
@@ -1695,12 +1678,14 @@ mod tests {
 
     #[test]
     fn priority_waves_serialize_high_before_low() {
-        let s = sched(SchedulerOptions {
-            start_paused: true,
-            workers: 1,
-            aging_step: None,
-            ..SchedulerOptions::default()
-        });
+        let s = sched_on(
+            1,
+            SchedulerOptions {
+                start_paused: true,
+                aging_step: None,
+                ..SchedulerOptions::default()
+            },
+        );
         // Interleave submissions: priority must override arrival order.
         let low: Vec<Ticket> = (0..3)
             .map(|i| s.submit(req(100 + i, Priority::Low)).unwrap())
@@ -1727,12 +1712,14 @@ mod tests {
     #[test]
     fn aging_promotes_starved_low_priority_work() {
         let step = Duration::from_millis(30);
-        let s = sched(SchedulerOptions {
-            start_paused: true,
-            workers: 1,
-            aging_step: Some(step),
-            ..SchedulerOptions::default()
-        });
+        let s = sched_on(
+            1,
+            SchedulerOptions {
+                start_paused: true,
+                aging_step: Some(step),
+                ..SchedulerOptions::default()
+            },
+        );
         let old_low = s.submit(req(1, Priority::Low)).unwrap();
         // Let the low-priority request age up to High...
         std::thread::sleep(step * 3);
@@ -2011,10 +1998,10 @@ mod tests {
         // and a weight-1 tenant, then check the first dispatch wave: DRR
         // with quantum = max cohort cost places exactly `weight` requests
         // per tenant when all costs are equal.
-        let s = sched(
+        let s = sched_on(
+            1,
             SchedulerOptions {
                 start_paused: true,
-                workers: 1,
                 aging_step: None,
                 ..SchedulerOptions::default()
             }
@@ -2247,10 +2234,7 @@ mod tests {
         // One worker, unpaused: let the dispatcher pick work up, then
         // kill mid-flight. Whatever had started must surface as
         // Failed { DeviceLost }, never as a silent disappearance.
-        let s = sched(SchedulerOptions {
-            workers: 1,
-            ..SchedulerOptions::default()
-        });
+        let s = sched_on(1, SchedulerOptions::default());
         let tickets: Vec<Ticket> = (0..6)
             .map(|i| s.submit(req(i, Priority::Normal)).unwrap())
             .collect();

@@ -25,11 +25,14 @@ use std::time::Duration;
 
 use spider::prelude::*;
 
-fn runtime() -> SpiderRuntime {
+/// A runtime fanning groups out over `workers` threads (`1` =
+/// deterministic completion order within a wave).
+fn runtime(workers: usize) -> SpiderRuntime {
     SpiderRuntime::new(
         GpuDevice::a100(),
         RuntimeOptions {
             cache_capacity: 32,
+            workers,
             ..RuntimeOptions::default()
         },
     )
@@ -75,13 +78,12 @@ fn scene_1_priority_ordering() {
     println!("=== scene 1: priority ordering under a saturated queue ===");
     let traffic = mixed_traffic();
     let sched = SpiderScheduler::new(
-        Arc::new(runtime()),
+        Arc::new(runtime(1)),
         SchedulerOptions {
             // Capacity equals the traffic volume: after the last submit the
             // queue is exactly full — saturated — and nothing has run yet.
             queue_capacity: traffic.len(),
             start_paused: true,
-            workers: 1, // deterministic completion order within a wave
             aging_step: None,
             ..SchedulerOptions::default()
         },
@@ -132,7 +134,7 @@ fn scene_1_priority_ordering() {
 
 fn scene_2_deadlines() {
     println!("=== scene 2: deadline expiry without execution ===");
-    let rt = Arc::new(runtime());
+    let rt = Arc::new(runtime(0));
     let sched = SpiderScheduler::new(
         Arc::clone(&rt),
         SchedulerOptions {
@@ -181,7 +183,7 @@ fn scene_3_backpressure() {
     println!("=== scene 3: backpressure — Reject and ShedLowestPriority ===");
     // Reject: over-capacity submissions are refused outright.
     let reject = SpiderScheduler::new(
-        Arc::new(runtime()),
+        Arc::new(runtime(0)),
         SchedulerOptions {
             queue_capacity: 3,
             policy: BackpressurePolicy::Reject,
@@ -212,7 +214,7 @@ fn scene_3_backpressure() {
 
     // ShedLowestPriority: the queued Low is evicted to admit a High.
     let shed = SpiderScheduler::new(
-        Arc::new(runtime()),
+        Arc::new(runtime(0)),
         SchedulerOptions {
             queue_capacity: 2,
             policy: BackpressurePolicy::ShedLowestPriority,
@@ -264,11 +266,11 @@ fn scene_4_bit_identity() {
         );
     }
 
-    let blocking = runtime().run_batch(&traffic);
+    let blocking = runtime(0).run_batch(&traffic);
     assert!(blocking.failures.is_empty());
 
     let sched = SpiderScheduler::new(
-        Arc::new(runtime()),
+        Arc::new(runtime(0)),
         SchedulerOptions {
             start_paused: true, // whole workload queued => full waves
             ..SchedulerOptions::default()

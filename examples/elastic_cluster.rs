@@ -39,7 +39,6 @@ fn paused_specs(n: usize) -> Vec<DeviceSpec> {
         .into_iter()
         .map(|s| {
             let sched = SchedulerOptions {
-                workers: 1,
                 start_paused: true,
                 aging_step: None,
                 ..s.scheduler.clone()

@@ -34,7 +34,6 @@ fn paused_specs(n: usize) -> Vec<DeviceSpec> {
     (0..n)
         .map(|i| {
             DeviceSpec::a100(format!("dev{i}")).with_scheduler_options(SchedulerOptions {
-                workers: 1,
                 start_paused: true,
                 aging_step: None,
                 ..SchedulerOptions::default()
@@ -123,7 +122,6 @@ fn scene_2_burn_rate_alert_round_trip() {
     let sched = SpiderScheduler::new(
         Arc::clone(&runtime),
         SchedulerOptions {
-            workers: 1,
             start_paused: true,
             aging_step: None,
             ..SchedulerOptions::default()

@@ -39,11 +39,14 @@ fn uniform_request(id: u64, tenant: TenantId) -> StencilRequest {
     .build()
 }
 
-fn runtime() -> Arc<SpiderRuntime> {
+/// A runtime fanning groups out over `workers` threads (`1` =
+/// deterministic completion order within a wave).
+fn runtime(workers: usize) -> Arc<SpiderRuntime> {
     Arc::new(SpiderRuntime::new(
         GpuDevice::a100(),
         RuntimeOptions {
             cache_capacity: 8,
+            workers,
             ..RuntimeOptions::default()
         },
     ))
@@ -54,10 +57,9 @@ fn scene_1_weighted_fairness() {
     let heavy = TenantId::new(1);
     let light = TenantId::new(2);
     let sched = SpiderScheduler::new(
-        runtime(),
+        runtime(1),
         SchedulerOptions {
             start_paused: true,
-            workers: 1,
             aging_step: None,
             ..SchedulerOptions::default()
         }
@@ -134,7 +136,7 @@ fn scene_3_admission_quota() {
     println!("── scene 3: admission quotas refuse, never block ───────────────");
     let capped = TenantId::new(7);
     let sched = SpiderScheduler::new(
-        runtime(),
+        runtime(0),
         SchedulerOptions {
             start_paused: true,
             ..SchedulerOptions::default()
@@ -171,7 +173,7 @@ fn scene_4_cache_and_telemetry() {
     let protected = TenantId::new(1);
     let bully = TenantId::new(2);
     let sched = SpiderScheduler::new(
-        runtime(), // capacity 8
+        runtime(0), // capacity 8
         SchedulerOptions::default()
             .with_tenant(protected, TenantConfig::weighted(1).with_cache_reserve(2))
             .with_tenant(bully, TenantConfig::weighted(1)),

@@ -63,7 +63,6 @@ fn scene_1_request_timeline() {
         Arc::new(runtime()),
         SchedulerOptions {
             start_paused: true, // queue first, so the queue span is visible
-            workers: 1,
             ..SchedulerOptions::default()
         },
     );

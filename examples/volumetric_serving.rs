@@ -200,7 +200,6 @@ fn scene_cluster() {
     let specs: Vec<DeviceSpec> = (0..3)
         .map(|i| {
             DeviceSpec::a100(format!("dev{i}")).with_scheduler_options(SchedulerOptions {
-                workers: 1,
                 start_paused: true,
                 aging_step: None,
                 ..SchedulerOptions::default()

@@ -138,7 +138,6 @@ proptest! {
             (0..3)
                 .map(|i| {
                     DeviceSpec::a100(format!("dev{i}")).with_scheduler_options(SchedulerOptions {
-                        workers: 1,
                         start_paused: true,
                         aging_step: None,
                         ..SchedulerOptions::default()
@@ -459,7 +458,6 @@ proptest! {
                     .map(|i| {
                         DeviceSpec::a100(format!("dev{i}")).with_scheduler_options(
                             SchedulerOptions {
-                                workers: 1,
                                 aging_step: None,
                                 ..SchedulerOptions::default()
                             },
@@ -530,7 +528,6 @@ proptest! {
             (0..3)
                 .map(|i| {
                     DeviceSpec::a100(format!("dev{i}")).with_scheduler_options(SchedulerOptions {
-                        workers: 1,
                         start_paused: true,
                         aging_step: None,
                         ..SchedulerOptions::default()

@@ -184,12 +184,14 @@ fn pooled_request(i: u64, kernel_pick: usize, priority: Priority) -> StencilRequ
         .with_priority(priority)
 }
 
-fn scheduler_runtime() -> SpiderRuntime {
+/// A runtime whose groups fan out over `workers` threads; `1` runs each
+/// wave's groups in cohort order.
+fn scheduler_runtime(workers: usize) -> SpiderRuntime {
     SpiderRuntime::new(
         GpuDevice::a100(),
         RuntimeOptions {
             cache_capacity: 8,
-            workers: 2,
+            workers,
             tuner_dry_run_cap: 1 << 12,
             tuner_shortlist: 2,
             ..RuntimeOptions::default()
@@ -221,11 +223,11 @@ proptest! {
             })
             .collect();
 
-        let blocking = scheduler_runtime().run_batch(&requests);
+        let blocking = scheduler_runtime(2).run_batch(&requests);
         prop_assert!(blocking.failures.is_empty());
 
         let sched = SpiderScheduler::new(
-            Arc::new(scheduler_runtime()),
+            Arc::new(scheduler_runtime(2)),
             SchedulerOptions { start_paused: true, ..SchedulerOptions::default() },
         );
         let tickets: Vec<Ticket> = requests
@@ -277,11 +279,10 @@ proptest! {
         priority_bits in any::<u64>(),
     ) {
         let sched = SpiderScheduler::new(
-            Arc::new(scheduler_runtime()),
+            Arc::new(scheduler_runtime(1)),
             SchedulerOptions {
                 queue_capacity: n,
                 start_paused: true,
-                workers: 1,
                 aging_step: None,
                 ..SchedulerOptions::default()
             },
@@ -335,12 +336,12 @@ proptest! {
             );
         }
 
-        let blocking = scheduler_runtime().run_batch(&requests);
+        let blocking = scheduler_runtime(2).run_batch(&requests);
         prop_assert!(blocking.failures.is_empty());
         prop_assert_eq!(blocking.volumetric_completed(), n_3d);
 
         let sched = SpiderScheduler::new(
-            Arc::new(scheduler_runtime()),
+            Arc::new(scheduler_runtime(2)),
             SchedulerOptions { start_paused: true, ..SchedulerOptions::default() },
         );
         let tickets: Vec<Ticket> = requests
@@ -374,7 +375,7 @@ proptest! {
         n_doomed in 1usize..4,
         seed in 0u64..1000,
     ) {
-        let rt = Arc::new(scheduler_runtime());
+        let rt = Arc::new(scheduler_runtime(2));
         let sched = SpiderScheduler::new(
             Arc::clone(&rt),
             SchedulerOptions { start_paused: true, ..SchedulerOptions::default() },

@@ -284,7 +284,6 @@ proptest! {
             policy: if shed { BackpressurePolicy::ShedLowestPriority } else { BackpressurePolicy::Reject },
             aging_step: None,
             start_paused: true,
-            workers: 1,
             max_coalesce,
             ..SchedulerOptions::default()
         };

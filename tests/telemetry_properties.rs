@@ -103,7 +103,7 @@ proptest! {
         let t = Arc::clone(rt.telemetry());
         let sched = SpiderScheduler::new(
             Arc::new(rt),
-            SchedulerOptions { workers: 1, start_paused: true, ..SchedulerOptions::default() },
+            SchedulerOptions { start_paused: true, ..SchedulerOptions::default() },
         );
         let tickets: Vec<Ticket> = reqs
             .iter()

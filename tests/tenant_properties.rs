@@ -24,12 +24,14 @@ fn uniform_request(id: u64, tenant: TenantId) -> StencilRequest {
     .build()
 }
 
-fn scheduler_runtime() -> SpiderRuntime {
+/// A runtime whose groups fan out over `workers` threads; `1` runs each
+/// wave's groups in cohort order.
+fn scheduler_runtime(workers: usize) -> SpiderRuntime {
     SpiderRuntime::new(
         GpuDevice::a100(),
         RuntimeOptions {
             cache_capacity: 8,
-            workers: 2,
+            workers,
             tuner_dry_run_cap: 1 << 12,
             tuner_shortlist: 2,
             ..RuntimeOptions::default()
@@ -37,12 +39,12 @@ fn scheduler_runtime() -> SpiderRuntime {
     )
 }
 
-/// Deterministic first-come-first-served waves: one worker, paused start,
-/// no aging — each wave fully completes before the next is formed.
+/// Deterministic first-come-first-served waves (with a one-worker
+/// runtime): paused start, no aging — each wave fully completes before the
+/// next is formed.
 fn deterministic_options() -> SchedulerOptions {
     SchedulerOptions {
         start_paused: true,
-        workers: 1,
         aging_step: None,
         ..SchedulerOptions::default()
     }
@@ -72,11 +74,11 @@ proptest! {
             })
             .collect();
 
-        let blocking = scheduler_runtime().run_batch(&requests);
+        let blocking = scheduler_runtime(2).run_batch(&requests);
         prop_assert!(blocking.failures.is_empty());
 
         let sched = SpiderScheduler::new(
-            Arc::new(scheduler_runtime()),
+            Arc::new(scheduler_runtime(2)),
             SchedulerOptions::default()
                 .with_tenant(TenantId::new(1), TenantConfig::weighted(w1))
                 .with_tenant(TenantId::new(2), TenantConfig::weighted(w2)),
@@ -123,7 +125,7 @@ proptest! {
         let n_light = waves;
 
         let sched = SpiderScheduler::new(
-            Arc::new(scheduler_runtime()),
+            Arc::new(scheduler_runtime(1)),
             deterministic_options()
                 .with_tenant(heavy, TenantConfig::weighted(w))
                 .with_tenant(light, TenantConfig::weighted(1)),
@@ -172,7 +174,7 @@ proptest! {
         let victim = TenantId::new(1);
         let noisy = TenantId::new(2);
         let sched = SpiderScheduler::new(
-            Arc::new(scheduler_runtime()),
+            Arc::new(scheduler_runtime(1)),
             deterministic_options()
                 .with_tenant(victim, TenantConfig::weighted(victim_weight))
                 .with_tenant(noisy, TenantConfig::weighted(1)),

@@ -22,7 +22,6 @@ fn paused_specs(n: usize) -> Vec<DeviceSpec> {
     (0..n)
         .map(|i| {
             DeviceSpec::a100(format!("dev{i}")).with_scheduler_options(SchedulerOptions {
-                workers: 1,
                 start_paused: true,
                 aging_step: None,
                 ..SchedulerOptions::default()
@@ -261,7 +260,6 @@ fn tenant_burn_rate_alert_fires_and_resolves() {
     let sched = SpiderScheduler::new(
         Arc::clone(&runtime),
         SchedulerOptions {
-            workers: 1,
             start_paused: true,
             aging_step: None,
             ..SchedulerOptions::default()
