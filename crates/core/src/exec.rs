@@ -26,7 +26,7 @@ use crate::{K_PAD, M_TILE};
 use rayon::prelude::*;
 use spider_gpu_sim::counters::PerfCounters;
 use spider_gpu_sim::half::F16;
-use spider_gpu_sim::launch::{run_blocks, BlockGrid};
+use spider_gpu_sim::launch::BlockGrid;
 use spider_gpu_sim::mem::global::{record_bulk_read, record_bulk_write};
 use spider_gpu_sim::mem::shared::waves_for;
 use spider_gpu_sim::tensor_core::{mma_m16n8k16, mma_sp_m16n8k16};
@@ -52,8 +52,8 @@ pub struct ExecConfig {
     pub row_swap: RowSwapStrategy,
     /// Halo refill policy applied before every sweep.
     pub boundary: BoundaryCondition,
-    /// Interior-point cap for functional measurement; `estimate_*` scales
-    /// counters beyond it (per-point rates are size-invariant).
+    /// Interior-point cap on the extent `estimate_*` charges; counters are
+    /// scaled beyond it (per-point rates are size-invariant).
     pub measure_cap: usize,
     /// Use the fused interior gather for MMA tiles whose whole B-fragment
     /// sample range provably stays inside the padded storage (direct strided
@@ -353,9 +353,10 @@ impl<'d> SpiderExecutor<'d> {
     /// sequentially and no extra threads spawn; otherwise up to half the
     /// cores each take a contiguous chunk of grids, which keeps result
     /// order — and therefore feedback order — equal to input order. (The
-    /// rayon shim spawns raw scoped threads per call, so every avoided
-    /// layer is a real reduction in live threads under the serving
-    /// runtime's own group fan-out.)
+    /// rayon shim has no pool: each parallel call spawns a scoped thread
+    /// for every chunk but the caller's, so every avoided layer is a real
+    /// reduction in live threads under the serving runtime's own group
+    /// fan-out.)
     pub(crate) fn run_coalesced_impl<G: Send>(
         &self,
         grids: &mut [G],
@@ -424,19 +425,15 @@ impl<'d> SpiderExecutor<'d> {
         report.expect("at least one step")
     }
 
-    /// Performance estimate for a (possibly huge) 2D problem: functionally
-    /// measure a capped-size instance, extrapolate per-point counter rates to
-    /// the requested extent, and evaluate the timing model with the *true*
+    /// Performance estimate for a (possibly huge) 2D problem: charge one
+    /// sweep of a capped-size instance (counters never depend on grid data,
+    /// so nothing is computed), extrapolate per-point counter rates to the
+    /// requested extent, and evaluate the timing model with the *true*
     /// launch geometry (so occupancy effects follow the real size).
     pub fn estimate_2d(&self, plan: &SpiderPlan, rows: usize, cols: usize) -> KernelReport {
         let t = &self.config.tiling;
         let (mrows, mcols) = capped_extent_2d(rows, cols, self.config.measure_cap, t);
-        let mut g = Grid2D::<f32>::random(mrows, mcols, plan.radius(), 0x5EED);
-        quantize_grid_2d(&mut g);
-        let buf = self.pool.take(g.padded().len());
-        let mut scratch = Grid2D::from_padded_vec(mrows, mcols, g.halo(), buf);
-        let measured = self.step_2d(plan, &g, &mut scratch);
-        self.pool.put(scratch.into_padded_vec());
+        let measured = self.charge_2d(plan, mrows, mcols);
         let scaled = measured.scaled((rows * cols) as u64, (mrows * mcols) as u64);
         let dims = LaunchDims::new(t.blocks_2d(rows, cols), t.threads_per_block());
         self.device.report(scaled, dims, (rows * cols) as u64)
@@ -447,12 +444,7 @@ impl<'d> SpiderExecutor<'d> {
         let t = &self.config.tiling;
         let mn = n.min(self.config.measure_cap).max(t.block_1d);
         let mn = mn.div_ceil(t.block_1d) * t.block_1d;
-        let mut g = Grid1D::<f32>::random(mn, plan.radius(), 0x5EED);
-        quantize_grid_1d(&mut g);
-        let buf = self.pool.take(g.padded().len());
-        let mut scratch = Grid1D::from_padded_vec(mn, g.halo(), buf);
-        let measured = self.step_1d(plan, &g, &mut scratch);
-        self.pool.put(scratch.into_padded_vec());
+        let measured = self.charge_1d(plan, mn);
         let scaled = measured.scaled(n as u64, mn as u64);
         let dims = LaunchDims::new(t.blocks_1d(n), t.threads_per_block());
         self.device.report(scaled, dims, n as u64)
@@ -510,15 +502,14 @@ impl<'d> SpiderExecutor<'d> {
 
     fn step_2d(&self, plan: &SpiderPlan, src: &Grid2D<f32>, dst: &mut Grid2D<f32>) -> PerfCounters {
         let t = self.config.tiling;
-        let r = plan.radius();
         let bg = BlockGrid::new(src.rows(), src.cols(), t.block_x, t.block_y);
-        let probes = WaveProbe::new(plan, &t, r, self.config.row_swap);
-
-        let (tiles, counters) = run_blocks(bg.num_blocks() as u64, |b, c| {
-            let (x0, x1, y0, y1) = bg.rect(b);
-            self.charge_block_2d(c, src, &probes, x0, x1, y0, y1, r, plan);
-            self.compute_block_2d(plan, src, x0, x1, y0, y1)
-        });
+        let tiles: Vec<Vec<f32>> = (0..bg.num_blocks() as u64)
+            .into_par_iter()
+            .map(|b| {
+                let (x0, x1, y0, y1) = bg.rect(b);
+                self.compute_block_2d(plan, src, x0, x1, y0, y1)
+            })
+            .collect();
 
         // Scatter the per-block output tiles (already FP16-quantized) into
         // the padded storage, one bulk row copy at a time, and recycle the
@@ -532,7 +523,40 @@ impl<'d> SpiderExecutor<'d> {
             }
             self.pool.put(tile);
         }
-        counters
+        self.charge_2d(plan, src.rows(), src.cols())
+    }
+
+    /// The counters of one 2D sweep over a `rows × cols` grid: the sum of
+    /// its blocks' charges. Counters depend only on block shapes, the plan,
+    /// the mode and the row-swap strategy — never on grid data.
+    fn charge_2d(&self, plan: &SpiderPlan, rows: usize, cols: usize) -> PerfCounters {
+        let t = self.config.tiling;
+        let r = plan.radius();
+        let bg = BlockGrid::new(rows, cols, t.block_x, t.block_y);
+        let probe = WaveProbe::new(plan, &t, self.mode, self.config.row_swap);
+        // D store per MMA tile: FP16 output, 8 grid rows × 16 contiguous
+        // columns. Tile columns start at multiples of 16 on a pitched
+        // allocation, so each 32-byte row store is sector-aligned.
+        let mut store = PerfCounters::new();
+        for n in 0..N_TILE as u64 {
+            record_bulk_write(&mut store, n * 128, M_TILE as u64, 2);
+        }
+        (0..bg.num_blocks() as u64)
+            .map(|b| {
+                let (x0, x1, y0, y1) = bg.rect(b);
+                // Input slab: (bx + 2r) rows × (by + 2r) useful columns,
+                // FP16, one bulk read per row. Rows are pitched to 128-byte
+                // alignment (real stencil codes use cudaMallocPitch), so
+                // every row costs what a row at address 0 costs.
+                let slab_rows = (x1 - x0) + 2 * r;
+                let slab_cols = (y1 - y0) + 2 * r;
+                let mut row = PerfCounters::new();
+                record_bulk_read(&mut row, 0, slab_cols as u64, 2);
+                let tiles = (y1 - y0).div_ceil(M_TILE) * (x1 - x0).div_ceil(N_TILE);
+                row.scaled(slab_rows as u64, 1)
+                    + probe.block((slab_rows * slab_cols) as u64, tiles as u64, store)
+            })
+            .sum()
     }
 
     /// Functional computation of one block's output tile (row-major
@@ -616,7 +640,7 @@ impl<'d> SpiderExecutor<'d> {
         let ur = unit.radius as isize;
         // Window origin in grid columns.
         let wy0 = y_base as isize + unit.dy - ur;
-        let mut dead = PerfCounters::new(); // functional-path MMA issue counts are charged in the probe pass
+        let mut dead = PerfCounters::new(); // MMA issue counts are charged in the charge pass
         match self.mode {
             ExecMode::DenseTc => {
                 let slices = unit.sparse.dense_slices();
@@ -680,7 +704,7 @@ impl<'d> SpiderExecutor<'d> {
             }
             b
         };
-        let mut dead = PerfCounters::new(); // issue counts charged in the probe pass
+        let mut dead = PerfCounters::new(); // issue counts charged in the charge pass
         match self.mode {
             ExecMode::DenseTc => {
                 let slices = unit.sparse.dense_slices();
@@ -698,94 +722,18 @@ impl<'d> SpiderExecutor<'d> {
         }
     }
 
-    /// Performance-counter charges for one 2D block.
-    #[allow(clippy::too_many_arguments)]
-    fn charge_block_2d(
-        &self,
-        c: &mut PerfCounters,
-        src: &Grid2D<f32>,
-        probes: &WaveProbe,
-        x0: usize,
-        x1: usize,
-        y0: usize,
-        y1: usize,
-        r: usize,
-        plan: &SpiderPlan,
-    ) {
-        let t = self.config.tiling;
-        // Input slab: (bx + 2r) rows × (by + 2r) useful columns, FP16.
-        let slab_rows = (x1 - x0) + 2 * r;
-        let slab_cols = (y1 - y0) + 2 * r;
-        // Pitched allocation: rows are 128-byte aligned, so each slab row is
-        // one clean sector span (real stencil codes use cudaMallocPitch).
-        let pitch = ((src.stride() as u64 * 2).div_ceil(128)) * 128;
-        for row in 0..slab_rows {
-            let gx = x0 + row; // padded row index: (x0 - r + row) + halo = x0 + row (halo = r)
-            let base = gx as u64 * pitch;
-            record_bulk_read(c, base, slab_cols as u64, 2);
-        }
-        // Staging into shared memory: conflict-free row-major writes.
-        let stage_warps = ((slab_rows * slab_cols) as u64).div_ceil(32);
-        for _ in 0..stage_warps {
-            c.smem_write(1);
-        }
-        // Kernel operand loads: once per warp (operands live in registers).
-        for _ in 0..t.warps_per_block() {
-            match self.mode {
-                ExecMode::DenseTc => packing::charge_operand_loads_dense(c, plan.slices()),
-                ExecMode::SparseTc => packing::charge_operand_loads(c, plan.slices(), false),
-                ExecMode::SparseTcOptimized => {
-                    packing::charge_operand_loads(c, plan.slices(), true)
-                }
-            }
-        }
-        // Per MMA tile: B-fragment shared reads + MMA issues + D store.
-        let tiles_y = (y1 - y0).div_ceil(M_TILE) as u64;
-        let tiles_x = (x1 - x0).div_ceil(N_TILE) as u64;
-        let tiles = tiles_y * tiles_x;
-        for _ in 0..tiles {
-            for _u in 0..plan.units().len() {
-                for k in 0..2 {
-                    for _ in 0..probes.b_load_instrs {
-                        c.smem_read(probes.b_load_waves[k]);
-                    }
-                    if self.config.row_swap == RowSwapStrategy::ExplicitCopy {
-                        // Materialized permutation: extra copy traffic.
-                        for _ in 0..2 {
-                            c.smem_read(1);
-                            c.smem_write(1);
-                        }
-                        c.alu(4);
-                    }
-                    match self.mode {
-                        ExecMode::DenseTc => c.mma_dense(),
-                        _ => c.mma_sparse(),
-                    }
-                }
-            }
-            // D store: FP16 output, 8 grid rows × 16 contiguous columns.
-            // Tile columns start at multiples of 16 on a pitched allocation,
-            // so each 32-byte row store is sector-aligned.
-            for n in 0..N_TILE as u64 {
-                record_bulk_write(c, n * 128, M_TILE as u64, 2);
-            }
-        }
-    }
-
     // ---------------------------------------------------------------- 1D --
 
     fn step_1d(&self, plan: &SpiderPlan, src: &Grid1D<f32>, dst: &mut Grid1D<f32>) -> PerfCounters {
         let t = self.config.tiling;
-        let r = plan.radius();
-        let blocks = t.blocks_1d(src.len());
-        let probes = WaveProbe::new(plan, &t, r, self.config.row_swap);
-
-        let (tiles, counters) = run_blocks(blocks, |b, c| {
-            let t0 = b as usize * t.block_1d;
-            let t1 = (t0 + t.block_1d).min(src.len());
-            self.charge_block_1d(c, &probes, t0, t1, r, plan);
-            self.compute_block_1d(plan, src, t0, t1)
-        });
+        let tiles: Vec<Vec<f32>> = (0..t.blocks_1d(src.len()) as usize)
+            .into_par_iter()
+            .map(|b| {
+                let t0 = b * t.block_1d;
+                let t1 = (t0 + t.block_1d).min(src.len());
+                self.compute_block_1d(plan, src, t0, t1)
+            })
+            .collect();
         // Bulk-copy each tile into the padded storage and recycle it.
         let h = src.halo();
         for (b, tile) in tiles.into_iter().enumerate() {
@@ -794,7 +742,28 @@ impl<'d> SpiderExecutor<'d> {
             dst.padded_mut()[t0 + h..t1 + h].copy_from_slice(&tile[..t1 - t0]);
             self.pool.put(tile);
         }
-        counters
+        self.charge_1d(plan, src.len())
+    }
+
+    /// 1D counterpart of [`Self::charge_2d`].
+    fn charge_1d(&self, plan: &SpiderPlan, n: usize) -> PerfCounters {
+        let t = self.config.tiling;
+        let r = plan.radius();
+        let probe = WaveProbe::new(plan, &t, self.mode, self.config.row_swap);
+        (0..t.blocks_1d(n) as usize)
+            .map(|b| {
+                let t0 = b * t.block_1d;
+                let t1 = (t0 + t.block_1d).min(n);
+                let slab = (t1 - t0) + 2 * r;
+                let mut read = PerfCounters::new();
+                record_bulk_read(&mut read, t0 as u64 * 2, slab as u64, 2);
+                // Each 128-point MMA group stores at the block's base.
+                let mut store = PerfCounters::new();
+                record_bulk_write(&mut store, t0 as u64 * 2, (M_TILE * N_TILE) as u64, 2);
+                let groups = (t1 - t0).div_ceil(M_TILE * N_TILE);
+                read + probe.block(slab as u64, groups as u64, store)
+            })
+            .sum()
     }
 
     fn compute_block_1d(
@@ -867,99 +836,103 @@ impl<'d> SpiderExecutor<'d> {
         }
         out
     }
+}
 
-    fn charge_block_1d(
-        &self,
-        c: &mut PerfCounters,
-        probes: &WaveProbe,
-        t0: usize,
-        t1: usize,
-        r: usize,
-        plan: &SpiderPlan,
-    ) {
-        let t = self.config.tiling;
-        let slab = (t1 - t0) + 2 * r;
-        record_bulk_read(c, t0 as u64 * 2, slab as u64, 2);
-        for _ in 0..(slab as u64).div_ceil(32) {
-            c.smem_write(1);
-        }
-        for _ in 0..t.warps_per_block() {
-            match self.mode {
-                ExecMode::DenseTc => packing::charge_operand_loads_dense(c, plan.slices()),
-                ExecMode::SparseTc => packing::charge_operand_loads(c, plan.slices(), false),
-                ExecMode::SparseTcOptimized => {
-                    packing::charge_operand_loads(c, plan.slices(), true)
-                }
+/// A sweep's per-warp and per-tile counter deltas, computed once per step:
+/// every charge depends only on block shape, plan, mode and row-swap
+/// strategy, so a block's counters are these deltas scaled by its warp and
+/// tile counts ([`PerfCounters::scaled`] by `(n, 1)` is exact).
+struct WaveProbe {
+    /// One warp's kernel-operand loads (operands live in registers, so
+    /// each warp loads them once per block).
+    operand_loads: PerfCounters,
+    /// Warps per block.
+    warps: u64,
+    /// One MMA tile (a 1D group): for every plan unit, two invocations'
+    /// B-fragment loads, any explicit row-swap copies, and the MMA issues.
+    tile: PerfCounters,
+}
+
+impl WaveProbe {
+    fn new(plan: &SpiderPlan, t: &TilingConfig, mode: ExecMode, strategy: RowSwapStrategy) -> Self {
+        let mut operand_loads = PerfCounters::new();
+        match mode {
+            ExecMode::DenseTc => {
+                packing::charge_operand_loads_dense(&mut operand_loads, plan.slices())
+            }
+            ExecMode::SparseTc => {
+                packing::charge_operand_loads(&mut operand_loads, plan.slices(), false)
+            }
+            ExecMode::SparseTcOptimized => {
+                packing::charge_operand_loads(&mut operand_loads, plan.slices(), true)
             }
         }
-        let groups = ((t1 - t0).div_ceil(M_TILE * N_TILE)) as u64;
-        for _ in 0..groups {
-            for _u in 0..plan.units().len() {
-                for k in 0..2 {
-                    for _ in 0..probes.b_load_instrs {
-                        c.smem_read(probes.b_load_waves[k]);
-                    }
-                    if self.config.row_swap == RowSwapStrategy::ExplicitCopy {
-                        for _ in 0..2 {
-                            c.smem_read(1);
-                            c.smem_write(1);
-                        }
-                        c.alu(4);
-                    }
-                    match self.mode {
-                        ExecMode::DenseTc => c.mma_dense(),
-                        _ => c.mma_sparse(),
-                    }
+        let mut unit = PerfCounters::new();
+        for waves in b_load_waves(plan, t, strategy) {
+            // One ldmatrix.x2 per invocation.
+            unit.smem_read(waves);
+            if strategy == RowSwapStrategy::ExplicitCopy {
+                // Materialized permutation: extra copy traffic.
+                for _ in 0..2 {
+                    unit.smem_read(1);
+                    unit.smem_write(1);
                 }
+                unit.alu(4);
             }
-            record_bulk_write(c, t0 as u64 * 2, (M_TILE * N_TILE) as u64, 2);
+            match mode {
+                ExecMode::DenseTc => unit.mma_dense(),
+                _ => unit.mma_sparse(),
+            }
         }
+        Self {
+            operand_loads,
+            warps: t.warps_per_block() as u64,
+            tile: unit.scaled(plan.units().len() as u64, 1),
+        }
+    }
+
+    /// A block's counters beyond its input read: `slab` input elements
+    /// staged into shared memory (conflict-free row-major writes, one per
+    /// 32 elements), every warp's operand loads, and `tiles` MMA tiles each
+    /// finished by `store`.
+    fn block(&self, slab: u64, tiles: u64, store: PerfCounters) -> PerfCounters {
+        let mut stage = PerfCounters::new();
+        stage.smem_write(1);
+        stage.scaled(slab.div_ceil(32), 1)
+            + self.operand_loads.scaled(self.warps, 1)
+            + (self.tile + store).scaled(tiles, 1)
     }
 }
 
-/// Precomputed shared-memory wave counts for the B-fragment loads. The
+/// Shared-memory waves for each of a unit's two B-fragment loads. The
 /// pattern is tile-invariant, so one per-lane probe per configuration
-/// suffices — this is what keeps the transaction-level simulation fast.
+/// suffices.
 ///
 /// B fragments are fetched `ldmatrix`-style: the warp presents one row
 /// pointer per 8×8 sub-matrix and the unit delivers the fragment in
 /// 128-byte waves (two waves for a 16×8 FP16 operand). The row swap only
 /// permutes *which* rows the pointers name, so the wave count is identical
 /// with and without swapping — the hardware-level root of Table 3.
-struct WaveProbe {
-    /// `b_load_waves[k]`: waves for invocation `k`'s B-fragment load.
-    b_load_waves: [u64; 2],
-    /// Instructions per B-fragment load (one ldmatrix.x2 per invocation).
-    b_load_instrs: u64,
-}
-
-impl WaveProbe {
-    fn new(plan: &SpiderPlan, t: &TilingConfig, r: usize, strategy: RowSwapStrategy) -> Self {
-        // Shared slab stride (f16 elements): block_y + halo + swap headroom,
-        // padded to the conflict-free residue (see `conflict_free_stride`).
-        let sy = conflict_free_stride(t.block_y + 2 * r + M_TILE) as u64;
-        let perm = plan.perm();
-        let mut waves = [0u64; 2];
-        for (k, wk) in waves.iter_mut().enumerate() {
-            // ldmatrix row pointers: one per fragment row; conflict analysis
-            // over the 16 row-start addresses (each row is 8 f16 = one wave
-            // half; two rows are serviced per wave).
-            let addrs: [Option<u64>; M_TILE] = std::array::from_fn(|row| {
-                let window = match strategy {
-                    RowSwapStrategy::Implicit => perm[16 * k + row],
-                    _ => 16 * k + row,
-                };
-                Some(window as u64 * sy * 2)
-            });
-            // 16 rows × 16 B = 256 B = 2 waves minimum; row-pointer bank
-            // collisions would add replays (none with the padded stride).
-            *wk = 2.max(waves_for(&addrs) / 8);
-        }
-        Self {
-            b_load_waves: waves,
-            b_load_instrs: 1,
-        }
-    }
+fn b_load_waves(plan: &SpiderPlan, t: &TilingConfig, strategy: RowSwapStrategy) -> [u64; 2] {
+    // Shared slab stride (f16 elements): block_y + halo + swap headroom,
+    // padded to the conflict-free residue (see `conflict_free_stride`).
+    let sy = conflict_free_stride(t.block_y + 2 * plan.radius() + M_TILE) as u64;
+    let perm = plan.perm();
+    std::array::from_fn(|k| {
+        // ldmatrix row pointers: one per fragment row; conflict analysis
+        // over the 16 row-start addresses (each row is 8 f16 = one wave
+        // half; two rows are serviced per wave).
+        let addrs: [Option<u64>; M_TILE] = std::array::from_fn(|row| {
+            let window = match strategy {
+                RowSwapStrategy::Implicit => perm[16 * k + row],
+                _ => 16 * k + row,
+            };
+            Some(window as u64 * sy * 2)
+        });
+        // 16 rows × 16 B = 256 B = 2 waves minimum; row-pointer bank
+        // collisions would add replays (none with the padded stride).
+        2.max(waves_for(&addrs) / 8)
+    })
 }
 
 /// Smallest shared-memory row stride (in FP16 elements) at or above `need`
@@ -1332,6 +1305,211 @@ mod tests {
             small.gstencils_per_sec(),
             large.gstencils_per_sec()
         );
+    }
+
+    /// The per-event charging the closed form replaced, kept as its oracle:
+    /// one 2D block's charges, event by event.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_charge_block_2d(
+        exec: &SpiderExecutor,
+        c: &mut PerfCounters,
+        stride: usize,
+        x0: usize,
+        x1: usize,
+        y0: usize,
+        y1: usize,
+        plan: &SpiderPlan,
+    ) {
+        let r = plan.radius();
+        let slab_rows = (x1 - x0) + 2 * r;
+        let slab_cols = (y1 - y0) + 2 * r;
+        let pitch = ((stride as u64 * 2).div_ceil(128)) * 128;
+        for row in 0..slab_rows {
+            record_bulk_read(c, (x0 + row) as u64 * pitch, slab_cols as u64, 2);
+        }
+        for _ in 0..((slab_rows * slab_cols) as u64).div_ceil(32) {
+            c.smem_write(1);
+        }
+        oracle_operand_loads(exec, c, plan);
+        let tiles = (y1 - y0).div_ceil(M_TILE) * (x1 - x0).div_ceil(N_TILE);
+        for _ in 0..tiles {
+            oracle_tile(exec, c, plan);
+            for n in 0..N_TILE as u64 {
+                record_bulk_write(c, n * 128, M_TILE as u64, 2);
+            }
+        }
+    }
+
+    /// 1D counterpart of [`oracle_charge_block_2d`].
+    fn oracle_charge_block_1d(
+        exec: &SpiderExecutor,
+        c: &mut PerfCounters,
+        t0: usize,
+        t1: usize,
+        plan: &SpiderPlan,
+    ) {
+        let slab = (t1 - t0) + 2 * plan.radius();
+        record_bulk_read(c, t0 as u64 * 2, slab as u64, 2);
+        for _ in 0..(slab as u64).div_ceil(32) {
+            c.smem_write(1);
+        }
+        oracle_operand_loads(exec, c, plan);
+        for _ in 0..(t1 - t0).div_ceil(M_TILE * N_TILE) {
+            oracle_tile(exec, c, plan);
+            record_bulk_write(c, t0 as u64 * 2, (M_TILE * N_TILE) as u64, 2);
+        }
+    }
+
+    fn oracle_operand_loads(exec: &SpiderExecutor, c: &mut PerfCounters, plan: &SpiderPlan) {
+        for _ in 0..exec.config.tiling.warps_per_block() {
+            match exec.mode {
+                ExecMode::DenseTc => packing::charge_operand_loads_dense(c, plan.slices()),
+                ExecMode::SparseTc => packing::charge_operand_loads(c, plan.slices(), false),
+                ExecMode::SparseTcOptimized => {
+                    packing::charge_operand_loads(c, plan.slices(), true)
+                }
+            }
+        }
+    }
+
+    fn oracle_tile(exec: &SpiderExecutor, c: &mut PerfCounters, plan: &SpiderPlan) {
+        let waves = b_load_waves(plan, &exec.config.tiling, exec.config.row_swap);
+        for _u in 0..plan.units().len() {
+            for wk in waves {
+                c.smem_read(wk);
+                if exec.config.row_swap == RowSwapStrategy::ExplicitCopy {
+                    for _ in 0..2 {
+                        c.smem_read(1);
+                        c.smem_write(1);
+                    }
+                    c.alu(4);
+                }
+                match exec.mode {
+                    ExecMode::DenseTc => c.mma_dense(),
+                    _ => c.mma_sparse(),
+                }
+            }
+        }
+    }
+
+    fn oracle_step_2d(exec: &SpiderExecutor, plan: &SpiderPlan, g: &Grid2D<f32>) -> PerfCounters {
+        let t = exec.config.tiling;
+        let bg = BlockGrid::new(g.rows(), g.cols(), t.block_x, t.block_y);
+        let mut c = PerfCounters::new();
+        for b in 0..bg.num_blocks() as u64 {
+            let (x0, x1, y0, y1) = bg.rect(b);
+            oracle_charge_block_2d(exec, &mut c, g.stride(), x0, x1, y0, y1, plan);
+        }
+        c
+    }
+
+    fn oracle_step_1d(exec: &SpiderExecutor, plan: &SpiderPlan, n: usize) -> PerfCounters {
+        let t = exec.config.tiling;
+        let mut c = PerfCounters::new();
+        for b in 0..t.blocks_1d(n) as usize {
+            let t0 = b * t.block_1d;
+            oracle_charge_block_1d(exec, &mut c, t0, (t0 + t.block_1d).min(n), plan);
+        }
+        c
+    }
+
+    /// The estimate the charge-only ones replaced: the counters of one
+    /// sweep over a capped random grid (charged per event), scaled.
+    fn oracle_estimate_2d(
+        exec: &SpiderExecutor,
+        plan: &SpiderPlan,
+        rows: usize,
+        cols: usize,
+    ) -> KernelReport {
+        let t = &exec.config.tiling;
+        let (mrows, mcols) = capped_extent_2d(rows, cols, exec.config.measure_cap, t);
+        let g = Grid2D::<f32>::random(mrows, mcols, plan.radius(), 0x5EED);
+        let measured = oracle_step_2d(exec, plan, &g);
+        let scaled = measured.scaled((rows * cols) as u64, (mrows * mcols) as u64);
+        let dims = LaunchDims::new(t.blocks_2d(rows, cols), t.threads_per_block());
+        exec.device.report(scaled, dims, (rows * cols) as u64)
+    }
+
+    fn oracle_estimate_1d(exec: &SpiderExecutor, plan: &SpiderPlan, n: usize) -> KernelReport {
+        let t = &exec.config.tiling;
+        let mn = n.min(exec.config.measure_cap).max(t.block_1d);
+        let mn = mn.div_ceil(t.block_1d) * t.block_1d;
+        let scaled = oracle_step_1d(exec, plan, mn).scaled(n as u64, mn as u64);
+        let dims = LaunchDims::new(t.blocks_1d(n), t.threads_per_block());
+        exec.device.report(scaled, dims, n as u64)
+    }
+
+    #[test]
+    fn closed_form_charging_matches_the_per_event_oracle() {
+        let dev = device();
+        let modes = [
+            ExecMode::DenseTc,
+            ExecMode::SparseTc,
+            ExecMode::SparseTcOptimized,
+        ];
+        let strategies = [
+            RowSwapStrategy::Implicit,
+            RowSwapStrategy::ExplicitCopy,
+            RowSwapStrategy::None,
+        ];
+        let mut planar: Vec<StencilKernel> = (1..=3)
+            .flat_map(|r| [StencilShape::box_2d(r), StencilShape::star_2d(r)])
+            .map(|shape| StencilKernel::random(shape, 7))
+            .collect();
+        planar.push(StencilKernel::random(StencilShape::box_2d(9), 8));
+        let lines: Vec<StencilKernel> = [1, 2, 3, 9]
+            .into_iter()
+            .map(|r| StencilKernel::random(StencilShape::d1(r), 9))
+            .collect();
+        for (mode, strategy) in modes
+            .iter()
+            .flat_map(|m| strategies.iter().map(move |s| (*m, *s)))
+        {
+            let config = ExecConfig {
+                row_swap: strategy,
+                ..ExecConfig::default()
+            };
+            let exec = SpiderExecutor::with_config(&dev, mode, config);
+            let what = format!("{mode:?} {strategy:?}");
+            for kernel in &planar {
+                let plan = SpiderPlan::compile(kernel).unwrap();
+                let r = plan.radius();
+                // Whole 32×64 blocks and clipped edge blocks on both axes.
+                for (rows, cols) in [(64, 128), (50, 70), (41, 99)] {
+                    let g = Grid2D::<f32>::random(rows, cols, r, 3);
+                    let (_, got) = exec.sweep_plane(&plan, &g).unwrap();
+                    assert_eq!(
+                        got,
+                        oracle_step_2d(&exec, &plan, &g),
+                        "{what} {rows}x{cols} r{r}"
+                    );
+                }
+                // Uncapped, and capped (charged over a 2^20-point extent;
+                // one radius keeps the block-by-block oracle quick).
+                let capped = (r == 3).then_some((4096, 4096));
+                for (rows, cols) in [(96, 160)].into_iter().chain(capped) {
+                    let got = exec.estimate_2d(&plan, rows, cols);
+                    let want = oracle_estimate_2d(&exec, &plan, rows, cols);
+                    assert_eq!(got.counters, want.counters, "{what} estimate {rows}x{cols}");
+                    assert_eq!(got.time_s(), want.time_s());
+                }
+            }
+            for kernel in &lines {
+                let plan = SpiderPlan::compile(kernel).unwrap();
+                // Whole 2048-point blocks and a clipped last block.
+                for n in [4096, 5000] {
+                    let mut g = Grid1D::<f32>::random(n, plan.radius(), 4);
+                    let got = exec.run_1d(&plan, &mut g, 1).unwrap().counters;
+                    assert_eq!(got, oracle_step_1d(&exec, &plan, n), "{what} 1D n{n}");
+                }
+                for n in [1 << 24, 3000] {
+                    let got = exec.estimate_1d(&plan, n);
+                    let want = oracle_estimate_1d(&exec, &plan, n);
+                    assert_eq!(got.counters, want.counters, "{what} estimate n{n}");
+                    assert_eq!(got.time_s(), want.time_s());
+                }
+            }
+        }
     }
 
     /// [`BatchFeedback`] collector used by the coalesced-path tests.

@@ -91,8 +91,20 @@ impl F16 {
         f32::from_bits(bits)
     }
 
-    /// Round-trip quantization: the f32 value nearest-representable in f16.
+    /// Round-trip quantization: the f32 value nearest-representable in f16,
+    /// bit for bit `Self::from_f32(v).to_f32()`.
+    ///
+    /// In the f16 normal range (magnitudes `2^-14 ..< 65520`, f32 bits
+    /// `0x3880_0000..0x477F_F000`) the round trip is round-to-nearest-even
+    /// of the f32 significand to 11 bits, done directly on the bit pattern;
+    /// a carry out of the significand bumps the exponent, as it should.
+    /// Subnormals, overflow, infinities and NaN take the full conversion.
+    #[inline]
     pub fn quantize(v: f32) -> f32 {
+        let bits = v.to_bits();
+        if (0x3880_0000..0x477F_F000).contains(&(bits & 0x7FFF_FFFF)) {
+            return f32::from_bits((bits + 0x0FFF + ((bits >> 13) & 1)) & !0x1FFF);
+        }
         Self::from_f32(v).to_f32()
     }
 
@@ -193,6 +205,59 @@ mod tests {
             }
             let back = F16::from_f32(h.to_f32());
             assert_eq!(back.0, bits, "bits {bits:#06x}");
+        }
+    }
+
+    /// `F16::quantize` against the conversion round trip, bit for bit.
+    fn assert_quantize_exact(bits: u32) {
+        let v = f32::from_bits(bits);
+        let want = F16::from_f32(v).to_f32().to_bits();
+        assert_eq!(F16::quantize(v).to_bits(), want, "f32 bits {bits:#010x}");
+    }
+
+    #[test]
+    fn quantize_matches_the_round_trip_on_every_exponent_tie_and_edge() {
+        for sign in [0, 0x8000_0000u32] {
+            for exp in 0..=0xFFu32 {
+                let base = sign | exp << 23;
+                // Strided mantissa sweep.
+                for man in (0..0x80_0000u32).step_by(0x3FD) {
+                    assert_quantize_exact(base | man);
+                }
+                // Every rounding tie (dropped 13 bits exactly half), both
+                // parities of the kept bits, and its two neighbours.
+                for kept in 0..0x400u32 {
+                    for low in [0x0FFF, 0x1000, 0x1001, 0x1FFF] {
+                        assert_quantize_exact(base | kept << 13 | low);
+                    }
+                }
+            }
+        }
+        for v in [
+            2.0f32.powi(-14),
+            65504.0,
+            65520.0,
+            2.0f32.powi(-24),
+            2.0f32.powi(-25),
+            (1023.0 / 1024.0) * 2.0f32.powi(-14),
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NAN,
+        ] {
+            for bits in [v.to_bits(), (-v).to_bits()] {
+                for b in bits.saturating_sub(2)..=bits.saturating_add(2) {
+                    assert_quantize_exact(b);
+                }
+            }
+        }
+    }
+
+    /// Every one of the 2^32 f32 bit patterns: too slow for the default run.
+    #[test]
+    #[ignore = "exhaustive; run with --release -- --ignored"]
+    fn quantize_matches_the_round_trip_on_every_f32() {
+        for bits in 0..=u32::MAX {
+            assert_quantize_exact(bits);
         }
     }
 

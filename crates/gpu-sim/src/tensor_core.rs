@@ -17,17 +17,29 @@ pub type MatB = [[f32; 8]; 16];
 pub type Acc = [[f32; 8]; 16];
 
 /// Functional dense `mma.m16n8k16`: `acc += A·B`, one counter issue.
+///
+/// The MMA units loop (m, k, n): the inner loop is one 8-wide FMA of a
+/// scalar A element into the accumulator row, and every `acc[m][n]` still
+/// sees its FMAs in ascending-k order, so results are bit-identical to the
+/// (m, n, k) dot-product order.
 pub fn mma_m16n8k16(c: &mut PerfCounters, a: &DenseA, b: &MatB, acc: &mut Acc) {
-    for m in 0..16 {
-        for n in 0..8 {
-            let mut sum = acc[m][n];
-            for k in 0..16 {
-                sum = a[m][k].mul_add(b[k][n], sum);
-            }
-            acc[m][n] = sum;
+    for (row, a_row) in acc.iter_mut().zip(a) {
+        let mut r = *row;
+        for (&a_mk, b_k) in a_row.iter().zip(b) {
+            fma_row(&mut r, a_mk, b_k);
         }
+        *row = r;
     }
     c.mma_dense();
+}
+
+/// `row[n] = a·b[n] + row[n]` for all eight columns. Callers pass a local
+/// copy of the accumulator row, so it stays in a register across its FMAs.
+#[inline(always)]
+fn fma_row(row: &mut [f32; 8], a: f32, b: &[f32; 8]) {
+    for (d, &bn) in row.iter_mut().zip(b) {
+        *d = a.mul_add(bn, *d);
+    }
 }
 
 /// Functional sparse `mma.sp.m16n8k16`: the A operand is 2:4-compressed;
@@ -35,20 +47,24 @@ pub fn mma_m16n8k16(c: &mut PerfCounters, a: &DenseA, b: &MatB, acc: &mut Acc) {
 /// metadata before the MAC stage. `acc += decompress(A)·B`, half the MAC
 /// work of the dense unit, one counter issue.
 pub fn mma_sp_m16n8k16(c: &mut PerfCounters, a: &Sparse24Operand, b: &MatB, acc: &mut Acc) {
-    for m in 0..16 {
-        for n in 0..8 {
-            let mut sum = acc[m][n];
-            for g in 0..4 {
-                // Metadata-guided select: exactly two MACs per 4-group.
-                for slot in [2 * g, 2 * g + 1] {
-                    let k = 4 * g + a.meta[m][slot] as usize;
-                    sum = a.values[m][slot].mul_add(b[k][n], sum);
-                }
-            }
-            acc[m][n] = sum;
-        }
-    }
+    mma_sp_k16(a, b, acc);
     c.mma_sparse();
+}
+
+/// The sparse MAC stage over one 16-deep K range: per row, each of the 8
+/// slots (two per 4-group) selects its B row through the metadata and
+/// FMAs it into the accumulator row, slots in order. Metadata is read as
+/// the 2-bit field the hardware holds, which also keeps every B index
+/// provably in range.
+#[inline(always)]
+fn mma_sp_k16(a: &Sparse24Operand, b: &MatB, acc: &mut Acc) {
+    for ((row, values), meta) in acc.iter_mut().zip(&a.values).zip(&a.meta) {
+        let mut r = *row;
+        for (slot, (&v, &pos)) in values.iter().zip(meta).enumerate() {
+            fma_row(&mut r, v, &b[4 * (slot / 2) + (pos & 3) as usize]);
+        }
+        *row = r;
+    }
 }
 
 /// B operand for the wide-K sparse shape (`[k][n]`, 32×8).
@@ -60,18 +76,8 @@ pub type MatB32 = [[f32; 8]; 32];
 /// equivalents of work in the timing model.
 pub fn mma_sp_m16n8k32(c: &mut PerfCounters, a: &[Sparse24Operand; 2], b: &MatB32, acc: &mut Acc) {
     for (half, op) in a.iter().enumerate() {
-        for m in 0..16 {
-            for n in 0..8 {
-                let mut sum = acc[m][n];
-                for g in 0..4 {
-                    for slot in [2 * g, 2 * g + 1] {
-                        let k = 16 * half + 4 * g + op.meta[m][slot] as usize;
-                        sum = op.values[m][slot].mul_add(b[k][n], sum);
-                    }
-                }
-                acc[m][n] = sum;
-            }
-        }
+        let b_half: MatB = std::array::from_fn(|k| b[16 * half + k]);
+        mma_sp_k16(op, &b_half, acc);
     }
     c.mma_sparse_f16 += 2;
     c.instructions += 1; // one wide instruction issues both halves
@@ -262,6 +268,109 @@ mod tests {
                 assert!((wide[m][n] - narrow[m][n]).abs() < 1e-4, "({m},{n})");
             }
         }
+    }
+
+    /// Dot-product (m, n, k) loop order: the bit-identity oracle for the
+    /// units' (m, k, n) order.
+    fn oracle_dense(a: &DenseA, b: &MatB, acc: &mut Acc) {
+        for m in 0..16 {
+            for n in 0..8 {
+                let mut sum = acc[m][n];
+                for k in 0..16 {
+                    sum = a[m][k].mul_add(b[k][n], sum);
+                }
+                acc[m][n] = sum;
+            }
+        }
+    }
+
+    /// Dot-product order of the sparse units (`b` is 16 or 32 rows deep).
+    fn oracle_sparse(ops: &[Sparse24Operand], b: &[[f32; 8]], acc: &mut Acc) {
+        for (half, op) in ops.iter().enumerate() {
+            for m in 0..16 {
+                for n in 0..8 {
+                    let mut sum = acc[m][n];
+                    for g in 0..4 {
+                        for slot in [2 * g, 2 * g + 1] {
+                            let k = 16 * half + 4 * g + op.meta[m][slot] as usize;
+                            sum = op.values[m][slot].mul_add(b[k][n], sum);
+                        }
+                    }
+                    acc[m][n] = sum;
+                }
+            }
+        }
+    }
+
+    /// Deterministic operands: values spread over magnitudes and signs (so
+    /// FMA order shows in the low bits), 2:4 A matrices whose groups hold
+    /// 0, 1 or 2 non-zeros (so placeholder metadata appears).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 33
+        }
+
+        fn value(&mut self) -> f32 {
+            let mantissa = (self.next() % 2001) as f32 / 1000.0 - 1.0;
+            mantissa * 2.0f32.powi((self.next() % 9) as i32 - 4)
+        }
+
+        fn sparse(&mut self) -> Sparse24Operand {
+            let mut dense = [[0.0f32; 16]; 16];
+            for row in &mut dense {
+                for group in row.chunks_exact_mut(4) {
+                    for _ in 0..self.next() % 3 {
+                        group[(self.next() % 4) as usize] = self.value();
+                    }
+                }
+            }
+            Sparse24Operand::compress(&dense).expect("at most two non-zeros per group")
+        }
+    }
+
+    #[test]
+    fn units_are_bit_identical_to_the_dot_product_order() {
+        let mut rng = Lcg(0x5EED);
+        let mut placeholders = 0;
+        for _ in 0..200 {
+            let acc0: Acc = std::array::from_fn(|_| std::array::from_fn(|_| rng.value()));
+            let b32: MatB32 = std::array::from_fn(|_| std::array::from_fn(|_| rng.value()));
+            let b: MatB = std::array::from_fn(|k| b32[k]);
+            let a: DenseA = std::array::from_fn(|_| std::array::from_fn(|_| rng.value()));
+            let sp = [rng.sparse(), rng.sparse()];
+            placeholders += sp
+                .iter()
+                .flat_map(|op| op.values.iter().flatten())
+                .filter(|v| **v == 0.0)
+                .count();
+            let mut c = PerfCounters::new();
+
+            let (mut got, mut want) = (acc0, acc0);
+            mma_m16n8k16(&mut c, &a, &b, &mut got);
+            oracle_dense(&a, &b, &mut want);
+            assert_eq!(bits(&got), bits(&want), "dense");
+
+            let (mut got, mut want) = (acc0, acc0);
+            mma_sp_m16n8k16(&mut c, &sp[0], &b, &mut got);
+            oracle_sparse(&sp[..1], &b, &mut want);
+            assert_eq!(bits(&got), bits(&want), "sparse k16");
+
+            let (mut got, mut want) = (acc0, acc0);
+            mma_sp_m16n8k32(&mut c, &sp, &b32, &mut got);
+            oracle_sparse(&sp, &b32, &mut want);
+            assert_eq!(bits(&got), bits(&want), "sparse k32");
+        }
+        assert!(placeholders > 0, "operands exercise placeholder slots");
+    }
+
+    fn bits(acc: &Acc) -> Vec<u32> {
+        acc.iter().flatten().map(|v| v.to_bits()).collect()
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Aggregated results of a batch run.
 
+use std::sync::Arc;
+
 use spider_core::tiling::TilingConfig;
 use spider_gpu_sim::timing::KernelReport;
 use spider_telemetry::{render_top_profiles, LogHistogram, PlanProfile};
@@ -8,11 +10,14 @@ use crate::cache::CacheStats;
 use crate::request::TenantId;
 
 /// What happened to one request.
+///
+/// The report and the scenario label are shared (`Arc`), so the copies a
+/// scheduler hands out on every poll and drain stay small.
 #[derive(Debug, Clone)]
 pub struct RequestOutcome {
     pub id: u64,
     /// `shape@extent`, e.g. `Box-2D2R@4096x2048`.
-    pub scenario: String,
+    pub scenario: Arc<str>,
     /// Whether the plan lookup hit the cache.
     pub cache_hit: bool,
     /// Whether the tiling came from the autotuner (vs. the default config).
@@ -28,8 +33,8 @@ pub struct RequestOutcome {
     /// The tiling the request executed with (for volumes: the plane tiling).
     pub tiling: TilingConfig,
     /// Simulated-GPU execution report (all sweeps merged).
-    pub report: KernelReport,
-    /// FNV-1a over the output grid's bit patterns: a cheap determinism /
+    pub report: Arc<KernelReport>,
+    /// [`crate::output_checksum`] of the output grid: a cheap determinism /
     /// plan-reuse witness (equal inputs + equal plans ⇒ equal checksums).
     pub checksum: u64,
 }

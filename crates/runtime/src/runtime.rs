@@ -14,6 +14,7 @@ use spider_core::tiling::TilingConfig;
 use spider_gpu_sim::timing::KernelReport;
 use spider_gpu_sim::GpuDevice;
 use spider_stencil::dim3::Grid3D;
+use spider_stencil::fnv::Fnv1a;
 use spider_stencil::{Grid1D, Grid2D};
 use spider_telemetry::{
     Counter, EventKind, Histogram, Phase, ResolveSource, Telemetry, TelemetryConfig, Terminal,
@@ -73,7 +74,7 @@ pub struct RuntimeOptions {
     pub workers: usize,
     /// Whether to autotune tilings (`false` = always the default config).
     pub autotune: bool,
-    /// Functional measurement cap for tuner dry-runs (points).
+    /// Point cap on the extent a tuner dry-run charges.
     pub tuner_dry_run_cap: usize,
     /// Candidates (beyond the default) the tuner dry-runs per scenario.
     pub tuner_shortlist: usize,
@@ -674,9 +675,10 @@ impl SpiderRuntime {
             match run {
                 Ok(checksums) => {
                     let launch_share = 1.0 / members.len() as f64;
-                    for (slot, &i) in members.iter().enumerate() {
+                    let reports = std::mem::take(&mut fb.reports);
+                    for ((slot, &i), report) in members.iter().enumerate().zip(reports) {
                         let req = &requests[i];
-                        let sim_s = fb.reports[slot].time_s();
+                        let sim_s = report.time_s();
                         t.record_attempt(
                             req.id,
                             req.plan_key(),
@@ -710,14 +712,14 @@ impl SpiderRuntime {
                         }
                         results[i] = Some(Ok(RequestOutcome {
                             id: req.id,
-                            scenario: req.scenario(),
+                            scenario: req.scenario().into(),
                             cache_hit: lookups[i].expect("looked up"), // guard: lookup phase populated one entry per request
                             tuned,
                             tuner_memo_hit: memo_hit(slot),
                             coalesced,
                             volumetric: req.is_volumetric(),
                             tiling,
-                            report: fb.reports[slot].clone(),
+                            report: Arc::new(report),
                             checksum: checksums[slot],
                         }));
                     }
@@ -866,18 +868,37 @@ fn contiguous_key_runs<K: PartialEq>(order: &[usize], key: impl Fn(usize) -> K) 
     runs
 }
 
-/// FNV-1a over the bit patterns of a float slice — the checksum recorded in
-/// [`RequestOutcome::checksum`]. Public so callers (and the cache-correctness
-/// property tests) can recompute it against independently produced grids.
+/// Word-at-a-time hash of a float slice's bit patterns — the checksum
+/// recorded in [`RequestOutcome::checksum`]. Public so callers (and the
+/// cache-correctness property tests) can recompute it against independently
+/// produced grids.
+///
+/// Four independent u64 lanes each absorb one word (two f32 bit patterns)
+/// per 8-float chunk with one multiply-xorshift round, so the lanes'
+/// multiplies overlap. Both steps of the round are bijections of the lane
+/// state, so any change to a word changes its lane; the downshift carries
+/// high bits back down so a difference cannot be shifted out. The lanes, the tail floats and the
+/// length are folded through [`Fnv1a::word`]. The value is a within-process
+/// witness (equal inputs ⇒ equal checksums), not a persisted format.
 pub fn output_checksum(data: &[f32]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for v in data {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
+    const LANES: usize = 4;
+    let mut lanes = [Fnv1a::OFFSET; LANES];
+    let (chunks, tail) = data.as_chunks::<{ 2 * LANES }>();
+    for chunk in chunks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let w = chunk[2 * i].to_bits() as u64 | (chunk[2 * i + 1].to_bits() as u64) << 32;
+            let h = (*lane ^ w).wrapping_mul(Fnv1a::PRIME);
+            *lane = h ^ (h >> 29);
         }
     }
-    h
+    let mut h = Fnv1a::new();
+    for lane in lanes {
+        h.word(lane);
+    }
+    for v in tail {
+        h.word(v.to_bits() as u64);
+    }
+    h.word(data.len() as u64).finish()
 }
 
 #[cfg(test)]
@@ -1306,6 +1327,35 @@ mod tests {
         );
         assert_eq!(again.tiling, first.tiling);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checksum_sees_every_bit_swap_and_length() {
+        // 125 full 8-float lane chunks plus a 3-float tail.
+        let data: Vec<f32> = (0..1003).map(|i| i as f32 * 0.37 - 150.0).collect();
+        let base = output_checksum(&data);
+        // Pinned so an accidental change to the hash shows; nothing
+        // persists checksums, so a deliberate change only updates this.
+        assert_eq!(base, 0x9a5b_865a_d623_0871);
+        for pos in [0, 1, 2, 7, 8, 9, 513, 998, 999, 1000, 1001, 1002] {
+            for bit in 0..32 {
+                let mut d = data.clone();
+                d[pos] = f32::from_bits(d[pos].to_bits() ^ (1 << bit));
+                assert_ne!(output_checksum(&d), base, "flip of bit {bit} at {pos}");
+            }
+        }
+        // Adjacent swaps inside one word, across words and in the tail.
+        for pos in [0, 1, 7, 1000, 1001] {
+            let mut d = data.clone();
+            d.swap(pos, pos + 1);
+            assert_ne!(output_checksum(&d), base, "swap at {pos}");
+        }
+        // An appended 0.0, after a tail and after a whole chunk.
+        for len in [1003, 1000] {
+            let mut d = data[..len].to_vec();
+            d.push(0.0);
+            assert_ne!(output_checksum(&d), output_checksum(&data[..len]), "{len}");
+        }
     }
 
     #[test]

@@ -523,8 +523,9 @@ impl Queue {
 
 struct State {
     queue: Queue,
-    slots: HashMap<u64, SlotEntry>,
-    next_ticket: u64,
+    /// Every ticket ever issued, indexed by ticket: tickets are dense from
+    /// 0, and a slot is never removed (terminal tickets are not reaped).
+    slots: Vec<SlotEntry>,
     paused: bool,
     shutdown: bool,
     /// Set by [`SpiderScheduler::kill`]: the simulated device is gone.
@@ -590,8 +591,7 @@ impl SpiderScheduler {
                 "scheduler.state",
                 State {
                     queue: Queue::default(),
-                    slots: HashMap::new(),
-                    next_ticket: 0,
+                    slots: Vec::new(),
                     paused: options.start_paused,
                     shutdown: false,
                     killed: false,
@@ -785,7 +785,7 @@ impl SpiderScheduler {
             self.shared.space.notify_all();
             self.shared.idle.notify_all();
         }
-        let Some(entry) = st.slots.get(&ticket.seq) else {
+        let Some(entry) = st.slots.get(ticket.seq as usize) else {
             return RequestStatus::Unknown;
         };
         match &entry.slot {
@@ -887,19 +887,17 @@ impl SpiderScheduler {
             st.tenant_stats_mut(entry.req.tenant).cancelled += 1;
             unstarted.push((Ticket { seq: ticket }, entry.req));
         }
-        let mut running: Vec<u64> = st
+        let running: Vec<u64> = st
             .slots
             .iter()
+            .enumerate()
             .filter(|(_, e)| matches!(e.slot, Slot::Running))
-            .map(|(&seq, _)| seq)
+            .map(|(seq, _)| seq as u64)
             .collect();
-        running.sort_unstable();
         let mut lost = Vec::new();
         for seq in running {
-            let (req_id, plan_key, tenant, attempt) = {
-                let e = st.slots.get(&seq).expect("known ticket"); // guard: running list was built from slots moments ago
-                (e.req_id, e.plan_key, e.tenant, e.attempt)
-            };
+            let e = &st.slots[seq as usize];
+            let (req_id, plan_key, tenant, attempt) = (e.req_id, e.plan_key, e.tenant, e.attempt);
             t.record_attempt(
                 req_id,
                 plan_key,
@@ -960,12 +958,9 @@ impl SpiderScheduler {
             }
             st = st.wait_on(&self.shared.idle);
         }
-        let mut done: Vec<(u64, &SlotEntry)> =
-            st.slots.iter().map(|(&seq, entry)| (seq, entry)).collect();
-        done.sort_by_key(|(seq, _)| *seq);
         let mut outcomes = Vec::new();
         let mut failures = Vec::new();
-        for (_, entry) in done {
+        for entry in &st.slots {
             match &entry.slot {
                 Slot::Done(o) => outcomes.push((**o).clone()),
                 Slot::Failed(e) => failures.push((entry.req_id, e.to_string())),
@@ -1149,7 +1144,7 @@ impl SpiderScheduler {
     pub fn timeline(&self, ticket: Ticket) -> Option<String> {
         let req_id = {
             let st = self.lock();
-            st.slots.get(&ticket.seq).map(|e| e.req_id)?
+            st.slots.get(ticket.seq as usize).map(|e| e.req_id)?
         };
         self.runtime.telemetry().trace().render_timeline(req_id)
     }
@@ -1284,25 +1279,21 @@ fn trace_queue_exit(t: &Telemetry, req: &StencilRequest, waited_s: f64, terminal
 /// Allocate a ticket and its slot for `req`, whose plan key is
 /// `plan_key` (does not enqueue).
 fn alloc_ticket(st: &mut State, req: &StencilRequest, plan_key: u64) -> u64 {
-    let ticket = st.next_ticket;
-    st.next_ticket += 1;
-    st.slots.insert(
-        ticket,
-        SlotEntry {
-            req_id: req.id,
-            plan_key,
-            tenant: req.tenant,
-            attempt: req.attempt,
-            slot: Slot::Queued,
-        },
-    );
+    let ticket = st.slots.len() as u64;
+    st.slots.push(SlotEntry {
+        req_id: req.id,
+        plan_key,
+        tenant: req.tenant,
+        attempt: req.attempt,
+        slot: Slot::Queued,
+    });
     ticket
 }
 
 /// Move a ticket to a terminal slot and record the completion.
 fn finish(st: &mut State, ticket: u64, slot: Slot) {
     debug_assert!(!matches!(slot, Slot::Queued | Slot::Running));
-    st.slots.get_mut(&ticket).expect("known ticket").slot = slot; // guard: finish() is called with tickets from slots
+    st.slots[ticket as usize].slot = slot;
     st.completion_order.push(ticket);
     st.last_terminal = Some(Instant::now());
 }
@@ -1477,7 +1468,7 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
     let mut wave: Vec<WaveGroup> = Vec::new();
     let mut group_of: HashMap<u64, usize> = HashMap::new();
     for ticket in wave_members(st, options, now) {
-        let key = st.slots[&ticket].plan_key;
+        let key = st.slots[ticket as usize].plan_key;
         let g = match group_of.get(&key) {
             Some(&g)
                 if options.max_coalesce != 0 && wave[g].tickets.len() >= options.max_coalesce =>
@@ -1521,7 +1512,7 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
             telemetry.profiler().touch(key, &entry.req.scenario());
             telemetry.profiler().add_phase(key, Phase::Queue, wait);
         }
-        st.slots.get_mut(&ticket).expect("known ticket").slot = Slot::Running; // guard: queued tickets have slots
+        st.slots[ticket as usize].slot = Slot::Running;
         wave[g].tickets.push(ticket);
         wave[g].requests.push(entry.req);
     }
@@ -1571,7 +1562,7 @@ fn run_wave_group(shared: &Shared, runtime: &SpiderRuntime, group: &WaveGroup) {
         // (`Failed(DeviceLost)`) and zeroed the running count while
         // the wave was in flight — the simulated device died under us,
         // so the result is discarded, not double-finished.
-        if !matches!(st.slots.get(&ticket).map(|e| &e.slot), Some(Slot::Running)) {
+        if !matches!(st.slots[ticket as usize].slot, Slot::Running) {
             continue;
         }
         match result {

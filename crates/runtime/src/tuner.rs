@@ -8,9 +8,9 @@
 //! 2. **Pre-rank** all candidates with the closed-form
 //!    [`spider_analysis::tuning`] score — pure arithmetic, no simulation.
 //! 3. **Dry-run** the short-listed best few *plus the default config* on the
-//!    simulator (`estimate_*` with a small functional measurement cap, so a
-//!    dry-run costs a few thousand stencil points) and keep the lowest
-//!    simulated time.
+//!    simulator (`estimate_*`, which charges counters over an extent capped
+//!    at a few thousand stencil points and computes nothing) and keep the
+//!    lowest simulated time.
 //!
 //! Because the default config is always in the dry-run set and selection is
 //! argmin over simulated time, the tuned config can never lose to the
@@ -57,13 +57,10 @@ impl TuneOutcome {
 /// not include the GPU because a [`crate::SpiderRuntime`] owns exactly one).
 pub struct AutoTuner {
     memo: OrderedMutex<MemoTable>,
-    /// Functional measurement cap for dry-runs (points); small by design.
+    /// Point cap on the extent a dry-run charges; small by design.
     dry_run_cap: usize,
     /// How many top-ranked candidates (beyond the default) to dry-run.
     shortlist: usize,
-    /// Scratch pool shared across dry-run executors (different candidate
-    /// tilings reuse the same measurement-grid-sized buffers).
-    pool: spider_core::pool::BufferPool,
 }
 
 type ScenarioKey = (u64, GridSpec);
@@ -114,7 +111,6 @@ impl AutoTuner {
             ),
             dry_run_cap: dry_run_cap.max(1),
             shortlist: shortlist.max(1),
-            pool: spider_core::pool::BufferPool::new(),
         }
     }
 
@@ -294,7 +290,7 @@ impl AutoTuner {
         }
     }
 
-    /// One simulated sweep under `tiling` with a small measurement cap; the
+    /// One charged sweep under `tiling` with a small extent cap; the
     /// estimate extrapolates counters to the true extent and evaluates the
     /// timing model with the true launch geometry.
     fn dry_run(
@@ -310,7 +306,7 @@ impl AutoTuner {
             measure_cap: self.dry_run_cap,
             ..ExecConfig::default()
         };
-        let exec = SpiderExecutor::with_shared_pool(device, mode, config, self.pool.clone());
+        let exec = SpiderExecutor::with_config(device, mode, config);
         let report = match grid {
             GridSpec::D1 { len } => exec.estimate_1d(plan, len),
             // One plane sweep stands in for the volume: per-plane cost is

@@ -13,9 +13,12 @@
 //! * closures run concurrently, so they must be `Sync` and items `Send`;
 //! * a panic in any worker propagates to the caller (with its payload).
 //!
-//! Unlike rayon proper there is no work stealing: items are split into one
-//! contiguous chunk per available core. For the block-shaped workloads here
-//! (simulated thread blocks, grid rows) that is within noise of rayon.
+//! Unlike rayon proper there is no pool and no work stealing: items are
+//! split into one contiguous chunk per available core, the calling thread
+//! runs the first chunk itself, and one scoped thread is spawned for each
+//! of the others (so a call on `n` cores spawns at most `n − 1` threads,
+//! and none on one core). For the block-shaped workloads here (simulated
+//! thread blocks, grid rows) that is within noise of rayon.
 
 use std::sync::OnceLock;
 use std::thread;
@@ -30,43 +33,57 @@ pub fn current_num_threads() -> usize {
     *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// One contiguous chunk per core, executed under `std::thread::scope`.
+/// One contiguous chunk per core (see [`map_chunks`]).
 fn parallel_map_vec<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
 where
     I: Send,
     R: Send,
     F: Fn(I) -> R + Sync,
 {
+    map_chunks(items, current_num_threads(), f)
+}
+
+/// Map `items` in order over at most `workers` contiguous chunks: the
+/// calling thread maps the first chunk while one scoped thread per other
+/// chunk maps the rest. A panic in any chunk propagates with its payload,
+/// after every spawned chunk has finished.
+fn map_chunks<I, R, F>(items: Vec<I>, workers: usize, f: F) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    F: Fn(I) -> R + Sync,
+{
     let n = items.len();
-    let workers = current_num_threads().min(n.max(1));
-    if workers <= 1 || n <= 1 {
+    if workers.min(n) <= 1 {
         return items.into_iter().map(f).collect();
     }
     let chunk = n.div_ceil(workers);
-    let mut parts: Vec<Vec<I>> = Vec::with_capacity(workers);
     let mut it = items.into_iter();
+    let first: Vec<I> = it.by_ref().take(chunk).collect();
+    let mut rest: Vec<Vec<I>> = Vec::with_capacity(workers - 1);
     loop {
         let part: Vec<I> = it.by_ref().take(chunk).collect();
         if part.is_empty() {
             break;
         }
-        parts.push(part);
+        rest.push(part);
     }
     let f = &f;
-    let mut out: Vec<R> = Vec::with_capacity(n);
     thread::scope(|s| {
-        let handles: Vec<_> = parts
+        let handles: Vec<_> = rest
             .into_iter()
             .map(|p| s.spawn(move || p.into_iter().map(f).collect::<Vec<R>>()))
             .collect();
+        let mut out: Vec<R> = Vec::with_capacity(n);
+        out.extend(first.into_iter().map(f));
         for h in handles {
             match h.join() {
                 Ok(v) => out.extend(v),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-    });
-    out
+        out
+    })
 }
 
 /// An eagerly materialized "parallel iterator": adapters that can defer
@@ -194,6 +211,50 @@ mod tests {
             .map(|x| x + 1)
             .collect();
         assert_eq!(v, vec![11, 12, 13, 14, 15]);
+    }
+
+    #[test]
+    fn first_chunk_runs_on_the_caller_and_the_rest_on_spawned_threads() {
+        use std::collections::HashSet;
+        use std::thread::{self, ThreadId};
+        let caller = thread::current().id();
+        let check = |tagged: Vec<(usize, ThreadId)>, workers: usize| {
+            let n = tagged.len();
+            let chunk = n.div_ceil(workers.min(n));
+            let order: Vec<usize> = tagged.iter().map(|&(i, _)| i).collect();
+            assert_eq!(order, (0..n).collect::<Vec<_>>(), "order kept");
+            assert!(tagged[..chunk].iter().all(|&(_, id)| id == caller));
+            let spawned: HashSet<ThreadId> = tagged[chunk..].iter().map(|&(_, id)| id).collect();
+            assert!(!spawned.contains(&caller));
+            assert!(
+                spawned.len() < workers.max(1),
+                "{} threads spawned",
+                spawned.len()
+            );
+        };
+        let tag = |i: usize| (i, thread::current().id());
+        for workers in [1, 2, 4] {
+            check(super::map_chunks((0..37).collect(), workers, tag), workers);
+        }
+        let public: Vec<(usize, ThreadId)> = (0usize..64).into_par_iter().map(tag).collect();
+        check(public, super::current_num_threads());
+    }
+
+    #[test]
+    fn panics_in_caller_and_spawned_chunks_both_propagate() {
+        for (at, whose) in [(0usize, "caller"), (63, "spawned")] {
+            let payload = std::panic::catch_unwind(|| {
+                super::map_chunks((0usize..64).collect(), 4, |i| {
+                    if i == at {
+                        panic!("boom in the {whose} chunk");
+                    }
+                    i
+                })
+            })
+            .expect_err("the panic propagates");
+            let msg = payload.downcast_ref::<String>().expect("formatted payload");
+            assert_eq!(msg, &format!("boom in the {whose} chunk"));
+        }
     }
 
     #[test]

@@ -31,6 +31,23 @@ fn specs(n: usize) -> Vec<DeviceSpec> {
         .collect()
 }
 
+/// Devices whose schedulers start paused, without aging: each queues its
+/// whole share before its first wave (`drain_all` resumes it), so waves —
+/// and the simulated clocks — do not depend on host timing.
+fn paused_specs(n: usize) -> Vec<DeviceSpec> {
+    specs(n)
+        .into_iter()
+        .map(|s| {
+            let sched = SchedulerOptions {
+                start_paused: true,
+                aging_step: None,
+                ..s.scheduler.clone()
+            };
+            s.with_scheduler_options(sched)
+        })
+        .collect()
+}
+
 /// Plan-diverse workload: 8 kernels × `copies` requests, mixed extents.
 fn diverse_workload(copies: usize) -> Vec<StencilRequest> {
     let kernels = [
@@ -83,7 +100,7 @@ fn scene_2_device_scaling() {
     let workload = diverse_workload(6);
     let mut baseline = 0.0;
     for n in [1usize, 4] {
-        let cluster = SpiderCluster::new(specs(n), ClusterOptions::default());
+        let cluster = SpiderCluster::new(paused_specs(n), ClusterOptions::default());
         let report = cluster.run_batch(&workload).unwrap();
         let rps = report.simulated_requests_per_sec();
         println!(
@@ -110,20 +127,7 @@ fn scene_3_work_stealing() {
     println!("── scene 3: work stealing off a hot shard ──────────────────────");
     // Every request shares one kernel: affinity stacks a single device.
     let hot = StencilKernel::gaussian_2d(2);
-    let cluster = SpiderCluster::new(
-        specs(3)
-            .into_iter()
-            .map(|s| {
-                let sched = SchedulerOptions {
-                    start_paused: true,
-                    aging_step: None,
-                    ..s.scheduler.clone()
-                };
-                s.with_scheduler_options(sched)
-            })
-            .collect(),
-        ClusterOptions::default(),
-    );
+    let cluster = SpiderCluster::new(paused_specs(3), ClusterOptions::default());
     for i in 0..18u64 {
         cluster
             .submit(StencilRequest::new_2d(i, hot.clone(), 96, 128).with_seed(i))

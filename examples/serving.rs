@@ -121,7 +121,7 @@ fn main() {
         }
         let req = build_batch(1000, 20_000)
             .into_iter()
-            .find(|r| r.scenario() == outcome.scenario)
+            .find(|r| r.scenario() == *outcome.scenario)
             .expect("scenario came from this batch");
         let plan = SpiderPlan::compile(req.kernel.as_planar().expect("2D/1D scenario"))
             .expect("kernel compiles");
