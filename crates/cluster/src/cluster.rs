@@ -590,7 +590,7 @@ impl SpiderCluster {
         if !dev.departed() {
             return;
         }
-        match dev.scheduler.poll(p.ticket) {
+        match dev.scheduler.peek(p.ticket) {
             // Cancelled by the kill sweep before it ever started: requeue
             // exactly-once (the sweep didn't know this seq, so only we
             // can).
@@ -720,7 +720,7 @@ impl SpiderCluster {
                 if p.device != src {
                     continue; // moved away: no longer this device's entry
                 }
-                let status = m.slots[src].scheduler.poll(p.ticket);
+                let status = m.slots[src].scheduler.peek(p.ticket);
                 if status.is_terminal() {
                     continue; // done/failed/cancelled: prune
                 }
@@ -1081,7 +1081,7 @@ impl SpiderCluster {
                 if p.device != slot {
                     continue;
                 }
-                let status = dev.scheduler.poll(p.ticket);
+                let status = dev.scheduler.peek(p.ticket);
                 if status.is_terminal() {
                     continue;
                 }

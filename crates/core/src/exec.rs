@@ -8,6 +8,26 @@
 //! (verified against the scalar oracle in the test suite) and a
 //! [`KernelReport`] with transaction-level performance counters.
 //!
+//! ## Host computation
+//!
+//! The simulated kernel is still the MMA tiling above: the counters are
+//! charged in closed form per block, warp and tile. The host does not
+//! emulate every `mma.sp` slot to produce the output bits, though. It runs
+//! the plan's exact-order tap schedule ([`crate::schedule`]): the MMA
+//! chain's non-zero FMAs, in the chain's order, as contiguous vector FMAs
+//! straight into the destination, so every output bit matches the
+//! emulation. A sweep fans out once, over output rows (2D) or 16-aligned
+//! segments (1D), into at most [`rayon::current_num_threads`] jobs of at
+//! least [`MIN_JOB_STEP_POINTS`] each; a small sweep spawns nothing.
+//!
+//! The emulated MMA path (`compute_block_*` over `mma_tile_2d` and
+//! `gather_1d`) remains for the one case where the two differ: a sweep whose
+//! source holds ±∞ or NaN anywhere in its padded storage (a zero slot times
+//! ∞ is NaN). The input quantize and every output store raise that flag, so
+//! it costs no extra pass. [`SpiderExecutor::run_2d_emulated`] and
+//! [`SpiderExecutor::run_1d_emulated`] force the emulation, as the
+//! reference the bit-identity tests compare against.
+//!
 //! ## Ablation arms (paper Fig 12)
 //!
 //! * [`ExecMode::DenseTc`] — "SPIDER w. TC": the §3.1.1 GEMM formulation on
@@ -18,14 +38,15 @@
 //!   metadata packing.
 
 use crate::packing;
-use crate::plan::{PlanUnit, SpiderPlan, UnitGather};
+use crate::plan::{PlanUnit, SpiderPlan};
 use crate::pool::BufferPool;
 use crate::row_swap::RowSwapStrategy;
+use crate::schedule::run_span;
 use crate::tiling::{TilingConfig, N_TILE};
 use crate::{K_PAD, M_TILE};
 use rayon::prelude::*;
 use spider_gpu_sim::counters::PerfCounters;
-use spider_gpu_sim::half::F16;
+use spider_gpu_sim::half::{quantize_slice, F16};
 use spider_gpu_sim::launch::BlockGrid;
 use spider_gpu_sim::mem::global::{record_bulk_read, record_bulk_write};
 use spider_gpu_sim::mem::shared::waves_for;
@@ -55,13 +76,6 @@ pub struct ExecConfig {
     /// Interior-point cap on the extent `estimate_*` charges; counters are
     /// scaled beyond it (per-point rates are size-invariant).
     pub measure_cap: usize,
-    /// Use the fused interior gather for MMA tiles whose whole B-fragment
-    /// sample range provably stays inside the padded storage (direct strided
-    /// slice reads off the plan's precomputed offset tables, no per-element
-    /// guard). `false` forces the guarded `sample_2d` path everywhere —
-    /// the two paths read identical values, so this knob exists only for the
-    /// bit-identity property tests and for debugging.
-    pub fast_gather: bool,
 }
 
 impl Default for ExecConfig {
@@ -71,9 +85,51 @@ impl Default for ExecConfig {
             row_swap: RowSwapStrategy::Implicit,
             boundary: BoundaryCondition::DirichletZero,
             measure_cap: 1 << 20,
-            fast_gather: true,
         }
     }
+}
+
+/// Step-points (outputs × schedule steps) a sweep job must hold to pay for
+/// its thread. On a 2-vCPU x86-64 host a scoped spawn plus join measured
+/// 32–41 µs, and the schedule kernel runs at 0.15–0.4 ns per step-point,
+/// so a job below this size would spend about as long starting as working.
+pub const MIN_JOB_STEP_POINTS: usize = 100_000;
+
+/// How many jobs a sweep of `step_points` splits into: one per
+/// [`MIN_JOB_STEP_POINTS`], at most one per core, at least one.
+pub(crate) fn jobs_for(step_points: usize) -> usize {
+    (step_points / MIN_JOB_STEP_POINTS).clamp(1, rayon::current_num_threads())
+}
+
+/// A borrowed padded 2D plane: `(rows + 2·halo) × (cols + 2·halo)` values,
+/// row-major — a [`Grid2D`]'s storage, or one plane of a volume's.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlaneRef<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) halo: usize,
+}
+
+impl<'a> PlaneRef<'a> {
+    fn of(grid: &'a Grid2D<f32>) -> Self {
+        Self {
+            data: grid.padded(),
+            rows: grid.rows(),
+            cols: grid.cols(),
+            halo: grid.halo(),
+        }
+    }
+
+    fn stride(&self) -> usize {
+        self.cols + 2 * self.halo
+    }
+}
+
+/// Whether any value is ±∞ or NaN (a full scan, no early exit, so it
+/// vectorizes).
+pub(crate) fn any_non_finite(values: &[f32]) -> bool {
+    values.iter().fold(false, |any, v| any | !v.is_finite())
 }
 
 /// Observer driven by the coalesced batch entry points
@@ -91,10 +147,9 @@ pub trait BatchFeedback {
     /// The batch is about to execute as one coalesced launch wave covering
     /// `members` valid grids spanning `wave_blocks` thread blocks, each
     /// grid billed `launch_share` of the kernel-launch overhead. Fires once
-    /// per coalesced entry-point call (for the 3D executor: once per plane
-    /// wave, i.e. per step), before any `on_grid_done`. Default: ignored —
-    /// this is the telemetry channel for launch/wave events and costs
-    /// nothing when unused.
+    /// per coalesced entry-point call, before any `on_grid_done`. Default:
+    /// ignored — this is the telemetry channel for launch/wave events and
+    /// costs nothing when unused.
     fn on_batch_launch(&mut self, members: usize, wave_blocks: u64, launch_share: f64) {
         let _ = (members, wave_blocks, launch_share);
     }
@@ -129,9 +184,10 @@ pub struct SpiderExecutor<'d> {
     device: &'d GpuDevice,
     mode: ExecMode,
     config: ExecConfig,
-    /// Scratch store for ping-pong grids and per-block output tiles. Fresh
-    /// per executor by default; [`Self::with_shared_pool`] lets a serving
-    /// runtime share one pool across every executor it constructs.
+    /// Scratch store for ping-pong grids (and the 3D executor's plane
+    /// buffers). Fresh per executor by default; [`Self::with_shared_pool`]
+    /// lets a serving runtime share one pool across every executor it
+    /// constructs.
     pool: BufferPool,
 }
 
@@ -202,6 +258,18 @@ impl<'d> SpiderExecutor<'d> {
         solo(|fb| self.run_2d_coalesced(plan, std::slice::from_mut(grid), steps, fb))
     }
 
+    /// [`Self::run_2d`] with every sweep on the emulated MMA path: the
+    /// reference the tap schedule is tested against, bit for bit.
+    #[doc(hidden)]
+    pub fn run_2d_emulated(
+        &self,
+        plan: &SpiderPlan,
+        grid: &mut Grid2D<f32>,
+        steps: usize,
+    ) -> Result<KernelReport, String> {
+        solo(|fb| self.batch_2d(plan, std::slice::from_mut(grid), steps, fb, true))
+    }
+
     fn validate_2d(&self, plan: &SpiderPlan, grid: &Grid2D<f32>) -> Result<(), String> {
         if plan.is_1d() {
             return Err("1D plan passed to run_2d".into());
@@ -219,20 +287,27 @@ impl<'d> SpiderExecutor<'d> {
     /// The functional heart of [`Self::run_2d_coalesced`]: quantize, then
     /// `steps` boundary-refill + sweep rounds, ping-ponging between the
     /// caller's grid and a pooled scratch grid (no clone). Returns each
-    /// sweep's counters, in order.
+    /// sweep's counters, in order. The input quantize flags a non-finite
+    /// source and each sweep's store flags a non-finite result; a flagged
+    /// source (or `emulate`) takes the emulated path. The halo refill only
+    /// copies interior values or writes zeros, so the store's flag covers
+    /// the next source's whole padded storage.
     fn sweep_2d(
         &self,
         plan: &SpiderPlan,
         grid: &mut Grid2D<f32>,
         steps: usize,
+        emulate: bool,
     ) -> Vec<PerfCounters> {
-        quantize_grid_2d(grid);
+        let mut non_finite = quantize_slice(grid.padded_mut());
         let buf = self.pool.take_copy_of(grid.padded());
         let mut scratch = Grid2D::from_padded_vec(grid.rows(), grid.cols(), grid.halo(), buf);
         let mut per_step = Vec::with_capacity(steps.max(1));
         for _ in 0..steps.max(1) {
             self.config.boundary.apply_2d(grid);
-            per_step.push(self.step_2d(plan, grid, &mut scratch));
+            let src = PlaneRef::of(grid);
+            non_finite = self.step_2d(plan, src, scratch.padded_mut(), emulate || non_finite, true);
+            per_step.push(self.charge_2d(plan, grid.rows(), grid.cols()));
             std::mem::swap(grid, &mut scratch);
         }
         self.pool.put(scratch.into_padded_vec());
@@ -248,6 +323,18 @@ impl<'d> SpiderExecutor<'d> {
         steps: usize,
     ) -> Result<KernelReport, String> {
         solo(|fb| self.run_1d_coalesced(plan, std::slice::from_mut(grid), steps, fb))
+    }
+
+    /// [`Self::run_1d`] with every sweep on the emulated MMA path (the
+    /// reference; see [`Self::run_2d_emulated`]).
+    #[doc(hidden)]
+    pub fn run_1d_emulated(
+        &self,
+        plan: &SpiderPlan,
+        grid: &mut Grid1D<f32>,
+        steps: usize,
+    ) -> Result<KernelReport, String> {
+        solo(|fb| self.batch_1d(plan, std::slice::from_mut(grid), steps, fb, true))
     }
 
     fn validate_1d(&self, plan: &SpiderPlan, grid: &Grid1D<f32>) -> Result<(), String> {
@@ -266,14 +353,16 @@ impl<'d> SpiderExecutor<'d> {
         plan: &SpiderPlan,
         grid: &mut Grid1D<f32>,
         steps: usize,
+        emulate: bool,
     ) -> Vec<PerfCounters> {
-        quantize_grid_1d(grid);
+        let mut non_finite = quantize_slice(grid.padded_mut());
         let buf = self.pool.take_copy_of(grid.padded());
         let mut scratch = Grid1D::from_padded_vec(grid.len(), grid.halo(), buf);
         let mut per_step = Vec::with_capacity(steps.max(1));
         for _ in 0..steps.max(1) {
             self.config.boundary.apply_1d(grid);
-            per_step.push(self.step_1d(plan, grid, &mut scratch));
+            non_finite = self.step_1d(plan, grid, &mut scratch, emulate || non_finite);
+            per_step.push(self.charge_1d(plan, grid.len()));
             std::mem::swap(grid, &mut scratch);
         }
         self.pool.put(scratch.into_padded_vec());
@@ -287,9 +376,9 @@ impl<'d> SpiderExecutor<'d> {
     /// the whole group to a single executor instead of constructing one per
     /// request. Grid *data* is bit-identical to a separate [`Self::run_2d`]
     /// call per grid with the same configuration (the executor holds no
-    /// cross-grid state), and each grid's counters are strictly its own; the
-    /// functional sweeps run in parallel across the batch (rayon), so
-    /// scheduler waves scale with host cores.
+    /// cross-grid state), and each grid's counters are strictly its own.
+    /// Grids sweep one after another; each sweep fans out by its own work
+    /// (see the module docs), so a batch of small grids spawns nothing.
     ///
     /// **Timing** models the batch as a *batched launch* per step: one
     /// kernel-launch overhead shared by the group (each member's report
@@ -311,18 +400,35 @@ impl<'d> SpiderExecutor<'d> {
         steps: usize,
         feedback: &mut dyn BatchFeedback,
     ) -> Result<(), String> {
+        self.batch_2d(plan, grids, steps, feedback, false)
+    }
+
+    /// [`Self::run_2d_coalesced`], optionally forcing the emulated path.
+    fn batch_2d(
+        &self,
+        plan: &SpiderPlan,
+        grids: &mut [Grid2D<f32>],
+        steps: usize,
+        feedback: &mut dyn BatchFeedback,
+        emulate: bool,
+    ) -> Result<(), String> {
         let t = self.config.tiling;
         self.run_coalesced_impl(
             grids,
             feedback,
             |g| self.validate_2d(plan, g),
             |g| t.blocks_2d(g.rows(), g.cols()),
-            |g| (self.sweep_2d(plan, g, steps), (g.rows() * g.cols()) as u64),
+            |g| {
+                (
+                    self.sweep_2d(plan, g, steps, emulate),
+                    (g.rows() * g.cols()) as u64,
+                )
+            },
         )
     }
 
-    /// 1D counterpart of [`Self::run_2d_coalesced`] (same parallelism,
-    /// batched-launch timing, ordering and error semantics).
+    /// 1D counterpart of [`Self::run_2d_coalesced`] (same batched-launch
+    /// timing, ordering and error semantics).
     pub fn run_1d_coalesced(
         &self,
         plan: &SpiderPlan,
@@ -330,40 +436,38 @@ impl<'d> SpiderExecutor<'d> {
         steps: usize,
         feedback: &mut dyn BatchFeedback,
     ) -> Result<(), String> {
+        self.batch_1d(plan, grids, steps, feedback, false)
+    }
+
+    /// [`Self::run_1d_coalesced`], optionally forcing the emulated path.
+    fn batch_1d(
+        &self,
+        plan: &SpiderPlan,
+        grids: &mut [Grid1D<f32>],
+        steps: usize,
+        feedback: &mut dyn BatchFeedback,
+        emulate: bool,
+    ) -> Result<(), String> {
         let t = self.config.tiling;
         self.run_coalesced_impl(
             grids,
             feedback,
             |g| self.validate_1d(plan, g),
             |g| t.blocks_1d(g.len()),
-            |g| (self.sweep_1d(plan, g, steps), g.len() as u64),
+            |g| (self.sweep_1d(plan, g, steps, emulate), g.len() as u64),
         )
     }
 
     /// Dimension-generic body of the coalesced entry points: validate a
     /// prefix (first invalid grid aborts the batch), sweep the valid grids
-    /// in parallel, then deliver batched-launch reports in input order.
-    ///
-    /// Grid-level parallelism is *conditional*: each sweep already fans its
-    /// simulated thread blocks across the machine via [`run_blocks`], so a
-    /// second parallel layer only pays off for the waves coalescing exists
-    /// for — many *small* grids whose individual block counts leave cores
-    /// idle. When the average per-grid block count already saturates the
-    /// machine (or there is one grid, or one core), the grids run
-    /// sequentially and no extra threads spawn; otherwise up to half the
-    /// cores each take a contiguous chunk of grids, which keeps result
-    /// order — and therefore feedback order — equal to input order. (The
-    /// rayon shim has no pool: each parallel call spawns a scoped thread
-    /// for every chunk but the caller's, so every avoided layer is a real
-    /// reduction in live threads under the serving runtime's own group
-    /// fan-out.)
-    pub(crate) fn run_coalesced_impl<G: Send>(
+    /// in input order, then deliver batched-launch reports in input order.
+    fn run_coalesced_impl<G>(
         &self,
         grids: &mut [G],
         feedback: &mut dyn BatchFeedback,
         validate: impl Fn(&G) -> Result<(), String>,
         blocks_of: impl Fn(&G) -> u64,
-        sweep: impl Fn(&mut G) -> (Vec<PerfCounters>, u64) + Sync,
+        sweep: impl Fn(&mut G) -> (Vec<PerfCounters>, u64),
     ) -> Result<(), String> {
         let mut first_err: Option<String> = None;
         let mut valid = grids.len();
@@ -378,22 +482,8 @@ impl<'d> SpiderExecutor<'d> {
         let launch_share = 1.0 / valid.max(1) as f64;
         feedback.on_batch_launch(valid, wave_blocks, launch_share);
         let dims = LaunchDims::new(wave_blocks, self.config.tiling.threads_per_block());
-        let cores = rayon::current_num_threads();
-        let inner_saturates = wave_blocks >= (valid.max(1) * cores) as u64;
-        let per_grid: Vec<(Vec<PerfCounters>, u64)> = if valid <= 1 || cores <= 1 || inner_saturates
-        {
-            grids[..valid].iter_mut().map(&sweep).collect()
-        } else {
-            let outer_workers = (cores / 2).max(1).min(valid);
-            let chunk = valid.div_ceil(outer_workers);
-            grids[..valid]
-                .par_chunks_mut(chunk)
-                .map(|chunk| chunk.iter_mut().map(&sweep).collect::<Vec<_>>())
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect()
-        };
+        let per_grid: Vec<(Vec<PerfCounters>, u64)> =
+            grids[..valid].iter_mut().map(sweep).collect();
         for (index, (counters, points)) in per_grid.into_iter().enumerate() {
             feedback.on_grid_done(
                 index,
@@ -405,7 +495,7 @@ impl<'d> SpiderExecutor<'d> {
 
     /// Merge per-step counters of one batch member into its report (one
     /// batched launch per step; see [`GpuDevice::report_batched`]).
-    fn batched_report(
+    pub(crate) fn batched_report(
         &self,
         per_step: Vec<PerfCounters>,
         dims: LaunchDims,
@@ -451,85 +541,82 @@ impl<'d> SpiderExecutor<'d> {
     }
 
     /// One 2D sweep over an explicit source plane, returning the result and
-    /// the sweep's counters — the building block of the 3D plane
-    /// decomposition in [`crate::exec3d`].
+    /// the sweep's counters (no boundary refill, no quantize of `src`).
     ///
     /// The result's interior is fully written by the sweep; its halo is
-    /// zero (the sweep never writes halo cells, and — unlike the old
-    /// clone-then-overwrite implementation — no source cells are copied
-    /// first, so there is no redundant pre-copy to inherit stale halo
-    /// values from). Callers that read only the interior, like the 3D
-    /// plane accumulator, are unaffected.
+    /// zero (the sweep never writes halo cells).
     pub fn sweep_plane(
         &self,
         plan: &SpiderPlan,
         src: &Grid2D<f32>,
     ) -> Result<(Grid2D<f32>, PerfCounters), String> {
-        let buf = self.pool.take(src.padded().len());
-        let mut dst = Grid2D::from_padded_vec(src.rows(), src.cols(), src.halo(), buf);
-        match self.sweep_plane_into(plan, src, &mut dst) {
-            Ok(counters) => Ok((dst, counters)),
-            Err(e) => {
-                self.pool.put(dst.into_padded_vec());
-                Err(e)
-            }
-        }
-    }
-
-    /// [`Self::sweep_plane`] writing into a caller-provided destination
-    /// (same extent and halo as `src`; interior fully overwritten, halo
-    /// untouched). Lets the 3D executor cycle one buffer through every
-    /// plane slice instead of materializing a fresh grid per sweep.
-    pub fn sweep_plane_into(
-        &self,
-        plan: &SpiderPlan,
-        src: &Grid2D<f32>,
-        dst: &mut Grid2D<f32>,
-    ) -> Result<PerfCounters, String> {
         if plan.is_1d() {
             return Err("1D plan passed to sweep_plane".into());
         }
         if src.halo() < plan.radius() {
             return Err("plane halo smaller than stencil radius".into());
         }
-        if (dst.rows(), dst.cols(), dst.halo()) != (src.rows(), src.cols(), src.halo()) {
-            return Err("sweep_plane destination shape mismatch".into());
-        }
-        Ok(self.step_2d(plan, src, dst))
+        let mut dst = Grid2D::zeros(src.rows(), src.cols(), src.halo());
+        let emulate = any_non_finite(src.padded());
+        self.step_2d(plan, PlaneRef::of(src), dst.padded_mut(), emulate, true);
+        Ok((dst, self.charge_2d(plan, src.rows(), src.cols())))
     }
 
     // ---------------------------------------------------------------- 2D --
 
-    fn step_2d(&self, plan: &SpiderPlan, src: &Grid2D<f32>, dst: &mut Grid2D<f32>) -> PerfCounters {
-        let t = self.config.tiling;
-        let bg = BlockGrid::new(src.rows(), src.cols(), t.block_x, t.block_y);
-        let tiles: Vec<Vec<f32>> = (0..bg.num_blocks() as u64)
-            .into_par_iter()
-            .map(|b| {
+    /// One 2D sweep of `src` into `dst` (padded storage of the same shape;
+    /// only the interior is written). Runs the tap schedule, fanned out
+    /// over output rows when `fan_out` allows and the work pays for it, or
+    /// the emulated MMA path when `emulate`. Returns whether any output is
+    /// non-finite.
+    pub(crate) fn step_2d(
+        &self,
+        plan: &SpiderPlan,
+        src: PlaneRef<'_>,
+        dst: &mut [f32],
+        emulate: bool,
+        fan_out: bool,
+    ) -> bool {
+        let (rows, cols, h, stride) = (src.rows, src.cols, src.halo, src.stride());
+        if emulate {
+            let t = self.config.tiling;
+            let bg = BlockGrid::new(rows, cols, t.block_x, t.block_y);
+            return (0..bg.num_blocks() as u64).fold(false, |non_finite, b| {
                 let (x0, x1, y0, y1) = bg.rect(b);
-                self.compute_block_2d(plan, src, x0, x1, y0, y1)
+                self.compute_block_2d(plan, src, x0, x1, y0, y1, dst) | non_finite
+            });
+        }
+        let steps = plan.tap_schedule(self.mode).steps();
+        let jobs = if fan_out {
+            jobs_for(rows * cols * steps.len())
+        } else {
+            1
+        };
+        let rows_per_job = rows.div_ceil(jobs);
+        let flags: Vec<bool> = dst[h * stride..(h + rows) * stride]
+            .par_chunks_mut(rows_per_job * stride)
+            .enumerate()
+            .map(|(job, out_rows)| {
+                let mut starts = vec![0usize; steps.len()];
+                let mut non_finite = false;
+                for (i, out_row) in out_rows.chunks_exact_mut(stride).enumerate() {
+                    let x = (job * rows_per_job + i + h) as isize;
+                    for (start, step) in starts.iter_mut().zip(steps) {
+                        *start =
+                            ((x + step.dx) * stride as isize + h as isize + step.dcol) as usize;
+                    }
+                    non_finite |= run_span(steps, &starts, src.data, &mut out_row[h..h + cols]);
+                }
+                non_finite
             })
             .collect();
-
-        // Scatter the per-block output tiles (already FP16-quantized) into
-        // the padded storage, one bulk row copy at a time, and recycle the
-        // tile buffers.
-        let h = dst.halo();
-        for (b, tile) in tiles.into_iter().enumerate() {
-            let (x0, x1, y0, y1) = bg.rect(b as u64);
-            let w = y1 - y0;
-            for (row, chunk) in tile.chunks_exact(w).take(x1 - x0).enumerate() {
-                dst.padded_row_mut(x0 + row + h)[y0 + h..y1 + h].copy_from_slice(chunk);
-            }
-            self.pool.put(tile);
-        }
-        self.charge_2d(plan, src.rows(), src.cols())
+        flags.contains(&true)
     }
 
     /// The counters of one 2D sweep over a `rows × cols` grid: the sum of
     /// its blocks' charges. Counters depend only on block shapes, the plan,
     /// the mode and the row-swap strategy — never on grid data.
-    fn charge_2d(&self, plan: &SpiderPlan, rows: usize, cols: usize) -> PerfCounters {
+    pub(crate) fn charge_2d(&self, plan: &SpiderPlan, rows: usize, cols: usize) -> PerfCounters {
         let t = self.config.tiling;
         let r = plan.radius();
         let bg = BlockGrid::new(rows, cols, t.block_x, t.block_y);
@@ -559,29 +646,22 @@ impl<'d> SpiderExecutor<'d> {
             .sum()
     }
 
-    /// Functional computation of one block's output tile (row-major
-    /// `(x1-x0) × (y1-y0)` buffer, drawn from the scratch pool — the caller
-    /// returns it after scattering).
+    /// The emulated MMA computation of one block, stored FP16-quantized
+    /// straight into `dst` (padded storage shaped like `src`). Returns
+    /// whether any stored output is non-finite.
+    #[allow(clippy::too_many_arguments)]
     fn compute_block_2d(
         &self,
         plan: &SpiderPlan,
-        src: &Grid2D<f32>,
+        src: PlaneRef<'_>,
         x0: usize,
         x1: usize,
         y0: usize,
         y1: usize,
-    ) -> Vec<f32> {
-        let w = y1 - y0;
-        let mut out = self.pool.take((x1 - x0) * w);
-
-        // Interior-classification bounds: an MMA tile whose whole sample
-        // range stays inside the padded storage takes the fused gather.
-        let h = src.halo() as isize;
-        let stride = src.stride() as isize;
-        let padded_rows = (src.rows() + 2 * src.halo()) as isize;
-        let (lo_off, hi_off) = plan.col_off_range();
-        let (lo_dx, hi_dx) = plan.dx_range();
-
+        dst: &mut [f32],
+    ) -> bool {
+        let (h, stride) = (src.halo, src.stride());
+        let mut non_finite = false;
         let mut ty = 0;
         while y0 + ty * M_TILE < y1 {
             let y_base = y0 + ty * M_TILE;
@@ -589,19 +669,8 @@ impl<'d> SpiderExecutor<'d> {
             while x0 + tx * N_TILE < x1 {
                 let x_base = x0 + tx * N_TILE;
                 let mut acc = [[0.0f32; 8]; 16];
-                let interior = self.config.fast_gather
-                    && x_base as isize + lo_dx + h >= 0
-                    && (x_base + N_TILE - 1) as isize + hi_dx + h < padded_rows
-                    && y_base as isize + lo_off + h >= 0
-                    && y_base as isize + hi_off + h < stride;
-                if interior {
-                    for (unit, gather) in plan.units().iter().zip(plan.gathers()) {
-                        self.mma_tile_2d_interior(unit, gather, src, x_base, y_base, &mut acc);
-                    }
-                } else {
-                    for unit in plan.units() {
-                        self.mma_tile_2d(unit, src, plan.perm(), x_base, y_base, &mut acc);
-                    }
+                for unit in plan.units() {
+                    self.mma_tile_2d(unit, src, plan.perm(), x_base, y_base, &mut acc);
                 }
                 // Store (FP16-quantized, matching the modeled output type).
                 for n in 0..N_TILE {
@@ -614,24 +683,24 @@ impl<'d> SpiderExecutor<'d> {
                         if y >= y1 {
                             continue;
                         }
-                        out[(x - x0) * w + (y - y0)] = F16::quantize(acc[dy][n]);
+                        let v = F16::quantize(acc[dy][n]);
+                        non_finite |= !v.is_finite();
+                        dst[(x + h) * stride + y + h] = v;
                     }
                 }
                 tx += 1;
             }
             ty += 1;
         }
-        out
+        non_finite
     }
 
-    /// One unit's two MMA K-slices on a 16×8 output tile — guarded path:
-    /// every B-fragment sample goes through the bounds-checked
-    /// [`sample_2d`]. Kept for boundary tiles (and as the reference the
-    /// fast-path property tests compare against).
+    /// One unit's two MMA K-slices on a 16×8 output tile: every B-fragment
+    /// sample goes through the bounds-checked [`sample_2d`].
     fn mma_tile_2d(
         &self,
         unit: &PlanUnit,
-        src: &Grid2D<f32>,
+        src: PlaneRef<'_>,
         perm: &[usize; K_PAD],
         x_base: usize,
         y_base: usize,
@@ -672,77 +741,41 @@ impl<'d> SpiderExecutor<'d> {
         }
     }
 
-    /// Fast-path counterpart of [`Self::mma_tile_2d`] for interior tiles:
-    /// B fragments fill with direct strided slice reads off the plan's
-    /// precomputed gather offsets — no per-element bounds guard, no
-    /// permutation re-derivation. Reads exactly the storage cells the
-    /// guarded path reads, so the MMA inputs (and therefore every output
-    /// bit) are identical.
-    fn mma_tile_2d_interior(
-        &self,
-        unit: &PlanUnit,
-        gather: &UnitGather,
-        src: &Grid2D<f32>,
-        x_base: usize,
-        y_base: usize,
-        acc: &mut [[f32; 8]; 16],
-    ) {
-        let h = src.halo();
-        let stride = src.stride();
-        let padded = src.padded();
-        // Padded row of the tile's first output row and padded column base.
-        let row0 = (x_base + h) as isize + unit.dx;
-        let col0 = (y_base + h) as isize;
-        let fill = |offs: &[isize; M_TILE]| {
-            let mut b = [[0.0f32; 8]; 16];
-            for n in 0..N_TILE {
-                let pr = (row0 + n as isize) as usize;
-                let row = &padded[pr * stride..(pr + 1) * stride];
-                for (dy, brow) in b.iter_mut().enumerate() {
-                    brow[n] = row[(col0 + offs[dy]) as usize];
-                }
-            }
-            b
-        };
-        let mut dead = PerfCounters::new(); // issue counts charged in the charge pass
-        match self.mode {
-            ExecMode::DenseTc => {
-                let slices = unit.sparse.dense_slices();
-                for (k, a) in slices.iter().enumerate() {
-                    let b = fill(&gather.dense[k]);
-                    mma_m16n8k16(&mut dead, a, &b, acc);
-                }
-            }
-            ExecMode::SparseTc | ExecMode::SparseTcOptimized => {
-                for (k, slice) in unit.sparse.slices.iter().enumerate() {
-                    let b = fill(&gather.swapped[k]);
-                    mma_sp_m16n8k16(&mut dead, slice, &b, acc);
-                }
-            }
-        }
-    }
-
     // ---------------------------------------------------------------- 1D --
 
-    fn step_1d(&self, plan: &SpiderPlan, src: &Grid1D<f32>, dst: &mut Grid1D<f32>) -> PerfCounters {
-        let t = self.config.tiling;
-        let tiles: Vec<Vec<f32>> = (0..t.blocks_1d(src.len()) as usize)
-            .into_par_iter()
-            .map(|b| {
+    /// 1D counterpart of [`Self::step_2d`]: the schedule fans out over
+    /// 16-aligned output segments.
+    fn step_1d(
+        &self,
+        plan: &SpiderPlan,
+        src: &Grid1D<f32>,
+        dst: &mut Grid1D<f32>,
+        emulate: bool,
+    ) -> bool {
+        let (n, h) = (src.len(), src.halo());
+        let out = &mut dst.padded_mut()[h..h + n];
+        if emulate {
+            let t = self.config.tiling;
+            return (0..t.blocks_1d(n) as usize).fold(false, |non_finite, b| {
                 let t0 = b * t.block_1d;
-                let t1 = (t0 + t.block_1d).min(src.len());
-                self.compute_block_1d(plan, src, t0, t1)
+                let t1 = (t0 + t.block_1d).min(n);
+                self.compute_block_1d(plan, src, t0, t1, out) | non_finite
+            });
+        }
+        let steps = plan.tap_schedule(self.mode).steps();
+        let segment = n
+            .div_ceil(jobs_for(n * steps.len()))
+            .next_multiple_of(M_TILE);
+        let flags: Vec<bool> = out
+            .par_chunks_mut(segment)
+            .enumerate()
+            .map(|(job, out)| {
+                let i0 = (job * segment + h) as isize;
+                let starts: Vec<usize> = steps.iter().map(|s| (i0 + s.dcol) as usize).collect();
+                run_span(steps, &starts, src.padded(), out)
             })
             .collect();
-        // Bulk-copy each tile into the padded storage and recycle it.
-        let h = src.halo();
-        for (b, tile) in tiles.into_iter().enumerate() {
-            let t0 = b * t.block_1d;
-            let t1 = (t0 + t.block_1d).min(src.len());
-            dst.padded_mut()[t0 + h..t1 + h].copy_from_slice(&tile[..t1 - t0]);
-            self.pool.put(tile);
-        }
-        self.charge_1d(plan, src.len())
+        flags.contains(&true)
     }
 
     /// 1D counterpart of [`Self::charge_2d`].
@@ -766,60 +799,36 @@ impl<'d> SpiderExecutor<'d> {
             .sum()
     }
 
+    /// The emulated MMA computation of 1D outputs `t0..t1`, stored
+    /// FP16-quantized into `out` (the destination's interior). Returns
+    /// whether any stored output is non-finite.
     fn compute_block_1d(
         &self,
         plan: &SpiderPlan,
         src: &Grid1D<f32>,
         t0: usize,
         t1: usize,
-    ) -> Vec<f32> {
-        let mut out = self.pool.take(t1 - t0);
-        let h = src.halo() as isize;
-        let padded = src.padded();
-        let padded_len = padded.len() as isize;
-        let (lo_off, hi_off) = plan.col_off_range();
+        out: &mut [f32],
+    ) -> bool {
+        let mut non_finite = false;
         let groups = (t1 - t0).div_ceil(M_TILE * N_TILE);
         for g in 0..groups {
             let g0 = t0 + g * M_TILE * N_TILE;
             let mut acc = [[0.0f32; 8]; 16];
-            // Fused gather when the group's whole sample range (all 8
-            // segments × every window row of every unit) stays in storage.
-            let interior = self.config.fast_gather
-                && g0 as isize + lo_off + h >= 0
-                && (g0 + (N_TILE - 1) * M_TILE) as isize + hi_off + h < padded_len;
-            for (unit, gather) in plan.units().iter().zip(plan.gathers()) {
+            for unit in plan.units() {
                 let ur = unit.radius as isize;
-                let fill_fast = |offs: &[isize; M_TILE]| {
-                    let mut b = [[0.0f32; 8]; 16];
-                    for (dy, brow) in b.iter_mut().enumerate() {
-                        let base = (g0 as isize + offs[dy] + h) as usize;
-                        for (n, v) in brow.iter_mut().enumerate() {
-                            *v = padded[base + n * M_TILE];
-                        }
-                    }
-                    b
-                };
+                let mut dead = PerfCounters::new(); // issue counts charged in the charge pass
                 match self.mode {
                     ExecMode::DenseTc => {
                         let slices = unit.sparse.dense_slices();
                         for (k, a) in slices.iter().enumerate() {
-                            let b = if interior {
-                                fill_fast(&gather.dense[k])
-                            } else {
-                                gather_1d(src, g0, unit, ur, |dy| 16 * k + dy)
-                            };
-                            let mut dead = PerfCounters::new();
+                            let b = gather_1d(src, g0, unit, ur, |dy| 16 * k + dy);
                             mma_m16n8k16(&mut dead, a, &b, &mut acc);
                         }
                     }
                     _ => {
                         for (k, slice) in unit.sparse.slices.iter().enumerate() {
-                            let b = if interior {
-                                fill_fast(&gather.swapped[k])
-                            } else {
-                                gather_1d(src, g0, unit, ur, |dy| plan.perm()[16 * k + dy])
-                            };
-                            let mut dead = PerfCounters::new();
+                            let b = gather_1d(src, g0, unit, ur, |dy| plan.perm()[16 * k + dy]);
                             mma_sp_m16n8k16(&mut dead, slice, &b, &mut acc);
                         }
                     }
@@ -829,12 +838,14 @@ impl<'d> SpiderExecutor<'d> {
                 for dy in 0..M_TILE {
                     let idx = g0 + n * M_TILE + dy;
                     if idx < t1 {
-                        out[idx - t0] = F16::quantize(acc[dy][n]);
+                        let v = F16::quantize(acc[dy][n]);
+                        non_finite |= !v.is_finite();
+                        out[idx] = v;
                     }
                 }
             }
         }
-        out
+        non_finite
     }
 }
 
@@ -951,12 +962,12 @@ pub fn conflict_free_stride(need: usize) -> usize {
     s
 }
 
-/// Sample the padded storage of a 2D grid at signed interior coordinates,
-/// returning 0 outside the padded extent (only placeholder-slot B elements
-/// ever land there; they are multiplied by structural zeros).
+/// Sample a padded plane at signed interior coordinates, returning 0
+/// outside the padded extent (only placeholder-slot B elements ever land
+/// there; they are multiplied by structural zeros).
 #[inline]
-fn sample_2d(src: &Grid2D<f32>, i: isize, j: isize) -> f32 {
-    let h = src.halo() as isize;
+fn sample_2d(src: PlaneRef<'_>, i: isize, j: isize) -> f32 {
+    let h = src.halo as isize;
     let pi = i + h;
     let pj = j + h;
     if pi < 0 || pj < 0 {
@@ -964,10 +975,10 @@ fn sample_2d(src: &Grid2D<f32>, i: isize, j: isize) -> f32 {
     }
     let (pi, pj) = (pi as usize, pj as usize);
     let stride = src.stride();
-    if pi >= src.rows() + 2 * src.halo() || pj >= stride {
+    if pi >= src.rows + 2 * src.halo || pj >= stride {
         return 0.0;
     }
-    src.padded()[pi * stride + pj]
+    src.data[pi * stride + pj]
 }
 
 #[inline]
@@ -995,18 +1006,6 @@ fn gather_1d(
         }
     }
     b
-}
-
-fn quantize_grid_2d(grid: &mut Grid2D<f32>) {
-    for v in grid.padded_mut() {
-        *v = F16::quantize(*v);
-    }
-}
-
-fn quantize_grid_1d(grid: &mut Grid1D<f32>) {
-    for v in grid.padded_mut() {
-        *v = F16::quantize(*v);
-    }
 }
 
 /// Shrink a 2D extent to roughly `cap` points while preserving aspect ratio
@@ -1038,6 +1037,14 @@ mod tests {
 
     fn device() -> GpuDevice {
         GpuDevice::a100()
+    }
+
+    fn quantize_grid_2d(grid: &mut Grid2D<f32>) {
+        quantize_slice(grid.padded_mut());
+    }
+
+    fn quantize_grid_1d(grid: &mut Grid1D<f32>) {
+        quantize_slice(grid.padded_mut());
     }
 
     /// Oracle: f64 reference on the same f16-quantized kernel/grid.

@@ -6,18 +6,19 @@
 //! `out[z] = Σ_dz stencil2d(k[dz], in[z+dz])`. Each slice compiles through
 //! the ordinary 2D pipeline (band → strided swap → 2:4), so the SpTC
 //! machinery — including the zero-cost row swap — is reused unchanged; the
-//! executor accumulates the per-slice partials plane by plane. Star-3D
+//! executor accumulates the per-slice partials plane by plane, reading each
+//! source plane in place from the volume's storage. Star-3D
 //! kernels work automatically: their off-center slices hold a single tap
 //! and compile to one-unit plans.
 
-use crate::exec::{BatchFeedback, ExecMode, SpiderExecutor};
+use crate::exec::{any_non_finite, jobs_for, ExecMode, PlaneRef, SpiderExecutor};
 use crate::plan::{PlanError, SpiderPlan};
+use rayon::prelude::*;
 use spider_gpu_sim::counters::PerfCounters;
-use spider_gpu_sim::half::F16;
-use spider_gpu_sim::timing::KernelReport;
+use spider_gpu_sim::half::quantize_slice;
+use spider_gpu_sim::timing::{KernelReport, LaunchDims};
 use spider_gpu_sim::GpuDevice;
 use spider_stencil::dim3::{Grid3D, Kernel3D};
-use spider_stencil::Grid2D;
 
 /// Compiled 3D plan: one 2D plan per non-zero kernel slice, plus the source
 /// kernel for identity (fingerprinting, store validation, serialization).
@@ -115,7 +116,7 @@ impl<'d> Spider3DExecutor<'d> {
     }
 
     /// A 3D executor with an explicit 2D executor configuration (tiling,
-    /// row-swap strategy, fast-gather toggle) for its plane sweeps.
+    /// row-swap strategy) for its plane sweeps.
     pub fn with_config(
         device: &'d GpuDevice,
         mode: ExecMode,
@@ -126,7 +127,7 @@ impl<'d> Spider3DExecutor<'d> {
         }
     }
 
-    /// A 3D executor drawing its plane/accumulator scratch from an existing
+    /// A 3D executor drawing its plane scratch from an existing
     /// [`crate::pool::BufferPool`] — how `spider-runtime` keeps volume
     /// sweeps allocation-free *across* requests, exactly like
     /// [`SpiderExecutor::with_shared_pool`] does for planes.
@@ -143,23 +144,51 @@ impl<'d> Spider3DExecutor<'d> {
 
     /// Run `steps` sweeps of a 3D stencil, updating `grid` in place.
     ///
-    /// The planes of one step are independent — plane `z` reads only the
-    /// source volume, never another plane's step-`t` output — so every step
-    /// executes as **one batched-launch wave** through the same coalesced
-    /// machinery the 2D serving path uses ([`SpiderExecutor::run_2d_coalesced`]'s
-    /// shared `run_coalesced_impl` body): one job per output plane, each job
-    /// sweeping all `2r+1` kernel slices into its accumulator. The wave's
-    /// timing models a single batched launch per step — each plane's report
+    /// The interior is quantized through FP16 on entry and after every
+    /// sweep; the halo shell is read as it is and never written. Output
+    /// plane `z` is the f32 sum, in slice order, of the FP16-quantized 2D
+    /// sweeps of source planes `z + dz` under slice plans `dz`, quantized
+    /// again. The planes of one step are independent, so a step fans out
+    /// once, over output planes (sized by work, as a 2D sweep fans out over
+    /// rows); the plane sweeps inside a job never spawn. Each slice sweep
+    /// reads its source plane in place, as a sub-slice of the volume's
+    /// storage. A step whose source volume holds a non-finite value
+    /// anywhere takes the emulated path; the halo shell is never quantized,
+    /// so a pass-raised flag would miss it, and the vectorized scan costs
+    /// about a microsecond per 10k values against a sweep's hundreds.
+    ///
+    /// Every step is modeled as **one batched launch**: each plane's report
     /// carries `1/planes` of the launch overhead and the occupancy ramp of
-    /// the *combined* block residency (`planes × slices × blocks_2d`) —
-    /// instead of the old per-plane full-launch accounting. Grid data is
-    /// bit-identical to the sequential plane loop: per plane, the slice
-    /// accumulation order is unchanged.
+    /// the *combined* block residency (`planes × slices × blocks_2d`), and
+    /// the step report is the sequential merge of the plane reports.
     pub fn run(
         &self,
         plan: &Spider3DPlan,
         grid: &mut Grid3D<f32>,
         steps: usize,
+    ) -> Result<KernelReport, String> {
+        self.run_impl(plan, grid, steps, false)
+    }
+
+    /// [`Self::run`] with every plane sweep on the emulated MMA path: the
+    /// reference the tap schedule is tested against (see
+    /// [`SpiderExecutor::run_2d_emulated`]).
+    #[doc(hidden)]
+    pub fn run_emulated(
+        &self,
+        plan: &Spider3DPlan,
+        grid: &mut Grid3D<f32>,
+        steps: usize,
+    ) -> Result<KernelReport, String> {
+        self.run_impl(plan, grid, steps, true)
+    }
+
+    fn run_impl(
+        &self,
+        plan: &Spider3DPlan,
+        grid: &mut Grid3D<f32>,
+        steps: usize,
+        emulate: bool,
     ) -> Result<KernelReport, String> {
         if grid.halo() < plan.radius() {
             return Err(format!(
@@ -168,104 +197,85 @@ impl<'d> Spider3DExecutor<'d> {
                 plan.radius()
             ));
         }
-        for z in 0..grid.planes() {
-            for i in 0..grid.rows() {
-                for j in 0..grid.cols() {
-                    grid.set(z, i, j, F16::quantize(grid.get(z, i, j)));
-                }
+        let (planes, rows, cols, h) = (grid.planes(), grid.rows(), grid.cols(), grid.halo());
+        let stride = cols + 2 * h;
+        let plane_len = (rows + 2 * h) * stride;
+        // Interior row ranges of one padded plane.
+        let interior_rows =
+            move || (h..h + rows).map(move |i| i * stride + h..i * stride + h + cols);
+        let quantize_plane = |plane: &mut [f32]| {
+            for r in interior_rows() {
+                quantize_slice(&mut plane[r]);
             }
-        }
-        /// Collects the wave's per-plane reports and merges them (the step
-        /// report is the sequential merge of its batched-launch members).
-        #[derive(Default)]
-        struct MergePlanes {
-            merged: Option<KernelReport>,
-        }
-        impl BatchFeedback for MergePlanes {
-            fn on_grid_done(&mut self, _index: usize, report: &KernelReport) {
-                self.merged = Some(match self.merged.take() {
-                    None => report.clone(),
-                    Some(prev) => prev.merge_sequential(report),
-                });
-            }
-        }
-
-        /// One wave member: output plane `z` and its accumulator (pooled).
-        struct PlaneJob {
-            z: usize,
-            acc: Grid2D<f32>,
-        }
-
-        let (rows, cols, h) = (grid.rows(), grid.cols(), grid.halo());
-        let pool = self.exec.pool().clone();
-        let plane_len = (rows + 2 * h) * (cols + 2 * h);
-        let t = self.exec.config().tiling;
-        let blocks_per_plane = plan.slices().len() as u64 * t.blocks_2d(rows, cols);
+        };
+        grid.padded_mut()[h * plane_len..(h + planes) * plane_len]
+            .chunks_exact_mut(plane_len)
+            .for_each(quantize_plane);
         let mut next = grid.clone();
-        let mut report: Option<KernelReport> = None;
-        let sweep_err = crate::sync::OrderedMutex::new(
-            crate::sync::LockRank::ExecErrorSlot,
-            "exec3d.sweep_err",
-            None::<String>,
+
+        // Counters never depend on data, and every plane of every step has
+        // the same shape, so one plane report serves the whole run.
+        let t = self.exec.config().tiling;
+        let counters: PerfCounters = plan
+            .slices()
+            .iter()
+            .map(|(_, p)| self.exec.charge_2d(p, rows, cols))
+            .sum();
+        let wave_blocks = (planes * plan.slices().len()) as u64 * t.blocks_2d(rows, cols);
+        let dims = LaunchDims::new(wave_blocks, t.threads_per_block());
+        let plane_report = self.exec.batched_report(
+            vec![counters],
+            dims,
+            (rows * cols) as u64,
+            1.0 / planes as f64,
         );
+        let step_report = (1..planes).fold(plane_report.clone(), |merged, _| {
+            merged.merge_sequential(&plane_report)
+        });
+
+        let mode = self.exec.mode();
+        let schedule_steps: usize = plan
+            .slices()
+            .iter()
+            .map(|(_, p)| p.tap_schedule(mode).steps().len())
+            .sum();
+        let per_job = planes.div_ceil(jobs_for(planes * rows * cols * schedule_steps));
+        let pool = self.exec.pool();
+        let mut report: Option<KernelReport> = None;
         for _ in 0..steps.max(1) {
-            let mut jobs: Vec<PlaneJob> = (0..grid.planes())
-                .map(|z| PlaneJob {
-                    z,
-                    acc: Grid2D::from_padded_vec(rows, cols, h, pool.take(plane_len)),
-                })
-                .collect();
-            let mut fb = MergePlanes::default();
-            let src: &Grid3D<f32> = grid;
-            self.exec.run_coalesced_impl(
-                &mut jobs,
-                &mut fb,
-                |_| Ok(()),
-                |_| blocks_per_plane,
-                |job: &mut PlaneJob| {
-                    // Per-job scratch (source slice + slice partial) cycles
-                    // through the shared pool, so a warm wave allocates
-                    // nothing regardless of how many planes run in parallel.
-                    let mut src_plane =
-                        Grid2D::from_padded_vec(rows, cols, h, pool.take(plane_len));
-                    let mut partial = Grid2D::from_padded_vec(rows, cols, h, pool.take(plane_len));
-                    job.acc.padded_mut().fill(0.0);
-                    let mut counters = PerfCounters::new();
-                    for (dz, plan2d) in plan.slices() {
-                        src.plane_ext_into(job.z as isize + dz, &mut src_plane);
-                        match self.exec.sweep_plane_into(plan2d, &src_plane, &mut partial) {
-                            Ok(c) => counters += c,
-                            Err(e) => {
-                                sweep_err.lock().get_or_insert(e);
-                                break;
+            let src = grid.padded();
+            let emulate = emulate || any_non_finite(src);
+            next.padded_mut()[h * plane_len..(h + planes) * plane_len]
+                .par_chunks_mut(per_job * plane_len)
+                .enumerate()
+                .for_each(|(job, out_planes)| {
+                    let mut partial = pool.take(plane_len);
+                    for (k, out) in out_planes.chunks_exact_mut(plane_len).enumerate() {
+                        let z = job * per_job + k;
+                        interior_rows().for_each(|r| out[r].fill(0.0));
+                        for (dz, plan2d) in plan.slices() {
+                            let p = (z + h).wrapping_add_signed(*dz);
+                            let src_plane = PlaneRef {
+                                data: &src[p * plane_len..(p + 1) * plane_len],
+                                rows,
+                                cols,
+                                halo: h,
+                            };
+                            self.exec
+                                .step_2d(plan2d, src_plane, &mut partial, emulate, false);
+                            for r in interior_rows() {
+                                for (o, &v) in out[r.clone()].iter_mut().zip(&partial[r]) {
+                                    *o += v;
+                                }
                             }
                         }
-                        for i in 0..rows {
-                            for j in 0..cols {
-                                job.acc.set(i, j, job.acc.get(i, j) + partial.get(i, j));
-                            }
-                        }
+                        quantize_plane(out);
                     }
-                    pool.put(src_plane.into_padded_vec());
-                    pool.put(partial.into_padded_vec());
-                    (vec![counters], (rows * cols) as u64)
-                },
-            )?;
-            if let Some(e) = sweep_err.lock().take() {
-                return Err(e);
-            }
-            for job in jobs {
-                for i in 0..rows {
-                    for j in 0..cols {
-                        next.set(job.z, i, j, F16::quantize(job.acc.get(i, j)));
-                    }
-                }
-                pool.put(job.acc.into_padded_vec());
-            }
+                    pool.put(partial);
+                });
             std::mem::swap(grid, &mut next);
-            let step_report = fb.merged.expect("wave produced at least one plane");
             report = Some(match report.take() {
-                None => step_report,
+                None => step_report.clone(),
                 Some(prev) => prev.merge_sequential(&step_report),
             });
         }
@@ -276,6 +286,7 @@ impl<'d> Spider3DExecutor<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_gpu_sim::half::F16;
     use spider_stencil::dim3::step_3d;
 
     fn oracle(kernel: &Kernel3D, grid: &Grid3D<f32>) -> Grid3D<f64> {

@@ -43,6 +43,7 @@ pub mod packing;
 pub mod plan;
 pub mod pool;
 pub mod row_swap;
+pub mod schedule;
 pub mod serial;
 pub mod swap;
 pub mod sync;

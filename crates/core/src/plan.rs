@@ -8,11 +8,14 @@
 //! `O(L² log L)` transforms and LoRAStencil's `O(L³)` decomposition.
 
 use crate::encode::Sparse24Kernel;
+use crate::exec::ExecMode;
 use crate::kernel_matrix;
+use crate::schedule::TapSchedule;
 use crate::swap::{swap_perm, SwapParity};
 use crate::{K_PAD, M_TILE};
 use spider_gpu_sim::half::F16;
 use spider_stencil::{Dim, StencilKernel};
+use std::sync::OnceLock;
 
 /// One compiled decomposition unit: a kernel-row chunk as a 2:4 operand pair
 /// plus the input-window offsets that position its partial contribution.
@@ -32,11 +35,10 @@ pub struct PlanUnit {
 /// MMA K-slices, the signed input-window offset every B-fragment row reads,
 /// with the strided-swap row permutation already folded in.
 ///
-/// The executor adds these to the tile's window origin to obtain padded
-/// storage offsets — no per-block permutation re-derivation, no per-element
-/// offset arithmetic beyond one add. Computed once at compile time, so the
-/// plan cache amortizes the work across every sweep of every request that
-/// shares the plan.
+/// The tap schedules ([`TapSchedule`]) are derived from these tables, and
+/// the emulated reference path reads the same cells through its guarded
+/// sampler. Computed once at compile time, so the plan cache amortizes the
+/// work across every sweep of every request that shares the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitGather {
     /// Signed column offset (relative to the output tile's first column) for
@@ -74,11 +76,15 @@ pub struct SpiderPlan {
     /// Per-unit gather-offset tables, parallel to `units`.
     gathers: Vec<UnitGather>,
     /// Smallest / largest signed column offset any unit's gather reads
-    /// (swapped and dense order combined) — the bounds the executor's
-    /// interior-tile classification checks against.
+    /// (swapped and dense order combined).
     col_off_range: (isize, isize),
     /// Smallest / largest input-row offset (`unit.dx`) across units.
     dx_range: (isize, isize),
+    /// The sparse arms' tap schedule, derived with the gather tables.
+    schedule: TapSchedule,
+    /// The `DenseTc` arm's tap schedule, derived on first use (serving
+    /// never runs that arm).
+    dense_schedule: OnceLock<TapSchedule>,
 }
 
 /// Errors surfaced during plan compilation.
@@ -144,7 +150,8 @@ impl SpiderPlan {
     }
 
     /// Assemble a plan from its compiled units, recomputing the derived
-    /// tables (swap permutation, gather offsets, offset ranges). Shared by
+    /// tables (swap permutation, gather offsets, offset ranges, the sparse
+    /// tap schedule). Shared by
     /// [`Self::compile_with_parity`] and the on-disk deserializer in
     /// [`crate::serial`] — the derived tables are pure arithmetic over
     /// `(parity, units)`, so they are never stored, only re-derived.
@@ -169,6 +176,7 @@ impl SpiderPlan {
         let dx_range = units.iter().fold((isize::MAX, isize::MIN), |(lo, hi), u| {
             (lo.min(u.dx), hi.max(u.dx))
         });
+        let schedule = TapSchedule::sparse(&units, &gathers);
         Self {
             kernel,
             units,
@@ -177,6 +185,8 @@ impl SpiderPlan {
             gathers,
             col_off_range,
             dx_range,
+            schedule,
+            dense_schedule: OnceLock::new(),
         }
     }
 
@@ -212,6 +222,17 @@ impl SpiderPlan {
     /// `(min, max)` input-row offset (`unit.dx`) across the plan's units.
     pub fn dx_range(&self) -> (isize, isize) {
         self.dx_range
+    }
+
+    /// The exact-order tap schedule the host runs for `mode` (see
+    /// [`crate::schedule`]). The `DenseTc` order is derived on first use.
+    pub fn tap_schedule(&self, mode: ExecMode) -> &TapSchedule {
+        if mode == ExecMode::DenseTc {
+            self.dense_schedule
+                .get_or_init(|| TapSchedule::dense(&self.units, &self.gathers))
+        } else {
+            &self.schedule
+        }
     }
 
     /// Stable content fingerprint of the compiled plan: the source kernel's

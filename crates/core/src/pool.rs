@@ -1,12 +1,12 @@
 //! Scratch-buffer pool: the allocation-free backbone of the executor.
 //!
-//! Every sweep needs two kinds of scratch — a destination grid for the
-//! ping-pong stepping and one output tile per simulated thread block. Before
-//! this pool existed the executor paid a `Grid::clone` per run plus a
-//! `Vec::with_capacity` per block per step; at serving rates that is the
-//! "data-movement overhead" Casper identifies as the stencil bottleneck,
-//! spent in the allocator instead of the kernel. The pool recycles those
-//! buffers across steps, runs and (via [`BufferPool::clone`], which shares
+//! A run needs grid-sized scratch: a destination grid for the ping-pong
+//! stepping, and for the 3D executor one slice-partial plane per job.
+//! Without the pool each run pays a fresh grid-sized allocation (and its
+//! page faults); at serving rates that is the "data-movement overhead"
+//! Casper identifies as the stencil bottleneck, spent in the allocator
+//! instead of the kernel. The pool recycles those buffers across steps,
+//! runs and (via [`BufferPool::clone`], which shares
 //! the underlying store) across executors — the runtime hands one pool to
 //! every executor it constructs so a warm serving process stops allocating
 //! entirely.
@@ -18,8 +18,8 @@
 //!
 //! Concurrency tradeoff: one global `Mutex` over a capacity-sorted free
 //! list. Lookup is a binary search and the critical section is sub-µs,
-//! while the work between a block's `take` and `put` is a whole simulated
-//! block (tens to hundreds of µs), so the lock is not a practical
+//! while the work between a `take` and its `put` is a whole run (tens to
+//! hundreds of µs), so the lock is not a practical
 //! serialization point at the executor's thread counts. If profiles ever
 //! disagree, per-size-class freelists are the next step — behind the same
 //! two-method API.

@@ -518,6 +518,7 @@ impl Spider3DPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecMode;
     use spider_stencil::StencilShape;
 
     fn roundtrip(kernel: &StencilKernel) -> (SpiderPlan, SpiderPlan) {
@@ -540,6 +541,9 @@ mod tests {
         assert_eq!(a.gathers(), b.gathers());
         assert_eq!(a.col_off_range(), b.col_off_range());
         assert_eq!(a.dx_range(), b.dx_range());
+        for mode in [ExecMode::SparseTcOptimized, ExecMode::DenseTc] {
+            assert_eq!(a.tap_schedule(mode), b.tap_schedule(mode));
+        }
     }
 
     #[test]

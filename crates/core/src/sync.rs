@@ -34,7 +34,6 @@
 //! | 570 | `StoreGc` | store stats |
 //! | 580 | `StoreStats` | nothing (leaf) |
 //! | 600 | `RuntimeResults` | nothing (leaf) |
-//! | 640 | `ExecErrorSlot` | nothing (leaf) |
 //! | 650 | `BufferPool` | nothing (leaf) |
 //! | 700 | `TraceRing` | nothing (leaf) |
 //! | 720 | `MetricsRegistry` | per-metric series (snapshot reads histograms) |
@@ -88,8 +87,6 @@ pub enum LockRank {
     StoreStats = 580,
     /// `SpiderRuntime::run_batch` result-slot collection.
     RuntimeResults = 600,
-    /// Transient per-call error slot in `exec3d` coalesced sweeps.
-    ExecErrorSlot = 640,
     /// `BufferPool` free list.
     BufferPool = 650,
     /// Telemetry trace ring buffer.
@@ -276,7 +273,7 @@ impl<'a, T> OrderedMutexGuard<'a, T> {
     /// Block on `cv`, releasing the mutex (and this guard's rank entry) for
     /// the duration, re-validating the rank on wake. The usual loop shape:
     ///
-    /// ```ignore
+    /// ```text
     /// let mut st = shared.state.lock();
     /// while !ready(&st) {
     ///     st = st.wait_on(&shared.work);

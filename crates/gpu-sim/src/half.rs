@@ -117,11 +117,37 @@ impl F16 {
     }
 }
 
-/// Quantize a slice in place (models staging f32 data through f16 storage).
-pub fn quantize_slice(values: &mut [f32]) {
-    for v in values {
-        *v = F16::quantize(*v);
+/// Quantize a slice in place (models staging f32 data through f16
+/// storage), bit for bit [`F16::quantize`] per element. Returns whether any
+/// result is non-finite (±∞ or NaN).
+///
+/// Works in 64-element chunks. A chunk whose magnitudes all lie in the f16
+/// normal range (or are zero) rounds branch-free on the bit pattern — the
+/// same round-to-nearest-even [`F16::quantize`] takes there, which also
+/// maps ±0 to itself and can only produce finite values. A chunk holding
+/// anything else (f16 subnormals, overflow, ±∞, NaN) reruns element by
+/// element through [`F16::quantize`], so one stray value costs one slow
+/// chunk, not a slow slice.
+pub fn quantize_slice(values: &mut [f32]) -> bool {
+    let mut non_finite = false;
+    for chunk in values.chunks_mut(64) {
+        let fast = chunk.iter().fold(true, |fast, v| {
+            let mag = v.to_bits() & 0x7FFF_FFFF;
+            fast & ((0x3880_0000..0x477F_F000).contains(&mag) | (mag == 0))
+        });
+        if fast {
+            for v in chunk.iter_mut() {
+                let bits = v.to_bits();
+                *v = f32::from_bits((bits + 0x0FFF + ((bits >> 13) & 1)) & !0x1FFF);
+            }
+        } else {
+            for v in chunk.iter_mut() {
+                *v = F16::quantize(*v);
+                non_finite |= !v.is_finite();
+            }
+        }
     }
+    non_finite
 }
 
 #[cfg(test)]
@@ -258,6 +284,61 @@ mod tests {
     fn quantize_matches_the_round_trip_on_every_f32() {
         for bits in 0..=u32::MAX {
             assert_quantize_exact(bits);
+        }
+    }
+
+    #[test]
+    fn quantize_slice_matches_per_element_quantize_and_flags_non_finite() {
+        let specials = [
+            1.0f32,
+            -0.1,
+            0.0,
+            -0.0,
+            2.0f32.powi(-20),  // f16 subnormal
+            -2.0f32.powi(-26), // underflows to -0
+            65519.0,
+            65520.0, // rounds to +inf
+            -65520.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1e-40, // f32 subnormal
+        ];
+        let mut state = 0x9E37_79B9_u32;
+        let mut normal = || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            f32::from_bits(0x3880_0000 + state % (0x477F_F000 - 0x3880_0000))
+                * if state & 1 == 0 { 1.0 } else { -1.0 }
+        };
+        // One clean chunk, then chunks holding one special each at varying
+        // positions, then a ragged tail.
+        for (len, special_at) in [
+            (64usize, None),
+            (200, Some(70)),
+            (130, Some(129)),
+            (77, Some(3)),
+        ] {
+            for &special in &specials {
+                let mut values: Vec<f32> = (0..len).map(|_| normal()).collect();
+                values[64..].iter_mut().step_by(7).for_each(|v| *v = 0.0);
+                if let Some(at) = special_at {
+                    values[at] = special;
+                }
+                let want: Vec<u32> = values.iter().map(|&v| F16::quantize(v).to_bits()).collect();
+                let want_flag = values.iter().any(|&v| !F16::quantize(v).is_finite());
+                let flag = quantize_slice(&mut values);
+                let got: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(
+                    got, want,
+                    "len {len}, special {special:e} at {special_at:?}"
+                );
+                assert_eq!(
+                    flag, want_flag,
+                    "len {len}, special {special:e} at {special_at:?}"
+                );
+            }
         }
     }
 

@@ -111,7 +111,7 @@ pub use request::{
 pub use runtime::{output_checksum, RuntimeError, RuntimeOptions, SpiderRuntime};
 pub use scheduler::{
     BackpressurePolicy, FailureReason, KillReport, RequestStatus, SchedulerOptions,
-    SpiderScheduler, Submit, SubmitError, TenantConfig, Ticket,
+    SpiderScheduler, Submit, SubmitError, TenantConfig, Ticket, DONE_RETENTION,
 };
 pub use store::{PersistedMemo, PlanStore, StoreGcPolicy, StoreStats};
 pub use tuner::{AutoTuner, TuneOutcome};

@@ -147,7 +147,7 @@ pub struct SpiderRuntime {
     tuner: AutoTuner,
     options: RuntimeOptions,
     /// Scratch-buffer pool shared (shallow clones) with every executor this
-    /// runtime configures, so ping-pong grids and block output tiles are
+    /// runtime configures, so ping-pong grids and 3D plane scratch are
     /// recycled *across requests* — a warm runtime stops allocating.
     pool: BufferPool,
     /// Optional durable plan + memo storage. When attached, plan-cache

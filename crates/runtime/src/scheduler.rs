@@ -70,10 +70,21 @@
 //! The m selected requests are the whole top cohort without tenants and
 //! one DRR round of it with them; all of them dispatch unless
 //! `max_coalesce` holds some back for a later wave.
+//!
+//! ## Ticket retention
+//!
+//! A finished request's outcome ([`RequestStatus::Done`]) is kept until it
+//! has been polled and [`DONE_RETENTION`] newer outcomes have been polled
+//! for the first time after it; then its payload is dropped and the ticket
+//! polls [`RequestStatus::Unknown`]. So a caller may re-poll a ticket it has
+//! seen finish, within that window, and an outcome nobody has polled is
+//! never dropped: [`SpiderScheduler::drain`] returns every outcome still
+//! kept. [`SpiderScheduler::peek`] reads a status without starting the
+//! clock. Other terminal states carry no payload and are kept.
 
 use spider_core::sync::{LockRank, OrderedMutex, OrderedMutexGuard};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -306,9 +317,18 @@ pub enum RequestStatus {
     /// Cancelled via [`SpiderScheduler::cancel`] while still queued; the
     /// request never executed.
     Cancelled,
-    /// The ticket is not from this scheduler.
+    /// The ticket is not from this scheduler, or its outcome was dropped
+    /// under the retention policy (see [`DONE_RETENTION`]).
     Unknown,
 }
+
+/// How many newer outcomes must be polled for the first time after a
+/// ticket's own first `Done` poll before the scheduler drops that outcome
+/// (see the module docs on ticket retention). An outcome is a few hundred
+/// bytes, so this bounds the payloads a polling caller leaves behind to a
+/// few hundred KiB, while a caller can still re-poll any of its last 1024
+/// completions.
+pub const DONE_RETENTION: usize = 1024;
 
 impl RequestStatus {
     /// Whether the request has reached a final state.
@@ -388,11 +408,18 @@ pub trait Submit {
 enum Slot {
     Queued,
     Running,
-    Done(Box<RequestOutcome>),
+    /// `polled`: a `poll` has returned this outcome (its retention clock
+    /// runs).
+    Done {
+        outcome: Box<RequestOutcome>,
+        polled: bool,
+    },
     Failed(FailureReason),
     Shed,
     Expired,
     Cancelled,
+    /// A `Done` outcome dropped under [`DONE_RETENTION`].
+    Released,
 }
 
 struct SlotEntry {
@@ -545,6 +572,9 @@ struct State {
     deficits: BTreeMap<TenantId, u64>,
     /// Tickets in the order they reached a terminal state.
     completion_order: Vec<u64>,
+    /// `Done` tickets in the order of their first poll; at most
+    /// [`DONE_RETENTION`] long (older ones are released).
+    polled_done: VecDeque<u64>,
     first_submit: Option<Instant>,
     last_terminal: Option<Instant>,
     /// Monotone progress beat: bumped on every admission, every dispatched
@@ -600,6 +630,7 @@ impl SpiderScheduler {
                     tenant_stats: BTreeMap::new(),
                     deficits: BTreeMap::new(),
                     completion_order: Vec::new(),
+                    polled_done: VecDeque::new(),
                     first_submit: None,
                     last_terminal: None,
                     beats: 0,
@@ -777,8 +808,21 @@ impl SpiderScheduler {
 
     /// Current status of a ticket. Polling a queued ticket whose deadline
     /// has passed expires it on the spot (lazy expiry — the dispatcher would
-    /// do the same at dispatch time).
+    /// do the same at dispatch time). The first poll that returns
+    /// [`RequestStatus::Done`] starts the outcome's retention clock (see
+    /// the module docs).
     pub fn poll(&self, ticket: Ticket) -> RequestStatus {
+        self.status(ticket, true)
+    }
+
+    /// [`Self::poll`] without starting a `Done` outcome's retention clock:
+    /// for observers (such as a cluster pruning its routing records) that
+    /// are not the caller the outcome is for.
+    pub fn peek(&self, ticket: Ticket) -> RequestStatus {
+        self.status(ticket, false)
+    }
+
+    fn status(&self, ticket: Ticket, retain: bool) -> RequestStatus {
         let t = Arc::clone(self.runtime.telemetry());
         let mut st = self.lock();
         if expire_due(&mut st, &t) > 0 {
@@ -788,7 +832,7 @@ impl SpiderScheduler {
         let Some(entry) = st.slots.get(ticket.seq as usize) else {
             return RequestStatus::Unknown;
         };
-        match &entry.slot {
+        let status = match &entry.slot {
             Slot::Queued => {
                 let entry = st
                     .queue
@@ -806,14 +850,19 @@ impl SpiderScheduler {
                 }
             }
             Slot::Running => RequestStatus::Running,
-            Slot::Done(outcome) => RequestStatus::Done(outcome.clone()),
+            Slot::Done { outcome, .. } => RequestStatus::Done(outcome.clone()),
             Slot::Failed(reason) => RequestStatus::Failed {
                 reason: reason.clone(),
             },
             Slot::Shed => RequestStatus::Shed,
             Slot::Expired => RequestStatus::Expired,
             Slot::Cancelled => RequestStatus::Cancelled,
+            Slot::Released => RequestStatus::Unknown,
+        };
+        if retain {
+            retain_polled(&mut st, ticket.seq);
         }
+        status
     }
 
     /// Cancel a still-queued ticket: it leaves the admission queue without
@@ -962,7 +1011,7 @@ impl SpiderScheduler {
         let mut failures = Vec::new();
         for entry in &st.slots {
             match &entry.slot {
-                Slot::Done(o) => outcomes.push((**o).clone()),
+                Slot::Done { outcome, .. } => outcomes.push((**outcome).clone()),
                 Slot::Failed(e) => failures.push((entry.req_id, e.to_string())),
                 _ => {}
             }
@@ -1298,6 +1347,24 @@ fn finish(st: &mut State, ticket: u64, slot: Slot) {
     st.last_terminal = Some(Instant::now());
 }
 
+/// Start the retention clock of a `Done` ticket on its first poll: queue
+/// it behind the outcomes polled before it, and release the oldest polled
+/// outcome once more than [`DONE_RETENTION`] are kept.
+fn retain_polled(st: &mut State, ticket: u64) {
+    let Slot::Done { polled, .. } = &mut st.slots[ticket as usize].slot else {
+        return;
+    };
+    if std::mem::replace(polled, true) {
+        return;
+    }
+    st.polled_done.push_back(ticket);
+    if st.polled_done.len() > DONE_RETENTION {
+        if let Some(oldest) = st.polled_done.pop_front() {
+            st.slots[oldest as usize].slot = Slot::Released;
+        }
+    }
+}
+
 /// Expire every queued request whose deadline has passed, oldest first.
 /// Returns how many were expired (callers notify `space`/`idle` when > 0).
 fn expire_due(st: &mut State, t: &Telemetry) -> usize {
@@ -1567,7 +1634,14 @@ fn run_wave_group(shared: &Shared, runtime: &SpiderRuntime, group: &WaveGroup) {
         }
         match result {
             Ok(outcome) => {
-                finish(&mut st, ticket, Slot::Done(Box::new(outcome)));
+                finish(
+                    &mut st,
+                    ticket,
+                    Slot::Done {
+                        outcome: Box::new(outcome),
+                        polled: false,
+                    },
+                );
                 st.stats.completed += 1;
                 st.tenant_stats_mut(req.tenant).completed += 1;
             }
@@ -1642,6 +1716,49 @@ mod tests {
         assert_eq!(q.submitted, 1);
         assert_eq!(q.completed, 1);
         assert!(report.rates_are_finite());
+    }
+
+    #[test]
+    fn polled_outcomes_are_released_after_the_retention_window() {
+        let n = DONE_RETENTION;
+        let s = sched_on(1, SchedulerOptions::default());
+        let tiny = |id: u64| StencilRequest::new_2d(id, StencilKernel::jacobi_2d(), 16, 16);
+        // The first request is never polled; it finishes before the other
+        // 3N and must outlive all of them.
+        let unpolled = s.submit(tiny(0)).unwrap();
+        let tickets: Vec<Ticket> = (1..=3 * n as u64)
+            .map(|id| s.submit(tiny(id)).unwrap())
+            .collect();
+        assert_eq!(s.drain().outcomes.len(), 3 * n + 1, "nothing polled yet");
+        assert!(matches!(s.peek(unpolled), RequestStatus::Done(_)));
+        for &t in &tickets {
+            assert!(matches!(s.poll(t), RequestStatus::Done(_)));
+        }
+        let kept = s
+            .lock()
+            .slots
+            .iter()
+            .filter(|e| matches!(e.slot, Slot::Done { .. }))
+            .count();
+        assert_eq!(kept, n + 1, "N polled payloads plus the unpolled one");
+        for &t in &tickets[..2 * n] {
+            assert!(matches!(s.poll(t), RequestStatus::Unknown));
+        }
+        for &t in &tickets[2 * n..] {
+            assert!(matches!(s.poll(t), RequestStatus::Done(_)), "re-poll");
+        }
+        // `peek` does not start the clock, so this is still never polled.
+        match s.peek(unpolled) {
+            RequestStatus::Done(o) => assert_eq!(o.id, 0),
+            other => panic!("the unpolled outcome must survive, got {other:?}"),
+        }
+        let report = s.drain();
+        let ids: Vec<u64> = report.outcomes.iter().map(|o| o.id).collect();
+        let want: Vec<u64> = std::iter::once(0)
+            .chain(2 * n as u64 + 1..=3 * n as u64)
+            .collect();
+        assert!(ids == want, "drain returns every outcome still kept");
+        assert_eq!(report.queue.unwrap().completed, 3 * n as u64 + 1);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! split into one contiguous chunk per available core, the calling thread
 //! runs the first chunk itself, and one scoped thread is spawned for each
 //! of the others (so a call on `n` cores spawns at most `n − 1` threads,
-//! and none on one core). For the block-shaped workloads here (simulated
-//! thread blocks, grid rows) that is within noise of rayon.
+//! and none on one core). Call sites that want fewer, larger jobs pass
+//! fewer items — `par_chunks_mut` with a chunk sized by the work, as the
+//! executor's sweeps do — which real rayon runs unchanged.
 
 use std::sync::OnceLock;
 use std::thread;

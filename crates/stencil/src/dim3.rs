@@ -106,28 +106,16 @@ impl<T: Scalar> Grid3D<T> {
     }
 
     /// Extract plane `z` (signed; may reach the halo) as a 2D grid with the
-    /// same halo — the unit `spider-core::exec3d` feeds to the 2D executor.
+    /// same halo.
     pub fn plane_ext(&self, z: isize) -> Grid2D<T> {
         let mut out = Grid2D::zeros(self.rows, self.cols, self.halo);
-        self.plane_ext_into(z, &mut out);
-        out
-    }
-
-    /// [`Self::plane_ext`] writing into a caller-provided plane of matching
-    /// extent and halo (every padded cell overwritten) — lets plane-sweep
-    /// executors cycle one staging buffer instead of allocating per slice.
-    pub fn plane_ext_into(&self, z: isize, out: &mut Grid2D<T>) {
-        assert_eq!(
-            (out.rows(), out.cols(), out.halo()),
-            (self.rows, self.cols, self.halo),
-            "plane buffer shape mismatch"
-        );
         let h = self.halo as isize;
         for i in -h..(self.rows as isize + h) {
             for j in -h..(self.cols as isize + h) {
                 out.set_ext(i, j, self.get_ext(z, i, j));
             }
         }
+        out
     }
 
     pub fn max_abs_diff(&self, other: &Self) -> f64 {
@@ -162,6 +150,11 @@ impl<T: Scalar> Grid3D<T> {
     /// mirroring [`Grid2D::padded`].
     pub fn padded(&self) -> &[T] {
         &self.data
+    }
+
+    /// Mutable padded storage, plane-major (halo shell included).
+    pub fn padded_mut(&mut self) -> &mut [T] {
+        &mut self.data
     }
 }
 

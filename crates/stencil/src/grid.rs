@@ -270,10 +270,8 @@ impl<T: Scalar> Grid2D<T> {
         &self.data[pi * s..(pi + 1) * s]
     }
 
-    /// Mutable padded row (halo included) at padded-row index `pi` — the
-    /// raw accessor behind the executor's row-wise `copy_from_slice`
-    /// scatter (one bulk copy per output-tile row instead of per-element
-    /// `set` calls).
+    /// Mutable padded row (halo included) at padded-row index `pi`, for
+    /// bulk row writes instead of per-element `set` calls.
     pub fn padded_row_mut(&mut self, pi: usize) -> &mut [T] {
         let s = self.stride();
         &mut self.data[pi * s..(pi + 1) * s]

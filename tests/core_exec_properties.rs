@@ -1,45 +1,81 @@
-//! Property tests for the zero-copy execution core.
+//! Property tests for the execution core.
 //!
-//! The executor has two B-fragment gather paths: the fused interior path
-//! (direct strided slice reads off the plan's precomputed offset tables)
-//! and the guarded path (per-element bounds-checked `sample_2d`). The
-//! optimization contract is *bit-identity*: the fast path must read exactly
-//! the storage cells the guarded path reads, so forcing the guarded path
-//! everywhere (`fast_gather: false`) must reproduce every output bit AND
-//! every performance counter on any shape — especially boundary-heavy ones
-//! where almost no tile is interior. These tests pin that contract on odd
-//! extents, extents smaller than one tile, radii rivaling the block size,
-//! wide-radius 1D splits and 3D plane sweeps, plus the coalesced batch
-//! path and the steady-state no-allocation property of the buffer pool.
+//! The host computes a sweep from the plan's exact-order tap schedule: the
+//! emulated `mma.sp` chain's non-zero FMAs, in the chain's order. The
+//! emulated MMA path (per-tile B-fragment gathers through a bounds-checked
+//! sampler, every slot of every MMA) is the reference, reachable through
+//! `run_2d_emulated`, `run_1d_emulated` and `Spider3DExecutor::run_emulated`.
+//! The contract is *bit-identity*: the schedule must reproduce every output
+//! bit (halo included) AND every performance counter of the emulation on
+//! any shape — odd extents, extents smaller than one tile, radii rivaling
+//! the block size, wide-radius splits, both swap parities, all three modes
+//! and 3D volumes. Non-finite input (where a zero slot times ∞ is NaN)
+//! must take the emulated path, so it is bit-identical too. Plus the
+//! coalesced batch path and the steady-state no-allocation property of the
+//! buffer pool.
 
 use proptest::prelude::*;
 use spider::core::exec::{BatchFeedback, ExecConfig, ExecMode, SpiderExecutor};
 use spider::core::exec3d::{Spider3DExecutor, Spider3DPlan};
 use spider::core::plan::SpiderPlan;
 use spider::core::tiling::TilingConfig;
+use spider::core::SwapParity;
 use spider::gpu_sim::timing::KernelReport;
 use spider::prelude::*;
 use spider::stencil::dim3::{Grid3D, Kernel3D};
 
-fn exec_with(
-    dev: &GpuDevice,
-    mode: ExecMode,
-    tiling: TilingConfig,
-    fast_gather: bool,
-) -> SpiderExecutor<'_> {
+const MODES: [ExecMode; 3] = [
+    ExecMode::DenseTc,
+    ExecMode::SparseTc,
+    ExecMode::SparseTcOptimized,
+];
+
+fn exec_with(dev: &GpuDevice, mode: ExecMode, tiling: TilingConfig) -> SpiderExecutor<'_> {
     SpiderExecutor::with_config(
         dev,
         mode,
         ExecConfig {
             tiling,
-            fast_gather,
             ..ExecConfig::default()
         },
     )
 }
 
-/// Run the same 2D problem through both gather paths and require identical
-/// padded storage (every bit, halo included) and identical counters.
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Run the same 2D problem through the schedule and the emulated reference
+/// and require identical padded storage (every bit, halo included) and
+/// identical counters.
+fn assert_2d_matches_emulation(
+    mode: ExecMode,
+    tiling: TilingConfig,
+    plan: &SpiderPlan,
+    grid: &Grid2D<f32>,
+    steps: usize,
+) {
+    let dev = GpuDevice::a100();
+    let exec = exec_with(&dev, mode, tiling);
+    let mut fast = grid.clone();
+    let mut reference = grid.clone();
+    let rf = exec.run_2d(plan, &mut fast, steps).unwrap();
+    let rg = exec.run_2d_emulated(plan, &mut reference, steps).unwrap();
+    let what = format!(
+        "{mode:?} {:?} {}x{} r{} s{steps}",
+        plan.parity(),
+        grid.rows(),
+        grid.cols(),
+        plan.radius()
+    );
+    assert_eq!(
+        bits(fast.padded()),
+        bits(reference.padded()),
+        "{what}: outputs diverged"
+    );
+    assert_eq!(rf.counters, rg.counters, "{what}: counters diverged");
+}
+
 #[allow(clippy::too_many_arguments)]
 fn assert_2d_paths_identical(
     mode: ExecMode,
@@ -51,25 +87,43 @@ fn assert_2d_paths_identical(
     steps: usize,
     seed: u64,
 ) {
-    let dev = GpuDevice::a100();
     let plan = SpiderPlan::compile(kernel).unwrap();
-    let mut fast = Grid2D::<f32>::random(rows, cols, radius, seed);
-    let mut guarded = fast.clone();
-    let rf = exec_with(&dev, mode, tiling, true)
-        .run_2d(&plan, &mut fast, steps)
-        .unwrap();
-    let rg = exec_with(&dev, mode, tiling, false)
-        .run_2d(&plan, &mut guarded, steps)
-        .unwrap();
-    assert_eq!(
-        fast.padded(),
-        guarded.padded(),
-        "{mode:?} {rows}x{cols} r{radius} s{steps}: outputs diverged"
+    let grid = Grid2D::<f32>::random(rows, cols, radius, seed);
+    assert_2d_matches_emulation(mode, tiling, &plan, &grid, steps);
+}
+
+fn assert_1d_matches_emulation(
+    mode: ExecMode,
+    plan: &SpiderPlan,
+    grid: &Grid1D<f32>,
+    steps: usize,
+) {
+    let dev = GpuDevice::a100();
+    let exec = SpiderExecutor::new(&dev, mode);
+    let mut fast = grid.clone();
+    let mut reference = grid.clone();
+    let rf = exec.run_1d(plan, &mut fast, steps).unwrap();
+    let rg = exec.run_1d_emulated(plan, &mut reference, steps).unwrap();
+    let what = format!(
+        "{mode:?} {:?} n{} r{}",
+        plan.parity(),
+        grid.len(),
+        plan.radius()
     );
-    assert_eq!(
-        rf.counters, rg.counters,
-        "{mode:?} {rows}x{cols} r{radius}: counters diverged"
-    );
+    assert_eq!(bits(fast.padded()), bits(reference.padded()), "{what}");
+    assert_eq!(rf.counters, rg.counters, "{what}");
+}
+
+fn assert_3d_matches_emulation(plan: &Spider3DPlan, grid: &Grid3D<f32>, steps: usize) {
+    let dev = GpuDevice::a100();
+    let exec = Spider3DExecutor::new(&dev, ExecMode::SparseTcOptimized);
+    let mut fast = grid.clone();
+    let mut reference = grid.clone();
+    let rf = exec.run(plan, &mut fast, steps).unwrap();
+    let rg = exec.run_emulated(plan, &mut reference, steps).unwrap();
+    assert_eq!(bits(fast.padded()), bits(reference.padded()), "3D diverged");
+    assert_eq!(rf.counters, rg.counters);
+    assert_eq!(rf.time_s(), rg.time_s());
 }
 
 proptest! {
@@ -88,7 +142,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let shape = if star { StencilShape::star_2d(radius) } else { StencilShape::box_2d(radius) };
-        let mode = [ExecMode::DenseTc, ExecMode::SparseTc, ExecMode::SparseTcOptimized][mode_pick];
+        let mode = MODES[mode_pick];
         let kernel = StencilKernel::random(shape, seed);
         assert_2d_paths_identical(
             mode, TilingConfig::default(), rows, cols, radius, &kernel, steps, seed + 1,
@@ -104,25 +158,16 @@ proptest! {
         steps in 1usize..=2,
         seed in 0u64..500,
     ) {
-        let dev = GpuDevice::a100();
         let kernel = StencilKernel::random(StencilShape::d1(radius), seed);
         let plan = SpiderPlan::compile(&kernel).unwrap();
-        let mut fast = Grid1D::<f32>::random(n, radius, seed + 1);
-        let mut guarded = fast.clone();
-        let rf = exec_with(&dev, ExecMode::SparseTcOptimized, TilingConfig::default(), true)
-            .run_1d(&plan, &mut fast, steps)
-            .unwrap();
-        let rg = exec_with(&dev, ExecMode::SparseTcOptimized, TilingConfig::default(), false)
-            .run_1d(&plan, &mut guarded, steps)
-            .unwrap();
-        prop_assert_eq!(fast.padded(), guarded.padded());
-        prop_assert_eq!(rf.counters, rg.counters);
+        let grid = Grid1D::<f32>::random(n, radius, seed + 1);
+        assert_1d_matches_emulation(ExecMode::SparseTcOptimized, &plan, &grid, steps);
     }
 }
 
-/// Boundary-heavy corner cases called out in the issue, pinned
-/// deterministically: a grid smaller than one MMA tile, and a radius that
-/// rivals the block extent (halo wider than the interior the block owns).
+/// Boundary-heavy corner cases, pinned deterministically: a grid smaller
+/// than one MMA tile, and a radius that rivals the block extent (halo wider
+/// than the interior the block owns).
 #[test]
 fn boundary_heavy_shapes_are_bit_identical() {
     // Tiny blocks so the radius reaches the block extent.
@@ -134,11 +179,7 @@ fn boundary_heavy_shapes_are_bit_identical() {
         ..TilingConfig::default()
     };
     tiny_blocks.validate().unwrap();
-    for mode in [
-        ExecMode::DenseTc,
-        ExecMode::SparseTc,
-        ExecMode::SparseTcOptimized,
-    ] {
+    for mode in MODES {
         // Extent smaller than one 16x8 MMA tile.
         let k1 = StencilKernel::random(StencilShape::box_2d(2), 7);
         assert_2d_paths_identical(mode, TilingConfig::default(), 5, 7, 2, &k1, 2, 21);
@@ -151,11 +192,9 @@ fn boundary_heavy_shapes_are_bit_identical() {
     }
 }
 
-/// 3D plane sweeps drive the same 2D machinery slice by slice; the whole
-/// volume must come out bit-identical under both gather paths.
+/// The volume must come out bit-identical to the emulated plane sweeps.
 #[test]
 fn plane_sweeps_3d_are_bit_identical() {
-    let dev = GpuDevice::a100();
     for (kernel, pz, rows, cols, steps) in [
         (
             Kernel3D::random_box(1, 31),
@@ -168,40 +207,108 @@ fn plane_sweeps_3d_are_bit_identical() {
         (Kernel3D::star_7point(-6.0, 1.0), 4, 9, 13, 2),
     ] {
         let plan = Spider3DPlan::compile(&kernel).unwrap();
-        let mut fast = Grid3D::<f32>::random(pz, rows, cols, kernel.radius(), 33);
-        let mut guarded = fast.clone();
-        Spider3DExecutor::with_config(
-            &dev,
-            ExecMode::SparseTcOptimized,
-            ExecConfig {
-                fast_gather: true,
-                ..ExecConfig::default()
-            },
-        )
-        .run(&plan, &mut fast, steps)
-        .unwrap();
-        Spider3DExecutor::with_config(
-            &dev,
-            ExecMode::SparseTcOptimized,
-            ExecConfig {
-                fast_gather: false,
-                ..ExecConfig::default()
-            },
-        )
-        .run(&plan, &mut guarded, steps)
-        .unwrap();
-        for z in 0..pz {
-            for i in 0..rows {
-                for j in 0..cols {
-                    assert_eq!(
-                        fast.get(z, i, j).to_bits(),
-                        guarded.get(z, i, j).to_bits(),
-                        "3D diverged at ({z},{i},{j})"
-                    );
-                }
-            }
+        let grid = Grid3D::<f32>::random(pz, rows, cols, kernel.radius(), 33);
+        assert_3d_matches_emulation(&plan, &grid, steps);
+    }
+}
+
+/// Non-finite input: one +∞ interior cell (a zero slot times ∞ turns
+/// neighbouring outputs into NaN under the MMA), and NaN in the halo.
+#[test]
+fn non_finite_inputs_take_the_emulated_path() {
+    let kernel = StencilKernel::heat_2d(0.1);
+    let plan = SpiderPlan::compile(&kernel).unwrap();
+    let mut inf_cell = Grid2D::<f32>::random(40, 50, 1, 3);
+    inf_cell.set(17, 20, f32::INFINITY);
+    let mut nan_halo = Grid2D::<f32>::random(40, 50, 2, 4);
+    nan_halo.set_ext(-2, 7, f32::NAN);
+    for mode in MODES {
+        // Dirichlet zeroes the halo before the first sweep, but the flag
+        // is raised by the input quantize, which sees the NaN.
+        for grid in [&inf_cell, &nan_halo] {
+            assert_2d_matches_emulation(mode, TilingConfig::default(), &plan, grid, 2);
         }
     }
+    // The emulation really does differ from a zero-skipping sum here.
+    let dev = GpuDevice::a100();
+    let mut g = inf_cell.clone();
+    SpiderExecutor::new(&dev, ExecMode::SparseTcOptimized)
+        .run_2d(&plan, &mut g, 1)
+        .unwrap();
+    let nan_cells = (0..40)
+        .flat_map(|i| (0..50).map(move |j| (i, j)))
+        .filter(|&(i, j)| g.get(i, j).is_nan())
+        .count();
+    assert!(nan_cells > 0, "0·∞ in padded slots yields NaN");
+
+    let line = SpiderPlan::compile(&StencilKernel::random(StencilShape::d1(2), 5)).unwrap();
+    let mut g1 = Grid1D::<f32>::random(300, 2, 6);
+    g1.padded_mut()[0] = f32::NAN;
+    g1.set(150, f32::NEG_INFINITY);
+    for mode in MODES {
+        assert_1d_matches_emulation(mode, &line, &g1, 2);
+    }
+}
+
+/// A finite input that overflows FP16 in the second of three sweeps: the
+/// first sweep runs the schedule, the store flags the overflow, and the
+/// third sweep takes the emulated path.
+#[test]
+fn overflow_mid_run_switches_to_the_emulated_path() {
+    let kernel = StencilKernel::box_2d(1, &[8.0; 9]);
+    let plan = SpiderPlan::compile(&kernel).unwrap();
+    let grid = Grid2D::<f32>::from_fn(35, 41, 1, |i, j| 50.0 + (i * 41 + j) as f32 * 0.01);
+    let dev = GpuDevice::a100();
+    let mut after_one = grid.clone();
+    SpiderExecutor::new(&dev, ExecMode::SparseTcOptimized)
+        .run_2d(&plan, &mut after_one, 1)
+        .unwrap();
+    assert!(after_one.padded().iter().all(|v| v.is_finite()));
+    let mut after_two = grid.clone();
+    SpiderExecutor::new(&dev, ExecMode::SparseTcOptimized)
+        .run_2d(&plan, &mut after_two, 2)
+        .unwrap();
+    assert!(after_two.padded().iter().any(|v| v.is_infinite()));
+    for mode in MODES {
+        assert_2d_matches_emulation(mode, TilingConfig::default(), &plan, &grid, 3);
+    }
+}
+
+/// Odd swap parity, the dense arm, and a 2D plan whose radius-9 rows split
+/// into several units.
+#[test]
+fn odd_parity_dense_arm_and_split_plans_are_bit_identical() {
+    let kernel = StencilKernel::random(StencilShape::box_2d(3), 41);
+    let odd = SpiderPlan::compile_with_parity(&kernel, SwapParity::Odd).unwrap();
+    let grid = Grid2D::<f32>::random(37, 45, 3, 42);
+    for mode in MODES {
+        assert_2d_matches_emulation(mode, TilingConfig::default(), &odd, &grid, 2);
+    }
+    let wide = StencilKernel::random(StencilShape::box_2d(9), 43);
+    let split = SpiderPlan::compile(&wide).unwrap();
+    assert!(split.units().len() > 19, "radius-9 rows split into chunks");
+    let grid = Grid2D::<f32>::random(29, 51, 9, 44);
+    for mode in MODES {
+        assert_2d_matches_emulation(mode, TilingConfig::default(), &split, &grid, 1);
+    }
+}
+
+/// A volume with a non-finite interior cell: the planes that read it take
+/// the emulated path, every other plane the schedule.
+#[test]
+fn volume_with_a_non_finite_cell_is_bit_identical() {
+    let kernel = Kernel3D::random_box(1, 51);
+    let plan = Spider3DPlan::compile(&kernel).unwrap();
+    let mut grid = Grid3D::<f32>::random(6, 20, 21, 1, 52);
+    grid.set(2, 5, 9, f32::INFINITY);
+    assert_3d_matches_emulation(&plan, &grid, 2);
+    let mut halo_nan = Grid3D::<f32>::random(5, 18, 19, 2, 53);
+    halo_nan.padded_mut()[3] = f32::NAN;
+    assert_3d_matches_emulation(
+        &Spider3DPlan::compile(&Kernel3D::random_box(2, 54)).unwrap(),
+        &halo_nan,
+        1,
+    );
 }
 
 struct Collect(Vec<KernelReport>);
@@ -258,8 +365,9 @@ fn coalesced_batch_amortizes_launch_but_keeps_counters() {
 }
 
 /// Steady-state no-allocation: after the first (warmup) run, every scratch
-/// acquisition — ping-pong grids and per-block output tiles — is a pool
-/// hit; the miss counter freezes.
+/// acquisition is a pool hit; the miss counter freezes. The grid overflows
+/// FP16 on the fourth run, so the emulated fallback must not allocate
+/// scratch either.
 #[test]
 fn pool_reaches_steady_state_after_warmup() {
     let dev = GpuDevice::a100();

@@ -184,7 +184,7 @@ fn in_flight_casualty_chains_attempts_across_devices() {
     let tickets: Vec<ClusterTicket> = (0..4u64)
         .map(|i| {
             cluster
-                .submit(StencilRequest::new_2d(i, kernel.clone(), 96, 128).with_seed(i))
+                .submit(StencilRequest::new_2d(i, kernel.clone(), 384, 512).with_seed(i))
                 .unwrap()
         })
         .collect();
