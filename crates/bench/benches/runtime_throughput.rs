@@ -231,7 +231,7 @@ fn emit_json() {
             let r = rt.run_batch(&build_batch(30_000 * b as u64, 2));
             wall += r.wall_s;
             requests += r.outcomes.len();
-            series.record(rt.telemetry().metrics().snapshot());
+            series.record(rt.metrics_snapshot());
             engine.evaluate_recorded(&series, rt.telemetry());
             monitor.observe("bench-dev", b as u64, true);
             monitor.tick();

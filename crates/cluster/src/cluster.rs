@@ -36,7 +36,9 @@ use spider_runtime::{
     PlanStore, RequestStatus, SpiderRuntime, SpiderScheduler, StencilRequest, Submit, SubmitError,
     Ticket,
 };
-use spider_telemetry::{HealthMonitor, HealthPolicy, HealthState, HealthTransition};
+use spider_telemetry::{
+    HealthMonitor, HealthPolicy, HealthState, HealthTransition, MetricValue, MetricsSnapshot,
+};
 
 use crate::elastic::{FaultEvent, FaultPlan, RecoveryReport, RetryPolicy};
 use crate::report::{ClusterReport, DeviceReport};
@@ -251,6 +253,11 @@ struct ClusterState {
     devices_added: u64,
     devices_removed: u64,
     devices_failed: u64,
+    /// Devices frozen by a hang trigger (see [`FaultPlan`]).
+    fault_hangs: u64,
+    /// Health transitions into `Suspect` and into `Dead`.
+    health_suspects: u64,
+    health_deaths: u64,
     /// Armed fault-injection plan (see [`FaultPlan`]).
     faults: Option<FaultPlan>,
     first_submit: Option<Instant>,
@@ -277,11 +284,6 @@ pub struct SpiderCluster {
     /// The shared store new devices warm-start from (None = no
     /// persistence).
     store: Option<Arc<PlanStore>>,
-    /// Cluster-level lifecycle counters
-    /// (`spider_cluster_device_{added,removed,failed}_total`,
-    /// `spider_cluster_{requeued,retried}_total`), merged into
-    /// [`Self::fleet_metrics`].
-    metrics: spider_telemetry::MetricsRegistry,
     state: OrderedMutex<ClusterState>,
     /// Missed-heartbeat detector over the live shards, driven by explicit
     /// [`Self::health_tick`] calls (leaf lock: taken after `membership`,
@@ -336,7 +338,6 @@ impl SpiderCluster {
                 },
             ),
             store,
-            metrics: spider_telemetry::MetricsRegistry::new(),
             state: OrderedMutex::new(LockRank::ClusterState, "cluster.state", state),
             health: OrderedMutex::new(
                 LockRank::ClusterHealth,
@@ -935,10 +936,8 @@ impl SpiderCluster {
         if retry {
             p.attempts += 1;
             st.retried += 1;
-            self.metrics.counter("spider_cluster_retried_total").inc();
         } else {
             st.requeued += 1;
-            self.metrics.counter("spider_cluster_requeued_total").inc();
         }
     }
 
@@ -1011,9 +1010,6 @@ impl SpiderCluster {
         m.slots.push(dev);
         m.routable.push(slot);
         m.rebuild_router(self.options.policy);
-        self.metrics
-            .counter("spider_cluster_device_added_total")
-            .inc();
         Ok(())
     }
 
@@ -1105,9 +1101,6 @@ impl SpiderCluster {
         dev.scheduler.retire();
         dev.departed.store(true, Ordering::SeqCst);
         self.lock().devices_removed += 1;
-        self.metrics
-            .counter("spider_cluster_device_removed_total")
-            .inc();
         Ok(self.device_report(slot, &dev))
     }
 
@@ -1203,13 +1196,7 @@ impl SpiderCluster {
             };
             self.place_blocking(unplaced, true);
         }
-        {
-            let mut st = self.lock();
-            st.devices_failed += 1;
-        }
-        self.metrics
-            .counter("spider_cluster_device_failed_total")
-            .inc();
+        self.lock().devices_failed += 1;
         Ok(report)
     }
 
@@ -1248,9 +1235,7 @@ impl SpiderCluster {
         if let Some(dev) = hung {
             dev.silenced.store(true, Ordering::SeqCst);
             dev.scheduler.pause();
-            self.metrics
-                .counter("spider_cluster_fault_hangs_total")
-                .inc();
+            self.lock().fault_hangs += 1;
         }
         let target = {
             let m = self.read_membership();
@@ -1286,7 +1271,7 @@ impl SpiderCluster {
     /// dispatch wave (the thresholds count *ticks*, not wall time).
     pub fn health_tick(&self) -> HealthReport {
         let mut report = HealthReport::default();
-        let dead: Vec<String> = {
+        let (suspects, dead): (u64, Vec<String>) = {
             let m = self.read_membership();
             let mut mon = self.health.lock();
             for d in m.slots.iter() {
@@ -1303,26 +1288,25 @@ impl SpiderCluster {
                 }
             }
             let transitions = mon.tick();
+            let mut suspects = 0;
             let mut dead = Vec::new();
             for t in &transitions {
                 match t.to {
-                    HealthState::Suspect => {
-                        self.metrics
-                            .counter("spider_cluster_health_suspect_total")
-                            .inc();
-                    }
-                    HealthState::Dead => {
-                        self.metrics
-                            .counter("spider_cluster_health_dead_total")
-                            .inc();
-                        dead.push(t.shard.clone());
-                    }
+                    HealthState::Suspect => suspects += 1,
+                    HealthState::Dead => dead.push(t.shard.clone()),
                     HealthState::Healthy => {}
                 }
             }
             report.transitions = transitions;
-            dead
+            (suspects, dead)
         };
+        // Counted once the monitor lock is released: cluster state ranks
+        // below it.
+        {
+            let mut st = self.lock();
+            st.health_suspects += suspects;
+            st.health_deaths += dead.len() as u64;
+        }
         // Act on the verdicts with no membership or monitor lock held —
         // `fail_device` takes the membership write lock itself.
         for name in dead {
@@ -1430,35 +1414,53 @@ impl SpiderCluster {
         Ok(total)
     }
 
-    /// Fleet-wide metrics snapshot: every device (departed ones included —
-    /// their final counters must not vanish from fleet totals) syncs its
-    /// cumulative counters into its registry, then the per-device
-    /// snapshots merge (counters and gauges add, histograms merge
-    /// bucket-wise), plus the cluster's own lifecycle counters
-    /// (`spider_cluster_device_{added,removed,failed}_total`,
-    /// `spider_cluster_{requeued,retried}_total`). Per-device telemetry is
-    /// absent when disabled on every device; the cluster counters are
-    /// always present.
-    pub fn fleet_metrics(&self) -> spider_telemetry::MetricsSnapshot {
-        let mut merged = spider_telemetry::MetricsSnapshot::default();
+    /// Fleet-wide metrics snapshot, read when called. Every device's
+    /// [`SpiderScheduler::metrics_snapshot`] (departed ones included —
+    /// their final counters must not vanish from fleet totals) is merged:
+    /// counters and gauges add, histograms merge bucket-wise. Every device
+    /// reports the one shared [`PlanStore`], so its `spider_plan_store_*`
+    /// counters are then written once, over that sum. Last come the
+    /// cluster's own lifecycle counters (`spider_cluster_*`, from its
+    /// state), each once it has counted. Device metrics are absent when
+    /// telemetry is disabled on every device; the store and lifecycle
+    /// counters are not.
+    pub fn fleet_metrics(&self) -> MetricsSnapshot {
+        let mut fleet = MetricsSnapshot::default();
         for d in &self.read_membership().slots {
-            d.runtime.sync_metrics();
-            d.scheduler.sync_metrics_now();
-            merged.merge(&d.runtime.telemetry().metrics().snapshot());
+            fleet.merge(&d.scheduler.metrics_snapshot());
         }
-        merged.merge(&self.metrics.snapshot());
-        merged
+        if let Some(store) = &self.store {
+            store.stats().write_metrics(&mut fleet);
+        }
+        let mut lifecycle = MetricsSnapshot::default();
+        {
+            let st = self.lock();
+            lifecycle.counter("spider_cluster_requeued_total", st.requeued);
+            lifecycle.counter("spider_cluster_retried_total", st.retried);
+            lifecycle.counter("spider_cluster_device_added_total", st.devices_added);
+            lifecycle.counter("spider_cluster_device_removed_total", st.devices_removed);
+            lifecycle.counter("spider_cluster_device_failed_total", st.devices_failed);
+            lifecycle.counter("spider_cluster_fault_hangs_total", st.fault_hangs);
+            lifecycle.counter("spider_cluster_health_suspect_total", st.health_suspects);
+            lifecycle.counter("spider_cluster_health_dead_total", st.health_deaths);
+        }
+        // Like a registry counter, a lifecycle counter appears once it has
+        // counted.
+        lifecycle
+            .values
+            .retain(|_, v| *v != MetricValue::Counter(0));
+        fleet.merge(&lifecycle);
+        fleet
     }
 
     /// Prometheus text exposition of the whole fleet: one block per device
-    /// (labelled `device="<name>"`, departed devices included with their
-    /// final counters), then the merged fleet snapshot with no labels.
+    /// (its [`SpiderScheduler::metrics_snapshot`] labelled
+    /// `device="<name>"`, departed devices included with their final
+    /// counters), then the merged fleet snapshot with no labels.
     pub fn fleet_prometheus_text(&self) -> String {
         let mut out = String::new();
         for d in &self.read_membership().slots {
-            d.runtime.sync_metrics();
-            d.scheduler.sync_metrics_now();
-            let snap = d.runtime.telemetry().metrics().snapshot();
+            let snap = d.scheduler.metrics_snapshot();
             out.push_str(&snap.prometheus_text(&[("device", &d.spec.name)]));
         }
         out.push_str(&self.fleet_metrics().prometheus_text(&[]));
@@ -2050,6 +2052,50 @@ mod tests {
         assert_eq!(snap.counter_value("spider_cluster_device_removed_total"), 1);
         let text = cluster.fleet_prometheus_text();
         assert!(text.contains("spider_cluster_device_added_total 1"));
+    }
+
+    #[test]
+    fn fleet_metrics_count_a_shared_store_once() {
+        let dir =
+            std::env::temp_dir().join(format!("spider-cluster-fleet-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(PlanStore::open(&dir).unwrap());
+        let cluster = SpiderCluster::with_store(
+            specs(3, false),
+            ClusterOptions::default(),
+            Arc::clone(&store),
+        );
+        let kernels = [
+            StencilKernel::heat_2d(0.12),
+            StencilKernel::gaussian_2d(2),
+            StencilKernel::jacobi_2d(),
+        ];
+        let requests: Vec<StencilRequest> = (0..12u64)
+            .map(|i| {
+                let k = kernels[i as usize % kernels.len()].clone();
+                StencilRequest::new_2d(i, k, 64, 96).with_seed(i)
+            })
+            .collect();
+        assert_eq!(cluster.run_batch(&requests).unwrap().total_completed(), 12);
+        let fleet = cluster.fleet_metrics();
+        let s = store.stats();
+        assert!(s.plan_saves > 0 && s.plan_absent > 0, "{s:?}");
+        for (name, want) in [
+            ("spider_plan_store_plan_loads_total", s.plan_loads),
+            ("spider_plan_store_plan_absent_total", s.plan_absent),
+            ("spider_plan_store_plan_rejected_total", s.plan_rejected),
+            ("spider_plan_store_plan_saves_total", s.plan_saves),
+            ("spider_plan_store_plan_evictions_total", s.plan_evictions),
+            (
+                "spider_plan_store_plan_bytes_loaded_total",
+                s.plan_bytes_loaded,
+            ),
+            ("spider_plan_store_memo_loads_total", s.memo_loads),
+            ("spider_plan_store_memo_saves_total", s.memo_saves),
+        ] {
+            assert_eq!(fleet.get(name), Some(&MetricValue::Counter(want)), "{name}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One kernel → one plan key → affinity concentrates every request on

@@ -75,11 +75,6 @@ pub struct SpiderPlan {
     perm: [usize; K_PAD],
     /// Per-unit gather-offset tables, parallel to `units`.
     gathers: Vec<UnitGather>,
-    /// Smallest / largest signed column offset any unit's gather reads
-    /// (swapped and dense order combined).
-    col_off_range: (isize, isize),
-    /// Smallest / largest input-row offset (`unit.dx`) across units.
-    dx_range: (isize, isize),
     /// The sparse arms' tap schedule, derived with the gather tables.
     schedule: TapSchedule,
     /// The `DenseTc` arm's tap schedule, derived on first use (serving
@@ -150,8 +145,8 @@ impl SpiderPlan {
     }
 
     /// Assemble a plan from its compiled units, recomputing the derived
-    /// tables (swap permutation, gather offsets, offset ranges, the sparse
-    /// tap schedule). Shared by
+    /// tables (swap permutation, gather offsets, the sparse tap schedule).
+    /// Shared by
     /// [`Self::compile_with_parity`] and the on-disk deserializer in
     /// [`crate::serial`] — the derived tables are pure arithmetic over
     /// `(parity, units)`, so they are never stored, only re-derived.
@@ -166,16 +161,6 @@ impl SpiderPlan {
             .iter()
             .map(|u| UnitGather::compile(&perm, u.dy, u.radius))
             .collect();
-        let col_off_range = gathers
-            .iter()
-            .flat_map(|g| g.swapped.iter().chain(g.dense.iter()))
-            .flatten()
-            .fold((isize::MAX, isize::MIN), |(lo, hi), &o| {
-                (lo.min(o), hi.max(o))
-            });
-        let dx_range = units.iter().fold((isize::MAX, isize::MIN), |(lo, hi), u| {
-            (lo.min(u.dx), hi.max(u.dx))
-        });
         let schedule = TapSchedule::sparse(&units, &gathers);
         Self {
             kernel,
@@ -183,8 +168,6 @@ impl SpiderPlan {
             parity,
             perm,
             gathers,
-            col_off_range,
-            dx_range,
             schedule,
             dense_schedule: OnceLock::new(),
         }
@@ -211,17 +194,6 @@ impl SpiderPlan {
     /// Per-unit gather-offset tables, parallel to [`Self::units`].
     pub fn gathers(&self) -> &[UnitGather] {
         &self.gathers
-    }
-
-    /// `(min, max)` signed column offset any B-fragment gather of this plan
-    /// reads, relative to the output tile's first column.
-    pub fn col_off_range(&self) -> (isize, isize) {
-        self.col_off_range
-    }
-
-    /// `(min, max)` input-row offset (`unit.dx`) across the plan's units.
-    pub fn dx_range(&self) -> (isize, isize) {
-        self.dx_range
     }
 
     /// The exact-order tap schedule the host runs for `mode` (see
@@ -378,7 +350,6 @@ mod tests {
             for j in 0..K_PAD {
                 assert_eq!(p.perm()[j], swap_perm(j, M_TILE, p.parity()));
             }
-            let (mut lo, mut hi) = (isize::MAX, isize::MIN);
             for (u, g) in p.units().iter().zip(p.gathers()) {
                 let base = u.dy - u.radius as isize;
                 for kk in 0..2 {
@@ -387,17 +358,9 @@ mod tests {
                         let de = base + (16 * kk + row) as isize;
                         assert_eq!(g.swapped[kk][row], sw);
                         assert_eq!(g.dense[kk][row], de);
-                        lo = lo.min(sw.min(de));
-                        hi = hi.max(sw.max(de));
                     }
                 }
             }
-            assert_eq!(p.col_off_range(), (lo, hi));
-            let dxs: Vec<isize> = p.units().iter().map(|u| u.dx).collect();
-            assert_eq!(
-                p.dx_range(),
-                (*dxs.iter().min().unwrap(), *dxs.iter().max().unwrap())
-            );
         }
     }
 

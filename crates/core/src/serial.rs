@@ -539,8 +539,6 @@ mod tests {
         }
         assert_eq!(a.perm(), b.perm());
         assert_eq!(a.gathers(), b.gathers());
-        assert_eq!(a.col_off_range(), b.col_off_range());
-        assert_eq!(a.dx_range(), b.dx_range());
         for mode in [ExecMode::SparseTcOptimized, ExecMode::DenseTc] {
             assert_eq!(a.tap_schedule(mode), b.tap_schedule(mode));
         }

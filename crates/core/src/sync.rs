@@ -24,8 +24,8 @@
 //! | Rank | Lock | Held while taking… |
 //! |-----:|------|--------------------|
 //! | 100 | `ClusterMembership` (RwLock) | cluster state, health, scheduler state, telemetry |
-//! | 200 | `ClusterState` | scheduler state (poll/cancel/rebalance), metrics |
-//! | 300 | `ClusterHealth` | scheduler state (progress beats), metrics |
+//! | 200 | `ClusterState` | scheduler state (poll/cancel/rebalance) |
+//! | 300 | `ClusterHealth` | scheduler state (progress beats) |
 //! | 400 | `SchedulerState` | trace ring, profiler (dispatch accounting) |
 //! | 500 | `PlanCache` | nothing — compiles run outside the lock (PR 5) |
 //! | 520 | `TunerMemo` | memo slots (`export_memos` try-locks) |

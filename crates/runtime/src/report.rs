@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use spider_core::tiling::TilingConfig;
 use spider_gpu_sim::timing::KernelReport;
-use spider_telemetry::{render_top_profiles, LogHistogram, PlanProfile};
+use spider_telemetry::{render_top_profiles, LogHistogram, MetricsSnapshot, PlanProfile};
 
 use crate::cache::CacheStats;
 use crate::request::TenantId;
@@ -99,6 +99,8 @@ impl WaitHistogram {
 ///
 /// All counters are cumulative since the scheduler was constructed. Wait
 /// times measure submission → dispatch (queueing delay only, not execution).
+/// A scheduler keeps one row per tenant; its scheduler-wide row is the fold
+/// of those rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueueStats {
     /// Tickets admitted to the queue (excludes rejected submissions).
@@ -158,6 +160,39 @@ impl QueueStats {
             self.wait_hist.quantile_s(0.99)
         }
     }
+
+    /// Fold one tenant row into this scheduler-wide row: counts and the
+    /// wait total add, the worst wait is the larger of the two, and the
+    /// histograms merge. `max_depth`, `dispatch_waves` and
+    /// `coalesced_groups` are not sums of rows and are left alone.
+    pub(crate) fn add_row(&mut self, row: &QueueStats) {
+        self.submitted += row.submitted;
+        self.completed += row.completed;
+        self.failed += row.failed;
+        self.shed += row.shed;
+        self.expired += row.expired;
+        self.cancelled += row.cancelled;
+        self.rejected += row.rejected;
+        self.served_cost += row.served_cost;
+        self.total_wait_s += row.total_wait_s;
+        self.max_wait_s = self.max_wait_s.max(row.max_wait_s);
+        self.wait_hist.hist.merge(&row.wait_hist.hist);
+    }
+
+    /// Write this row into `snap` as the `spider_scheduler_*` row metrics:
+    /// the scheduler-wide row in a scheduler's export, a tenant's row in
+    /// its labelled block.
+    pub(crate) fn write_metrics(&self, snap: &mut MetricsSnapshot) {
+        snap.counter("spider_scheduler_submitted_total", self.submitted);
+        snap.counter("spider_scheduler_completed_total", self.completed);
+        snap.counter("spider_scheduler_failed_total", self.failed);
+        snap.counter("spider_scheduler_shed_total", self.shed);
+        snap.counter("spider_scheduler_expired_total", self.expired);
+        snap.counter("spider_scheduler_cancelled_total", self.cancelled);
+        snap.counter("spider_scheduler_rejected_total", self.rejected);
+        snap.counter("spider_scheduler_served_cost_total", self.served_cost);
+        snap.histogram("spider_scheduler_wait_us", self.wait_hist.hist);
+    }
 }
 
 /// Aggregate of one [`crate::SpiderRuntime::run_batch`] call or one
@@ -178,8 +213,8 @@ pub struct RuntimeReport {
     /// Per-tenant admission-queue counters, sorted by tenant id — filled by
     /// scheduler drain reports (anonymous traffic appears under
     /// [`TenantId::ANONYMOUS`]); empty for the blocking `run_batch` path.
-    /// Each tenant's counters sum exactly to the global [`Self::queue`]
-    /// stats — `drain` asserts it.
+    /// [`Self::queue`] is the fold of these rows, so they sum to it by
+    /// construction.
     pub tenants: Vec<(TenantId, QueueStats)>,
     /// Per-plan phase profiles (heaviest first), filled from the runtime's
     /// [`spider_telemetry::PhaseProfiler`] when telemetry is enabled; empty

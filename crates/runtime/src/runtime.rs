@@ -17,7 +17,8 @@ use spider_stencil::dim3::Grid3D;
 use spider_stencil::fnv::Fnv1a;
 use spider_stencil::{Grid1D, Grid2D};
 use spider_telemetry::{
-    Counter, EventKind, Histogram, Phase, ResolveSource, Telemetry, TelemetryConfig, Terminal,
+    Counter, EventKind, Histogram, MetricsSnapshot, Phase, ResolveSource, Telemetry,
+    TelemetryConfig, Terminal,
 };
 
 use crate::cache::{CacheAutosize, CacheStats, CachedPlan, PlanCache};
@@ -364,57 +365,38 @@ impl SpiderRuntime {
         &self.telemetry
     }
 
-    /// Push the runtime's cumulative counters (cache, tuner, pool, store)
-    /// into the metrics registry as authoritative values, so an exported
-    /// snapshot reconciles exactly with [`CacheStats`] / [`PoolStats`] /
-    /// [`StoreStats`]. Cheap; called by report/drain paths and safe to call
-    /// any time. No-op when telemetry is disabled.
-    pub fn sync_metrics(&self) {
+    /// Every metric this runtime exports, read when called: the registry's
+    /// request meters, plus the cache, tuner, pool, trace-drop and store
+    /// values read from the structs that own them ([`CacheStats`],
+    /// [`PoolStats`], [`StoreStats`]), so the export reconciles exactly
+    /// with them at any moment. Empty when telemetry is disabled.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         if !self.telemetry.enabled() {
-            return;
+            return MetricsSnapshot::default();
         }
-        let m = self.telemetry.metrics();
+        let mut snap = self.telemetry.metrics().snapshot();
         let cache = self.cache.stats();
-        m.counter("spider_plan_cache_hits_total").set(cache.hits);
-        m.counter("spider_plan_cache_misses_total")
-            .set(cache.misses);
-        m.counter("spider_plan_cache_insertions_total")
-            .set(cache.insertions);
-        m.counter("spider_plan_cache_evictions_total")
-            .set(cache.evictions);
-        m.counter("spider_plan_cache_store_hits_total")
-            .set(cache.store_hits);
-        m.gauge("spider_runtime_cached_plans")
-            .set(self.cache.len() as f64);
-        m.gauge("spider_tuner_memo_entries")
-            .set(self.tuner.memo_len() as f64);
+        snap.counter("spider_plan_cache_hits_total", cache.hits);
+        snap.counter("spider_plan_cache_misses_total", cache.misses);
+        snap.counter("spider_plan_cache_insertions_total", cache.insertions);
+        snap.counter("spider_plan_cache_evictions_total", cache.evictions);
+        snap.counter("spider_plan_cache_store_hits_total", cache.store_hits);
+        snap.gauge("spider_runtime_cached_plans", self.cache.len() as f64);
+        snap.gauge("spider_tuner_memo_entries", self.tuner.memo_len() as f64);
         let pool = self.pool.stats();
-        m.counter("spider_pool_hits_total").set(pool.hits);
-        m.counter("spider_pool_misses_total").set(pool.misses);
+        snap.counter("spider_pool_hits_total", pool.hits);
+        snap.counter("spider_pool_misses_total", pool.misses);
         // The trace ring's drop counter, so Prometheus/JSON exports
         // reconcile with the ring: a non-zero value means timelines may be
         // missing their oldest events and the capacity needs raising.
-        m.counter("spider_telemetry_dropped_events_total")
-            .set(self.telemetry.trace().dropped_events());
+        snap.counter(
+            "spider_telemetry_dropped_events_total",
+            self.telemetry.trace().dropped_events(),
+        );
         if let Some(store) = &self.store {
-            let s = store.stats();
-            m.counter("spider_plan_store_plan_loads_total")
-                .set(s.plan_loads);
-            m.counter("spider_plan_store_plan_absent_total")
-                .set(s.plan_absent);
-            m.counter("spider_plan_store_plan_rejected_total")
-                .set(s.plan_rejected);
-            m.counter("spider_plan_store_plan_saves_total")
-                .set(s.plan_saves);
-            m.counter("spider_plan_store_plan_evictions_total")
-                .set(s.plan_evictions);
-            m.counter("spider_plan_store_plan_bytes_loaded_total")
-                .set(s.plan_bytes_loaded);
-            m.counter("spider_plan_store_memo_loads_total")
-                .set(s.memo_loads);
-            m.counter("spider_plan_store_memo_saves_total")
-                .set(s.memo_saves);
+            store.stats().write_metrics(&mut snap);
         }
+        snap
     }
 
     /// Execute one request end to end: plan lookup (compile on miss), tiling
@@ -796,7 +778,6 @@ impl SpiderRuntime {
                 Err(e) => failures.push((requests[idx].id, e.to_string())),
             }
         }
-        self.sync_metrics();
         RuntimeReport {
             outcomes,
             failures,

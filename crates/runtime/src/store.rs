@@ -34,6 +34,7 @@ use std::sync::Arc;
 use spider_core::exec3d::Spider3DPlan;
 use spider_core::plan::SpiderPlan;
 use spider_core::tiling::TilingConfig;
+use spider_telemetry::MetricsSnapshot;
 
 use crate::cache::CachedPlan;
 use crate::request::GridSpec;
@@ -71,6 +72,28 @@ pub struct StoreStats {
     pub memo_loads: u64,
     /// Memo entries written by [`PlanStore::save_memos`].
     pub memo_saves: u64,
+}
+
+impl StoreStats {
+    /// Write these counts into `snap` as the `spider_plan_store_*`
+    /// counters. A runtime writes its store's counts into its own export; a
+    /// cluster writes its shared store's once, over the sum of its devices'.
+    pub fn write_metrics(&self, snap: &mut MetricsSnapshot) {
+        snap.counter("spider_plan_store_plan_loads_total", self.plan_loads);
+        snap.counter("spider_plan_store_plan_absent_total", self.plan_absent);
+        snap.counter("spider_plan_store_plan_rejected_total", self.plan_rejected);
+        snap.counter("spider_plan_store_plan_saves_total", self.plan_saves);
+        snap.counter(
+            "spider_plan_store_plan_evictions_total",
+            self.plan_evictions,
+        );
+        snap.counter(
+            "spider_plan_store_plan_bytes_loaded_total",
+            self.plan_bytes_loaded,
+        );
+        snap.counter("spider_plan_store_memo_loads_total", self.memo_loads);
+        snap.counter("spider_plan_store_memo_saves_total", self.memo_saves);
+    }
 }
 
 /// Retention bounds for the plan-artifact directory. A long-lived store

@@ -19,8 +19,9 @@
 //!   per-request timeline be reconstructed and rendered.
 //! * [`MetricsRegistry`] — named counters, gauges and log-scale
 //!   [`LogHistogram`]s (p50/p90/p99), exportable as Prometheus text and
-//!   flat JSON; per-device registries merge into fleet
-//!   [`MetricsSnapshot`]s.
+//!   flat JSON. An export snapshots the registry and writes in the counts
+//!   the serving stack's stats structs own, read when it is taken;
+//!   per-device [`MetricsSnapshot`]s merge into fleet ones.
 //! * [`PhaseProfiler`] — per-plan_key accumulation of queue/resolve/tune/
 //!   exec time, compile counts and store bytes, with a `top plans` table
 //!   and folded-stack flamegraph export.

@@ -1,6 +1,7 @@
 //! Named metrics registry: counters, gauges and log-scale histograms.
 //!
-//! Naming convention (Prometheus-flavoured, enforced by review not code):
+//! Naming convention (Prometheus-flavoured, linted by `spider-guard` at
+//! every `counter(…)`/`gauge(…)`/`histogram(…)` call with a literal name):
 //!
 //! * every metric starts with `spider_` and a subsystem segment —
 //!   `spider_runtime_…`, `spider_plan_cache_…`, `spider_scheduler_…`,
@@ -10,6 +11,16 @@
 //!   log₂ bucket scheme loses everything below 1 unit, so seconds would
 //!   collapse sub-second latencies into bucket 0);
 //! * instantaneous values are gauges with a bare unit suffix.
+//!
+//! Every exported number has one owner. The registry owns what is counted
+//! at the event: the runtime's request meters and the watch engine's alert
+//! counters. The cache, pool, store, queue and cluster counts live in their
+//! stats structs, and an export reads them when it is taken: the
+//! `metrics_snapshot()` of a runtime, scheduler or cluster takes
+//! [`MetricsRegistry::snapshot`] and writes those values in through the
+//! [`MetricsSnapshot::counter`]/[`gauge`](MetricsSnapshot::gauge)/
+//! [`histogram`](MetricsSnapshot::histogram) writers. Nothing is copied
+//! between the two, so an export is never stale.
 //!
 //! Handles returned by [`MetricsRegistry::counter`]/[`gauge`]/[`histogram`]
 //! are cheap `Arc` clones meant to be resolved **once** and hit from the
@@ -26,8 +37,7 @@ use spider_core::sync::{LockRank, OrderedMutex};
 
 use crate::hist::LogHistogram;
 
-/// Monotone (well, resettable — [`Counter::set`] exists for reconciling with
-/// an authoritative cumulative stat) unsigned counter.
+/// Monotone unsigned counter.
 #[derive(Debug, Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -40,12 +50,6 @@ impl Counter {
     /// Add `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrite with an authoritative cumulative value (used when syncing
-    /// from `CacheStats`/`QueueStats`, whose structs own the truth).
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -88,12 +92,6 @@ impl Histogram {
     /// Record one value (microseconds for `_us`-named metrics).
     pub fn record(&self, v: f64) {
         self.0.lock().record(v);
-    }
-
-    /// Replace the whole distribution (reconciling with an authoritative
-    /// histogram such as `QueueStats::wait_hist`).
-    pub fn set(&self, h: LogHistogram) {
-        *self.0.lock() = h;
     }
 
     /// Copy out the current distribution.
@@ -224,6 +222,24 @@ impl MetricsSnapshot {
     /// Value of `name`, if present.
     pub fn get(&self, name: &str) -> Option<&MetricValue> {
         self.values.get(name)
+    }
+
+    /// Write the counter `name`, replacing any value it held — how an
+    /// export adds a count its stats struct owns.
+    pub fn counter(&mut self, name: &str, v: u64) {
+        self.values
+            .insert(name.to_string(), MetricValue::Counter(v));
+    }
+
+    /// Write the gauge `name`, replacing any value it held.
+    pub fn gauge(&mut self, name: &str, v: f64) {
+        self.values.insert(name.to_string(), MetricValue::Gauge(v));
+    }
+
+    /// Write the histogram `name`, replacing any value it held.
+    pub fn histogram(&mut self, name: &str, h: LogHistogram) {
+        self.values
+            .insert(name.to_string(), MetricValue::Histogram(h));
     }
 
     /// Counter value of `name` (0 when absent or not a counter) — the
@@ -407,6 +423,22 @@ mod tests {
         assert_eq!(snap.gauge_value("spider_a_gauge"), 1.0);
         assert_eq!(snap.histogram_value("spider_c_us").unwrap().count(), 1);
         assert_eq!(snap.counter_value("spider_missing_total"), 0);
+    }
+
+    #[test]
+    fn snapshot_writers_insert_and_overwrite() {
+        let reg = MetricsRegistry::new();
+        reg.counter("spider_a_total").add(1);
+        let mut snap = reg.snapshot();
+        snap.counter("spider_a_total", 7);
+        snap.gauge("spider_b_depth", 2.5);
+        let mut h = LogHistogram::default();
+        h.record(3.0);
+        snap.histogram("spider_c_us", h);
+        assert_eq!(snap.counter_value("spider_a_total"), 7, "overwritten");
+        assert_eq!(snap.gauge_value("spider_b_depth"), 2.5);
+        assert_eq!(snap.histogram_value("spider_c_us"), Some(h));
+        assert_eq!(reg.counter("spider_a_total").get(), 1, "registry untouched");
     }
 
     #[test]

@@ -673,7 +673,7 @@ mod tests {
 
     fn snap_with_counter(name: &str, v: u64) -> MetricsSnapshot {
         let r = MetricsRegistry::new();
-        r.counter(name).set(v);
+        r.counter(name).add(v);
         r.snapshot()
     }
 
@@ -695,11 +695,11 @@ mod tests {
     fn window_deltas_counters_and_histograms_and_keeps_gauges() {
         let mut s = SnapshotSeries::new(8);
         let r = MetricsRegistry::new();
-        r.counter("spider_c_total").set(10);
+        r.counter("spider_c_total").add(10);
         r.gauge("spider_watch_depth").set(3.0);
         r.histogram("spider_wait_us").record(100.0);
         s.record(r.snapshot());
-        r.counter("spider_c_total").set(25);
+        r.counter("spider_c_total").add(15);
         r.gauge("spider_watch_depth").set(7.0);
         r.histogram("spider_wait_us").record(400.0);
         r.histogram("spider_wait_us").record(900.0);

@@ -154,7 +154,7 @@ fn scene_2_burn_rate_alert_round_trip() {
     )]);
     let mut series = SnapshotSeries::new(16);
     let telemetry = runtime.telemetry();
-    series.record(telemetry.metrics().snapshot());
+    series.record(sched.metrics_snapshot());
 
     // Saturation: the noisy neighbor floods the paused queue; every victim
     // request waits far past the threshold.
@@ -167,7 +167,7 @@ fn scene_2_burn_rate_alert_round_trip() {
     std::thread::sleep(Duration::from_millis(15));
     sched.resume();
     sched.drain();
-    series.record(telemetry.metrics().snapshot());
+    series.record(sched.metrics_snapshot());
     for t in engine.evaluate_recorded(&series, telemetry) {
         println!("  FIRING  {} (burn {:.1}× budget)", t.rule, t.value);
     }
@@ -180,7 +180,7 @@ fn scene_2_burn_rate_alert_round_trip() {
         sched.drain();
         assert!(matches!(sched.poll(t), RequestStatus::Done(_)));
     }
-    series.record(telemetry.metrics().snapshot());
+    series.record(sched.metrics_snapshot());
     for t in engine.evaluate_recorded(&series, telemetry) {
         println!("  resolved {} (burn {:.3}× budget)", t.rule, t.value);
     }

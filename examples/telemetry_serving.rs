@@ -6,14 +6,14 @@
 //! 1. **Request timeline** — a request's full traced lifecycle (admit →
 //!    queued → plan-resolve → tune → execute → complete) renders as a
 //!    human-readable timeline, reconstructed from the bounded trace ring.
-//! 2. **Prometheus export** — the metrics registry exports Prometheus text
-//!    and flat JSON whose counters reconcile *exactly* with the drain
-//!    report's `QueueStats`/`CacheStats` fields.
+//! 2. **Prometheus export** — the scheduler's metrics snapshot exports
+//!    Prometheus text and flat JSON whose counters reconcile *exactly* with
+//!    the drain report's `QueueStats`/`CacheStats` fields.
 //! 3. **Top-plans profile** — per-plan-key phase accumulators (queue /
 //!    resolve / tune / exec) rank the workload's heaviest plans and export
 //!    folded stacks for flamegraph tooling.
 //! 4. **Cluster-wide snapshot** — a multi-device fleet merges per-device
-//!    registries and profiles into one fleet view, with per-device labels
+//!    snapshots and profiles into one fleet view, with per-device labels
 //!    in the Prometheus text.
 //!
 //! ```text
@@ -112,7 +112,7 @@ fn scene_2_prometheus_export() {
     let report = sched.drain();
     let q = report.queue.expect("drain attaches queue stats");
 
-    let snap = sched.runtime().telemetry().metrics().snapshot();
+    let snap = sched.metrics_snapshot();
     // Counters reconcile exactly: same sources of truth, one export away.
     assert_eq!(
         snap.counter_value("spider_scheduler_submitted_total"),
@@ -209,7 +209,7 @@ fn scene_4_cluster_snapshot() {
     let report = cluster.drain_all();
     assert_eq!(report.total_completed(), n);
 
-    // Per-device registries merge into one fleet snapshot.
+    // Per-device snapshots merge into one fleet snapshot.
     let fleet = cluster.fleet_metrics();
     assert_eq!(
         fleet.counter_value("spider_runtime_requests_completed_total"),

@@ -71,6 +71,29 @@ fn bad_metric_name_fixture_is_caught_per_problem() {
 }
 
 #[test]
+fn bad_snapshot_writer_names_are_caught() {
+    // Exports write struct-owned values through `MetricsSnapshot`'s
+    // `counter`/`histogram` writers; those names are linted like registry
+    // handles.
+    let src = fixture("bad_snapshot_metric_name.rs");
+    let vs = lint_source("crates/runtime/src/fixture.rs", &src, &cfg());
+    let tokens: Vec<&str> = vs
+        .iter()
+        .filter(|v| v.rule == RULE_METRIC_NAMING)
+        .map(|v| v.token.as_str())
+        .collect();
+    assert_eq!(
+        tokens,
+        [
+            "scheduler_completed_total",
+            "spider_scheduler_shed",
+            "spider_scheduler_wait"
+        ],
+        "{vs:?}"
+    );
+}
+
+#[test]
 fn nondeterminism_fixture_is_caught_only_under_sim_paths() {
     let src = fixture("instant_in_sim.rs");
     // Armed: a gpu-sim path. Instant at two non-test sites, HashMap at

@@ -217,11 +217,12 @@ proptest! {
         prop_assert!(!off.telemetry().enabled());
         prop_assert!(off.telemetry().trace().is_empty());
         prop_assert!(off.telemetry().metrics().snapshot().values.is_empty());
+        prop_assert!(off.metrics_snapshot().values.is_empty());
         prop_assert!(off.telemetry().profiler().snapshot().is_empty());
         prop_assert!(report_off.profile.is_empty());
         // The on runtime's drain-report counters reconcile with the
         // exported snapshot.
-        let snap = on.telemetry().metrics().snapshot();
+        let snap = on.metrics_snapshot();
         prop_assert_eq!(
             snap.counter_value("spider_runtime_requests_completed_total"),
             report_on.outcomes.len() as u64

@@ -295,8 +295,8 @@ fn tenant_burn_rate_alert_fires_and_resolves() {
     let mut series = SnapshotSeries::new(16);
     let telemetry = runtime.telemetry();
 
-    // Baseline tick: empty registry, nothing fires.
-    series.record(telemetry.metrics().snapshot());
+    // Baseline tick: no tenant rows yet, nothing fires.
+    series.record(sched.metrics_snapshot());
     assert!(engine.evaluate_recorded(&series, telemetry).is_empty());
 
     // Phase 1 — saturation: the noisy neighbor floods the paused queue,
@@ -309,8 +309,8 @@ fn tenant_burn_rate_alert_fires_and_resolves() {
     }
     std::thread::sleep(Duration::from_millis(15));
     sched.resume();
-    sched.drain(); // drain syncs the per-tenant wait histograms
-    series.record(telemetry.metrics().snapshot());
+    sched.drain();
+    series.record(sched.metrics_snapshot());
     let fired = engine.evaluate_recorded(&series, telemetry);
     assert_eq!(fired.len(), 1, "saturation fires the victim's alert");
     assert!(fired[0].firing);
@@ -328,7 +328,7 @@ fn tenant_burn_rate_alert_fires_and_resolves() {
         sched.drain();
         assert!(matches!(sched.poll(t), RequestStatus::Done(_)));
     }
-    series.record(telemetry.metrics().snapshot());
+    series.record(sched.metrics_snapshot());
     let resolved = engine.evaluate_recorded(&series, telemetry);
     assert_eq!(resolved.len(), 1, "recovery resolves the alert");
     assert!(!resolved[0].firing);
