@@ -41,9 +41,10 @@
 //!
 //! The parser handles exactly the flat `{"key": number, ...}` shape the
 //! benches emit — no JSON dependency, the build image has no registry
-//! access.
+//! access. A key named twice is an error rather than last-wins, so a
+//! regressed first value cannot hide behind a passing second one.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 /// Whether a metric is gate-enforced: higher-is-better rates by naming
@@ -72,7 +73,8 @@ fn is_inverted(metric: &str) -> bool {
 const DEFAULT_TOLERANCE: f64 = 0.15;
 
 /// Parse a flat JSON object's numeric fields. Non-numeric values (e.g. the
-/// `"bench"` name string) are skipped.
+/// `"bench"` name string) are skipped; a repeated key of any type is an
+/// error.
 fn parse_flat_json(text: &str) -> Result<BTreeMap<String, f64>, String> {
     let body = text.trim();
     let body = body
@@ -80,6 +82,7 @@ fn parse_flat_json(text: &str) -> Result<BTreeMap<String, f64>, String> {
         .and_then(|b| b.strip_suffix('}'))
         .ok_or("not a JSON object (missing braces)")?;
     let mut fields = BTreeMap::new();
+    let mut seen = BTreeSet::new();
     for pair in body.split(',') {
         let pair = pair.trim();
         if pair.is_empty() {
@@ -93,6 +96,9 @@ fn parse_flat_json(text: &str) -> Result<BTreeMap<String, f64>, String> {
             .strip_prefix('"')
             .and_then(|k| k.strip_suffix('"'))
             .ok_or_else(|| format!("unquoted key in pair: {pair:?}"))?;
+        if !seen.insert(key) {
+            return Err(format!("repeated key {key:?}"));
+        }
         if let Ok(number) = value.trim().parse::<f64>() {
             fields.insert(key.to_string(), number);
         }
@@ -282,6 +288,19 @@ mod tests {
         assert_eq!(fields["cache_hits"], 66.0);
         assert!(!fields.contains_key("bench"), "string fields are skipped");
         assert!(parse_flat_json("not json").is_err());
+    }
+
+    /// A repeated key fails the parse and names the key, so a regressed
+    /// first value cannot pass behind a second one.
+    #[test]
+    fn parser_refuses_a_repeated_key() {
+        let err = parse_flat_json(
+            r#"{"warm_requests_per_sec": 10.0, "bench": "x", "warm_requests_per_sec": 100.0}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("\"warm_requests_per_sec\""), "{err}");
+        let err = parse_flat_json(r#"{"bench": "a", "bench": "b"}"#).unwrap_err();
+        assert!(err.contains("\"bench\""), "{err}");
     }
 
     /// The acceptance check: an injected 20% slowdown must fail the gate.

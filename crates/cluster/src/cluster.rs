@@ -56,11 +56,6 @@ pub struct ClusterOptions {
     /// youngest queued requests down to the mean. Values `< 1.0` are
     /// treated as `1.0`.
     pub steal_skew: f64,
-    /// Upper bound on requests moved per rebalance pass (`0` = unlimited).
-    pub max_steals_per_pass: usize,
-    /// Run a rebalance pass automatically after every `n` submissions
-    /// (`0` = only when [`SpiderCluster::rebalance`] is called).
-    pub rebalance_every: usize,
     /// What happens to in-flight casualties when a device dies (see
     /// [`RetryPolicy`]).
     pub retry: RetryPolicy,
@@ -75,8 +70,6 @@ impl Default for ClusterOptions {
         Self {
             policy: RoutingPolicy::FingerprintAffinity,
             steal_skew: 2.0,
-            max_steals_per_pass: 0,
-            rebalance_every: 0,
             retry: RetryPolicy::default(),
             health: HealthPolicy::default(),
         }
@@ -490,14 +483,6 @@ impl SpiderCluster {
         seq
     }
 
-    fn maybe_rebalance(&self, seq: u64) {
-        if self.options.rebalance_every > 0
-            && (seq + 1).is_multiple_of(self.options.rebalance_every as u64)
-        {
-            self.rebalance();
-        }
-    }
-
     /// Consume one injected submit-path fault, if armed.
     fn take_submit_fault(&self) -> bool {
         self.lock()
@@ -554,7 +539,6 @@ impl SpiderCluster {
                 // existed — rescue it ourselves.
                 self.rescue(seq);
             }
-            self.maybe_rebalance(seq);
             return Ok(ClusterTicket { seq });
         }
     }
@@ -750,11 +734,6 @@ impl SpiderCluster {
                 for &seq in seqs.iter().rev() {
                     if depths[src_pos] <= target {
                         break;
-                    }
-                    if self.options.max_steals_per_pass > 0
-                        && moved >= self.options.max_steals_per_pass
-                    {
-                        break 'sources;
                     }
                     let dest_pos = match chunk_dest {
                         Some(d) if depths[d] < target => d,
@@ -1185,9 +1164,6 @@ impl SpiderCluster {
         // counts every requeue/retry it was handed, landed or parked)
         self.place_blocking(unplaced_requeues, false);
         if !retries.is_empty() {
-            if !self.options.retry.backoff.is_zero() {
-                std::thread::sleep(self.options.retry.backoff);
-            }
             report.retried = retries.len();
             let unplaced = {
                 let m = self.read_membership();
@@ -2013,10 +1989,7 @@ mod tests {
         let cluster = SpiderCluster::new(
             specs(3, false),
             ClusterOptions {
-                retry: RetryPolicy {
-                    max_attempts: 2,
-                    ..RetryPolicy::default()
-                },
+                retry: RetryPolicy { max_attempts: 2 },
                 ..ClusterOptions::default()
             },
         );

@@ -17,8 +17,8 @@
 //! * [`RetryPolicy`] — what happens to in-flight casualties of a device
 //!   loss. Queued work is requeued exactly-once unconditionally (it never
 //!   started — nothing was lost but a queue position); *running* work
-//!   died with the device and is re-routed to a survivor at most
-//!   `max_attempts` times, `backoff` apart. Retried requests re-route
+//!   died with the device and is re-routed to a survivor right away, at
+//!   most `max_attempts` times. Retried requests re-route
 //!   through the normal router and produce bit-identical outcomes —
 //!   plans are content-addressed and devices simulate deterministically.
 //! * [`ScalePolicy`] / [`AutoScaler`] — queue-signal-driven elasticity.
@@ -144,18 +144,11 @@ pub struct RetryPolicy {
     /// before it stays [`spider_runtime::RequestStatus::Failed`]
     /// (`0` = surface every casualty immediately).
     pub max_attempts: u32,
-    /// Pause before re-routing a casualty batch (slept outside every
-    /// cluster lock; `ZERO` keeps recovery — and the proptests —
-    /// deterministic).
-    pub backoff: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
+        Self { max_attempts: 1 }
     }
 }
 
@@ -350,6 +343,5 @@ mod tests {
     fn retry_policy_default_is_one_bounded_attempt() {
         let p = RetryPolicy::default();
         assert_eq!(p.max_attempts, 1);
-        assert!(p.backoff.is_zero());
     }
 }

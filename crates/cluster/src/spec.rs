@@ -17,25 +17,20 @@ pub struct DeviceSpec {
     pub name: String,
     /// Simulated hardware constants.
     pub specs: GpuSpecs,
-    /// Plan cache / tuner / worker knobs for the device's runtime.
+    /// Plan cache / tuner / telemetry knobs for the device's runtime.
     pub runtime: RuntimeOptions,
     /// Admission queue knobs for the device's async scheduler.
     pub scheduler: SchedulerOptions,
 }
 
 impl DeviceSpec {
-    /// An A100 shard with the given name and serving defaults tuned for
-    /// cluster membership: one worker lane per device (the cluster scales
-    /// across devices, not inside them; the runtime's worker count sizes
-    /// the scheduler's waves too) and a paused-start-free scheduler.
+    /// An A100 shard with the given name and default runtime and
+    /// scheduler options.
     pub fn a100(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
             specs: GpuSpecs::a100_pcie_80gb(),
-            runtime: RuntimeOptions {
-                workers: 1,
-                ..RuntimeOptions::default()
-            },
+            runtime: RuntimeOptions::default(),
             scheduler: SchedulerOptions::default(),
         }
     }
@@ -65,10 +60,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a100_spec_defaults_to_single_lane() {
+    fn a100_spec_carries_its_name_and_spec_key() {
         let s = DeviceSpec::a100("dev0");
         assert_eq!(s.name, "dev0");
-        assert_eq!(s.runtime.workers, 1);
         assert_eq!(s.spec_key(), GpuSpecs::a100_pcie_80gb().fingerprint());
     }
 }

@@ -52,10 +52,6 @@ pub mod tiling;
 pub use exec::{BatchFeedback, ExecConfig, ExecMode, NoFeedback, SpiderExecutor};
 pub use plan::SpiderPlan;
 pub use pool::{BufferPool, PoolStats};
-/// The core count every parallel layer sizes itself by, read once per
-/// process (re-exported so serving crates share it without a rayon
-/// dependency of their own).
-pub use rayon::current_num_threads;
 pub use row_swap::RowSwapStrategy;
 pub use serial::SerialError;
 pub use swap::SwapParity;

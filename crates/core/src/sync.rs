@@ -11,7 +11,7 @@
 //! by a release-profile test below) and every method is a transparent
 //! forward, a property the `telemetry_on_requests_per_sec` bench key gates:
 //! its warm `run_batch` workload takes the runtime's ranked locks (plan
-//! cache, tuner, results, buffer pool, telemetry), and every rank uses the
+//! cache, tuner, buffer pool, telemetry), and every rank uses the
 //! same generic wrapper, so the key covers the wrapper's cost for all ranks.
 //!
 //! ## The global lock order
@@ -33,18 +33,16 @@
 //! | 560 | `StoreMemoWrite` | store stats |
 //! | 570 | `StoreGc` | store stats |
 //! | 580 | `StoreStats` | nothing (leaf) |
-//! | 600 | `RuntimeResults` | nothing (leaf) |
 //! | 650 | `BufferPool` | nothing (leaf) |
 //! | 700 | `TraceRing` | nothing (leaf) |
 //! | 720 | `MetricsRegistry` | per-metric series (snapshot reads histograms) |
 //! | 740 | `MetricSeries` | nothing (leaf) |
 //! | 760 | `Profiler` | nothing (leaf) |
 //!
-//! Worker threads spawned for execution (the runtime's group fan-out, the
-//! rayon shim) carry their own empty rank stacks, so cross-thread
-//! pipelines — e.g. a tuner dry run that allocates pool buffers on workers
-//! while the submitting thread holds a memo slot — are naturally in scope:
-//! each thread's *own* nesting is what the order constrains.
+//! Worker threads spawned for execution (a sweep's fan-out through the
+//! rayon shim) carry their own empty rank stacks, so cross-thread pipelines
+//! are naturally in scope: each thread's *own* nesting is what the order
+//! constrains.
 //!
 //! ## Condvar integration
 //!
@@ -85,8 +83,6 @@ pub enum LockRank {
     StoreGc = 570,
     /// `PlanStore` counters.
     StoreStats = 580,
-    /// `SpiderRuntime::run_batch` result-slot collection.
-    RuntimeResults = 600,
     /// `BufferPool` free list.
     BufferPool = 650,
     /// Telemetry trace ring buffer.

@@ -33,17 +33,6 @@
 //! else's. Reserves should sum to less than the capacity; if every entry
 //! is reserve-protected the cache admits over capacity rather than violate
 //! a reserve.
-//!
-//! ## Capacity auto-sizing
-//!
-//! With [`PlanCache::enable_autosize`], the cache periodically re-derives
-//! its capacity from the *observed working-set entropy*: if `p(k)` is the
-//! (decayed) access frequency of plan key `k`, the Shannon entropy `H =
-//! -Σ p log₂ p` gives `2^H` — the number of equally-hot plans that would
-//! produce the observed traffic. Capacity follows `2^H` (plus slack,
-//! clamped to the configured bounds), so a serving deployment with a
-//! Zipf-concentrated working set shrinks its plan footprint while a flat
-//! one grows it, no hand tuning.
 
 use spider_core::sync::{LockRank, OrderedMutex};
 use std::collections::{BTreeMap, HashMap};
@@ -137,38 +126,6 @@ impl CacheStats {
     }
 }
 
-/// Entropy-driven capacity auto-sizing configuration
-/// ([`PlanCache::enable_autosize`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheAutosize {
-    /// Capacity never shrinks below this (≥ 1).
-    pub min_capacity: usize,
-    /// Capacity never grows beyond this.
-    pub max_capacity: usize,
-    /// Recompute the entropy target every this many lookups (≥ 1).
-    pub every: usize,
-    /// Extra entries kept beyond the entropy estimate `2^H` — headroom for
-    /// the estimate's granularity and for in-flight inserts.
-    pub slack: usize,
-}
-
-impl CacheAutosize {
-    /// Auto-size between `min` and `max` entries with serving defaults
-    /// (recompute every 64 lookups, 1 entry of slack).
-    pub fn bounded(min: usize, max: usize) -> Self {
-        assert!(
-            min >= 1 && max >= min,
-            "autosize bounds must be 1 ≤ min ≤ max"
-        );
-        Self {
-            min_capacity: min,
-            max_capacity: max,
-            every: 64,
-            slack: 1,
-        }
-    }
-}
-
 /// Per-tenant eviction policy (see the module docs on tenancy).
 #[derive(Debug, Clone, Copy, Default)]
 struct TenantPolicy {
@@ -187,7 +144,6 @@ struct Entry {
 }
 
 struct Inner {
-    capacity: usize,
     next_tick: u64,
     map: HashMap<u64, Entry>,
     /// tick → cache key, ordered oldest-first (the eviction order).
@@ -197,11 +153,6 @@ struct Inner {
     policies: HashMap<TenantId, TenantPolicy>,
     /// Entries currently owned per tenant.
     owned: HashMap<TenantId, usize>,
-    /// Decayed per-plan-key access counts — the entropy estimator's input.
-    access_counts: HashMap<u64, u64>,
-    /// Lookups since construction (drives the autosize recompute cadence).
-    total_accesses: u64,
-    autosize: Option<CacheAutosize>,
 }
 
 impl Inner {
@@ -237,15 +188,14 @@ impl Inner {
         self.stats.evictions += 1;
     }
 
-    /// Oldest entry that may be evicted on behalf of `for_tenant` (or of
-    /// the auto-sizer when `None`): a tenant's own entries are always fair
-    /// game to itself; anyone else's only while its owner stays above its
-    /// reserve. `None` when every entry is reserve-protected.
-    fn pick_victim(&self, for_tenant: Option<TenantId>) -> Option<u64> {
+    /// Oldest entry that may be evicted on behalf of `for_tenant`: a
+    /// tenant's own entries are always fair game to itself; anyone else's
+    /// only while its owner stays above its reserve. `None` when every
+    /// entry is reserve-protected.
+    fn pick_victim(&self, for_tenant: TenantId) -> Option<u64> {
         for &key in self.recency.values() {
             let owner = self.map.get(&key).expect("recency entry exists").owner; // guard: recency holds only keys present in map
-            let evictable =
-                for_tenant == Some(owner) || self.owned_count(owner) > self.reserve_of(owner);
+            let evictable = for_tenant == owner || self.owned_count(owner) > self.reserve_of(owner);
             if evictable {
                 return Some(key);
             }
@@ -261,56 +211,12 @@ impl Inner {
             // guard: recency holds only keys present in map
             .find(|k| self.map.get(k).expect("recency entry exists").owner == tenant)
     }
-
-    /// Count one lookup against `key`; on the configured cadence, re-derive
-    /// the capacity from the access distribution's entropy.
-    fn note_access(&mut self, key: u64) {
-        *self.access_counts.entry(key).or_insert(0) += 1;
-        self.total_accesses += 1;
-        let Some(cfg) = self.autosize else { return };
-        if !self.total_accesses.is_multiple_of(cfg.every.max(1) as u64) {
-            return;
-        }
-        let target = (self.effective_working_set().ceil() as usize)
-            .saturating_add(cfg.slack)
-            .clamp(cfg.min_capacity, cfg.max_capacity);
-        self.capacity = target;
-        while self.map.len() > self.capacity {
-            match self.pick_victim(None) {
-                Some(victim) => self.evict_key(victim),
-                None => break, // everything reserve-protected: stay over
-            }
-        }
-        // Age the estimator so it tracks the *recent* working set: halve
-        // all counts, dropping keys that decay to zero.
-        self.access_counts.retain(|_, c| {
-            *c /= 2;
-            *c > 0
-        });
-    }
-
-    /// `2^H` over the decayed access distribution: the number of
-    /// equally-hot plans that would explain the observed traffic.
-    fn effective_working_set(&self) -> f64 {
-        let total: u64 = self.access_counts.values().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let mut entropy = 0.0;
-        for &count in self.access_counts.values() {
-            if count == 0 {
-                continue;
-            }
-            let p = count as f64 / total as f64;
-            entropy -= p * p.log2();
-        }
-        entropy.exp2()
-    }
 }
 
 /// LRU-bounded, thread-safe cache of compiled plans. See the module docs
 /// for the lock-scope contract.
 pub struct PlanCache {
+    capacity: usize,
     inner: OrderedMutex<Inner>,
 }
 
@@ -319,20 +225,17 @@ impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "plan cache capacity must be at least 1");
         Self {
+            capacity,
             inner: OrderedMutex::new(
                 LockRank::PlanCache,
                 "plan.cache",
                 Inner {
-                    capacity,
                     next_tick: 0,
                     map: HashMap::new(),
                     recency: BTreeMap::new(),
                     stats: CacheStats::default(),
                     policies: HashMap::new(),
                     owned: HashMap::new(),
-                    access_counts: HashMap::new(),
-                    total_accesses: 0,
-                    autosize: None,
                 },
             ),
         }
@@ -347,17 +250,6 @@ impl PlanCache {
         }
         let mut inner = self.inner.lock();
         inner.policies.insert(tenant, TenantPolicy { reserve, cap });
-    }
-
-    /// Turn on entropy-driven capacity auto-sizing (module docs). The
-    /// current capacity stays in force until the first recompute.
-    pub fn enable_autosize(&self, cfg: CacheAutosize) {
-        assert!(
-            cfg.min_capacity >= 1 && cfg.max_capacity >= cfg.min_capacity,
-            "autosize bounds must be 1 ≤ min ≤ max"
-        );
-        let mut inner = self.inner.lock();
-        inner.autosize = Some(cfg);
     }
 
     /// Entries currently owned by each tenant (sorted by tenant id).
@@ -424,7 +316,6 @@ impl PlanCache {
     ) -> Result<(CachedPlan, bool, bool), PlanError> {
         {
             let mut inner = self.inner.lock();
-            inner.note_access(key);
             if let Some(entry) = inner.map.get(&key) {
                 let plan = entry.plan.clone();
                 inner.touch(key);
@@ -461,10 +352,10 @@ impl PlanCache {
                 }
             }
         }
-        if inner.map.len() >= inner.capacity {
+        if inner.map.len() >= self.capacity {
             // Respect reserves; if every entry is protected, admit over
             // capacity rather than violate one.
-            if let Some(victim) = inner.pick_victim(Some(tenant)) {
+            if let Some(victim) = inner.pick_victim(tenant) {
                 inner.evict_key(victim);
             }
         }
@@ -510,7 +401,7 @@ impl PlanCache {
     }
 
     pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity
+        self.capacity
     }
 
     /// Snapshot of the hit/miss/eviction counters.
@@ -790,47 +681,5 @@ mod tests {
         // cap-driven.
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    /// Entropy auto-sizing: a flat 12-key working set pushes the capacity
-    /// up toward 12; a 2-key working set pulls it back down.
-    #[test]
-    fn entropy_autosize_tracks_working_set() {
-        let cache = PlanCache::new(4);
-        cache.enable_autosize(CacheAutosize {
-            min_capacity: 2,
-            max_capacity: 16,
-            every: 24,
-            slack: 1,
-        });
-        let keys: Vec<u64> = (0..12).map(|s| kernel(s).fingerprint()).collect();
-        // Uniform traffic over 12 distinct plans: H ≈ log2(12), so the
-        // capacity should grow well past the initial 4.
-        for _ in 0..8 {
-            for s in 0..12u64 {
-                let k = kernel(s);
-                cache.get_or_compile(k.fingerprint(), &k).unwrap();
-            }
-        }
-        assert!(
-            cache.capacity() >= 12,
-            "flat working set must grow capacity, got {}",
-            cache.capacity()
-        );
-        assert!(keys.iter().all(|&k| cache.peek(k).is_some()));
-        // Concentrate on 2 plans: decayed counts forget the old set and the
-        // capacity shrinks toward 2 + slack.
-        for _ in 0..40 {
-            for s in 0..2u64 {
-                let k = kernel(s);
-                cache.get_or_compile(k.fingerprint(), &k).unwrap();
-            }
-        }
-        assert!(
-            cache.capacity() <= 6,
-            "concentrated working set must shrink capacity, got {}",
-            cache.capacity()
-        );
-        assert!(cache.len() <= cache.capacity());
     }
 }

@@ -21,10 +21,9 @@
 //!        ▼
 //!  ┌─────── SpiderRuntime::run_batch / execute (a group of one) ────────┐
 //!  │                                                                    │
-//!  │  group by plan_key ──► fan_out over `workers` threads, the caller  │
-//!  │                        one of them; one worker spawns no thread    │
-//!  │                           │  │  │                                  │
-//!  │                           ▼  ▼  ▼      run_group, per group:       │
+//!  │  group by plan_key ──► one group after another, on the caller      │
+//!  │                           │                                        │
+//!  │                           ▼            run_group, per group:       │
 //!  │   ┌───────────┐   ┌─────────────────┐                              │
 //!  │   │ PlanCache │◄──┤ 1. plan lookup  │  fingerprint(kernel, mode)   │
 //!  │   │ LRU, Arc- │   │    (compile on  │  → Arc<SpiderPlan>, once per │
@@ -60,9 +59,11 @@
 //!   [`SpiderRuntime::run_group`]: single-request execution
 //!   ([`SpiderRuntime::execute`]) is a group of one, and batched serving
 //!   ([`SpiderRuntime::run_batch`]) groups requests by plan key so one
-//!   group member pays compile+tune and the rest hit, then fans the groups
-//!   out over [`RuntimeOptions::workers`] threads; results aggregate into a
-//!   [`report::RuntimeReport`].
+//!   group member pays compile+tune and the rest hit, then runs the groups
+//!   one after another on the calling thread; results aggregate into a
+//!   [`report::RuntimeReport`]. A request's only parallelism is its
+//!   sweep's own fan-out, sized by work: jobs of at least
+//!   [`spider_core::exec::MIN_JOB_STEP_POINTS`] step-points.
 //! * [`scheduler::SpiderScheduler`] — the async front end: `submit` returns
 //!   a [`scheduler::Ticket`] immediately, `poll` reports progress, `drain`
 //!   blocks until quiescence. A bounded admission queue applies a
@@ -73,9 +74,8 @@
 //!   top-priority cohort by plan key through [`SpiderRuntime::run_group`],
 //!   which shares one executor per exec-key subgroup via the
 //!   `spider_core` coalesced entry points. The queue is indexed, so a
-//!   wave costs O(wave), not O(queue). Waves fan their groups out the way
-//!   `run_batch` does, over the runtime's workers with the dispatcher
-//!   thread as one of them, so a one-worker wave spawns no thread.
+//!   wave costs O(wave), not O(queue). The dispatcher thread runs a wave's
+//!   groups one after another, the way `run_batch` does.
 //!
 //! ## Quickstart
 //!
@@ -103,7 +103,7 @@ pub mod scheduler;
 pub mod store;
 pub mod tuner;
 
-pub use cache::{CacheAutosize, CacheStats, CachedPlan, PlanCache};
+pub use cache::{CacheStats, CachedPlan, PlanCache};
 pub use report::{QueueStats, RequestOutcome, RuntimeReport, WaitHistogram};
 pub use request::{
     Deadline, GridSpec, Priority, RequestKernel, StencilRequest, StencilRequestBuilder, TenantId,

@@ -142,7 +142,7 @@ impl Deadline {
 
 /// The grid a request sweeps over. Requests describe grids by extent + seed
 /// rather than carrying data so a queue of millions stays cheap to hold;
-/// materialization happens on the worker that executes the request.
+/// materialization happens on the thread that executes the request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GridSpec {
     /// A 1D line of `len` points.

@@ -1,8 +1,6 @@
 //! The runtime itself: plan cache + autotuner + the one request path
-//! ([`SpiderRuntime::run_group`]) and its group fan-out, behind one handle.
+//! ([`SpiderRuntime::run_group`]), behind one handle.
 
-use spider_core::sync::{LockRank, OrderedMutex};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -21,7 +19,7 @@ use spider_telemetry::{
     TelemetryConfig, Terminal,
 };
 
-use crate::cache::{CacheAutosize, CacheStats, CachedPlan, PlanCache};
+use crate::cache::{CacheStats, CachedPlan, PlanCache};
 use crate::report::{RequestOutcome, RuntimeReport};
 use crate::request::{GridSpec, RequestKernel, StencilRequest, TenantId};
 use crate::store::{PersistedMemo, PlanStore, StoreStats};
@@ -66,13 +64,6 @@ impl From<PlanError> for RuntimeError {
 pub struct RuntimeOptions {
     /// Plan-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Worker threads that plan-key groups fan out over, in
-    /// [`SpiderRuntime::run_batch`] and in the waves of a
-    /// [`crate::SpiderScheduler`] serving this runtime; `0` = half the
-    /// available cores (the per-request simulation is itself
-    /// block-parallel, so full-width fan-out oversubscribes), `1` = every
-    /// group on the calling thread, in order.
-    pub workers: usize,
     /// Whether to autotune tilings (`false` = always the default config).
     pub autotune: bool,
     /// Point cap on the extent a tuner dry-run charges.
@@ -86,23 +77,17 @@ pub struct RuntimeOptions {
     /// Telemetry never changes execution — outputs and `PerfCounters` are
     /// bit-identical with it on or off (property-tested).
     pub telemetry: TelemetryConfig,
-    /// When set, the plan cache re-derives its capacity from the observed
-    /// working-set entropy ([`CacheAutosize`]); `cache_capacity` is the
-    /// starting point. `None` keeps the fixed capacity.
-    pub cache_autosize: Option<CacheAutosize>,
 }
 
 impl Default for RuntimeOptions {
     fn default() -> Self {
         Self {
             cache_capacity: 64,
-            workers: 0,
             autotune: true,
             tuner_dry_run_cap: 1 << 14,
             tuner_shortlist: 4,
             tuner_memo_capacity: 1024,
             telemetry: TelemetryConfig::default(),
-            cache_autosize: None,
         }
     }
 }
@@ -165,12 +150,8 @@ impl SpiderRuntime {
     pub fn new(device: GpuDevice, options: RuntimeOptions) -> Self {
         let telemetry = Arc::new(Telemetry::new(options.telemetry));
         let meters = RuntimeMeters::new(&telemetry);
-        let cache = PlanCache::new(options.cache_capacity);
-        if let Some(autosize) = options.cache_autosize {
-            cache.enable_autosize(autosize);
-        }
         Self {
-            cache,
+            cache: PlanCache::new(options.cache_capacity),
             tuner: AutoTuner::with_memo_capacity(
                 options.tuner_dry_run_cap,
                 options.tuner_shortlist,
@@ -257,12 +238,6 @@ impl SpiderRuntime {
     /// Plan-cache entries currently owned by each tenant.
     pub fn tenant_cache_footprint(&self) -> Vec<(TenantId, usize)> {
         self.cache.tenant_footprint()
-    }
-
-    /// Current plan-cache capacity — moves under
-    /// [`RuntimeOptions::cache_autosize`].
-    pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
     }
 
     /// Resolve a plan (planar or volumetric): memory cache, then the
@@ -721,8 +696,8 @@ impl SpiderRuntime {
             .collect()
     }
 
-    /// Execute a heterogeneous batch, its plan-key groups fanned out over
-    /// [`RuntimeOptions::workers`].
+    /// Execute a heterogeneous batch, one plan-key group after another on
+    /// the calling thread.
     ///
     /// The batch is split into plan-key groups (submission order preserved
     /// within each group) and every group goes through [`Self::run_group`]
@@ -753,26 +728,19 @@ impl SpiderRuntime {
         order.sort_by_cached_key(|&i| (requests[i].plan_key(), i));
         let groups = contiguous_key_runs(&order, |i| requests[i].plan_key());
 
-        let results: OrderedMutex<Vec<Option<Result<RequestOutcome, RuntimeError>>>> =
-            OrderedMutex::new(
-                LockRank::RuntimeResults,
-                "runtime.results",
-                (0..requests.len()).map(|_| None).collect(),
-            );
-        self.fan_out(groups.len(), |g| {
-            let members = groups[g];
+        let mut results: Vec<Option<Result<RequestOutcome, RuntimeError>>> =
+            (0..requests.len()).map(|_| None).collect();
+        for members in groups {
             let reqs: Vec<StencilRequest> = members.iter().map(|&i| requests[i].clone()).collect();
-            let group_results = self.run_group(&reqs);
-            let mut slots = results.lock();
-            for (&idx, result) in members.iter().zip(group_results) {
-                slots[idx] = Some(result);
+            for (&idx, result) in members.iter().zip(self.run_group(&reqs)) {
+                results[idx] = Some(result);
             }
-        });
+        }
 
         let mut outcomes = Vec::with_capacity(requests.len());
         let mut failures = Vec::new();
-        for (idx, result) in results.into_inner().into_iter().enumerate() {
-            // guard: fan_out returns after every job wrote its slots
+        for (idx, result) in results.into_iter().enumerate() {
+            // guard: the groups partition the batch, so every slot was written
             match result.expect("every slot executed") {
                 Ok(outcome) => outcomes.push(outcome),
                 Err(e) => failures.push((requests[idx].id, e.to_string())),
@@ -787,33 +755,6 @@ impl SpiderRuntime {
             tenants: Vec::new(),
             profile: self.telemetry.profiler().top(8),
         }
-    }
-
-    /// Run `job(0)`, …, `job(jobs - 1)` on up to [`RuntimeOptions::workers`]
-    /// threads, each claiming the next unclaimed index. The calling thread
-    /// is one of the workers and the others are scoped, so every job has
-    /// finished on return, and a one-worker fan-out runs every job on the
-    /// calling thread, in index order, spawning nothing. Batch groups
-    /// ([`Self::run_batch`]) and scheduler wave groups both fan out here.
-    pub(crate) fn fan_out(&self, jobs: usize, job: impl Fn(usize) + Sync) {
-        let workers = match self.options.workers {
-            0 => (spider_core::current_num_threads() / 2).max(1),
-            n => n,
-        };
-        let next = AtomicUsize::new(0);
-        let run = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= jobs {
-                break;
-            }
-            job(i);
-        };
-        std::thread::scope(|s| {
-            for _ in 1..workers.min(jobs) {
-                s.spawn(run);
-            }
-            run();
-        });
     }
 }
 
@@ -893,7 +834,6 @@ mod tests {
             GpuDevice::a100(),
             RuntimeOptions {
                 cache_capacity: 8,
-                workers: 2,
                 tuner_dry_run_cap: 1 << 12,
                 tuner_shortlist: 2,
                 ..RuntimeOptions::default()
@@ -952,26 +892,6 @@ mod tests {
             .iter()
             .any(|e| matches!(e.kind, EventKind::Tune { .. })));
         assert!(timeline.iter().all(|e| e.attempt == 1), "{timeline:?}");
-    }
-
-    #[test]
-    fn one_worker_fan_out_runs_every_job_on_the_caller_in_order() {
-        let rt = SpiderRuntime::new(
-            GpuDevice::a100(),
-            RuntimeOptions {
-                workers: 1,
-                ..RuntimeOptions::default()
-            },
-        );
-        let caller = std::thread::current().id();
-        let ran = std::sync::Mutex::new(Vec::new());
-        rt.fan_out(5, |i| {
-            ran.lock().unwrap().push((i, std::thread::current().id()));
-        });
-        let ran = ran.into_inner().unwrap();
-        let order: Vec<usize> = ran.iter().map(|&(i, _)| i).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
-        assert!(ran.iter().all(|&(_, thread)| thread == caller));
     }
 
     #[test]
@@ -1044,7 +964,6 @@ mod tests {
             GpuDevice::a100(),
             RuntimeOptions {
                 autotune: false,
-                workers: 1,
                 ..RuntimeOptions::default()
             },
         );
@@ -1210,6 +1129,45 @@ mod tests {
         }
     }
 
+    /// Four threads start together and execute the same 1D/2D/3D requests
+    /// on one runtime, each from a different offset, so plan compiles and
+    /// tuner slots race under the ranked-lock checker. Every outcome matches
+    /// a sequential run on a fresh runtime, and every lookup is counted once.
+    #[test]
+    fn concurrent_callers_share_one_runtime() {
+        use spider_stencil::dim3::Kernel3D;
+        const THREADS: usize = 4;
+        let mut reqs = mixed_batch(0);
+        reqs.push(StencilRequest::new_3d(500, Kernel3D::random_box(1, 8), 3, 40, 48).with_seed(5));
+        let n = reqs.len();
+        let rt = runtime();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let runs: Vec<Vec<(usize, RequestOutcome)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (rt, reqs, barrier) = (&rt, &reqs, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        (0..n)
+                            .map(|k| (t * n / THREADS + k) % n)
+                            .map(|i| (i, rt.execute(&reqs[i]).unwrap()))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let solo = runtime();
+        let want: Vec<RequestOutcome> = reqs.iter().map(|r| solo.execute(r).unwrap()).collect();
+        for (i, got) in runs.iter().flatten() {
+            assert_eq!(got.checksum, want[*i].checksum, "request {}", got.id);
+            assert_eq!(got.report.counters, want[*i].report.counters);
+            assert_eq!(got.tiling, want[*i].tiling);
+        }
+        let stats = rt.cache_stats();
+        assert_eq!(stats.hits + stats.misses, (THREADS * n) as u64);
+    }
+
     #[test]
     fn warm_start_after_store_gc_degrades_to_compile() {
         use crate::store::StoreGcPolicy;
@@ -1231,10 +1189,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let opts = RuntimeOptions {
-            workers: 1,
-            ..RuntimeOptions::default()
-        };
+        let opts = RuntimeOptions::default();
         let rt1 = SpiderRuntime::with_store(GpuDevice::a100(), opts, Arc::clone(&store));
         let req_a = StencilRequest::new_2d(1, StencilKernel::gaussian_2d(1), 64, 64).with_seed(1);
         let req_b = StencilRequest::new_2d(2, StencilKernel::jacobi_2d(), 64, 64).with_seed(2);
@@ -1272,10 +1227,7 @@ mod tests {
         // "Process 1": serve a batch, persist.
         let rt1 = SpiderRuntime::with_store(
             GpuDevice::a100(),
-            RuntimeOptions {
-                workers: 1,
-                ..RuntimeOptions::default()
-            },
+            RuntimeOptions::default(),
             Arc::clone(&store),
         );
         let req = StencilRequest::new_2d(1, StencilKernel::gaussian_2d(2), 96, 128).with_seed(9);
@@ -1291,10 +1243,7 @@ mod tests {
         // memo (memo hit, no dry-runs), and the output is bit-identical.
         let rt2 = SpiderRuntime::with_store(
             GpuDevice::a100(),
-            RuntimeOptions {
-                workers: 1,
-                ..RuntimeOptions::default()
-            },
+            RuntimeOptions::default(),
             Arc::clone(&store),
         );
         assert_eq!(rt2.tuned_scenarios(), 1, "memos imported at construction");

@@ -31,14 +31,9 @@
 //! ## Ordering guarantees
 //!
 //! Waves are serialized: every request of a higher effective priority
-//! completes before any request of a lower one starts (aging aside). Within
-//! a wave, groups fan out over the runtime's workers
-//! ([`crate::RuntimeOptions::workers`]); with one worker, group completion
-//! order is deterministic (cohort submission order) — the configuration
-//! the property tests and the demo use. The dispatcher thread is always one
-//! of a wave's workers and spawns scoped threads only for the others, so a
-//! wave that resolves to one worker (one group, `workers: 1`, or
-//! `workers: 0` on fewer than four cores) spawns no thread at all.
+//! completes before any request of a lower one starts (aging aside). The
+//! dispatcher thread runs a wave's groups one after another, so group
+//! completion order is deterministic: cohort submission order.
 //!
 //! ## The queue index
 //!
@@ -68,8 +63,7 @@
 //! | `poll` of any other ticket | O(1) |
 //!
 //! The m selected requests are the whole top cohort without tenants and
-//! one DRR round of it with them; all of them dispatch unless
-//! `max_coalesce` holds some back for a later wave.
+//! one DRR round of it with them; all of them dispatch.
 //!
 //! ## Ticket retention
 //!
@@ -197,9 +191,6 @@ pub struct SchedulerOptions {
     /// [`SpiderScheduler::resume`]. Lets tests and demos saturate the queue
     /// deterministically before anything runs.
     pub start_paused: bool,
-    /// Cap on requests coalesced into one plan-key group per wave
-    /// (`0` = unlimited).
-    pub max_coalesce: usize,
     /// Registered tenants with their weighted-fair serving policies.
     ///
     /// Empty (the default) keeps the scheduler tenant-unaware: every wave
@@ -218,7 +209,6 @@ impl Default for SchedulerOptions {
             policy: BackpressurePolicy::Block,
             aging_step: Some(Duration::from_millis(250)),
             start_paused: false,
-            max_coalesce: 0,
             tenants: Vec::new(),
         }
     }
@@ -568,7 +558,7 @@ struct State {
     paused: bool,
     shutdown: bool,
     /// Set by [`SpiderScheduler::kill`]: the simulated device is gone.
-    /// Workers returning from an in-flight wave must not overwrite the
+    /// A dispatcher returning from an in-flight wave must not overwrite the
     /// `Failed(DeviceLost)` verdicts the kill already recorded.
     killed: bool,
     /// Tickets dispatched and currently executing.
@@ -943,7 +933,7 @@ impl SpiderScheduler {
     ///   steal-and-requeue path is built on).
     /// * Every **running** request is a casualty: its slot becomes
     ///   [`RequestStatus::Failed`] with [`FailureReason::DeviceLost`]
-    ///   immediately, and whatever result its worker thread later produces
+    ///   immediately, and whatever result the dispatcher later produces
     ///   is discarded — the device it "ran" on no longer exists.
     ///
     /// Idempotent: a second kill returns an empty report. [`Self::poll`]
@@ -1483,27 +1473,17 @@ fn drr_round(
 }
 
 /// Take the next wave off the queue: its members, grouped by plan key
-/// (oldest group first) under the coalescing cap, leave the queue as
-/// `Running`; members over the cap stay queued for a later wave.
+/// (oldest group first), leave the queue as `Running`.
 fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) -> Vec<WaveGroup> {
     let now = Instant::now();
     let mut wave: Vec<WaveGroup> = Vec::new();
     let mut group_of: HashMap<u64, usize> = HashMap::new();
     for ticket in wave_members(st, options, now) {
         let key = st.slots[ticket as usize].plan_key;
-        let g = match group_of.get(&key) {
-            Some(&g)
-                if options.max_coalesce != 0 && wave[g].tickets.len() >= options.max_coalesce =>
-            {
-                continue;
-            }
-            Some(&g) => g,
-            None => {
-                group_of.insert(key, wave.len());
-                wave.push(WaveGroup::default());
-                wave.len() - 1
-            }
-        };
+        let g = *group_of.entry(key).or_insert_with(|| {
+            wave.push(WaveGroup::default());
+            wave.len() - 1
+        });
         let entry = st.queue.remove(ticket).expect("wave members are queued"); // guard: members were read from the queue under this lock
         let wait = now.saturating_duration_since(entry.submitted).as_secs_f64();
         let ts = st.tenant_stats_mut(entry.req.tenant);
@@ -1538,9 +1518,8 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
     wave
 }
 
-/// The dispatcher: form a wave under the state lock, then fan its groups
-/// out over the runtime's workers ([`SpiderRuntime::fan_out`]), this thread
-/// being one of them.
+/// The dispatcher: form a wave under the state lock, then run its groups
+/// one after another on this thread, in cohort order.
 fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &SchedulerOptions) {
     let telemetry = Arc::clone(runtime.telemetry());
     loop {
@@ -1562,7 +1541,9 @@ fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &Scheduler
             form_wave(&mut st, options, &telemetry)
         };
         shared.space.notify_all();
-        runtime.fan_out(wave.len(), |g| run_wave_group(shared, runtime, &wave[g]));
+        for group in &wave {
+            run_wave_group(shared, runtime, group);
+        }
     }
 }
 
@@ -1622,17 +1603,10 @@ mod tests {
     use spider_stencil::StencilKernel;
 
     fn sched(options: SchedulerOptions) -> SpiderScheduler {
-        sched_on(2, options)
-    }
-
-    /// A scheduler over a runtime whose waves fan out over `workers`
-    /// threads; `1` completes each wave's groups in cohort order.
-    fn sched_on(workers: usize, options: SchedulerOptions) -> SpiderScheduler {
         let rt = SpiderRuntime::new(
             GpuDevice::a100(),
             RuntimeOptions {
                 cache_capacity: 16,
-                workers,
                 tuner_dry_run_cap: 1 << 12,
                 tuner_shortlist: 2,
                 ..RuntimeOptions::default()
@@ -1667,7 +1641,7 @@ mod tests {
     #[test]
     fn polled_outcomes_are_released_after_the_retention_window() {
         let n = DONE_RETENTION;
-        let s = sched_on(1, SchedulerOptions::default());
+        let s = sched(SchedulerOptions::default());
         let tiny = |id: u64| StencilRequest::new_2d(id, StencilKernel::jacobi_2d(), 16, 16);
         // The first request is never polled; it finishes before the other
         // 3N and must outlive all of them.
@@ -1732,14 +1706,11 @@ mod tests {
 
     #[test]
     fn priority_waves_serialize_high_before_low() {
-        let s = sched_on(
-            1,
-            SchedulerOptions {
-                start_paused: true,
-                aging_step: None,
-                ..SchedulerOptions::default()
-            },
-        );
+        let s = sched(SchedulerOptions {
+            start_paused: true,
+            aging_step: None,
+            ..SchedulerOptions::default()
+        });
         // Interleave submissions: priority must override arrival order.
         let low: Vec<Ticket> = (0..3)
             .map(|i| s.submit(req(100 + i, Priority::Low)).unwrap())
@@ -1766,14 +1737,11 @@ mod tests {
     #[test]
     fn aging_promotes_starved_low_priority_work() {
         let step = Duration::from_millis(30);
-        let s = sched_on(
-            1,
-            SchedulerOptions {
-                start_paused: true,
-                aging_step: Some(step),
-                ..SchedulerOptions::default()
-            },
-        );
+        let s = sched(SchedulerOptions {
+            start_paused: true,
+            aging_step: Some(step),
+            ..SchedulerOptions::default()
+        });
         let old_low = s.submit(req(1, Priority::Low)).unwrap();
         // Let the low-priority request age up to High...
         std::thread::sleep(step * 3);
@@ -2052,8 +2020,7 @@ mod tests {
         // and a weight-1 tenant, then check the first dispatch wave: DRR
         // with quantum = max cohort cost places exactly `weight` requests
         // per tenant when all costs are equal.
-        let s = sched_on(
-            1,
+        let s = sched(
             SchedulerOptions {
                 start_paused: true,
                 aging_step: None,
@@ -2329,10 +2296,10 @@ mod tests {
 
     #[test]
     fn kill_surfaces_in_flight_work_as_device_lost() {
-        // One worker, unpaused: let the dispatcher pick work up, then
-        // kill mid-flight. Whatever had started must surface as
-        // Failed { DeviceLost }, never as a silent disappearance.
-        let s = sched_on(1, SchedulerOptions::default());
+        // Unpaused: let the dispatcher pick work up, then kill mid-flight.
+        // Whatever had started must surface as Failed { DeviceLost }, never
+        // as a silent disappearance.
+        let s = sched(SchedulerOptions::default());
         let tickets: Vec<Ticket> = (0..6)
             .map(|i| s.submit(req(i, Priority::Normal)).unwrap())
             .collect();

@@ -66,7 +66,7 @@ pub struct AutoTuner {
 type ScenarioKey = (u64, GridSpec);
 
 /// Per-scenario memo slot. The outer map hands out `Arc`s so concurrent
-/// workers tuning the *same* scenario serialize on the slot (the second
+/// callers tuning the *same* scenario serialize on the slot (the second
 /// blocks briefly, then reads the winner) instead of duplicating the
 /// simulator dry-runs, while distinct scenarios never contend.
 type MemoSlot = std::sync::Arc<OrderedMutex<Option<TuneOutcome>>>;

@@ -25,14 +25,13 @@ use std::time::Duration;
 
 use spider::prelude::*;
 
-/// A runtime fanning groups out over `workers` threads (`1` =
-/// deterministic completion order within a wave).
-fn runtime(workers: usize) -> SpiderRuntime {
+/// A 32-plan runtime; a scheduler over it completes each wave's groups in
+/// cohort order.
+fn runtime() -> SpiderRuntime {
     SpiderRuntime::new(
         GpuDevice::a100(),
         RuntimeOptions {
             cache_capacity: 32,
-            workers,
             ..RuntimeOptions::default()
         },
     )
@@ -78,7 +77,7 @@ fn scene_1_priority_ordering() {
     println!("=== scene 1: priority ordering under a saturated queue ===");
     let traffic = mixed_traffic();
     let sched = SpiderScheduler::new(
-        Arc::new(runtime(1)),
+        Arc::new(runtime()),
         SchedulerOptions {
             // Capacity equals the traffic volume: after the last submit the
             // queue is exactly full — saturated — and nothing has run yet.
@@ -134,7 +133,7 @@ fn scene_1_priority_ordering() {
 
 fn scene_2_deadlines() {
     println!("=== scene 2: deadline expiry without execution ===");
-    let rt = Arc::new(runtime(0));
+    let rt = Arc::new(runtime());
     let sched = SpiderScheduler::new(
         Arc::clone(&rt),
         SchedulerOptions {
@@ -183,7 +182,7 @@ fn scene_3_backpressure() {
     println!("=== scene 3: backpressure — Reject and ShedLowestPriority ===");
     // Reject: over-capacity submissions are refused outright.
     let reject = SpiderScheduler::new(
-        Arc::new(runtime(0)),
+        Arc::new(runtime()),
         SchedulerOptions {
             queue_capacity: 3,
             policy: BackpressurePolicy::Reject,
@@ -214,7 +213,7 @@ fn scene_3_backpressure() {
 
     // ShedLowestPriority: the queued Low is evicted to admit a High.
     let shed = SpiderScheduler::new(
-        Arc::new(runtime(0)),
+        Arc::new(runtime()),
         SchedulerOptions {
             queue_capacity: 2,
             policy: BackpressurePolicy::ShedLowestPriority,
@@ -266,11 +265,11 @@ fn scene_4_bit_identity() {
         );
     }
 
-    let blocking = runtime(0).run_batch(&traffic);
+    let blocking = runtime().run_batch(&traffic);
     assert!(blocking.failures.is_empty());
 
     let sched = SpiderScheduler::new(
-        Arc::new(runtime(0)),
+        Arc::new(runtime()),
         SchedulerOptions {
             start_paused: true, // whole workload queued => full waves
             ..SchedulerOptions::default()

@@ -158,10 +158,7 @@ fn scene_3_mid_batch_kill() {
     let cluster = SpiderCluster::new(
         specs(3),
         ClusterOptions {
-            retry: RetryPolicy {
-                max_attempts: 2,
-                backoff: Duration::ZERO,
-            },
+            retry: RetryPolicy { max_attempts: 2 },
             ..ClusterOptions::default()
         },
     );

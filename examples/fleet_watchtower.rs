@@ -112,13 +112,7 @@ fn scene_2_burn_rate_alert_round_trip() {
     println!("── scene 2: SLO burn-rate alert fires and resolves ─────────────");
     let noisy = TenantId::new(1);
     let victim = TenantId::new(2);
-    let runtime = Arc::new(SpiderRuntime::new(
-        GpuDevice::a100(),
-        RuntimeOptions {
-            workers: 1,
-            ..RuntimeOptions::default()
-        },
-    ));
+    let runtime = Arc::new(SpiderRuntime::with_defaults(GpuDevice::a100()));
     let sched = SpiderScheduler::new(
         Arc::clone(&runtime),
         SchedulerOptions {

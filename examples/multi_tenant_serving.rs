@@ -39,14 +39,13 @@ fn uniform_request(id: u64, tenant: TenantId) -> StencilRequest {
     .build()
 }
 
-/// A runtime fanning groups out over `workers` threads (`1` =
-/// deterministic completion order within a wave).
-fn runtime(workers: usize) -> Arc<SpiderRuntime> {
+/// An 8-plan runtime; a scheduler over it completes each wave's groups in
+/// cohort order.
+fn runtime() -> Arc<SpiderRuntime> {
     Arc::new(SpiderRuntime::new(
         GpuDevice::a100(),
         RuntimeOptions {
             cache_capacity: 8,
-            workers,
             ..RuntimeOptions::default()
         },
     ))
@@ -57,7 +56,7 @@ fn scene_1_weighted_fairness() {
     let heavy = TenantId::new(1);
     let light = TenantId::new(2);
     let sched = SpiderScheduler::new(
-        runtime(1),
+        runtime(),
         SchedulerOptions {
             start_paused: true,
             aging_step: None,
@@ -136,7 +135,7 @@ fn scene_3_admission_quota() {
     println!("── scene 3: admission quotas refuse, never block ───────────────");
     let capped = TenantId::new(7);
     let sched = SpiderScheduler::new(
-        runtime(0),
+        runtime(),
         SchedulerOptions {
             start_paused: true,
             ..SchedulerOptions::default()
@@ -173,7 +172,7 @@ fn scene_4_cache_and_telemetry() {
     let protected = TenantId::new(1);
     let bully = TenantId::new(2);
     let sched = SpiderScheduler::new(
-        runtime(0), // capacity 8
+        runtime(), // capacity 8
         SchedulerOptions::default()
             .with_tenant(protected, TenantConfig::weighted(1).with_cache_reserve(2))
             .with_tenant(bully, TenantConfig::weighted(1)),

@@ -30,7 +30,6 @@ fn runtime() -> SpiderRuntime {
         GpuDevice::a100(),
         RuntimeOptions {
             cache_capacity: 32,
-            workers: 1,
             ..RuntimeOptions::default()
         },
     )

@@ -59,7 +59,6 @@ fn plane_batch(id_base: u64, copies: usize) -> Vec<StencilRequest> {
 fn options() -> RuntimeOptions {
     RuntimeOptions {
         cache_capacity: 32,
-        workers: 2,
         tuner_dry_run_cap: 1 << 13,
         tuner_shortlist: 2,
         ..RuntimeOptions::default()

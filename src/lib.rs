@@ -55,8 +55,8 @@
 //! reused across every request that shares a kernel. [`runtime`]
 //! (`spider-runtime`) packages exactly that: a content-addressed LRU
 //! [`runtime::PlanCache`], a memoizing tiling [`runtime::AutoTuner`] scored
-//! by the [`analysis`] cost model plus simulator dry-runs, and a batched
-//! worker-pool scheduler ([`runtime::SpiderRuntime::run_batch`]) that groups
+//! by the [`analysis`] cost model plus simulator dry-runs, and a batch
+//! entry point ([`runtime::SpiderRuntime::run_batch`]) that groups
 //! heterogeneous [`runtime::StencilRequest`]s by plan fingerprint and
 //! reports aggregate throughput. See `examples/serving.rs` for a mixed
 //! workload pushed through the runtime twice (the second batch is all cache
@@ -104,11 +104,10 @@ pub mod prelude {
         counters::PerfCounters, specs::GpuSpecs, timing::KernelReport, GpuDevice,
     };
     pub use spider_runtime::{
-        BackpressurePolicy, CacheAutosize, CacheStats, Deadline, FailureReason, GridSpec,
-        PlanStore, Priority, QueueStats, RequestKernel, RequestOutcome, RequestStatus,
-        RuntimeOptions, RuntimeReport, SchedulerOptions, SpiderRuntime, SpiderScheduler,
-        StencilRequest, StencilRequestBuilder, StoreGcPolicy, StoreStats, Submit, SubmitError,
-        TenantConfig, TenantId, Ticket,
+        BackpressurePolicy, CacheStats, Deadline, FailureReason, GridSpec, PlanStore, Priority,
+        QueueStats, RequestKernel, RequestOutcome, RequestStatus, RuntimeOptions, RuntimeReport,
+        SchedulerOptions, SpiderRuntime, SpiderScheduler, StencilRequest, StencilRequestBuilder,
+        StoreGcPolicy, StoreStats, Submit, SubmitError, TenantConfig, TenantId, Ticket,
     };
     pub use spider_stencil::{
         dim3::{Grid3D, Kernel3D},

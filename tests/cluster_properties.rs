@@ -58,13 +58,7 @@ fn cluster_of(n: usize, policy: RoutingPolicy) -> SpiderCluster {
 }
 
 fn single_runtime() -> SpiderRuntime {
-    SpiderRuntime::new(
-        GpuDevice::a100(),
-        RuntimeOptions {
-            workers: 1,
-            ..RuntimeOptions::default()
-        },
-    )
+    SpiderRuntime::with_defaults(GpuDevice::a100())
 }
 
 /// id → checksum for every completed outcome across the fleet.
@@ -312,7 +306,7 @@ proptest! {
                 StencilRequest::new_3d(i, k3, planes, rows, cols).with_seed(i * 3)
             })
             .collect();
-        let opts = RuntimeOptions { workers: 1, ..RuntimeOptions::default() };
+        let opts = RuntimeOptions::default();
 
         // Process 1 serves and persists (write-through + explicit persist).
         let store = std::sync::Arc::new(PlanStore::open(&dir).unwrap());

@@ -396,15 +396,13 @@ fn runtime_pool_survives_across_requests() {
     let rt = SpiderRuntime::new(
         GpuDevice::a100(),
         RuntimeOptions {
-            workers: 1,
             autotune: false,
             ..RuntimeOptions::default()
         },
     );
-    // Distinct steps ⇒ distinct exec keys ⇒ the group's subgroups run
-    // sequentially, keeping the pool's take/put sequence deterministic
-    // (parallel subgroup members could legitimately widen the working set
-    // between batches, which would make this assertion flaky).
+    // Distinct steps ⇒ distinct exec keys ⇒ one subgroup per request, and
+    // a batch's grids sweep one after another, so the pool's take/put
+    // sequence is the same in both batches.
     let batch: Vec<StencilRequest> = (0..3)
         .map(|i| {
             StencilRequest::new_2d(i, StencilKernel::gaussian_2d(2), 96, 128)

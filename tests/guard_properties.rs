@@ -164,16 +164,12 @@ fn rank_inversion_fixture_panics_with_both_lock_names() {
     use std::sync::Arc;
 
     let cache = Arc::new(OrderedMutex::new(LockRank::PlanCache, "plan.cache", ()));
-    let results = Arc::new(OrderedMutex::new(
-        LockRank::RuntimeResults,
-        "runtime.results",
-        (),
-    ));
+    let pool = Arc::new(OrderedMutex::new(LockRank::BufferPool, "pool.free", ()));
     let handle = {
-        let (cache, results) = (Arc::clone(&cache), Arc::clone(&results));
+        let (cache, pool) = (Arc::clone(&cache), Arc::clone(&pool));
         std::thread::spawn(move || {
-            let _r = results.lock();
-            let _c = cache.lock(); // 600 then 500: inversion
+            let _p = pool.lock();
+            let _c = cache.lock(); // 650 then 500: inversion
         })
     };
     let panic = handle.join().expect_err("inverted order must panic");
@@ -184,7 +180,7 @@ fn rank_inversion_fixture_panics_with_both_lock_names() {
         .expect("panic payload is a string");
     assert!(msg.contains("rank inversion"), "{msg}");
     assert!(msg.contains("plan.cache"), "{msg}");
-    assert!(msg.contains("runtime.results"), "{msg}");
+    assert!(msg.contains("pool.free"), "{msg}");
 }
 
 /// Source fragments the lexer round-trip property stitches together.

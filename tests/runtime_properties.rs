@@ -39,7 +39,7 @@ proptest! {
         let kernel = StencilKernel::random(shape, seed);
         let rt = SpiderRuntime::new(
             GpuDevice::a100(),
-            RuntimeOptions { autotune: false, workers: 1, ..RuntimeOptions::default() },
+            RuntimeOptions { autotune: false, ..RuntimeOptions::default() },
         );
         let req = StencilRequest::new_2d(seed, kernel.clone(), rows, cols).with_seed(seed + 1);
 
@@ -141,7 +141,7 @@ proptest! {
         let kernel = Kernel3D::random_box(radius, kseed);
         let rt = SpiderRuntime::new(
             GpuDevice::a100(),
-            RuntimeOptions { autotune: false, workers: 1, ..RuntimeOptions::default() },
+            RuntimeOptions { autotune: false, ..RuntimeOptions::default() },
         );
         let req = StencilRequest::new_3d(1, kernel.clone(), planes, rows, cols)
             .with_steps(steps)
@@ -184,14 +184,13 @@ fn pooled_request(i: u64, kernel_pick: usize, priority: Priority) -> StencilRequ
         .with_priority(priority)
 }
 
-/// A runtime whose groups fan out over `workers` threads; `1` runs each
-/// wave's groups in cohort order.
-fn scheduler_runtime(workers: usize) -> SpiderRuntime {
+/// A small-cache runtime with a short tuner shortlist; a scheduler over it
+/// runs each wave's groups in cohort order.
+fn scheduler_runtime() -> SpiderRuntime {
     SpiderRuntime::new(
         GpuDevice::a100(),
         RuntimeOptions {
             cache_capacity: 8,
-            workers,
             tuner_dry_run_cap: 1 << 12,
             tuner_shortlist: 2,
             ..RuntimeOptions::default()
@@ -223,11 +222,11 @@ proptest! {
             })
             .collect();
 
-        let blocking = scheduler_runtime(2).run_batch(&requests);
+        let blocking = scheduler_runtime().run_batch(&requests);
         prop_assert!(blocking.failures.is_empty());
 
         let sched = SpiderScheduler::new(
-            Arc::new(scheduler_runtime(2)),
+            Arc::new(scheduler_runtime()),
             SchedulerOptions { start_paused: true, ..SchedulerOptions::default() },
         );
         let tickets: Vec<Ticket> = requests
@@ -279,7 +278,7 @@ proptest! {
         priority_bits in any::<u64>(),
     ) {
         let sched = SpiderScheduler::new(
-            Arc::new(scheduler_runtime(1)),
+            Arc::new(scheduler_runtime()),
             SchedulerOptions {
                 queue_capacity: n,
                 start_paused: true,
@@ -336,12 +335,12 @@ proptest! {
             );
         }
 
-        let blocking = scheduler_runtime(2).run_batch(&requests);
+        let blocking = scheduler_runtime().run_batch(&requests);
         prop_assert!(blocking.failures.is_empty());
         prop_assert_eq!(blocking.volumetric_completed(), n_3d);
 
         let sched = SpiderScheduler::new(
-            Arc::new(scheduler_runtime(2)),
+            Arc::new(scheduler_runtime()),
             SchedulerOptions { start_paused: true, ..SchedulerOptions::default() },
         );
         let tickets: Vec<Ticket> = requests
@@ -375,7 +374,7 @@ proptest! {
         n_doomed in 1usize..4,
         seed in 0u64..1000,
     ) {
-        let rt = Arc::new(scheduler_runtime(2));
+        let rt = Arc::new(scheduler_runtime());
         let sched = SpiderScheduler::new(
             Arc::clone(&rt),
             SchedulerOptions { start_paused: true, ..SchedulerOptions::default() },

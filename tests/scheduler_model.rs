@@ -1,18 +1,19 @@
 //! Model-based test of the async scheduler's queue.
 //!
 //! [`Model`] is a sequential reference implementation of what
-//! `SpiderScheduler` does with its admission queue when nothing ages and one
-//! worker runs each wave's groups in order: lapsed deadlines expire at the
-//! next submit, poll or dispatch; admission quotas are checked before the
-//! backpressure policy; `ShedLowestPriority` evicts the lowest level, then
-//! the youngest; and each wave takes the top-level cohort, cuts it to one
+//! `SpiderScheduler` does with its admission queue when nothing ages and the
+//! dispatcher runs each wave's groups in order: lapsed deadlines expire at
+//! the next submit, poll or dispatch; admission quotas are checked before
+//! the backpressure policy; `ShedLowestPriority` evicts the lowest level,
+//! then the youngest; a kill cancels every queued request and refuses every
+//! later submit; and each wave takes the top-level cohort, cuts it to one
 //! deficit-round-robin round when tenants are registered, and groups it by
-//! plan key under `max_coalesce`. The queue is a plain `Vec` scanned on
-//! every operation, so the model is obviously right and obviously slow.
+//! plan key. The queue is a plain `Vec` scanned on every operation, so the
+//! model is obviously right and obviously slow.
 //!
-//! Random submit/cancel sequences run against a paused scheduler and the
-//! model side by side. After `drain`, the completion order and every
-//! per-tenant counter must be equal.
+//! Random submit/cancel sequences, with at most one kill, run against a
+//! paused scheduler and the model side by side. After `drain`, the
+//! completion order and every per-tenant counter must be equal.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
@@ -73,7 +74,8 @@ struct Entry {
 struct Model {
     capacity: usize,
     shed: bool,
-    max_coalesce: usize,
+    /// Set by `kill`: every later submit is refused, uncounted.
+    killed: bool,
     /// Registered tenants; empty = tenant-unaware (whole-cohort waves).
     weights: Vec<(TenantId, u64)>,
     quotas: Vec<(TenantId, usize)>,
@@ -107,6 +109,9 @@ impl Model {
 
     /// The ticket handed back, or `None` when the submission is refused.
     fn submit(&mut self, mut e: Entry) -> Option<u64> {
+        if self.killed {
+            return None;
+        }
         self.expire();
         let quota = self.quotas.iter().find(|q| q.0 == e.tenant).map(|q| q.1);
         let full = self.queue.len() >= self.capacity;
@@ -150,6 +155,19 @@ impl Model {
         self.row(e.tenant).cancelled += 1;
         self.order.push(e.ticket);
         true
+    }
+
+    /// A poll (which expires lapsed deadlines) followed by a kill: every
+    /// queued request is cancelled, in ticket order. Returns their tickets.
+    fn kill(&mut self) -> Vec<u64> {
+        self.expire();
+        self.killed = true;
+        let queued = std::mem::take(&mut self.queue);
+        for e in &queued {
+            self.row(e.tenant).cancelled += 1;
+            self.order.push(e.ticket);
+        }
+        queued.iter().map(|e| e.ticket).collect()
     }
 
     fn drr_round(&mut self, cohort: &[usize]) -> Vec<usize> {
@@ -206,10 +224,7 @@ impl Model {
             for i in members {
                 let key = self.queue[i].key;
                 match groups.iter_mut().find(|g| g.0 == key) {
-                    Some(g) if self.max_coalesce == 0 || g.1.len() < self.max_coalesce => {
-                        g.1.push(i)
-                    }
-                    Some(_) => {}
+                    Some(g) => g.1.push(i),
                     None => groups.push((key, vec![i])),
                 }
             }
@@ -246,7 +261,6 @@ fn runtime() -> Arc<SpiderRuntime> {
             GpuDevice::a100(),
             RuntimeOptions {
                 cache_capacity: 8,
-                workers: 1,
                 tuner_dry_run_cap: 1 << 12,
                 tuner_shortlist: 2,
                 ..RuntimeOptions::default()
@@ -268,7 +282,8 @@ proptest! {
 
     /// Each op is (kind, tenant, priority, kernel, extent, doom, pick):
     /// kind 0 cancels the `pick`-th ticket handed out so far, any other kind
-    /// submits; doom 0 submits with a deadline that has already lapsed.
+    /// submits; doom 0 submits with a deadline that has already lapsed. The
+    /// scheduler is killed after op `kill_at`, if there is one.
     #[test]
     fn scheduler_matches_the_reference_model(
         ops in prop::collection::vec((0u8..5, 0u64..3, 0u8..3, 0u8..3, 0usize..2, 0u8..5, 0usize..64), 1..48),
@@ -277,20 +292,18 @@ proptest! {
         quotas in (0usize..4, 0usize..4),
         capacity in 2usize..16,
         shed in any::<bool>(),
-        max_coalesce in 0usize..3,
+        kill_at in 0usize..64,
     ) {
         let mut options = SchedulerOptions {
             queue_capacity: capacity,
             policy: if shed { BackpressurePolicy::ShedLowestPriority } else { BackpressurePolicy::Reject },
             aging_step: None,
             start_paused: true,
-            max_coalesce,
             ..SchedulerOptions::default()
         };
         let mut model = Model {
             capacity,
             shed,
-            max_coalesce,
             ..Model::default()
         };
         if tenancy {
@@ -310,35 +323,45 @@ proptest! {
         let mut tickets: Vec<Ticket> = Vec::new();
         for (i, &(kind, tenant, level, k, extent, doom, pick)) in ops.iter().enumerate() {
             if kind == 0 {
-                let Some(&t) = tickets.get(pick % tickets.len().max(1)) else {
-                    continue;
-                };
-                // Poll first, so lapsed deadlines expire here on both sides
-                // and the paused dispatcher's own expiry sweep cannot race
-                // the cancel.
-                sched.poll(t);
-                prop_assert_eq!(sched.cancel(t), model.cancel(t.id()), "op {}: cancel {}", i, t.id());
-                continue;
+                if let Some(&t) = tickets.get(pick % tickets.len().max(1)) {
+                    // Poll first, so lapsed deadlines expire here on both
+                    // sides and the paused dispatcher's own expiry sweep
+                    // cannot race the cancel.
+                    sched.poll(t);
+                    prop_assert_eq!(sched.cancel(t), model.cancel(t.id()), "op {}: cancel {}", i, t.id());
+                }
+            } else {
+                let (tenant, cols) = (TenantId::new(tenant), 16 * (1 + extent));
+                let mut req = StencilRequest::builder(i as u64, kernel(k), GridSpec::D2 { rows: 16, cols })
+                    .tenant(tenant)
+                    .priority(Priority::from_level(level))
+                    .build();
+                if doom == 0 {
+                    req = req.with_deadline(Deadline::within(Duration::ZERO));
+                }
+                let got = sched.submit(req).ok();
+                let want = model.submit(Entry {
+                    ticket: 0,
+                    tenant,
+                    level,
+                    key: k,
+                    cost: 16 * cols as u64,
+                    doomed: doom == 0,
+                });
+                prop_assert_eq!(got.map(|t| t.id()), want, "op {}: submit", i);
+                tickets.extend(got);
             }
-            let (tenant, cols) = (TenantId::new(tenant), 16 * (1 + extent));
-            let mut req = StencilRequest::builder(i as u64, kernel(k), GridSpec::D2 { rows: 16, cols })
-                .tenant(tenant)
-                .priority(Priority::from_level(level))
-                .build();
-            if doom == 0 {
-                req = req.with_deadline(Deadline::within(Duration::ZERO));
+            if i == kill_at {
+                // Poll first, as for a cancel, so the kill sees the same
+                // queue on both sides.
+                if let Some(&t) = tickets.first() {
+                    sched.poll(t);
+                }
+                let kr = sched.kill();
+                let unstarted: Vec<u64> = kr.unstarted.iter().map(|(t, _)| t.id()).collect();
+                prop_assert_eq!(unstarted, model.kill(), "op {}: kill", i);
+                prop_assert!(kr.lost.is_empty(), "a paused scheduler runs nothing");
             }
-            let got = sched.submit(req).ok();
-            let want = model.submit(Entry {
-                ticket: 0,
-                tenant,
-                level,
-                key: k,
-                cost: 16 * cols as u64,
-                doomed: doom == 0,
-            });
-            prop_assert_eq!(got.map(|t| t.id()), want, "op {}: submit", i);
-            tickets.extend(got);
         }
         sched.drain();
         model.drain();

@@ -59,10 +59,7 @@ proptest! {
         picks in prop::collection::vec((0u8..4, 0u8..8), 1..12),
     ) {
         let reqs = workload(&picks);
-        let rt = SpiderRuntime::new(
-            GpuDevice::a100(),
-            RuntimeOptions { workers: 1, ..RuntimeOptions::default() },
-        );
+        let rt = SpiderRuntime::with_defaults(GpuDevice::a100());
         let report = rt.run_batch(&reqs);
         let events = rt.telemetry().trace().snapshot();
         prop_assert_eq!(rt.telemetry().trace().dropped_events(), 0, "ring big enough");
@@ -96,10 +93,7 @@ proptest! {
         cancel_first in any::<bool>(),
     ) {
         let reqs = workload(&picks);
-        let rt = SpiderRuntime::new(
-            GpuDevice::a100(),
-            RuntimeOptions { workers: 1, ..RuntimeOptions::default() },
-        );
+        let rt = SpiderRuntime::with_defaults(GpuDevice::a100());
         let t = Arc::clone(rt.telemetry());
         let sched = SpiderScheduler::new(
             Arc::new(rt),
@@ -188,14 +182,10 @@ proptest! {
         picks in prop::collection::vec((0u8..4, 0u8..8), 1..10),
     ) {
         let reqs = workload(&picks);
-        let on = SpiderRuntime::new(
-            GpuDevice::a100(),
-            RuntimeOptions { workers: 1, ..RuntimeOptions::default() },
-        );
+        let on = SpiderRuntime::with_defaults(GpuDevice::a100());
         let off = SpiderRuntime::new(
             GpuDevice::a100(),
             RuntimeOptions {
-                workers: 1,
                 telemetry: TelemetryConfig::disabled(),
                 ..RuntimeOptions::default()
             },

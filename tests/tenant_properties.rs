@@ -24,14 +24,13 @@ fn uniform_request(id: u64, tenant: TenantId) -> StencilRequest {
     .build()
 }
 
-/// A runtime whose groups fan out over `workers` threads; `1` runs each
-/// wave's groups in cohort order.
-fn scheduler_runtime(workers: usize) -> SpiderRuntime {
+/// A small-cache runtime with a short tuner shortlist; a scheduler over it
+/// runs each wave's groups in cohort order.
+fn scheduler_runtime() -> SpiderRuntime {
     SpiderRuntime::new(
         GpuDevice::a100(),
         RuntimeOptions {
             cache_capacity: 8,
-            workers,
             tuner_dry_run_cap: 1 << 12,
             tuner_shortlist: 2,
             ..RuntimeOptions::default()
@@ -39,9 +38,8 @@ fn scheduler_runtime(workers: usize) -> SpiderRuntime {
     )
 }
 
-/// Deterministic first-come-first-served waves (with a one-worker
-/// runtime): paused start, no aging — each wave fully completes before the
-/// next is formed.
+/// Deterministic first-come-first-served waves: paused start, no aging —
+/// each wave fully completes before the next is formed.
 fn deterministic_options() -> SchedulerOptions {
     SchedulerOptions {
         start_paused: true,
@@ -74,11 +72,11 @@ proptest! {
             })
             .collect();
 
-        let blocking = scheduler_runtime(2).run_batch(&requests);
+        let blocking = scheduler_runtime().run_batch(&requests);
         prop_assert!(blocking.failures.is_empty());
 
         let sched = SpiderScheduler::new(
-            Arc::new(scheduler_runtime(2)),
+            Arc::new(scheduler_runtime()),
             SchedulerOptions::default()
                 .with_tenant(TenantId::new(1), TenantConfig::weighted(w1))
                 .with_tenant(TenantId::new(2), TenantConfig::weighted(w2)),
@@ -125,7 +123,7 @@ proptest! {
         let n_light = waves;
 
         let sched = SpiderScheduler::new(
-            Arc::new(scheduler_runtime(1)),
+            Arc::new(scheduler_runtime()),
             deterministic_options()
                 .with_tenant(heavy, TenantConfig::weighted(w))
                 .with_tenant(light, TenantConfig::weighted(1)),
@@ -164,7 +162,7 @@ proptest! {
     /// by its own demand and weight — `ceil(nV / wV)` waves of at most
     /// `wV + 1` completions each — independent of how much the bully
     /// queued. (This is the deterministic form of the bounded-p99 claim:
-    /// queueing delay under one worker is completion position in disguise.)
+    /// queueing delay is completion position in disguise.)
     #[test]
     fn noisy_neighbor_cannot_starve_a_weighted_victim(
         victim_weight in 2u64..5,
@@ -174,7 +172,7 @@ proptest! {
         let victim = TenantId::new(1);
         let noisy = TenantId::new(2);
         let sched = SpiderScheduler::new(
-            Arc::new(scheduler_runtime(1)),
+            Arc::new(scheduler_runtime()),
             deterministic_options()
                 .with_tenant(victim, TenantConfig::weighted(victim_weight))
                 .with_tenant(noisy, TenantConfig::weighted(1)),

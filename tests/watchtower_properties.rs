@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use spider::prelude::*;
 use spider::telemetry::{validate_json, EventKind};
 
-/// One worker, paused start, no aging: queues build deterministically and
+/// Paused start, no aging: queues build deterministically and
 /// nothing dispatches until the harness says so.
 fn paused_specs(n: usize) -> Vec<DeviceSpec> {
     (0..n)
@@ -54,7 +54,7 @@ fn arb_single_key_workload() -> impl Strategy<Value = Vec<StencilRequest>> {
 }
 
 fn single_runtime() -> SpiderRuntime {
-    SpiderRuntime::new(GpuDevice::a100(), RuntimeOptions::default())
+    SpiderRuntime::with_defaults(GpuDevice::a100())
 }
 
 proptest! {
@@ -250,13 +250,7 @@ fn in_flight_casualty_chains_attempts_across_devices() {
 fn tenant_burn_rate_alert_fires_and_resolves() {
     let noisy = TenantId::new(1);
     let victim = TenantId::new(2);
-    let runtime = Arc::new(SpiderRuntime::new(
-        GpuDevice::a100(),
-        RuntimeOptions {
-            workers: 1,
-            ..RuntimeOptions::default()
-        },
-    ));
+    let runtime = Arc::new(SpiderRuntime::with_defaults(GpuDevice::a100()));
     let sched = SpiderScheduler::new(
         Arc::clone(&runtime),
         SchedulerOptions {
