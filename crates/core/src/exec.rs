@@ -18,7 +18,9 @@
 //! straight into the destination, so every output bit matches the
 //! emulation. A sweep fans out once, over output rows (2D) or 16-aligned
 //! segments (1D), into at most [`rayon::current_num_threads`] jobs of at
-//! least [`MIN_JOB_STEP_POINTS`] each; a small sweep spawns nothing.
+//! least [`MIN_JOB_STEP_POINTS`] each: a job must outlast waking an idle
+//! core, so a sweep below twice that size runs on the calling thread and
+//! spawns nothing.
 //!
 //! The emulated MMA path (`compute_block_*` over `mma_tile_2d` and
 //! `gather_1d`) remains for the one case where the two differ: a sweep whose
@@ -90,10 +92,14 @@ impl Default for ExecConfig {
 }
 
 /// Step-points (outputs × schedule steps) a sweep job must hold to pay for
-/// its thread. On a 2-vCPU x86-64 host a scoped spawn plus join measured
-/// 32–41 µs, and the schedule kernel runs at 0.15–0.4 ns per step-point,
-/// so a job below this size would spend about as long starting as working.
-pub const MIN_JOB_STEP_POINTS: usize = 100_000;
+/// its thread. A two-job split saves only the half it moves to the other
+/// core, and that core has often been idle and must be woken, so one job's
+/// work must outlast the worst-case wake. On a 2-vCPU x86-64 host a scoped
+/// spawn plus join beside 50 µs of work cost 49 µs extra back to back, and
+/// 89 µs median (156 µs p90) after 200 µs idle; the schedule kernel runs
+/// the box kernels at 0.07–0.1 ns per step-point, so 2 000 000
+/// step-points take 140–200 µs.
+pub const MIN_JOB_STEP_POINTS: usize = 2_000_000;
 
 /// How many jobs a sweep of `step_points` splits into: one per
 /// [`MIN_JOB_STEP_POINTS`], at most one per core, at least one.
@@ -1517,6 +1523,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Sweeps of at least two jobs' worth of step-points (split across the
+    /// cores when there are several) give the emulation's bits. Every other
+    /// test sweep fits one job.
+    #[test]
+    fn sweeps_large_enough_to_split_match_the_emulation() {
+        let dev = device();
+        let exec = SpiderExecutor::new(&dev, ExecMode::SparseTcOptimized);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let steps_of =
+            |plan: &SpiderPlan| plan.tap_schedule(ExecMode::SparseTcOptimized).steps().len();
+
+        let heat = SpiderPlan::compile(&StencilKernel::heat_2d(0.1)).unwrap();
+        let (rows, cols) = (600, 1000);
+        assert!(rows * cols * steps_of(&heat) >= 2 * MIN_JOB_STEP_POINTS);
+        let mut fast = Grid2D::<f32>::random(rows, cols, 1, 80);
+        let mut reference = fast.clone();
+        exec.run_2d(&heat, &mut fast, 1).unwrap();
+        exec.run_2d_emulated(&heat, &mut reference, 1).unwrap();
+        assert_eq!(bits(fast.padded()), bits(reference.padded()));
+
+        let wave = SpiderPlan::compile(&StencilKernel::wave_1d(2)).unwrap();
+        let n = 1 << 19;
+        assert!(n * steps_of(&wave) >= 2 * MIN_JOB_STEP_POINTS);
+        let mut fast = Grid1D::<f32>::random(n, 2, 81);
+        let mut reference = fast.clone();
+        exec.run_1d(&wave, &mut fast, 1).unwrap();
+        exec.run_1d_emulated(&wave, &mut reference, 1).unwrap();
+        assert_eq!(bits(fast.padded()), bits(reference.padded()));
     }
 
     /// [`BatchFeedback`] collector used by the coalesced-path tests.

@@ -351,6 +351,29 @@ mod tests {
         );
     }
 
+    /// A step of at least two jobs' worth of step-points (its planes split
+    /// across the cores when there are several) gives the emulation's bits.
+    #[test]
+    fn steps_large_enough_to_split_match_the_emulation() {
+        use crate::exec::MIN_JOB_STEP_POINTS;
+        let dev = GpuDevice::a100();
+        let plan = Spider3DPlan::compile(&Kernel3D::random_box(1, 9)).unwrap();
+        let steps: usize = plan
+            .slices()
+            .iter()
+            .map(|(_, p)| p.tap_schedule(ExecMode::SparseTcOptimized).steps().len())
+            .sum();
+        let (planes, rows, cols) = (8, 128, 128);
+        assert!(planes * rows * cols * steps >= 2 * MIN_JOB_STEP_POINTS);
+        let mut fast = Grid3D::<f32>::random(planes, rows, cols, 1, 10);
+        let mut reference = fast.clone();
+        let exec = Spider3DExecutor::new(&dev, ExecMode::SparseTcOptimized);
+        exec.run(&plan, &mut fast, 1).unwrap();
+        exec.run_emulated(&plan, &mut reference, 1).unwrap();
+        let bits = |g: &Grid3D<f32>| g.padded().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast), bits(&reference));
+    }
+
     #[test]
     fn insufficient_halo_rejected() {
         let dev = GpuDevice::a100();

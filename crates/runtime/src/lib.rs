@@ -63,7 +63,9 @@
 //!   one after another on the calling thread; results aggregate into a
 //!   [`report::RuntimeReport`]. A request's only parallelism is its
 //!   sweep's own fan-out, sized by work: jobs of at least
-//!   [`spider_core::exec::MIN_JOB_STEP_POINTS`] step-points.
+//!   [`spider_core::exec::MIN_JOB_STEP_POINTS`] step-points, enough to
+//!   outlast waking an idle core, so a typical request (every scenario of
+//!   the `mixed_warm` mix) runs on the calling thread alone.
 //! * [`scheduler::SpiderScheduler`] — the async front end: `submit` returns
 //!   a [`scheduler::Ticket`] immediately, `poll` reports progress, `drain`
 //!   blocks until quiescence. A bounded admission queue applies a

@@ -5,7 +5,7 @@
 //! (grids, kernels, reference executor) that `spider-core::exec3d` builds
 //! on by decomposing a 3D kernel into `2r+1` 2D plane slices.
 
-use crate::grid::Grid2D;
+use crate::grid::{fill_random, Grid2D};
 use crate::scalar::Scalar;
 use crate::shape::StencilShape;
 use crate::StencilKernel;
@@ -52,16 +52,15 @@ impl<T: Scalar> Grid3D<T> {
         g
     }
 
-    /// Deterministic pseudo-random grid in `[0, 1)`.
+    /// Deterministic pseudo-random grid in `[0, 1)`, halo zero: one
+    /// xorshift stream in plane-major order, generated by lanes jumped
+    /// ahead along it (values unchanged by the split).
     pub fn random(planes: usize, rows: usize, cols: usize, halo: usize, seed: u64) -> Self {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        Self::from_fn(planes, rows, cols, halo, |_, _, _| {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let v = state.wrapping_mul(0x2545F4914F6CDD1D);
-            T::from_f64((v >> 11) as f64 / (1u64 << 53) as f64)
-        })
+        let mut g = Self::zeros(planes, rows, cols, halo);
+        let (pr, pc) = (rows + 2 * halo, cols + 2 * halo);
+        let row_start = |r: usize| ((r / rows + halo) * pr + r % rows + halo) * pc + halo;
+        fill_random(&mut g.data, planes * rows * cols, cols, row_start, seed);
+        g
     }
 
     pub fn planes(&self) -> usize {
