@@ -13,10 +13,17 @@
 //!   points per wall second). This is the number the zero-copy executor
 //!   work moves; it is informational (not gated) because shared CI runners
 //!   make wall clocks noisy.
+//!
+//! Every timed sweep starts from the same input, restored outside the
+//! timer. Sweeping one grid over and over overflows FP16 (the 256×512 box
+//! r2 grid on its 9th sweep, the 8×96² volume on its 14th, the 2¹⁸ line on
+//! its 49th), and every sweep after that takes the emulated MMA path,
+//! several times slower than the tap schedule.
 
+use std::cell::RefCell;
 use std::time::Instant;
 
-use criterion::{criterion_group, Criterion};
+use criterion::{criterion_group, BatchSize, Bencher, Criterion};
 use spider_core::exec::{ExecMode, SpiderExecutor};
 use spider_core::exec3d::{Spider3DExecutor, Spider3DPlan};
 use spider_core::plan::SpiderPlan;
@@ -48,22 +55,37 @@ const MODES: [ExecMode; 3] = [
     ExecMode::SparseTcOptimized,
 ];
 
+/// Time `sweep` over a copy of `input` restored before every iteration,
+/// outside the timer (see the module docs).
+fn bench_fresh<G: Clone>(b: &mut Bencher, input: &G, sweep: impl Fn(&mut G)) {
+    let grid = RefCell::new(input.clone());
+    b.iter_batched(
+        || grid.borrow_mut().clone_from(input),
+        |()| sweep(&mut grid.borrow_mut()),
+        BatchSize::PerIteration,
+    );
+}
+
 fn bench_core(c: &mut Criterion) {
     let dev = GpuDevice::a100();
     let mut group = c.benchmark_group("core_step");
     let plan2 = SpiderPlan::compile(&kernel_2d()).unwrap();
+    let grid = Grid2D::<f32>::random(256, 512, 2, SEED);
     for mode in MODES {
         let exec = SpiderExecutor::new(&dev, mode);
-        let mut grid = Grid2D::<f32>::random(256, 512, 2, SEED);
         group.bench_function(format!("step_2d_{}", mode_tag(mode)), |b| {
-            b.iter(|| exec.run_2d(&plan2, &mut grid, 1).unwrap())
+            bench_fresh(b, &grid, |g| {
+                exec.run_2d(&plan2, g, 1).unwrap();
+            })
         });
     }
     let plan1 = SpiderPlan::compile(&kernel_1d()).unwrap();
     let exec = SpiderExecutor::new(&dev, ExecMode::SparseTcOptimized);
-    let mut line = Grid1D::<f32>::random(1 << 18, 3, SEED);
+    let line = Grid1D::<f32>::random(1 << 18, 3, SEED);
     group.bench_function("step_1d_sparse_opt", |b| {
-        b.iter(|| exec.run_1d(&plan1, &mut line, 1).unwrap())
+        bench_fresh(b, &line, |g| {
+            exec.run_1d(&plan1, g, 1).unwrap();
+        })
     });
     group.finish();
 }
@@ -74,12 +96,17 @@ criterion_group! {
     targets = bench_core
 }
 
-/// Host functional sweep rate in Mpoints/s (median of `reps` runs).
-fn host_mpoints(points: usize, reps: usize, mut sweep: impl FnMut()) -> f64 {
+/// Host functional sweep rate in Mpoints/s: the median of `reps` timed
+/// sweeps, each over a copy of `input` restored outside the timer, after
+/// one untimed sweep that warms the pool.
+fn host_mpoints<G: Clone>(points: usize, reps: usize, input: &G, sweep: impl Fn(&mut G)) -> f64 {
+    let mut grid = input.clone();
+    sweep(&mut grid);
     let mut times: Vec<f64> = (0..reps)
         .map(|_| {
+            grid.clone_from(input);
             let t = Instant::now();
-            sweep();
+            sweep(&mut grid);
             t.elapsed().as_secs_f64()
         })
         .collect();
@@ -128,31 +155,28 @@ fn emit_json() {
 
     // Host functional sweep rates (informational).
     let exec = SpiderExecutor::new(&dev, ExecMode::SparseTcOptimized);
-    let mut grid = Grid2D::<f32>::random(256, 512, 2, SEED);
-    exec.run_2d(&plan2, &mut grid, 1).unwrap(); // warm the pool
+    let grid = Grid2D::<f32>::random(256, 512, 2, SEED);
     fields.push((
         "host_2d_sparse_opt_mpoints".into(),
-        host_mpoints(256 * 512, 9, || {
-            exec.run_2d(&plan2, &mut grid, 1).unwrap();
+        host_mpoints(256 * 512, 9, &grid, |g| {
+            exec.run_2d(&plan2, g, 1).unwrap();
         }),
         4,
     ));
-    let mut line = Grid1D::<f32>::random(1 << 18, 3, SEED);
-    exec.run_1d(&plan1, &mut line, 1).unwrap();
+    let line = Grid1D::<f32>::random(1 << 18, 3, SEED);
     fields.push((
         "host_1d_sparse_opt_mpoints".into(),
-        host_mpoints(1 << 18, 9, || {
-            exec.run_1d(&plan1, &mut line, 1).unwrap();
+        host_mpoints(1 << 18, 9, &line, |g| {
+            exec.run_1d(&plan1, g, 1).unwrap();
         }),
         4,
     ));
     let exec3 = Spider3DExecutor::new(&dev, ExecMode::SparseTcOptimized);
-    let mut vol = Grid3D::<f32>::random(8, 96, 96, 1, SEED);
-    exec3.run(&plan3, &mut vol, 1).unwrap();
+    let vol = Grid3D::<f32>::random(8, 96, 96, 1, SEED);
     fields.push((
         "host_3d_sparse_opt_mpoints".into(),
-        host_mpoints(8 * 96 * 96, 5, || {
-            exec3.run(&plan3, &mut vol, 1).unwrap();
+        host_mpoints(8 * 96 * 96, 5, &vol, |g| {
+            exec3.run(&plan3, g, 1).unwrap();
         }),
         4,
     ));

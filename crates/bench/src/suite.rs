@@ -4,7 +4,7 @@ use spider_baselines::BaselineKind;
 use spider_core::{ExecMode, SpiderExecutor, SpiderPlan};
 use spider_gpu_sim::timing::KernelReport;
 use spider_gpu_sim::GpuDevice;
-use spider_stencil::{Dim, ShapeKind, StencilKernel, StencilShape};
+use spider_stencil::{Dim, StencilKernel, StencilShape};
 
 /// One method's result on one problem.
 #[derive(Debug, Clone)]
@@ -132,18 +132,6 @@ pub fn all_methods(
         ExecMode::SparseTcOptimized,
     ));
     out
-}
-
-/// Sanity helper used by tests: SPIDER's speedup over a named method.
-pub fn speedup_over(results: &[MethodResult], method: &str) -> Option<f64> {
-    let spider = results.iter().find(|r| r.method == "SPIDER")?.gstencils;
-    let other = results.iter().find(|r| r.method == method)?.gstencils;
-    Some(spider / other)
-}
-
-/// Shape sanity used in tests and docs.
-pub fn is_star(shape: StencilShape) -> bool {
-    shape.kind == ShapeKind::Star
 }
 
 #[cfg(test)]

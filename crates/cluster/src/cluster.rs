@@ -356,24 +356,8 @@ impl SpiderCluster {
             .collect()
     }
 
-    /// The spec a device slot was built from (slots never shift — see the
-    /// module docs — so an index stays valid after membership changes).
-    pub fn device_spec(&self, index: usize) -> DeviceSpec {
-        self.read_membership().slots[index].spec.clone()
-    }
-
-    /// The runtime behind a device slot (statistics introspection).
-    pub fn device_runtime(&self, index: usize) -> Arc<SpiderRuntime> {
-        Arc::clone(&self.read_membership().slots[index].runtime)
-    }
-
     pub fn options(&self) -> &ClusterOptions {
         &self.options
-    }
-
-    /// The active routing policy.
-    pub fn routing_policy(&self) -> RoutingPolicy {
-        self.options.policy
     }
 
     /// Pause dispatch on every live device (queues keep accepting
@@ -415,17 +399,6 @@ impl SpiderCluster {
             .filter(|d| !d.departed())
             .map(|d| d.scheduler.queue_depth())
             .collect()
-    }
-
-    /// Fleet-cumulative queue-wait histogram (µs buckets), departed
-    /// devices included so the series is monotone — the signal the
-    /// [`crate::AutoScaler`] diffs between steps.
-    pub fn fleet_wait_hist(&self) -> spider_telemetry::LogHistogram {
-        let mut h = spider_telemetry::LogHistogram::default();
-        for d in &self.read_membership().slots {
-            h.merge(&d.scheduler.queue_stats().wait_hist.hist);
-        }
-        h
     }
 
     fn lock(&self) -> OrderedMutexGuard<'_, ClusterState> {
@@ -1373,21 +1346,6 @@ impl SpiderCluster {
         }
         self.rebalance();
         Ok(self.drain_all())
-    }
-
-    /// Persist every live device's cached plans and tuner memos into the
-    /// attached store. Returns total plans written (0 without a store).
-    pub fn persist_all(&self) -> std::io::Result<usize> {
-        let mut total = 0;
-        for d in self
-            .read_membership()
-            .slots
-            .iter()
-            .filter(|d| !d.departed())
-        {
-            total += d.runtime.persist()?;
-        }
-        Ok(total)
     }
 
     /// Fleet-wide metrics snapshot, read when called. Every device's

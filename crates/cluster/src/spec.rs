@@ -35,12 +35,6 @@ impl DeviceSpec {
         }
     }
 
-    /// Replace the runtime options.
-    pub fn with_runtime_options(mut self, options: RuntimeOptions) -> Self {
-        self.runtime = options;
-        self
-    }
-
     /// Replace the scheduler options.
     pub fn with_scheduler_options(mut self, options: SchedulerOptions) -> Self {
         self.scheduler = options;

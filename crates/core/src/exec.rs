@@ -16,11 +16,14 @@
 //! the plan's exact-order tap schedule ([`crate::schedule`]): the MMA
 //! chain's non-zero FMAs, in the chain's order, as contiguous vector FMAs
 //! straight into the destination, so every output bit matches the
-//! emulation. A sweep fans out once, over output rows (2D) or 16-aligned
-//! segments (1D), into at most [`rayon::current_num_threads`] jobs of at
-//! least [`MIN_JOB_STEP_POINTS`] each: a job must outlast waking an idle
-//! core, so a sweep below twice that size runs on the calling thread and
-//! spawns nothing.
+//! emulation. One row engine runs the schedule for every dimension: a 1D
+//! grid is one row, a 2D grid a stack of rows, and a 3D volume a stack of
+//! planes whose output rows sum one row per kernel slice (see
+//! [`crate::exec3d`]). A sweep fans out once, over output rows, or over
+//! 16-aligned segments of a single row (1D), into at most
+//! [`rayon::current_num_threads`] jobs of at least [`MIN_JOB_STEP_POINTS`]
+//! each: a job must outlast waking an idle core, so a sweep below twice
+//! that size runs on the calling thread and spawns nothing.
 //!
 //! The emulated MMA path (`compute_block_*` over `mma_tile_2d` and
 //! `gather_1d`) remains for the one case where the two differ: a sweep whose
@@ -43,7 +46,7 @@ use crate::packing;
 use crate::plan::{PlanUnit, SpiderPlan};
 use crate::pool::BufferPool;
 use crate::row_swap::RowSwapStrategy;
-use crate::schedule::run_span;
+use crate::schedule::{run_span, TapStep};
 use crate::tiling::{TilingConfig, N_TILE};
 use crate::{K_PAD, M_TILE};
 use rayon::prelude::*;
@@ -56,6 +59,7 @@ use spider_gpu_sim::tensor_core::{mma_m16n8k16, mma_sp_m16n8k16};
 use spider_gpu_sim::timing::{KernelReport, LaunchDims};
 use spider_gpu_sim::GpuDevice;
 use spider_stencil::{BoundaryCondition, Grid1D, Grid2D};
+use std::iter::once;
 
 /// Which compute path the executor drives (the Fig 12 ablation arms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,39 +107,8 @@ pub const MIN_JOB_STEP_POINTS: usize = 2_000_000;
 
 /// How many jobs a sweep of `step_points` splits into: one per
 /// [`MIN_JOB_STEP_POINTS`], at most one per core, at least one.
-pub(crate) fn jobs_for(step_points: usize) -> usize {
+fn jobs_for(step_points: usize) -> usize {
     (step_points / MIN_JOB_STEP_POINTS).clamp(1, rayon::current_num_threads())
-}
-
-/// A borrowed padded 2D plane: `(rows + 2·halo) × (cols + 2·halo)` values,
-/// row-major — a [`Grid2D`]'s storage, or one plane of a volume's.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PlaneRef<'a> {
-    pub(crate) data: &'a [f32],
-    pub(crate) rows: usize,
-    pub(crate) cols: usize,
-    pub(crate) halo: usize,
-}
-
-impl<'a> PlaneRef<'a> {
-    fn of(grid: &'a Grid2D<f32>) -> Self {
-        Self {
-            data: grid.padded(),
-            rows: grid.rows(),
-            cols: grid.cols(),
-            halo: grid.halo(),
-        }
-    }
-
-    fn stride(&self) -> usize {
-        self.cols + 2 * self.halo
-    }
-}
-
-/// Whether any value is ±∞ or NaN (a full scan, no early exit, so it
-/// vectorizes).
-pub(crate) fn any_non_finite(values: &[f32]) -> bool {
-    values.iter().fold(false, |any, v| any | !v.is_finite())
 }
 
 /// Observer driven by the coalesced batch entry points
@@ -190,10 +163,10 @@ pub struct SpiderExecutor<'d> {
     device: &'d GpuDevice,
     mode: ExecMode,
     config: ExecConfig,
-    /// Scratch store for ping-pong grids (and the 3D executor's plane
-    /// buffers). Fresh per executor by default; [`Self::with_shared_pool`]
-    /// lets a serving runtime share one pool across every executor it
-    /// constructs.
+    /// Scratch store for ping-pong grids (and the 3D emulated path's
+    /// partial plane). Fresh per executor by default;
+    /// [`Self::with_shared_pool`] lets a serving runtime share one pool
+    /// across every executor it constructs.
     pool: BufferPool,
 }
 
@@ -276,20 +249,6 @@ impl<'d> SpiderExecutor<'d> {
         solo(|fb| self.batch_2d(plan, std::slice::from_mut(grid), steps, fb, true))
     }
 
-    fn validate_2d(&self, plan: &SpiderPlan, grid: &Grid2D<f32>) -> Result<(), String> {
-        if plan.is_1d() {
-            return Err("1D plan passed to run_2d".into());
-        }
-        if grid.halo() < plan.radius() {
-            return Err(format!(
-                "grid halo {} < stencil radius {}",
-                grid.halo(),
-                plan.radius()
-            ));
-        }
-        Ok(())
-    }
-
     /// The functional heart of [`Self::run_2d_coalesced`]: quantize, then
     /// `steps` boundary-refill + sweep rounds, ping-ponging between the
     /// caller's grid and a pooled scratch grid (no clone). Returns each
@@ -308,11 +267,17 @@ impl<'d> SpiderExecutor<'d> {
         let mut non_finite = quantize_slice(grid.padded_mut());
         let buf = self.pool.take_copy_of(grid.padded());
         let mut scratch = Grid2D::from_padded_vec(grid.rows(), grid.cols(), grid.halo(), buf);
+        let (h, stride, cols) = (grid.halo(), grid.stride(), grid.cols());
         let mut per_step = Vec::with_capacity(steps.max(1));
         for _ in 0..steps.max(1) {
             self.config.boundary.apply_2d(grid);
-            let src = PlaneRef::of(grid);
-            non_finite = self.step_2d(plan, src, scratch.padded_mut(), emulate || non_finite, true);
+            let dst = scratch.padded_mut();
+            non_finite = if emulate || non_finite {
+                self.emulate_2d(plan, grid, dst)
+            } else {
+                let rows = (h..h + grid.rows()).map(|x| x * stride + h);
+                self.sweep_rows(rows, cols, stride, &[(0, plan)], false, grid.padded(), dst)
+            };
             per_step.push(self.charge_2d(plan, grid.rows(), grid.cols()));
             std::mem::swap(grid, &mut scratch);
         }
@@ -343,17 +308,7 @@ impl<'d> SpiderExecutor<'d> {
         solo(|fb| self.batch_1d(plan, std::slice::from_mut(grid), steps, fb, true))
     }
 
-    fn validate_1d(&self, plan: &SpiderPlan, grid: &Grid1D<f32>) -> Result<(), String> {
-        if !plan.is_1d() {
-            return Err("2D plan passed to run_1d".into());
-        }
-        if grid.halo() < plan.radius() {
-            return Err("grid halo smaller than stencil radius".into());
-        }
-        Ok(())
-    }
-
-    /// 1D counterpart of [`Self::sweep_2d`].
+    /// 1D counterpart of [`Self::sweep_2d`]: the grid is one row.
     fn sweep_1d(
         &self,
         plan: &SpiderPlan,
@@ -364,11 +319,23 @@ impl<'d> SpiderExecutor<'d> {
         let mut non_finite = quantize_slice(grid.padded_mut());
         let buf = self.pool.take_copy_of(grid.padded());
         let mut scratch = Grid1D::from_padded_vec(grid.len(), grid.halo(), buf);
+        let (n, h, t) = (grid.len(), grid.halo(), self.config.tiling);
         let mut per_step = Vec::with_capacity(steps.max(1));
         for _ in 0..steps.max(1) {
             self.config.boundary.apply_1d(grid);
-            non_finite = self.step_1d(plan, grid, &mut scratch, emulate || non_finite);
-            per_step.push(self.charge_1d(plan, grid.len()));
+            let dst = scratch.padded_mut();
+            non_finite = if emulate || non_finite {
+                let out = &mut dst[h..h + n];
+                (0..t.blocks_1d(n) as usize).fold(false, |non_finite, b| {
+                    let t0 = b * t.block_1d;
+                    let t1 = (t0 + t.block_1d).min(n);
+                    self.compute_block_1d(plan, grid, t0, t1, out) | non_finite
+                })
+            } else {
+                // One row; 1D steps have `dx` = 0, so the stride is never read.
+                self.sweep_rows(once(h), n, 0, &[(0, plan)], false, grid.padded(), dst)
+            };
+            per_step.push(self.charge_1d(plan, n));
             std::mem::swap(grid, &mut scratch);
         }
         self.pool.put(scratch.into_padded_vec());
@@ -420,10 +387,11 @@ impl<'d> SpiderExecutor<'d> {
     ) -> Result<(), String> {
         let t = self.config.tiling;
         self.run_coalesced_impl(
+            plan,
+            false,
             grids,
             feedback,
-            |g| self.validate_2d(plan, g),
-            |g| t.blocks_2d(g.rows(), g.cols()),
+            |g| (g.halo(), t.blocks_2d(g.rows(), g.cols())),
             |g| {
                 (
                     self.sweep_2d(plan, g, steps, emulate),
@@ -456,35 +424,46 @@ impl<'d> SpiderExecutor<'d> {
     ) -> Result<(), String> {
         let t = self.config.tiling;
         self.run_coalesced_impl(
+            plan,
+            true,
             grids,
             feedback,
-            |g| self.validate_1d(plan, g),
-            |g| t.blocks_1d(g.len()),
+            |g| (g.halo(), t.blocks_1d(g.len())),
             |g| (self.sweep_1d(plan, g, steps, emulate), g.len() as u64),
         )
     }
 
     /// Dimension-generic body of the coalesced entry points: validate a
-    /// prefix (first invalid grid aborts the batch), sweep the valid grids
-    /// in input order, then deliver batched-launch reports in input order.
+    /// prefix (a grid is invalid when the plan's dimension is not the
+    /// grids' or its halo is narrower than the radius; the first invalid
+    /// grid aborts the batch), sweep the valid grids in input order, then
+    /// deliver batched-launch reports in input order. `layout` gives a
+    /// grid's halo and thread-block count.
     fn run_coalesced_impl<G>(
         &self,
+        plan: &SpiderPlan,
+        line: bool,
         grids: &mut [G],
         feedback: &mut dyn BatchFeedback,
-        validate: impl Fn(&G) -> Result<(), String>,
-        blocks_of: impl Fn(&G) -> u64,
+        layout: impl Fn(&G) -> (usize, u64),
         sweep: impl Fn(&mut G) -> (Vec<PerfCounters>, u64),
     ) -> Result<(), String> {
         let mut first_err: Option<String> = None;
         let mut valid = grids.len();
         for (index, grid) in grids.iter().enumerate() {
-            if let Err(e) = validate(grid) {
-                first_err = Some(format!("coalesced grid {index}: {e}"));
-                valid = index;
-                break;
-            }
+            let (halo, radius) = (layout(grid).0, plan.radius());
+            let e = if plan.is_1d() != line {
+                "plan and grid dimensions differ".to_string()
+            } else if halo < radius {
+                format!("grid halo {halo} < stencil radius {radius}")
+            } else {
+                continue;
+            };
+            first_err = Some(format!("coalesced grid {index}: {e}"));
+            valid = index;
+            break;
         }
-        let wave_blocks: u64 = grids[..valid].iter().map(&blocks_of).sum();
+        let wave_blocks: u64 = grids[..valid].iter().map(|g| layout(g).1).sum();
         let launch_share = 1.0 / valid.max(1) as f64;
         feedback.on_batch_launch(valid, wave_blocks, launch_share);
         let dims = LaunchDims::new(wave_blocks, self.config.tiling.threads_per_block());
@@ -546,77 +525,105 @@ impl<'d> SpiderExecutor<'d> {
         self.device.report(scaled, dims, n as u64)
     }
 
-    /// One 2D sweep over an explicit source plane, returning the result and
-    /// the sweep's counters (no boundary refill, no quantize of `src`).
-    ///
-    /// The result's interior is fully written by the sweep; its halo is
-    /// zero (the sweep never writes halo cells).
-    pub fn sweep_plane(
-        &self,
-        plan: &SpiderPlan,
-        src: &Grid2D<f32>,
-    ) -> Result<(Grid2D<f32>, PerfCounters), String> {
-        if plan.is_1d() {
-            return Err("1D plan passed to sweep_plane".into());
-        }
-        if src.halo() < plan.radius() {
-            return Err("plane halo smaller than stencil radius".into());
-        }
-        let mut dst = Grid2D::zeros(src.rows(), src.cols(), src.halo());
-        let emulate = any_non_finite(src.padded());
-        self.step_2d(plan, PlaneRef::of(src), dst.padded_mut(), emulate, true);
-        Ok((dst, self.charge_2d(plan, src.rows(), src.cols())))
-    }
+    // ------------------------------------------------------ tap schedule --
 
-    // ---------------------------------------------------------------- 2D --
-
-    /// One 2D sweep of `src` into `dst` (padded storage of the same shape;
-    /// only the interior is written). Runs the tap schedule, fanned out
-    /// over output rows when `fan_out` allows and the work pays for it, or
-    /// the emulated MMA path when `emulate`. Returns whether any output is
-    /// non-finite.
-    pub(crate) fn step_2d(
+    /// The one tap-schedule path of every 1D, 2D and 3D sweep. `rows` are
+    /// the storage indices of the output rows' first outputs, ascending;
+    /// each row holds `width` outputs of `dst`. Step `s` of slice
+    /// `(offset, plan)` reads `src[row + offset + dx·stride + dcol + y]`
+    /// for output `y`. A plane (`volume` false, one slice) stores the
+    /// slice's FP16 output straight into the row. A volume runs each slice
+    /// into one row-sized buffer, adds the buffers in f32 in slice order
+    /// from +0 and quantizes the sum, with one slice too (`+0 + −0` is +0).
+    /// One fan-out, into [`jobs_for`] jobs: over rows, or over 16-aligned
+    /// segments of a single row (1D). Read offsets are computed once per
+    /// sweep and each job overwrites one fixed-length index buffer per row
+    /// (a fresh one per row cost 12% on a 16×16 sweep; growing the sweep's
+    /// vectors instead of sizing them cost 6% on a 16×16 `run_2d`).
+    /// Returns whether any output is non-finite.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sweep_rows(
         &self,
-        plan: &SpiderPlan,
-        src: PlaneRef<'_>,
+        rows: impl IntoIterator<Item = usize>,
+        width: usize,
+        stride: usize,
+        slices: &[(isize, &SpiderPlan)],
+        volume: bool,
+        src: &[f32],
         dst: &mut [f32],
-        emulate: bool,
-        fan_out: bool,
     ) -> bool {
-        let (rows, cols, h, stride) = (src.rows, src.cols, src.halo, src.stride());
-        if emulate {
-            let t = self.config.tiling;
-            let bg = BlockGrid::new(rows, cols, t.block_x, t.block_y);
-            return (0..bg.num_blocks() as u64).fold(false, |non_finite, b| {
-                let (x0, x1, y0, y1) = bg.rect(b);
-                self.compute_block_2d(plan, src, x0, x1, y0, y1, dst) | non_finite
-            });
+        let schedules: Vec<&[TapStep]> = slices
+            .iter()
+            .map(|(_, plan)| plan.tap_schedule(self.mode).steps())
+            .collect();
+        let mut offsets = Vec::with_capacity(schedules.iter().map(|s| s.len()).sum());
+        for (&(offset, _), steps) in slices.iter().zip(&schedules) {
+            let stride = stride as isize;
+            offsets.extend(steps.iter().map(|s| offset + s.dx * stride + s.dcol));
         }
-        let steps = plan.tap_schedule(self.mode).steps();
-        let jobs = if fan_out {
-            jobs_for(rows * cols * steps.len())
-        } else {
-            1
-        };
-        let rows_per_job = rows.div_ceil(jobs);
-        let flags: Vec<bool> = dst[h * stride..(h + rows) * stride]
-            .par_chunks_mut(rows_per_job * stride)
-            .enumerate()
-            .map(|(job, out_rows)| {
-                let mut starts = vec![0usize; steps.len()];
+        let rows = rows.into_iter();
+        let mut outs: Vec<(usize, &mut [f32])> = Vec::with_capacity(rows.size_hint().0);
+        let (mut rest, mut end) = (dst, 0);
+        for row in rows {
+            let (out, tail) = std::mem::take(&mut rest)[row - end..].split_at_mut(width);
+            outs.push((row, out));
+            (rest, end) = (tail, row + width);
+        }
+        let jobs = jobs_for(outs.len() * width * offsets.len());
+        if let [(row, _)] = outs[..] {
+            let segment = width.div_ceil(jobs).next_multiple_of(M_TILE);
+            let (_, out) = outs.pop().expect("one row");
+            outs = (row..)
+                .step_by(segment)
+                .zip(out.chunks_mut(segment))
+                .collect();
+        }
+        let per_job = outs.len().div_ceil(jobs);
+        let flags: Vec<bool> = outs
+            .par_chunks_mut(per_job)
+            .map(|job| {
+                let mut starts = vec![0usize; offsets.len()];
+                let mut partial = vec![0.0f32; if volume { width } else { 0 }];
                 let mut non_finite = false;
-                for (i, out_row) in out_rows.chunks_exact_mut(stride).enumerate() {
-                    let x = (job * rows_per_job + i + h) as isize;
-                    for (start, step) in starts.iter_mut().zip(steps) {
-                        *start =
-                            ((x + step.dx) * stride as isize + h as isize + step.dcol) as usize;
+                for (row, out) in job {
+                    for (start, &offset) in starts.iter_mut().zip(&offsets) {
+                        *start = row.wrapping_add_signed(offset);
                     }
-                    non_finite |= run_span(steps, &starts, src.data, &mut out_row[h..h + cols]);
+                    if !volume {
+                        non_finite |= run_span(schedules[0], &starts, src, out);
+                        continue;
+                    }
+                    let partial = &mut partial[..out.len()];
+                    out.fill(0.0);
+                    let mut left = &starts[..];
+                    for steps in &schedules {
+                        let (starts, tail) = left.split_at(steps.len());
+                        run_span(steps, starts, src, partial);
+                        for (o, &p) in out.iter_mut().zip(partial.iter()) {
+                            *o += p;
+                        }
+                        left = tail;
+                    }
+                    non_finite |= quantize_slice(out);
                 }
                 non_finite
             })
             .collect();
         flags.contains(&true)
+    }
+
+    // ---------------------------------------------------------------- 2D --
+
+    /// The emulated MMA path of one 2D sweep of `src` into `dst` (padded
+    /// storage of the same shape; only the interior is written), block by
+    /// block. Returns whether any output is non-finite.
+    pub(crate) fn emulate_2d(&self, plan: &SpiderPlan, src: &Grid2D<f32>, dst: &mut [f32]) -> bool {
+        let t = self.config.tiling;
+        let bg = BlockGrid::new(src.rows(), src.cols(), t.block_x, t.block_y);
+        (0..bg.num_blocks() as u64).fold(false, |non_finite, b| {
+            let (x0, x1, y0, y1) = bg.rect(b);
+            self.compute_block_2d(plan, src, x0, x1, y0, y1, dst) | non_finite
+        })
     }
 
     /// The counters of one 2D sweep over a `rows × cols` grid: the sum of
@@ -659,14 +666,14 @@ impl<'d> SpiderExecutor<'d> {
     fn compute_block_2d(
         &self,
         plan: &SpiderPlan,
-        src: PlaneRef<'_>,
+        src: &Grid2D<f32>,
         x0: usize,
         x1: usize,
         y0: usize,
         y1: usize,
         dst: &mut [f32],
     ) -> bool {
-        let (h, stride) = (src.halo, src.stride());
+        let (h, stride) = (src.halo(), src.stride());
         let mut non_finite = false;
         let mut ty = 0;
         while y0 + ty * M_TILE < y1 {
@@ -706,7 +713,7 @@ impl<'d> SpiderExecutor<'d> {
     fn mma_tile_2d(
         &self,
         unit: &PlanUnit,
-        src: PlaneRef<'_>,
+        src: &Grid2D<f32>,
         perm: &[usize; K_PAD],
         x_base: usize,
         y_base: usize,
@@ -748,41 +755,6 @@ impl<'d> SpiderExecutor<'d> {
     }
 
     // ---------------------------------------------------------------- 1D --
-
-    /// 1D counterpart of [`Self::step_2d`]: the schedule fans out over
-    /// 16-aligned output segments.
-    fn step_1d(
-        &self,
-        plan: &SpiderPlan,
-        src: &Grid1D<f32>,
-        dst: &mut Grid1D<f32>,
-        emulate: bool,
-    ) -> bool {
-        let (n, h) = (src.len(), src.halo());
-        let out = &mut dst.padded_mut()[h..h + n];
-        if emulate {
-            let t = self.config.tiling;
-            return (0..t.blocks_1d(n) as usize).fold(false, |non_finite, b| {
-                let t0 = b * t.block_1d;
-                let t1 = (t0 + t.block_1d).min(n);
-                self.compute_block_1d(plan, src, t0, t1, out) | non_finite
-            });
-        }
-        let steps = plan.tap_schedule(self.mode).steps();
-        let segment = n
-            .div_ceil(jobs_for(n * steps.len()))
-            .next_multiple_of(M_TILE);
-        let flags: Vec<bool> = out
-            .par_chunks_mut(segment)
-            .enumerate()
-            .map(|(job, out)| {
-                let i0 = (job * segment + h) as isize;
-                let starts: Vec<usize> = steps.iter().map(|s| (i0 + s.dcol) as usize).collect();
-                run_span(steps, &starts, src.padded(), out)
-            })
-            .collect();
-        flags.contains(&true)
-    }
 
     /// 1D counterpart of [`Self::charge_2d`].
     fn charge_1d(&self, plan: &SpiderPlan, n: usize) -> PerfCounters {
@@ -972,8 +944,8 @@ pub fn conflict_free_stride(need: usize) -> usize {
 /// outside the padded extent (only placeholder-slot B elements ever land
 /// there; they are multiplied by structural zeros).
 #[inline]
-fn sample_2d(src: PlaneRef<'_>, i: isize, j: isize) -> f32 {
-    let h = src.halo as isize;
+fn sample_2d(src: &Grid2D<f32>, i: isize, j: isize) -> f32 {
+    let h = src.halo() as isize;
     let pi = i + h;
     let pj = j + h;
     if pi < 0 || pj < 0 {
@@ -981,10 +953,10 @@ fn sample_2d(src: PlaneRef<'_>, i: isize, j: isize) -> f32 {
     }
     let (pi, pj) = (pi as usize, pj as usize);
     let stride = src.stride();
-    if pi >= src.rows + 2 * src.halo || pj >= stride {
+    if pi >= src.rows() + 2 * src.halo() || pj >= stride {
         return 0.0;
     }
-    src.data[pi * stride + pj]
+    src.padded()[pi * stride + pj]
 }
 
 #[inline]
@@ -1490,7 +1462,7 @@ mod tests {
                 // Whole 32×64 blocks and clipped edge blocks on both axes.
                 for (rows, cols) in [(64, 128), (50, 70), (41, 99)] {
                     let g = Grid2D::<f32>::random(rows, cols, r, 3);
-                    let (_, got) = exec.sweep_plane(&plan, &g).unwrap();
+                    let got = exec.charge_2d(&plan, rows, cols);
                     assert_eq!(
                         got,
                         oracle_step_2d(&exec, &plan, &g),

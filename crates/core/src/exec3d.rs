@@ -5,20 +5,21 @@
 //! A Box-3D kernel of radius `r` splits into `2r+1` 2D plane slices:
 //! `out[z] = Σ_dz stencil2d(k[dz], in[z+dz])`. Each slice compiles through
 //! the ordinary 2D pipeline (band → strided swap → 2:4), so the SpTC
-//! machinery — including the zero-cost row swap — is reused unchanged; the
-//! executor accumulates the per-slice partials plane by plane, reading each
-//! source plane in place from the volume's storage. Star-3D
-//! kernels work automatically: their off-center slices hold a single tap
-//! and compile to one-unit plans.
+//! machinery — including the zero-cost row swap — is reused unchanged. The
+//! executor runs a volume through the same row engine as 1D and 2D sweeps:
+//! each output row sums, in f32, the FP16 rows its slices compute from the
+//! source rows `dz` planes away, read in place from the volume's storage.
+//! Star-3D kernels work automatically: their off-center slices hold a
+//! single tap and compile to one-unit plans.
 
-use crate::exec::{any_non_finite, jobs_for, ExecMode, PlaneRef, SpiderExecutor};
+use crate::exec::{ExecMode, SpiderExecutor};
 use crate::plan::{PlanError, SpiderPlan};
-use rayon::prelude::*;
 use spider_gpu_sim::counters::PerfCounters;
 use spider_gpu_sim::half::quantize_slice;
 use spider_gpu_sim::timing::{KernelReport, LaunchDims};
 use spider_gpu_sim::GpuDevice;
 use spider_stencil::dim3::{Grid3D, Kernel3D};
+use spider_stencil::BoundaryCondition;
 
 /// Compiled 3D plan: one 2D plan per non-zero kernel slice, plus the source
 /// kernel for identity (fingerprinting, store validation, serialization).
@@ -103,7 +104,7 @@ impl Spider3DPlan {
     }
 }
 
-/// 3D executor: drives the 2D [`SpiderExecutor`] per plane slice.
+/// 3D executor: runs a volume's rows through the [`SpiderExecutor`]'s row engine.
 pub struct Spider3DExecutor<'d> {
     exec: SpiderExecutor<'d>,
 }
@@ -115,8 +116,11 @@ impl<'d> Spider3DExecutor<'d> {
         }
     }
 
-    /// A 3D executor with an explicit 2D executor configuration (tiling,
-    /// row-swap strategy) for its plane sweeps.
+    /// A 3D executor with an explicit executor configuration. 3D honours
+    /// `tiling` and `row_swap`; `measure_cap` bounds only `estimate_*`,
+    /// which 3D lacks; and as a run never refills the halo shell (every grid
+    /// constructor leaves it zero), [`Self::run`] refuses any `boundary` but
+    /// `DirichletZero`.
     pub fn with_config(
         device: &'d GpuDevice,
         mode: ExecMode,
@@ -127,9 +131,8 @@ impl<'d> Spider3DExecutor<'d> {
         }
     }
 
-    /// A 3D executor drawing its plane scratch from an existing
-    /// [`crate::pool::BufferPool`] — how `spider-runtime` keeps volume
-    /// sweeps allocation-free *across* requests, exactly like
+    /// A 3D executor drawing its scratch (the emulated path's partial
+    /// plane) from an existing [`crate::pool::BufferPool`], like
     /// [`SpiderExecutor::with_shared_pool`] does for planes.
     pub fn with_shared_pool(
         device: &'d GpuDevice,
@@ -145,17 +148,17 @@ impl<'d> Spider3DExecutor<'d> {
     /// Run `steps` sweeps of a 3D stencil, updating `grid` in place.
     ///
     /// The interior is quantized through FP16 on entry and after every
-    /// sweep; the halo shell is read as it is and never written. Output
-    /// plane `z` is the f32 sum, in slice order, of the FP16-quantized 2D
-    /// sweeps of source planes `z + dz` under slice plans `dz`, quantized
-    /// again. The planes of one step are independent, so a step fans out
-    /// once, over output planes (sized by work, as a 2D sweep fans out over
-    /// rows); the plane sweeps inside a job never spawn. Each slice sweep
-    /// reads its source plane in place, as a sub-slice of the volume's
-    /// storage. A step whose source volume holds a non-finite value
-    /// anywhere takes the emulated path; the halo shell is never quantized,
-    /// so a pass-raised flag would miss it, and the vectorized scan costs
-    /// about a microsecond per 10k values against a sweep's hundreds.
+    /// sweep; the halo shell is read as it is and never written. Output row
+    /// `(z, x)` is the f32 sum from +0, in slice order, of the FP16-quantized
+    /// 2D sweeps of source rows `(z + dz, x)` under slice plans `dz`,
+    /// quantized again: one call of the executor's row engine per step,
+    /// which fans out once, over rows, sized by work. A step whose source
+    /// volume holds a non-finite value anywhere takes the emulated path,
+    /// plane by plane; the halo shell is never quantized, so a pass-raised
+    /// flag would miss it, and the vectorized scan costs about a
+    /// microsecond per 10k values against a sweep's hundreds. Fails, leaving
+    /// the volume untouched, when the halo is narrower than the radius or
+    /// the boundary is not `DirichletZero`.
     ///
     /// Every step is modeled as **one batched launch**: each plane's report
     /// carries `1/planes` of the launch overhead and the occupancy ramp of
@@ -190,6 +193,9 @@ impl<'d> Spider3DExecutor<'d> {
         steps: usize,
         emulate: bool,
     ) -> Result<KernelReport, String> {
+        if self.exec.config().boundary != BoundaryCondition::DirichletZero {
+            return Err("3D runs read the halo as it is: only DirichletZero is supported".into());
+        }
         if grid.halo() < plan.radius() {
             return Err(format!(
                 "grid halo {} < stencil radius {}",
@@ -233,46 +239,39 @@ impl<'d> Spider3DExecutor<'d> {
             merged.merge_sequential(&plane_report)
         });
 
-        let mode = self.exec.mode();
-        let schedule_steps: usize = plan
+        let slices: Vec<(isize, &SpiderPlan)> = plan
             .slices()
             .iter()
-            .map(|(_, p)| p.tap_schedule(mode).steps().len())
-            .sum();
-        let per_job = planes.div_ceil(jobs_for(planes * rows * cols * schedule_steps));
+            .map(|(dz, p)| (dz * plane_len as isize, p))
+            .collect();
         let pool = self.exec.pool();
         let mut report: Option<KernelReport> = None;
         for _ in 0..steps.max(1) {
-            let src = grid.padded();
-            let emulate = emulate || any_non_finite(src);
-            next.padded_mut()[h * plane_len..(h + planes) * plane_len]
-                .par_chunks_mut(per_job * plane_len)
-                .enumerate()
-                .for_each(|(job, out_planes)| {
-                    let mut partial = pool.take(plane_len);
-                    for (k, out) in out_planes.chunks_exact_mut(plane_len).enumerate() {
-                        let z = job * per_job + k;
-                        interior_rows().for_each(|r| out[r].fill(0.0));
-                        for (dz, plan2d) in plan.slices() {
-                            let p = (z + h).wrapping_add_signed(*dz);
-                            let src_plane = PlaneRef {
-                                data: &src[p * plane_len..(p + 1) * plane_len],
-                                rows,
-                                cols,
-                                halo: h,
-                            };
-                            self.exec
-                                .step_2d(plan2d, src_plane, &mut partial, emulate, false);
-                            for r in interior_rows() {
-                                for (o, &v) in out[r.clone()].iter_mut().zip(&partial[r]) {
-                                    *o += v;
-                                }
+            let (src, dst) = (grid.padded(), next.padded_mut());
+            // A full scan, no early exit, so it vectorizes.
+            if emulate || src.iter().fold(false, |any, v| any | !v.is_finite()) {
+                let mut partial = pool.take(plane_len);
+                for z in 0..planes {
+                    let out = &mut dst[(z + h) * plane_len..][..plane_len];
+                    interior_rows().for_each(|r| out[r].fill(0.0));
+                    for (dz, plan2d) in plan.slices() {
+                        let src_plane = grid.plane_ext(z as isize + dz);
+                        self.exec.emulate_2d(plan2d, &src_plane, &mut partial);
+                        for r in interior_rows() {
+                            for (o, &v) in out[r.clone()].iter_mut().zip(&partial[r]) {
+                                *o += v;
                             }
                         }
-                        quantize_plane(out);
                     }
-                    pool.put(partial);
-                });
+                    quantize_plane(out);
+                }
+                pool.put(partial);
+            } else {
+                let out_rows = (h..h + planes)
+                    .flat_map(|z| interior_rows().map(move |r| z * plane_len + r.start));
+                self.exec
+                    .sweep_rows(out_rows, cols, stride, &slices, true, src, dst);
+            }
             std::mem::swap(grid, &mut next);
             report = Some(match report.take() {
                 None => step_report.clone(),
@@ -351,8 +350,10 @@ mod tests {
         );
     }
 
-    /// A step of at least two jobs' worth of step-points (its planes split
+    /// A step of at least two jobs' worth of step-points (its rows split
     /// across the cores when there are several) gives the emulation's bits.
+    /// The 8×128² split falls on a plane edge; the 7×120×128 one (4.84 M
+    /// step-points) falls inside plane 3, at row 60.
     #[test]
     fn steps_large_enough_to_split_match_the_emulation() {
         use crate::exec::MIN_JOB_STEP_POINTS;
@@ -363,15 +364,37 @@ mod tests {
             .iter()
             .map(|(_, p)| p.tap_schedule(ExecMode::SparseTcOptimized).steps().len())
             .sum();
-        let (planes, rows, cols) = (8, 128, 128);
-        assert!(planes * rows * cols * steps >= 2 * MIN_JOB_STEP_POINTS);
-        let mut fast = Grid3D::<f32>::random(planes, rows, cols, 1, 10);
-        let mut reference = fast.clone();
-        let exec = Spider3DExecutor::new(&dev, ExecMode::SparseTcOptimized);
-        exec.run(&plan, &mut fast, 1).unwrap();
-        exec.run_emulated(&plan, &mut reference, 1).unwrap();
+        for (planes, rows, cols) in [(8, 128, 128), (7, 120, 128)] {
+            assert!(planes * rows * cols * steps >= 2 * MIN_JOB_STEP_POINTS);
+            let mut fast = Grid3D::<f32>::random(planes, rows, cols, 1, 10);
+            let mut reference = fast.clone();
+            let exec = Spider3DExecutor::new(&dev, ExecMode::SparseTcOptimized);
+            exec.run(&plan, &mut fast, 1).unwrap();
+            exec.run_emulated(&plan, &mut reference, 1).unwrap();
+            let bits = |g: &Grid3D<f32>| g.padded().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&reference), "{planes}x{rows}x{cols}");
+        }
+    }
+
+    /// A 3D run reads the halo shell as it is, so it refuses every boundary
+    /// but `DirichletZero` and leaves the volume untouched.
+    #[test]
+    fn boundaries_other_than_dirichlet_zero_are_refused() {
+        let dev = GpuDevice::a100();
+        let plan = Spider3DPlan::compile(&Kernel3D::random_box(1, 3)).unwrap();
+        let grid = Grid3D::<f32>::random(4, 10, 12, 1, 4);
         let bits = |g: &Grid3D<f32>| g.padded().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&fast), bits(&reference));
+        for boundary in [BoundaryCondition::Periodic, BoundaryCondition::Reflect] {
+            let config = crate::exec::ExecConfig {
+                boundary,
+                ..Default::default()
+            };
+            let exec = Spider3DExecutor::with_config(&dev, ExecMode::SparseTcOptimized, config);
+            let mut g = grid.clone();
+            assert!(exec.run(&plan, &mut g, 2).is_err(), "{boundary:?}");
+            assert!(exec.run_emulated(&plan, &mut g, 2).is_err(), "{boundary:?}");
+            assert_eq!(bits(&g), bits(&grid), "{boundary:?}");
+        }
     }
 
     #[test]

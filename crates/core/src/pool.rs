@@ -1,7 +1,8 @@
 //! Scratch-buffer pool: the allocation-free backbone of the executor.
 //!
 //! A run needs grid-sized scratch: a destination grid for the ping-pong
-//! stepping, and for the 3D executor one slice-partial plane per job.
+//! stepping, and for the 3D executor's emulated path one slice-partial
+//! plane.
 //! Without the pool each run pays a fresh grid-sized allocation (and its
 //! page faults); at serving rates that is the "data-movement overhead"
 //! Casper identifies as the stencil bottleneck, spent in the allocator

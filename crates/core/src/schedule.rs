@@ -224,9 +224,11 @@ fn run_chunks<const C: usize>(steps: &[TapStep], starts: &[usize], src: &[f32], 
 mod tests {
     use super::*;
     use crate::exec::{ExecMode, SpiderExecutor};
+    use crate::exec3d::{Spider3DExecutor, Spider3DPlan};
     use crate::plan::SpiderPlan;
     use crate::swap::SwapParity;
     use spider_gpu_sim::GpuDevice;
+    use spider_stencil::dim3::{Grid3D, Kernel3D};
     use spider_stencil::shape::StencilShape;
     use spider_stencil::{Grid1D, Grid2D, StencilKernel};
 
@@ -431,7 +433,9 @@ mod tests {
 
     /// The schedule against the emulated MMA on every native radius of box,
     /// star and 1D kernels, both swap parities and all three modes, on odd
-    /// extents, outputs and counters bit for bit. Too slow for the default
+    /// extents, outputs and counters bit for bit; then volumes (box r1–r3,
+    /// the 7-point star and a kernel with one off-centre slice) on odd
+    /// extents, outputs and reports bit for bit. Too slow for the default
     /// run (tests/core_exec_properties.rs samples the same space).
     #[test]
     #[ignore = "exhaustive; run with --release -- --ignored"]
@@ -472,6 +476,35 @@ mod tests {
                         assert_eq!(bits(fast.padded()), bits(reference.padded()), "{what}");
                         assert_eq!(a.counters, b.counters, "{what}");
                     }
+                }
+            }
+        }
+        let upper = Kernel3D::random_box(1, 60);
+        let one_slice = Kernel3D::from_fn(1, |dz, dx, dy| match dz {
+            1 => upper.at(dz, dx, dy),
+            _ => 0.0,
+        });
+        let mut volumes: Vec<Kernel3D> = (1..=3)
+            .map(|r| Kernel3D::random_box(r, 60 + r as u64))
+            .collect();
+        volumes.extend([Kernel3D::star_7point(-6.0, 1.0), one_slice]);
+        for kernel in &volumes {
+            let plan = Spider3DPlan::compile(kernel).unwrap();
+            for (planes, rows, cols) in [(3, 5, 7), (4, 9, 13), (2, 17, 33)] {
+                let r = kernel.radius();
+                let grid =
+                    Grid3D::<f32>::random(planes, rows, cols, r, (planes * rows * cols) as u64);
+                for mode in MODES {
+                    let exec = Spider3DExecutor::new(&dev, mode);
+                    let (mut fast, mut reference) = (grid.clone(), grid.clone());
+                    let a = exec.run(&plan, &mut fast, 2).unwrap();
+                    let b = exec.run_emulated(&plan, &mut reference, 2).unwrap();
+                    let what = format!(
+                        "3D r{r} {} slices {mode:?} {planes}x{rows}x{cols}",
+                        plan.slices().len()
+                    );
+                    assert_eq!(bits(fast.padded()), bits(reference.padded()), "{what}");
+                    assert_eq!(a, b, "{what}");
                 }
             }
         }

@@ -110,12 +110,6 @@ impl PerfCounters {
         self.instructions += n.div_ceil(32); // one warp instruction per 32 lanes
     }
 
-    /// Record `n` scalar FP64 FMAs.
-    pub fn fma_f64(&mut self, n: u64) {
-        self.cuda_fma_f64 += n;
-        self.instructions += n.div_ceil(32);
-    }
-
     /// Record `n` generic non-memory, non-MMA instructions (address math…).
     pub fn alu(&mut self, n: u64) {
         self.instructions += n;

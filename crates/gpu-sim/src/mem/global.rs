@@ -37,12 +37,6 @@ pub fn record_read(c: &mut PerfCounters, addrs: &[Option<u64>], elem_bytes: u64)
     c.gmem_read(active * elem_bytes, sectors_touched(addrs, elem_bytes));
 }
 
-/// Record a warp-wide global write.
-pub fn record_write(c: &mut PerfCounters, addrs: &[Option<u64>], elem_bytes: u64) {
-    let active = addrs.iter().flatten().count() as u64;
-    c.gmem_write(active * elem_bytes, sectors_touched(addrs, elem_bytes));
-}
-
 /// Record a perfectly-coalesced bulk transfer of `count` elements (the common
 /// fast path: consecutive lanes read consecutive addresses, vectorized). One
 /// warp instruction is charged per 32 lanes.

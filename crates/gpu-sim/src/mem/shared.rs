@@ -97,17 +97,6 @@ impl<T: Copy + Default> SharedTile<T> {
         }
         lanes.iter().map(|o| o.map(|i| self.data[i])).collect()
     }
-
-    /// Uncounted access for test setup / verification.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Uncounted mutable access (bulk staging done by a different, already
-    /// counted mechanism — e.g. async global->shared copies).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
 }
 
 #[cfg(test)]

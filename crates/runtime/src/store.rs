@@ -187,11 +187,6 @@ impl PlanStore {
         &self.dir
     }
 
-    /// The retention policy this store enforces.
-    pub fn gc_policy(&self) -> StoreGcPolicy {
-        self.gc
-    }
-
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> StoreStats {
         *self.stats.lock()

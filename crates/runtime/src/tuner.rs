@@ -45,14 +45,6 @@ pub struct TuneOutcome {
     pub memoized: bool,
 }
 
-impl TuneOutcome {
-    /// Predicted speedup of the tuned config over the default (≥ 1 by
-    /// construction, modulo floating-point ties).
-    pub fn speedup_vs_default(&self) -> f64 {
-        self.default_time_s / self.predicted_time_s
-    }
-}
-
 /// Memoizing autotuner. One instance serves one device (the memo key does
 /// not include the GPU because a [`crate::SpiderRuntime`] owns exactly one).
 pub struct AutoTuner {

@@ -388,10 +388,6 @@ impl AlertEngine {
         }
     }
 
-    pub fn add_rule(&mut self, rule: AlertRule) {
-        self.rules.push(rule);
-    }
-
     pub fn rules(&self) -> &[AlertRule] {
         &self.rules
     }

@@ -23,6 +23,7 @@ use spider::core::SwapParity;
 use spider::gpu_sim::timing::KernelReport;
 use spider::prelude::*;
 use spider::stencil::dim3::{Grid3D, Kernel3D};
+use spider::stencil::fnv::Fnv1a;
 
 const MODES: [ExecMode; 3] = [
     ExecMode::DenseTc,
@@ -309,6 +310,169 @@ fn volume_with_a_non_finite_cell_is_bit_identical() {
         &halo_nan,
         1,
     );
+}
+
+/// FNV-1a over the bit patterns of padded values, as the input
+/// generator's golden test hashes them.
+fn hash(values: &[f32]) -> u64 {
+    let mut h = Fnv1a::new();
+    for v in values {
+        h.word(v.to_bits() as u64);
+    }
+    h.finish()
+}
+
+/// Outputs and reports pinned to values recorded before the 1D, 2D and 3D
+/// sweeps shared one row engine: per case, the hash of the output's padded
+/// storage and the bits of the report's `time_s`. The bit-identity tests
+/// compare the schedule with the emulation inside one build; these hold
+/// both to the recorded values. Identical in debug and release.
+#[test]
+fn outputs_and_reports_keep_their_golden_hashes() {
+    let dev = GpuDevice::a100();
+    let pin = |what: String, padded: &[f32], report: KernelReport, want: (u64, u64)| {
+        assert_eq!((hash(padded), report.time_s().to_bits()), want, "{what}");
+    };
+    let run_2d = |mode, kernel: &StencilKernel, mut g: Grid2D<f32>, steps| {
+        let plan = SpiderPlan::compile(kernel).unwrap();
+        let report = SpiderExecutor::new(&dev, mode)
+            .run_2d(&plan, &mut g, steps)
+            .unwrap();
+        (g, report)
+    };
+    let run_1d = |mode, kernel: &StencilKernel, mut g: Grid1D<f32>, steps| {
+        let plan = SpiderPlan::compile(kernel).unwrap();
+        let report = SpiderExecutor::new(&dev, mode)
+            .run_1d(&plan, &mut g, steps)
+            .unwrap();
+        (g, report)
+    };
+    let run_3d = |mode, kernel: &Kernel3D, mut g: Grid3D<f32>, steps| {
+        let plan = Spider3DPlan::compile(kernel).unwrap();
+        let report = Spider3DExecutor::new(&dev, mode)
+            .run(&plan, &mut g, steps)
+            .unwrap();
+        (g, report)
+    };
+
+    let box2 = StencilKernel::random(StencilShape::box_2d(2), 5);
+    let line = StencilKernel::random(StencilShape::d1(3), 6);
+    let wants_2d = [
+        (0xd9fb5c1bee736df5, 0x3ee623bb752e8865),
+        (0x47b85b00ee7fdad5, 0x3ee351b30c292a54),
+        (0x47b85b00ee7fdad5, 0x3ee2ec9d63db9d29),
+    ];
+    let wants_1d = [
+        (0x1a9a2337435f156b, 0x3ee1575fb5b7005d),
+        (0x1a9a2337435f156b, 0x3ee1574bc3a622c4),
+        (0x1a9a2337435f156b, 0x3ee1574bc3a622c4),
+    ];
+    for (i, mode) in MODES.into_iter().enumerate() {
+        let (g, r) = run_2d(mode, &box2, Grid2D::random(37, 53, 2, 0xC0FFEE), 2);
+        pin(format!("2D {mode:?}"), g.padded(), r, wants_2d[i]);
+        let (g, r) = run_1d(mode, &line, Grid1D::random(1001, 3, 7), 2);
+        pin(format!("1D {mode:?}"), g.padded(), r, wants_1d[i]);
+    }
+
+    let volumes = [
+        (
+            Kernel3D::random_box(1, 41),
+            (4, 9, 13),
+            [
+                (0x82cb2c151cadf1d9, 0x3ee5865a064a5ce4),
+                (0x82cb2c151cadf1d9, 0x3ee2ab4b1bf4eda6),
+                (0x82cb2c151cadf1d9, 0x3ee249d1a76100f3),
+            ],
+        ),
+        (
+            Kernel3D::random_box(2, 42),
+            (3, 11, 17),
+            [
+                (0x2f7d6e7e45321eff, 0x3ee8ed8788347064),
+                (0x76539ad7063c0e3f, 0x3ee42b1956fb61a7),
+                (0x76539ad7063c0e3f, 0x3ee38084caf8836e),
+            ],
+        ),
+        (
+            Kernel3D::star_7point(-6.0, 1.0),
+            (6, 8, 19),
+            [
+                (0xb943b413334f4819, 0x3ee36fc3eaef16bf),
+                (0xb943b413334f4819, 0x3ee1d99f2fdc11d5),
+                (0xb943b413334f4819, 0x3ee1a8e275921b7c),
+            ],
+        ),
+    ];
+    for (kernel, (p, r, c), wants) in &volumes {
+        for (mode, want) in MODES.into_iter().zip(wants) {
+            let g = Grid3D::random(*p, *r, *c, kernel.radius(), 9);
+            let (g, report) = run_3d(mode, kernel, g, 2);
+            pin(
+                format!("3D {p}x{r}x{c} {mode:?}"),
+                g.padded(),
+                report,
+                *want,
+            );
+        }
+    }
+
+    let opt = ExecMode::SparseTcOptimized;
+    let mut g = Grid3D::random(6, 20, 21, 1, 52);
+    g.set(2, 5, 9, f32::INFINITY);
+    let (g, r) = run_3d(opt, &Kernel3D::random_box(1, 51), g, 2);
+    let want = (0xeab973a19ce9643f, 0x3ee2a227b9070f75);
+    pin("3D non-finite".into(), g.padded(), r, want);
+
+    // Sweeps large enough to split into jobs on a multi-core host.
+    let (g, r) = run_2d(
+        opt,
+        &StencilKernel::heat_2d(0.1),
+        Grid2D::random(600, 1000, 1, 80),
+        1,
+    );
+    let want = (0x87bd8e13d6fe3c50, 0x3ed6d9d6b3d0756b);
+    pin("2D split".into(), g.padded(), r, want);
+    let (g, r) = run_1d(
+        opt,
+        &StencilKernel::wave_1d(2),
+        Grid1D::random(1 << 19, 2, 81),
+        1,
+    );
+    let want = (0xb06473cdadeba03e, 0x3ed5573be1d14fb2);
+    pin("1D split".into(), g.padded(), r, want);
+    let (g, r) = run_3d(
+        opt,
+        &Kernel3D::random_box(1, 9),
+        Grid3D::random(8, 128, 128, 1, 10),
+        1,
+    );
+    let want = (0x81772ebd9b93c204, 0x3ed53df2af599f11);
+    pin("3D split".into(), g.padded(), r, want);
+}
+
+/// A volume whose kernel has one non-zero slice still sums its rows from
+/// +0: each output here is a tiny sum that quantizes to ±0, and a −0 slice
+/// output must come out as `+0 + (−0)`, which is +0.
+#[test]
+fn one_slice_volume_sums_from_positive_zero() {
+    let kernel = Kernel3D::from_fn(1, |dz, dx, dy| match (dz, dx, dy) {
+        (0, 0, 0) => -1e-3,
+        (0, 0, 1) => 2e-3,
+        _ => 0.0,
+    });
+    let plan = Spider3DPlan::compile(&kernel).unwrap();
+    assert_eq!(plan.slices().len(), 1);
+    let grid = Grid3D::<f32>::from_fn(3, 5, 20, 1, |_, _, _| 1e-5);
+    let dev = GpuDevice::a100();
+    let exec = Spider3DExecutor::new(&dev, ExecMode::SparseTcOptimized);
+    let (mut fast, mut reference) = (grid.clone(), grid);
+    exec.run(&plan, &mut fast, 1).unwrap();
+    exec.run_emulated(&plan, &mut reference, 1).unwrap();
+    assert!(
+        fast.padded().iter().all(|v| v.to_bits() == 0),
+        "every value is +0"
+    );
+    assert_eq!(bits(fast.padded()), bits(reference.padded()));
 }
 
 struct Collect(Vec<KernelReport>);
