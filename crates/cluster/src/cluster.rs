@@ -225,12 +225,13 @@ struct ClusterState {
     /// request completes — deliberately: [`SpiderCluster::poll`] must keep
     /// resolving old tickets, exactly like the per-device scheduler keeps
     /// its terminal slots for `poll`/`drain` (drain reports are cumulative
-    /// by design). The rebalance path never walks this map.
+    /// by design). No move walks this map: they go through `device_order`.
     pending: HashMap<u64, Pending>,
-    /// Per-slot cluster-ticket seqs in submission order — the rebalance
-    /// working set. Unlike `pending`, this *is* pruned: each rebalance
-    /// pass drops entries that moved away or reached a terminal state, so
-    /// steal planning scans live queues, not lifetime history.
+    /// Per-slot cluster-ticket seqs in the order they arrived there — what
+    /// steals and drains walk ([`SpiderCluster::queued`]) and what a kill
+    /// maps its tickets through. Unlike `pending`, this *is* pruned: each
+    /// walk drops entries that moved away or reached a terminal state, and
+    /// a kill empties its slot's list.
     device_order: Vec<Vec<u64>>,
     next_seq: u64,
     /// Per-slot router assignment counts (kept for departed slots too —
@@ -254,6 +255,66 @@ struct ClusterState {
     /// Armed fault-injection plan (see [`FaultPlan`]).
     faults: Option<FaultPlan>,
     first_submit: Option<Instant>,
+}
+
+/// What a move through [`SpiderCluster::place`] counts as.
+#[derive(Debug, Clone, Copy)]
+enum Move {
+    /// Work stealing off the device at fleet position `from`: a chunk
+    /// keeps its destination while that holds fewer than `fill` requests.
+    Steal { from: usize, fill: usize },
+    /// An unstarted request leaving a draining or dead device.
+    Requeue,
+    /// An in-flight casualty's next attempt after a device loss.
+    Retry,
+}
+
+/// The devices a move may land on — routable, neither draining nor
+/// departed, in slot order — with their queue depths as the moves so far
+/// left them.
+struct Fleet {
+    slots: Vec<usize>,
+    depths: Vec<usize>,
+}
+
+impl Fleet {
+    fn serving(m: &Membership) -> Self {
+        let slots: Vec<usize> = m
+            .routable
+            .iter()
+            .copied()
+            .filter(|&s| !m.slots[s].draining() && !m.slots[s].departed())
+            .collect();
+        let depths = slots
+            .iter()
+            .map(|&s| m.slots[s].scheduler.queue_depth())
+            .collect();
+        Self { slots, depths }
+    }
+
+    /// Position of the least-loaded device other than `skip` (ties: the
+    /// lowest slot).
+    fn least_loaded(&self, skip: Option<usize>) -> Option<usize> {
+        (0..self.slots.len())
+            .filter(|&i| Some(i) != skip)
+            .min_by_key(|&i| (self.depths[i], i))
+    }
+}
+
+/// Group `items` by plan key, each group in input order, largest group
+/// first (ties: lowest key) — the shape every move takes, so requests that
+/// coalesce into one launch move together.
+fn key_chunks<T>(items: Vec<T>, key: impl Fn(&T) -> u64) -> Vec<Vec<T>> {
+    let mut chunks: Vec<(u64, Vec<T>)> = Vec::new();
+    for item in items {
+        let k = key(&item);
+        match chunks.iter_mut().find(|(c, _)| *c == k) {
+            Some((_, chunk)) => chunk.push(item),
+            None => chunks.push((k, vec![item])),
+        }
+    }
+    chunks.sort_by_key(|(k, chunk)| (std::cmp::Reverse(chunk.len()), *k));
+    chunks.into_iter().map(|(_, chunk)| chunk).collect()
 }
 
 /// Multi-device sharded serving: one [`SpiderRuntime`] + [`SpiderScheduler`]
@@ -539,45 +600,33 @@ impl SpiderCluster {
     /// landed (or died) on a device whose recovery sweep could not see it
     /// yet. Requeue or retry it through the same paths the sweep uses.
     fn rescue(&self, seq: u64) {
-        let m = self.read_membership();
-        let mut st = self.lock();
-        let Some(p) = st.pending.get(&seq) else {
-            return;
+        let (unplaced, kind) = {
+            let m = self.read_membership();
+            let mut st = self.lock();
+            let Some(p) = st.pending.get_mut(&seq) else {
+                return;
+            };
+            let dev = &m.slots[p.device];
+            if !dev.departed() {
+                return;
+            }
+            let (req, kind) = match dev.scheduler.peek(p.ticket) {
+                // Cancelled by the kill sweep before it ever started:
+                // requeue exactly-once (the sweep didn't know this seq, so
+                // only we can).
+                RequestStatus::Cancelled => (p.req.clone(), Move::Requeue),
+                // Died mid-flight: retry under the policy.
+                RequestStatus::Failed { .. } => match self.retry(p) {
+                    Some(req) => (req, Move::Retry),
+                    None => return,
+                },
+                _ => return,
+            };
+            let mut fleet = Fleet::serving(&m);
+            let unplaced = self.place(&m, &mut st, &mut fleet, vec![(seq, req)], kind);
+            (unplaced, kind)
         };
-        let dev = Arc::clone(&m.slots[p.device]);
-        if !dev.departed() {
-            return;
-        }
-        match dev.scheduler.peek(p.ticket) {
-            // Cancelled by the kill sweep before it ever started: requeue
-            // exactly-once (the sweep didn't know this seq, so only we
-            // can).
-            RequestStatus::Cancelled => {
-                let req = p.req.clone();
-                let unplaced = self.place_on_survivors(&m, &mut st, vec![(seq, req)], false);
-                drop(st);
-                drop(m);
-                self.place_blocking(unplaced, false);
-            }
-            // Died mid-flight: retry under the policy.
-            RequestStatus::Failed { .. } => {
-                let attempts = p.attempts;
-                if attempts < self.options.retry.max_attempts {
-                    // Stamp the retry's lifecycle events with its attempt
-                    // index so the chained timeline keeps both lives
-                    // (attempt never feeds plan_key — same plan, same
-                    // tiling, bit-identical outcome).
-                    let p = st.pending.get_mut(&seq).expect("entry exists"); // guard: seq taken from pending under this same lock
-                    p.req.attempt = attempts + 1;
-                    let req = p.req.clone();
-                    let unplaced = self.place_on_survivors(&m, &mut st, vec![(seq, req)], true);
-                    drop(st);
-                    drop(m);
-                    self.place_blocking(unplaced, true);
-                }
-            }
-            _ => {}
-        }
+        self.place_blocking(unplaced, kind);
     }
 
     /// Current status of a cluster ticket (resolved against whichever
@@ -603,20 +652,17 @@ impl SpiderCluster {
         }
     }
 
-    /// Consume one injected steal-placement fault, if armed.
-    fn take_steal_fault(st: &mut ClusterState) -> bool {
-        st.faults.as_mut().is_some_and(|f| f.take_steal_fault())
-    }
-
-    /// One work-stealing pass: find devices whose queue depth exceeds
-    /// [`ClusterOptions::steal_skew`] × the mean depth and move their
-    /// excess down to the mean. Returns the number of requests moved.
+    /// One work-stealing pass: every serving device whose queue depth
+    /// reaches [`ClusterOptions::steal_skew`] × the mean depth gives its
+    /// excess, down to the mean, to the rest of the fleet. Returns the
+    /// number of requests that changed device.
     ///
-    /// Stealing is **plan-key-aware**: the overloaded device's queued
-    /// requests are grouped by plan key and moved in per-key chunks
-    /// (largest keys first, each chunk filling one destination up to the
-    /// mean before the next destination is picked), not as individual
-    /// requests. Requests that share a plan key and land on one device
+    /// Stealing is **plan-key-aware**: a source gives its largest keys
+    /// first, each key's youngest requests first (what stays behind keeps
+    /// its arrival order), and the stolen requests go through the one
+    /// placement path every cross-device move takes: per-key chunks, each
+    /// filling the least-loaded device up to the mean before the next is
+    /// picked. Requests that share a plan key and land on one device
     /// coalesce into one batched launch there — the throughput the whole
     /// affinity design exists to protect — so a steal that scattered a
     /// key's requests one-by-one across the fleet would flatten queue
@@ -626,232 +672,149 @@ impl SpiderCluster {
     /// Mechanically it is cancel-and-requeue, built on the scheduler's
     /// guarantee that [`SpiderScheduler::cancel`] returns `true` only for
     /// requests that have not started — a moved request executes exactly
-    /// once, on its new device. Resubmission uses the *non-blocking*
-    /// [`SpiderScheduler::try_submit`] (a blocking submit here, while
-    /// holding the cluster's own lock, could park on a full destination
-    /// queue and freeze every other cluster operation) and falls back
-    /// through every candidate with room — the source's just-freed slot
-    /// last. Only when every queue in the fleet is simultaneously full
-    /// does a stolen request stay cancelled; that is counted in
-    /// [`ClusterReport::steal_failures`] rather than silently swallowed.
+    /// once, on its new device. Placement uses the *non-blocking*
+    /// [`SpiderScheduler::try_submit`] and falls through every other
+    /// device, the source's own queue last: a request that finds room
+    /// only there returns to the tail of its source's queue. Only when
+    /// every queue in the fleet is full at once does a stolen request stay
+    /// cancelled; that is counted in [`ClusterReport::steal_failures`]
+    /// rather than silently swallowed.
     ///
     /// Draining and departed devices are neither sources nor destinations.
     pub fn rebalance(&self) -> usize {
         let m = self.read_membership();
-        // Steal candidates: routable, not draining.
-        let cands: Vec<usize> = m
-            .routable
-            .iter()
-            .copied()
-            .filter(|&s| !m.slots[s].draining())
-            .collect();
-        if cands.len() < 2 {
+        let mut fleet = Fleet::serving(&m);
+        if fleet.slots.len() < 2 {
             return 0;
         }
         let mut st = self.lock();
-        let mut depths: Vec<usize> = cands
-            .iter()
-            .map(|&s| m.slots[s].scheduler.queue_depth())
-            .collect();
-        let total: usize = depths.iter().sum();
-        let mean = (total as f64 / depths.len() as f64).max(1.0);
+        let steals = st.steals;
+        let total: usize = fleet.depths.iter().sum();
+        let mean = (total as f64 / fleet.slots.len() as f64).max(1.0);
         let threshold = mean * self.options.steal_skew.max(1.0);
-        let target = mean.ceil() as usize;
-        let mut moved = 0usize;
-        'sources: for src_pos in 0..cands.len() {
-            let src = cands[src_pos];
-            if (depths[src_pos] as f64) < threshold {
+        let fill = mean.ceil() as usize;
+        for from in 0..fleet.slots.len() {
+            if (fleet.depths[from] as f64) < threshold {
                 continue;
             }
-            // Group this device's *currently queued* submissions by plan
-            // key (submission order kept within each group), pruning
-            // `device_order` as we go: entries that moved away or reached
-            // a terminal state are dropped so repeated rebalances neither
-            // rescan a long-lived cluster's full history nor rank keys by
-            // historical popularity instead of present queue depth.
-            let mut by_key: Vec<(u64, Vec<u64>)> = Vec::new();
-            let mut live = Vec::with_capacity(depths[src_pos]);
-            for &seq in &st.device_order[src] {
-                let Some(p) = st.pending.get(&seq) else {
-                    continue;
-                };
-                if p.device != src {
-                    continue; // moved away: no longer this device's entry
-                }
-                let status = m.slots[src].scheduler.peek(p.ticket);
-                if status.is_terminal() {
-                    continue; // done/failed/cancelled: prune
-                }
-                live.push(seq);
-                if !matches!(status, RequestStatus::Queued { .. }) {
-                    continue; // running: not stealable, but still live
-                }
-                let key = p.req.plan_key();
-                match by_key.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, seqs)) => seqs.push(seq),
-                    None => by_key.push((key, vec![seq])),
-                }
-            }
-            st.device_order[src] = live;
-            // Largest keys first: maximizes whole-group moves.
-            by_key.sort_by_key(|(k, seqs)| (std::cmp::Reverse(seqs.len()), *k));
-            for (_, seqs) in by_key {
-                if depths[src_pos] <= target {
-                    break;
-                }
-                // Chunk destination: the least-loaded other device, kept
-                // until it fills to the mean. The chunk takes the key's
-                // *youngest* members (queued tail), so whatever stays
-                // behind keeps its arrival order.
-                let mut chunk_dest: Option<usize> = None;
-                for &seq in seqs.iter().rev() {
-                    if depths[src_pos] <= target {
-                        break;
-                    }
-                    let dest_pos = match chunk_dest {
-                        Some(d) if depths[d] < target => d,
-                        _ => {
-                            let d = depths
-                                .iter()
-                                .enumerate()
-                                .filter(|&(i, _)| i != src_pos)
-                                .min_by_key(|&(i, &d)| (d, i))
-                                .map(|(i, _)| i)
-                                .expect("at least two candidates"); // guard: cands.len() >= 2 checked at function entry
-                            chunk_dest = Some(d);
-                            d
-                        }
-                    };
-                    let Some(p) = st.pending.get(&seq) else {
-                        continue;
-                    };
-                    if p.device != src {
-                        continue; // defensive: moved since grouping
-                    }
-                    if !m.slots[src].scheduler.cancel(p.ticket) {
-                        continue; // dispatched since grouping: not stealable
-                    }
-                    depths[src_pos] -= 1;
-                    // Placement: the chunk's pinned destination first, then
-                    // any other candidate with room, the source's freed
-                    // slot last. try_submit never parks, so holding the
-                    // cluster lock here is safe. An injected steal fault
-                    // makes the pinned destination refuse — the fall-
-                    // through must absorb it.
-                    let mut order: Vec<usize> = (0..cands.len())
-                        .filter(|&i| i != src_pos && i != dest_pos)
-                        .collect();
-                    order.sort_by_key(|&i| (depths[i], i));
-                    if Self::take_steal_fault(&mut st) {
-                        order.push(dest_pos); // preferred dest refused: last resort
-                    } else {
-                        order.insert(0, dest_pos);
-                    }
-                    order.push(src_pos);
-                    let req = st.pending.get(&seq).expect("entry exists").req.clone(); // guard: seq survived the pending.get() probe just above
-                    let placed = order.into_iter().find_map(|i| {
-                        m.slots[cands[i]]
-                            .scheduler
-                            .try_submit(req.clone())
-                            .ok()
-                            .map(|ticket| (i, ticket))
-                    });
-                    match placed {
-                        Some((i, ticket)) => {
-                            let d = cands[i];
-                            let p = st.pending.get_mut(&seq).expect("entry exists"); // guard: same entry fetched two statements earlier
-                            p.history.push((p.device, p.ticket));
-                            p.device = d;
-                            p.ticket = ticket;
-                            if d != src {
-                                // (the source's order already holds `seq`;
-                                // re-pushing it would create a duplicate a
-                                // later pass could double-cancel on)
-                                st.device_order[d].push(seq);
-                            }
-                            depths[i] += 1;
-                            if d == src {
-                                // Every other queue was full: the request
-                                // went back where it came from (losing only
-                                // its queue position). No progress — stop
-                                // stealing from this device.
-                                continue 'sources;
-                            }
-                            st.steals += 1;
-                            moved += 1;
-                        }
-                        None => {
-                            // The whole fleet's queues are full (the freed
-                            // source slot included — a racing submitter
-                            // took it). The request stays Cancelled;
-                            // surfaced in the report rather than swallowed.
-                            st.steal_failures += 1;
-                        }
-                    }
-                }
-            }
+            let slot = fleet.slots[from];
+            let dev = &m.slots[slot];
+            let queued = Self::queued(&mut st, dev, slot);
+            let items: Vec<(u64, StencilRequest)> =
+                key_chunks(queued, |seq| st.pending[seq].req.plan_key())
+                    .into_iter()
+                    .flat_map(|chunk| chunk.into_iter().rev())
+                    .filter_map(|seq| Self::cancel_for_move(&st, dev, seq))
+                    .take(fleet.depths[from].saturating_sub(fill))
+                    .collect();
+            fleet.depths[from] -= items.len();
+            let unplaced = self.place(&m, &mut st, &mut fleet, items, Move::Steal { from, fill });
+            st.steal_failures += unplaced.len() as u64;
         }
+        let moved = (st.steals - steals) as usize;
         if moved > 0 {
             st.rebalances += 1;
         }
         moved
     }
 
-    /// Place `(seq, req)` pairs onto non-draining routable survivors in
-    /// plan-key chunks (largest keys first, chunk destination = least
-    /// loaded, pinned per chunk). Placement is non-blocking; pairs no
-    /// destination had room for come back for [`Self::place_blocking`].
-    /// `retry` selects which counters the placements bump (requeue vs
-    /// retry) and whether an attempt is consumed.
-    fn place_on_survivors(
+    /// The one walk of a slot's queued requests. It prunes the slot's
+    /// order list — entries that moved away or reached a terminal state
+    /// drop out, so walks scan live queues, not lifetime history — and
+    /// returns the still-queued seqs, oldest first. Running requests stay
+    /// listed but are not returned: they cannot move.
+    fn queued(st: &mut ClusterState, dev: &ClusterDevice, slot: usize) -> Vec<u64> {
+        let mut queued = Vec::new();
+        let mut order = std::mem::take(&mut st.device_order[slot]);
+        order.retain(|&seq| {
+            let Some(p) = st.pending.get(&seq).filter(|p| p.device == slot) else {
+                return false;
+            };
+            match dev.scheduler.peek(p.ticket) {
+                RequestStatus::Queued { .. } => {
+                    queued.push(seq);
+                    true
+                }
+                status => !status.is_terminal(),
+            }
+        });
+        st.device_order[slot] = order;
+        queued
+    }
+
+    /// Cancel `seq` on `dev` for a move: `Some` only when the cancel
+    /// proves the request never started there, so it runs exactly once.
+    fn cancel_for_move(
+        st: &ClusterState,
+        dev: &ClusterDevice,
+        seq: u64,
+    ) -> Option<(u64, StencilRequest)> {
+        let p = &st.pending[&seq];
+        dev.scheduler.cancel(p.ticket).then(|| (seq, p.req.clone()))
+    }
+
+    /// The one retry decision for an in-flight casualty of a device loss:
+    /// within [`ClusterOptions::retry`]'s budget, stamp the next attempt on
+    /// the request and return it for placement (`attempt` never feeds
+    /// `plan_key`, so the retry is bit-identical, and the chained timeline
+    /// keeps both lives); past the budget, `None` — the failure stays
+    /// surfaced.
+    fn retry(&self, p: &mut Pending) -> Option<StencilRequest> {
+        (p.attempts < self.options.retry.max_attempts).then(|| {
+            p.req.attempt = p.attempts + 1;
+            p.req.clone()
+        })
+    }
+
+    /// The one placement path: every request that changes device — a
+    /// steal, a drain's or kill's requeue, a device-loss retry, a rescue —
+    /// comes here, already cancelled (or dead) where it was.
+    ///
+    /// Requests move in plan-key chunks, largest first. A chunk goes to
+    /// the least-loaded device of `fleet` (never the steal's source) and
+    /// stays there while that device holds fewer than the move's fill
+    /// bound — the mean for steals, unbounded for evacuations — then
+    /// moves on to the next least-loaded one. A request its destination
+    /// refuses, or an injected steal fault diverts, falls through to the
+    /// other devices, least loaded first, and last to the steal's source.
+    /// `try_submit` never parks, so this runs under the cluster lock;
+    /// what found no room anywhere is returned.
+    fn place(
         &self,
         m: &Membership,
         st: &mut ClusterState,
+        fleet: &mut Fleet,
         items: Vec<(u64, StencilRequest)>,
-        retry: bool,
+        kind: Move,
     ) -> Vec<(u64, StencilRequest)> {
-        let dests: Vec<usize> = m
-            .routable
-            .iter()
-            .copied()
-            .filter(|&s| !m.slots[s].draining() && !m.slots[s].departed())
-            .collect();
-        if dests.is_empty() {
-            return items;
-        }
-        let mut depths: Vec<usize> = dests
-            .iter()
-            .map(|&s| m.slots[s].scheduler.queue_depth())
-            .collect();
-        // Plan-key chunks, largest first — the same coalescing-preserving
-        // shape the steal path uses.
-        let mut by_key: Vec<(u64, Vec<(u64, StencilRequest)>)> = Vec::new();
-        for (seq, req) in items {
-            let key = req.plan_key();
-            match by_key.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => v.push((seq, req)),
-                None => by_key.push((key, vec![(seq, req)])),
-            }
-        }
-        by_key.sort_by_key(|(k, v)| (std::cmp::Reverse(v.len()), *k));
+        let (from, fill) = match kind {
+            Move::Steal { from, fill } => (Some(from), fill),
+            Move::Requeue | Move::Retry => (None, usize::MAX),
+        };
         let mut unplaced = Vec::new();
-        for (_, chunk) in by_key {
-            let dest_pos = depths
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, &d)| (d, i))
-                .map(|(i, _)| i)
-                .expect("non-empty dests"); // guard: dests verified non-empty before this point
+        for chunk in key_chunks(items, |(_, req)| req.plan_key()) {
+            let mut dest = None;
             for (seq, req) in chunk {
-                let mut order: Vec<usize> = (0..dests.len()).filter(|&i| i != dest_pos).collect();
-                order.sort_by_key(|&i| (depths[i], i));
-                if Self::take_steal_fault(st) {
-                    order.push(dest_pos);
+                let Some(d) = dest
+                    .filter(|&d| fleet.depths[d] < fill)
+                    .or_else(|| fleet.least_loaded(from))
+                else {
+                    unplaced.push((seq, req));
+                    continue;
+                };
+                dest = Some(d);
+                let mut order: Vec<usize> = (0..fleet.slots.len())
+                    .filter(|&i| i != d && Some(i) != from)
+                    .collect();
+                order.sort_by_key(|&i| (fleet.depths[i], i));
+                if st.faults.as_mut().is_some_and(|f| f.take_steal_fault()) {
+                    order.push(d);
                 } else {
-                    order.insert(0, dest_pos);
+                    order.insert(0, d);
                 }
+                order.extend(from);
                 let placed = order.into_iter().find_map(|i| {
-                    m.slots[dests[i]]
+                    m.slots[fleet.slots[i]]
                         .scheduler
                         .try_submit(req.clone())
                         .ok()
@@ -859,9 +822,8 @@ impl SpiderCluster {
                 });
                 match placed {
                     Some((i, ticket)) => {
-                        let d = dests[i];
-                        depths[i] += 1;
-                        self.commit_move(st, seq, d, ticket, retry);
+                        fleet.depths[i] += 1;
+                        Self::commit_move(st, seq, fleet.slots[i], ticket, kind);
                     }
                     None => unplaced.push((seq, req)),
                 }
@@ -870,69 +832,60 @@ impl SpiderCluster {
         unplaced
     }
 
-    /// Re-point a pending entry at its new device and bump the recovery
-    /// counters.
-    fn commit_move(
-        &self,
-        st: &mut ClusterState,
-        seq: u64,
-        device: usize,
-        ticket: Ticket,
-        retry: bool,
-    ) {
+    /// Re-point a moved request's entry at its new device and count the
+    /// move.
+    fn commit_move(st: &mut ClusterState, seq: u64, device: usize, ticket: Ticket, kind: Move) {
         let p = st.pending.get_mut(&seq).expect("pending entry exists"); // guard: callers pass a seq they just found in pending
+        let home = p.device == device;
         p.history.push((p.device, p.ticket));
         p.device = device;
         p.ticket = ticket;
-        st.device_order[device].push(seq);
-        if retry {
-            p.attempts += 1;
-            st.retried += 1;
-        } else {
-            st.requeued += 1;
+        match kind {
+            // Back on its own source: no steal, and the source's order
+            // list still holds it.
+            Move::Steal { .. } if home => return,
+            Move::Steal { .. } => st.steals += 1,
+            Move::Requeue => st.requeued += 1,
+            Move::Retry => {
+                p.attempts += 1;
+                st.retried += 1;
+            }
         }
+        st.device_order[device].push(seq);
     }
 
-    /// Blocking fallback for pairs [`Self::place_on_survivors`] found no
-    /// room for: park on the least-loaded live destination with **no**
-    /// cluster lock held. Extremely rare — it needs every survivor queue
-    /// simultaneously full — but "every queue full" must degrade to
-    /// waiting, never to losing a request.
-    fn place_blocking(&self, unplaced: Vec<(u64, StencilRequest)>, retry: bool) {
+    /// The one blocking fallback, for requests [`Self::place`] found no
+    /// room for: park on the least-loaded serving device with **no**
+    /// cluster lock held. Extremely rare — it needs every serving queue
+    /// full at once — but "every queue full" must degrade to waiting,
+    /// never to losing a request.
+    fn place_blocking(&self, unplaced: Vec<(u64, StencilRequest)>, kind: Move) {
         for (seq, req) in unplaced {
-            loop {
-                let dev = {
+            let placed = loop {
+                let dest = {
                     let m = self.read_membership();
-                    m.routable
-                        .iter()
-                        .copied()
-                        .filter(|&s| !m.slots[s].draining() && !m.slots[s].departed())
-                        .min_by_key(|&s| (m.slots[s].scheduler.queue_depth(), s))
-                        .map(|s| (s, Arc::clone(&m.slots[s])))
+                    let fleet = Fleet::serving(&m);
+                    fleet
+                        .least_loaded(None)
+                        .map(|i| (fleet.slots[i], Arc::clone(&m.slots[fleet.slots[i]])))
                 };
-                let Some((slot, dev)) = dev else {
-                    // No survivor at all (concurrent drains raced the
-                    // LastDevice guard): surface as a steal failure.
-                    self.lock().steal_failures += 1;
-                    break;
+                let Some((slot, dev)) = dest else {
+                    break None;
                 };
                 match dev.scheduler.submit(req.clone()) {
-                    Ok(ticket) => {
-                        let m = self.read_membership();
-                        let mut st = self.lock();
-                        self.commit_move(&mut st, seq, slot, ticket, retry);
-                        drop(st);
-                        drop(m);
-                        break;
-                    }
+                    Ok(ticket) => break Some((slot, ticket)),
                     Err(SubmitError::ShuttingDown) => continue, // died meanwhile: re-pick
-                    Err(_) => {
-                        // Policy refusal (reject/shed/quota): the request
-                        // stays cancelled — counted, not swallowed.
-                        self.lock().steal_failures += 1;
-                        break;
-                    }
+                    Err(_) => break None,
                 }
+            };
+            let mut st = self.lock();
+            match placed {
+                Some((slot, ticket)) => Self::commit_move(&mut st, seq, slot, ticket, kind),
+                // No survivor at all (concurrent drains raced the
+                // LastDevice guard) or a policy refusal (reject, shed,
+                // quota): the request stays cancelled — counted, not
+                // swallowed.
+                None => st.steal_failures += 1,
             }
         }
     }
@@ -991,9 +944,10 @@ impl SpiderCluster {
     ///
     /// 1. **Unroute** — rebuild the router without the device; rendezvous
     ///    remaps only its keys.
-    /// 2. **Steal the queue** — cancel every still-queued request and
-    ///    requeue it on the survivors in plan-key chunks (exactly-once:
-    ///    cancel-true ⇒ never started).
+    /// 2. **Requeue the queue** — cancel every still-queued request and
+    ///    place it on the survivors through the one placement path, each
+    ///    plan-key chunk on one survivor (exactly-once: cancel-true ⇒
+    ///    never started).
     /// 3. **Wait out in-flight waves** — `scheduler.drain()`.
     /// 4. **Persist** what the device learned (when a store is attached).
     /// 5. **Retire** — the dispatcher thread exits; the slot stays
@@ -1015,35 +969,18 @@ impl SpiderCluster {
             }
             (slot, Arc::clone(&m.slots[slot]))
         };
-        // Steal-and-requeue the departing queue (plan-key chunks).
+        // Requeue the departing queue on the serving devices.
         let unplaced = {
             let m = self.read_membership();
             let mut st = self.lock();
-            let mut items = Vec::new();
-            let order = std::mem::take(&mut st.device_order[slot]);
-            let mut live = Vec::new();
-            for seq in order {
-                let Some(p) = st.pending.get(&seq) else {
-                    continue;
-                };
-                if p.device != slot {
-                    continue;
-                }
-                let status = dev.scheduler.peek(p.ticket);
-                if status.is_terminal() {
-                    continue;
-                }
-                if matches!(status, RequestStatus::Queued { .. }) && dev.scheduler.cancel(p.ticket)
-                {
-                    items.push((seq, p.req.clone()));
-                } else {
-                    live.push(seq); // running: waited out below
-                }
-            }
-            st.device_order[slot] = live;
-            self.place_on_survivors(&m, &mut st, items, false)
+            let items = Self::queued(&mut st, &dev, slot)
+                .into_iter()
+                .filter_map(|seq| Self::cancel_for_move(&st, &dev, seq))
+                .collect();
+            let mut fleet = Fleet::serving(&m);
+            self.place(&m, &mut st, &mut fleet, items, Move::Requeue)
         };
-        self.place_blocking(unplaced, false);
+        self.place_blocking(unplaced, Move::Requeue);
         // Wait out in-flight waves (and any stragglers that raced the
         // draining flag — they simply execute here before retirement).
         dev.scheduler.drain();
@@ -1069,12 +1006,16 @@ impl SpiderCluster {
     /// Hard-kill a device, as a crash (or an armed [`FaultPlan`]) would,
     /// and recover:
     ///
+    /// * its tickets map back to cluster submissions through the slot's
+    ///   own order list (not the cluster's lifetime history);
     /// * its **queued** requests are requeued on survivors exactly-once
     ///   (they never started — [`spider_runtime::KillReport::unstarted`]);
-    /// * its **in-flight** requests are casualties, re-routed at most
+    /// * its **in-flight** requests are casualties, retried at most
     ///   [`RetryPolicy::max_attempts`] times (the retry executes the same
     ///   content-addressed plan, so outcomes stay bit-identical) or left
     ///   surfacing [`spider_runtime::FailureReason::DeviceLost`];
+    /// * requeues and retries both take the one placement path steals
+    ///   take, keeping each plan-key chunk on one survivor;
     /// * the slot departs into the report roll-up, still pollable.
     pub fn fail_device(&self, name: &str) -> Result<RecoveryReport, ClusterError> {
         let (slot, dev) = {
@@ -1096,55 +1037,47 @@ impl SpiderCluster {
         };
         let kr = dev.scheduler.kill();
         let mut report = RecoveryReport::default();
-        // Map the dead device's tickets back to cluster seqs. (A submission
-        // racing the kill may not be recorded yet — its submitter's rescue
-        // path covers it; see `submit_inner`.)
-        let (unplaced_requeues, retries) = {
+        let (requeues, retries) = {
             let m = self.read_membership();
             let mut st = self.lock();
-            let mut by_ticket: HashMap<Ticket, u64> = HashMap::new();
-            for (&seq, p) in st.pending.iter() {
-                if p.device == slot {
-                    by_ticket.insert(p.ticket, seq);
-                }
-            }
-            let mut requeues = Vec::new();
-            for (ticket, req) in kr.unstarted {
-                if let Some(&seq) = by_ticket.get(&ticket) {
-                    requeues.push((seq, req));
+            // Map the dead device's tickets back to cluster seqs through
+            // its order list. (A submission racing the kill may not be
+            // recorded yet — its submitter's rescue path covers it; see
+            // `submit_inner`.)
+            let order = std::mem::take(&mut st.device_order[slot]);
+            let by_ticket: HashMap<Ticket, u64> = order
+                .into_iter()
+                .filter_map(|seq| {
+                    let p = st.pending.get(&seq).filter(|p| p.device == slot)?;
+                    Some((p.ticket, seq))
+                })
+                .collect();
+            let requeues: Vec<(u64, StencilRequest)> = kr
+                .unstarted
+                .into_iter()
+                .filter_map(|(ticket, req)| Some((*by_ticket.get(&ticket)?, req)))
+                .collect();
+            let mut retries = Vec::new();
+            for &seq in kr.lost.iter().filter_map(|t| by_ticket.get(t)) {
+                let p = st.pending.get_mut(&seq).expect("mapped entry exists"); // guard: by_ticket maps only seqs found in pending under this lock
+                match self.retry(p) {
+                    Some(req) => retries.push((seq, req)),
+                    None => report.abandoned += 1,
                 }
             }
             report.requeued = requeues.len();
-            let unplaced = self.place_on_survivors(&m, &mut st, requeues, false);
-            let mut retries = Vec::new();
-            for ticket in kr.lost {
-                let Some(&seq) = by_ticket.get(&ticket) else {
-                    continue;
-                };
-                let p = st.pending.get_mut(&seq).expect("mapped entry exists"); // guard: seq comes from iterating this very map
-                if p.attempts < self.options.retry.max_attempts {
-                    // Attempt-stamp the retry (see `rescue`): the second
-                    // life's trace chains onto the first in `timeline`.
-                    p.req.attempt = p.attempts + 1;
-                    retries.push((seq, p.req.clone()));
-                } else {
-                    report.abandoned += 1;
-                }
-            }
-            (unplaced, retries)
-        };
-        // (the blocking fallback parks rather than loses, so the report
-        // counts every requeue/retry it was handed, landed or parked)
-        self.place_blocking(unplaced_requeues, false);
-        if !retries.is_empty() {
             report.retried = retries.len();
-            let unplaced = {
-                let m = self.read_membership();
-                let mut st = self.lock();
-                self.place_on_survivors(&m, &mut st, retries, true)
-            };
-            self.place_blocking(unplaced, true);
-        }
+            let mut fleet = Fleet::serving(&m);
+            (
+                self.place(&m, &mut st, &mut fleet, requeues, Move::Requeue),
+                self.place(&m, &mut st, &mut fleet, retries, Move::Retry),
+            )
+        };
+        // The report counts every requeue and retry handed over, placed
+        // or parked; only a policy refusal in the blocking fallback drops
+        // one, and that counts as a steal failure.
+        self.place_blocking(requeues, Move::Requeue);
+        self.place_blocking(retries, Move::Retry);
         self.lock().devices_failed += 1;
         Ok(report)
     }
@@ -2213,5 +2146,208 @@ mod tests {
         // The trace-ring drop counter (satellite: previously unexported)
         // shows up in the fleet text.
         assert!(text.contains("spider_telemetry_dropped_events_total"));
+    }
+
+    /// Slot of the device serving each ticket, one digit per ticket.
+    fn placement(cluster: &SpiderCluster, tickets: &[ClusterTicket]) -> String {
+        let st = cluster.lock();
+        tickets
+            .iter()
+            .map(|t| char::from_digit(st.pending[&t.seq].device as u32, 10).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn placement_is_pinned_across_steal_drain_kill_and_rebalance() {
+        // Six plan keys in skewed proportions over six paused devices:
+        // affinity stacks them unevenly, the steal fills destinations up to
+        // the mean, the drain and the kill keep each chunk on one
+        // destination (three injected steal faults divert the kill's first
+        // placements), and the last rebalance steals from what the
+        // evacuations piled up. One digit per request: the slot serving it.
+        let cluster = SpiderCluster::new(
+            specs(6, true),
+            ClusterOptions {
+                steal_skew: 1.2,
+                ..ClusterOptions::default()
+            },
+        );
+        let kernels: Vec<StencilKernel> = (0..6)
+            .map(|s| StencilKernel::random(StencilShape::box_2d(1), s))
+            .collect();
+        let pattern = [5, 4, 5, 3, 5, 4, 2, 5, 4, 1, 0, 5];
+        let tickets: Vec<ClusterTicket> = (0..48u64)
+            .map(|i| {
+                let k = kernels[pattern[i as usize % pattern.len()]].clone();
+                cluster
+                    .submit(StencilRequest::new_2d(i, k, 32, 32).with_seed(i))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(
+            placement(&cluster, &tickets),
+            "020102402450020102402450020102402450020102402450"
+        );
+        assert_eq!(cluster.rebalance(), 16);
+        assert_eq!(
+            placement(&cluster, &tickets),
+            "020102402450020102412451121132435453353135435453"
+        );
+        // Drain a deepest shard (all tie), then kill the next deepest.
+        assert_eq!(cluster.queue_depths(), vec![8; 6]);
+        cluster.remove_device("dev0").unwrap();
+        assert_eq!(
+            placement(&cluster, &tickets),
+            "121112412451121112412451121132435453353135435453"
+        );
+        assert_eq!(cluster.queue_depths(), vec![16, 8, 8, 8, 8]);
+        cluster.inject_faults(FaultPlan::default().with_failed_steals(3));
+        let recovery = cluster.fail_device("dev1").unwrap();
+        assert_eq!(recovery.requeued, 16);
+        assert_eq!(
+            placement(&cluster, &tickets),
+            "222322422452222322422455423332435453353335435453"
+        );
+        assert_eq!(cluster.queue_depths(), vec![17, 13, 9, 9]);
+        assert_eq!(cluster.rebalance(), 5);
+        assert_eq!(
+            placement(&cluster, &tickets),
+            "222322452455424342422455423332435453353335435453"
+        );
+        let report = cluster.drain_all();
+        assert_eq!(report.total_completed(), 48);
+        assert_eq!(report.steals, 21);
+        assert_eq!(report.requeued, 24);
+        assert_eq!(report.steal_failures, 0);
+        for t in tickets {
+            assert!(matches!(cluster.poll(t), RequestStatus::Done(_)));
+        }
+    }
+
+    #[test]
+    fn killing_a_device_that_received_steals_requeues_its_whole_queue() {
+        // The victim first receives stolen work, then has most of its own
+        // backlog stolen, so its order list holds entries that moved away.
+        // The kill must map exactly the tickets still queued there.
+        let cluster = SpiderCluster::new(specs(3, true), ClusterOptions::default());
+        let slot_of = |k: &StencilKernel| {
+            cluster
+                .route(&StencilRequest::new_2d(0, k.clone(), 32, 32))
+                .0
+        };
+        let jacobi = StencilKernel::jacobi_2d();
+        let first = slot_of(&jacobi);
+        let mut tickets: Vec<ClusterTicket> = (0..12u64)
+            .map(|i| {
+                cluster
+                    .submit(StencilRequest::new_2d(i, jacobi.clone(), 32, 32).with_seed(i))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(cluster.rebalance(), 8);
+        let received = cluster.queue_depths();
+        let other = [
+            StencilKernel::heat_2d(0.12),
+            StencilKernel::gaussian_2d(2),
+            StencilKernel::random(StencilShape::star_2d(2), 7),
+        ]
+        .into_iter()
+        .find(|k| slot_of(k) != first)
+        .expect("some kernel routes elsewhere");
+        let victim_slot = slot_of(&other);
+        for i in 12..36u64 {
+            tickets.push(
+                cluster
+                    .submit(StencilRequest::new_2d(i, other.clone(), 32, 32).with_seed(i))
+                    .unwrap(),
+            );
+        }
+        assert_eq!(received[victim_slot], 4, "the victim received steals");
+        assert_eq!(cluster.rebalance(), 16, "the victim's backlog is stolen");
+        let victim = cluster.device_names()[victim_slot].clone();
+        let depth = cluster.queue_depths()[victim_slot];
+        assert!(depth > 0);
+        let recovery = cluster.fail_device(&victim).unwrap();
+        assert_eq!(recovery.requeued, depth);
+        assert_eq!(recovery.retried, 0);
+        assert_eq!(recovery.abandoned, 0);
+        let report = cluster.drain_all();
+        assert_eq!(report.total_completed(), 36);
+        for t in tickets {
+            assert!(matches!(cluster.poll(t), RequestStatus::Done(_)));
+        }
+    }
+
+    #[test]
+    fn a_steal_with_room_only_on_its_source_returns_there() {
+        // dev1's queue holds two requests and is full: everything dev0's
+        // excess tries to move there comes back to dev0's queue, nothing
+        // counts as a steal, and nothing is lost.
+        let mut fleet = specs(2, true);
+        fleet[1].scheduler.queue_capacity = 2;
+        fleet[1].scheduler.policy = spider_runtime::BackpressurePolicy::Reject;
+        let cluster = SpiderCluster::new(
+            fleet,
+            ClusterOptions {
+                steal_skew: 1.2,
+                ..ClusterOptions::default()
+            },
+        );
+        let kernels: Vec<StencilKernel> = (0..8)
+            .map(|s| StencilKernel::random(StencilShape::box_2d(1), s))
+            .collect();
+        let on = |slot: usize| {
+            kernels
+                .iter()
+                .find(|k| {
+                    cluster
+                        .route(&StencilRequest::new_2d(0, (*k).clone(), 32, 32))
+                        .0
+                        == slot
+                })
+                .expect("some kernel routes to each device")
+                .clone()
+        };
+        let (deep, full) = (on(0), on(1));
+        let tickets: Vec<ClusterTicket> = (0..22u64)
+            .map(|i| {
+                let k = if i < 20 { deep.clone() } else { full.clone() };
+                cluster
+                    .submit(StencilRequest::new_2d(i, k, 32, 32).with_seed(i))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(cluster.queue_depths(), vec![20, 2]);
+        assert_eq!(cluster.rebalance(), 0);
+        assert_eq!(cluster.queue_depths(), vec![20, 2]);
+        let report = cluster.drain_all();
+        assert_eq!(report.steals, 0);
+        assert_eq!(report.steal_failures, 0);
+        // The pass did not stop at the first refusal: all nine of the
+        // excess went out and came back, and dev0 counts each cancel.
+        let dev0 = report.devices[0].report.queue.as_ref().unwrap();
+        assert_eq!(dev0.cancelled, 9);
+        assert_eq!(report.total_completed(), 22);
+        for t in tickets {
+            assert!(matches!(cluster.poll(t), RequestStatus::Done(_)));
+        }
+    }
+
+    #[test]
+    fn all_cancelled_fleet_renders_no_negative_zero() {
+        // No outcome anywhere: every busy time is an empty sum, which
+        // must render as 0.0us, never -0.0us.
+        let cluster = SpiderCluster::new(specs(2, true), ClusterOptions::default());
+        let t = cluster
+            .submit(StencilRequest::new_2d(
+                1,
+                StencilKernel::jacobi_2d(),
+                48,
+                48,
+            ))
+            .unwrap();
+        assert!(cluster.cancel(t));
+        let text = cluster.drain_all().render();
+        assert!(!text.contains("-0.0"), "{text}");
     }
 }

@@ -12,7 +12,7 @@
 //!   no declaration, detected only by
 //!   [`crate::SpiderCluster::health_tick`]'s missed-heartbeat monitor —
 //!   and the `fail_submits` / `fail_steals` budgets inject refusals into
-//!   the submit and steal-placement paths so tests can prove callers
+//!   the submit and placement paths so tests can prove callers
 //!   survive them.
 //! * [`RetryPolicy`] — what happens to in-flight casualties of a device
 //!   loss. Queued work is requeued exactly-once unconditionally (it never
@@ -67,9 +67,9 @@ pub struct FaultPlan {
     /// cluster submits return [`spider_runtime::SubmitError::QueueFull`]
     /// without reaching any device.
     pub fail_submits: u32,
-    /// Inject this many steal-placement refusals: during rebalance or
-    /// drain-stealing, the preferred destination refuses and the chunk
-    /// falls through to the next candidate.
+    /// Inject this many placement refusals: in any cross-device move (a
+    /// steal, requeue, retry or rescue), the chunk's destination refuses
+    /// and the request falls through to the next candidate.
     pub fail_steals: u32,
 }
 
@@ -104,7 +104,7 @@ impl FaultPlan {
         self
     }
 
-    /// Add `n` injected steal-placement refusals.
+    /// Add `n` injected placement refusals.
     pub fn with_failed_steals(mut self, n: u32) -> Self {
         self.fail_steals = n;
         self
@@ -120,7 +120,7 @@ impl FaultPlan {
         }
     }
 
-    /// Consume one steal-placement fault, if any is budgeted.
+    /// Consume one placement fault, if any is budgeted.
     pub(crate) fn take_steal_fault(&mut self) -> bool {
         if self.fail_steals > 0 {
             self.fail_steals -= 1;

@@ -106,7 +106,7 @@ pub mod store;
 pub mod tuner;
 
 pub use cache::{CacheStats, CachedPlan, PlanCache};
-pub use report::{QueueStats, RequestOutcome, RuntimeReport, WaitHistogram};
+pub use report::{QueueStats, RequestOutcome, RuntimeReport};
 pub use request::{
     Deadline, GridSpec, Priority, RequestKernel, StencilRequest, StencilRequestBuilder, TenantId,
 };

@@ -39,62 +39,6 @@ pub struct RequestOutcome {
     pub checksum: u64,
 }
 
-/// Log-scale histogram of queueing delays: bucket `i` counts waits in
-/// `[2^i, 2^(i+1))` microseconds (bucket 0 also absorbs sub-microsecond
-/// waits; the last bucket absorbs everything from ~2 seconds up). Fixed
-/// bucket bounds keep the struct `Copy`, mergeable by plain addition, and
-/// comparable across runs — the shape a serving dashboard wants, and the
-/// tail-latency detail the scalar mean/max pair in [`QueueStats`] cannot
-/// express.
-///
-/// The bucket math lives in the shared
-/// [`spider_telemetry::LogHistogram`] (this type records seconds and
-/// forwards to it in microseconds); the rendered format is unchanged from
-/// when the buckets were implemented here, regression-pinned by the tests
-/// below.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WaitHistogram {
-    /// The underlying microsecond-valued histogram (p50/p90/p99 estimation,
-    /// Prometheus export and merging come with it).
-    pub hist: LogHistogram,
-}
-
-impl WaitHistogram {
-    /// Number of buckets: sub-µs through ≥ ~2 s in doubling steps.
-    pub const BUCKETS: usize = LogHistogram::BUCKETS;
-
-    /// Record one queueing delay (seconds).
-    pub fn record(&mut self, wait_s: f64) {
-        self.hist.record(wait_s.max(0.0) * 1e6);
-    }
-
-    /// Total recorded waits.
-    pub fn count(&self) -> u64 {
-        self.hist.count()
-    }
-
-    /// Lower bound of bucket `i` in microseconds (`2^i`, with bucket 0
-    /// starting at 0).
-    pub fn bucket_lower_us(i: usize) -> u64 {
-        LogHistogram::bucket_lower(i)
-    }
-
-    /// Estimated `q`-quantile of the queueing delay, in **seconds**.
-    pub fn quantile_s(&self, q: f64) -> f64 {
-        self.hist.quantile(q) / 1e6
-    }
-
-    /// Compact one-line rendering of the non-empty buckets, e.g.
-    /// `[64µs,128µs):3 [128µs,256µs):9`.
-    pub fn render(&self) -> String {
-        if self.hist.count() == 0 {
-            "(no dispatched requests)".into()
-        } else {
-            self.hist.render_us()
-        }
-    }
-}
-
 /// Admission-queue counters attached to a scheduler drain report.
 ///
 /// All counters are cumulative since the scheduler was constructed. Wait
@@ -135,8 +79,8 @@ pub struct QueueStats {
     /// Worst single-ticket queueing delay, seconds.
     pub max_wait_s: f64,
     /// Log-scale distribution of the per-ticket queueing delays behind the
-    /// mean/max above.
-    pub wait_hist: WaitHistogram,
+    /// mean/max above, in microseconds.
+    pub wait_hist: LogHistogram,
 }
 
 impl QueueStats {
@@ -154,11 +98,7 @@ impl QueueStats {
     /// Estimated 99th-percentile queueing delay, seconds (0 when nothing
     /// was dispatched) — the tail the SLO gate watches.
     pub fn p99_wait_s(&self) -> f64 {
-        if self.wait_hist.count() == 0 {
-            0.0
-        } else {
-            self.wait_hist.quantile_s(0.99)
-        }
+        self.wait_hist.p99() / 1e6
     }
 
     /// Fold one tenant row into this scheduler-wide row: counts and the
@@ -176,7 +116,7 @@ impl QueueStats {
         self.served_cost += row.served_cost;
         self.total_wait_s += row.total_wait_s;
         self.max_wait_s = self.max_wait_s.max(row.max_wait_s);
-        self.wait_hist.hist.merge(&row.wait_hist.hist);
+        self.wait_hist.merge(&row.wait_hist);
     }
 
     /// Write this row into `snap` as the `spider_scheduler_*` row metrics:
@@ -191,7 +131,7 @@ impl QueueStats {
         snap.counter("spider_scheduler_cancelled_total", self.cancelled);
         snap.counter("spider_scheduler_rejected_total", self.rejected);
         snap.counter("spider_scheduler_served_cost_total", self.served_cost);
-        snap.histogram("spider_scheduler_wait_us", self.wait_hist.hist);
+        snap.histogram("spider_scheduler_wait_us", self.wait_hist);
     }
 }
 
@@ -261,7 +201,11 @@ impl RuntimeReport {
     /// makespan, not by a sum of clocks. `spider-cluster`'s `ClusterReport`
     /// does exactly that and keeps the two labeled apart.
     pub fn simulated_busy_s(&self) -> f64 {
-        self.outcomes.iter().map(|o| o.report.time_s()).sum()
+        // Folded from +0.0: an empty `f64` sum is -0.0, which would render
+        // as `-0.0us`.
+        self.outcomes
+            .iter()
+            .fold(0.0, |busy, o| busy + o.report.time_s())
     }
 
     /// Aggregate simulated throughput: total points over total simulated
@@ -374,7 +318,12 @@ impl RuntimeReport {
                 q.mean_wait_s() * 1e3,
                 q.max_wait_s * 1e3,
             ));
-            out.push_str(&format!("queue wait histogram: {}\n", q.wait_hist.render()));
+            let waits = if q.wait_hist.count() == 0 {
+                "(no dispatched requests)".into()
+            } else {
+                q.wait_hist.render_us()
+            };
+            out.push_str(&format!("queue wait histogram: {waits}\n"));
         }
         // Per-tenant breakdown — skipped when the only traffic was the
         // implicit anonymous tenant (the line would repeat the global row).
@@ -405,102 +354,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wait_histogram_buckets_by_log2_microseconds() {
-        let mut h = WaitHistogram::default();
-        h.record(0.0); // sub-µs → bucket 0
-        h.record(0.5e-6); // still bucket 0
-        h.record(3e-6); // [2µs,4µs) → bucket 1
-        h.record(100e-6); // [64µs,128µs) → bucket 6
-        h.record(5.0); // seconds → clamped to last bucket
-        h.record(-1.0); // negative clock skew → bucket 0, never panics
-        assert_eq!(h.hist.buckets[0], 3);
-        assert_eq!(h.hist.buckets[1], 1);
-        assert_eq!(h.hist.buckets[6], 1);
-        assert_eq!(h.hist.buckets[WaitHistogram::BUCKETS - 1], 1);
-        assert_eq!(h.count(), 6);
-        let text = h.render();
-        assert!(text.contains("[64µs,128µs):1"), "{text}");
-        assert!(text.contains("∞"), "last bucket is open-ended: {text}");
-        assert_eq!(
-            WaitHistogram::default().render(),
-            "(no dispatched requests)"
-        );
-    }
-
-    /// Satellite regression: `WaitHistogram` now delegates its bucket math
-    /// to the shared `LogHistogram`; the rendered drain-report format must
-    /// stay byte-identical to the historical bespoke implementation.
-    #[test]
-    fn wait_histogram_render_is_byte_compatible_with_legacy() {
-        let legacy_render = |buckets: &[u64; WaitHistogram::BUCKETS]| -> String {
-            // The pre-dedup implementation, verbatim.
-            let label = |us: u64| -> String {
-                if us >= 1_000_000 {
-                    format!("{}s", us / 1_000_000)
-                } else if us >= 1_000 {
-                    format!("{}ms", us / 1_000)
-                } else {
-                    format!("{us}\u{b5}s")
-                }
-            };
-            let mut parts = Vec::new();
-            for (i, &count) in buckets.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                let lo = WaitHistogram::bucket_lower_us(i);
-                if i + 1 == WaitHistogram::BUCKETS {
-                    parts.push(format!("[{},\u{221e}):{count}", label(lo)));
-                } else {
-                    parts.push(format!(
-                        "[{},{}):{count}",
-                        label(lo),
-                        label(1u64 << (i + 1))
-                    ));
-                }
-            }
-            if parts.is_empty() {
-                "(no dispatched requests)".into()
-            } else {
-                parts.join(" ")
-            }
+    fn queue_waits_record_in_microseconds_and_read_in_seconds() {
+        let mut q = QueueStats::default();
+        assert_eq!(q.p99_wait_s(), 0.0, "no dispatch, no tail");
+        let empty = RuntimeReport {
+            outcomes: Vec::new(),
+            failures: Vec::new(),
+            wall_s: 0.0,
+            cache: CacheStats::default(),
+            queue: Some(q),
+            tenants: Vec::new(),
+            profile: Vec::new(),
         };
-        // Deterministic pseudo-random wait mixes spanning every bucket.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut h = WaitHistogram::default();
-        for _ in 0..256 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let us = (state >> 40) as f64; // 0 .. ~16.7M µs
-            h.record(us / 1e6);
-            assert_eq!(h.render(), legacy_render(&h.hist.buckets));
-        }
-        assert_eq!(
-            WaitHistogram::default().render(),
-            legacy_render(&[0; WaitHistogram::BUCKETS])
+        assert!(
+            empty
+                .render()
+                .contains("queue wait histogram: (no dispatched requests)\n"),
+            "{}",
+            empty.render()
         );
-    }
-
-    #[test]
-    fn wait_histogram_quantiles_are_seconds() {
-        let mut h = WaitHistogram::default();
         for _ in 0..10 {
-            h.record(100e-6); // [64µs,128µs)
+            q.wait_hist.record(100.0); // 100 µs: [64µs,128µs)
         }
-        let p99 = h.quantile_s(0.99);
+        let p99 = q.p99_wait_s();
         assert!((64e-6..=128e-6).contains(&p99), "{p99}");
-    }
-
-    #[test]
-    fn wait_histogram_bucket_bounds() {
-        assert_eq!(WaitHistogram::bucket_lower_us(0), 0);
-        assert_eq!(WaitHistogram::bucket_lower_us(1), 2);
-        assert_eq!(WaitHistogram::bucket_lower_us(10), 1024);
-        // Boundary values land in the bucket they open.
-        let mut h = WaitHistogram::default();
-        h.record(2e-6);
-        assert_eq!(h.hist.buckets[1], 1);
-        h.record(4e-6);
-        assert_eq!(h.hist.buckets[2], 1);
+        let report = RuntimeReport {
+            queue: Some(q),
+            ..empty
+        };
+        assert!(
+            report
+                .render()
+                .contains("queue wait histogram: [64\u{b5}s,128\u{b5}s):10\n"),
+            "{}",
+            report.render()
+        );
     }
 
     /// Satellite regression: a batch where everything was shed/expired has

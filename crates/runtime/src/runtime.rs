@@ -210,7 +210,7 @@ impl SpiderRuntime {
         };
         let entries = self.cache.entries();
         for (key, plan) in &entries {
-            store.save_entry(*key, plan)?;
+            store.save_plan(*key, plan)?;
         }
         let memos: Vec<PersistedMemo> = self
             .tuner
@@ -273,7 +273,7 @@ impl SpiderRuntime {
                 // compile, never silently serve wrong numerics.
                 let loader = |k: u64| {
                     store
-                        .load_entry_sized(k)
+                        .load_plan(k)
                         .filter(|(p, _)| p.matches_kernel(kernel))
                         .map(|(p, bytes)| {
                             if self.telemetry.enabled() {
@@ -288,7 +288,7 @@ impl SpiderRuntime {
                 if compiled {
                     // Best-effort write-through: a full disk must not fail
                     // the request the plan was compiled for.
-                    let _ = store.save_entry(key, &plan);
+                    let _ = store.save_plan(key, &plan);
                 }
                 let source = if compiled {
                     ResolveSource::Compile

@@ -1110,7 +1110,7 @@ impl SpiderScheduler {
                 "spider_scheduler_{}_wait_us",
                 tenant.label().replace('-', "_")
             );
-            snap.histogram(&name, row.wait_hist.hist);
+            snap.histogram(&name, row.wait_hist);
         }
         snap
     }
@@ -1489,7 +1489,7 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
         let ts = st.tenant_stats_mut(entry.req.tenant);
         ts.total_wait_s += wait;
         ts.max_wait_s = ts.max_wait_s.max(wait);
-        ts.wait_hist.record(wait);
+        ts.wait_hist.record(wait * 1e6);
         ts.served_cost += drr_cost(&entry.req);
         // Close the queue span opened at admission and fold the wait into
         // the plan's queue-phase accumulator.

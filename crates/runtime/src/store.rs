@@ -99,10 +99,9 @@ impl StoreStats {
 /// Retention bounds for the plan-artifact directory. A long-lived store
 /// directory otherwise grows one file per plan key forever; the policy caps
 /// it, evicting the oldest-modified artifacts first on every
-/// [`PlanStore::save_plan`] / [`PlanStore::save_plan3d`] write-through.
-/// Either bound at `0` means "unbounded" on that axis (the default). Memo
-/// files are exempt: there is one per device spec and they are merged in
-/// place, so they cannot grow with the key space.
+/// [`PlanStore::save_plan`]. Either bound at `0` means "unbounded" on that
+/// axis (the default). Memo files are exempt: there is one per device spec
+/// and they are merged in place, so they cannot grow with the key space.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreGcPolicy {
     /// Maximum plan artifacts kept on disk (`0` = unbounded).
@@ -216,108 +215,46 @@ impl PlanStore {
             .unwrap_or(0)
     }
 
-    /// Load the planar plan stored under `plan_key`, or `None` when the
-    /// store has no (valid) artifact for it. Corruption is counted, never
-    /// propagated: a bad file degrades to a compile, not an outage.
-    pub fn load_plan(&self, plan_key: u64) -> Option<SpiderPlan> {
-        self.load_with(plan_key, |bytes| {
-            SpiderPlan::from_bytes(bytes)
-                .ok()
-                .map(Arc::new)
-                .map(CachedPlan::Planar)
-        })
-        .and_then(|(p, _)| p.planar().map(|a| (**a).clone()))
-    }
-
-    /// Load the volumetric (3D) plan stored under `plan_key`, with the same
-    /// corruption-degrades-to-absent contract as [`Self::load_plan`].
-    pub fn load_plan3d(&self, plan_key: u64) -> Option<Spider3DPlan> {
-        self.load_with(plan_key, |bytes| {
-            Spider3DPlan::from_bytes(bytes)
-                .ok()
-                .map(Arc::new)
-                .map(CachedPlan::Volumetric)
-        })
-        .and_then(|(p, _)| p.volumetric().map(|a| (**a).clone()))
-    }
-
-    /// Load whichever plan kind is stored under `plan_key`, dispatching on
-    /// the artifact's magic — the generic read behind the runtime's
-    /// cache-miss loader.
-    pub fn load_entry(&self, plan_key: u64) -> Option<CachedPlan> {
-        self.load_entry_sized(plan_key).map(|(plan, _)| plan)
-    }
-
-    /// Like [`Self::load_entry`], also reporting the artifact's size in
-    /// bytes — the hook the runtime's phase profiler uses to attribute
-    /// store traffic to individual plan keys.
-    pub fn load_entry_sized(&self, plan_key: u64) -> Option<(CachedPlan, u64)> {
-        self.load_with(plan_key, |bytes| {
-            if bytes.starts_with(spider_core::serial::PLAN3D_MAGIC) {
-                Spider3DPlan::from_bytes(bytes)
-                    .ok()
-                    .map(Arc::new)
-                    .map(CachedPlan::Volumetric)
-            } else {
-                SpiderPlan::from_bytes(bytes)
-                    .ok()
-                    .map(Arc::new)
-                    .map(CachedPlan::Planar)
-            }
-        })
-    }
-
-    fn load_with(
-        &self,
-        plan_key: u64,
-        parse: impl FnOnce(&[u8]) -> Option<CachedPlan>,
-    ) -> Option<(CachedPlan, u64)> {
-        let path = self.plan_path(plan_key);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.stats.lock().plan_absent += 1;
-                return None;
-            }
+    /// Load the plan stored under `plan_key`, planar or volumetric by the
+    /// artifact's magic, with the artifact's size in bytes (what the
+    /// runtime's phase profiler attributes to the plan key). `None` when
+    /// the store has no valid artifact for the key: corruption is counted,
+    /// never propagated, so a bad file degrades to a compile, not an
+    /// outage.
+    pub fn load_plan(&self, plan_key: u64) -> Option<(CachedPlan, u64)> {
+        let Ok(bytes) = std::fs::read(self.plan_path(plan_key)) else {
+            self.stats.lock().plan_absent += 1;
+            return None;
         };
-        match parse(&bytes) {
-            Some(plan) => {
-                let mut stats = self.stats.lock();
-                stats.plan_loads += 1;
-                stats.plan_bytes_loaded += bytes.len() as u64;
-                Some((plan, bytes.len() as u64))
-            }
-            None => {
-                self.stats.lock().plan_rejected += 1;
-                None
-            }
-        }
+        let plan = if bytes.starts_with(spider_core::serial::PLAN3D_MAGIC) {
+            Spider3DPlan::from_bytes(&bytes)
+                .ok()
+                .map(|p| CachedPlan::Volumetric(Arc::new(p)))
+        } else {
+            SpiderPlan::from_bytes(&bytes)
+                .ok()
+                .map(|p| CachedPlan::Planar(Arc::new(p)))
+        };
+        let mut stats = self.stats.lock();
+        let Some(plan) = plan else {
+            stats.plan_rejected += 1;
+            return None;
+        };
+        stats.plan_loads += 1;
+        stats.plan_bytes_loaded += bytes.len() as u64;
+        Some((plan, bytes.len() as u64))
     }
 
-    /// Persist a planar `plan` under `plan_key` (atomic replace), then
-    /// enforce the retention policy.
-    pub fn save_plan(&self, plan_key: u64, plan: &SpiderPlan) -> std::io::Result<()> {
-        self.save_plan_bytes(plan_key, &plan.to_bytes())
-    }
-
-    /// Persist a volumetric `plan` under `plan_key` (atomic replace), then
-    /// enforce the retention policy.
-    pub fn save_plan3d(&self, plan_key: u64, plan: &Spider3DPlan) -> std::io::Result<()> {
-        self.save_plan_bytes(plan_key, &plan.to_bytes())
-    }
-
-    /// Persist either plan kind — the write behind
-    /// [`crate::SpiderRuntime::persist`]'s cache iteration.
-    pub fn save_entry(&self, plan_key: u64, plan: &CachedPlan) -> std::io::Result<()> {
-        match plan {
-            CachedPlan::Planar(p) => self.save_plan(plan_key, p),
-            CachedPlan::Volumetric(p) => self.save_plan3d(plan_key, p),
-        }
-    }
-
-    fn save_plan_bytes(&self, plan_key: u64, bytes: &[u8]) -> std::io::Result<()> {
+    /// Persist `plan` under `plan_key` (atomic replace), then enforce the
+    /// retention policy — the write behind the runtime's compile
+    /// write-through and [`crate::SpiderRuntime::persist`].
+    pub fn save_plan(&self, plan_key: u64, plan: &CachedPlan) -> std::io::Result<()> {
+        let bytes = match plan {
+            CachedPlan::Planar(p) => p.to_bytes(),
+            CachedPlan::Volumetric(p) => p.to_bytes(),
+        };
         let path = self.plan_path(plan_key);
-        self.write_atomic(&path, bytes)?;
+        self.write_atomic(&path, &bytes)?;
         self.stats.lock().plan_saves += 1;
         self.enforce_gc(&path);
         Ok(())
@@ -571,14 +508,20 @@ mod tests {
         dir
     }
 
+    fn planar(plan: &SpiderPlan) -> CachedPlan {
+        CachedPlan::Planar(Arc::new(plan.clone()))
+    }
+
     #[test]
     fn plan_roundtrip_through_disk() {
         let dir = tmp_dir("plan");
         let store = PlanStore::open(&dir).unwrap();
         let plan = SpiderPlan::compile(&StencilKernel::gaussian_2d(2)).unwrap();
         assert!(store.load_plan(42).is_none());
-        store.save_plan(42, &plan).unwrap();
-        let back = store.load_plan(42).expect("saved plan loads");
+        store.save_plan(42, &planar(&plan)).unwrap();
+        let (back, bytes) = store.load_plan(42).expect("saved plan loads");
+        let back = back.planar().expect("planar artifact loads planar");
+        assert_eq!(bytes, plan.to_bytes().len() as u64);
         assert_eq!(back.fingerprint(), plan.fingerprint());
         assert_eq!(back.units().len(), plan.units().len());
         assert_eq!(store.plans_on_disk(), 1);
@@ -594,7 +537,7 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let store = PlanStore::open(&dir).unwrap();
         let plan = SpiderPlan::compile(&StencilKernel::jacobi_2d()).unwrap();
-        store.save_plan(7, &plan).unwrap();
+        store.save_plan(7, &planar(&plan)).unwrap();
         // Truncate the artifact in place.
         let path = dir.join(format!("plan-{:016x}.v1.spb", 7u64));
         let bytes = std::fs::read(&path).unwrap();
@@ -665,17 +608,28 @@ mod tests {
         let store = PlanStore::open(&dir).unwrap();
         let p2 = SpiderPlan::compile(&StencilKernel::gaussian_2d(1)).unwrap();
         let p3 = Spider3DPlan::compile(&Kernel3D::random_box(1, 5)).unwrap();
-        store.save_plan(1, &p2).unwrap();
-        store.save_plan3d(2, &p3).unwrap();
+        store.save_plan(1, &planar(&p2)).unwrap();
+        store
+            .save_plan(2, &CachedPlan::Volumetric(Arc::new(p3.clone())))
+            .unwrap();
         assert_eq!(store.plans_on_disk(), 2);
-        let back = store.load_plan3d(2).expect("3D plan loads");
+        let (back, _) = store.load_plan(2).expect("3D plan loads");
+        let back = back.volumetric().expect("3D artifact loads volumetric");
         assert_eq!(back.fingerprint(), p3.fingerprint());
-        // The generic loader dispatches on the artifact magic.
-        assert!(store.load_entry(1).unwrap().planar().is_some());
-        assert!(store.load_entry(2).unwrap().volumetric().is_some());
-        // Kind confusion degrades to absent, never panics or mis-serves.
-        assert!(store.load_plan(2).is_none());
-        assert!(store.load_plan3d(1).is_none());
+        // The loader dispatches on the artifact magic.
+        assert!(store.load_plan(1).unwrap().0.planar().is_some());
+        assert!(store.load_plan(2).unwrap().0.volumetric().is_some());
+        // Kind confusion — an artifact whose magic names the other kind —
+        // degrades to absent, never panics or mis-serves.
+        let path = |key: u64| dir.join(format!("plan-{key:016x}.v1.spb"));
+        let mut as_planar = std::fs::read(path(2)).unwrap();
+        as_planar[..8].copy_from_slice(spider_core::serial::PLAN_MAGIC);
+        std::fs::write(path(3), as_planar).unwrap();
+        let mut as_volume = std::fs::read(path(1)).unwrap();
+        as_volume[..8].copy_from_slice(spider_core::serial::PLAN3D_MAGIC);
+        std::fs::write(path(4), as_volume).unwrap();
+        assert!(store.load_plan(3).is_none());
+        assert!(store.load_plan(4).is_none());
         assert_eq!(store.stats().plan_rejected, 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -691,7 +645,7 @@ mod tests {
             },
         )
         .unwrap();
-        let plan = SpiderPlan::compile(&StencilKernel::jacobi_2d()).unwrap();
+        let plan = planar(&SpiderPlan::compile(&StencilKernel::jacobi_2d()).unwrap());
         // Ascending keys: with tied mtimes the name tie-break equals save
         // order, so "oldest first" is deterministic here.
         for key in 0..6u64 {
@@ -711,6 +665,7 @@ mod tests {
         let dir = tmp_dir("gc-bytes");
         let plan = SpiderPlan::compile(&StencilKernel::jacobi_2d()).unwrap();
         let one = plan.to_bytes().len() as u64;
+        let plan = planar(&plan);
         let store = PlanStore::open_with_gc(
             &dir,
             StoreGcPolicy {

@@ -7,9 +7,8 @@
 //! time-valued histograms, so bucket bounds read 2µs, 4µs, … ~2s.
 //!
 //! Fixed bounds keep the struct `Copy`, mergeable by plain addition and
-//! comparable across runs. This is the generalisation of what used to be
-//! `spider_runtime::WaitHistogram`'s private bucket math; the runtime type
-//! is now a thin wrapper over this one (same bounds, same rendering).
+//! comparable across runs. The scheduler's queue-wait histogram
+//! (`spider_runtime::QueueStats::wait_hist`) is one of these, in µs.
 
 /// Fixed log₂-bucket histogram with a running sum for quantile and mean
 /// estimation.
@@ -167,11 +166,8 @@ impl LogHistogram {
 
     /// Compact one-line rendering of the non-empty buckets with the values
     /// interpreted as microseconds, e.g. `[64µs,128µs):3 [128µs,256µs):9`.
-    /// Empty histograms render as `(empty)`.
-    ///
-    /// Byte-compatible with the historical `WaitHistogram::render` output
-    /// for non-empty histograms (the runtime wrapper substitutes its own
-    /// empty-case wording).
+    /// Empty histograms render as `(empty)`; the runtime's drain report
+    /// words its empty queue-wait histogram itself.
     pub fn render_us(&self) -> String {
         let mut parts = Vec::new();
         for (i, &count) in self.buckets.iter().enumerate() {
@@ -313,5 +309,25 @@ mod tests {
         let text = h.render_us();
         assert_eq!(text, "[64\u{b5}s,128\u{b5}s):2 [2s,\u{221e}):1");
         assert_eq!(LogHistogram::default().render_us(), "(empty)");
+    }
+
+    #[test]
+    fn render_labels_every_bucket_in_us_ms_and_s() {
+        let mut h = LogHistogram::default();
+        h.record(0.5);
+        for i in 1..LogHistogram::BUCKETS {
+            h.record((1u64 << i) as f64);
+        }
+        assert_eq!(
+            h.render_us(),
+            concat!(
+                "[0\u{b5}s,2\u{b5}s):1 [2\u{b5}s,4\u{b5}s):1 [4\u{b5}s,8\u{b5}s):1 ",
+                "[8\u{b5}s,16\u{b5}s):1 [16\u{b5}s,32\u{b5}s):1 [32\u{b5}s,64\u{b5}s):1 ",
+                "[64\u{b5}s,128\u{b5}s):1 [128\u{b5}s,256\u{b5}s):1 [256\u{b5}s,512\u{b5}s):1 ",
+                "[512\u{b5}s,1ms):1 [1ms,2ms):1 [2ms,4ms):1 [4ms,8ms):1 [8ms,16ms):1 ",
+                "[16ms,32ms):1 [32ms,65ms):1 [65ms,131ms):1 [131ms,262ms):1 ",
+                "[262ms,524ms):1 [524ms,1s):1 [1s,2s):1 [2s,\u{221e}):1"
+            )
+        );
     }
 }

@@ -126,7 +126,7 @@ fn scene_1_priority_ordering() {
     println!(
         "wait-time distribution ({} dispatched): {}",
         q.wait_hist.count(),
-        q.wait_hist.render()
+        q.wait_hist.render_us()
     );
     println!("OK: all high-priority requests completed before normal, normal before low\n");
 }

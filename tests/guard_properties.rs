@@ -51,6 +51,24 @@ fn guard_across_compile_fixture_is_caught_in_both_shapes() {
 }
 
 #[test]
+fn guard_across_store_fixture_is_caught_on_load_and_save() {
+    let src = fixture("guard_across_store.rs");
+    let vs = lint_source("crates/runtime/src/fixture.rs", &src, &cfg());
+    let tokens: Vec<&str> = vs
+        .iter()
+        .filter(|v| v.rule == RULE_LOCK_DISCIPLINE)
+        .map(|v| v.token.as_str())
+        .collect();
+    // The store's one load and one save, each under a live cache guard;
+    // the `clean` shape stays silent.
+    assert_eq!(tokens, ["load_plan", "save_plan"], "{vs:?}");
+    assert!(
+        vs.iter().all(|v| v.message.contains("`inner`")),
+        "violations should name the live guard: {vs:?}"
+    );
+}
+
+#[test]
 fn bad_metric_name_fixture_is_caught_per_problem() {
     let src = fixture("bad_metric_name.rs");
     let vs = lint_source("crates/telemetry/src/fixture.rs", &src, &cfg());
