@@ -33,8 +33,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spider_runtime::{
-    PlanStore, RequestStatus, SpiderRuntime, SpiderScheduler, StencilRequest, Submit, SubmitError,
-    Ticket,
+    FailureReason, PlanStore, RequestStatus, SpiderRuntime, SpiderScheduler, StencilRequest,
+    Submit, SubmitError, Ticket,
 };
 use spider_telemetry::{
     HealthMonitor, HealthPolicy, HealthState, HealthTransition, MetricValue, MetricsSnapshot,
@@ -217,6 +217,10 @@ struct Pending {
     /// [`SpiderCluster::timeline`] chains every segment's trace into one
     /// lineage instead of losing the first life of a retried request.
     history: Vec<(usize, Ticket)>,
+    /// An evacuation (requeue or retry) found no survivor to admit it: the
+    /// ticket polls `Failed { reason: DeviceLost }` rather than the
+    /// cancellation its old device recorded.
+    lost: bool,
 }
 
 #[derive(Default)]
@@ -244,6 +248,8 @@ struct ClusterState {
     requeued: u64,
     /// In-flight casualties re-routed under the retry policy.
     retried: u64,
+    /// Requeues and retries no survivor admitted (see [`Pending::lost`]).
+    unplaced: u64,
     devices_added: u64,
     devices_removed: u64,
     devices_failed: u64,
@@ -510,6 +516,7 @@ impl SpiderCluster {
                 ticket,
                 attempts: 0,
                 history: Vec::new(),
+                lost: false,
             },
         );
         st.device_order[device].push(seq);
@@ -631,11 +638,15 @@ impl SpiderCluster {
 
     /// Current status of a cluster ticket (resolved against whichever
     /// device currently owns the request — departed devices keep
-    /// answering for the history they served).
+    /// answering for the history they served). An evacuated request no
+    /// survivor admitted polls `Failed { reason: DeviceLost }`.
     pub fn poll(&self, ticket: ClusterTicket) -> RequestStatus {
         let m = self.read_membership();
         let st = self.lock();
         match st.pending.get(&ticket.seq) {
+            Some(p) if p.lost => RequestStatus::Failed {
+                reason: FailureReason::DeviceLost,
+            },
             Some(p) => m.slots[p.device].scheduler.poll(p.ticket),
             None => RequestStatus::Unknown,
         }
@@ -854,12 +865,16 @@ impl SpiderCluster {
         st.device_order[device].push(seq);
     }
 
-    /// The one blocking fallback, for requests [`Self::place`] found no
-    /// room for: park on the least-loaded serving device with **no**
-    /// cluster lock held. Extremely rare — it needs every serving queue
-    /// full at once — but "every queue full" must degrade to waiting,
-    /// never to losing a request.
-    fn place_blocking(&self, unplaced: Vec<(u64, StencilRequest)>, kind: Move) {
+    /// The one blocking fallback, for evacuated requests (requeues and
+    /// retries) [`Self::place`] found no room for: park on the
+    /// least-loaded serving device with **no** cluster lock held.
+    /// Extremely rare — it needs every serving queue full at once — but
+    /// "every queue full" must degrade to waiting, never to losing a
+    /// request silently. A request nothing admits (no survivor at all, or
+    /// a policy refusal: reject, shed, quota) fails as a device loss and is
+    /// counted as unplaced. Returns how many failed so.
+    fn place_blocking(&self, unplaced: Vec<(u64, StencilRequest)>, kind: Move) -> usize {
+        let mut lost = 0;
         for (seq, req) in unplaced {
             let placed = loop {
                 let dest = {
@@ -881,13 +896,16 @@ impl SpiderCluster {
             let mut st = self.lock();
             match placed {
                 Some((slot, ticket)) => Self::commit_move(&mut st, seq, slot, ticket, kind),
-                // No survivor at all (concurrent drains raced the
-                // LastDevice guard) or a policy refusal (reject, shed,
-                // quota): the request stays cancelled — counted, not
-                // swallowed.
-                None => st.steal_failures += 1,
+                None => {
+                    if let Some(p) = st.pending.get_mut(&seq) {
+                        p.lost = true;
+                    }
+                    st.unplaced += 1;
+                    lost += 1;
+                }
             }
         }
+        lost
     }
 
     /// Join a new device live: it starts serving (and warm-starts from the
@@ -1073,11 +1091,15 @@ impl SpiderCluster {
                 self.place(&m, &mut st, &mut fleet, retries, Move::Retry),
             )
         };
-        // The report counts every requeue and retry handed over, placed
-        // or parked; only a policy refusal in the blocking fallback drops
-        // one, and that counts as a steal failure.
-        self.place_blocking(requeues, Move::Requeue);
-        self.place_blocking(retries, Move::Retry);
+        // The report counts the requeues and retries that landed, placed
+        // or parked; what nothing admitted fails and counts as unplaced.
+        let lost = (
+            self.place_blocking(requeues, Move::Requeue),
+            self.place_blocking(retries, Move::Retry),
+        );
+        report.requeued -= lost.0;
+        report.retried -= lost.1;
+        report.unplaced = lost.0 + lost.1;
         self.lock().devices_failed += 1;
         Ok(report)
     }
@@ -1264,6 +1286,7 @@ impl SpiderCluster {
             steal_failures: st.steal_failures,
             requeued: st.requeued,
             retried: st.retried,
+            unplaced: st.unplaced,
             devices_added: st.devices_added,
             devices_removed: st.devices_removed,
             devices_failed: st.devices_failed,
@@ -1304,6 +1327,7 @@ impl SpiderCluster {
             let st = self.lock();
             lifecycle.counter("spider_cluster_requeued_total", st.requeued);
             lifecycle.counter("spider_cluster_retried_total", st.retried);
+            lifecycle.counter("spider_cluster_unplaced_total", st.unplaced);
             lifecycle.counter("spider_cluster_device_added_total", st.devices_added);
             lifecycle.counter("spider_cluster_device_removed_total", st.devices_removed);
             lifecycle.counter("spider_cluster_device_failed_total", st.devices_failed);
@@ -1439,7 +1463,7 @@ impl Submit for SpiderCluster {
 mod tests {
     use super::*;
     use crate::elastic::{FaultPlan, RetryPolicy};
-    use spider_runtime::{FailureReason, Priority, SchedulerOptions};
+    use spider_runtime::{BackpressurePolicy, Priority, SchedulerOptions};
     use spider_stencil::{StencilKernel, StencilShape};
 
     fn specs(n: usize, paused: bool) -> Vec<DeviceSpec> {
@@ -1809,6 +1833,92 @@ mod tests {
         for t in tickets {
             assert!(matches!(cluster.poll(t), RequestStatus::Done(_)));
         }
+    }
+
+    /// Three paused devices of capacity 14 under `Reject`, round robin,
+    /// with 40 requests accepted: 14, 13 and 13 queued.
+    fn full_rejecting_fleet() -> (SpiderCluster, Vec<ClusterTicket>) {
+        let specs: Vec<DeviceSpec> = (0..3)
+            .map(|i| {
+                DeviceSpec::a100(format!("dev{i}")).with_scheduler_options(SchedulerOptions {
+                    start_paused: true,
+                    queue_capacity: 14,
+                    policy: BackpressurePolicy::Reject,
+                    ..SchedulerOptions::default()
+                })
+            })
+            .collect();
+        let options = ClusterOptions {
+            policy: RoutingPolicy::RoundRobin,
+            ..ClusterOptions::default()
+        };
+        let cluster = SpiderCluster::new(specs, options);
+        let tickets: Vec<ClusterTicket> = mixed_requests(40)
+            .into_iter()
+            .map(|r| cluster.submit(r).unwrap())
+            .collect();
+        assert_eq!(cluster.queue_depths(), vec![14, 13, 13]);
+        (cluster, tickets)
+    }
+
+    /// Every ticket ends `Done` or `Failed { DeviceLost }`; returns how
+    /// many failed.
+    fn lost_tickets(cluster: &SpiderCluster, tickets: &[ClusterTicket]) -> usize {
+        tickets
+            .iter()
+            .filter(|&&t| match cluster.poll(t) {
+                RequestStatus::Done(_) => false,
+                RequestStatus::Failed {
+                    reason: FailureReason::DeviceLost,
+                } => true,
+                other => panic!("ticket {} ended {other:?}", t.id()),
+            })
+            .count()
+    }
+
+    /// Under `Reject`, an evacuated request that no survivor admits fails
+    /// as a device loss instead of staying silently cancelled, and the
+    /// recovery report counts only what landed: dev0 (14 queued) dies
+    /// while the survivors have room for 2.
+    #[test]
+    fn an_evacuation_nothing_admits_fails_and_is_counted() {
+        let (cluster, tickets) = full_rejecting_fleet();
+        let recovery = cluster.fail_device("dev0").unwrap();
+        assert_eq!(
+            recovery,
+            RecoveryReport {
+                requeued: 2,
+                retried: 0,
+                abandoned: 0,
+                unplaced: 12,
+            }
+        );
+        let report = cluster.drain_all();
+        assert_eq!(
+            (report.requeued, report.retried, report.unplaced),
+            (2, 0, 12),
+            "the recovery report equals the counters"
+        );
+        assert_eq!(report.steal_failures, 0);
+        assert_eq!(lost_tickets(&cluster, &tickets), 12);
+        assert_eq!(report.total_completed(), 28);
+        let metrics = cluster.fleet_metrics();
+        assert_eq!(metrics.counter_value("spider_cluster_unplaced_total"), 12);
+        assert!(report
+            .render()
+            .contains("2 requeued, 0 retried, 12 unplaced"));
+    }
+
+    /// A drain's requeues fail the same way: dev1 (13 queued) leaves while
+    /// only dev2 has room, for one.
+    #[test]
+    fn a_drain_requeue_nothing_admits_fails_and_is_counted() {
+        let (cluster, tickets) = full_rejecting_fleet();
+        cluster.remove_device("dev1").unwrap();
+        let report = cluster.drain_all();
+        assert_eq!((report.requeued, report.unplaced), (1, 12));
+        assert_eq!(lost_tickets(&cluster, &tickets), 12);
+        assert_eq!(report.total_completed(), 28);
     }
 
     #[test]

@@ -152,7 +152,9 @@ impl Default for RetryPolicy {
     }
 }
 
-/// What one device failure's recovery accomplished.
+/// What one device failure's recovery accomplished. Its counts add to the
+/// cluster's `requeued`, `retried` and `unplaced` counters by exactly these
+/// amounts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Unstarted (queued) requests moved to survivors exactly-once.
@@ -162,6 +164,10 @@ pub struct RecoveryReport {
     /// In-flight casualties left as `Failed { reason: DeviceLost }`
     /// (retry budget exhausted).
     pub abandoned: usize,
+    /// Requeues and retries no survivor admitted (every queue full under a
+    /// refusing backpressure policy): they too end `Failed { reason:
+    /// DeviceLost }`, never silently cancelled.
+    pub unplaced: usize,
 }
 
 /// One fired fault: which device died and what recovery did about it.

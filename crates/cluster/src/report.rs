@@ -80,6 +80,10 @@ pub struct ClusterReport {
     pub requeued: u64,
     /// In-flight device-loss casualties re-routed under the retry policy.
     pub retried: u64,
+    /// Requeues and retries that no survivor admitted (every queue full
+    /// under a refusing backpressure policy); their tickets poll
+    /// `Failed { reason: DeviceLost }`.
+    pub unplaced: u64,
     /// Devices joined live via [`crate::SpiderCluster::add_device`].
     pub devices_added: u64,
     /// Devices drained out via [`crate::SpiderCluster::remove_device`].
@@ -268,12 +272,16 @@ impl ClusterReport {
         }
         if self.devices_added > 0 || self.devices_removed > 0 || self.devices_failed > 0 {
             out.push_str(&format!(
-                "elasticity: +{} added / -{} removed / {} failed | {} requeued, {} retried\n",
+                "elasticity: +{} added / -{} removed / {} failed | {} requeued, {} retried{}\n",
                 self.devices_added,
                 self.devices_removed,
                 self.devices_failed,
                 self.requeued,
                 self.retried,
+                match self.unplaced {
+                    0 => String::new(),
+                    n => format!(", {n} unplaced"),
+                },
             ));
         }
         out
@@ -316,6 +324,7 @@ mod tests {
             steal_failures: 0,
             requeued: 0,
             retried: 0,
+            unplaced: 0,
             devices_added: 0,
             devices_removed: 0,
             devices_failed: 0,
@@ -340,6 +349,7 @@ mod tests {
             steal_failures: 0,
             requeued: 0,
             retried: 0,
+            unplaced: 0,
             devices_added: 0,
             devices_removed: 0,
             devices_failed: 0,

@@ -25,6 +25,17 @@
 //! each: a job must outlast waking an idle core, so a sweep below twice
 //! that size runs on the calling thread and spawns nothing.
 //!
+//! ## One level of parallelism
+//!
+//! A serving wave fans out too, over its plan-key groups, with the same
+//! rule ([`split_jobs`]) through [`fan_out`], but only when none of its
+//! sweeps would split by itself ([`jobs_for`] is 1 for each). So a core
+//! is never asked for two levels at once: a wave's jobs each sweep on
+//! their own thread, and a sweep large enough to split runs in a wave of
+//! one job. Each job holds at most one input and one scratch grid, both
+//! from the runtime's one [`BufferPool`], and [`SpiderExecutor::run_2d_in_batch`]
+//! lets it run a coalesced group one member at a time.
+//!
 //! The emulated MMA path (`compute_block_*` over `mma_tile_2d` and
 //! `gather_1d`) remains for the one case where the two differ: a sweep whose
 //! source holds ±∞ or NaN anywhere in its padded storage (a zero slot times
@@ -105,10 +116,29 @@ impl Default for ExecConfig {
 /// step-points take 140–200 µs.
 pub const MIN_JOB_STEP_POINTS: usize = 2_000_000;
 
+/// How many jobs a fan-out over `work` splits into: one per `min_job` of
+/// work, at most `most` and at most one per core, at least one. The rule of
+/// both fan-outs: a sweep's ([`jobs_for`]) and a serving wave's.
+pub fn split_jobs(work: u64, min_job: u64, most: usize) -> usize {
+    let cap = most.min(rayon::current_num_threads()).max(1);
+    (work / min_job).clamp(1, cap as u64) as usize
+}
+
 /// How many jobs a sweep of `step_points` splits into: one per
-/// [`MIN_JOB_STEP_POINTS`], at most one per core, at least one.
-fn jobs_for(step_points: usize) -> usize {
-    (step_points / MIN_JOB_STEP_POINTS).clamp(1, rayon::current_num_threads())
+/// [`MIN_JOB_STEP_POINTS`], at most one per core, at least one. A serving
+/// wave asks it too: a wave one of whose sweeps would split does not fan
+/// out itself, so there is one level of parallelism.
+pub fn jobs_for(step_points: usize) -> usize {
+    split_jobs(step_points as u64, MIN_JOB_STEP_POINTS as u64, usize::MAX)
+}
+
+/// Run `job` on `jobs` workers and return each worker's value: the calling
+/// thread is one worker, and the rayon shim starts a helper thread for
+/// each other. The fan-out of a serving wave, whose jobs claim its groups;
+/// a sweep fans out over its own rows instead
+/// (`SpiderExecutor::sweep_rows`).
+pub fn fan_out<R: Send>(jobs: usize, job: impl Fn() -> R + Sync) -> Vec<R> {
+    (0..jobs).into_par_iter().map(|_| job()).collect()
 }
 
 /// Observer driven by the coalesced batch entry points
@@ -141,21 +171,40 @@ impl BatchFeedback for NoFeedback {
     fn on_grid_done(&mut self, _index: usize, _report: &KernelReport) {}
 }
 
-/// Run a one-grid coalesced batch and return the grid's report: the solo
-/// entry points are this batch, so a single-grid report is exactly the
-/// batched-launch report with a launch share of 1.
-fn solo(
-    batch: impl FnOnce(&mut dyn BatchFeedback) -> Result<(), String>,
-) -> Result<KernelReport, String> {
-    struct Keep(Option<KernelReport>);
-    impl BatchFeedback for Keep {
-        fn on_grid_done(&mut self, _index: usize, report: &KernelReport) {
-            self.0 = Some(report.clone());
+/// The batched launch a grid's report is billed to: `members` grids
+/// spanning `wave_blocks` thread blocks, each carrying `1/members` of the
+/// launch overhead. A solo run is a batch of one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Launch {
+    pub(crate) members: usize,
+    pub(crate) wave_blocks: u64,
+}
+
+impl Launch {
+    /// `members` grids of `blocks` thread blocks each.
+    fn uniform(members: usize, blocks: u64) -> Self {
+        Self {
+            members,
+            wave_blocks: members as u64 * blocks,
         }
     }
-    let mut keep = Keep(None);
-    batch(&mut keep)?;
-    Ok(keep.0.expect("a batch that succeeds reports every grid"))
+
+    fn share(&self) -> f64 {
+        1.0 / self.members.max(1) as f64
+    }
+}
+
+/// Why `plan` cannot sweep a grid whose halo is `halo` (`line`: the grid
+/// is 1D): the dimensions differ, or the halo is narrower than the radius.
+fn check(plan: &SpiderPlan, line: bool, halo: usize) -> Result<(), String> {
+    let radius = plan.radius();
+    if plan.is_1d() != line {
+        Err("plan and grid dimensions differ".into())
+    } else if halo < radius {
+        Err(format!("grid halo {halo} < stencil radius {radius}"))
+    } else {
+        Ok(())
+    }
 }
 
 /// SPIDER's simulated-GPU executor.
@@ -224,7 +273,7 @@ impl<'d> SpiderExecutor<'d> {
     }
 
     /// Run `steps` sweeps of a 2D stencil, updating `grid` in place — a
-    /// one-grid [`Self::run_2d_coalesced`] batch.
+    /// batch of one ([`Self::run_2d_in_batch`]).
     ///
     /// The grid is quantized through FP16 (the storage type of the modeled
     /// pipeline) on entry and after every sweep.
@@ -234,7 +283,7 @@ impl<'d> SpiderExecutor<'d> {
         grid: &mut Grid2D<f32>,
         steps: usize,
     ) -> Result<KernelReport, String> {
-        solo(|fb| self.run_2d_coalesced(plan, std::slice::from_mut(grid), steps, fb))
+        self.in_batch_2d(plan, grid, steps, 1, false)
     }
 
     /// [`Self::run_2d`] with every sweep on the emulated MMA path: the
@@ -246,17 +295,60 @@ impl<'d> SpiderExecutor<'d> {
         grid: &mut Grid2D<f32>,
         steps: usize,
     ) -> Result<KernelReport, String> {
-        solo(|fb| self.batch_2d(plan, std::slice::from_mut(grid), steps, fb, true))
+        self.in_batch_2d(plan, grid, steps, 1, true)
     }
 
-    /// The functional heart of [`Self::run_2d_coalesced`]: quantize, then
-    /// `steps` boundary-refill + sweep rounds, ping-ponging between the
-    /// caller's grid and a pooled scratch grid (no clone). Returns each
-    /// sweep's counters, in order. The input quantize flags a non-finite
-    /// source and each sweep's store flags a non-finite result; a flagged
-    /// source (or `emulate`) takes the emulated path. The halo refill only
-    /// copies interior values or writes zeros, so the store's flag covers
-    /// the next source's whole padded storage.
+    /// Run one grid as a member of a batched launch of `members` grids of
+    /// its shape: the grid and report [`Self::run_2d_coalesced`] gives each
+    /// grid of such a batch, bit for bit, with only this grid alive. A
+    /// serving layer runs a coalesced group this way, one member at a time,
+    /// so it holds one input and one scratch grid rather than the group's.
+    pub fn run_2d_in_batch(
+        &self,
+        plan: &SpiderPlan,
+        grid: &mut Grid2D<f32>,
+        steps: usize,
+        members: usize,
+    ) -> Result<KernelReport, String> {
+        self.in_batch_2d(plan, grid, steps, members, false)
+    }
+
+    fn in_batch_2d(
+        &self,
+        plan: &SpiderPlan,
+        grid: &mut Grid2D<f32>,
+        steps: usize,
+        members: usize,
+        emulate: bool,
+    ) -> Result<KernelReport, String> {
+        check(plan, false, grid.halo())?;
+        let blocks = self.config.tiling.blocks_2d(grid.rows(), grid.cols());
+        let launch = Launch::uniform(members, blocks);
+        Ok(self.member_2d(plan, grid, steps, emulate, launch))
+    }
+
+    /// Sweep one 2D batch member and bill it to `launch`.
+    fn member_2d(
+        &self,
+        plan: &SpiderPlan,
+        grid: &mut Grid2D<f32>,
+        steps: usize,
+        emulate: bool,
+        launch: Launch,
+    ) -> KernelReport {
+        let per_step = self.sweep_2d(plan, grid, steps, emulate);
+        self.batched_report(per_step, launch, (grid.rows() * grid.cols()) as u64)
+    }
+
+    /// The functional heart of every 2D run: quantize, then `steps`
+    /// boundary-refill + sweep rounds, ping-ponging between the caller's
+    /// grid and a pooled scratch grid that holds only the source's halo
+    /// (the sweep writes every interior cell). Returns each sweep's
+    /// counters, in order. The input quantize flags a non-finite source and
+    /// each sweep's store flags a non-finite result; a flagged source (or
+    /// `emulate`) takes the emulated path. The halo refill only copies
+    /// interior values or writes zeros, so the store's flag covers the next
+    /// source's whole padded storage.
     fn sweep_2d(
         &self,
         plan: &SpiderPlan,
@@ -265,9 +357,10 @@ impl<'d> SpiderExecutor<'d> {
         emulate: bool,
     ) -> Vec<PerfCounters> {
         let mut non_finite = quantize_slice(grid.padded_mut());
-        let buf = self.pool.take_copy_of(grid.padded());
-        let mut scratch = Grid2D::from_padded_vec(grid.rows(), grid.cols(), grid.halo(), buf);
-        let (h, stride, cols) = (grid.halo(), grid.stride(), grid.cols());
+        let (rows, cols, h, stride) = (grid.rows(), grid.cols(), grid.halo(), grid.stride());
+        let out_rows = move || (h..h + rows).map(move |x| x * stride + h);
+        let buf = self.pool.take_halo_of(grid.padded(), out_rows(), cols);
+        let mut scratch = Grid2D::from_padded_vec(rows, cols, h, buf);
         let mut per_step = Vec::with_capacity(steps.max(1));
         for _ in 0..steps.max(1) {
             self.config.boundary.apply_2d(grid);
@@ -275,25 +368,25 @@ impl<'d> SpiderExecutor<'d> {
             non_finite = if emulate || non_finite {
                 self.emulate_2d(plan, grid, dst)
             } else {
-                let rows = (h..h + grid.rows()).map(|x| x * stride + h);
-                self.sweep_rows(rows, cols, stride, &[(0, plan)], false, grid.padded(), dst)
+                let src = grid.padded();
+                self.sweep_rows(out_rows(), cols, stride, &[(0, plan)], false, src, dst)
             };
-            per_step.push(self.charge_2d(plan, grid.rows(), grid.cols()));
+            per_step.push(self.charge_2d(plan, rows, cols));
             std::mem::swap(grid, &mut scratch);
         }
         self.pool.put(scratch.into_padded_vec());
         per_step
     }
 
-    /// Run `steps` sweeps of a 1D stencil — a one-grid
-    /// [`Self::run_1d_coalesced`] batch.
+    /// Run `steps` sweeps of a 1D stencil — a batch of one
+    /// ([`Self::run_1d_in_batch`]).
     pub fn run_1d(
         &self,
         plan: &SpiderPlan,
         grid: &mut Grid1D<f32>,
         steps: usize,
     ) -> Result<KernelReport, String> {
-        solo(|fb| self.run_1d_coalesced(plan, std::slice::from_mut(grid), steps, fb))
+        self.in_batch_1d(plan, grid, steps, 1, false)
     }
 
     /// [`Self::run_1d`] with every sweep on the emulated MMA path (the
@@ -305,7 +398,44 @@ impl<'d> SpiderExecutor<'d> {
         grid: &mut Grid1D<f32>,
         steps: usize,
     ) -> Result<KernelReport, String> {
-        solo(|fb| self.batch_1d(plan, std::slice::from_mut(grid), steps, fb, true))
+        self.in_batch_1d(plan, grid, steps, 1, true)
+    }
+
+    /// 1D counterpart of [`Self::run_2d_in_batch`].
+    pub fn run_1d_in_batch(
+        &self,
+        plan: &SpiderPlan,
+        grid: &mut Grid1D<f32>,
+        steps: usize,
+        members: usize,
+    ) -> Result<KernelReport, String> {
+        self.in_batch_1d(plan, grid, steps, members, false)
+    }
+
+    fn in_batch_1d(
+        &self,
+        plan: &SpiderPlan,
+        grid: &mut Grid1D<f32>,
+        steps: usize,
+        members: usize,
+        emulate: bool,
+    ) -> Result<KernelReport, String> {
+        check(plan, true, grid.halo())?;
+        let launch = Launch::uniform(members, self.config.tiling.blocks_1d(grid.len()));
+        Ok(self.member_1d(plan, grid, steps, emulate, launch))
+    }
+
+    /// Sweep one 1D batch member and bill it to `launch`.
+    fn member_1d(
+        &self,
+        plan: &SpiderPlan,
+        grid: &mut Grid1D<f32>,
+        steps: usize,
+        emulate: bool,
+        launch: Launch,
+    ) -> KernelReport {
+        let per_step = self.sweep_1d(plan, grid, steps, emulate);
+        self.batched_report(per_step, launch, grid.len() as u64)
     }
 
     /// 1D counterpart of [`Self::sweep_2d`]: the grid is one row.
@@ -317,9 +447,9 @@ impl<'d> SpiderExecutor<'d> {
         emulate: bool,
     ) -> Vec<PerfCounters> {
         let mut non_finite = quantize_slice(grid.padded_mut());
-        let buf = self.pool.take_copy_of(grid.padded());
-        let mut scratch = Grid1D::from_padded_vec(grid.len(), grid.halo(), buf);
         let (n, h, t) = (grid.len(), grid.halo(), self.config.tiling);
+        let buf = self.pool.take_halo_of(grid.padded(), once(h), n);
+        let mut scratch = Grid1D::from_padded_vec(n, h, buf);
         let mut per_step = Vec::with_capacity(steps.max(1));
         for _ in 0..steps.max(1) {
             self.config.boundary.apply_1d(grid);
@@ -357,10 +487,11 @@ impl<'d> SpiderExecutor<'d> {
     /// kernel-launch overhead shared by the group (each member's report
     /// carries `1/n` of it) and the occupancy ramp driven by the group's
     /// combined block residency — the reason a serving layer coalesces small
-    /// grids at all. [`Self::run_2d`] is the single-grid batch.
+    /// grids at all. [`Self::run_2d`] is the single-grid batch, and
+    /// [`Self::run_2d_in_batch`] runs one member of a batch of equal shapes.
     ///
-    /// `feedback` fires once per grid, in input order, after the whole batch
-    /// finishes its sweeps. Results are delivered exclusively through the
+    /// `feedback` fires once per grid, in input order, right after the
+    /// grid's last sweep. Results are delivered exclusively through the
     /// hook — collect them with a [`BatchFeedback`] implementation.
     ///
     /// Fails fast: the first invalid grid aborts the batch — grids before it
@@ -373,31 +504,12 @@ impl<'d> SpiderExecutor<'d> {
         steps: usize,
         feedback: &mut dyn BatchFeedback,
     ) -> Result<(), String> {
-        self.batch_2d(plan, grids, steps, feedback, false)
-    }
-
-    /// [`Self::run_2d_coalesced`], optionally forcing the emulated path.
-    fn batch_2d(
-        &self,
-        plan: &SpiderPlan,
-        grids: &mut [Grid2D<f32>],
-        steps: usize,
-        feedback: &mut dyn BatchFeedback,
-        emulate: bool,
-    ) -> Result<(), String> {
         let t = self.config.tiling;
         self.run_coalesced_impl(
-            plan,
-            false,
             grids,
             feedback,
-            |g| (g.halo(), t.blocks_2d(g.rows(), g.cols())),
-            |g| {
-                (
-                    self.sweep_2d(plan, g, steps, emulate),
-                    (g.rows() * g.cols()) as u64,
-                )
-            },
+            |g| check(plan, false, g.halo()).map(|()| t.blocks_2d(g.rows(), g.cols())),
+            |g, launch| self.member_2d(plan, g, steps, false, launch),
         )
     }
 
@@ -410,70 +522,46 @@ impl<'d> SpiderExecutor<'d> {
         steps: usize,
         feedback: &mut dyn BatchFeedback,
     ) -> Result<(), String> {
-        self.batch_1d(plan, grids, steps, feedback, false)
-    }
-
-    /// [`Self::run_1d_coalesced`], optionally forcing the emulated path.
-    fn batch_1d(
-        &self,
-        plan: &SpiderPlan,
-        grids: &mut [Grid1D<f32>],
-        steps: usize,
-        feedback: &mut dyn BatchFeedback,
-        emulate: bool,
-    ) -> Result<(), String> {
         let t = self.config.tiling;
         self.run_coalesced_impl(
-            plan,
-            true,
             grids,
             feedback,
-            |g| (g.halo(), t.blocks_1d(g.len())),
-            |g| (self.sweep_1d(plan, g, steps, emulate), g.len() as u64),
+            |g| check(plan, true, g.halo()).map(|()| t.blocks_1d(g.len())),
+            |g, launch| self.member_1d(plan, g, steps, false, launch),
         )
     }
 
     /// Dimension-generic body of the coalesced entry points: validate a
-    /// prefix (a grid is invalid when the plan's dimension is not the
-    /// grids' or its halo is narrower than the radius; the first invalid
-    /// grid aborts the batch), sweep the valid grids in input order, then
-    /// deliver batched-launch reports in input order. `layout` gives a
-    /// grid's halo and thread-block count.
+    /// prefix (`blocks` gives a valid grid's thread-block count; the first
+    /// invalid grid aborts the batch), then sweep the valid grids in input
+    /// order, each billed to the prefix's batched launch.
     fn run_coalesced_impl<G>(
         &self,
-        plan: &SpiderPlan,
-        line: bool,
         grids: &mut [G],
         feedback: &mut dyn BatchFeedback,
-        layout: impl Fn(&G) -> (usize, u64),
-        sweep: impl Fn(&mut G) -> (Vec<PerfCounters>, u64),
+        blocks: impl Fn(&G) -> Result<u64, String>,
+        member: impl Fn(&mut G, Launch) -> KernelReport,
     ) -> Result<(), String> {
         let mut first_err: Option<String> = None;
-        let mut valid = grids.len();
+        let mut launch = Launch {
+            members: 0,
+            wave_blocks: 0,
+        };
         for (index, grid) in grids.iter().enumerate() {
-            let (halo, radius) = (layout(grid).0, plan.radius());
-            let e = if plan.is_1d() != line {
-                "plan and grid dimensions differ".to_string()
-            } else if halo < radius {
-                format!("grid halo {halo} < stencil radius {radius}")
-            } else {
-                continue;
-            };
-            first_err = Some(format!("coalesced grid {index}: {e}"));
-            valid = index;
-            break;
+            match blocks(grid) {
+                Ok(b) => {
+                    launch.members = index + 1;
+                    launch.wave_blocks += b;
+                }
+                Err(e) => {
+                    first_err = Some(format!("coalesced grid {index}: {e}"));
+                    break;
+                }
+            }
         }
-        let wave_blocks: u64 = grids[..valid].iter().map(|g| layout(g).1).sum();
-        let launch_share = 1.0 / valid.max(1) as f64;
-        feedback.on_batch_launch(valid, wave_blocks, launch_share);
-        let dims = LaunchDims::new(wave_blocks, self.config.tiling.threads_per_block());
-        let per_grid: Vec<(Vec<PerfCounters>, u64)> =
-            grids[..valid].iter_mut().map(sweep).collect();
-        for (index, (counters, points)) in per_grid.into_iter().enumerate() {
-            feedback.on_grid_done(
-                index,
-                &self.batched_report(counters, dims, points, launch_share),
-            );
+        feedback.on_batch_launch(launch.members, launch.wave_blocks, launch.share());
+        for (index, grid) in grids[..launch.members].iter_mut().enumerate() {
+            feedback.on_grid_done(index, &member(grid, launch));
         }
         first_err.map_or(Ok(()), Err)
     }
@@ -483,15 +571,15 @@ impl<'d> SpiderExecutor<'d> {
     pub(crate) fn batched_report(
         &self,
         per_step: Vec<PerfCounters>,
-        dims: LaunchDims,
+        launch: Launch,
         points: u64,
-        launch_share: f64,
     ) -> KernelReport {
+        let dims = LaunchDims::new(launch.wave_blocks, self.config.tiling.threads_per_block());
         let mut report: Option<KernelReport> = None;
         for counters in per_step {
             let r = self
                 .device
-                .report_batched(counters, dims, points, launch_share);
+                .report_batched(counters, dims, points, launch.share());
             report = Some(match report.take() {
                 None => r,
                 Some(prev) => prev.merge_sequential(&r),

@@ -12,11 +12,11 @@
 //! Star-3D kernels work automatically: their off-center slices hold a
 //! single tap and compile to one-unit plans.
 
-use crate::exec::{ExecMode, SpiderExecutor};
+use crate::exec::{ExecMode, Launch, SpiderExecutor};
 use crate::plan::{PlanError, SpiderPlan};
 use spider_gpu_sim::counters::PerfCounters;
 use spider_gpu_sim::half::quantize_slice;
-use spider_gpu_sim::timing::{KernelReport, LaunchDims};
+use spider_gpu_sim::timing::KernelReport;
 use spider_gpu_sim::GpuDevice;
 use spider_stencil::dim3::{Grid3D, Kernel3D};
 use spider_stencil::BoundaryCondition;
@@ -209,6 +209,10 @@ impl<'d> Spider3DExecutor<'d> {
         // Interior row ranges of one padded plane.
         let interior_rows =
             move || (h..h + rows).map(move |i| i * stride + h..i * stride + h + cols);
+        // The storage index of every output row's first output.
+        let out_rows = move || {
+            (h..h + planes).flat_map(move |z| interior_rows().map(move |r| z * plane_len + r.start))
+        };
         let quantize_plane = |plane: &mut [f32]| {
             for r in interior_rows() {
                 quantize_slice(&mut plane[r]);
@@ -217,7 +221,11 @@ impl<'d> Spider3DExecutor<'d> {
         grid.padded_mut()[h * plane_len..(h + planes) * plane_len]
             .chunks_exact_mut(plane_len)
             .for_each(quantize_plane);
-        let mut next = grid.clone();
+        // Every step writes every output row of `next` before reading it,
+        // so only the halo shell is copied in.
+        let pool = self.exec.pool();
+        let buf = pool.take_halo_of(grid.padded(), out_rows(), cols);
+        let mut next = Grid3D::from_padded_vec(planes, rows, cols, h, buf);
 
         // Counters never depend on data, and every plane of every step has
         // the same shape, so one plane report serves the whole run.
@@ -227,14 +235,13 @@ impl<'d> Spider3DExecutor<'d> {
             .iter()
             .map(|(_, p)| self.exec.charge_2d(p, rows, cols))
             .sum();
-        let wave_blocks = (planes * plan.slices().len()) as u64 * t.blocks_2d(rows, cols);
-        let dims = LaunchDims::new(wave_blocks, t.threads_per_block());
-        let plane_report = self.exec.batched_report(
-            vec![counters],
-            dims,
-            (rows * cols) as u64,
-            1.0 / planes as f64,
-        );
+        let launch = Launch {
+            members: planes,
+            wave_blocks: (planes * plan.slices().len()) as u64 * t.blocks_2d(rows, cols),
+        };
+        let plane_report = self
+            .exec
+            .batched_report(vec![counters], launch, (rows * cols) as u64);
         let step_report = (1..planes).fold(plane_report.clone(), |merged, _| {
             merged.merge_sequential(&plane_report)
         });
@@ -244,7 +251,6 @@ impl<'d> Spider3DExecutor<'d> {
             .iter()
             .map(|(dz, p)| (dz * plane_len as isize, p))
             .collect();
-        let pool = self.exec.pool();
         let mut report: Option<KernelReport> = None;
         for _ in 0..steps.max(1) {
             let (src, dst) = (grid.padded(), next.padded_mut());
@@ -267,10 +273,8 @@ impl<'d> Spider3DExecutor<'d> {
                 }
                 pool.put(partial);
             } else {
-                let out_rows = (h..h + planes)
-                    .flat_map(|z| interior_rows().map(move |r| z * plane_len + r.start));
                 self.exec
-                    .sweep_rows(out_rows, cols, stride, &slices, true, src, dst);
+                    .sweep_rows(out_rows(), cols, stride, &slices, true, src, dst);
             }
             std::mem::swap(grid, &mut next);
             report = Some(match report.take() {
@@ -278,6 +282,7 @@ impl<'d> Spider3DExecutor<'d> {
                 Some(prev) => prev.merge_sequential(&step_report),
             });
         }
+        pool.put(next.into_padded_vec());
         Ok(report.expect("at least one step"))
     }
 }

@@ -1,29 +1,44 @@
-//! Scratch-buffer pool: the allocation-free backbone of the executor.
+//! Buffer pool: the allocation-free backbone of serving.
 //!
-//! A run needs grid-sized scratch: a destination grid for the ping-pong
-//! stepping, and for the 3D executor's emulated path one slice-partial
-//! plane.
-//! Without the pool each run pays a fresh grid-sized allocation (and its
+//! Every grid-sized buffer a served request touches comes from here: its
+//! materialized input, the ping-pong scratch of a 1D or 2D sweep, a 3D
+//! run's `next` volume, and the 3D emulated path's partial plane. Without
+//! the pool each request pays fresh grid-sized allocations (and their
 //! page faults); at serving rates that is the "data-movement overhead"
 //! Casper identifies as the stencil bottleneck, spent in the allocator
-//! instead of the kernel. The pool recycles those buffers across steps,
-//! runs and (via [`BufferPool::clone`], which shares
-//! the underlying store) across executors — the runtime hands one pool to
-//! every executor it constructs so a warm serving process stops allocating
-//! entirely.
+//! instead of the kernel, and a second serving thread doubles it. The pool
+//! recycles those buffers across steps, runs and (via [`BufferPool::clone`],
+//! which shares the underlying store) across executors and threads — the
+//! runtime hands one pool to every executor it constructs, so a warm
+//! serving process stops allocating.
 //!
-//! Buffers are handed out zeroed (`take`) and returned explicitly (`put`);
-//! the executor's take/put pairs are structured, so a guard type would buy
-//! nothing. The hit/miss counters are the observable the steady-state
-//! no-allocation test pins: after warmup, `misses` stops growing.
+//! Buffers are handed out zeroed ([`BufferPool::take`]), holding whatever
+//! they held before ([`BufferPool::take_any`], for a caller that writes
+//! every element before reading it), or holding a source's values outside
+//! the rows a sweep is about to write ([`BufferPool::take_halo_of`]); they
+//! are returned explicitly ([`BufferPool::put`]). The take/put pairs are
+//! structured, so a guard type would buy nothing. The hit/miss counters
+//! are the observable the steady-state no-allocation tests pin: after
+//! warmup, `misses` stops growing.
+//!
+//! ## The free-list bound
+//!
+//! A take that finds no free buffer large enough drops the largest free one
+//! (too small, by definition) before it allocates. So a miss only adds to
+//! the buffers in existence when none is free, and the pool never holds
+//! more buffers than were ever taken at once. A served request holds at
+//! most two at a time — its input and its scratch (a volume and its
+//! `next`), three on the 3D emulated path — so a runtime's free list holds
+//! at most two buffers per job of its widest wave, each no larger than the
+//! largest grid it served: the largest wave's live bytes. The bound is
+//! derived, not configured; there is no capacity knob.
 //!
 //! Concurrency tradeoff: one global `Mutex` over a capacity-sorted free
 //! list. Lookup is a binary search and the critical section is sub-µs,
-//! while the work between a `take` and its `put` is a whole run (tens to
-//! hundreds of µs), so the lock is not a practical
-//! serialization point at the executor's thread counts. If profiles ever
-//! disagree, per-size-class freelists are the next step — behind the same
-//! two-method API.
+//! while the work between a `take` and its `put` is a whole sweep (tens to
+//! hundreds of µs), so the lock is not a practical serialization point at
+//! the runtime's job counts. If profiles ever disagree, per-size-class
+//! freelists are the next step — behind the same API.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,14 +75,20 @@ impl Default for PoolInner {
 }
 
 impl PoolInner {
-    /// Pop the smallest free buffer whose capacity is at least `len`
-    /// (best fit); `None` when nothing fits. Counts the hit/miss.
+    /// Pop the smallest free buffer whose capacity is at least `len` (best
+    /// fit); `None` when nothing fits, after dropping the largest free
+    /// buffer, so the caller's fresh allocation replaces it (see the module
+    /// docs on the free-list bound). Counts the hit/miss.
     fn reuse(&self, len: usize) -> Option<Vec<f32>> {
-        let reused = {
+        let (reused, outgrown) = {
             let mut free = self.free.lock();
             let idx = free.partition_point(|b| b.capacity() < len);
-            (idx < free.len()).then(|| free.remove(idx))
+            match idx < free.len() {
+                true => (Some(free.remove(idx)), None),
+                false => (None, free.pop()),
+            }
         };
+        drop(outgrown);
         match &reused {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -103,19 +124,41 @@ impl BufferPool {
         }
     }
 
-    /// Take a buffer holding a copy of `src` — the ping-pong-scratch
-    /// variant of [`Self::take`]. Writes each element exactly once (no
-    /// zero-fill before the copy), which matters when the buffer is a whole
-    /// padded grid.
-    pub fn take_copy_of(&self, src: &[f32]) -> Vec<f32> {
-        match self.inner.reuse(src.len()) {
+    /// Take a buffer of exactly `len` elements whose values are unspecified
+    /// (a recycled buffer keeps what it held; a fresh one is zero): for a
+    /// caller that writes every element before it reads one, which then
+    /// pays no zero-fill.
+    pub fn take_any(&self, len: usize) -> Vec<f32> {
+        match self.inner.reuse(len) {
             Some(mut buf) => {
-                buf.clear();
-                buf.extend_from_slice(src);
+                buf.resize(len, 0.0);
                 buf
             }
-            None => src.to_vec(),
+            None => vec![0.0; len],
         }
+    }
+
+    /// Take a buffer shaped like `src` that holds `src`'s values everywhere
+    /// but in the `width`-long spans starting at each of `rows` (ascending),
+    /// whose values are unspecified: a sweep's destination. The sweep writes
+    /// those spans, its output rows, before anything reads them, while the
+    /// rest, the halo, must match the source (checksums cover padded
+    /// storage). Copying the halo alone instead of the whole grid saves a
+    /// pass over the interior.
+    pub fn take_halo_of(
+        &self,
+        src: &[f32],
+        rows: impl IntoIterator<Item = usize>,
+        width: usize,
+    ) -> Vec<f32> {
+        let mut buf = self.take_any(src.len());
+        let mut end = 0;
+        for row in rows {
+            buf[end..row].copy_from_slice(&src[end..row]);
+            end = row + width;
+        }
+        buf[end..].copy_from_slice(&src[end..]);
+        buf
     }
 
     /// Return a buffer to the pool for reuse. Zero-capacity buffers are
@@ -167,7 +210,11 @@ mod tests {
         let big = pool.take(1000);
         assert_eq!(big.len(), 1000);
         assert_eq!(pool.stats().misses, 1);
-        assert_eq!(pool.free_buffers(), 1, "small buffer stays available");
+        // The outgrown buffer is dropped, not kept beside the new one: the
+        // pool never holds more buffers than were taken at once.
+        assert_eq!(pool.free_buffers(), 0, "the too-small buffer is gone");
+        pool.put(big);
+        assert_eq!(pool.free_buffers(), 1);
     }
 
     #[test]
@@ -181,17 +228,54 @@ mod tests {
     }
 
     #[test]
-    fn take_copy_of_reuses_and_copies_exactly() {
+    fn take_halo_of_copies_everything_but_the_rows() {
         let pool = BufferPool::new();
-        pool.put(vec![9.0; 64]);
-        let src: Vec<f32> = (0..40).map(|i| i as f32).collect();
-        let copy = pool.take_copy_of(&src);
-        assert_eq!(copy, src, "contents are the source, not stale data");
-        assert!(copy.capacity() >= 64, "recycled the pooled buffer");
+        pool.put(vec![f32::NAN; 64]);
+        // A 4×6 padded plane, halo 1: interior rows start at 7 and 13.
+        let src: Vec<f32> = (0..24).map(|i| i as f32).collect();
+        let buf = pool.take_halo_of(&src, [7, 13], 4);
+        assert_eq!(buf.len(), 24);
+        assert!(buf.capacity() >= 64, "recycled the pooled buffer");
         assert_eq!(pool.stats(), PoolStats { hits: 1, misses: 0 });
-        let fresh = pool.take_copy_of(&src); // pool now empty → miss
-        assert_eq!(fresh, src);
+        for (i, (&got, &want)) in buf.iter().zip(&src).enumerate() {
+            let interior = (7..11).contains(&i) || (13..17).contains(&i);
+            assert!(interior || got == want, "halo cell {i}: {got}");
+            assert!(!interior || got.is_nan(), "row cell {i} was copied");
+        }
+        let fresh = pool.take_halo_of(&src, [7, 13], 4); // pool now empty → miss
+        assert_eq!(fresh[..7], src[..7]);
         assert_eq!(pool.stats().misses, 1);
+    }
+
+    #[test]
+    fn take_any_keeps_the_recycled_values() {
+        let pool = BufferPool::new();
+        pool.put(vec![3.0; 8]);
+        assert_eq!(pool.take_any(5), vec![3.0; 5]);
+        pool.put(vec![3.0; 8]);
+        let grown = pool.take_any(8);
+        assert_eq!(grown, vec![3.0; 8]);
+    }
+
+    #[test]
+    fn the_pool_holds_no_more_buffers_than_were_taken_at_once() {
+        let pool = BufferPool::new();
+        // Two at a time, in growing sizes: every size misses, yet only two
+        // buffers ever exist.
+        for len in [10, 100, 1000, 10_000] {
+            let (a, b) = (pool.take(len), pool.take(len));
+            pool.put(a);
+            pool.put(b);
+            assert_eq!(pool.free_buffers(), 2, "len {len}");
+        }
+        assert_eq!(pool.stats().misses, 8);
+        for len in [10, 10_000, 5] {
+            let (a, b) = (pool.take(len), pool.take(len));
+            pool.put(a);
+            pool.put(b);
+        }
+        assert_eq!(pool.stats().misses, 8, "warm: every size hits");
+        assert_eq!(pool.free_buffers(), 2);
     }
 
     #[test]

@@ -185,6 +185,9 @@ pub fn lint_source(path: &str, src: &str, cfg: &GuardConfig) -> Vec<Violation> {
 ///   same pass, so `let plan = { let g = m.lock(); … };` tracks `g`.
 /// * a live guard dies at `drop(<name>)`, a shadowing rebind, or the `}`
 ///   closing the block it was bound in.
+/// * a `fn` parameter `name: &T` or `name: &mut T`, where the file holds
+///   `T` in an `OrderedMutex<T>` or `OrderedRwLock<T>`, is a guard its
+///   caller took: live for the whole body (see [`param_guards`]).
 /// * any expensive call while a guard is live is a violation.
 fn lock_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     struct ActiveGuard {
@@ -199,13 +202,25 @@ fn lock_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
         saw_guard_method: bool,
     }
     let toks: Vec<&Token<'_>> = ctx.tokens.iter().filter(|t| !t.is_comment()).collect();
+    let mut params = param_guards(&toks);
     let mut guards: Vec<ActiveGuard> = Vec::new();
     let mut pending: Vec<PendingLet> = Vec::new();
     let mut depth = 0i32;
     for i in 0..toks.len() {
         let t = toks[i];
         match t.text {
-            "{" | "(" | "[" => depth += 1,
+            "{" | "(" | "[" => {
+                depth += 1;
+                // A function body opens: its guard parameters go live.
+                while let Some(&(_, name, line)) = params.last().filter(|p| p.0 == i) {
+                    guards.push(ActiveGuard {
+                        name: name.to_string(),
+                        depth,
+                        line,
+                    });
+                    params.pop();
+                }
+            }
             "}" | ")" | "]" => {
                 depth -= 1;
                 guards.retain(|g| g.depth <= depth);
@@ -296,6 +311,63 @@ fn lock_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
             }
         }
     }
+}
+
+/// The lock guards functions receive as parameters: for each `fn` whose
+/// parameter list binds `name: &T` or `name: &mut T` (a lifetime allowed),
+/// where `T` is a type this file holds in an `OrderedMutex<T>` or
+/// `OrderedRwLock<T>` — the only way to get such a reference is through the
+/// lock's guard — the index of the `{` opening the body, the name and its
+/// line. Last function and last parameter first, to pop in order.
+fn param_guards<'a>(toks: &[&Token<'a>]) -> Vec<(usize, &'a str, u32)> {
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text);
+    let locked: Vec<&str> = (0..toks.len())
+        .filter(|&i| matches!(text(i), "OrderedMutex" | "OrderedRwLock") && text(i + 1) == "<")
+        .filter(|&i| toks.get(i + 2).is_some_and(|t| t.kind == TokenKind::Ident))
+        .filter(|&i| text(i + 3) == ">")
+        .map(|i| text(i + 2))
+        .collect();
+    let mut found = Vec::new();
+    for f in (0..toks.len()).filter(|&i| text(i) == "fn" && toks[i].kind == TokenKind::Ident) {
+        let Some(open) = (f..toks.len()).find(|&i| text(i) == "(") else {
+            continue;
+        };
+        let (mut nest, mut close) = (0, open);
+        for (i, t) in toks.iter().enumerate().skip(open) {
+            match t.text {
+                "(" | "[" | "<" => nest += 1,
+                ">" if text(i - 1) == "-" => {}
+                ")" | "]" | ">" => nest -= 1,
+                _ => {}
+            }
+            if nest == 0 {
+                close = i;
+                break;
+            }
+        }
+        let Some(body) = (close..toks.len()).find(|&i| matches!(text(i), "{" | ";")) else {
+            continue;
+        };
+        if text(body) != "{" {
+            continue;
+        }
+        for i in open + 1..close {
+            let mut j = i + 3;
+            if text(j) == "mut" {
+                j += 1;
+            }
+            if toks.get(j).is_some_and(|t| t.kind == TokenKind::Lifetime) {
+                j += 1;
+            }
+            let binds =
+                toks[i].kind == TokenKind::Ident && text(i + 1) == ":" && text(i + 2) == "&";
+            if binds && locked.contains(&text(j)) && matches!(text(j + 1), "," | ")") {
+                found.push((body, toks[i].text, toks[i].line));
+            }
+        }
+    }
+    found.reverse();
+    found
 }
 
 /// Rule (b): string literals passed to `counter()`/`gauge()`/`histogram()`

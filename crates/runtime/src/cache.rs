@@ -40,6 +40,7 @@ use std::sync::Arc;
 
 use spider_core::exec3d::Spider3DPlan;
 use spider_core::plan::{PlanError, SpiderPlan};
+use spider_core::ExecMode;
 
 use crate::request::{RequestKernel, TenantId};
 
@@ -69,6 +70,20 @@ impl CachedPlan {
         match self {
             CachedPlan::Planar(p) => p.fingerprint(),
             CachedPlan::Volumetric(p) => p.fingerprint(),
+        }
+    }
+
+    /// Tap-schedule steps per output of one sweep under `mode` (every
+    /// slice's, for a volume): a sweep's step-points are its outputs times
+    /// this.
+    pub(crate) fn schedule_steps(&self, mode: ExecMode) -> usize {
+        match self {
+            CachedPlan::Planar(p) => p.tap_schedule(mode).steps().len(),
+            CachedPlan::Volumetric(p) => p
+                .slices()
+                .iter()
+                .map(|(_, s)| s.tap_schedule(mode).steps().len())
+                .sum(),
         }
     }
 

@@ -67,6 +67,11 @@ pub struct QueueStats {
     pub max_depth: usize,
     /// Dispatch waves the scheduler ran (one wave = one top-priority cohort).
     pub dispatch_waves: u64,
+    /// Jobs those waves ran as, summed: a wave whose work pays for waking
+    /// another core runs as up to one job per core, any other as one job
+    /// on the dispatcher thread. `wave_jobs − dispatch_waves` is how many
+    /// helper threads the waves started.
+    pub wave_jobs: u64,
     /// Plan-key groups executed across all waves.
     pub coalesced_groups: u64,
     /// Work dispatched, in deficit-round-robin cost units (grid points ×
@@ -103,7 +108,7 @@ impl QueueStats {
 
     /// Fold one tenant row into this scheduler-wide row: counts and the
     /// wait total add, the worst wait is the larger of the two, and the
-    /// histograms merge. `max_depth`, `dispatch_waves` and
+    /// histograms merge. `max_depth`, `dispatch_waves`, `wave_jobs` and
     /// `coalesced_groups` are not sums of rows and are left alone.
     pub(crate) fn add_row(&mut self, row: &QueueStats) {
         self.submitted += row.submitted;

@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use spider_core::ExecMode;
+use spider_core::{BufferPool, ExecMode};
 use spider_stencil::dim3::{Grid3D, Kernel3D};
 use spider_stencil::{Grid1D, Grid2D, StencilKernel};
 
@@ -443,27 +443,51 @@ impl StencilRequest {
 
     /// Materialize the deterministic input grid for a 1D request.
     pub fn materialize_1d(&self) -> Grid1D<f32> {
-        match self.grid {
-            GridSpec::D1 { len } => Grid1D::random(len, self.kernel.radius(), self.seed),
-            _ => panic!("materialize_1d on a non-1D request"),
-        }
+        self.materialize_1d_in(&BufferPool::new())
     }
 
     /// Materialize the deterministic input grid for a 2D request.
     pub fn materialize_2d(&self) -> Grid2D<f32> {
+        self.materialize_2d_in(&BufferPool::new())
+    }
+
+    /// Materialize the deterministic input volume for a 3D request.
+    pub fn materialize_3d(&self) -> Grid3D<f32> {
+        self.materialize_3d_in(&BufferPool::new())
+    }
+
+    /// [`Self::materialize_1d`] in a buffer taken from `pool` (the same
+    /// grid, bit for bit): the serving path, which returns the buffer once
+    /// the output is checksummed.
+    pub(crate) fn materialize_1d_in(&self, pool: &BufferPool) -> Grid1D<f32> {
+        let h = self.kernel.radius();
+        match self.grid {
+            GridSpec::D1 { len } => {
+                Grid1D::random_in(pool.take_any(len + 2 * h), len, h, self.seed)
+            }
+            _ => panic!("materialize_1d on a non-1D request"),
+        }
+    }
+
+    /// [`Self::materialize_2d`] in a buffer taken from `pool`.
+    pub(crate) fn materialize_2d_in(&self, pool: &BufferPool) -> Grid2D<f32> {
+        let h = self.kernel.radius();
         match self.grid {
             GridSpec::D2 { rows, cols } => {
-                Grid2D::random(rows, cols, self.kernel.radius(), self.seed)
+                let buf = pool.take_any((rows + 2 * h) * (cols + 2 * h));
+                Grid2D::random_in(buf, rows, cols, h, self.seed)
             }
             _ => panic!("materialize_2d on a non-2D request"),
         }
     }
 
-    /// Materialize the deterministic input volume for a 3D request.
-    pub fn materialize_3d(&self) -> Grid3D<f32> {
+    /// [`Self::materialize_3d`] in a buffer taken from `pool`.
+    pub(crate) fn materialize_3d_in(&self, pool: &BufferPool) -> Grid3D<f32> {
+        let h = self.kernel.radius();
         match self.grid {
             GridSpec::D3 { planes, rows, cols } => {
-                Grid3D::random(planes, rows, cols, self.kernel.radius(), self.seed)
+                let buf = pool.take_any((planes + 2 * h) * (rows + 2 * h) * (cols + 2 * h));
+                Grid3D::random_in(buf, planes, rows, cols, h, self.seed)
             }
             _ => panic!("materialize_3d on a non-3D request"),
         }

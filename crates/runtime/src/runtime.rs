@@ -4,7 +4,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use spider_core::exec::{BatchFeedback, ExecConfig, SpiderExecutor};
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use spider_core::exec::{fan_out, jobs_for, split_jobs, ExecConfig, SpiderExecutor};
 use spider_core::exec3d::Spider3DExecutor;
 use spider_core::plan::PlanError;
 use spider_core::pool::{BufferPool, PoolStats};
@@ -22,6 +25,7 @@ use spider_telemetry::{
 use crate::cache::{CacheStats, CachedPlan, PlanCache};
 use crate::report::{RequestOutcome, RuntimeReport};
 use crate::request::{GridSpec, RequestKernel, StencilRequest, TenantId};
+use crate::scheduler::drr_cost;
 use crate::store::{PersistedMemo, PlanStore, StoreStats};
 use crate::tuner::AutoTuner;
 
@@ -325,11 +329,17 @@ impl SpiderRuntime {
         self.tuner.memo_len()
     }
 
-    /// Hit/miss counters of the shared scratch-buffer pool — the
-    /// steady-state no-allocation witness: once the working set is warm,
-    /// `misses` stops growing while `hits` keeps climbing.
+    /// Hit/miss counters of the shared buffer pool — the steady-state
+    /// no-allocation witness: once the working set is warm, `misses` stops
+    /// growing while `hits` keeps climbing.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
+    }
+
+    /// The buffer pool every request grid of this runtime is drawn from
+    /// (shared store; see [`BufferPool`] for its free-list bound).
+    pub fn pool(&self) -> &BufferPool {
+        &self.pool
     }
 
     /// The runtime's telemetry handle: trace ring, metrics registry and
@@ -421,10 +431,11 @@ impl SpiderRuntime {
     /// (debug-asserted). The group pays one plan resolution, then splits into
     /// [`StencilRequest::exec_key`] subgroups — same grid extent, mode and
     /// sweep count, hence same tuned tiling — and each subgroup runs through
-    /// *one* configured [`SpiderExecutor`] via the core coalesced entry
-    /// points ([`SpiderExecutor::run_2d_coalesced`]), with a
-    /// [`spider_core::BatchFeedback`] hook collecting per-grid reports in
-    /// completion order. Plan lookups are still recorded per request so
+    /// *one* configured [`SpiderExecutor`], billed as one batched launch
+    /// ([`SpiderExecutor::run_2d_in_batch`]). Members run one at a time:
+    /// materialize the input in a pooled buffer, sweep it, checksum it and
+    /// return the buffer, so a group holds one input and one scratch grid
+    /// however large it is. Plan lookups are still recorded per request so
     /// cache statistics stay comparable with [`Self::run_batch`].
     ///
     /// Results come back in input order, and each output is bit-identical
@@ -436,72 +447,48 @@ impl SpiderRuntime {
         &self,
         requests: &[StencilRequest],
     ) -> Vec<Result<RequestOutcome, RuntimeError>> {
-        /// Feedback hook: collects each grid's merged report, in order, and
-        /// forwards the core's batched-launch callback into the trace as a
-        /// `Launch` event on the subgroup head.
-        struct Collect<'t> {
-            reports: Vec<KernelReport>,
-            telemetry: &'t Telemetry,
-            head_id: u64,
-            plan_key: u64,
-            head_attempt: u32,
-            wave_id: u64,
-        }
-        impl BatchFeedback for Collect<'_> {
-            fn on_grid_done(&mut self, _index: usize, report: &KernelReport) {
-                self.reports.push(report.clone());
-            }
-            fn on_batch_launch(&mut self, members: usize, _wave_blocks: u64, launch_share: f64) {
-                self.telemetry.record_attempt(
-                    self.head_id,
-                    self.plan_key,
-                    self.head_attempt,
-                    EventKind::Launch {
-                        wave_id: self.wave_id,
-                        members,
-                        launch_share,
-                    },
-                    0.0,
-                );
-            }
-        }
+        self.execute_group(&self.prepare_group(requests))
+    }
 
-        let group_start = Instant::now();
+    /// Record a request's failure (its terminal event and meters) and hand
+    /// the error back as its result.
+    fn fail(&self, req: &StencilRequest, start: Instant, e: RuntimeError) -> RuntimeError {
         let t = &self.telemetry;
-        let mut results: Vec<Option<Result<RequestOutcome, RuntimeError>>> =
-            (0..requests.len()).map(|_| None).collect();
+        t.record_attempt(
+            req.id,
+            req.plan_key(),
+            req.attempt,
+            EventKind::Complete {
+                terminal: Terminal::Failed,
+            },
+            0.0,
+        );
+        if t.enabled() {
+            self.meters.failed.inc();
+            self.meters
+                .service_us
+                .record(start.elapsed().as_secs_f64() * 1e6);
+        }
+        e
+    }
 
-        // Per-request plan lookups (hit/miss parity with `run_batch`); the
-        // compiled Arc is shared across the group after the first success.
-        let mut plan: Option<CachedPlan> = None;
-        let mut lookups: Vec<Option<bool>> = vec![None; requests.len()];
+    /// The first half of [`Self::run_group`]: check each request's
+    /// dimensions, resolve the plan (per request, for hit/miss parity with
+    /// `run_batch`), split the group into exec-key subgroups (keys sort
+    /// deterministically) and tune each subgroup's head. All a wave needs
+    /// to size its fan-out, before any grid exists.
+    fn prepare_group<'a>(&self, requests: &'a [StencilRequest]) -> PreparedGroup<'a> {
+        let start = Instant::now();
+        let t = &self.telemetry;
         let group_key = requests.first().map(|r| r.plan_key());
         if t.enabled() {
             if let (Some(key), Some(first)) = (group_key, requests.first()) {
                 t.profiler().touch(key, &first.scenario());
             }
         }
-        // Every failure (dims, plan, executor) records the same terminal
-        // event and meters, and becomes the member's result.
-        let failed = |req: &StencilRequest, e: RuntimeError| {
-            t.record_attempt(
-                req.id,
-                req.plan_key(),
-                req.attempt,
-                EventKind::Complete {
-                    terminal: Terminal::Failed,
-                },
-                0.0,
-            );
-            if t.enabled() {
-                self.meters.failed.inc();
-                self.meters
-                    .service_us
-                    .record(group_start.elapsed().as_secs_f64() * 1e6);
-            }
-            Err(e)
-        };
-        for (i, req) in requests.iter().enumerate() {
+        let mut plan: Option<CachedPlan> = None;
+        let mut lookups = Vec::with_capacity(requests.len());
+        for req in requests {
             debug_assert_eq!(
                 Some(req.plan_key()),
                 group_key,
@@ -512,13 +499,13 @@ impl SpiderRuntime {
                     id: req.id,
                     scenario: req.scenario(),
                 };
-                results[i] = Some(failed(req, e));
+                lookups.push(Err(self.fail(req, start, e)));
                 continue;
             }
             let span = t.span_attempt(req.id, req.plan_key(), req.attempt, Phase::Resolve);
             let resolved = self.resolve_plan(req.plan_key(), &req.kernel, req.tenant);
             span.exit();
-            match resolved {
+            lookups.push(match resolved {
                 Ok((p, hit, source)) => {
                     t.record_attempt(
                         req.id,
@@ -532,162 +519,131 @@ impl SpiderRuntime {
                         t.profiler().add_compile(req.plan_key());
                     }
                     plan = Some(p);
-                    lookups[i] = Some(hit);
+                    Ok(hit)
                 }
-                Err(e) => results[i] = Some(failed(req, e.into())),
+                Err(e) => Err(self.fail(req, start, e.into())),
+            });
+        }
+
+        let mut subgroups = Vec::new();
+        if let Some(plan) = &plan {
+            let mut order: Vec<usize> = (0..requests.len())
+                .filter(|&i| lookups[i].is_ok())
+                .collect();
+            order.sort_by_key(|&i| (requests[i].exec_key(), i));
+            for members in contiguous_key_runs(&order, |i| requests[i].exec_key()) {
+                let head = &requests[members[0]];
+                let span = t.span_attempt(head.id, head.plan_key(), head.attempt, Phase::Tune);
+                let (tiling, tuned, head_memo_hit, head_dry_runs) =
+                    self.select_tiling(plan, head, head.plan_key());
+                span.exit();
+                let sub = Subgroup {
+                    members: members.to_vec(),
+                    tiling,
+                    tuned,
+                    head_memo_hit,
+                };
+                for (slot, &i) in members.iter().enumerate() {
+                    let req = &requests[i];
+                    t.record_attempt(
+                        req.id,
+                        req.plan_key(),
+                        req.attempt,
+                        EventKind::Tune {
+                            memo_hit: sub.memo_hit(slot),
+                            dry_runs: if slot == 0 { head_dry_runs } else { 0 },
+                        },
+                        0.0,
+                    );
+                }
+                subgroups.push(sub);
             }
         }
-        let Some(plan) = plan else {
-            return results
-                .into_iter()
-                .map(|r| r.expect("all failed")) // guard: fallback loop above filled every slot
-                .collect();
-        };
+        PreparedGroup {
+            requests,
+            start,
+            lookups,
+            plan,
+            subgroups,
+        }
+    }
 
-        // Subgroup by exec key; keys sort deterministically.
-        let mut order: Vec<usize> = (0..requests.len())
-            .filter(|&i| lookups[i].is_some())
+    /// The second half of [`Self::run_group`]: run each exec-key subgroup,
+    /// member by member, and record every outcome.
+    fn execute_group(&self, g: &PreparedGroup<'_>) -> Vec<Result<RequestOutcome, RuntimeError>> {
+        let t = &self.telemetry;
+        let mut results: Vec<Option<Result<RequestOutcome, RuntimeError>>> = g
+            .lookups
+            .iter()
+            .map(|l| l.as_ref().err().map(|e| Err(e.clone())))
             .collect();
-        order.sort_by_key(|&i| (requests[i].exec_key(), i));
-
-        for members in contiguous_key_runs(&order, |i| requests[i].exec_key()) {
-            let head = &requests[members[0]];
-            let span = t.span_attempt(head.id, head.plan_key(), head.attempt, Phase::Tune);
-            let (tiling, tuned, head_memo_hit, head_dry_runs) =
-                self.select_tiling(&plan, head, head.plan_key());
-            span.exit();
-            // The head pays the dry-runs (if any) and reports whether the
-            // memo was already warm; every later member hits the entry that
-            // call guaranteed (the tuner memoizes per plan/grid/mode, and the
-            // subgroup shares all three).
-            let memo_hit = |slot: usize| tuned && (slot > 0 || head_memo_hit);
-            for (slot, &i) in members.iter().enumerate() {
-                let req = &requests[i];
+        for sub in &g.subgroups {
+            let head = &g.requests[sub.members[0]];
+            let members = sub.members.len();
+            let coalesced = members > 1;
+            let wave_id = t.next_wave_id();
+            let exec_span = t.span_attempt(head.id, head.plan_key(), head.attempt, Phase::Exec);
+            let run = self.run_subgroup(g, sub, wave_id);
+            exec_span.exit();
+            let done = match run {
+                Ok(done) => done,
+                Err(e) => {
+                    // A shared-executor failure is attributed to every
+                    // member: the whole subgroup ran under one launch plan.
+                    for &i in &sub.members {
+                        let e = RuntimeError::Exec(e.clone());
+                        results[i] = Some(Err(self.fail(&g.requests[i], g.start, e)));
+                    }
+                    continue;
+                }
+            };
+            let launch_share = 1.0 / members as f64;
+            for ((slot, &i), (checksum, report)) in sub.members.iter().enumerate().zip(done) {
+                let req = &g.requests[i];
+                let sim_s = report.time_s();
                 t.record_attempt(
                     req.id,
                     req.plan_key(),
                     req.attempt,
-                    EventKind::Tune {
-                        memo_hit: memo_hit(slot),
-                        dry_runs: if slot == 0 { head_dry_runs } else { 0 },
+                    EventKind::Execute {
+                        wave_id,
+                        coalesced,
+                        launch_share,
                     },
-                    0.0,
+                    sim_s,
                 );
-            }
-            let config = ExecConfig {
-                tiling,
-                ..ExecConfig::default()
-            };
-            let coalesced = members.len() > 1;
-            let wave_id = t.next_wave_id();
-            let mut fb = Collect {
-                reports: Vec::new(),
-                telemetry: t,
-                head_id: head.id,
-                plan_key: head.plan_key(),
-                head_attempt: head.attempt,
-                wave_id,
-            };
-            let exec_span = t.span_attempt(head.id, head.plan_key(), head.attempt, Phase::Exec);
-            let exec = SpiderExecutor::with_shared_pool(
-                &self.device,
-                head.mode,
-                config,
-                self.pool.clone(),
-            );
-            let run = match (&plan, head.grid) {
-                (CachedPlan::Planar(p), GridSpec::D1 { .. }) => run_checksummed(
-                    members.iter().map(|&i| requests[i].materialize_1d()),
-                    |grids| exec.run_1d_coalesced(p, grids, head.steps, &mut fb),
-                    Grid1D::padded,
-                ),
-                (CachedPlan::Planar(p), GridSpec::D2 { .. }) => run_checksummed(
-                    members.iter().map(|&i| requests[i].materialize_2d()),
-                    |grids| exec.run_2d_coalesced(p, grids, head.steps, &mut fb),
-                    Grid2D::padded,
-                ),
-                // A volume's sweep is already a batched launch (see
-                // `Spider3DExecutor`), so the subgroup's volumes share the
-                // plan, tuned plane tiling and scratch pool but run one by
-                // one: each report stays bit-identical to a solo run.
-                (CachedPlan::Volumetric(p), GridSpec::D3 { .. }) => run_checksummed(
-                    members.iter().map(|&i| requests[i].materialize_3d()),
-                    |grids| {
-                        let exec = Spider3DExecutor::with_shared_pool(
-                            &self.device,
-                            head.mode,
-                            config,
-                            self.pool.clone(),
-                        );
-                        for (slot, grid) in grids.iter_mut().enumerate() {
-                            fb.on_grid_done(slot, &exec.run(p, grid, head.steps)?);
-                        }
-                        Ok(())
+                t.record_attempt(
+                    req.id,
+                    req.plan_key(),
+                    req.attempt,
+                    EventKind::Complete {
+                        terminal: Terminal::Done,
                     },
-                    Grid3D::padded,
-                ),
-                _ => Err("plan and grid dimensionality differ".into()),
-            };
-            exec_span.exit();
-            match run {
-                Ok(checksums) => {
-                    let launch_share = 1.0 / members.len() as f64;
-                    let reports = std::mem::take(&mut fb.reports);
-                    for ((slot, &i), report) in members.iter().enumerate().zip(reports) {
-                        let req = &requests[i];
-                        let sim_s = report.time_s();
-                        t.record_attempt(
-                            req.id,
-                            req.plan_key(),
-                            req.attempt,
-                            EventKind::Execute {
-                                wave_id,
-                                coalesced,
-                                launch_share,
-                            },
-                            sim_s,
-                        );
-                        t.record_attempt(
-                            req.id,
-                            req.plan_key(),
-                            req.attempt,
-                            EventKind::Complete {
-                                terminal: Terminal::Done,
-                            },
-                            sim_s,
-                        );
-                        if t.enabled() {
-                            self.meters.completed.inc();
-                            if req.is_volumetric() {
-                                self.meters.volumetric.inc();
-                            }
-                            self.meters
-                                .service_us
-                                .record(group_start.elapsed().as_secs_f64() * 1e6);
-                            self.meters.sim_exec_us.record(sim_s * 1e6);
-                            t.profiler().add_request(req.plan_key(), sim_s);
-                        }
-                        results[i] = Some(Ok(RequestOutcome {
-                            id: req.id,
-                            scenario: req.scenario().into(),
-                            cache_hit: lookups[i].expect("looked up"), // guard: lookup phase populated one entry per request
-                            tuned,
-                            tuner_memo_hit: memo_hit(slot),
-                            coalesced,
-                            volumetric: req.is_volumetric(),
-                            tiling,
-                            report: Arc::new(report),
-                            checksum: checksums[slot],
-                        }));
+                    sim_s,
+                );
+                if t.enabled() {
+                    self.meters.completed.inc();
+                    if req.is_volumetric() {
+                        self.meters.volumetric.inc();
                     }
+                    self.meters
+                        .service_us
+                        .record(g.start.elapsed().as_secs_f64() * 1e6);
+                    self.meters.sim_exec_us.record(sim_s * 1e6);
+                    t.profiler().add_request(req.plan_key(), sim_s);
                 }
-                Err(e) => {
-                    // A shared-executor failure is attributed to every
-                    // member: the whole subgroup ran under one launch plan.
-                    for &i in members {
-                        results[i] = Some(failed(&requests[i], RuntimeError::Exec(e.clone())));
-                    }
-                }
+                results[i] = Some(Ok(RequestOutcome {
+                    id: req.id,
+                    scenario: req.scenario().into(),
+                    cache_hit: matches!(g.lookups[i], Ok(true)),
+                    tuned: sub.tuned,
+                    tuner_memo_hit: sub.memo_hit(slot),
+                    coalesced,
+                    volumetric: req.is_volumetric(),
+                    tiling: sub.tiling,
+                    report: Arc::new(report),
+                    checksum,
+                }));
             }
         }
         results
@@ -696,18 +652,129 @@ impl SpiderRuntime {
             .collect()
     }
 
-    /// Execute a heterogeneous batch, one plan-key group after another on
-    /// the calling thread.
+    /// Run one exec-key subgroup through one configured executor, member by
+    /// member ([`run_each`]). Returns each member's checksum and report.
+    fn run_subgroup(
+        &self,
+        g: &PreparedGroup<'_>,
+        sub: &Subgroup,
+        wave_id: u64,
+    ) -> Result<Vec<(u64, KernelReport)>, String> {
+        let plan = g.plan.as_ref().expect("a subgroup has a plan"); // guard: prepare_group builds subgroups only once a plan resolved
+        let head = &g.requests[sub.members[0]];
+        let (members, steps, pool) = (sub.members.len(), head.steps, &self.pool);
+        let requests = sub.members.iter().map(|&i| &g.requests[i]);
+        let config = ExecConfig {
+            tiling: sub.tiling,
+            ..ExecConfig::default()
+        };
+        let planar = || {
+            // The subgroup's batched launch, traced on its head.
+            self.telemetry.record_attempt(
+                head.id,
+                head.plan_key(),
+                head.attempt,
+                EventKind::Launch {
+                    wave_id,
+                    members,
+                    launch_share: 1.0 / members as f64,
+                },
+                0.0,
+            );
+            SpiderExecutor::with_shared_pool(&self.device, head.mode, config, pool.clone())
+        };
+        match (plan, head.grid) {
+            (CachedPlan::Planar(p), GridSpec::D1 { .. }) => {
+                let exec = planar();
+                run_each(
+                    pool,
+                    requests,
+                    |req| req.materialize_1d_in(pool),
+                    |grid| exec.run_1d_in_batch(p, grid, steps, members),
+                    Grid1D::padded,
+                    Grid1D::into_padded_vec,
+                )
+            }
+            (CachedPlan::Planar(p), GridSpec::D2 { .. }) => {
+                let exec = planar();
+                run_each(
+                    pool,
+                    requests,
+                    |req| req.materialize_2d_in(pool),
+                    |grid| exec.run_2d_in_batch(p, grid, steps, members),
+                    Grid2D::padded,
+                    Grid2D::into_padded_vec,
+                )
+            }
+            // A volume's sweep is already a batched launch (see
+            // `Spider3DExecutor`), so the subgroup's volumes share the plan,
+            // tuned plane tiling and pool, and each report stays
+            // bit-identical to a solo run.
+            (CachedPlan::Volumetric(p), GridSpec::D3 { .. }) => {
+                let exec = Spider3DExecutor::with_shared_pool(
+                    &self.device,
+                    head.mode,
+                    config,
+                    pool.clone(),
+                );
+                run_each(
+                    pool,
+                    requests,
+                    |req| req.materialize_3d_in(pool),
+                    |grid| exec.run(p, grid, steps),
+                    Grid3D::padded,
+                    Grid3D::into_padded_vec,
+                )
+            }
+            _ => Err("plan and grid dimensionality differ".into()),
+        }
+    }
+
+    /// Resolve and tune every plan-key group of a wave, in order, on the
+    /// calling thread, and size the wave's fan-out: one job per
+    /// [`MIN_WAVE_JOB_COST`] of work, at most one per group and per core
+    /// ([`split_jobs`]), and one job whenever a sweep of the wave would
+    /// split by itself ([`jobs_for`]), so there is one level of
+    /// parallelism.
+    pub(crate) fn prepare_wave<'a>(&self, groups: &[&'a [StencilRequest]]) -> Wave<'_, 'a> {
+        let groups: Vec<PreparedGroup<'a>> = groups.iter().map(|g| self.prepare_group(g)).collect();
+        let costs: Vec<u64> = groups
+            .iter()
+            .map(|g| g.requests.iter().map(drr_cost).sum())
+            .collect();
+        let jobs = match groups.iter().any(PreparedGroup::sweep_splits) {
+            true => 1,
+            false => split_jobs(costs.iter().sum(), MIN_WAVE_JOB_COST, groups.len()),
+        };
+        // A fanned-out wave starts its largest groups first, so the last
+        // group to finish is a small one; one job keeps cohort order.
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        if jobs > 1 {
+            order.sort_by_key(|&g| Reverse(costs[g]));
+        }
+        Wave {
+            runtime: self,
+            groups,
+            order,
+            jobs,
+        }
+    }
+
+    /// Execute a heterogeneous batch as one wave: its plan-key groups are
+    /// resolved and tuned on the calling thread, then run, fanned out as
+    /// `prepare_wave` sizes it: one job per [`MIN_WAVE_JOB_COST`] of work,
+    /// at most one per group and per core, and one whenever a sweep of the
+    /// batch would split by itself.
     ///
     /// The batch is split into plan-key groups (submission order preserved
-    /// within each group) and every group goes through [`Self::run_group`]
-    /// — the path [`Self::execute`] takes with a group of one: one plan
-    /// resolution per group, one configured executor per exec-key
-    /// subgroup, and — for subgroups larger than one — a coalesced batched
-    /// launch whose shared overhead and pooled occupancy show up directly in
-    /// the outcomes' simulated timing. Results come back in submission
-    /// order regardless; grid data and checksums are bit-identical to
-    /// running each request alone, while coalesced members'
+    /// within each group) and every group takes the path of
+    /// [`Self::run_group`] — the path [`Self::execute`] takes with a group of
+    /// one: one plan resolution per group, one configured executor per
+    /// exec-key subgroup, and — for subgroups larger than one — a coalesced
+    /// batched launch whose shared overhead and pooled occupancy show up
+    /// directly in the outcomes' simulated timing. Results come back in
+    /// submission order regardless; grid data and checksums are
+    /// bit-identical to running each request alone, while coalesced members'
     /// [`spider_gpu_sim::timing::KernelReport`]s intentionally differ from
     /// solo runs — they carry their share of the batched launch (amortized
     /// overhead, combined-residency occupancy).
@@ -727,12 +794,17 @@ impl SpiderRuntime {
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by_cached_key(|&i| (requests[i].plan_key(), i));
         let groups = contiguous_key_runs(&order, |i| requests[i].plan_key());
+        let reqs: Vec<Vec<StencilRequest>> = groups
+            .iter()
+            .map(|members| members.iter().map(|&i| requests[i].clone()).collect())
+            .collect();
+        let slices: Vec<&[StencilRequest]> = reqs.iter().map(Vec::as_slice).collect();
+        let per_group = self.prepare_wave(&slices).run(|_, results| results);
 
         let mut results: Vec<Option<Result<RequestOutcome, RuntimeError>>> =
             (0..requests.len()).map(|_| None).collect();
-        for members in groups {
-            let reqs: Vec<StencilRequest> = members.iter().map(|&i| requests[i].clone()).collect();
-            for (&idx, result) in members.iter().zip(self.run_group(&reqs)) {
+        for (members, group_results) in groups.iter().zip(per_group) {
+            for (&idx, result) in members.iter().zip(group_results) {
                 results[idx] = Some(result);
             }
         }
@@ -758,17 +830,126 @@ impl SpiderRuntime {
     }
 }
 
-/// Run one exec-key subgroup: materialize its grids, execute them as one
-/// batch through `run`, and checksum each output — the executor path every
-/// dimensionality of [`SpiderRuntime::run_group`] shares.
-fn run_checksummed<G>(
-    grids: impl Iterator<Item = G>,
-    run: impl FnOnce(&mut [G]) -> Result<(), String>,
+/// Work a wave must hold per job before it fans out, in deficit-round-robin
+/// cost units (grid points × sweeps; see [`crate::QueueStats::served_cost`]).
+/// A second job pays for waking a core, 89 µs median and 156 µs p90 after
+/// 200 µs idle on a 2-vCPU x86-64 host (see
+/// [`spider_core::exec::MIN_JOB_STEP_POINTS`]), so each job must outlast
+/// that. On that host a served request (materialize, sweep, checksum)
+/// costs 4.4–6.1 ns per point and sweep, averaged over the nine
+/// `mixed_warm` scenarios (3–28 ns by scenario; medians of 200 `execute`
+/// calls each, three rounds in one process), so 32 768 units take
+/// 140–200 µs. A wave of 16×16 requests needs 256 of them to fan out;
+/// `mixed_warm`'s waves of about ten 10⁴–2.6·10⁵-point requests always do.
+pub const MIN_WAVE_JOB_COST: u64 = 1 << 15;
+
+/// One exec-key subgroup of a prepared group: its members (indices into
+/// the group, submission order) and the tiling its head's tune chose.
+struct Subgroup {
+    members: Vec<usize>,
+    tiling: TilingConfig,
+    tuned: bool,
+    head_memo_hit: bool,
+}
+
+impl Subgroup {
+    /// Whether the member at `slot` found the tuning memoized. The head
+    /// pays the dry-runs (if any) and reports whether the memo was already
+    /// warm; every later member hits the entry that call guaranteed (the
+    /// tuner memoizes per plan/grid/mode, and the subgroup shares all
+    /// three).
+    fn memo_hit(&self, slot: usize) -> bool {
+        self.tuned && (slot > 0 || self.head_memo_hit)
+    }
+}
+
+/// A plan-key group, resolved and tuned ([`SpiderRuntime::prepare_group`]).
+struct PreparedGroup<'a> {
+    requests: &'a [StencilRequest],
+    start: Instant,
+    /// Per request: whether its plan lookup hit the memory cache, or the
+    /// failure that ended it before execution.
+    lookups: Vec<Result<bool, RuntimeError>>,
+    plan: Option<CachedPlan>,
+    subgroups: Vec<Subgroup>,
+}
+
+impl PreparedGroup<'_> {
+    /// Whether one of the group's sweeps would fan out by itself.
+    fn sweep_splits(&self) -> bool {
+        let Some(plan) = &self.plan else {
+            return false;
+        };
+        self.subgroups.iter().any(|sub| {
+            let head = &self.requests[sub.members[0]];
+            jobs_for(head.grid.points() as usize * plan.schedule_steps(head.mode)) > 1
+        })
+    }
+}
+
+/// A dispatch wave's plan-key groups, resolved and tuned, with the jobs
+/// their execution fans out into ([`SpiderRuntime::prepare_wave`]).
+pub(crate) struct Wave<'r, 'a> {
+    runtime: &'r SpiderRuntime,
+    groups: Vec<PreparedGroup<'a>>,
+    /// Group indices in the order jobs claim them.
+    order: Vec<usize>,
+    jobs: usize,
+}
+
+impl Wave<'_, '_> {
+    /// How many jobs the wave runs as (1: the calling thread alone).
+    pub(crate) fn jobs(&self) -> usize {
+        self.jobs
+    }
+
+    /// Execute every group: `jobs` workers ([`fan_out`]) claim groups from
+    /// one counter, in claim order, and call `done(group, results)` as each
+    /// group finishes, so a group's verdicts are recorded while the wave's
+    /// other groups still run. Returns `done`'s values in group order.
+    pub(crate) fn run<R: Send>(
+        self,
+        done: impl Fn(usize, Vec<Result<RequestOutcome, RuntimeError>>) -> R + Sync,
+    ) -> Vec<R> {
+        let next = AtomicUsize::new(0);
+        let finished = fan_out(self.jobs, || {
+            let mut mine = Vec::new();
+            while let Some(&g) = self.order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let results = self.runtime.execute_group(&self.groups[g]);
+                mine.push((g, done(g, results)));
+            }
+            mine
+        });
+        let mut out: Vec<Option<R>> = (0..self.groups.len()).map(|_| None).collect();
+        for (g, r) in finished.into_iter().flatten() {
+            out[g] = Some(r);
+        }
+        out.into_iter()
+            .map(|r| r.expect("every group ran")) // guard: the claim counter hands out every group once
+            .collect()
+    }
+}
+
+/// Run one exec-key subgroup member by member: materialize each input in a
+/// pooled buffer, sweep it, checksum the output and return the buffer
+/// before the next member starts. Returns each member's checksum and
+/// report, or the first failure.
+fn run_each<'r, G>(
+    pool: &BufferPool,
+    requests: impl Iterator<Item = &'r StencilRequest>,
+    materialize: impl Fn(&StencilRequest) -> G,
+    run: impl Fn(&mut G) -> Result<KernelReport, String>,
     padded: impl Fn(&G) -> &[f32],
-) -> Result<Vec<u64>, String> {
-    let mut grids: Vec<G> = grids.collect();
-    run(&mut grids)?;
-    Ok(grids.iter().map(|g| output_checksum(padded(g))).collect())
+    release: impl Fn(G) -> Vec<f32>,
+) -> Result<Vec<(u64, KernelReport)>, String> {
+    requests
+        .map(|req| {
+            let mut grid = materialize(req);
+            let done = run(&mut grid).map(|report| (output_checksum(padded(&grid)), report));
+            pool.put(release(grid));
+            done
+        })
+        .collect()
 }
 
 /// Split a key-sorted index order into its maximal runs of equal keys —
@@ -1166,6 +1347,38 @@ mod tests {
         }
         let stats = rt.cache_stats();
         assert_eq!(stats.hits + stats.misses, (THREADS * n) as u64);
+    }
+
+    /// Pooled buffers are handed out with stale contents: an input is
+    /// rebuilt over its whole padded extent and a scratch grid gets the
+    /// source's halo before the sweep writes its interior, so a pool full
+    /// of NaN changes no output bit. A NaN left anywhere would show: in
+    /// the input it turns outputs to NaN, and the checksum covers the halo.
+    #[test]
+    fn a_pool_full_of_nan_changes_no_output_bit() {
+        use spider_stencil::dim3::Kernel3D;
+        let rt = runtime();
+        for len in [1 << 10, 1 << 14, 1 << 16, 1 << 18, 1 << 20] {
+            for _ in 0..4 {
+                rt.pool().put(vec![f32::NAN; len]);
+            }
+        }
+        let mut batch = mixed_batch(0);
+        batch.push(StencilRequest::new_2d(50, StencilKernel::heat_2d(0.1), 64, 80).with_steps(3));
+        batch.push(StencilRequest::new_1d(51, StencilKernel::wave_1d(1), 5000).with_steps(2));
+        for (j, steps) in [(0u64, 1), (1, 2)] {
+            let req = StencilRequest::new_3d(60 + j, Kernel3D::random_box(1, 8), 3, 40, 48);
+            batch.push(req.with_seed(j).with_steps(steps));
+        }
+        let got = rt.run_batch(&batch);
+        let want = runtime().run_batch(&batch);
+        assert!(got.failures.is_empty());
+        assert!(rt.pool_stats().hits > 0, "the NaN buffers were used");
+        for (g, w) in got.outcomes.iter().zip(&want.outcomes) {
+            assert_eq!(g.checksum, w.checksum, "request {}", g.id);
+            assert_eq!(g.report.counters, w.report.counters);
+            assert_eq!(g.report.time_s().to_bits(), w.report.time_s().to_bits());
+        }
     }
 
     #[test]

@@ -21,19 +21,32 @@
 //!   counts it.
 //! * **Plan-key coalescing**: each dispatch wave takes the entire
 //!   top-effective-priority cohort, groups it by
-//!   [`StencilRequest::plan_key`], and executes the groups through
-//!   [`SpiderRuntime::run_group`] — one plan resolution and one configured
-//!   executor per exec-key subgroup (the `spider_core` coalesced entry
-//!   points). Requests below the top priority never ride along: strict
+//!   [`StencilRequest::plan_key`], and executes the groups the way
+//!   [`SpiderRuntime::run_group`] does — one plan resolution and one
+//!   configured executor per exec-key subgroup, billed as one batched
+//!   launch. Requests below the top priority never ride along: strict
 //!   priority ordering wins over batching greed, and stragglers still hit
 //!   the plan cache when their turn comes.
+//! * **One fan-out per wave**: the dispatcher resolves and tunes the
+//!   wave's groups, then runs them as one job per
+//!   [`crate::runtime::MIN_WAVE_JOB_COST`] of work, at most one per group
+//!   and per core, and one job whenever a sweep of the wave would split by
+//!   itself, so there is one level of parallelism. The dispatcher thread is
+//!   one job; the others are helpers started per wave. Jobs claim the
+//!   groups largest first from one counter, and each group's verdicts are
+//!   recorded as soon as it finishes. Every grid a job touches comes from
+//!   the runtime's one [`spider_core::BufferPool`].
 //!
 //! ## Ordering guarantees
 //!
 //! Waves are serialized: every request of a higher effective priority
-//! completes before any request of a lower one starts (aging aside). The
-//! dispatcher thread runs a wave's groups one after another, so group
-//! completion order is deterministic: cohort submission order.
+//! completes before any request of a lower one starts (aging aside), and
+//! no group of a wave starts before the previous wave's last group has
+//! finished. A wave of one job runs its groups one after another on the
+//! dispatcher thread, in cohort submission order, so their completion
+//! order is deterministic. The groups of a fanned-out wave run
+//! concurrently, largest first, and may finish out of cohort order; within
+//! a group, requests still finish in submission order.
 //!
 //! ## The queue index
 //!
@@ -82,11 +95,13 @@
 //! request's tenant (anonymous traffic has a row too). The scheduler-wide
 //! row that [`SpiderScheduler::queue_stats`] and the drain report's
 //! `queue` return is the fold of the tenant rows, so the rows sum to it by
-//! construction. Only the peak queue depth, the dispatch waves and the
-//! coalesced groups belong to no tenant; the scheduler keeps those three
-//! itself. [`SpiderScheduler::metrics_snapshot`] reads all of it, and the
-//! runtime's own export, when it is called, so a scrape between drains
-//! sees live values.
+//! construction. Only the peak queue depth, the dispatch waves, the jobs
+//! those waves ran as ([`QueueStats::wave_jobs`], exported as
+//! `spider_scheduler_wave_jobs_total`) and the coalesced groups belong to
+//! no tenant; the scheduler keeps those four itself.
+//! [`SpiderScheduler::metrics_snapshot`] reads all of it, and the runtime's
+//! own export, when it is called, so a scrape between drains sees live
+//! values.
 
 use spider_core::sync::{LockRank, OrderedMutex, OrderedMutexGuard};
 use std::cmp::Reverse;
@@ -99,7 +114,7 @@ use spider_telemetry::{EventKind, MetricsSnapshot, Phase, Telemetry, Terminal};
 
 use crate::report::{QueueStats, RequestOutcome, RuntimeReport};
 use crate::request::{Priority, StencilRequest, TenantId};
-use crate::runtime::SpiderRuntime;
+use crate::runtime::{RuntimeError, SpiderRuntime};
 
 /// What `submit` does when the admission queue is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -571,6 +586,8 @@ struct State {
     max_depth: usize,
     /// Dispatch waves run.
     dispatch_waves: u64,
+    /// Jobs those waves ran as, summed (see [`QueueStats::wave_jobs`]).
+    wave_jobs: u64,
     /// Plan-key groups executed across all waves.
     coalesced_groups: u64,
     /// Deficit-round-robin credit per tenant, in cost units (grid points ×
@@ -602,12 +619,13 @@ impl State {
         self.tenant_stats.iter().map(|(&t, &q)| (t, q)).collect()
     }
 
-    /// The scheduler-wide row: the tenant rows folded, plus the three
+    /// The scheduler-wide row: the tenant rows folded, plus the four
     /// values that belong to no tenant.
     fn queue_stats(&self) -> QueueStats {
         let mut q = QueueStats {
             max_depth: self.max_depth,
             dispatch_waves: self.dispatch_waves,
+            wave_jobs: self.wave_jobs,
             coalesced_groups: self.coalesced_groups,
             ..QueueStats::default()
         };
@@ -656,6 +674,7 @@ impl SpiderScheduler {
                     tenant_stats: BTreeMap::new(),
                     max_depth: 0,
                     dispatch_waves: 0,
+                    wave_jobs: 0,
                     coalesced_groups: 0,
                     deficits: BTreeMap::new(),
                     completion_order: Vec::new(),
@@ -1100,6 +1119,7 @@ impl SpiderScheduler {
             "spider_scheduler_dispatch_waves_total",
             queue.dispatch_waves,
         );
+        snap.counter("spider_scheduler_wave_jobs_total", queue.wave_jobs);
         snap.counter(
             "spider_scheduler_coalesced_groups_total",
             queue.coalesced_groups,
@@ -1356,7 +1376,7 @@ struct WaveGroup {
 /// The unit the weighted-fair dispatcher and [`QueueStats::served_cost`]
 /// meter service in — a tenant of giant volumes cannot out-serve a tenant
 /// of small planes by request count alone.
-fn drr_cost(req: &StencilRequest) -> u64 {
+pub(crate) fn drr_cost(req: &StencilRequest) -> u64 {
     req.grid
         .points()
         .saturating_mul(req.steps.max(1) as u64)
@@ -1518,8 +1538,10 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
     wave
 }
 
-/// The dispatcher: form a wave under the state lock, then run its groups
-/// one after another on this thread, in cohort order.
+/// The dispatcher: form a wave under the state lock, then resolve and tune
+/// its groups on this thread and run them, fanned out over as many jobs as
+/// the wave's work pays for ([`SpiderRuntime::prepare_wave`]), recording
+/// each group's verdicts as soon as it finishes.
 fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &SchedulerOptions) {
     let telemetry = Arc::clone(runtime.telemetry());
     loop {
@@ -1541,16 +1563,19 @@ fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &Scheduler
             form_wave(&mut st, options, &telemetry)
         };
         shared.space.notify_all();
-        for group in &wave {
-            run_wave_group(shared, runtime, group);
-        }
+        let groups: Vec<&[StencilRequest]> = wave.iter().map(|g| g.requests.as_slice()).collect();
+        let prepared = runtime.prepare_wave(&groups);
+        shared.state.lock().wave_jobs += prepared.jobs() as u64;
+        prepared.run(|g, results| record_verdicts(shared, &wave[g], results));
     }
 }
 
-/// Execute one wave group as one `run_group` call (shared plan + coalesced
-/// executors inside) and mark its tickets' verdicts.
-fn run_wave_group(shared: &Shared, runtime: &SpiderRuntime, group: &WaveGroup) {
-    let results = runtime.run_group(&group.requests);
+/// Mark one finished wave group's tickets with their verdicts.
+fn record_verdicts(
+    shared: &Shared,
+    group: &WaveGroup,
+    results: Vec<Result<RequestOutcome, RuntimeError>>,
+) {
     let mut st = shared.state.lock();
     let mut finished = 0u64;
     for ((&ticket, result), req) in group.tickets.iter().zip(results).zip(&group.requests) {
@@ -2341,6 +2366,170 @@ mod tests {
         // History survives retirement.
         assert!(matches!(s.poll(t), RequestStatus::Done(_)));
         assert_eq!(s.drain().outcomes.len(), 1, "drain stays cumulative");
+    }
+
+    /// The nine `mixed_warm` scenarios (perfbench's workload): five 2D
+    /// kernels, one 2¹⁸-point line and three volumes.
+    fn mixed_warm(id: u64, seed: u64) -> Vec<StencilRequest> {
+        use spider_stencil::dim3::Kernel3D;
+        use spider_stencil::StencilShape;
+        let planar = [
+            (StencilKernel::heat_2d(0.12), 256, 256),
+            (StencilKernel::gaussian_2d(2), 192, 256),
+            (StencilKernel::random(StencilShape::box_2d(3), 31), 128, 160),
+            (
+                StencilKernel::random(StencilShape::star_2d(2), 32),
+                256,
+                192,
+            ),
+            (StencilKernel::jacobi_2d(), 96, 128),
+        ]
+        .map(|(k, rows, cols)| StencilRequest::new_2d(0, k, rows, cols));
+        let volumes = [
+            (Kernel3D::random_box(1, 41), 4, 64, 64),
+            (Kernel3D::random_box(2, 42), 3, 48, 64),
+            (Kernel3D::star_7point(-6.0, 1.0), 6, 64, 64),
+        ]
+        .map(|(k, planes, rows, cols)| StencilRequest::new_3d(0, k, planes, rows, cols));
+        let line = StencilRequest::new_1d(0, StencilKernel::wave_1d(2), 1 << 18);
+        planar
+            .into_iter()
+            .chain([line])
+            .chain(volumes)
+            .enumerate()
+            .map(|(k, r)| {
+                let id = id + k as u64;
+                StencilRequest { id, ..r }.with_seed(seed + k as u64)
+            })
+            .collect()
+    }
+
+    /// The jobs a wave of plenty of work runs as on this host: one per
+    /// core, at most one per group.
+    fn fanned_jobs(groups: usize) -> u64 {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        cores.min(groups) as u64
+    }
+
+    /// The nine `mixed_warm` shapes twice, queued on a paused scheduler,
+    /// run as one wave of one job per core, and every outcome equals the
+    /// blocking `run_batch`'s: checksum, simulated time to the bit,
+    /// counters and tiling.
+    #[test]
+    fn a_mixed_warm_wave_fans_out_and_matches_run_batch() {
+        let s = sched(SchedulerOptions {
+            start_paused: true,
+            ..SchedulerOptions::default()
+        });
+        let reqs: Vec<StencilRequest> = [mixed_warm(0, 100), mixed_warm(9, 200)].concat();
+        let tickets: Vec<Ticket> = reqs.iter().map(|r| s.submit(r.clone()).unwrap()).collect();
+        s.drain();
+        let q = s.queue_stats();
+        assert_eq!((q.dispatch_waves, q.coalesced_groups), (1, 9));
+        assert_eq!(q.wave_jobs, fanned_jobs(9), "one job per core");
+        let snap = s.metrics_snapshot();
+        assert_eq!(
+            snap.counter_value("spider_scheduler_wave_jobs_total"),
+            q.wave_jobs
+        );
+        let batch = sched(SchedulerOptions::default())
+            .runtime()
+            .run_batch(&reqs);
+        assert!(batch.failures.is_empty());
+        for (t, want) in tickets.iter().zip(&batch.outcomes) {
+            let RequestStatus::Done(got) = s.poll(*t) else {
+                panic!("request {} did not finish", want.id);
+            };
+            assert_eq!(got.id, want.id);
+            assert_eq!(got.checksum, want.checksum, "request {}", want.id);
+            assert_eq!(
+                got.report.time_s().to_bits(),
+                want.report.time_s().to_bits()
+            );
+            assert_eq!(got.report.counters, want.report.counters);
+            assert_eq!(got.tiling, want.tiling);
+            assert_eq!(got.coalesced, want.coalesced);
+        }
+    }
+
+    /// `tenant_burst`'s 16×16 requests never pay for waking a core: a wave
+    /// of 32 of them over four plans runs as one job.
+    #[test]
+    fn a_wave_of_tiny_requests_runs_as_one_job() {
+        let s = sched(SchedulerOptions {
+            start_paused: true,
+            ..SchedulerOptions::default()
+        });
+        let kernels = [
+            StencilKernel::heat_2d(0.12),
+            StencilKernel::jacobi_2d(),
+            StencilKernel::gaussian_2d(1),
+            StencilKernel::gaussian_2d(2),
+        ];
+        for i in 0..32u64 {
+            let k = kernels[i as usize % kernels.len()].clone();
+            s.submit(StencilRequest::new_2d(i, k, 16, 16).with_seed(i))
+                .unwrap();
+        }
+        const { assert!(32 * 256 < crate::runtime::MIN_WAVE_JOB_COST) };
+        let report = s.drain();
+        assert_eq!(report.outcomes.len(), 32);
+        let q = report.queue.unwrap();
+        assert_eq!((q.dispatch_waves, q.coalesced_groups), (1, 4));
+        assert_eq!(q.wave_jobs, 1);
+    }
+
+    /// Every request grid comes from the runtime's one pool, and each job
+    /// holds at most an input and a scratch grid: after a warm-up wave of
+    /// the nine `mixed_warm` shapes twice, 500 more of them, at most nine
+    /// in flight, add no allocation in their second half, and the pool
+    /// ends with at most two free buffers per job.
+    #[test]
+    fn a_fanning_scheduler_recycles_every_grid_through_one_bounded_pool() {
+        let s = sched(SchedulerOptions {
+            start_paused: true,
+            ..SchedulerOptions::default()
+        });
+        for r in [mixed_warm(0, 100), mixed_warm(9, 200)].concat() {
+            s.submit(r).unwrap();
+        }
+        s.drain();
+        let pool = s.runtime().pool();
+        let shapes = mixed_warm(0, 0);
+        let mut misses_halfway = 0;
+        let mut window: VecDeque<Ticket> = VecDeque::new();
+        for i in 0..500u64 {
+            if i == 250 {
+                misses_halfway = pool.stats().misses;
+            }
+            let shape = &shapes[(i % 9) as usize];
+            let req = StencilRequest {
+                id: 1000 + i,
+                ..shape.clone()
+            };
+            window.push_back(s.submit(req.with_seed(1000 + i)).unwrap());
+            while window.len() >= 9 {
+                if !s.peek(window[0]).is_terminal() {
+                    std::thread::sleep(Duration::from_micros(100));
+                    continue;
+                }
+                window.pop_front();
+            }
+        }
+        let report = s.drain();
+        assert_eq!(report.outcomes.len(), 518);
+        assert!(report.failures.is_empty());
+        let (q, jobs) = (report.queue.unwrap(), fanned_jobs(9));
+        assert!(
+            q.wave_jobs >= q.dispatch_waves + jobs - 1,
+            "the warm-up fanned out"
+        );
+        assert_eq!(pool.stats().misses, misses_halfway, "warm: no allocation");
+        let free = pool.free_buffers();
+        assert!(
+            free <= 2 * jobs as usize,
+            "{free} free buffers, {jobs} jobs"
+        );
     }
 
     #[test]

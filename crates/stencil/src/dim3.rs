@@ -5,7 +5,7 @@
 //! (grids, kernels, reference executor) that `spider-core::exec3d` builds
 //! on by decomposing a 3D kernel into `2r+1` 2D plane slices.
 
-use crate::grid::{fill_random, Grid2D};
+use crate::grid::{random_storage, Grid2D};
 use crate::scalar::Scalar;
 use crate::shape::StencilShape;
 use crate::StencilKernel;
@@ -56,11 +56,32 @@ impl<T: Scalar> Grid3D<T> {
     /// xorshift stream in plane-major order, generated by lanes jumped
     /// ahead along it (values unchanged by the split).
     pub fn random(planes: usize, rows: usize, cols: usize, halo: usize, seed: u64) -> Self {
-        let mut g = Self::zeros(planes, rows, cols, halo);
-        let (pr, pc) = (rows + 2 * halo, cols + 2 * halo);
+        let len = (planes + 2 * halo) * (rows + 2 * halo) * (cols + 2 * halo);
+        Self::random_in(vec![T::ZERO; len], planes, rows, cols, halo, seed)
+    }
+
+    /// [`Self::random`] built in `buf`, whatever it holds (see
+    /// [`crate::Grid1D::random_in`]).
+    pub fn random_in(
+        buf: Vec<T>,
+        planes: usize,
+        rows: usize,
+        cols: usize,
+        halo: usize,
+        seed: u64,
+    ) -> Self {
+        assert!(planes > 0 && rows > 0 && cols > 0);
+        let (pp, pr, pc) = (planes + 2 * halo, rows + 2 * halo, cols + 2 * halo);
         let row_start = |r: usize| ((r / rows + halo) * pr + r % rows + halo) * pc + halo;
-        fill_random(&mut g.data, planes * rows * cols, cols, row_start, seed);
-        g
+        let count = planes * rows * cols;
+        let data = random_storage(buf, pp * pr * pc, count, cols, row_start, seed);
+        Self {
+            planes,
+            rows,
+            cols,
+            halo,
+            data,
+        }
     }
 
     pub fn planes(&self) -> usize {
@@ -154,6 +175,34 @@ impl<T: Scalar> Grid3D<T> {
     /// Mutable padded storage, plane-major (halo shell included).
     pub fn padded_mut(&mut self) -> &mut [T] {
         &mut self.data
+    }
+
+    /// Build a volume around an existing padded buffer (must be exactly
+    /// `(planes + 2h) × (rows + 2h) × (cols + 2h)` elements), as
+    /// [`Grid2D::from_padded_vec`] does for planes.
+    pub fn from_padded_vec(
+        planes: usize,
+        rows: usize,
+        cols: usize,
+        halo: usize,
+        data: Vec<T>,
+    ) -> Self {
+        assert!(planes > 0 && rows > 0 && cols > 0);
+        let len = (planes + 2 * halo) * (rows + 2 * halo) * (cols + 2 * halo);
+        assert_eq!(data.len(), len, "padded buffer size mismatch");
+        Self {
+            planes,
+            rows,
+            cols,
+            halo,
+            data,
+        }
+    }
+
+    /// Take the padded storage out of the volume (e.g. to return it to a
+    /// buffer pool).
+    pub fn into_padded_vec(self) -> Vec<T> {
+        self.data
     }
 }
 

@@ -76,7 +76,7 @@ fn unit<T: Scalar>(state: u64) -> T {
 /// instead of waiting on one serial chain; the last lane ends where the
 /// next round begins. The tail shorter than a round takes one lane. Each
 /// cell gets the value the serial walk would give it, bit for bit.
-pub(crate) fn fill_random<T: Scalar>(
+fn fill_random<T: Scalar>(
     data: &mut [T],
     count: usize,
     cols: usize,
@@ -134,6 +134,32 @@ pub(crate) fn fill_random<T: Scalar>(
     }
 }
 
+/// A random grid's padded storage, built in `buf` whatever it holds:
+/// resized to `len`, the `count / cols` interior rows, row `r` starting at
+/// `row_start(r)`, filled with the stream of `seed` by [`fill_random`], and
+/// every other cell (the halo) zeroed. Zeroing only the halo lets a
+/// recycled buffer skip a whole pass; a fresh zeroed buffer pays it twice
+/// over its halo alone.
+pub(crate) fn random_storage<T: Scalar>(
+    mut buf: Vec<T>,
+    len: usize,
+    count: usize,
+    cols: usize,
+    row_start: impl Fn(usize) -> usize,
+    seed: u64,
+) -> Vec<T> {
+    buf.resize(len, T::ZERO);
+    let mut end = 0;
+    for r in 0..count / cols {
+        let start = row_start(r);
+        buf[end..start].fill(T::ZERO);
+        end = start + cols;
+    }
+    buf[end..].fill(T::ZERO);
+    fill_random(&mut buf, count, cols, row_start, seed);
+    buf
+}
+
 /// 1D grid with halo padding on both ends.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid1D<T: Scalar = f64> {
@@ -166,9 +192,16 @@ impl<T: Scalar> Grid1D<T> {
     /// xorshift stream in index order, generated by lanes jumped ahead
     /// along it (values unchanged by the split).
     pub fn random(len: usize, halo: usize, seed: u64) -> Self {
-        let mut g = Self::zeros(len, halo);
-        fill_random(&mut g.data, len, len, |_| halo, seed);
-        g
+        Self::random_in(vec![T::ZERO; len + 2 * halo], len, halo, seed)
+    }
+
+    /// [`Self::random`] built in `buf`, whatever it holds (a pooled buffer
+    /// is resized, its halo zeroed and its interior overwritten): the same
+    /// grid, bit for bit, without an allocation.
+    pub fn random_in(buf: Vec<T>, len: usize, halo: usize, seed: u64) -> Self {
+        assert!(len > 0, "grid must have at least one interior point");
+        let data = random_storage(buf, len + 2 * halo, len, len, |_| halo, seed);
+        Self { len, halo, data }
     }
 
     pub fn len(&self) -> usize {
@@ -292,16 +325,30 @@ impl<T: Scalar> Grid2D<T> {
     /// xorshift stream in row-major order, generated by lanes jumped ahead
     /// along it (values unchanged by the split).
     pub fn random(rows: usize, cols: usize, halo: usize, seed: u64) -> Self {
-        let mut g = Self::zeros(rows, cols, halo);
-        let stride = g.stride();
-        fill_random(
-            &mut g.data,
+        let len = (rows + 2 * halo) * (cols + 2 * halo);
+        Self::random_in(vec![T::ZERO; len], rows, cols, halo, seed)
+    }
+
+    /// [`Self::random`] built in `buf`, whatever it holds (see
+    /// [`Grid1D::random_in`]).
+    pub fn random_in(buf: Vec<T>, rows: usize, cols: usize, halo: usize, seed: u64) -> Self {
+        assert!(rows > 0 && cols > 0, "grid must be non-empty");
+        let stride = cols + 2 * halo;
+        let row_start = |i: usize| (i + halo) * stride + halo;
+        let data = random_storage(
+            buf,
+            (rows + 2 * halo) * stride,
             rows * cols,
             cols,
-            |i| (i + halo) * stride + halo,
+            row_start,
             seed,
         );
-        g
+        Self {
+            rows,
+            cols,
+            halo,
+            data,
+        }
     }
 
     pub fn rows(&self) -> usize {
@@ -645,6 +692,26 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A grid built in a recycled buffer, stale values and any length, is
+    /// the freshly allocated one bit for bit, halo included.
+    #[test]
+    fn random_in_a_stale_buffer_equals_random() {
+        let stale = |len: usize| vec![f32::NAN; len];
+        for halo in 0..=2 {
+            for (len, extra) in [(1, 0), (300, 7), (5000, 0)] {
+                let want = Grid1D::<f32>::random(len, halo, 3);
+                let got = Grid1D::random_in(stale(len + 2 * halo + extra), len, halo, 3);
+                assert_eq!(bits(got.padded()), bits(want.padded()));
+            }
+            let want = Grid2D::<f32>::random(37, 53, halo, 5);
+            let got = Grid2D::random_in(stale(17), 37, 53, halo, 5);
+            assert_eq!(bits(got.padded()), bits(want.padded()));
+            let want = Grid3D::<f32>::random(3, 9, 11, halo, 6);
+            let got = Grid3D::random_in(stale(10_000), 3, 9, 11, halo, 6);
+            assert_eq!(bits(got.padded()), bits(want.padded()));
         }
     }
 

@@ -156,6 +156,47 @@ fn panic_audit_flags_only_unannotated_serving_code() {
     assert!(vs.iter().all(|v| v.rule != RULE_PANIC_AUDIT), "{vs:?}");
 }
 
+#[test]
+fn guard_passed_as_a_parameter_is_caught() {
+    let src = fixture("guard_param.rs");
+    let vs = lint_source("crates/runtime/src/fixture.rs", &src, &cfg());
+    let locks: Vec<_> = vs
+        .iter()
+        .filter(|v| v.rule == RULE_LOCK_DISCIPLINE)
+        .collect();
+    // Only `enqueue`'s submit: `forward` takes an unlocked type, and
+    // `scoped` drops its guard first.
+    assert_eq!(locks.len(), 1, "{vs:?}");
+    assert_eq!(locks[0].token, "submit");
+    assert!(locks[0].message.contains("`st`"), "{}", locks[0]);
+}
+
+/// `SpiderCluster::place` runs under the cluster state guard it receives
+/// as a parameter, so its `try_submit` is clean only through the reviewed
+/// allowlist entry: without the entry the lint fails there.
+#[test]
+fn only_the_allowlist_keeps_the_placement_path_clean() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let path = "crates/cluster/src/cluster.rs";
+    let src = std::fs::read_to_string(root.join(path)).unwrap();
+    let with = GuardConfig::load(root);
+    assert_eq!(lint_source(path, &src, &with), Vec::new());
+    let mut without = with.clone();
+    without.allow.retain(|a| a.token != "try_submit");
+    let vs = lint_source(path, &src, &without);
+    let line = |at: usize| src[..at].lines().count() as u32;
+    let place = src.find("fn place(").unwrap();
+    let next = place + src[place..].find("\n    fn ").unwrap();
+    let body = line(place)..line(next);
+    assert_eq!(vs.len(), 1, "{vs:?}");
+    assert_eq!(
+        (vs[0].rule, vs[0].token.as_str()),
+        (RULE_LOCK_DISCIPLINE, "try_submit")
+    );
+    assert!(body.contains(&vs[0].line), "{}", vs[0]);
+    assert!(vs[0].message.contains("`st`"), "{}", vs[0]);
+}
+
 /// The real workspace — with its committed allowlist and `// guard:`
 /// annotations — lints clean. This is the same invocation CI runs.
 #[test]
