@@ -13,6 +13,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use spider_runtime::StencilRequest;
+use spider_stencil::fnv::Fnv1a;
 
 /// How the cluster assigns an incoming request to a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,15 +51,6 @@ pub struct Router {
     rr: AtomicUsize,
 }
 
-fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// One round of 64-bit mixing (splitmix64 finalizer) — turns the cheap FNV
 /// identities into well-distributed rendezvous scores.
 fn mix(mut x: u64) -> u64 {
@@ -79,7 +71,10 @@ impl Router {
     /// since two equal identities would always tie the same way.
     pub fn new(policy: RoutingPolicy, names: &[String]) -> Self {
         assert!(!names.is_empty(), "router needs at least one device");
-        let identities: Vec<u64> = names.iter().map(|name| fnv(name.bytes())).collect();
+        let identities: Vec<u64> = names
+            .iter()
+            .map(|name| Fnv1a::new().bytes(name.as_bytes()).finish())
+            .collect();
         for (i, a) in names.iter().enumerate() {
             for b in &names[i + 1..] {
                 assert_ne!(a, b, "device names must be unique, got {a:?} twice");

@@ -141,6 +141,12 @@ pub fn fan_out<R: Send>(jobs: usize, job: impl Fn() -> R + Sync) -> Vec<R> {
     (0..jobs).into_par_iter().map(|_| job()).collect()
 }
 
+/// `report` run `n` (at least one) times back to back: merged with itself,
+/// one run after another.
+pub(crate) fn back_to_back(report: &KernelReport, n: usize) -> KernelReport {
+    (1..n.max(1)).fold(report.clone(), |run, _| run.merge_sequential(report))
+}
+
 /// Observer driven by the coalesced batch entry points
 /// ([`SpiderExecutor::run_2d_coalesced`] / [`SpiderExecutor::run_1d_coalesced`]).
 ///
@@ -152,23 +158,6 @@ pub fn fan_out<R: Send>(jobs: usize, job: impl Fn() -> R + Sync) -> Vec<R> {
 pub trait BatchFeedback {
     /// Grid `index` finished all its sweeps with the given merged report.
     fn on_grid_done(&mut self, index: usize, report: &KernelReport);
-
-    /// The batch is about to execute as one coalesced launch wave covering
-    /// `members` valid grids spanning `wave_blocks` thread blocks, each
-    /// grid billed `launch_share` of the kernel-launch overhead. Fires once
-    /// per coalesced entry-point call, before any `on_grid_done`. Default:
-    /// ignored — this is the telemetry channel for launch/wave events and
-    /// costs nothing when unused.
-    fn on_batch_launch(&mut self, members: usize, wave_blocks: u64, launch_share: f64) {
-        let _ = (members, wave_blocks, launch_share);
-    }
-}
-
-/// [`BatchFeedback`] that discards every notification.
-pub struct NoFeedback;
-
-impl BatchFeedback for NoFeedback {
-    fn on_grid_done(&mut self, _index: usize, _report: &KernelReport) {}
 }
 
 /// The batched launch a grid's report is billed to: `members` grids
@@ -327,7 +316,8 @@ impl<'d> SpiderExecutor<'d> {
         Ok(self.member_2d(plan, grid, steps, emulate, launch))
     }
 
-    /// Sweep one 2D batch member and bill it to `launch`.
+    /// Sweep one 2D batch member and bill it to `launch`. Counters never
+    /// depend on grid data, so every step is charged what one step is.
     fn member_2d(
         &self,
         plan: &SpiderPlan,
@@ -336,32 +326,25 @@ impl<'d> SpiderExecutor<'d> {
         emulate: bool,
         launch: Launch,
     ) -> KernelReport {
-        let per_step = self.sweep_2d(plan, grid, steps, emulate);
-        self.batched_report(per_step, launch, (grid.rows() * grid.cols()) as u64)
+        self.sweep_2d(plan, grid, steps, emulate);
+        let counters = self.charge_2d(plan, grid.rows(), grid.cols());
+        self.batched_report(counters, steps, launch, (grid.rows() * grid.cols()) as u64)
     }
 
     /// The functional heart of every 2D run: quantize, then `steps`
     /// boundary-refill + sweep rounds, ping-ponging between the caller's
     /// grid and a pooled scratch grid that holds only the source's halo
-    /// (the sweep writes every interior cell). Returns each sweep's
-    /// counters, in order. The input quantize flags a non-finite source and
-    /// each sweep's store flags a non-finite result; a flagged source (or
-    /// `emulate`) takes the emulated path. The halo refill only copies
-    /// interior values or writes zeros, so the store's flag covers the next
-    /// source's whole padded storage.
-    fn sweep_2d(
-        &self,
-        plan: &SpiderPlan,
-        grid: &mut Grid2D<f32>,
-        steps: usize,
-        emulate: bool,
-    ) -> Vec<PerfCounters> {
+    /// (the sweep writes every interior cell). The input quantize flags a
+    /// non-finite source and each sweep's store flags a non-finite result;
+    /// a flagged source (or `emulate`) takes the emulated path. The halo
+    /// refill only copies interior values or writes zeros, so the store's
+    /// flag covers the next source's whole padded storage.
+    fn sweep_2d(&self, plan: &SpiderPlan, grid: &mut Grid2D<f32>, steps: usize, emulate: bool) {
         let mut non_finite = quantize_slice(grid.padded_mut());
         let (rows, cols, h, stride) = (grid.rows(), grid.cols(), grid.halo(), grid.stride());
         let out_rows = move || (h..h + rows).map(move |x| x * stride + h);
         let buf = self.pool.take_halo_of(grid.padded(), out_rows(), cols);
         let mut scratch = Grid2D::from_padded_vec(rows, cols, h, buf);
-        let mut per_step = Vec::with_capacity(steps.max(1));
         for _ in 0..steps.max(1) {
             self.config.boundary.apply_2d(grid);
             let dst = scratch.padded_mut();
@@ -371,11 +354,9 @@ impl<'d> SpiderExecutor<'d> {
                 let src = grid.padded();
                 self.sweep_rows(out_rows(), cols, stride, &[(0, plan)], false, src, dst)
             };
-            per_step.push(self.charge_2d(plan, rows, cols));
             std::mem::swap(grid, &mut scratch);
         }
         self.pool.put(scratch.into_padded_vec());
-        per_step
     }
 
     /// Run `steps` sweeps of a 1D stencil — a batch of one
@@ -434,23 +415,17 @@ impl<'d> SpiderExecutor<'d> {
         emulate: bool,
         launch: Launch,
     ) -> KernelReport {
-        let per_step = self.sweep_1d(plan, grid, steps, emulate);
-        self.batched_report(per_step, launch, grid.len() as u64)
+        self.sweep_1d(plan, grid, steps, emulate);
+        let counters = self.charge_1d(plan, grid.len());
+        self.batched_report(counters, steps, launch, grid.len() as u64)
     }
 
     /// 1D counterpart of [`Self::sweep_2d`]: the grid is one row.
-    fn sweep_1d(
-        &self,
-        plan: &SpiderPlan,
-        grid: &mut Grid1D<f32>,
-        steps: usize,
-        emulate: bool,
-    ) -> Vec<PerfCounters> {
+    fn sweep_1d(&self, plan: &SpiderPlan, grid: &mut Grid1D<f32>, steps: usize, emulate: bool) {
         let mut non_finite = quantize_slice(grid.padded_mut());
         let (n, h, t) = (grid.len(), grid.halo(), self.config.tiling);
         let buf = self.pool.take_halo_of(grid.padded(), once(h), n);
         let mut scratch = Grid1D::from_padded_vec(n, h, buf);
-        let mut per_step = Vec::with_capacity(steps.max(1));
         for _ in 0..steps.max(1) {
             self.config.boundary.apply_1d(grid);
             let dst = scratch.padded_mut();
@@ -465,11 +440,9 @@ impl<'d> SpiderExecutor<'d> {
                 // One row; 1D steps have `dx` = 0, so the stride is never read.
                 self.sweep_rows(once(h), n, 0, &[(0, plan)], false, grid.padded(), dst)
             };
-            per_step.push(self.charge_1d(plan, n));
             std::mem::swap(grid, &mut scratch);
         }
         self.pool.put(scratch.into_padded_vec());
-        per_step
     }
 
     /// Run a coalesced batch of 2D grids under one plan and one executor.
@@ -559,33 +532,27 @@ impl<'d> SpiderExecutor<'d> {
                 }
             }
         }
-        feedback.on_batch_launch(launch.members, launch.wave_blocks, launch.share());
         for (index, grid) in grids[..launch.members].iter_mut().enumerate() {
             feedback.on_grid_done(index, &member(grid, launch));
         }
         first_err.map_or(Ok(()), Err)
     }
 
-    /// Merge per-step counters of one batch member into its report (one
-    /// batched launch per step; see [`GpuDevice::report_batched`]).
+    /// The report of one batch member that runs `steps` identical steps,
+    /// each one batched launch charged `counters` (see
+    /// [`GpuDevice::report_batched`]).
     pub(crate) fn batched_report(
         &self,
-        per_step: Vec<PerfCounters>,
+        counters: PerfCounters,
+        steps: usize,
         launch: Launch,
         points: u64,
     ) -> KernelReport {
         let dims = LaunchDims::new(launch.wave_blocks, self.config.tiling.threads_per_block());
-        let mut report: Option<KernelReport> = None;
-        for counters in per_step {
-            let r = self
-                .device
-                .report_batched(counters, dims, points, launch.share());
-            report = Some(match report.take() {
-                None => r,
-                Some(prev) => prev.merge_sequential(&r),
-            });
-        }
-        report.expect("at least one step")
+        let step = self
+            .device
+            .report_batched(counters, dims, points, launch.share());
+        back_to_back(&step, steps)
     }
 
     /// Performance estimate for a (possibly huge) 2D problem: charge one
@@ -1620,17 +1587,12 @@ mod tests {
     struct Collect {
         order: Vec<usize>,
         reports: Vec<KernelReport>,
-        launches: Vec<(usize, u64, f64)>,
     }
 
     impl BatchFeedback for Collect {
         fn on_grid_done(&mut self, index: usize, report: &KernelReport) {
             self.order.push(index);
             self.reports.push(report.clone());
-        }
-
-        fn on_batch_launch(&mut self, members: usize, wave_blocks: u64, launch_share: f64) {
-            self.launches.push((members, wave_blocks, launch_share));
         }
     }
 
@@ -1655,13 +1617,6 @@ mod tests {
         exec.run_2d_coalesced(&plan, &mut grids, 2, &mut fb)
             .unwrap();
         assert_eq!(fb.order, vec![0, 1, 2, 3], "input-order completion");
-        // The launch hook fires exactly once, before completions, covering
-        // every valid grid with an even launch-overhead share.
-        assert_eq!(fb.launches.len(), 1);
-        let (members, wave_blocks, share) = fb.launches[0];
-        assert_eq!(members, 4);
-        assert!(wave_blocks > 0);
-        assert_eq!(share, 0.25);
         for (i, (got, want)) in grids.iter().zip(&expect).enumerate() {
             assert_eq!(got.padded(), want.padded(), "grid {i} diverged");
         }

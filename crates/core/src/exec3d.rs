@@ -12,7 +12,7 @@
 //! Star-3D kernels work automatically: their off-center slices hold a
 //! single tap and compile to one-unit plans.
 
-use crate::exec::{ExecMode, Launch, SpiderExecutor};
+use crate::exec::{back_to_back, ExecMode, Launch, SpiderExecutor};
 use crate::plan::{PlanError, SpiderPlan};
 use spider_gpu_sim::counters::PerfCounters;
 use spider_gpu_sim::half::quantize_slice;
@@ -239,19 +239,15 @@ impl<'d> Spider3DExecutor<'d> {
             members: planes,
             wave_blocks: (planes * plan.slices().len()) as u64 * t.blocks_2d(rows, cols),
         };
-        let plane_report = self
+        let step_report = self
             .exec
-            .batched_report(vec![counters], launch, (rows * cols) as u64);
-        let step_report = (1..planes).fold(plane_report.clone(), |merged, _| {
-            merged.merge_sequential(&plane_report)
-        });
+            .batched_report(counters, planes, launch, (rows * cols) as u64);
 
         let slices: Vec<(isize, &SpiderPlan)> = plan
             .slices()
             .iter()
             .map(|(dz, p)| (dz * plane_len as isize, p))
             .collect();
-        let mut report: Option<KernelReport> = None;
         for _ in 0..steps.max(1) {
             let (src, dst) = (grid.padded(), next.padded_mut());
             // A full scan, no early exit, so it vectorizes.
@@ -277,13 +273,9 @@ impl<'d> Spider3DExecutor<'d> {
                     .sweep_rows(out_rows(), cols, stride, &slices, true, src, dst);
             }
             std::mem::swap(grid, &mut next);
-            report = Some(match report.take() {
-                None => step_report.clone(),
-                Some(prev) => prev.merge_sequential(&step_report),
-            });
         }
         pool.put(next.into_padded_vec());
-        Ok(report.expect("at least one step"))
+        Ok(back_to_back(&step_report, steps))
     }
 }
 

@@ -49,7 +49,7 @@ pub mod swap;
 pub mod sync;
 pub mod tiling;
 
-pub use exec::{BatchFeedback, ExecConfig, ExecMode, NoFeedback, SpiderExecutor};
+pub use exec::{BatchFeedback, ExecConfig, ExecMode, SpiderExecutor};
 pub use plan::SpiderPlan;
 pub use pool::{BufferPool, PoolStats};
 pub use row_swap::RowSwapStrategy;

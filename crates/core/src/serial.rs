@@ -45,6 +45,7 @@ use crate::swap::SwapParity;
 use crate::{K_PAD, M_TILE};
 use spider_gpu_sim::sparse::Sparse24Operand;
 use spider_stencil::dim3::Kernel3D;
+use spider_stencil::fnv::Fnv1a;
 use spider_stencil::{Dim, ShapeKind, StencilKernel, StencilShape};
 
 /// Magic prefix of every serialized plan.
@@ -192,16 +193,6 @@ fn read_operand(r: &mut Reader<'_>) -> Result<Sparse24Operand, SerialError> {
     Ok(Sparse24Operand { values, meta })
 }
 
-/// FNV-1a over a byte slice — the payload-hash primitive of the trailer.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn parity_tag(parity: SwapParity) -> u8 {
     match parity {
         SwapParity::Even => 0,
@@ -248,7 +239,7 @@ impl SpiderPlan {
             }
         }
         put_u64(&mut out, self.fingerprint());
-        let payload_hash = fnv1a(&out);
+        let payload_hash = Fnv1a::new().bytes(&out).finish();
         put_u64(&mut out, payload_hash);
         out
     }
@@ -265,7 +256,7 @@ impl SpiderPlan {
         }
         let (payload, trailer) = bytes.split_at(bytes.len() - 8);
         let stored_hash = u64::from_le_bytes(trailer.try_into().unwrap());
-        if fnv1a(payload) != stored_hash {
+        if Fnv1a::new().bytes(payload).finish() != stored_hash {
             // Distinguish the common "not our file at all" case.
             if !bytes.starts_with(PLAN_MAGIC) {
                 return Err(SerialError::BadMagic);
@@ -401,7 +392,7 @@ impl Spider3DPlan {
             out.extend_from_slice(&nested);
         }
         put_u64(&mut out, self.fingerprint());
-        let payload_hash = fnv1a(&out);
+        let payload_hash = Fnv1a::new().bytes(&out).finish();
         put_u64(&mut out, payload_hash);
         out
     }
@@ -418,7 +409,7 @@ impl Spider3DPlan {
         }
         let (payload, trailer) = bytes.split_at(bytes.len() - 8);
         let stored_hash = u64::from_le_bytes(trailer.try_into().unwrap());
-        if fnv1a(payload) != stored_hash {
+        if Fnv1a::new().bytes(payload).finish() != stored_hash {
             if !bytes.starts_with(PLAN3D_MAGIC) {
                 return Err(SerialError::BadMagic);
             }
@@ -591,7 +582,7 @@ mod tests {
         // A *valid* future-version file carries a correct payload hash;
         // recompute it so the version check (not the hash check) fires.
         let hash_at = bytes.len() - 8;
-        let h = fnv1a(&bytes[..hash_at]);
+        let h = Fnv1a::new().bytes(&bytes[..hash_at]).finish();
         bytes[hash_at..].copy_from_slice(&h.to_le_bytes());
         assert_eq!(
             SpiderPlan::from_bytes(&bytes).err(),

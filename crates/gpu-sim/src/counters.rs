@@ -65,13 +65,6 @@ impl PerfCounters {
         self.instructions += 1;
     }
 
-    /// Record a warp global write.
-    pub fn gmem_write(&mut self, bytes: u64, sectors: u64) {
-        self.gmem_write_bytes += bytes;
-        self.gmem_write_sectors += sectors;
-        self.instructions += 1;
-    }
-
     /// Record a warp shared-memory read serviced in `waves` waves.
     pub fn smem_read(&mut self, waves: u64) {
         self.smem_read_requests += 1;

@@ -19,14 +19,18 @@
 //!
 //! Run as `cargo run -p spider-guard -- check`; exits nonzero on any
 //! violation. See `crates/guard/README.md` for the rule catalogue and
-//! `guard-allow.txt` for the reviewed exceptions.
+//! `guard-allow.txt` for the reviewed exceptions. `… -- lines` prints each
+//! crate's library code and comment lines outside test regions
+//! ([`lines`]), the count CHANGES.md reports per PR.
 
 pub mod config;
 pub mod lexer;
+pub mod lines;
 pub mod rules;
 
 pub use config::{parse_allowlist, AllowEntry, GuardConfig};
 pub use lexer::{lex, Token, TokenKind};
+pub use lines::{count_lines, library_lines, LineCount};
 pub use rules::{
     lint_source, Violation, RULE_DETERMINISM, RULE_LOCK_DISCIPLINE, RULE_METRIC_NAMING,
     RULE_PANIC_AUDIT,

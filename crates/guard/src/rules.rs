@@ -111,7 +111,7 @@ impl<'a> FileCtx<'a> {
 /// Mark tokens inside `#[cfg(test)] mod … { … }` or `#[test] fn … { … }`
 /// regions: after either attribute, everything through the matching close
 /// brace of the item's first `{` is test code.
-fn mark_test_regions(tokens: &[Token<'_>]) -> Vec<bool> {
+pub(crate) fn mark_test_regions(tokens: &[Token<'_>]) -> Vec<bool> {
     let mut in_test = vec![false; tokens.len()];
     let mut i = 0usize;
     while i < tokens.len() {

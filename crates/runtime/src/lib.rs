@@ -19,25 +19,28 @@
 //!  StencilRequest queue (heterogeneous: 1D/2D/3D, box/star, any radius/size)
 //!        │
 //!        ▼
-//!  ┌─────── SpiderRuntime::run_batch / execute (a group of one) ────────┐
-//!  │                                                                    │
-//!  │  group by plan_key ──► one group after another, on the caller      │
-//!  │                           │                                        │
-//!  │                           ▼            run_group, per group:       │
-//!  │   ┌───────────┐   ┌─────────────────┐                              │
-//!  │   │ PlanCache │◄──┤ 1. plan lookup  │  fingerprint(kernel, mode)   │
-//!  │   │ LRU, Arc- │   │    (compile on  │  → Arc<SpiderPlan>, once per │
-//!  │   │ shared    │──►│     miss)       │  request                     │
-//!  │   └───────────┘   ├─────────────────┤                              │
-//!  │   ┌───────────┐   │ 2. tiling      │  closed-form pre-rank         │
-//!  │   │ AutoTuner │◄──┤    selection   │  (spider-analysis::tuning)    │
-//!  │   │ memoized  │──►│                │  + simulator dry-run          │
-//!  │   └───────────┘   ├────────────────┤                               │
-//!  │                   │ 3. execute     │  run_*_coalesced (3D: run)    │
-//!  │                   │    (simulated) │  per exec-key subgroup →      │
-//!  │                   │                │  KernelReport + checksum each │
-//!  │                   └────────────────┘                               │
-//!  └────────────────────────────┬───────────────────────────────────────┘
+//!  ┌───── run_batch, or one scheduler wave (execute: a group of one) ─────┐
+//!  │                                                                      │
+//!  │  group by plan_key ──► prepare_wave: steps 1–2 for every group on    │
+//!  │                        │  the caller, then step 3 as one job per     │
+//!  │                        │  MIN_WAVE_JOB_COST of work (at most one per │
+//!  │                        │  group and per core)                        │
+//!  │                        ▼                                             │
+//!  │ ┌───────────┐   ┌─────────────────┐   run_group, per group:          │
+//!  │ │ PlanCache │◄──┤ 1. plan lookup  │   fingerprint(kernel, mode)      │
+//!  │ │ LRU, Arc- │   │    (compile on  │   → Arc<SpiderPlan>, once per    │
+//!  │ │ shared    │──►│     miss)       │   request                        │
+//!  │ └───────────┘   ├─────────────────┤                                  │
+//!  │ ┌───────────┐   │ 2. tiling       │   closed-form pre-rank           │
+//!  │ │ AutoTuner │◄──┤    selection    │   (spider-analysis::tuning)      │
+//!  │ │ memoized  │──►│                 │   + simulator dry-run            │
+//!  │ └───────────┘   ├─────────────────┤                                  │
+//!  │                 │ 3. execute      │   run_{1d,2d}_in_batch (3D: run) │
+//!  │                 │    (simulated)  │   member by member per exec-key  │
+//!  │                 │                 │   subgroup → KernelReport +      │
+//!  │                 │                 │   checksum each                  │
+//!  │                 └─────────────────┘                                  │
+//!  └────────────────────────────┬─────────────────────────────────────────┘
 //!                               ▼
 //!                RuntimeReport: per-request outcomes (submission order),
 //!                requests/s, simulated GStencil/s, cache hit statistics
@@ -59,25 +62,32 @@
 //!   [`SpiderRuntime::run_group`]: single-request execution
 //!   ([`SpiderRuntime::execute`]) is a group of one, and batched serving
 //!   ([`SpiderRuntime::run_batch`]) groups requests by plan key so one
-//!   group member pays compile+tune and the rest hit, then runs the groups
-//!   one after another on the calling thread; results aggregate into a
-//!   [`report::RuntimeReport`]. A request's only parallelism is its
-//!   sweep's own fan-out, sized by work: jobs of at least
-//!   [`spider_core::exec::MIN_JOB_STEP_POINTS`] step-points, enough to
-//!   outlast waking an idle core, so a typical request (every scenario of
-//!   the `mixed_warm` mix) runs on the calling thread alone.
+//!   group member pays compile+tune and the rest hit; results aggregate
+//!   into a [`report::RuntimeReport`]. `run_batch` runs its groups as one
+//!   wave, as the scheduler runs each dispatch: `prepare_wave` resolves
+//!   and tunes every group on the calling thread, then runs the groups as
+//!   one job per [`runtime::MIN_WAVE_JOB_COST`] of work, at most one per
+//!   group and per core, so a wave of small requests stays on the calling
+//!   thread. There is one level of parallelism: a wave one of whose sweeps
+//!   would split by itself (at [`spider_core::exec::MIN_JOB_STEP_POINTS`]
+//!   step-points, which no `mixed_warm` request reaches) runs as one job.
+//!   Each exec-key subgroup shares one executor and runs member by member
+//!   through [`spider_core::SpiderExecutor::run_2d_in_batch`] (or its 1D
+//!   twin; volumes through `Spider3DExecutor::run`), each member billed its
+//!   share of one batched launch.
 //! * [`scheduler::SpiderScheduler`] — the async front end: `submit` returns
 //!   a [`scheduler::Ticket`] immediately, `poll` reports progress, `drain`
 //!   blocks until quiescence. A bounded admission queue applies a
 //!   [`scheduler::BackpressurePolicy`] (`Block`/`Reject`/
 //!   `ShedLowestPriority`); requests carry a [`request::Priority`] (aged to
 //!   prevent starvation) and an optional [`request::Deadline`] (expired
-//!   requests never execute). Each dispatch wave coalesces the
-//!   top-priority cohort by plan key through [`SpiderRuntime::run_group`],
-//!   which shares one executor per exec-key subgroup via the
-//!   `spider_core` coalesced entry points. The queue is indexed, so a
-//!   wave costs O(wave), not O(queue). The dispatcher thread runs a wave's
-//!   groups one after another, the way `run_batch` does.
+//!   requests never execute). Each dispatch wave takes the top-priority
+//!   cohort (one deficit-round-robin round of it when tenants are
+//!   registered), groups it by plan key and runs it as one wave, the way
+//!   `run_batch` does, with the dispatcher thread as one of its jobs. The
+//!   queue is indexed, so a wave costs O(wave), not O(queue). Every ticket
+//!   enters through one admission path and gets its verdict, counted in
+//!   its tenant's row, in one place.
 //!
 //! ## Quickstart
 //!

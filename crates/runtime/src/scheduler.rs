@@ -74,9 +74,20 @@
 //! | one dispatch wave that selects m requests | O(L + m log n) |
 //! | `poll` of a queued ticket | O(its position) |
 //! | `poll` of any other ticket | O(1) |
+//! | `kill`, with r requests running | O((n + r) log n) |
 //!
 //! The m selected requests are the whole top cohort without tenants and
 //! one DRR round of it with them; all of them dispatch.
+//!
+//! ## One way in, one way out
+//!
+//! `submit` and `try_submit` share one admission path (shutdown, lapsed
+//! deadlines, admission quota, capacity); `try_submit` runs it with no
+//! backpressure policy. The queue holds queued tickets, a running set the
+//! dispatched ones, and a ticket's slot only its verdict. `finish` gives
+//! every verdict and counts it in the tenant's row; a queued ticket that
+//! will not run (shed, cancelled, killed or expired) gets there through
+//! `leave_queue`, and a kill fails exactly the running set.
 //!
 //! ## Ticket retention
 //!
@@ -420,11 +431,11 @@ pub trait Submit {
     fn try_submit(&self, req: StencilRequest) -> Result<Self::Ticket, SubmitError>;
 }
 
-/// Internal per-ticket state (the non-public side of [`RequestStatus`]).
+/// A ticket's verdict (the non-public side of a terminal
+/// [`RequestStatus`]). A ticket without one is queued, and the queue holds
+/// it, or running, and the `running` set holds it.
 #[derive(Debug)]
 enum Slot {
-    Queued,
-    Running,
     /// `polled`: a `poll` has returned this outcome (its retention clock
     /// runs).
     Done {
@@ -439,19 +450,32 @@ enum Slot {
     Released,
 }
 
+impl Slot {
+    /// The terminal event this verdict is traced as.
+    fn terminal(&self) -> Terminal {
+        match self {
+            Slot::Done { .. } | Slot::Released => Terminal::Done,
+            Slot::Failed(_) => Terminal::Failed,
+            Slot::Shed => Terminal::Shed,
+            Slot::Expired => Terminal::Expired,
+            Slot::Cancelled => Terminal::Cancelled,
+        }
+    }
+}
+
 struct SlotEntry {
     /// The caller's request id, echoed into drain-report failures.
     req_id: u64,
     /// The request's plan key (trace events are keyed by it; a kill must
     /// trace terminal verdicts for requests whose `QueuedEntry` is gone).
     plan_key: u64,
-    /// The submitting tenant — kill-time accounting must land the failure
-    /// in the right tenant row long after dispatch consumed the queue entry.
+    /// The submitting tenant, whose row [`finish`] counts the verdict in.
     tenant: TenantId,
     /// The request's device-loss retry attempt at submission, so kill-time
     /// terminal events chain onto the right life of a retried request.
     attempt: u32,
-    slot: Slot,
+    /// `None` until [`finish`] gives the verdict.
+    verdict: Option<Slot>,
 }
 
 struct QueuedEntry {
@@ -535,9 +559,9 @@ impl Queue {
             .sum()
     }
 
-    /// Remove every request whose deadline has passed at `now`; returned
-    /// in ticket order.
-    fn take_lapsed(&mut self, now: Instant) -> Vec<(u64, QueuedEntry)> {
+    /// The queued tickets whose deadline has passed at `now`, in ticket
+    /// order.
+    fn lapsed(&self, now: Instant) -> Vec<u64> {
         let mut lapsed: Vec<u64> = self
             .deadlines
             .iter()
@@ -546,9 +570,6 @@ impl Queue {
             .collect();
         lapsed.sort_unstable();
         lapsed
-            .into_iter()
-            .filter_map(|ticket| Some((ticket, self.remove(ticket)?)))
-            .collect()
     }
 
     /// The `ShedLowestPriority` victim and its effective level: lowest
@@ -573,11 +594,9 @@ struct State {
     paused: bool,
     shutdown: bool,
     /// Set by [`SpiderScheduler::kill`]: the simulated device is gone.
-    /// A dispatcher returning from an in-flight wave must not overwrite the
-    /// `Failed(DeviceLost)` verdicts the kill already recorded.
     killed: bool,
-    /// Tickets dispatched and currently executing.
-    running: usize,
+    /// Tickets dispatched and still executing.
+    running: BTreeSet<u64>,
     /// One row per tenant (anonymous traffic included), the only store of
     /// the queue counts: every event bumps exactly one row, and the
     /// scheduler-wide row is their fold ([`State::queue_stats`]).
@@ -670,7 +689,7 @@ impl SpiderScheduler {
                     paused: options.start_paused,
                     shutdown: false,
                     killed: false,
-                    running: 0,
+                    running: BTreeSet::new(),
                     tenant_stats: BTreeMap::new(),
                     max_depth: 0,
                     dispatch_waves: 0,
@@ -728,86 +747,7 @@ impl SpiderScheduler {
     /// important queued request (possibly the newcomer itself — the
     /// returned ticket then polls as [`RequestStatus::Shed`]).
     pub fn submit(&self, req: StencilRequest) -> Result<Ticket, SubmitError> {
-        let t = Arc::clone(self.runtime.telemetry());
-        let mut st = self.lock();
-        loop {
-            if st.shutdown {
-                return Err(SubmitError::ShuttingDown);
-            }
-            // Lapsed deadlines free capacity before any backpressure call —
-            // and must wake submitters blocked under the `Block` policy.
-            if expire_due(&mut st, &t) > 0 {
-                self.shared.space.notify_all();
-                self.shared.idle.notify_all();
-            }
-            // Admission quotas outrank the backpressure policy: an
-            // over-quota tenant is refused outright rather than allowed to
-            // park against (or shed) everyone else's queue share.
-            if let Some(quota) = self.options.quota_of(req.tenant) {
-                let queued = st.queue.queued_of(req.tenant);
-                if queued >= quota {
-                    st.tenant_stats_mut(req.tenant).rejected += 1;
-                    return Err(SubmitError::QuotaExceeded {
-                        tenant: req.tenant,
-                        quota,
-                    });
-                }
-            }
-            if st.queue.len() < self.options.queue_capacity {
-                break;
-            }
-            match self.options.policy {
-                BackpressurePolicy::Block => {
-                    st = st.wait_on(&self.shared.space);
-                }
-                BackpressurePolicy::Reject => {
-                    st.tenant_stats_mut(req.tenant).rejected += 1;
-                    return Err(SubmitError::QueueFull {
-                        capacity: self.options.queue_capacity,
-                    });
-                }
-                BackpressurePolicy::ShedLowestPriority => {
-                    let now = Instant::now();
-                    let (victim, victim_level) = st
-                        .queue
-                        .victim(now, self.options.aging_step)
-                        .expect("full queue has a victim"); // guard: branch is only taken when the queue is full
-                    if req.priority.level() <= victim_level {
-                        // The newcomer is the least important: shed on
-                        // arrival, but still hand back a pollable ticket.
-                        let plan_key = req.plan_key();
-                        let ticket = alloc_ticket(&mut st, &req, plan_key);
-                        {
-                            let ts = st.tenant_stats_mut(req.tenant);
-                            ts.submitted += 1;
-                            ts.shed += 1;
-                        }
-                        t.record_attempt(req.id, plan_key, req.attempt, EventKind::Admit, 0.0);
-                        t.record_attempt(
-                            req.id,
-                            plan_key,
-                            req.attempt,
-                            EventKind::Complete {
-                                terminal: Terminal::Shed,
-                            },
-                            0.0,
-                        );
-                        finish(&mut st, ticket, Slot::Shed);
-                        self.shared.idle.notify_all();
-                        return Ok(Ticket { seq: ticket });
-                    }
-                    let entry = st.queue.remove(victim).expect("the victim is queued"); // guard: victim() returns a queued ticket
-                    let waited = now.saturating_duration_since(entry.submitted).as_secs_f64();
-                    trace_queue_exit(&t, &entry.req, waited, Terminal::Shed);
-                    finish(&mut st, victim, Slot::Shed);
-                    st.tenant_stats_mut(entry.req.tenant).shed += 1;
-                    self.shared.idle.notify_all();
-                }
-            }
-        }
-        let ticket = admit(&mut st, req, &t);
-        self.shared.work.notify_one();
-        Ok(Ticket { seq: ticket })
+        self.enter(req, Some(self.options.policy))
     }
 
     /// Non-blocking [`Self::submit`]: admit the request if the queue has
@@ -819,29 +759,76 @@ impl SpiderScheduler {
     /// steal-and-requeue path, which would otherwise deadlock a paused
     /// fleet by blocking on a full destination queue.
     pub fn try_submit(&self, req: StencilRequest) -> Result<Ticket, SubmitError> {
+        self.enter(req, None)
+    }
+
+    /// The one admission path: shutdown, then lapsed deadlines, then the
+    /// tenant's admission quota, then capacity. A full queue meets
+    /// `policy`; without one (the [`Self::try_submit`] probe) it refuses
+    /// the request and counts nothing.
+    fn enter(
+        &self,
+        req: StencilRequest,
+        policy: Option<BackpressurePolicy>,
+    ) -> Result<Ticket, SubmitError> {
         let t = Arc::clone(self.runtime.telemetry());
+        let capacity = self.options.queue_capacity;
         let mut st = self.lock();
-        if st.shutdown {
-            return Err(SubmitError::ShuttingDown);
-        }
-        if expire_due(&mut st, &t) > 0 {
-            self.shared.space.notify_all();
-            self.shared.idle.notify_all();
-        }
-        if let Some(quota) = self.options.quota_of(req.tenant) {
-            let queued = st.queue.queued_of(req.tenant);
-            if queued >= quota {
-                st.tenant_stats_mut(req.tenant).rejected += 1;
-                return Err(SubmitError::QuotaExceeded {
-                    tenant: req.tenant,
-                    quota,
-                });
+        loop {
+            if st.shutdown {
+                return Err(SubmitError::ShuttingDown);
             }
-        }
-        if st.queue.len() >= self.options.queue_capacity {
-            return Err(SubmitError::QueueFull {
-                capacity: self.options.queue_capacity,
-            });
+            // Lapsed deadlines free capacity before any backpressure call.
+            expire_due(&self.shared, &mut st, &t);
+            // Admission quotas outrank the backpressure policy: an
+            // over-quota tenant is refused outright rather than allowed to
+            // park against (or shed) everyone else's queue share.
+            if let Some(quota) = self.options.quota_of(req.tenant) {
+                if st.queue.queued_of(req.tenant) >= quota {
+                    st.tenant_stats_mut(req.tenant).rejected += 1;
+                    return Err(SubmitError::QuotaExceeded {
+                        tenant: req.tenant,
+                        quota,
+                    });
+                }
+            }
+            if st.queue.len() < capacity {
+                break;
+            }
+            match policy {
+                None => return Err(SubmitError::QueueFull { capacity }),
+                Some(BackpressurePolicy::Block) => st = st.wait_on(&self.shared.space),
+                Some(BackpressurePolicy::Reject) => {
+                    st.tenant_stats_mut(req.tenant).rejected += 1;
+                    return Err(SubmitError::QueueFull { capacity });
+                }
+                Some(BackpressurePolicy::ShedLowestPriority) => {
+                    let now = Instant::now();
+                    let (victim, victim_level) = st
+                        .queue
+                        .victim(now, self.options.aging_step)
+                        .expect("full queue has a victim"); // guard: branch is only taken when the queue is full
+                    if req.priority.level() <= victim_level {
+                        // The newcomer is the least important: shed on
+                        // arrival, but still hand back a pollable ticket.
+                        let ticket = open_ticket(&mut st, &req, &t);
+                        t.record_attempt(
+                            req.id,
+                            st.slots[ticket as usize].plan_key,
+                            req.attempt,
+                            EventKind::Complete {
+                                terminal: Terminal::Shed,
+                            },
+                            0.0,
+                        );
+                        finish(&mut st, ticket, Slot::Shed);
+                        self.shared.idle.notify_all();
+                        return Ok(Ticket { seq: ticket });
+                    }
+                    leave_queue(&mut st, &t, victim, now, Slot::Shed);
+                    self.shared.idle.notify_all();
+                }
+            }
         }
         let ticket = admit(&mut st, req, &t);
         self.shared.work.notify_one();
@@ -867,39 +854,33 @@ impl SpiderScheduler {
     fn status(&self, ticket: Ticket, retain: bool) -> RequestStatus {
         let t = Arc::clone(self.runtime.telemetry());
         let mut st = self.lock();
-        if expire_due(&mut st, &t) > 0 {
-            self.shared.space.notify_all();
-            self.shared.idle.notify_all();
-        }
+        expire_due(&self.shared, &mut st, &t);
         let Some(entry) = st.slots.get(ticket.seq as usize) else {
             return RequestStatus::Unknown;
         };
-        let status = match &entry.slot {
-            Slot::Queued => {
-                let entry = st
-                    .queue
-                    .entries
-                    .get(&ticket.seq)
-                    .expect("queued slot has a queue entry"); // guard: Queued status implies a live queue entry
-                RequestStatus::Queued {
+        let status = match &entry.verdict {
+            Some(Slot::Done { outcome, .. }) => RequestStatus::Done(outcome.clone()),
+            Some(Slot::Failed(reason)) => RequestStatus::Failed {
+                reason: reason.clone(),
+            },
+            Some(Slot::Shed) => RequestStatus::Shed,
+            Some(Slot::Expired) => RequestStatus::Expired,
+            Some(Slot::Cancelled) => RequestStatus::Cancelled,
+            Some(Slot::Released) => RequestStatus::Unknown,
+            // No verdict yet: the queue holds the ticket, or else the
+            // running set does.
+            None => match st.queue.entries.get(&ticket.seq) {
+                Some(queued) => RequestStatus::Queued {
                     position: st.queue.entries.range(..ticket.seq).count(),
                     effective_priority: Priority::from_level(effective_level(
-                        entry.req.priority.level(),
-                        entry.submitted,
+                        queued.req.priority.level(),
+                        queued.submitted,
                         Instant::now(),
                         self.options.aging_step,
                     )),
-                }
-            }
-            Slot::Running => RequestStatus::Running,
-            Slot::Done { outcome, .. } => RequestStatus::Done(outcome.clone()),
-            Slot::Failed(reason) => RequestStatus::Failed {
-                reason: reason.clone(),
+                },
+                None => RequestStatus::Running,
             },
-            Slot::Shed => RequestStatus::Shed,
-            Slot::Expired => RequestStatus::Expired,
-            Slot::Cancelled => RequestStatus::Cancelled,
-            Slot::Released => RequestStatus::Unknown,
         };
         if retain {
             retain_polled(&mut st, ticket.seq);
@@ -918,21 +899,13 @@ impl SpiderScheduler {
     /// not and will not execute here, so resubmitting it elsewhere cannot
     /// double-execute.
     pub fn cancel(&self, ticket: Ticket) -> bool {
+        let t = self.runtime.telemetry();
         let mut st = self.lock();
         // Only queued tickets are in the queue: running, terminal and
         // unknown ones fall through here.
-        let Some(entry) = st.queue.remove(ticket.seq) else {
+        if leave_queue(&mut st, t, ticket.seq, Instant::now(), Slot::Cancelled).is_none() {
             return false;
-        };
-        let waited = entry.submitted.elapsed().as_secs_f64();
-        trace_queue_exit(
-            self.runtime.telemetry(),
-            &entry.req,
-            waited,
-            Terminal::Cancelled,
-        );
-        finish(&mut st, ticket.seq, Slot::Cancelled);
-        st.tenant_stats_mut(entry.req.tenant).cancelled += 1;
+        }
         drop(st);
         // A freed slot may unblock a parked submitter; a drained queue may
         // be what a drain() caller is waiting on.
@@ -968,43 +941,28 @@ impl SpiderScheduler {
         }
         st.killed = true;
         st.shutdown = true;
-        let mut unstarted = Vec::new();
-        for (ticket, entry) in std::mem::take(&mut st.queue).entries {
-            let waited = entry.submitted.elapsed().as_secs_f64();
-            trace_queue_exit(&t, &entry.req, waited, Terminal::Cancelled);
-            finish(&mut st, ticket, Slot::Cancelled);
-            st.tenant_stats_mut(entry.req.tenant).cancelled += 1;
-            unstarted.push((Ticket { seq: ticket }, entry.req));
+        let (now, mut unstarted, mut lost) = (Instant::now(), Vec::new(), Vec::new());
+        for seq in st.queue.entries.keys().copied().collect::<Vec<_>>() {
+            if let Some(req) = leave_queue(&mut st, &t, seq, now, Slot::Cancelled) {
+                unstarted.push((Ticket { seq }, req));
+            }
         }
-        let running: Vec<u64> = st
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e.slot, Slot::Running))
-            .map(|(seq, _)| seq as u64)
-            .collect();
-        let mut lost = Vec::new();
-        for seq in running {
+        for seq in std::mem::take(&mut st.running) {
             let e = &st.slots[seq as usize];
-            let (req_id, plan_key, tenant, attempt) = (e.req_id, e.plan_key, e.tenant, e.attempt);
             t.record_attempt(
-                req_id,
-                plan_key,
-                attempt,
+                e.req_id,
+                e.plan_key,
+                e.attempt,
                 EventKind::Complete {
                     terminal: Terminal::Failed,
                 },
                 0.0,
             );
             finish(&mut st, seq, Slot::Failed(FailureReason::DeviceLost));
-            st.tenant_stats_mut(tenant).failed += 1;
             lost.push(Ticket { seq });
         }
-        st.running = 0;
         drop(st);
-        self.shared.work.notify_all();
-        self.shared.space.notify_all();
-        self.shared.idle.notify_all();
+        self.retire();
         KillReport { unstarted, lost }
     }
 
@@ -1038,10 +996,8 @@ impl SpiderScheduler {
         let t = Arc::clone(self.runtime.telemetry());
         let mut st = self.lock();
         loop {
-            if expire_due(&mut st, &t) > 0 {
-                self.shared.space.notify_all();
-            }
-            if st.queue.is_empty() && st.running == 0 {
+            expire_due(&self.shared, &mut st, &t);
+            if st.queue.is_empty() && st.running.is_empty() {
                 break;
             }
             st = st.wait_on(&self.shared.idle);
@@ -1049,9 +1005,9 @@ impl SpiderScheduler {
         let mut outcomes = Vec::new();
         let mut failures = Vec::new();
         for entry in &st.slots {
-            match &entry.slot {
-                Slot::Done { outcome, .. } => outcomes.push((**outcome).clone()),
-                Slot::Failed(e) => failures.push((entry.req_id, e.to_string())),
+            match &entry.verdict {
+                Some(Slot::Done { outcome, .. }) => outcomes.push((**outcome).clone()),
+                Some(Slot::Failed(e)) => failures.push((entry.req_id, e.to_string())),
                 _ => {}
             }
         }
@@ -1148,7 +1104,7 @@ impl SpiderScheduler {
     /// beats, a busy one whose beat stops advancing is stalled.
     pub fn has_outstanding(&self) -> bool {
         let st = self.lock();
-        !st.queue.is_empty() || st.running > 0
+        !st.queue.is_empty() || !st.running.is_empty()
     }
 
     /// Render the traced lifecycle of a submitted request — every event
@@ -1221,10 +1177,7 @@ impl Submit for SpiderScheduler {
 
 impl Drop for SpiderScheduler {
     fn drop(&mut self) {
-        self.lock().shutdown = true;
-        self.shared.work.notify_all();
-        self.shared.space.notify_all();
-        self.shared.idle.notify_all();
+        self.retire();
         if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
         }
@@ -1232,17 +1185,14 @@ impl Drop for SpiderScheduler {
 }
 
 /// Admit a request into the queue (capacity already checked by the
-/// caller): allocate its ticket, record the submission and enqueue. Traces
-/// the request's admission and opens its queue span (closed at dispatch,
-/// or implicitly abandoned by shed/expire/cancel — terminal events carry
-/// the verdict either way).
+/// caller): open its ticket and enqueue it. Opens the request's queue
+/// span, which dispatch or [`leave_queue`] closes.
 fn admit(st: &mut State, req: StencilRequest, t: &Telemetry) -> u64 {
-    let plan_key = req.plan_key();
-    let ticket = alloc_ticket(st, &req, plan_key);
+    let ticket = open_ticket(st, &req, t);
+    let plan_key = st.slots[ticket as usize].plan_key;
     let now = Instant::now();
     st.first_submit.get_or_insert(now);
     st.beats += 1;
-    t.record_attempt(req.id, plan_key, req.attempt, EventKind::Admit, 0.0);
     t.record_attempt(req.id, plan_key, req.attempt, EventKind::Queued, 0.0);
     t.record_attempt(
         req.id,
@@ -1263,61 +1213,78 @@ fn admit(st: &mut State, req: StencilRequest, t: &Telemetry) -> u64 {
     );
     let tenant_depth = st.queue.queued_of(tenant);
     let ts = st.tenant_stats_mut(tenant);
-    ts.submitted += 1;
     ts.max_depth = ts.max_depth.max(tenant_depth);
     st.max_depth = st.max_depth.max(st.queue.len());
     ticket
 }
 
-/// Trace a queued request leaving the queue without executing: close its
-/// queue span and record the terminal verdict.
-fn trace_queue_exit(t: &Telemetry, req: &StencilRequest, waited_s: f64, terminal: Terminal) {
-    t.record_attempt(
-        req.id,
-        req.plan_key(),
-        req.attempt,
-        EventKind::SpanExit {
-            phase: Phase::Queue,
-            elapsed_s: waited_s,
-        },
-        0.0,
-    );
-    t.record_attempt(
-        req.id,
-        req.plan_key(),
-        req.attempt,
-        EventKind::Complete { terminal },
-        0.0,
-    );
-}
-
-/// Allocate a ticket and its slot for `req`, whose plan key is
-/// `plan_key` (does not enqueue).
-fn alloc_ticket(st: &mut State, req: &StencilRequest, plan_key: u64) -> u64 {
+/// Open a ticket for an accepted submission: its slot, its `submitted`
+/// count and its `Admit` event (it is not enqueued).
+fn open_ticket(st: &mut State, req: &StencilRequest, t: &Telemetry) -> u64 {
     let ticket = st.slots.len() as u64;
+    let plan_key = req.plan_key();
     st.slots.push(SlotEntry {
         req_id: req.id,
         plan_key,
         tenant: req.tenant,
         attempt: req.attempt,
-        slot: Slot::Queued,
+        verdict: None,
     });
+    st.tenant_stats_mut(req.tenant).submitted += 1;
+    t.record_attempt(req.id, plan_key, req.attempt, EventKind::Admit, 0.0);
     ticket
 }
 
-/// Move a ticket to a terminal slot and record the completion.
-fn finish(st: &mut State, ticket: u64, slot: Slot) {
-    debug_assert!(!matches!(slot, Slot::Queued | Slot::Running));
-    st.slots[ticket as usize].slot = slot;
+/// Give a queued or running ticket its verdict, and count it in its
+/// tenant's row: the only place either happens.
+fn finish(st: &mut State, ticket: u64, verdict: Slot) {
+    let entry = &mut st.slots[ticket as usize];
+    debug_assert!(entry.verdict.is_none(), "one verdict per ticket");
+    let row = st.tenant_stats.entry(entry.tenant).or_default();
+    *match verdict.terminal() {
+        Terminal::Done => &mut row.completed,
+        Terminal::Failed => &mut row.failed,
+        Terminal::Shed => &mut row.shed,
+        Terminal::Expired => &mut row.expired,
+        Terminal::Cancelled => &mut row.cancelled,
+    } += 1;
+    entry.verdict = Some(verdict);
     st.completion_order.push(ticket);
     st.last_terminal = Some(Instant::now());
+}
+
+/// Take a queued ticket that will not run out of the queue: close its
+/// queue span, trace its terminal event and [`finish`] it with `verdict`.
+/// The one exit of a shed victim, a cancel, a kill and an expiry. Returns
+/// the request, or `None` if the ticket is not queued.
+fn leave_queue(
+    st: &mut State,
+    t: &Telemetry,
+    ticket: u64,
+    now: Instant,
+    verdict: Slot,
+) -> Option<StencilRequest> {
+    let QueuedEntry { req, submitted } = st.queue.remove(ticket)?;
+    let elapsed_s = now.saturating_duration_since(submitted).as_secs_f64();
+    let (plan_key, terminal) = (st.slots[ticket as usize].plan_key, verdict.terminal());
+    for event in [
+        EventKind::SpanExit {
+            phase: Phase::Queue,
+            elapsed_s,
+        },
+        EventKind::Complete { terminal },
+    ] {
+        t.record_attempt(req.id, plan_key, req.attempt, event, 0.0);
+    }
+    finish(st, ticket, verdict);
+    Some(req)
 }
 
 /// Start the retention clock of a `Done` ticket on its first poll: queue
 /// it behind the outcomes polled before it, and release the oldest polled
 /// outcome once more than [`DONE_RETENTION`] are kept.
 fn retain_polled(st: &mut State, ticket: u64) {
-    let Slot::Done { polled, .. } = &mut st.slots[ticket as usize].slot else {
+    let Some(Slot::Done { polled, .. }) = &mut st.slots[ticket as usize].verdict else {
         return;
     };
     if std::mem::replace(polled, true) {
@@ -1326,28 +1293,27 @@ fn retain_polled(st: &mut State, ticket: u64) {
     st.polled_done.push_back(ticket);
     if st.polled_done.len() > DONE_RETENTION {
         if let Some(oldest) = st.polled_done.pop_front() {
-            st.slots[oldest as usize].slot = Slot::Released;
+            st.slots[oldest as usize].verdict = Some(Slot::Released);
         }
     }
 }
 
-/// Expire every queued request whose deadline has passed, oldest first.
-/// Returns how many were expired (callers notify `space`/`idle` when > 0).
-fn expire_due(st: &mut State, t: &Telemetry) -> usize {
+/// Expire every queued request whose deadline has passed, oldest first,
+/// and wake the submitters and drainers the freed slots may release.
+fn expire_due(shared: &Shared, st: &mut State, t: &Telemetry) {
     let now = Instant::now();
-    let lapsed = st.queue.take_lapsed(now);
-    for (ticket, entry) in &lapsed {
-        let waited = now.saturating_duration_since(entry.submitted).as_secs_f64();
-        trace_queue_exit(t, &entry.req, waited, Terminal::Expired);
-        finish(st, *ticket, Slot::Expired);
-        st.tenant_stats_mut(entry.req.tenant).expired += 1;
+    let lapsed = st.queue.lapsed(now);
+    if lapsed.is_empty() {
+        return;
     }
-    if !lapsed.is_empty() {
-        // Retiring due work is progress too — lazy expiry driven by a poll
-        // or submit must keep the heartbeat advancing.
-        st.beats += 1;
+    for ticket in lapsed {
+        leave_queue(st, t, ticket, now, Slot::Expired);
     }
-    lapsed.len()
+    // Retiring due work is progress too — lazy expiry driven by a poll or
+    // submit must keep the heartbeat advancing.
+    st.beats += 1;
+    shared.space.notify_all();
+    shared.idle.notify_all();
 }
 
 /// Effective priority level of a request queued at `submitted`: its base
@@ -1493,7 +1459,7 @@ fn drr_round(
 }
 
 /// Take the next wave off the queue: its members, grouped by plan key
-/// (oldest group first), leave the queue as `Running`.
+/// (oldest group first), move from the queue to the running set.
 fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) -> Vec<WaveGroup> {
     let now = Instant::now();
     let mut wave: Vec<WaveGroup> = Vec::new();
@@ -1527,11 +1493,10 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
             telemetry.profiler().touch(key, &entry.req.scenario());
             telemetry.profiler().add_phase(key, Phase::Queue, wait);
         }
-        st.slots[ticket as usize].slot = Slot::Running;
+        st.running.insert(ticket);
         wave[g].tickets.push(ticket);
         wave[g].requests.push(entry.req);
     }
-    st.running += wave.iter().map(|g| g.tickets.len()).sum::<usize>();
     st.beats += 1;
     st.dispatch_waves += 1;
     st.coalesced_groups += wave.len() as u64;
@@ -1551,10 +1516,7 @@ fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &Scheduler
                 if st.shutdown {
                     return;
                 }
-                if expire_due(&mut st, &telemetry) > 0 {
-                    shared.space.notify_all();
-                    shared.idle.notify_all();
-                }
+                expire_due(shared, &mut st, &telemetry);
                 if !st.paused && !st.queue.is_empty() {
                     break;
                 }
@@ -1578,36 +1540,21 @@ fn record_verdicts(
 ) {
     let mut st = shared.state.lock();
     let mut finished = 0u64;
-    for ((&ticket, result), req) in group.tickets.iter().zip(results).zip(&group.requests) {
-        // A kill may already have recorded this slot's verdict
-        // (`Failed(DeviceLost)`) and zeroed the running count while
-        // the wave was in flight — the simulated device died under us,
-        // so the result is discarded, not double-finished.
-        if !matches!(st.slots[ticket as usize].slot, Slot::Running) {
+    for (&ticket, result) in group.tickets.iter().zip(results) {
+        // A kill that landed while the wave was in flight has failed every
+        // running ticket (`DeviceLost`) and emptied the running set: the
+        // simulated device died under us, so the result is discarded.
+        if !st.running.remove(&ticket) {
             continue;
         }
-        match result {
-            Ok(outcome) => {
-                finish(
-                    &mut st,
-                    ticket,
-                    Slot::Done {
-                        outcome: Box::new(outcome),
-                        polled: false,
-                    },
-                );
-                st.tenant_stats_mut(req.tenant).completed += 1;
-            }
-            Err(e) => {
-                finish(
-                    &mut st,
-                    ticket,
-                    Slot::Failed(FailureReason::Execution(e.to_string())),
-                );
-                st.tenant_stats_mut(req.tenant).failed += 1;
-            }
-        }
-        st.running -= 1;
+        let verdict = match result {
+            Ok(outcome) => Slot::Done {
+                outcome: Box::new(outcome),
+                polled: false,
+            },
+            Err(e) => Slot::Failed(FailureReason::Execution(e.to_string())),
+        };
+        finish(&mut st, ticket, verdict);
         finished += 1;
     }
     if finished > 0 {
@@ -1683,7 +1630,7 @@ mod tests {
             .lock()
             .slots
             .iter()
-            .filter(|e| matches!(e.slot, Slot::Done { .. }))
+            .filter(|e| matches!(e.verdict, Some(Slot::Done { .. })))
             .count();
         assert_eq!(kept, n + 1, "N polled payloads plus the unpolled one");
         for &t in &tickets[..2 * n] {
@@ -2350,6 +2297,122 @@ mod tests {
                 }
             ));
         }
+    }
+
+    /// Two tenants, every way a ticket can end: done, failed execution,
+    /// shed on arrival and as a victim, cancelled, expired, and killed
+    /// while queued or running. Each tenant row counts exactly the
+    /// tickets polling each verdict, and the kill reports exactly the
+    /// tickets it failed. Which tickets were running at the kill is a race,
+    /// so only the invariant is asserted, not the split.
+    #[test]
+    fn every_verdict_is_counted_once_in_its_tenants_row() {
+        let s = sched(
+            SchedulerOptions {
+                start_paused: true,
+                queue_capacity: 4,
+                aging_step: None,
+                policy: BackpressurePolicy::ShedLowestPriority,
+                ..SchedulerOptions::default()
+            }
+            .with_tenant(1u64, TenantConfig::weighted(1))
+            .with_tenant(2u64, TenantConfig::weighted(1)),
+        );
+        let mut tickets: Vec<(TenantId, Ticket)> = Vec::new();
+        let mut submit = |r: StencilRequest, tenant: u64| {
+            let t = s.submit(r.with_tenant(tenant)).unwrap();
+            tickets.push((TenantId::new(tenant), t));
+            t
+        };
+        let done = submit(req(1, Priority::Normal), 1);
+        let one_d_on_2d = StencilRequest::new_2d(2, StencilKernel::wave_1d(2), 48, 64);
+        let failed = submit(one_d_on_2d, 2);
+        let cancelled = submit(req(3, Priority::Normal), 2);
+        assert!(s.cancel(cancelled));
+        let lapsing = crate::Deadline::within(Duration::ZERO);
+        let expired = submit(req(4, Priority::Normal).with_deadline(lapsing), 1);
+        // The expiry sweep of this submit retires `expired` first.
+        let victim = submit(req(5, Priority::Low), 1);
+        submit(req(6, Priority::Normal), 2);
+        // Full: the High newcomer evicts the Low victim, and a Low
+        // newcomer is the least important and is shed on arrival.
+        submit(req(7, Priority::High), 2);
+        let on_arrival = submit(req(8, Priority::Low), 1);
+        s.drain();
+        assert!(matches!(s.peek(done), RequestStatus::Done(_)));
+        assert!(matches!(
+            s.peek(failed),
+            RequestStatus::Failed {
+                reason: FailureReason::Execution(_)
+            }
+        ));
+        assert!(matches!(s.peek(cancelled), RequestStatus::Cancelled));
+        assert!(matches!(s.peek(expired), RequestStatus::Expired));
+        assert!(matches!(s.peek(victim), RequestStatus::Shed));
+        assert!(matches!(s.peek(on_arrival), RequestStatus::Shed));
+
+        // Requests large enough that a kill can land mid-wave; each DRR
+        // wave takes one per tenant. Those queued after the pause are
+        // still queued at the kill.
+        let big = |id: u64| StencilRequest::new_2d(id, StencilKernel::gaussian_2d(2), 384, 512);
+        s.pause();
+        for id in 10..14 {
+            submit(big(id), 1 + id % 2);
+        }
+        s.resume();
+        let start = Instant::now();
+        while s.queue_depth() == 4 {
+            assert!(start.elapsed() < Duration::from_secs(30), "no wave formed");
+            std::thread::yield_now();
+        }
+        s.pause();
+        let queued = [submit(big(14), 1), submit(big(15), 2)];
+        let kr = s.kill();
+        let unstarted: BTreeSet<Ticket> = kr.unstarted.iter().map(|&(t, _)| t).collect();
+        assert!(queued.iter().all(|t| unstarted.contains(t)));
+
+        let mut tally: BTreeMap<TenantId, [u64; 6]> = BTreeMap::new();
+        let mut device_lost = BTreeSet::new();
+        for &(tenant, t) in &tickets {
+            let i = match s.peek(t) {
+                RequestStatus::Done(_) => 0,
+                RequestStatus::Failed { reason } => {
+                    if reason == FailureReason::DeviceLost {
+                        device_lost.insert(t);
+                    }
+                    1
+                }
+                RequestStatus::Shed => 2,
+                RequestStatus::Expired => 3,
+                RequestStatus::Cancelled => 4,
+                other => panic!("ticket {} unresolved after the kill: {other:?}", t.id()),
+            };
+            let row = tally.entry(tenant).or_default();
+            row[i] += 1;
+            row[5] += 1;
+        }
+        let rows: BTreeMap<TenantId, [u64; 6]> = s
+            .tenant_queue_stats()
+            .into_iter()
+            .map(|(tenant, q)| {
+                let (done, failed) = (q.completed, q.failed);
+                (
+                    tenant,
+                    [done, failed, q.shed, q.expired, q.cancelled, q.submitted],
+                )
+            })
+            .collect();
+        assert_eq!(
+            tally, rows,
+            "[completed, failed, shed, expired, cancelled, submitted]"
+        );
+        assert_eq!(
+            kr.lost.iter().copied().collect::<BTreeSet<_>>(),
+            device_lost
+        );
+        assert!(unstarted
+            .iter()
+            .all(|&t| matches!(s.peek(t), RequestStatus::Cancelled)));
     }
 
     #[test]

@@ -8,8 +8,8 @@ use std::path::Path;
 
 use proptest::prelude::*;
 use spider_guard::{
-    lint_source, GuardConfig, TokenKind, RULE_DETERMINISM, RULE_LOCK_DISCIPLINE,
-    RULE_METRIC_NAMING, RULE_PANIC_AUDIT,
+    library_lines, lint_source, GuardConfig, LineCount, TokenKind, RULE_DETERMINISM,
+    RULE_LOCK_DISCIPLINE, RULE_METRIC_NAMING, RULE_PANIC_AUDIT,
 };
 
 fn fixture(name: &str) -> String {
@@ -211,6 +211,20 @@ fn workspace_lints_clean() {
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+/// `spider-guard lines` counts each crate's library sources only (no
+/// binary, integration test or shim), and in them the non-blank lines
+/// outside test regions: a line with any code is code, a line that only
+/// comments (multi-line block comments included) is a comment line.
+#[test]
+fn lines_counts_library_code_and_comments_outside_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/guard/fixtures/lines");
+    let count = |name: &str, code, comment| (name.to_string(), LineCount { code, comment });
+    assert_eq!(
+        library_lines(&root),
+        vec![count("alpha", 5, 6), count("beta", 1, 1)]
     );
 }
 
