@@ -111,9 +111,11 @@ impl Default for ExecConfig {
 /// core, and that core has often been idle and must be woken, so one job's
 /// work must outlast the worst-case wake. On a 2-vCPU x86-64 host a scoped
 /// spawn plus join beside 50 µs of work cost 49 µs extra back to back, and
-/// 89 µs median (156 µs p90) after 200 µs idle; the schedule kernel runs
-/// the box kernels at 0.07–0.1 ns per step-point, so 2 000 000
-/// step-points take 140–200 µs.
+/// 89 µs median (156 µs p90) after 200 µs idle. Built for `x86-64-v3`, a
+/// sweep runs the box kernels r1–r3 at 0.046–0.11 ns per step-point (one
+/// sweep of a 128×256 grid, as the difference of two- and one-sweep
+/// `run_2d` medians, three rounds), so 2 000 000 step-points take
+/// 92–212 µs: at the fastest rate a job only just outlasts the median wake.
 pub const MIN_JOB_STEP_POINTS: usize = 2_000_000;
 
 /// How many jobs a fan-out over `work` splits into: one per `min_job` of

@@ -835,11 +835,11 @@ impl SpiderRuntime {
 /// A second job pays for waking a core, 89 µs median and 156 µs p90 after
 /// 200 µs idle on a 2-vCPU x86-64 host (see
 /// [`spider_core::exec::MIN_JOB_STEP_POINTS`]), so each job must outlast
-/// that. On that host a served request (materialize, sweep, checksum)
-/// costs 4.4–6.1 ns per point and sweep, averaged over the nine
-/// `mixed_warm` scenarios (3–28 ns by scenario; medians of 200 `execute`
-/// calls each, three rounds in one process), so 32 768 units take
-/// 140–200 µs. A wave of 16×16 requests needs 256 of them to fan out;
+/// that. On that host, built for `x86-64-v3`, a served request
+/// (materialize, sweep, checksum) costs 6.9–7.3 ns per point and sweep,
+/// averaged over the nine `mixed_warm` scenarios (2.7–23 ns by scenario;
+/// medians of 200 `execute` calls each, three processes), so 32 768 units
+/// take 225–240 µs. A wave of 16×16 requests needs 256 of them to fan out;
 /// `mixed_warm`'s waves of about ten 10⁴–2.6·10⁵-point requests always do.
 pub const MIN_WAVE_JOB_COST: u64 = 1 << 15;
 
@@ -980,16 +980,27 @@ fn contiguous_key_runs<K: PartialEq>(order: &[usize], key: impl Fn(usize) -> K) 
 /// per 8-float chunk with one multiply-xorshift round, so the lanes'
 /// multiplies overlap. Both steps of the round are bijections of the lane
 /// state, so any change to a word changes its lane; the downshift carries
-/// high bits back down so a difference cannot be shifted out. The lanes, the tail floats and the
-/// length are folded through [`Fnv1a::word`]. The value is a within-process
-/// witness (equal inputs ⇒ equal checksums), not a persisted format.
+/// high bits back down so a difference cannot be shifted out. The lanes,
+/// the tail floats and the length are folded through [`Fnv1a::word`]. The
+/// value is a within-process witness (equal inputs ⇒ equal checksums), not
+/// a persisted format.
+///
+/// The lanes stay four scalar chains on purpose. x86-64 has no packed
+/// 64-bit multiply before AVX-512DQ, so with AVX2 the compiler would pack
+/// them into one register and emulate the multiply, turning four parallel
+/// chains into one serial chain about 1.6× slower. Each lane reads its word
+/// at an offset the optimizer cannot see (`black_box`), so it cannot pack
+/// the four loads and keeps the chains apart; the value is unchanged.
 pub fn output_checksum(data: &[f32]) -> u64 {
     const LANES: usize = 4;
     let mut lanes = [Fnv1a::OFFSET; LANES];
     let (chunks, tail) = data.as_chunks::<{ 2 * LANES }>();
+    let offsets: [usize; LANES] = std::hint::black_box([0, 2, 4, 6]);
     for chunk in chunks {
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let w = chunk[2 * i].to_bits() as u64 | (chunk[2 * i + 1].to_bits() as u64) << 32;
+        for (lane, &at) in lanes.iter_mut().zip(&offsets) {
+            // `& 6` keeps both reads inside the chunk without a bounds check.
+            let at = at & 6;
+            let w = chunk[at].to_bits() as u64 | (chunk[at + 1].to_bits() as u64) << 32;
             let h = (*lane ^ w).wrapping_mul(Fnv1a::PRIME);
             *lane = h ^ (h >> 29);
         }
@@ -1499,6 +1510,42 @@ mod tests {
             d.push(0.0);
             assert_ne!(output_checksum(&d), output_checksum(&data[..len]), "{len}");
         }
+    }
+
+    /// The checksum's values, recorded before the hash was kept scalar
+    /// under the AVX2 baseline: a rewrite or a build flag that moved any
+    /// value fails here, where the other tests, which recompute the hash
+    /// with this same function, would pass.
+    #[test]
+    fn checksum_keeps_its_golden_values() {
+        let data: Vec<f32> = (0..4099).map(|i| i as f32 * 0.37 - 150.0).collect();
+        for (len, want) in [
+            (0, 0x9f45_5a3c_21ea_74c5),
+            (1, 0x82ac_a23b_f12d_d467),
+            (7, 0x8b74_21cc_aa94_005d),
+            (8, 0xe0b7_ad65_ee19_2d15),
+            (9, 0xae2a_5267_4fe1_6535),
+            (4099, 0xba9f_59c3_088d_bacb),
+        ] {
+            assert_eq!(output_checksum(&data[..len]), want, "length {len}");
+        }
+        // −0, quiet and signalling NaNs of either sign and the infinities
+        // hash by their bit patterns.
+        let special = [
+            0x3fc0_0000,
+            0x8000_0000,
+            0x7fc0_0000,
+            0x0000_0000,
+            0xffc0_0000,
+            0x7f80_0001,
+            0xc010_0000,
+            0x8000_0000,
+            0x7f80_0000,
+            0x4040_0000,
+            0xff80_0000,
+        ]
+        .map(f32::from_bits);
+        assert_eq!(output_checksum(&special), 0xb835_f6ff_2be8_e695);
     }
 
     #[test]

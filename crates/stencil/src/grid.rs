@@ -27,55 +27,95 @@ const fn gf2_apply(columns: &[u64; 64], mut x: u64) -> u64 {
     acc
 }
 
-/// Lanes [`fill_random`] advances together.
-const LANES: usize = 4;
+/// Lanes in one group: four u64 states, one 256-bit register.
+const GROUP: usize = 4;
 
-/// Values one lane writes per round (a power of two). A round's lanes write
-/// adjacent blocks, so its writes stay within `LANES · BLOCK` consecutive
-/// values (16 KiB of f32): four write streams a quarter of the grid apart
-/// measured slower than one stream on memory not yet in cache.
+/// Lanes [`fill_random`] advances together: two groups, whose independent
+/// xorshift chains overlap.
+const LANES: usize = 2 * GROUP;
+
+/// Steps in one tile: a round computes every lane's next `TILE` values
+/// into its tile before it writes any to the grid.
+const TILE: usize = 64;
+
+/// Values one lane writes per full round (a power of two). A round's lanes
+/// write adjacent blocks, so its writes stay within `LANES · BLOCK`
+/// consecutive values (32 KiB of f32): write streams a quarter of the grid
+/// apart measured slower than one stream on memory not yet in cache.
 const BLOCK: usize = 1024;
 
-/// The state `BLOCK` xorshift steps ahead, as a matrix over GF(2) by
-/// columns: column `b` is where the state with only bit `b` set lands.
+/// The shortest block a round uses (a power of two): only a tail shorter
+/// than `LANES · MIN_BLOCK` values takes the serial walk.
+const MIN_BLOCK: usize = 4;
+
+/// `JUMPS[l]` advances a state `2^l` xorshift steps, as a matrix over GF(2)
+/// by columns: column `b` is where the state with only bit `b` set lands.
 /// Each step is linear over GF(2), so the one-step matrix is squared up at
-/// compile time.
-static BLOCK_JUMP: [u64; 64] = {
-    let mut jump = [0u64; 64];
+/// compile time, once per block length from one step to [`BLOCK`].
+static JUMPS: [[u64; 64]; BLOCK.trailing_zeros() as usize + 1] = {
+    let mut jumps = [[0u64; 64]; BLOCK.trailing_zeros() as usize + 1];
     let mut b = 0;
     while b < 64 {
-        jump[b] = xorshift(1 << b);
+        jumps[0][b] = xorshift(1 << b);
         b += 1;
     }
-    let mut squarings = 0;
-    while squarings < BLOCK.trailing_zeros() {
-        let half = jump;
+    let mut l = 1;
+    while l < jumps.len() {
         let mut b = 0;
         while b < 64 {
-            jump[b] = gf2_apply(&half, half[b]);
+            jumps[l][b] = gf2_apply(&jumps[l - 1], jumps[l - 1][b]);
             b += 1;
         }
-        squarings += 1;
+        l += 1;
     }
-    jump
+    jumps
 };
 
-/// The stream value of `state` (the state after its step), in `[0, 1)`.
+/// The stream value of `state` (the state after its step), in `[0, 1)`:
+/// the top 53 bits of the scrambled state times 2^-53.
+///
+/// The 53-bit integer converts by bit arithmetic, not by an integer to
+/// float conversion, which has no packed x86-64 instruction before
+/// AVX-512DQ: its low 52 bits under the exponent of 0.5 read as
+/// 0.5 + low · 2^-53, and subtracting 0.5 unless its top bit is set leaves
+/// `v · 2^-53`. The subtraction is exact, so the value is the
+/// conversion's, bit for bit, and every step is a lane operation that
+/// vectorizes.
 #[inline(always)]
 fn unit<T: Scalar>(state: u64) -> T {
-    let v = state.wrapping_mul(0x2545F4914F6CDD1D);
-    T::from_f64((v >> 11) as i64 as f64 * (1.0 / (1u64 << 53) as f64))
+    const HALF: u64 = 0x3FE0_0000_0000_0000;
+    let v = state.wrapping_mul(0x2545F4914F6CDD1D) >> 11;
+    let low = f64::from_bits(HALF | (v & ((1 << 52) - 1)));
+    let unless_top = if v >> 52 == 0 { 0.5 } else { 0.0 };
+    T::from_f64(low - unless_top)
+}
+
+/// One step of a group of lanes, each lane's value written to `out`.
+#[inline(always)]
+fn advance<T: Scalar>(group: &mut [u64; GROUP], out: &mut [T; GROUP]) {
+    for (v, lane) in out.iter_mut().zip(group) {
+        *lane = xorshift(*lane);
+        *v = unit(*lane);
+    }
+}
+
+/// Where a lane writes next: the row, the cell, and the cells left in the
+/// row from there.
+#[derive(Clone, Copy)]
+struct Cursor {
+    row: usize,
+    cell: usize,
+    left: usize,
 }
 
 /// Write `count` values of one xorshift stream in `[0, 1)` into `data`:
 /// value `k` lands in interior row `k / cols`, at `row_start(row) + k % cols`.
 ///
-/// The stream is cut into blocks of [`BLOCK`] values. Each round, lane `j`
-/// jumps [`BLOCK`] values past lane `j - 1` and the lanes advance
-/// interleaved through `LANES` adjacent blocks, so their steps overlap
-/// instead of waiting on one serial chain; the last lane ends where the
-/// next round begins. The tail shorter than a round takes one lane. Each
-/// cell gets the value the serial walk would give it, bit for bit.
+/// The stream is cut into rounds of [`LANES`] adjacent blocks ([`round`]).
+/// Rounds use [`BLOCK`]-long blocks while they fit, then blocks half as
+/// long, down to [`MIN_BLOCK`], so only a tail shorter than
+/// `LANES · MIN_BLOCK` takes one lane. Each cell gets the value the serial
+/// walk would give it, bit for bit.
 fn fill_random<T: Scalar>(
     data: &mut [T],
     count: usize,
@@ -83,55 +123,90 @@ fn fill_random<T: Scalar>(
     row_start: impl Fn(usize) -> usize,
     seed: u64,
 ) {
-    // Where value `k` lands: its row, its cell, and the cells left in the row.
-    let at = |k: usize| (k / cols, row_start(k / cols) + k % cols, cols - k % cols);
+    let at = |k: usize| Cursor {
+        row: k / cols,
+        cell: row_start(k / cols) + k % cols,
+        left: cols - k % cols,
+    };
+    let next_row = |p: &Cursor| Cursor {
+        row: p.row + 1,
+        cell: row_start(p.row + 1),
+        left: cols,
+    };
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
     let mut k = 0;
-    while k + LANES * BLOCK <= count {
-        let mut lanes = [state; LANES];
-        for j in 1..LANES {
-            lanes[j] = gf2_apply(&BLOCK_JUMP, lanes[j - 1]);
+    let shortest = MIN_BLOCK.trailing_zeros() as usize;
+    for (level, jump) in JUMPS.iter().enumerate().skip(shortest).rev() {
+        let block = 1 << level;
+        while k + LANES * block <= count {
+            let pos = std::array::from_fn(|j| at(k + j * block));
+            state = round(data, block, jump, state, pos, next_row);
+            k += LANES * block;
         }
-        let mut pos: [_; LANES] = std::array::from_fn(|j| at(k + j * BLOCK));
-        let mut done = 0;
-        while done < BLOCK {
-            // Steps until the first lane reaches the end of its row.
-            let run = pos.iter().fold(BLOCK - done, |run, p| run.min(p.2));
-            let cells: [usize; LANES] = std::array::from_fn(|j| pos[j].1);
-            for i in 0..run {
-                for (lane, &cell) in lanes.iter_mut().zip(&cells) {
-                    *lane = xorshift(*lane);
-                    data[cell + i] = unit(*lane);
-                }
-            }
-            for (row, cell, left) in &mut pos {
-                *left -= run;
-                *cell = match *left {
-                    0 => {
-                        *row += 1;
-                        *left = cols;
-                        row_start(*row)
-                    }
-                    _ => *cell + run,
-                };
-            }
-            done += run;
-        }
-        state = lanes[LANES - 1];
-        k += LANES * BLOCK;
     }
-    let (mut row, mut cell, mut left) = at(k);
+    let mut p = at(k);
     while k < count {
-        let run = left.min(count - k);
-        for out in &mut data[cell..cell + run] {
+        let run = p.left.min(count - k);
+        for out in &mut data[p.cell..p.cell + run] {
             state = xorshift(state);
             *out = unit(state);
         }
         k += run;
-        row += 1;
-        cell = row_start(row);
-        left = cols;
+        p = next_row(&p);
     }
+}
+
+/// One round of [`fill_random`]: [`LANES`] adjacent `block`-long runs of
+/// the stream from `state`, lane `j` starting at `pos[j]`; returns the
+/// state after the round.
+///
+/// Lane `j` jumps `block` steps (`jump`) past lane `j - 1`, and the lanes
+/// advance in two groups of [`GROUP`], one register each, whose steps
+/// overlap instead of waiting on one serial chain; the last lane ends where
+/// the next round begins. The round runs in tiles of [`TILE`] steps (one,
+/// shorter, for a shorter block). Each group fills its tile one row of
+/// lanes per step, so a step is one vector store; then each lane's run is
+/// copied from its tile column into its cells, row by row.
+fn round<T: Scalar>(
+    data: &mut [T],
+    block: usize,
+    jump: &[u64; 64],
+    state: u64,
+    mut pos: [Cursor; LANES],
+    next_row: impl Fn(&Cursor) -> Cursor,
+) -> u64 {
+    let mut lanes = [state; LANES];
+    for j in 1..LANES {
+        lanes[j] = gf2_apply(jump, lanes[j - 1]);
+    }
+    let [mut g0, mut g1]: [[u64; GROUP]; 2] =
+        std::array::from_fn(|g| std::array::from_fn(|i| lanes[g * GROUP + i]));
+    let mut tiles = [[[T::ZERO; GROUP]; TILE]; 2];
+    let steps = block.min(TILE);
+    for _ in 0..block / steps {
+        let [t0, t1] = &mut tiles;
+        for (s0, s1) in t0[..steps].iter_mut().zip(&mut t1[..steps]) {
+            advance(&mut g0, s0);
+            advance(&mut g1, s1);
+        }
+        for (j, p) in pos.iter_mut().enumerate() {
+            let (tile, lane) = (&tiles[j / GROUP], j % GROUP);
+            let mut i = 0;
+            while i < steps {
+                let run = (steps - i).min(p.left);
+                for (out, step) in data[p.cell..p.cell + run].iter_mut().zip(&tile[i..]) {
+                    *out = step[lane];
+                }
+                i += run;
+                p.left -= run;
+                p.cell += run;
+                if p.left == 0 {
+                    *p = next_row(p);
+                }
+            }
+        }
+    }
+    g1[GROUP - 1]
 }
 
 /// A random grid's padded storage, built in `buf` whatever it holds:
@@ -642,14 +717,44 @@ mod tests {
     }
 
     /// Every padded value of `random` against the serial walk, halo
-    /// included (the reference's halo is zero): every small extent (one
-    /// lane), and extents of one to three lane rounds with rows, planes and
-    /// the tail ending inside and on the edge of a block.
+    /// included (the reference's halo is zero): every small extent, and
+    /// extents of one to three lane rounds with rows, planes and the tail
+    /// ending inside and on the edge of a block or a tile.
     #[test]
     fn random_grids_equal_the_serial_walk() {
         let round = LANES * BLOCK;
+        // Extents derived from the lane geometry: tails one short of and
+        // one past a round, one to three rounds, rows ending inside a tile
+        // and on its edge, rows narrower than a tile, and one column.
+        let planar = [
+            (1, round - 1),
+            (round + 1, 1),
+            (round / TILE, TILE),
+            (2 * round / TILE + 1, TILE),
+            (round / (TILE - 1) + 2, TILE - 1),
+            (2 * round / (TILE + 1), TILE + 1),
+            (3 * round / (3 * TILE / 2), 3 * TILE / 2),
+            (round / 7 + 1, 7),
+        ];
+        let volumes = [
+            (1, 1, round - 1),
+            (3, (round + 1) / 3, 1),
+            (2, round / (2 * TILE), TILE),
+            (3, TILE + 1, round / TILE),
+            (3, 5, 2 * round / 15 + 1),
+            (2, 3 * round / (2 * TILE - 2), TILE - 1),
+            (round / 9 - 1, 3, 3),
+        ];
         for seed in SEEDS {
             for halo in 0..=3 {
+                for (rows, cols) in planar {
+                    random_2d_matches_serial::<f32>(rows, cols, halo, seed);
+                    random_2d_matches_serial::<f64>(rows, cols, halo, seed);
+                }
+                for extent in volumes {
+                    random_3d_matches_serial::<f32>(extent, halo, seed);
+                    random_3d_matches_serial::<f64>(extent, halo, seed);
+                }
                 let lens = [
                     round - 1,
                     round,
@@ -715,13 +820,13 @@ mod tests {
         }
     }
 
-    /// Every 1D length up to four lane rounds, so every tail length and
-    /// every round count up to four is checked.
+    /// Every 1D length up to four lane rounds, so every tail length, every
+    /// taper of block lengths and every round count up to four is checked.
     #[test]
     #[ignore = "exhaustive; run with --release -- --ignored"]
     fn random_1d_equals_the_serial_walk_at_every_length() {
         for seed in [7, u64::MAX] {
-            for len in 1..=16_384 {
+            for len in 1..=4 * LANES * BLOCK {
                 random_1d_matches_serial::<f32>(len, 2, seed);
             }
         }
