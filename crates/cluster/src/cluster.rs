@@ -2016,6 +2016,46 @@ mod tests {
         }
     }
 
+    /// A device failed while a request runs on it: the attempts it kills
+    /// are retried elsewhere, and the fleet's profiler, its exported
+    /// completion counter and its report all count each completion once,
+    /// the killed attempts not among them.
+    #[test]
+    fn a_failed_device_counts_each_completion_once() {
+        let cluster = SpiderCluster::new(
+            vec![DeviceSpec::a100("gpu0"), DeviceSpec::a100("gpu1")],
+            ClusterOptions {
+                policy: RoutingPolicy::RoundRobin,
+                retry: RetryPolicy { max_attempts: 2 },
+                ..ClusterOptions::default()
+            },
+        );
+        let tickets: Vec<ClusterTicket> = (0..4u64)
+            .map(|i| {
+                let req = StencilRequest::new_2d(i, StencilKernel::gaussian_2d(2), 1024, 1024);
+                cluster.submit(req.with_steps(3).with_seed(i)).unwrap()
+            })
+            .collect();
+        // Round robin places the first request on gpu0.
+        let start = Instant::now();
+        while !matches!(cluster.poll(tickets[0]), RequestStatus::Running) {
+            assert!(start.elapsed().as_secs() < 30, "never ran");
+            std::thread::yield_now();
+        }
+        cluster.fail_device("gpu0").unwrap();
+        let report = cluster.drain_all();
+        let profiled: u64 = cluster
+            .fleet_profile()
+            .iter()
+            .map(|p| p.stats.requests)
+            .sum();
+        let exported = cluster
+            .fleet_metrics()
+            .counter_value("spider_runtime_requests_completed_total");
+        let completed = report.total_completed() as u64;
+        assert_eq!((profiled, exported), (completed, completed));
+    }
+
     #[test]
     fn fleet_metrics_include_cluster_lifecycle_counters() {
         let cluster = SpiderCluster::new(specs(2, false), ClusterOptions::default());

@@ -122,7 +122,7 @@ pub struct CacheStats {
     pub insertions: u64,
     pub evictions: u64,
     /// Misses satisfied by deserializing a persisted plan (via the loader
-    /// hook of [`PlanCache::get_or_compile_with_loader`]) instead of
+    /// hook of [`PlanCache::get_or_compile_for_tenant`]) instead of
     /// compiling. Always ≤ `misses`; `misses - store_hits` bounds the
     /// number of compilations (a lost same-key race can compile a plan
     /// that is then discarded, never inserted).
@@ -288,15 +288,18 @@ impl PlanCache {
         key: u64,
         kernel: &RequestKernel,
     ) -> Result<(CachedPlan, bool), PlanError> {
-        self.get_or_compile_with_loader(key, kernel, None)
+        self.get_or_compile_for_tenant(key, kernel, TenantId::ANONYMOUS, None)
             .map(|(plan, hit, _)| (plan, hit))
     }
 
-    /// [`Self::get_or_compile`] with an optional second-level lookup: on a
-    /// memory miss, `loader` (typically a [`crate::PlanStore`] read) is
+    /// Look up `key` for `tenant`, with an optional second-level lookup: on
+    /// a memory miss, `loader` (typically a [`crate::PlanStore`] read) is
     /// consulted before compiling. A loaded plan is inserted and counted as
     /// a `store_hit`; only when the loader also comes up empty does the
-    /// kernel compile.
+    /// kernel compile. An inserted entry is owned by `tenant` for eviction
+    /// accounting — `tenant`'s cap forces it to evict its own LRU, and
+    /// victim selection skips entries whose owner is at or below its
+    /// reserve.
     ///
     /// Returns `(plan, memory_hit, compiled)` — `compiled` is `true` exactly
     /// when this call inserted a freshly compiled plan, which is the
@@ -306,21 +309,6 @@ impl PlanCache {
     /// concurrent same-key misses resolve the key independently and the
     /// first writer's plan wins (one insertion, losers adopt it and report
     /// `compiled = false`).
-    #[allow(clippy::type_complexity)]
-    pub fn get_or_compile_with_loader(
-        &self,
-        key: u64,
-        kernel: &RequestKernel,
-        loader: Option<&dyn Fn(u64) -> Option<CachedPlan>>,
-    ) -> Result<(CachedPlan, bool, bool), PlanError> {
-        self.get_or_compile_for_tenant(key, kernel, TenantId::ANONYMOUS, loader)
-    }
-
-    /// Tenant-attributed lookup: identical to
-    /// [`Self::get_or_compile_with_loader`], except an inserted entry is
-    /// owned by `tenant` for eviction accounting — `tenant`'s cap forces it
-    /// to evict its own LRU, and victim selection skips entries whose owner
-    /// is at or below its reserve.
     #[allow(clippy::type_complexity)]
     pub fn get_or_compile_for_tenant(
         &self,
@@ -525,7 +513,7 @@ mod tests {
         let persisted = CachedPlan::compile(&k).unwrap();
         let loader = |_key: u64| Some(persisted.clone());
         let (plan, hit, compiled) = cache
-            .get_or_compile_with_loader(k.fingerprint(), &k, Some(&loader))
+            .get_or_compile_for_tenant(k.fingerprint(), &k, TenantId::ANONYMOUS, Some(&loader))
             .unwrap();
         assert!(!hit && !compiled, "miss served by the loader");
         assert_eq!(plan.fingerprint(), persisted.fingerprint());
@@ -534,14 +522,14 @@ mod tests {
         // Second lookup is a plain memory hit; the loader is not consulted.
         let never = |_key: u64| -> Option<CachedPlan> { panic!("hit must not load") };
         let (_, hit, compiled) = cache
-            .get_or_compile_with_loader(k.fingerprint(), &k, Some(&never))
+            .get_or_compile_for_tenant(k.fingerprint(), &k, TenantId::ANONYMOUS, Some(&never))
             .unwrap();
         assert!(hit && !compiled);
         // A key the loader misses compiles (and reports it).
         let k2 = kernel(4);
         let empty = |_key: u64| -> Option<CachedPlan> { None };
         let (_, hit, compiled) = cache
-            .get_or_compile_with_loader(k2.fingerprint(), &k2, Some(&empty))
+            .get_or_compile_for_tenant(k2.fingerprint(), &k2, TenantId::ANONYMOUS, Some(&empty))
             .unwrap();
         assert!(!hit && compiled);
         assert_eq!(cache.stats().store_hits, 1);
@@ -572,7 +560,12 @@ mod tests {
                     None
                 };
                 cache
-                    .get_or_compile_with_loader(ka.fingerprint(), &ka, Some(&loader))
+                    .get_or_compile_for_tenant(
+                        ka.fingerprint(),
+                        &ka,
+                        TenantId::ANONYMOUS,
+                        Some(&loader),
+                    )
                     .unwrap()
             })
         };

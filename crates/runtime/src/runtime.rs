@@ -18,8 +18,8 @@ use spider_stencil::dim3::Grid3D;
 use spider_stencil::fnv::Fnv1a;
 use spider_stencil::{Grid1D, Grid2D};
 use spider_telemetry::{
-    Counter, EventKind, Histogram, MetricsSnapshot, Phase, ResolveSource, Telemetry,
-    TelemetryConfig, Terminal,
+    Counter, EventKind, Histogram, MetricsSnapshot, Phase, PhaseStats, ResolveSource, Telemetry,
+    TelemetryConfig, Terminal, Who,
 };
 
 use crate::cache::{CacheStats, CachedPlan, PlanCache};
@@ -101,13 +101,12 @@ impl Default for RuntimeOptions {
 /// it once at construction keeps the per-request cost to plain atomic
 /// increments. A disabled runtime gets detached handles (fresh atomics
 /// registered nowhere), so the registry of a telemetry-off runtime stays
-/// empty.
+/// empty. Completions and compiles are not here: the profiler folds them
+/// from the trace, and [`SpiderRuntime::metrics_snapshot`] writes its sums.
 #[derive(Debug, Default)]
 struct RuntimeMeters {
-    completed: Counter,
     failed: Counter,
     volumetric: Counter,
-    compiles: Counter,
     service_us: Histogram,
     sim_exec_us: Histogram,
 }
@@ -119,10 +118,8 @@ impl RuntimeMeters {
         }
         let m = telemetry.metrics();
         Self {
-            completed: m.counter("spider_runtime_requests_completed_total"),
             failed: m.counter("spider_runtime_requests_failed_total"),
             volumetric: m.counter("spider_runtime_volumetric_completed_total"),
-            compiles: m.counter("spider_runtime_plan_compiles_total"),
             service_us: m.histogram("spider_runtime_service_time_us"),
             sim_exec_us: m.histogram("spider_runtime_sim_exec_us"),
         }
@@ -351,7 +348,8 @@ impl SpiderRuntime {
     }
 
     /// Every metric this runtime exports, read when called: the registry's
-    /// request meters, plus the cache, tuner, pool, trace-drop and store
+    /// request meters, the completions and compiles the profiler folded
+    /// from the trace, plus the cache, tuner, pool, trace-drop and store
     /// values read from the structs that own them ([`CacheStats`],
     /// [`PoolStats`], [`StoreStats`]), so the export reconciles exactly
     /// with them at any moment. Empty when telemetry is disabled.
@@ -360,6 +358,12 @@ impl SpiderRuntime {
             return MetricsSnapshot::default();
         }
         let mut snap = self.telemetry.metrics().snapshot();
+        let mut folded = PhaseStats::default();
+        for plan in self.telemetry.profiler().snapshot() {
+            folded.merge(&plan.stats);
+        }
+        snap.counter("spider_runtime_requests_completed_total", folded.requests);
+        snap.counter("spider_runtime_plan_compiles_total", folded.compiles);
         let cache = self.cache.stats();
         snap.counter("spider_plan_cache_hits_total", cache.hits);
         snap.counter("spider_plan_cache_misses_total", cache.misses);
@@ -393,8 +397,8 @@ impl SpiderRuntime {
     /// the request's attempt), metrics and phase profile, all skipped when
     /// telemetry is disabled and none of it touching the numerics.
     pub fn execute(&self, req: &StencilRequest) -> Result<RequestOutcome, RuntimeError> {
-        self.telemetry
-            .record_attempt(req.id, req.plan_key(), req.attempt, EventKind::Admit, 0.0);
+        let who = Who::new(req.id, req.plan_key(), req.attempt);
+        self.telemetry.record(who, EventKind::Admit, 0.0);
         let mut results = self.run_group(std::slice::from_ref(req));
         results.pop().expect("one result per request") // guard: run_group returns one result per input
     }
@@ -447,24 +451,43 @@ impl SpiderRuntime {
         &self,
         requests: &[StencilRequest],
     ) -> Vec<Result<RequestOutcome, RuntimeError>> {
-        self.execute_group(&self.prepare_group(requests))
+        let group = self.prepare_group(requests);
+        let results = self.execute_group(&group);
+        for (&who, result) in group.whos.iter().zip(&results) {
+            self.conclude(who, result.as_ref().map_err(|_| Terminal::Failed));
+        }
+        results
     }
 
-    /// Record a request's failure (its terminal event and meters) and hand
-    /// the error back as its result.
-    fn fail(&self, req: &StencilRequest, start: Instant, e: RuntimeError) -> RuntimeError {
-        let t = &self.telemetry;
-        t.record_attempt(
-            req.id,
-            req.plan_key(),
-            req.attempt,
-            EventKind::Complete {
-                terminal: Terminal::Failed,
-            },
-            0.0,
-        );
-        if t.enabled() {
-            self.meters.failed.inc();
+    /// Record a request's verdict: its one `Complete` event and the
+    /// completion meters. `Ok` is a done request's outcome; `Err` names any
+    /// other terminal. Only the request's owner calls it: the scheduler's
+    /// `finish` for every ticket, and [`Self::run_group`] and
+    /// [`Self::run_batch`] for requests no scheduler owns.
+    pub(crate) fn conclude(&self, who: Who, verdict: Result<&RequestOutcome, Terminal>) {
+        let sim_s = verdict.map_or(0.0, |outcome| outcome.report.time_s());
+        let terminal = verdict.err().unwrap_or(Terminal::Done);
+        self.telemetry
+            .record(who, EventKind::Complete { terminal }, sim_s);
+        if !self.telemetry.enabled() {
+            return;
+        }
+        match verdict {
+            Ok(outcome) => {
+                if outcome.volumetric {
+                    self.meters.volumetric.inc();
+                }
+                self.meters.sim_exec_us.record(sim_s * 1e6);
+            }
+            Err(Terminal::Failed) => self.meters.failed.inc(),
+            Err(_) => {}
+        }
+    }
+
+    /// Record the service time of a request that failed, and hand the
+    /// error back as its result.
+    fn fail(&self, start: Instant, e: RuntimeError) -> RuntimeError {
+        if self.telemetry.enabled() {
             self.meters
                 .service_us
                 .record(start.elapsed().as_secs_f64() * 1e6);
@@ -480,18 +503,19 @@ impl SpiderRuntime {
     fn prepare_group<'a>(&self, requests: &'a [StencilRequest]) -> PreparedGroup<'a> {
         let start = Instant::now();
         let t = &self.telemetry;
-        let group_key = requests.first().map(|r| r.plan_key());
-        if t.enabled() {
-            if let (Some(key), Some(first)) = (group_key, requests.first()) {
-                t.profiler().touch(key, &first.scenario());
-            }
+        let whos: Vec<Who> = requests
+            .iter()
+            .map(|req| Who::new(req.id, req.plan_key(), req.attempt))
+            .collect();
+        if t.enabled() && !requests.is_empty() {
+            t.profiler()
+                .touch(whos[0].plan_key, &requests[0].scenario());
         }
         let mut plan: Option<CachedPlan> = None;
         let mut lookups = Vec::with_capacity(requests.len());
-        for req in requests {
+        for (req, &who) in requests.iter().zip(&whos) {
             debug_assert_eq!(
-                Some(req.plan_key()),
-                group_key,
+                who.plan_key, whos[0].plan_key,
                 "run_group requires a single plan key"
             );
             if !req.dims_consistent() {
@@ -499,29 +523,19 @@ impl SpiderRuntime {
                     id: req.id,
                     scenario: req.scenario(),
                 };
-                lookups.push(Err(self.fail(req, start, e)));
+                lookups.push(Err(self.fail(start, e)));
                 continue;
             }
-            let span = t.span_attempt(req.id, req.plan_key(), req.attempt, Phase::Resolve);
-            let resolved = self.resolve_plan(req.plan_key(), &req.kernel, req.tenant);
+            let span = t.span(who, Phase::Resolve);
+            let resolved = self.resolve_plan(who.plan_key, &req.kernel, req.tenant);
             span.exit();
             lookups.push(match resolved {
                 Ok((p, hit, source)) => {
-                    t.record_attempt(
-                        req.id,
-                        req.plan_key(),
-                        req.attempt,
-                        EventKind::PlanResolve { source },
-                        0.0,
-                    );
-                    if source == ResolveSource::Compile && t.enabled() {
-                        self.meters.compiles.inc();
-                        t.profiler().add_compile(req.plan_key());
-                    }
+                    t.record(who, EventKind::PlanResolve { source }, 0.0);
                     plan = Some(p);
                     Ok(hit)
                 }
-                Err(e) => Err(self.fail(req, start, e.into())),
+                Err(e) => Err(self.fail(start, e.into())),
             });
         }
 
@@ -532,10 +546,10 @@ impl SpiderRuntime {
                 .collect();
             order.sort_by_key(|&i| (requests[i].exec_key(), i));
             for members in contiguous_key_runs(&order, |i| requests[i].exec_key()) {
-                let head = &requests[members[0]];
-                let span = t.span_attempt(head.id, head.plan_key(), head.attempt, Phase::Tune);
+                let head = whos[members[0]];
+                let span = t.span(head, Phase::Tune);
                 let (tiling, tuned, head_memo_hit, head_dry_runs) =
-                    self.select_tiling(plan, head, head.plan_key());
+                    self.select_tiling(plan, &requests[members[0]], head.plan_key);
                 span.exit();
                 let sub = Subgroup {
                     members: members.to_vec(),
@@ -544,23 +558,18 @@ impl SpiderRuntime {
                     head_memo_hit,
                 };
                 for (slot, &i) in members.iter().enumerate() {
-                    let req = &requests[i];
-                    t.record_attempt(
-                        req.id,
-                        req.plan_key(),
-                        req.attempt,
-                        EventKind::Tune {
-                            memo_hit: sub.memo_hit(slot),
-                            dry_runs: if slot == 0 { head_dry_runs } else { 0 },
-                        },
-                        0.0,
-                    );
+                    let tune = EventKind::Tune {
+                        memo_hit: sub.memo_hit(slot),
+                        dry_runs: if slot == 0 { head_dry_runs } else { 0 },
+                    };
+                    t.record(whos[i], tune, 0.0);
                 }
                 subgroups.push(sub);
             }
         }
         PreparedGroup {
             requests,
+            whos,
             start,
             lookups,
             plan,
@@ -578,11 +587,10 @@ impl SpiderRuntime {
             .map(|l| l.as_ref().err().map(|e| Err(e.clone())))
             .collect();
         for sub in &g.subgroups {
-            let head = &g.requests[sub.members[0]];
             let members = sub.members.len();
             let coalesced = members > 1;
             let wave_id = t.next_wave_id();
-            let exec_span = t.span_attempt(head.id, head.plan_key(), head.attempt, Phase::Exec);
+            let exec_span = t.span(g.whos[sub.members[0]], Phase::Exec);
             let run = self.run_subgroup(g, sub, wave_id);
             exec_span.exit();
             let done = match run {
@@ -592,7 +600,7 @@ impl SpiderRuntime {
                     // member: the whole subgroup ran under one launch plan.
                     for &i in &sub.members {
                         let e = RuntimeError::Exec(e.clone());
-                        results[i] = Some(Err(self.fail(&g.requests[i], g.start, e)));
+                        results[i] = Some(Err(self.fail(g.start, e)));
                     }
                     continue;
                 }
@@ -600,37 +608,16 @@ impl SpiderRuntime {
             let launch_share = 1.0 / members as f64;
             for ((slot, &i), (checksum, report)) in sub.members.iter().enumerate().zip(done) {
                 let req = &g.requests[i];
-                let sim_s = report.time_s();
-                t.record_attempt(
-                    req.id,
-                    req.plan_key(),
-                    req.attempt,
-                    EventKind::Execute {
-                        wave_id,
-                        coalesced,
-                        launch_share,
-                    },
-                    sim_s,
-                );
-                t.record_attempt(
-                    req.id,
-                    req.plan_key(),
-                    req.attempt,
-                    EventKind::Complete {
-                        terminal: Terminal::Done,
-                    },
-                    sim_s,
-                );
+                let execute = EventKind::Execute {
+                    wave_id,
+                    coalesced,
+                    launch_share,
+                };
+                t.record(g.whos[i], execute, report.time_s());
                 if t.enabled() {
-                    self.meters.completed.inc();
-                    if req.is_volumetric() {
-                        self.meters.volumetric.inc();
-                    }
                     self.meters
                         .service_us
                         .record(g.start.elapsed().as_secs_f64() * 1e6);
-                    self.meters.sim_exec_us.record(sim_s * 1e6);
-                    t.profiler().add_request(req.plan_key(), sim_s);
                 }
                 results[i] = Some(Ok(RequestOutcome {
                     id: req.id,
@@ -670,17 +657,12 @@ impl SpiderRuntime {
         };
         let planar = || {
             // The subgroup's batched launch, traced on its head.
-            self.telemetry.record_attempt(
-                head.id,
-                head.plan_key(),
-                head.attempt,
-                EventKind::Launch {
-                    wave_id,
-                    members,
-                    launch_share: 1.0 / members as f64,
-                },
-                0.0,
-            );
+            let launch = EventKind::Launch {
+                wave_id,
+                members,
+                launch_share: 1.0 / members as f64,
+            };
+            self.telemetry.record(g.whos[sub.members[0]], launch, 0.0);
             SpiderExecutor::with_shared_pool(&self.device, head.mode, config, pool.clone())
         };
         match (plan, head.grid) {
@@ -780,26 +762,31 @@ impl SpiderRuntime {
     /// overhead, combined-residency occupancy).
     pub fn run_batch(&self, requests: &[StencilRequest]) -> RuntimeReport {
         let start = Instant::now();
-        for req in requests {
-            self.telemetry.record_attempt(
-                req.id,
-                req.plan_key(),
-                req.attempt,
-                EventKind::Admit,
-                0.0,
-            );
+        let whos: Vec<Who> = requests
+            .iter()
+            .map(|req| Who::new(req.id, req.plan_key(), req.attempt))
+            .collect();
+        for &who in &whos {
+            self.telemetry.record(who, EventKind::Admit, 0.0);
         }
 
         // Group by plan key to amortize compile + tuning within the batch.
         let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by_cached_key(|&i| (requests[i].plan_key(), i));
-        let groups = contiguous_key_runs(&order, |i| requests[i].plan_key());
+        order.sort_by_key(|&i| (whos[i].plan_key, i));
+        let groups = contiguous_key_runs(&order, |i| whos[i].plan_key);
         let reqs: Vec<Vec<StencilRequest>> = groups
             .iter()
             .map(|members| members.iter().map(|&i| requests[i].clone()).collect())
             .collect();
         let slices: Vec<&[StencilRequest]> = reqs.iter().map(Vec::as_slice).collect();
-        let per_group = self.prepare_wave(&slices).run(|_, results| results);
+        // No scheduler owns these requests: the batch records each verdict
+        // as its group finishes.
+        let per_group = self.prepare_wave(&slices).run(|g, results| {
+            for (&i, result) in groups[g].iter().zip(&results) {
+                self.conclude(whos[i], result.as_ref().map_err(|_| Terminal::Failed));
+            }
+            results
+        });
 
         let mut results: Vec<Option<Result<RequestOutcome, RuntimeError>>> =
             (0..requests.len()).map(|_| None).collect();
@@ -866,6 +853,8 @@ impl Subgroup {
 /// A plan-key group, resolved and tuned ([`SpiderRuntime::prepare_group`]).
 struct PreparedGroup<'a> {
     requests: &'a [StencilRequest],
+    /// Per request: who its trace events name (its plan key hashed once).
+    whos: Vec<Who>,
     start: Instant,
     /// Per request: whether its plan lookup hit the memory cache, or the
     /// failure that ended it before execution.

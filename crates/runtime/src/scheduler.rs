@@ -85,9 +85,13 @@
 //! deadlines, admission quota, capacity); `try_submit` runs it with no
 //! backpressure policy. The queue holds queued tickets, a running set the
 //! dispatched ones, and a ticket's slot only its verdict. `finish` gives
-//! every verdict and counts it in the tenant's row; a queued ticket that
-//! will not run (shed, cancelled, killed or expired) gets there through
-//! `leave_queue`, and a kill fails exactly the running set.
+//! every verdict, counts it in the tenant's row and records it: the
+//! ticket's one `Complete` trace event and the runtime's completion meters
+//! (`SpiderRuntime::conclude`). A queued ticket that will not run (shed,
+//! cancelled, killed or expired) gets there through `leave_queue`, and a
+//! kill fails exactly the running set. The wave that was running a killed
+//! ticket may still trace its execution after that verdict, but never a
+//! second one.
 //!
 //! ## Ticket retention
 //!
@@ -121,7 +125,7 @@ use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use spider_telemetry::{EventKind, MetricsSnapshot, Phase, Telemetry, Terminal};
+use spider_telemetry::{EventKind, MetricsSnapshot, Phase, Telemetry, Terminal, Who};
 
 use crate::report::{QueueStats, RequestOutcome, RuntimeReport};
 use crate::request::{Priority, StencilRequest, TenantId};
@@ -464,16 +468,12 @@ impl Slot {
 }
 
 struct SlotEntry {
-    /// The caller's request id, echoed into drain-report failures.
-    req_id: u64,
-    /// The request's plan key (trace events are keyed by it; a kill must
-    /// trace terminal verdicts for requests whose `QueuedEntry` is gone).
-    plan_key: u64,
+    /// Who the request's trace events name: its id (echoed into
+    /// drain-report failures), plan key and retry attempt, kept for the
+    /// verdict of a request whose `QueuedEntry` is gone.
+    who: Who,
     /// The submitting tenant, whose row [`finish`] counts the verdict in.
     tenant: TenantId,
-    /// The request's device-loss retry attempt at submission, so kill-time
-    /// terminal events chain onto the right life of a retried request.
-    attempt: u32,
     /// `None` until [`finish`] gives the verdict.
     verdict: Option<Slot>,
 }
@@ -771,7 +771,7 @@ impl SpiderScheduler {
         req: StencilRequest,
         policy: Option<BackpressurePolicy>,
     ) -> Result<Ticket, SubmitError> {
-        let t = Arc::clone(self.runtime.telemetry());
+        let rt = &self.runtime;
         let capacity = self.options.queue_capacity;
         let mut st = self.lock();
         loop {
@@ -779,7 +779,7 @@ impl SpiderScheduler {
                 return Err(SubmitError::ShuttingDown);
             }
             // Lapsed deadlines free capacity before any backpressure call.
-            expire_due(&self.shared, &mut st, &t);
+            expire_due(&self.shared, &mut st, rt);
             // Admission quotas outrank the backpressure policy: an
             // over-quota tenant is refused outright rather than allowed to
             // park against (or shed) everyone else's queue share.
@@ -811,26 +811,17 @@ impl SpiderScheduler {
                     if req.priority.level() <= victim_level {
                         // The newcomer is the least important: shed on
                         // arrival, but still hand back a pollable ticket.
-                        let ticket = open_ticket(&mut st, &req, &t);
-                        t.record_attempt(
-                            req.id,
-                            st.slots[ticket as usize].plan_key,
-                            req.attempt,
-                            EventKind::Complete {
-                                terminal: Terminal::Shed,
-                            },
-                            0.0,
-                        );
-                        finish(&mut st, ticket, Slot::Shed);
+                        let ticket = open_ticket(&mut st, &req, rt.telemetry());
+                        finish(&mut st, rt, ticket, Slot::Shed);
                         self.shared.idle.notify_all();
                         return Ok(Ticket { seq: ticket });
                     }
-                    leave_queue(&mut st, &t, victim, now, Slot::Shed);
+                    leave_queue(&mut st, rt, victim, now, Slot::Shed);
                     self.shared.idle.notify_all();
                 }
             }
         }
-        let ticket = admit(&mut st, req, &t);
+        let ticket = admit(&mut st, req, rt.telemetry());
         self.shared.work.notify_one();
         Ok(Ticket { seq: ticket })
     }
@@ -852,9 +843,8 @@ impl SpiderScheduler {
     }
 
     fn status(&self, ticket: Ticket, retain: bool) -> RequestStatus {
-        let t = Arc::clone(self.runtime.telemetry());
         let mut st = self.lock();
-        expire_due(&self.shared, &mut st, &t);
+        expire_due(&self.shared, &mut st, &self.runtime);
         let Some(entry) = st.slots.get(ticket.seq as usize) else {
             return RequestStatus::Unknown;
         };
@@ -899,11 +889,11 @@ impl SpiderScheduler {
     /// not and will not execute here, so resubmitting it elsewhere cannot
     /// double-execute.
     pub fn cancel(&self, ticket: Ticket) -> bool {
-        let t = self.runtime.telemetry();
         let mut st = self.lock();
         // Only queued tickets are in the queue: running, terminal and
         // unknown ones fall through here.
-        if leave_queue(&mut st, t, ticket.seq, Instant::now(), Slot::Cancelled).is_none() {
+        let now = Instant::now();
+        if leave_queue(&mut st, &self.runtime, ticket.seq, now, Slot::Cancelled).is_none() {
             return false;
         }
         drop(st);
@@ -934,7 +924,7 @@ impl SpiderScheduler {
     /// completed work remains reported and departed-device accounting
     /// stays exact.
     pub fn kill(&self) -> KillReport {
-        let t = Arc::clone(self.runtime.telemetry());
+        let rt = &self.runtime;
         let mut st = self.lock();
         if st.killed {
             return KillReport::default();
@@ -943,22 +933,12 @@ impl SpiderScheduler {
         st.shutdown = true;
         let (now, mut unstarted, mut lost) = (Instant::now(), Vec::new(), Vec::new());
         for seq in st.queue.entries.keys().copied().collect::<Vec<_>>() {
-            if let Some(req) = leave_queue(&mut st, &t, seq, now, Slot::Cancelled) {
+            if let Some(req) = leave_queue(&mut st, rt, seq, now, Slot::Cancelled) {
                 unstarted.push((Ticket { seq }, req));
             }
         }
         for seq in std::mem::take(&mut st.running) {
-            let e = &st.slots[seq as usize];
-            t.record_attempt(
-                e.req_id,
-                e.plan_key,
-                e.attempt,
-                EventKind::Complete {
-                    terminal: Terminal::Failed,
-                },
-                0.0,
-            );
-            finish(&mut st, seq, Slot::Failed(FailureReason::DeviceLost));
+            finish(&mut st, rt, seq, Slot::Failed(FailureReason::DeviceLost));
             lost.push(Ticket { seq });
         }
         drop(st);
@@ -993,10 +973,9 @@ impl SpiderScheduler {
     /// submissions returns the same report.
     pub fn drain(&self) -> RuntimeReport {
         self.resume();
-        let t = Arc::clone(self.runtime.telemetry());
         let mut st = self.lock();
         loop {
-            expire_due(&self.shared, &mut st, &t);
+            expire_due(&self.shared, &mut st, &self.runtime);
             if st.queue.is_empty() && st.running.is_empty() {
                 break;
             }
@@ -1007,7 +986,7 @@ impl SpiderScheduler {
         for entry in &st.slots {
             match &entry.verdict {
                 Some(Slot::Done { outcome, .. }) => outcomes.push((**outcome).clone()),
-                Some(Slot::Failed(e)) => failures.push((entry.req_id, e.to_string())),
+                Some(Slot::Failed(e)) => failures.push((entry.who.request_id, e.to_string())),
                 _ => {}
             }
         }
@@ -1115,7 +1094,9 @@ impl SpiderScheduler {
     pub fn timeline(&self, ticket: Ticket) -> Option<String> {
         let req_id = {
             let st = self.lock();
-            st.slots.get(ticket.seq as usize).map(|e| e.req_id)?
+            st.slots
+                .get(ticket.seq as usize)
+                .map(|e| e.who.request_id)?
         };
         self.runtime.telemetry().trace().render_timeline(req_id)
     }
@@ -1189,20 +1170,15 @@ impl Drop for SpiderScheduler {
 /// span, which dispatch or [`leave_queue`] closes.
 fn admit(st: &mut State, req: StencilRequest, t: &Telemetry) -> u64 {
     let ticket = open_ticket(st, &req, t);
-    let plan_key = st.slots[ticket as usize].plan_key;
+    let who = st.slots[ticket as usize].who;
     let now = Instant::now();
     st.first_submit.get_or_insert(now);
     st.beats += 1;
-    t.record_attempt(req.id, plan_key, req.attempt, EventKind::Queued, 0.0);
-    t.record_attempt(
-        req.id,
-        plan_key,
-        req.attempt,
-        EventKind::SpanEnter {
-            phase: Phase::Queue,
-        },
-        0.0,
-    );
+    t.record(who, EventKind::Queued, 0.0);
+    let queue = EventKind::SpanEnter {
+        phase: Phase::Queue,
+    };
+    t.record(who, queue, 0.0);
     let tenant = req.tenant;
     st.queue.push(
         ticket,
@@ -1222,26 +1198,33 @@ fn admit(st: &mut State, req: StencilRequest, t: &Telemetry) -> u64 {
 /// count and its `Admit` event (it is not enqueued).
 fn open_ticket(st: &mut State, req: &StencilRequest, t: &Telemetry) -> u64 {
     let ticket = st.slots.len() as u64;
-    let plan_key = req.plan_key();
+    let who = Who::new(req.id, req.plan_key(), req.attempt);
     st.slots.push(SlotEntry {
-        req_id: req.id,
-        plan_key,
+        who,
         tenant: req.tenant,
-        attempt: req.attempt,
         verdict: None,
     });
     st.tenant_stats_mut(req.tenant).submitted += 1;
-    t.record_attempt(req.id, plan_key, req.attempt, EventKind::Admit, 0.0);
+    t.record(who, EventKind::Admit, 0.0);
     ticket
 }
 
-/// Give a queued or running ticket its verdict, and count it in its
-/// tenant's row: the only place either happens.
-fn finish(st: &mut State, ticket: u64, verdict: Slot) {
+/// Give a queued or running ticket its verdict, count it in its tenant's
+/// row and record it ([`SpiderRuntime::conclude`]): the only place any of
+/// the three happens.
+fn finish(st: &mut State, rt: &SpiderRuntime, ticket: u64, verdict: Slot) {
     let entry = &mut st.slots[ticket as usize];
     debug_assert!(entry.verdict.is_none(), "one verdict per ticket");
+    let terminal = verdict.terminal();
+    rt.conclude(
+        entry.who,
+        match &verdict {
+            Slot::Done { outcome, .. } => Ok(outcome),
+            _ => Err(terminal),
+        },
+    );
     let row = st.tenant_stats.entry(entry.tenant).or_default();
-    *match verdict.terminal() {
+    *match terminal {
         Terminal::Done => &mut row.completed,
         Terminal::Failed => &mut row.failed,
         Terminal::Shed => &mut row.shed,
@@ -1254,29 +1237,24 @@ fn finish(st: &mut State, ticket: u64, verdict: Slot) {
 }
 
 /// Take a queued ticket that will not run out of the queue: close its
-/// queue span, trace its terminal event and [`finish`] it with `verdict`.
-/// The one exit of a shed victim, a cancel, a kill and an expiry. Returns
-/// the request, or `None` if the ticket is not queued.
+/// queue span and [`finish`] it with `verdict`. The one exit of a shed
+/// victim, a cancel, a kill and an expiry. Returns the request, or `None`
+/// if the ticket is not queued.
 fn leave_queue(
     st: &mut State,
-    t: &Telemetry,
+    rt: &SpiderRuntime,
     ticket: u64,
     now: Instant,
     verdict: Slot,
 ) -> Option<StencilRequest> {
     let QueuedEntry { req, submitted } = st.queue.remove(ticket)?;
-    let elapsed_s = now.saturating_duration_since(submitted).as_secs_f64();
-    let (plan_key, terminal) = (st.slots[ticket as usize].plan_key, verdict.terminal());
-    for event in [
-        EventKind::SpanExit {
-            phase: Phase::Queue,
-            elapsed_s,
-        },
-        EventKind::Complete { terminal },
-    ] {
-        t.record_attempt(req.id, plan_key, req.attempt, event, 0.0);
-    }
-    finish(st, ticket, verdict);
+    let queue = EventKind::SpanExit {
+        phase: Phase::Queue,
+        elapsed_s: now.saturating_duration_since(submitted).as_secs_f64(),
+    };
+    rt.telemetry()
+        .record(st.slots[ticket as usize].who, queue, 0.0);
+    finish(st, rt, ticket, verdict);
     Some(req)
 }
 
@@ -1300,14 +1278,14 @@ fn retain_polled(st: &mut State, ticket: u64) {
 
 /// Expire every queued request whose deadline has passed, oldest first,
 /// and wake the submitters and drainers the freed slots may release.
-fn expire_due(shared: &Shared, st: &mut State, t: &Telemetry) {
+fn expire_due(shared: &Shared, st: &mut State, rt: &SpiderRuntime) {
     let now = Instant::now();
     let lapsed = st.queue.lapsed(now);
     if lapsed.is_empty() {
         return;
     }
     for ticket in lapsed {
-        leave_queue(st, t, ticket, now, Slot::Expired);
+        leave_queue(st, rt, ticket, now, Slot::Expired);
     }
     // Retiring due work is progress too — lazy expiry driven by a poll or
     // submit must keep the heartbeat advancing.
@@ -1465,8 +1443,8 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
     let mut wave: Vec<WaveGroup> = Vec::new();
     let mut group_of: HashMap<u64, usize> = HashMap::new();
     for ticket in wave_members(st, options, now) {
-        let key = st.slots[ticket as usize].plan_key;
-        let g = *group_of.entry(key).or_insert_with(|| {
+        let who = st.slots[ticket as usize].who;
+        let g = *group_of.entry(who.plan_key).or_insert_with(|| {
             wave.push(WaveGroup::default());
             wave.len() - 1
         });
@@ -1477,22 +1455,12 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
         ts.max_wait_s = ts.max_wait_s.max(wait);
         ts.wait_hist.record(wait * 1e6);
         ts.served_cost += drr_cost(&entry.req);
-        // Close the queue span opened at admission and fold the wait into
-        // the plan's queue-phase accumulator.
-        telemetry.record_attempt(
-            entry.req.id,
-            key,
-            entry.req.attempt,
-            EventKind::SpanExit {
-                phase: Phase::Queue,
-                elapsed_s: wait,
-            },
-            0.0,
-        );
-        if telemetry.enabled() {
-            telemetry.profiler().touch(key, &entry.req.scenario());
-            telemetry.profiler().add_phase(key, Phase::Queue, wait);
-        }
+        // Close the queue span opened at admission.
+        let queue = EventKind::SpanExit {
+            phase: Phase::Queue,
+            elapsed_s: wait,
+        };
+        telemetry.record(who, queue, 0.0);
         st.running.insert(ticket);
         wave[g].tickets.push(ticket);
         wave[g].requests.push(entry.req);
@@ -1508,7 +1476,6 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
 /// the wave's work pays for ([`SpiderRuntime::prepare_wave`]), recording
 /// each group's verdicts as soon as it finishes.
 fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &SchedulerOptions) {
-    let telemetry = Arc::clone(runtime.telemetry());
     loop {
         let wave = {
             let mut st = shared.state.lock();
@@ -1516,25 +1483,26 @@ fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &Scheduler
                 if st.shutdown {
                     return;
                 }
-                expire_due(shared, &mut st, &telemetry);
+                expire_due(shared, &mut st, runtime);
                 if !st.paused && !st.queue.is_empty() {
                     break;
                 }
                 st = st.wait_on(&shared.work);
             }
-            form_wave(&mut st, options, &telemetry)
+            form_wave(&mut st, options, runtime.telemetry())
         };
         shared.space.notify_all();
         let groups: Vec<&[StencilRequest]> = wave.iter().map(|g| g.requests.as_slice()).collect();
         let prepared = runtime.prepare_wave(&groups);
         shared.state.lock().wave_jobs += prepared.jobs() as u64;
-        prepared.run(|g, results| record_verdicts(shared, &wave[g], results));
+        prepared.run(|g, results| record_verdicts(shared, runtime, &wave[g], results));
     }
 }
 
 /// Mark one finished wave group's tickets with their verdicts.
 fn record_verdicts(
     shared: &Shared,
+    runtime: &SpiderRuntime,
     group: &WaveGroup,
     results: Vec<Result<RequestOutcome, RuntimeError>>,
 ) {
@@ -1554,7 +1522,7 @@ fn record_verdicts(
             },
             Err(e) => Slot::Failed(FailureReason::Execution(e.to_string())),
         };
-        finish(&mut st, ticket, verdict);
+        finish(&mut st, runtime, ticket, verdict);
         finished += 1;
     }
     if finished > 0 {
@@ -2296,6 +2264,75 @@ mod tests {
                     reason: FailureReason::DeviceLost
                 }
             ));
+        }
+    }
+
+    /// A ticket killed while it runs has one verdict, and every instrument
+    /// records that one, also after the wave it ran in has finished: its
+    /// trace holds exactly one terminal event, of the kind `poll` returns,
+    /// and the runtime's completion and failure counters and its profiler
+    /// count what the scheduler counts. A second ticket, submitted while
+    /// the first runs, is queued at the kill. Whether the kill still finds
+    /// the first one running is a race, so a fresh scheduler tries again
+    /// until it does; every attempt is checked.
+    #[test]
+    fn a_ticket_killed_mid_wave_is_recorded_once() {
+        let big = |id: u64| {
+            StencilRequest::new_2d(id, StencilKernel::gaussian_2d(2), 1024, 1024)
+                .with_steps(4)
+                .with_seed(id)
+        };
+        for attempt in 1.. {
+            assert!(attempt <= 20, "no kill found its ticket running");
+            let rt = Arc::new(SpiderRuntime::with_defaults(GpuDevice::a100()));
+            let s = SpiderScheduler::new(Arc::clone(&rt), SchedulerOptions::default());
+            let first = s.submit(big(1)).unwrap();
+            let start = Instant::now();
+            while !matches!(s.peek(first), RequestStatus::Running) {
+                assert!(start.elapsed() < Duration::from_secs(30), "never ran");
+                std::thread::yield_now();
+            }
+            let second = s.submit(big(2)).unwrap();
+            let kr = s.kill();
+            let verdicts = [first, second].map(|t| match s.poll(t) {
+                RequestStatus::Done(_) => Terminal::Done,
+                RequestStatus::Failed { .. } => Terminal::Failed,
+                RequestStatus::Cancelled => Terminal::Cancelled,
+                other => panic!("ticket {} unresolved after the kill: {other:?}", t.id()),
+            });
+            let q = s.queue_stats();
+            // Dropping the scheduler joins its dispatcher, so the wave the
+            // kill landed in has finished before anything is read.
+            drop(s);
+            let events = rt.telemetry().trace().snapshot();
+            for (id, verdict) in [1, 2].into_iter().zip(verdicts) {
+                let terminals: Vec<Terminal> = events
+                    .iter()
+                    .filter(|e| e.request_id == id)
+                    .filter_map(|e| e.kind.terminal())
+                    .collect();
+                assert_eq!(terminals, [verdict], "request {id}, attempt {attempt}");
+            }
+            let snap = rt.metrics_snapshot();
+            let profiled: u64 = rt
+                .telemetry()
+                .profiler()
+                .snapshot()
+                .iter()
+                .map(|p| p.stats.requests)
+                .sum();
+            assert_eq!(
+                [
+                    snap.counter_value("spider_runtime_requests_completed_total"),
+                    profiled,
+                    snap.counter_value("spider_runtime_requests_failed_total"),
+                ],
+                [q.completed, q.completed, q.failed],
+                "[completed, profiled, failed], attempt {attempt}"
+            );
+            if !kr.lost.is_empty() {
+                return;
+            }
         }
     }
 

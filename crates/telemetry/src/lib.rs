@@ -12,32 +12,37 @@
 //!
 //! ## The three instruments
 //!
-//! * [`TraceLog`] — a bounded ring buffer of structured [`Event`]s
-//!   (`admit → queued → plan-resolve → tune → execute → complete`), each
-//!   stamped with the host wall clock and the simulated GPU clock, plus an
-//!   RAII [`Span`] API that makes phase nesting explicit and lets a
-//!   per-request timeline be reconstructed and rendered.
+//! * [`TraceLog`] — the record: a bounded ring buffer of structured
+//!   [`Event`]s (`admit → queued → plan-resolve → tune → execute →
+//!   complete`), each stamped with the host wall clock and the simulated
+//!   GPU clock, plus an RAII [`Span`] API that makes phase nesting explicit
+//!   and lets a per-request timeline be reconstructed and rendered. Every
+//!   event names its request once, by a [`Who`].
+//! * [`PhaseProfiler`] — the trace's fold, per plan_key: [`Telemetry::record`]
+//!   adds each span exit to its phase's time (queue/resolve/tune/exec), each
+//!   fresh compile to the compiles and each done request to the requests and
+//!   simulated time, so the profiler never disagrees with the trace. Store
+//!   bytes and scenario labels are the only values written to it directly.
+//!   It renders a `top plans` table and folded-stack flamegraph export.
 //! * [`MetricsRegistry`] — named counters, gauges and log-scale
 //!   [`LogHistogram`]s (p50/p90/p99), exportable as Prometheus text and
 //!   flat JSON. An export snapshots the registry and writes in the counts
-//!   the serving stack's stats structs own, read when it is taken;
-//!   per-device [`MetricsSnapshot`]s merge into fleet ones.
-//! * [`PhaseProfiler`] — per-plan_key accumulation of queue/resolve/tune/
-//!   exec time, compile counts and store bytes, with a `top plans` table
-//!   and folded-stack flamegraph export.
+//!   the serving stack's stats structs (and the profiler) own, read when it
+//!   is taken; per-device [`MetricsSnapshot`]s merge into fleet ones.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use spider_telemetry::{EventKind, Phase, Telemetry, TelemetryConfig, Terminal};
+//! use spider_telemetry::{EventKind, Phase, Telemetry, TelemetryConfig, Terminal, Who};
 //!
 //! let t = Telemetry::new(TelemetryConfig::default());
-//! t.record(7, 0xabc, EventKind::Admit, 0.0);
+//! let who = Who::new(7, 0xabc, 0);
+//! t.record(who, EventKind::Admit, 0.0);
 //! {
-//!     let _span = t.span(7, 0xabc, Phase::Exec);
+//!     let _span = t.span(who, Phase::Exec);
 //!     // ... do the work ...
 //! } // span exit recorded + exec time attributed to plan 0xabc
-//! t.record(7, 0xabc, EventKind::Complete { terminal: Terminal::Done }, 0.0);
+//! t.record(who, EventKind::Complete { terminal: Terminal::Done }, 0.0);
 //! t.metrics().counter("spider_runtime_requests_completed_total").inc();
 //!
 //! let timeline = t.trace().render_timeline(7).unwrap();
@@ -59,7 +64,7 @@ pub use export::{chrome_trace_json, validate_json};
 pub use hist::LogHistogram;
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use profile::{merge_profiles, render_top_profiles, PhaseProfiler, PhaseStats, PlanProfile};
-pub use trace::{Event, EventKind, Phase, ResolveSource, Terminal, TraceLog};
+pub use trace::{Event, EventKind, Phase, ResolveSource, Terminal, TraceLog, Who};
 pub use watch::{
     alert_rule_id, AlertEngine, AlertKind, AlertRule, AlertTransition, HealthMonitor, HealthPolicy,
     HealthState, HealthTransition, SeriesPoint, SeriesWindow, SloObjective, SnapshotSeries,
@@ -163,72 +168,52 @@ impl Telemetry {
         self.wave_ids.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Append one lifecycle event (no-op when disabled). `sim_s` is the
-    /// simulated-GPU time attributable to the event (0 where none exists).
-    /// Stamps retry attempt 0 — a request's first life; recovery paths use
-    /// [`Self::record_attempt`].
-    pub fn record(&self, request_id: u64, plan_key: u64, kind: EventKind, sim_s: f64) {
-        self.record_attempt(request_id, plan_key, 0, kind, sim_s);
-    }
-
-    /// [`Self::record`] with an explicit device-loss retry `attempt` index,
-    /// so a re-routed request's second life chains onto its first in the
-    /// rendered timeline instead of losing lineage.
-    pub fn record_attempt(
-        &self,
-        request_id: u64,
-        plan_key: u64,
-        attempt: u32,
-        kind: EventKind,
-        sim_s: f64,
-    ) {
+    /// Append one lifecycle event of `who` (no-op when disabled) and fold
+    /// it into the profiler: a span exit adds its wall time to the plan's
+    /// phase, a `PlanResolve { Compile }` counts a compile, and a
+    /// `Complete { Done }` counts a request with its simulated time. `sim_s`
+    /// is the simulated-GPU time attributable to the event (0 where none
+    /// exists).
+    pub fn record(&self, who: Who, kind: EventKind, sim_s: f64) {
         if !self.config.enabled {
             return;
         }
         self.trace.push(Event {
             seq: 0,
-            request_id,
-            plan_key,
+            request_id: who.request_id,
+            plan_key: who.plan_key,
             wall_s: self.now_s(),
             sim_s,
-            attempt,
+            attempt: who.attempt,
             kind,
         });
+        let key = who.plan_key;
+        match kind {
+            EventKind::SpanExit { phase, elapsed_s } => {
+                self.profiler.add_phase(key, phase, elapsed_s)
+            }
+            EventKind::PlanResolve {
+                source: ResolveSource::Compile,
+            } => self.profiler.add_compile(key),
+            EventKind::Complete {
+                terminal: Terminal::Done,
+            } => self.profiler.add_request(key, sim_s),
+            _ => {}
+        }
     }
 
-    /// Open a phase span for a request. The returned guard records
-    /// `SpanEnter` now and, on [`Span::exit`] or drop, `SpanExit` — and
-    /// attributes the elapsed wall time to `plan_key` in the profiler.
-    /// When telemetry is disabled the guard still measures (so callers can
-    /// use the returned duration) but records nothing.
-    pub fn span(&self, request_id: u64, plan_key: u64, phase: Phase) -> Span<'_> {
-        self.span_attempt(request_id, plan_key, 0, phase)
-    }
-
-    /// [`Self::span`] with an explicit retry `attempt` index stamped on the
-    /// enter/exit events (see [`Self::record_attempt`]).
-    pub fn span_attempt(
-        &self,
-        request_id: u64,
-        plan_key: u64,
-        attempt: u32,
-        phase: Phase,
-    ) -> Span<'_> {
-        self.record_attempt(
-            request_id,
-            plan_key,
-            attempt,
-            EventKind::SpanEnter { phase },
-            0.0,
-        );
+    /// Open a phase span for `who`. The returned guard records `SpanEnter`
+    /// now and, on [`Span::exit`] or drop, `SpanExit` with the elapsed wall
+    /// time, which [`Self::record`] attributes to the plan's phase. When
+    /// telemetry is disabled the guard records nothing and never reads the
+    /// clock.
+    pub fn span(&self, who: Who, phase: Phase) -> Span<'_> {
+        self.record(who, EventKind::SpanEnter { phase }, 0.0);
         Span {
             telemetry: self,
-            request_id,
-            plan_key,
-            attempt,
+            who,
             phase,
-            start: Instant::now(),
-            armed: true,
+            start: self.config.enabled.then(Instant::now),
         }
     }
 }
@@ -239,47 +224,23 @@ impl Telemetry {
 #[derive(Debug)]
 pub struct Span<'t> {
     telemetry: &'t Telemetry,
-    request_id: u64,
-    plan_key: u64,
-    attempt: u32,
+    who: Who,
     phase: Phase,
-    start: Instant,
-    armed: bool,
+    /// When the span opened; `None` when telemetry is disabled.
+    start: Option<Instant>,
 }
 
 impl Span<'_> {
-    fn close(&mut self) -> f64 {
-        self.armed = false;
-        let elapsed = self.start.elapsed().as_secs_f64();
-        if self.telemetry.config.enabled {
-            self.telemetry.record_attempt(
-                self.request_id,
-                self.plan_key,
-                self.attempt,
-                EventKind::SpanExit {
-                    phase: self.phase,
-                    elapsed_s: elapsed,
-                },
-                0.0,
-            );
-            self.telemetry
-                .profiler
-                .add_phase(self.plan_key, self.phase, elapsed);
-        }
-        elapsed
-    }
-
-    /// Close the span explicitly, returning its wall duration in seconds
-    /// (measured whether or not telemetry is enabled).
-    pub fn exit(mut self) -> f64 {
-        self.close()
-    }
+    /// Close the span now rather than at the end of its scope.
+    pub fn exit(self) {}
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if self.armed {
-            self.close();
+        if let Some(start) = self.start {
+            let (phase, elapsed_s) = (self.phase, start.elapsed().as_secs_f64());
+            let exit = EventKind::SpanExit { phase, elapsed_s };
+            self.telemetry.record(self.who, exit, 0.0);
         }
     }
 }
@@ -291,9 +252,8 @@ mod tests {
     #[test]
     fn disabled_handle_records_nothing() {
         let t = Telemetry::disabled();
-        t.record(1, 2, EventKind::Admit, 0.0);
-        let d = t.span(1, 2, Phase::Exec).exit();
-        assert!(d >= 0.0);
+        t.record(Who::new(1, 2, 0), EventKind::Admit, 0.0);
+        t.span(Who::new(1, 2, 0), Phase::Exec).exit();
         assert!(t.trace().is_empty());
         assert!(t.profiler().snapshot().is_empty());
         assert!(!t.enabled());
@@ -303,7 +263,7 @@ mod tests {
     fn span_records_enter_exit_and_feeds_profiler() {
         let t = Telemetry::default();
         {
-            let _span = t.span(5, 0xbeef, Phase::Tune);
+            let _span = t.span(Who::new(5, 0xbeef, 0), Phase::Tune);
         }
         let events = t.trace().timeline(5);
         assert_eq!(events.len(), 2);
@@ -324,7 +284,7 @@ mod tests {
     #[test]
     fn explicit_exit_disarms_drop() {
         let t = Telemetry::default();
-        let span = t.span(9, 1, Phase::Resolve);
+        let span = t.span(Who::new(9, 1, 0), Phase::Resolve);
         span.exit();
         // Exactly one enter + one exit — drop after exit must not double-record.
         assert_eq!(t.trace().timeline(9).len(), 2);
@@ -341,8 +301,8 @@ mod tests {
     #[test]
     fn wall_stamps_are_monotone() {
         let t = Telemetry::default();
-        t.record(1, 0, EventKind::Admit, 0.0);
-        t.record(1, 0, EventKind::Queued, 0.0);
+        t.record(Who::new(1, 0, 0), EventKind::Admit, 0.0);
+        t.record(Who::new(1, 0, 0), EventKind::Queued, 0.0);
         let events = t.trace().timeline(1);
         assert!(events[0].wall_s <= events[1].wall_s);
     }

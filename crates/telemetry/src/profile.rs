@@ -4,7 +4,10 @@
 //! serving-layer analogue of the simulator's swap/pack/MMA/launch breakdown.
 //! Each plan fingerprint accumulates wall time per lifecycle phase
 //! (queue/resolve/tune/exec), simulated execution time, compile counts and
-//! persistent-store load bytes. Exports:
+//! persistent-store load bytes. All but the store bytes and the label are a
+//! fold of the trace: `Telemetry::record` adds in each event it appends, so
+//! serving code attributes a phase by opening its span and calls nothing
+//! here for it. Exports:
 //!
 //! * [`PhaseProfiler::top`] — the heaviest plans, for the `top plans`
 //!   table in drain reports;
@@ -115,13 +118,13 @@ impl PhaseProfiler {
     }
 
     /// Attribute `secs` of wall time in `phase` to `plan_key`.
-    pub fn add_phase(&self, plan_key: u64, phase: Phase, secs: f64) {
+    pub(crate) fn add_phase(&self, plan_key: u64, phase: Phase, secs: f64) {
         self.with_entry(plan_key, |(_, s)| s.add_phase(phase, secs));
     }
 
     /// Count one finished request under `plan_key`, with its simulated
     /// execution time.
-    pub fn add_request(&self, plan_key: u64, sim_s: f64) {
+    pub(crate) fn add_request(&self, plan_key: u64, sim_s: f64) {
         self.with_entry(plan_key, |(_, s)| {
             s.requests += 1;
             s.exec_sim_s += sim_s.max(0.0);
@@ -129,7 +132,7 @@ impl PhaseProfiler {
     }
 
     /// Count one fresh compile.
-    pub fn add_compile(&self, plan_key: u64) {
+    pub(crate) fn add_compile(&self, plan_key: u64) {
         self.with_entry(plan_key, |(_, s)| s.compiles += 1);
     }
 

@@ -76,8 +76,9 @@ impl fmt::Display for Phase {
     }
 }
 
-/// How a request's lifecycle ended. Exactly one terminal event per admitted
-/// request — a property-tested invariant.
+/// How a request's lifecycle ended. Exactly one terminal event per attempt
+/// of an admitted request, recorded by the request's owner — a
+/// property-tested invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Terminal {
     /// Executed and produced an outcome.
@@ -193,6 +194,30 @@ impl EventKind {
             EventKind::AlertResolved { rule, value } => {
                 format!("alert-resolved: rule {rule:#018x} (value {value:.3})")
             }
+        }
+    }
+}
+
+/// The request an event belongs to, named once: the serving layer that
+/// owns a request builds its `Who` when it takes the request and passes
+/// that copy to every [`Telemetry::record`](crate::Telemetry::record) and
+/// [`Telemetry::span`](crate::Telemetry::span) call. Fleet events (alerts)
+/// use `Who::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Who {
+    pub request_id: u64,
+    /// Plan fingerprint the request resolves to.
+    pub plan_key: u64,
+    /// Device-loss retry attempt (see [`Event::attempt`]).
+    pub attempt: u32,
+}
+
+impl Who {
+    pub fn new(request_id: u64, plan_key: u64, attempt: u32) -> Self {
+        Self {
+            request_id,
+            plan_key,
+            attempt,
         }
     }
 }

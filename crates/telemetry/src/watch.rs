@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::hist::LogHistogram;
 use crate::metrics::{MetricValue, MetricsSnapshot};
-use crate::trace::EventKind;
+use crate::trace::{EventKind, Who};
 use crate::Telemetry;
 
 /// One retained point of a [`SnapshotSeries`].
@@ -452,7 +452,7 @@ impl AlertEngine {
                     value: t.value,
                 }
             };
-            telemetry.record(0, 0, kind, 0.0);
+            telemetry.record(Who::default(), kind, 0.0);
             if telemetry.enabled() {
                 let m = telemetry.metrics();
                 if t.firing {
