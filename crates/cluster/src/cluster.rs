@@ -1335,8 +1335,8 @@ impl SpiderCluster {
             lifecycle.counter("spider_cluster_health_suspect_total", st.health_suspects);
             lifecycle.counter("spider_cluster_health_dead_total", st.health_deaths);
         }
-        // Like a registry counter, a lifecycle counter appears once it has
-        // counted.
+        // A lifecycle counter appears once it has counted, so a quiet
+        // fleet exports only what happened to it.
         lifecycle
             .values
             .retain(|_, v| *v != MetricValue::Counter(0));

@@ -35,8 +35,7 @@
 //! | 580 | `StoreStats` | nothing (leaf) |
 //! | 650 | `BufferPool` | nothing (leaf) |
 //! | 700 | `TraceRing` | nothing (leaf) |
-//! | 720 | `MetricsRegistry` | per-metric series (snapshot reads histograms) |
-//! | 740 | `MetricSeries` | nothing (leaf) |
+//! | 740 | `RuntimeMeters` | nothing (leaf) |
 //! | 760 | `Profiler` | nothing (leaf) |
 //!
 //! Worker threads spawned for execution (a sweep's fan-out through the
@@ -87,11 +86,9 @@ pub enum LockRank {
     BufferPool = 650,
     /// Telemetry trace ring buffer.
     TraceRing = 700,
-    /// Telemetry metrics registry map.
-    MetricsRegistry = 720,
-    /// One metric's histogram series (locked under the registry by
-    /// `snapshot`).
-    MetricSeries = 740,
+    /// `SpiderRuntime`'s request meters (failure and volumetric counts,
+    /// service and simulated-time histograms).
+    RuntimeMeters = 740,
     /// Phase profiler table.
     Profiler = 760,
 }

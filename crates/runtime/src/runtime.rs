@@ -11,6 +11,7 @@ use spider_core::exec::{fan_out, jobs_for, split_jobs, ExecConfig, SpiderExecuto
 use spider_core::exec3d::Spider3DExecutor;
 use spider_core::plan::PlanError;
 use spider_core::pool::{BufferPool, PoolStats};
+use spider_core::sync::{LockRank, OrderedMutex};
 use spider_core::tiling::TilingConfig;
 use spider_gpu_sim::timing::KernelReport;
 use spider_gpu_sim::GpuDevice;
@@ -18,7 +19,7 @@ use spider_stencil::dim3::Grid3D;
 use spider_stencil::fnv::Fnv1a;
 use spider_stencil::{Grid1D, Grid2D};
 use spider_telemetry::{
-    Counter, EventKind, Histogram, MetricsSnapshot, Phase, PhaseStats, ResolveSource, Telemetry,
+    EventKind, LogHistogram, MetricsSnapshot, Phase, PhaseStats, ResolveSource, Telemetry,
     TelemetryConfig, Terminal, Who,
 };
 
@@ -96,34 +97,20 @@ impl Default for RuntimeOptions {
     }
 }
 
-/// Pre-resolved metrics-registry handles for the request hot path.
-/// Resolving a metric by name costs a map lock and a string compare; doing
-/// it once at construction keeps the per-request cost to plain atomic
-/// increments. A disabled runtime gets detached handles (fresh atomics
-/// registered nowhere), so the registry of a telemetry-off runtime stays
-/// empty. Completions and compiles are not here: the profiler folds them
-/// from the trace, and [`SpiderRuntime::metrics_snapshot`] writes its sums.
-#[derive(Debug, Default)]
+/// The request meters only the runtime counts: written where a request
+/// concludes or fails (never when telemetry is disabled) and read by
+/// [`SpiderRuntime::metrics_snapshot`] when it is taken. Completions and
+/// compiles are not here: the profiler folds them from the trace.
+#[derive(Debug, Clone, Copy, Default)]
 struct RuntimeMeters {
-    failed: Counter,
-    volumetric: Counter,
-    service_us: Histogram,
-    sim_exec_us: Histogram,
-}
-
-impl RuntimeMeters {
-    fn new(telemetry: &Telemetry) -> Self {
-        if !telemetry.enabled() {
-            return Self::default();
-        }
-        let m = telemetry.metrics();
-        Self {
-            failed: m.counter("spider_runtime_requests_failed_total"),
-            volumetric: m.counter("spider_runtime_volumetric_completed_total"),
-            service_us: m.histogram("spider_runtime_service_time_us"),
-            sim_exec_us: m.histogram("spider_runtime_sim_exec_us"),
-        }
-    }
+    /// `spider_runtime_requests_failed_total`.
+    failed: u64,
+    /// `spider_runtime_volumetric_completed_total`.
+    volumetric: u64,
+    /// `spider_runtime_service_time_us`.
+    service_us: LogHistogram,
+    /// `spider_runtime_sim_exec_us`.
+    sim_exec_us: LogHistogram,
 }
 
 /// The serving layer: owns one simulated device, a plan cache and an
@@ -141,16 +128,15 @@ pub struct SpiderRuntime {
     /// misses consult the store before compiling, fresh compiles write
     /// through, and [`Self::persist`] snapshots cache + tuner memos.
     store: Option<Arc<PlanStore>>,
-    /// Observability: trace ring, metrics registry and phase profiler.
-    /// `Arc` so the scheduler (and cluster) can share the same sinks.
+    /// Observability: trace ring and phase profiler. `Arc` so the
+    /// scheduler (and cluster) can share the same sinks.
     telemetry: Arc<Telemetry>,
-    meters: RuntimeMeters,
+    meters: OrderedMutex<RuntimeMeters>,
 }
 
 impl SpiderRuntime {
     pub fn new(device: GpuDevice, options: RuntimeOptions) -> Self {
         let telemetry = Arc::new(Telemetry::new(options.telemetry));
-        let meters = RuntimeMeters::new(&telemetry);
         Self {
             cache: PlanCache::new(options.cache_capacity),
             tuner: AutoTuner::with_memo_capacity(
@@ -163,7 +149,11 @@ impl SpiderRuntime {
             pool: BufferPool::new(),
             store: None,
             telemetry,
-            meters,
+            meters: OrderedMutex::new(
+                LockRank::RuntimeMeters,
+                "runtime.meters",
+                RuntimeMeters::default(),
+            ),
         }
     }
 
@@ -339,17 +329,16 @@ impl SpiderRuntime {
         &self.pool
     }
 
-    /// The runtime's telemetry handle: trace ring, metrics registry and
-    /// per-plan phase profiler. Always present; when
-    /// [`RuntimeOptions::telemetry`] disables it, every sink is an inert
-    /// no-op and stays empty.
+    /// The runtime's telemetry handle: trace ring and per-plan phase
+    /// profiler. Always present; when [`RuntimeOptions::telemetry`]
+    /// disables it, every sink is an inert no-op and stays empty.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }
 
-    /// Every metric this runtime exports, read when called: the registry's
-    /// request meters, the completions and compiles the profiler folded
-    /// from the trace, plus the cache, tuner, pool, trace-drop and store
+    /// Every metric this runtime exports, read when called: its request
+    /// meters, the completions and compiles the profiler folded from the
+    /// trace, plus the cache, tuner, pool, trace-drop and store
     /// values read from the structs that own them ([`CacheStats`],
     /// [`PoolStats`], [`StoreStats`]), so the export reconciles exactly
     /// with them at any moment. Empty when telemetry is disabled.
@@ -357,7 +346,15 @@ impl SpiderRuntime {
         if !self.telemetry.enabled() {
             return MetricsSnapshot::default();
         }
-        let mut snap = self.telemetry.metrics().snapshot();
+        let mut snap = MetricsSnapshot::default();
+        let meters = *self.meters.lock();
+        snap.counter("spider_runtime_requests_failed_total", meters.failed);
+        snap.counter(
+            "spider_runtime_volumetric_completed_total",
+            meters.volumetric,
+        );
+        snap.histogram("spider_runtime_service_time_us", meters.service_us);
+        snap.histogram("spider_runtime_sim_exec_us", meters.sim_exec_us);
         let mut folded = PhaseStats::default();
         for plan in self.telemetry.profiler().snapshot() {
             folded.merge(&plan.stats);
@@ -474,12 +471,11 @@ impl SpiderRuntime {
         }
         match verdict {
             Ok(outcome) => {
-                if outcome.volumetric {
-                    self.meters.volumetric.inc();
-                }
-                self.meters.sim_exec_us.record(sim_s * 1e6);
+                let mut meters = self.meters.lock();
+                meters.volumetric += u64::from(outcome.volumetric);
+                meters.sim_exec_us.record(sim_s * 1e6);
             }
-            Err(Terminal::Failed) => self.meters.failed.inc(),
+            Err(Terminal::Failed) => self.meters.lock().failed += 1,
             Err(_) => {}
         }
     }
@@ -488,9 +484,8 @@ impl SpiderRuntime {
     /// error back as its result.
     fn fail(&self, start: Instant, e: RuntimeError) -> RuntimeError {
         if self.telemetry.enabled() {
-            self.meters
-                .service_us
-                .record(start.elapsed().as_secs_f64() * 1e6);
+            let service_us = start.elapsed().as_secs_f64() * 1e6;
+            self.meters.lock().service_us.record(service_us);
         }
         e
     }
@@ -615,9 +610,8 @@ impl SpiderRuntime {
                 };
                 t.record(g.whos[i], execute, report.time_s());
                 if t.enabled() {
-                    self.meters
-                        .service_us
-                        .record(g.start.elapsed().as_secs_f64() * 1e6);
+                    let service_us = g.start.elapsed().as_secs_f64() * 1e6;
+                    self.meters.lock().service_us.record(service_us);
                 }
                 results[i] = Some(Ok(RequestOutcome {
                     id: req.id,
@@ -1073,6 +1067,55 @@ mod tests {
             .iter()
             .any(|e| matches!(e.kind, EventKind::Tune { .. })));
         assert!(timeline.iter().all(|e| e.attempt == 1), "{timeline:?}");
+    }
+
+    /// A solo request records each fact once: a span is its one exit
+    /// event, with no opening event beside it.
+    #[test]
+    fn solo_execute_records_one_event_per_fact() {
+        let rt = runtime();
+        let req = StencilRequest::new_2d(7, StencilKernel::jacobi_2d(), 64, 64);
+        rt.execute(&req).unwrap();
+        let kinds: Vec<EventKind> = rt
+            .telemetry()
+            .trace()
+            .timeline(req.id)
+            .iter()
+            .map(|e| e.kind)
+            .collect();
+        assert!(
+            matches!(
+                kinds.as_slice(),
+                [
+                    EventKind::Admit,
+                    EventKind::SpanExit {
+                        phase: Phase::Resolve,
+                        ..
+                    },
+                    EventKind::PlanResolve {
+                        source: ResolveSource::Compile
+                    },
+                    EventKind::SpanExit {
+                        phase: Phase::Tune,
+                        ..
+                    },
+                    EventKind::Tune { .. },
+                    EventKind::Launch { members: 1, .. },
+                    EventKind::SpanExit {
+                        phase: Phase::Exec,
+                        ..
+                    },
+                    EventKind::Execute {
+                        coalesced: false,
+                        ..
+                    },
+                    EventKind::Complete {
+                        terminal: Terminal::Done
+                    },
+                ]
+            ),
+            "{kinds:?}"
+        );
     }
 
     #[test]

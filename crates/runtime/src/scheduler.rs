@@ -1166,8 +1166,8 @@ impl Drop for SpiderScheduler {
 }
 
 /// Admit a request into the queue (capacity already checked by the
-/// caller): open its ticket and enqueue it. Opens the request's queue
-/// span, which dispatch or [`leave_queue`] closes.
+/// caller): open its ticket and enqueue it. Its queue span starts at
+/// `submitted`; dispatch or [`leave_queue`] records it.
 fn admit(st: &mut State, req: StencilRequest, t: &Telemetry) -> u64 {
     let ticket = open_ticket(st, &req, t);
     let who = st.slots[ticket as usize].who;
@@ -1175,10 +1175,6 @@ fn admit(st: &mut State, req: StencilRequest, t: &Telemetry) -> u64 {
     st.first_submit.get_or_insert(now);
     st.beats += 1;
     t.record(who, EventKind::Queued, 0.0);
-    let queue = EventKind::SpanEnter {
-        phase: Phase::Queue,
-    };
-    t.record(who, queue, 0.0);
     let tenant = req.tenant;
     st.queue.push(
         ticket,
@@ -1236,10 +1232,11 @@ fn finish(st: &mut State, rt: &SpiderRuntime, ticket: u64, verdict: Slot) {
     st.last_terminal = Some(Instant::now());
 }
 
-/// Take a queued ticket that will not run out of the queue: close its
-/// queue span and [`finish`] it with `verdict`. The one exit of a shed
-/// victim, a cancel, a kill and an expiry. Returns the request, or `None`
-/// if the ticket is not queued.
+/// Take a queued ticket that will not run out of the queue: record its
+/// queue span, labelling its plan's profile (it may have no executed
+/// group to do so), and [`finish`] it with `verdict`. The one exit of a
+/// shed victim, a cancel, a kill and an expiry. Returns the request, or
+/// `None` if the ticket is not queued.
 fn leave_queue(
     st: &mut State,
     rt: &SpiderRuntime,
@@ -1248,12 +1245,15 @@ fn leave_queue(
     verdict: Slot,
 ) -> Option<StencilRequest> {
     let QueuedEntry { req, submitted } = st.queue.remove(ticket)?;
+    let (t, who) = (rt.telemetry(), st.slots[ticket as usize].who);
+    if t.enabled() {
+        t.profiler().touch(who.plan_key, &req.scenario());
+    }
     let queue = EventKind::SpanExit {
         phase: Phase::Queue,
         elapsed_s: now.saturating_duration_since(submitted).as_secs_f64(),
     };
-    rt.telemetry()
-        .record(st.slots[ticket as usize].who, queue, 0.0);
+    t.record(who, queue, 0.0);
     finish(st, rt, ticket, verdict);
     Some(req)
 }
@@ -1455,7 +1455,7 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
         ts.max_wait_s = ts.max_wait_s.max(wait);
         ts.wait_hist.record(wait * 1e6);
         ts.served_cost += drr_cost(&entry.req);
-        // Close the queue span opened at admission.
+        // The queue span, from admission to now.
         let queue = EventKind::SpanExit {
             phase: Phase::Queue,
             elapsed_s: wait,
@@ -1851,6 +1851,34 @@ mod tests {
         assert!(report.rates_are_finite());
         assert!(report.render().contains("1 cancelled"));
         assert!(matches!(s.poll(live), RequestStatus::Done(_)));
+    }
+
+    /// A plan whose only request left the queue without running still
+    /// gets its scenario label: `leave_queue` labels the profile its queue
+    /// span folds into.
+    #[test]
+    fn a_plan_whose_requests_only_left_the_queue_is_labelled() {
+        let s = sched(SchedulerOptions {
+            start_paused: true,
+            ..SchedulerOptions::default()
+        });
+        let req = StencilRequest::new_2d(1, StencilKernel::jacobi_2d(), 64, 64);
+        let scenario = req.scenario();
+        let ticket = s.submit(req).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(s.cancel(ticket));
+        let profiler = s.runtime().telemetry().profiler();
+        let profiles = profiler.top(8);
+        assert_eq!(profiles.len(), 1);
+        assert_eq!(profiles[0].label, scenario);
+        assert!(profiles[0].stats.queue_s > 0.0);
+        let table = spider_telemetry::render_top_profiles(&profiles);
+        assert!(table.contains(&scenario), "{table}");
+        let folded = profiler.folded();
+        assert!(
+            folded.starts_with(&format!("{scenario};queue ")),
+            "{folded}"
+        );
     }
 
     #[test]

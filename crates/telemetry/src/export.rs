@@ -9,8 +9,8 @@
 //!
 //! * each [`EventKind::SpanExit`] becomes a `ph:"X"` *complete slice* for
 //!   its phase (`queue`/`resolve`/`tune`/`exec`), reconstructed from the
-//!   exit stamp and the span's own elapsed time — no begin/end pairing
-//!   needed, so a ring that dropped the matching `SpanEnter` still renders;
+//!   exit stamp and the span's own elapsed time — the one event a span
+//!   records, so no begin/end pairing is needed;
 //! * each [`EventKind::Launch`] becomes one slice spanning the *simulated*
 //!   kernel time of the whole coalesced wave — batched waves appear as
 //!   single slices (`wave 3 ×4`), exactly how the executor billed them;

@@ -129,7 +129,7 @@ impl LogHistogram {
     /// snapshots (what the autoscaler and the burn-rate monitors evaluate
     /// instead of lifetime history). Saturating: a cumulative series only
     /// grows, but defensive clamping keeps a never-expected shrink (e.g. a
-    /// registry reset) from panicking.
+    /// restarted owner) from panicking.
     pub fn saturating_delta(&self, earlier: &Self) -> Self {
         let mut out = Self::default();
         for i in 0..Self::BUCKETS {

@@ -1,8 +1,8 @@
 //! # spider-telemetry
 //!
-//! Observability for the SPIDER serving stack: request-lifecycle tracing, a
-//! unified metrics registry and per-plan phase profiling behind one
-//! [`Telemetry`] handle.
+//! Observability for the SPIDER serving stack: request-lifecycle tracing
+//! and per-plan phase profiling behind one [`Telemetry`] handle, plus the
+//! [`MetricsSnapshot`] every layer exports its counts in.
 //!
 //! The serving layers (`spider-runtime`, `spider-cluster`) historically
 //! emitted only end-of-batch aggregates; this crate adds the per-request
@@ -10,30 +10,34 @@
 //! execution semantics — outputs and `PerfCounters` are bit-identical with
 //! telemetry on or off (property-tested in `tests/telemetry_properties.rs`).
 //!
-//! ## The three instruments
+//! ## The two instruments
 //!
 //! * [`TraceLog`] — the record: a bounded ring buffer of structured
 //!   [`Event`]s (`admit → queued → plan-resolve → tune → execute →
 //!   complete`), each stamped with the host wall clock and the simulated
-//!   GPU clock, plus an RAII [`Span`] API that makes phase nesting explicit
-//!   and lets a per-request timeline be reconstructed and rendered. Every
-//!   event names its request once, by a [`Who`].
+//!   GPU clock, plus an RAII [`Span`] API whose one exit event carries the
+//!   phase's duration, so a per-request timeline can be reconstructed and
+//!   rendered. Every event names its request once, by a [`Who`].
 //! * [`PhaseProfiler`] — the trace's fold, per plan_key: [`Telemetry::record`]
 //!   adds each span exit to its phase's time (queue/resolve/tune/exec), each
 //!   fresh compile to the compiles and each done request to the requests and
 //!   simulated time, so the profiler never disagrees with the trace. Store
 //!   bytes and scenario labels are the only values written to it directly.
 //!   It renders a `top plans` table and folded-stack flamegraph export.
-//! * [`MetricsRegistry`] — named counters, gauges and log-scale
-//!   [`LogHistogram`]s (p50/p90/p99), exportable as Prometheus text and
-//!   flat JSON. An export snapshots the registry and writes in the counts
-//!   the serving stack's stats structs (and the profiler) own, read when it
-//!   is taken; per-device [`MetricsSnapshot`]s merge into fleet ones.
+//!
+//! Counts are exported as [`MetricsSnapshot`]s (Prometheus text and flat
+//! JSON, with log-scale [`LogHistogram`]s for p50/p90/p99): each layer's
+//! `metrics_snapshot()` writes in the counts its stats structs, meters and
+//! profiler own, read when it is taken, and
+//! [`AlertEngine::write_metrics`] writes the alert counts; per-device
+//! snapshots merge into fleet ones.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use spider_telemetry::{EventKind, Phase, Telemetry, TelemetryConfig, Terminal, Who};
+//! use spider_telemetry::{
+//!     EventKind, MetricsSnapshot, Phase, Telemetry, TelemetryConfig, Terminal, Who,
+//! };
 //!
 //! let t = Telemetry::new(TelemetryConfig::default());
 //! let who = Who::new(7, 0xabc, 0);
@@ -43,11 +47,13 @@
 //!     // ... do the work ...
 //! } // span exit recorded + exec time attributed to plan 0xabc
 //! t.record(who, EventKind::Complete { terminal: Terminal::Done }, 0.0);
-//! t.metrics().counter("spider_runtime_requests_completed_total").inc();
 //!
 //! let timeline = t.trace().render_timeline(7).unwrap();
 //! assert!(timeline.contains("complete: done"));
-//! assert!(t.metrics().prometheus_text().contains("requests_completed_total 1"));
+//! let done = t.profiler().snapshot()[0].stats.requests;
+//! let mut snap = MetricsSnapshot::default();
+//! snap.counter("spider_runtime_requests_completed_total", done);
+//! assert!(snap.prometheus_text(&[]).contains("requests_completed_total 1"));
 //! ```
 
 pub mod export;
@@ -62,7 +68,7 @@ use std::time::Instant;
 
 pub use export::{chrome_trace_json, validate_json};
 pub use hist::LogHistogram;
-pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricValue, MetricsSnapshot};
 pub use profile::{merge_profiles, render_top_profiles, PhaseProfiler, PhaseStats, PlanProfile};
 pub use trace::{Event, EventKind, Phase, ResolveSource, Terminal, TraceLog, Who};
 pub use watch::{
@@ -74,7 +80,7 @@ pub use watch::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch. Off: every record/span call is a branch and nothing
-    /// else; the registry and trace stay empty.
+    /// else; the trace and profiler stay empty.
     pub enabled: bool,
     /// Trace ring capacity in events (oldest dropped beyond this).
     pub trace_capacity: usize,
@@ -102,14 +108,13 @@ impl TelemetryConfig {
     }
 }
 
-/// The per-runtime observability handle: one trace log, one metrics
-/// registry, one profiler, one wall-clock epoch and a wave-id allocator.
+/// The per-runtime observability handle: one trace log, one profiler, one
+/// wall-clock epoch and a wave-id allocator.
 #[derive(Debug)]
 pub struct Telemetry {
     config: TelemetryConfig,
     epoch: Instant,
     trace: TraceLog,
-    metrics: MetricsRegistry,
     profiler: PhaseProfiler,
     wave_ids: AtomicU64,
 }
@@ -126,13 +131,12 @@ impl Telemetry {
             config,
             epoch: Instant::now(),
             trace: TraceLog::new(config.trace_capacity),
-            metrics: MetricsRegistry::new(),
             profiler: PhaseProfiler::new(),
             wave_ids: AtomicU64::new(0),
         }
     }
 
-    /// A disabled handle (no events, no metrics, no profiles).
+    /// A disabled handle (no events, no profiles).
     pub fn disabled() -> Self {
         Self::new(TelemetryConfig::disabled())
     }
@@ -147,10 +151,6 @@ impl Telemetry {
 
     pub fn trace(&self) -> &TraceLog {
         &self.trace
-    }
-
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     pub fn profiler(&self) -> &PhaseProfiler {
@@ -202,13 +202,12 @@ impl Telemetry {
         }
     }
 
-    /// Open a phase span for `who`. The returned guard records `SpanEnter`
-    /// now and, on [`Span::exit`] or drop, `SpanExit` with the elapsed wall
-    /// time, which [`Self::record`] attributes to the plan's phase. When
-    /// telemetry is disabled the guard records nothing and never reads the
-    /// clock.
+    /// Open a phase span for `who`. The returned guard records one event:
+    /// on [`Span::exit`] or drop, `SpanExit` with the elapsed wall time,
+    /// which [`Self::record`] attributes to the plan's phase. Its stamp
+    /// minus that time is when the span opened. When telemetry is disabled
+    /// the guard records nothing and never reads the clock.
     pub fn span(&self, who: Who, phase: Phase) -> Span<'_> {
-        self.record(who, EventKind::SpanEnter { phase }, 0.0);
         Span {
             telemetry: self,
             who,
@@ -218,9 +217,9 @@ impl Telemetry {
     }
 }
 
-/// RAII phase-span guard; see [`Telemetry::span`]. Exit-on-drop makes
-/// orphan exits impossible by construction — every `SpanEnter` in the trace
-/// has exactly one matching `SpanExit`, even on early-return error paths.
+/// RAII phase-span guard; see [`Telemetry::span`]. Exit-on-drop means every
+/// opened span records exactly one `SpanExit`, even on early-return error
+/// paths.
 #[derive(Debug)]
 pub struct Span<'t> {
     telemetry: &'t Telemetry,
@@ -260,16 +259,15 @@ mod tests {
     }
 
     #[test]
-    fn span_records_enter_exit_and_feeds_profiler() {
+    fn span_records_one_exit_and_feeds_profiler() {
         let t = Telemetry::default();
         {
             let _span = t.span(Who::new(5, 0xbeef, 0), Phase::Tune);
         }
         let events = t.trace().timeline(5);
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, EventKind::SpanEnter { phase: Phase::Tune });
+        assert_eq!(events.len(), 1);
         assert!(matches!(
-            events[1].kind,
+            events[0].kind,
             EventKind::SpanExit {
                 phase: Phase::Tune,
                 ..
@@ -286,8 +284,8 @@ mod tests {
         let t = Telemetry::default();
         let span = t.span(Who::new(9, 1, 0), Phase::Resolve);
         span.exit();
-        // Exactly one enter + one exit — drop after exit must not double-record.
-        assert_eq!(t.trace().timeline(9).len(), 2);
+        // Exactly one exit — drop after exit must not double-record.
+        assert_eq!(t.trace().timeline(9).len(), 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Named metrics registry: counters, gauges and log-scale histograms.
+//! Metric snapshots: the one unit every layer exports its counts in.
 //!
 //! Naming convention (Prometheus-flavoured, linted by `spider-guard` at
 //! every `counter(…)`/`gauge(…)`/`histogram(…)` call with a literal name):
@@ -12,110 +12,21 @@
 //!   collapse sub-second latencies into bucket 0);
 //! * instantaneous values are gauges with a bare unit suffix.
 //!
-//! Every exported number has one owner. The registry owns what is counted
-//! at the event: the runtime's request meters and the watch engine's alert
-//! counters. The cache, pool, store, queue and cluster counts live in their
-//! stats structs, and an export reads them when it is taken: the
-//! `metrics_snapshot()` of a runtime, scheduler or cluster takes
-//! [`MetricsRegistry::snapshot`] and writes those values in through the
-//! [`MetricsSnapshot::counter`]/[`gauge`](MetricsSnapshot::gauge)/
+//! Every exported number has one owner, and an export reads it when it is
+//! taken: the runtime's request meters, the profiler's folds of the trace,
+//! the cache, pool, store, queue and cluster stats structs, and the alert
+//! engine's transition counts. The `metrics_snapshot()` of a runtime,
+//! scheduler or cluster (and [`AlertEngine::write_metrics`]) writes those
+//! values into a [`MetricsSnapshot`] through its
+//! [`counter`](MetricsSnapshot::counter)/[`gauge`](MetricsSnapshot::gauge)/
 //! [`histogram`](MetricsSnapshot::histogram) writers. Nothing is copied
-//! between the two, so an export is never stale.
+//! between owners, so an export is never stale.
 //!
-//! Handles returned by [`MetricsRegistry::counter`]/[`gauge`]/[`histogram`]
-//! are cheap `Arc` clones meant to be resolved **once** and hit from the
-//! request path without touching the registry map again.
-//!
-//! [`gauge`]: MetricsRegistry::gauge
-//! [`histogram`]: MetricsRegistry::histogram
+//! [`AlertEngine::write_metrics`]: crate::AlertEngine::write_metrics
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use spider_core::sync::{LockRank, OrderedMutex};
 
 use crate::hist::LogHistogram;
-
-/// Monotone unsigned counter.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Add 1.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Instantaneous f64 value (stored as bits in an atomic).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Overwrite the value.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-/// Shared handle to a [`LogHistogram`].
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<OrderedMutex<LogHistogram>>);
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self(Arc::new(OrderedMutex::new(
-            LockRank::MetricSeries,
-            "metrics.series",
-            LogHistogram::default(),
-        )))
-    }
-}
-
-impl Histogram {
-    /// Record one value (microseconds for `_us`-named metrics).
-    pub fn record(&self, v: f64) {
-        self.0.lock().record(v);
-    }
-
-    /// Copy out the current distribution.
-    pub fn get(&self) -> LogHistogram {
-        *self.0.lock()
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Stored {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-impl Stored {
-    fn kind(&self) -> &'static str {
-        match self {
-            Stored::Counter(_) => "counter",
-            Stored::Gauge(_) => "gauge",
-            Stored::Histogram(_) => "histogram",
-        }
-    }
-}
 
 /// Point-in-time value of one metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,94 +36,9 @@ pub enum MetricValue {
     Histogram(LogHistogram),
 }
 
-/// Registry of named metrics. `BTreeMap` keeps every export deterministic.
-#[derive(Debug)]
-pub struct MetricsRegistry {
-    metrics: OrderedMutex<BTreeMap<String, Stored>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self {
-            metrics: OrderedMutex::new(
-                LockRank::MetricsRegistry,
-                "metrics.registry",
-                BTreeMap::new(),
-            ),
-        }
-    }
-}
-
-impl MetricsRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn resolve(&self, name: &str, make: impl FnOnce() -> Stored) -> Stored {
-        let mut map = self.metrics.lock();
-        map.entry(name.to_string()).or_insert_with(make).clone()
-    }
-
-    /// Get or register the counter `name`.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric kind — that is
-    /// a naming bug, not a runtime condition.
-    pub fn counter(&self, name: &str) -> Counter {
-        match self.resolve(name, || Stored::Counter(Counter::default())) {
-            Stored::Counter(c) => c,
-            other => panic!("metric '{name}' is a {}, not a counter", other.kind()),
-        }
-    }
-
-    /// Get or register the gauge `name` (panics on kind mismatch).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        match self.resolve(name, || Stored::Gauge(Gauge::default())) {
-            Stored::Gauge(g) => g,
-            other => panic!("metric '{name}' is a {}, not a gauge", other.kind()),
-        }
-    }
-
-    /// Get or register the histogram `name` (panics on kind mismatch).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        match self.resolve(name, || Stored::Histogram(Histogram::default())) {
-            Stored::Histogram(h) => h,
-            other => panic!("metric '{name}' is a {}, not a histogram", other.kind()),
-        }
-    }
-
-    /// Point-in-time copy of every registered metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        // Reads each histogram's series lock (rank 740) under the registry
-        // lock (rank 720) — the one sanctioned registry→series nesting.
-        let map = self.metrics.lock();
-        let values = map
-            .iter()
-            .map(|(name, stored)| {
-                let v = match stored {
-                    Stored::Counter(c) => MetricValue::Counter(c.get()),
-                    Stored::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Stored::Histogram(h) => MetricValue::Histogram(h.get()),
-                };
-                (name.clone(), v)
-            })
-            .collect();
-        MetricsSnapshot { values }
-    }
-
-    /// Prometheus text exposition of a fresh snapshot, no extra labels.
-    pub fn prometheus_text(&self) -> String {
-        self.snapshot().prometheus_text(&[])
-    }
-
-    /// Flat JSON export of a fresh snapshot.
-    pub fn json(&self) -> String {
-        self.snapshot().json()
-    }
-}
-
-/// Immutable, mergeable copy of a registry's contents — the unit of fleet
-/// aggregation (`SpiderCluster` merges one per device).
+/// Named metric values, in name order so every export is deterministic;
+/// mergeable — the unit of fleet aggregation (`SpiderCluster` merges one
+/// per device).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub values: BTreeMap<String, MetricValue>,
@@ -225,7 +51,7 @@ impl MetricsSnapshot {
     }
 
     /// Write the counter `name`, replacing any value it held — how an
-    /// export adds a count its stats struct owns.
+    /// export adds a count its owner keeps.
     pub fn counter(&mut self, name: &str, v: u64) {
         self.values
             .insert(name.to_string(), MetricValue::Counter(v));
@@ -384,39 +210,30 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
-    #[test]
-    fn handles_are_shared_and_cheap() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("spider_test_total");
-        let b = reg.counter("spider_test_total");
-        a.inc();
-        b.add(2);
-        assert_eq!(reg.counter("spider_test_total").get(), 3);
-
-        let g = reg.gauge("spider_test_depth");
-        g.set(4.5);
-        assert_eq!(reg.gauge("spider_test_depth").get(), 4.5);
-
-        let h = reg.histogram("spider_test_us");
-        h.record(100.0);
-        assert_eq!(reg.histogram("spider_test_us").get().count(), 1);
+    fn hist(values: &[f64]) -> LogHistogram {
+        let mut h = LogHistogram::default();
+        for &v in values {
+            h.record(v);
+        }
+        h
     }
 
     #[test]
-    #[should_panic(expected = "not a gauge")]
+    #[should_panic(expected = "changed kind")]
     fn kind_mismatch_panics() {
-        let reg = MetricsRegistry::new();
-        reg.counter("spider_test_total");
-        reg.gauge("spider_test_total");
+        let mut a = MetricsSnapshot::default();
+        a.counter("spider_test_total", 1);
+        let mut b = MetricsSnapshot::default();
+        b.gauge("spider_test_total", 1.0);
+        a.merge(&b);
     }
 
     #[test]
     fn snapshot_is_deterministic_and_complete() {
-        let reg = MetricsRegistry::new();
-        reg.counter("spider_b_total").add(2);
-        reg.gauge("spider_a_gauge").set(1.0);
-        reg.histogram("spider_c_us").record(3.0);
-        let snap = reg.snapshot();
+        let mut snap = MetricsSnapshot::default();
+        snap.counter("spider_b_total", 2);
+        snap.histogram("spider_c_us", hist(&[3.0]));
+        snap.gauge("spider_a_gauge", 1.0);
         let names: Vec<&String> = snap.values.keys().collect();
         assert_eq!(names, ["spider_a_gauge", "spider_b_total", "spider_c_us"]);
         assert_eq!(snap.counter_value("spider_b_total"), 2);
@@ -427,33 +244,29 @@ mod tests {
 
     #[test]
     fn snapshot_writers_insert_and_overwrite() {
-        let reg = MetricsRegistry::new();
-        reg.counter("spider_a_total").add(1);
-        let mut snap = reg.snapshot();
+        let mut snap = MetricsSnapshot::default();
+        snap.counter("spider_a_total", 1);
         snap.counter("spider_a_total", 7);
         snap.gauge("spider_b_depth", 2.5);
-        let mut h = LogHistogram::default();
-        h.record(3.0);
+        let h = hist(&[3.0]);
         snap.histogram("spider_c_us", h);
         assert_eq!(snap.counter_value("spider_a_total"), 7, "overwritten");
         assert_eq!(snap.gauge_value("spider_b_depth"), 2.5);
         assert_eq!(snap.histogram_value("spider_c_us"), Some(h));
-        assert_eq!(reg.counter("spider_a_total").get(), 1, "registry untouched");
     }
 
     #[test]
     fn merge_adds_counters_gauges_and_histograms() {
-        let a = MetricsRegistry::new();
-        a.counter("spider_x_total").add(1);
-        a.histogram("spider_t_us").record(10.0);
-        let b = MetricsRegistry::new();
-        b.counter("spider_x_total").add(2);
-        b.counter("spider_y_total").add(5);
-        b.gauge("spider_d_gauge").set(2.0);
-        b.histogram("spider_t_us").record(20.0);
+        let mut merged = MetricsSnapshot::default();
+        merged.counter("spider_x_total", 1);
+        merged.histogram("spider_t_us", hist(&[10.0]));
+        let mut b = MetricsSnapshot::default();
+        b.counter("spider_x_total", 2);
+        b.counter("spider_y_total", 5);
+        b.gauge("spider_d_gauge", 2.0);
+        b.histogram("spider_t_us", hist(&[20.0]));
 
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
+        merged.merge(&b);
         assert_eq!(merged.counter_value("spider_x_total"), 3);
         assert_eq!(merged.counter_value("spider_y_total"), 5);
         assert_eq!(merged.gauge_value("spider_d_gauge"), 2.0);
@@ -462,10 +275,10 @@ mod tests {
 
     #[test]
     fn prometheus_text_format() {
-        let reg = MetricsRegistry::new();
-        reg.counter("spider_req_total").add(7);
-        reg.histogram("spider_wait_us").record(3.0);
-        let text = reg.snapshot().prometheus_text(&[("device", "sim0")]);
+        let mut snap = MetricsSnapshot::default();
+        snap.counter("spider_req_total", 7);
+        snap.histogram("spider_wait_us", hist(&[3.0]));
+        let text = snap.prometheus_text(&[("device", "sim0")]);
         assert!(text.contains("# TYPE spider_req_total counter"), "{text}");
         assert!(
             text.contains("spider_req_total{device=\"sim0\"} 7"),
@@ -488,16 +301,16 @@ mod tests {
         );
 
         // Unlabeled export has no brace block.
-        let plain = reg.prometheus_text();
+        let plain = snap.prometheus_text(&[]);
         assert!(plain.contains("spider_req_total 7"), "{plain}");
     }
 
     #[test]
     fn json_is_flat_and_expands_histograms() {
-        let reg = MetricsRegistry::new();
-        reg.counter("spider_req_total").add(7);
-        reg.histogram("spider_wait_us").record(100.0);
-        let json = reg.json();
+        let mut snap = MetricsSnapshot::default();
+        snap.counter("spider_req_total", 7);
+        snap.histogram("spider_wait_us", hist(&[100.0]));
+        let json = snap.json();
         assert!(json.contains("\"spider_req_total\": 7"), "{json}");
         assert!(json.contains("\"spider_wait_us_count\": 1"), "{json}");
         assert!(json.contains("\"spider_wait_us_p99\":"), "{json}");

@@ -10,7 +10,7 @@
 //! here for it. Exports:
 //!
 //! * [`PhaseProfiler::top`] — the heaviest plans, for the `top plans`
-//!   table in drain reports;
+//!   table in drain reports ([`render_top_profiles`]);
 //! * [`PhaseProfiler::folded`] — folded-stack lines
 //!   (`scenario;phase <µs>`) consumable by standard flamegraph tooling.
 
@@ -193,12 +193,6 @@ impl PhaseProfiler {
         }
         out
     }
-
-    /// Fixed-width `top plans` table for drain reports; empty string when
-    /// nothing was profiled.
-    pub fn render_top(&self, n: usize) -> String {
-        render_top_profiles(&self.top(n))
-    }
 }
 
 /// Heaviest-first, plan-key tiebreak (shared by profiler and fleet merges).
@@ -361,11 +355,11 @@ mod tests {
 
     #[test]
     fn render_top_is_empty_for_no_profiles() {
-        assert_eq!(PhaseProfiler::new().render_top(5), "");
+        assert_eq!(render_top_profiles(&PhaseProfiler::new().top(5)), "");
         let prof = PhaseProfiler::new();
         prof.touch(0xdead, "Box-2D1R@64x64");
         prof.add_phase(0xdead, Phase::Exec, 1e-3);
-        let table = prof.render_top(5);
+        let table = render_top_profiles(&prof.top(5));
         assert!(table.contains("top plans by wall time:"), "{table}");
         assert!(table.contains("0x000000000000dead"), "{table}");
         assert!(table.contains("Box-2D1R@64x64"), "{table}");

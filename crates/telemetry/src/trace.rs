@@ -8,8 +8,9 @@
 //!       → complete{done|failed|expired|shed|cancelled}
 //! ```
 //!
-//! interleaved with `span-enter`/`span-exit` pairs from the [`Span`] API so
-//! phase nesting is explicit. Events carry both the host wall clock
+//! interleaved with one `span-exit` per closed [`Span`], which carries the
+//! phase's wall duration, so the span covers `[wall_s − elapsed_s, wall_s]`
+//! and needs no opening event. Events carry both the host wall clock
 //! (seconds since the owning `Telemetry`'s epoch) and the simulated GPU
 //! clock where one exists (`Execute`/`Launch` events carry the simulated
 //! kernel time; other events stamp 0).
@@ -133,9 +134,8 @@ pub enum EventKind {
     },
     /// Lifecycle ended.
     Complete { terminal: Terminal },
-    /// A [`Span`](crate::Span) opened for `phase`.
-    SpanEnter { phase: Phase },
-    /// The matching span closed; `elapsed_s` is its wall duration.
+    /// A [`Span`](crate::Span) for `phase` closed; `elapsed_s` is its wall
+    /// duration, so it opened at `wall_s − elapsed_s`.
     SpanExit { phase: Phase, elapsed_s: f64 },
     /// An alert rule transitioned to *firing* (`rule` is the stable FNV
     /// hash of the rule name — see `watch::alert_rule_id` — and `value`
@@ -184,7 +184,6 @@ impl EventKind {
                 }
             }
             EventKind::Complete { terminal } => format!("complete: {terminal}"),
-            EventKind::SpanEnter { phase } => format!("\u{25b6} {phase}"),
             EventKind::SpanExit { phase, elapsed_s } => {
                 format!("\u{25c0} {phase} ({:.3}ms)", elapsed_s * 1e3)
             }
@@ -322,9 +321,10 @@ impl TraceLog {
     }
 
     /// Render one request's timeline: per-event wall-clock offsets from its
-    /// first resident event, span nesting as indentation, simulated-clock
-    /// stamps where present. Returns `None` when no events survive for the
-    /// request (never admitted, or its events were dropped).
+    /// first resident event, each span at its exit with its duration,
+    /// simulated-clock stamps where present. Returns `None` when no events
+    /// survive for the request (never admitted, or its events were
+    /// dropped).
     pub fn render_timeline(&self, request_id: u64) -> Option<String> {
         let events = self.timeline(request_id);
         let first = events.first()?;
@@ -342,7 +342,6 @@ impl TraceLog {
         // loss retries — single-life requests render exactly as before.
         let multi_attempt = events.iter().any(|e| e.attempt > 0);
         let mut current_attempt: Option<u32> = None;
-        let mut depth: usize = 0;
         for e in &events {
             if multi_attempt && current_attempt != Some(e.attempt) {
                 current_attempt = Some(e.attempt);
@@ -350,25 +349,17 @@ impl TraceLog {
                     "  \u{2500}\u{2500} attempt {} \u{2500}\u{2500}\n",
                     e.attempt
                 ));
-                depth = 0;
             }
-            if matches!(e.kind, EventKind::SpanExit { .. }) {
-                depth = depth.saturating_sub(1);
-            }
-            let indent = "  ".repeat(depth);
             let sim = if e.sim_s > 0.0 {
                 format!("  [sim {:.3}\u{b5}s]", e.sim_s * 1e6)
             } else {
                 String::new()
             };
             out.push_str(&format!(
-                "  +{:>9.3}ms  {indent}{}{sim}\n",
+                "  +{:>9.3}ms  {}{sim}\n",
                 (e.wall_s - t0) * 1e3,
                 e.kind.describe()
             ));
-            if matches!(e.kind, EventKind::SpanEnter { .. }) {
-                depth += 1;
-            }
         }
         Some(out)
     }
@@ -437,10 +428,9 @@ mod tests {
     }
 
     #[test]
-    fn render_shows_nesting_and_descriptions() {
+    fn render_shows_descriptions_and_sim_stamps() {
         let log = TraceLog::new(16);
         log.push(ev(7, EventKind::Admit));
-        log.push(ev(7, EventKind::SpanEnter { phase: Phase::Exec }));
         let mut e = ev(
             7,
             EventKind::Execute {
@@ -466,10 +456,9 @@ mod tests {
         ));
         let text = log.render_timeline(7).unwrap();
         assert!(text.contains("request 7 timeline"), "{text}");
-        assert!(text.contains("\u{25b6} exec"), "{text}");
-        // The execute line is indented under the span and carries sim time.
+        // The execute line carries sim time.
         assert!(
-            text.contains("  execute: wave 3, coalesced, share 0.250  [sim 12.500\u{b5}s]"),
+            text.contains("ms  execute: wave 3, coalesced, share 0.250  [sim 12.500\u{b5}s]"),
             "{text}"
         );
         assert!(text.contains("\u{25c0} exec (1.000ms)"), "{text}");

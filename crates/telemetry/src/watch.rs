@@ -2,7 +2,7 @@
 //! burn-rate monitors, and heartbeat health detection.
 //!
 //! The instruments in the sibling modules are *passive* — rings and
-//! registries you inspect after the fact. This module closes the loop and
+//! snapshots you inspect after the fact. This module closes the loop and
 //! lets the system notice things while serving:
 //!
 //! * [`SnapshotSeries`] — a bounded ring of periodic [`MetricsSnapshot`]s
@@ -15,7 +15,8 @@
 //!   and multi-window SLO **burn rates** over latency histograms. Firing
 //!   and resolving are explicit transitions, recordable as structured
 //!   [`EventKind::AlertFired`]/[`EventKind::AlertResolved`] events in the
-//!   trace ring and as `spider_watch_*` metrics.
+//!   trace ring; the engine counts them and exports the `spider_watch_*`
+//!   metrics ([`AlertEngine::write_metrics`]).
 //! * [`HealthMonitor`] — missed-heartbeat shard classification
 //!   (`Healthy → Suspect → Dead`). Shards stamp a monotone progress beat;
 //!   an explicit [`HealthMonitor::tick`] (no background threads — the
@@ -45,20 +46,19 @@ pub struct SeriesPoint {
     pub snapshot: MetricsSnapshot,
 }
 
-/// A bounded ring of periodic registry snapshots — the metric time-series
+/// A bounded ring of periodic metric snapshots — the metric time-series
 /// behind the alert engine and the autoscaler.
 ///
-/// Retention is by count: at `capacity` points the oldest is evicted
-/// (and counted), exactly like the trace ring. Ticks are the series' own
-/// monotone clock, assigned per `record` call; callers that sample on a
-/// timer get a wall-clock series, callers that sample per batch get a
-/// batch series — the windows work either way.
+/// Retention is by count: at `capacity` points the oldest is evicted,
+/// like the trace ring. Ticks are the series' own monotone clock,
+/// assigned per `record` call; callers that sample on a timer get a
+/// wall-clock series, callers that sample per batch get a batch series —
+/// the windows work either way.
 #[derive(Debug)]
 pub struct SnapshotSeries {
     points: VecDeque<SeriesPoint>,
     capacity: usize,
     next_tick: u64,
-    evicted: u64,
 }
 
 impl SnapshotSeries {
@@ -69,7 +69,6 @@ impl SnapshotSeries {
             points: VecDeque::new(),
             capacity: capacity.max(2),
             next_tick: 0,
-            evicted: 0,
         }
     }
 
@@ -87,18 +86,12 @@ impl SnapshotSeries {
         self.points.is_empty()
     }
 
-    /// Points evicted oldest-first because the ring was full.
-    pub fn evicted_points(&self) -> u64 {
-        self.evicted
-    }
-
     /// Append one snapshot; assigns and returns its tick.
     pub fn record(&mut self, snapshot: MetricsSnapshot) -> u64 {
         let tick = self.next_tick;
         self.next_tick += 1;
         if self.points.len() == self.capacity {
             self.points.pop_front();
-            self.evicted += 1;
         }
         self.points.push_back(SeriesPoint { tick, snapshot });
         tick
@@ -107,11 +100,6 @@ impl SnapshotSeries {
     /// The most recent point.
     pub fn latest(&self) -> Option<&SeriesPoint> {
         self.points.back()
-    }
-
-    /// The oldest retained tick.
-    pub fn oldest_tick(&self) -> Option<u64> {
-        self.points.front().map(|p| p.tick)
     }
 
     /// The retained point at exactly `tick`, if it has not been evicted.
@@ -252,7 +240,7 @@ pub struct AlertRule {
     /// Rule name — the label transitions carry; hash with
     /// [`alert_rule_id`] to match trace events back to rules.
     pub name: String,
-    /// The registry series the rule watches.
+    /// The exported metric the rule watches.
     pub metric: String,
     pub kind: AlertKind,
 }
@@ -373,18 +361,23 @@ pub struct AlertTransition {
 /// Deterministic rule engine over a [`SnapshotSeries`]: evaluate all rules
 /// against the latest window state and report the *edges* (level-triggered
 /// rules, edge-triggered reporting — re-evaluating a still-firing rule
-/// yields no new transition).
+/// yields no new transition). The engine counts its own transitions and
+/// exports them with [`Self::write_metrics`].
 #[derive(Debug, Default)]
 pub struct AlertEngine {
     rules: Vec<AlertRule>,
     firing: BTreeMap<String, bool>,
+    /// Ok → firing transitions so far.
+    fired: u64,
+    /// Firing → resolved transitions so far.
+    resolved: u64,
 }
 
 impl AlertEngine {
     pub fn new(rules: Vec<AlertRule>) -> Self {
         Self {
             rules,
-            firing: BTreeMap::new(),
+            ..Self::default()
         }
     }
 
@@ -416,6 +409,11 @@ impl AlertEngine {
             let was = self.firing.get(&rule.name).copied().unwrap_or(false);
             if now != was {
                 self.firing.insert(rule.name.clone(), now);
+                *if now {
+                    &mut self.fired
+                } else {
+                    &mut self.resolved
+                } += 1;
                 out.push(AlertTransition {
                     rule: rule.name.clone(),
                     rule_id: rule.id(),
@@ -430,10 +428,7 @@ impl AlertEngine {
 
     /// [`Self::evaluate`], then record each transition as a structured
     /// event in `telemetry`'s trace ring (`request_id` 0 — alerts belong
-    /// to the fleet, not one request) and reconcile the `spider_watch_*`
-    /// metrics in its registry:
-    /// `spider_watch_alerts_fired_total` / `_resolved_total` counters and
-    /// the `spider_watch_alerts_firing` gauge.
+    /// to the fleet, not one request).
     pub fn evaluate_recorded(
         &mut self,
         series: &SnapshotSeries,
@@ -453,22 +448,18 @@ impl AlertEngine {
                 }
             };
             telemetry.record(Who::default(), kind, 0.0);
-            if telemetry.enabled() {
-                let m = telemetry.metrics();
-                if t.firing {
-                    m.counter("spider_watch_alerts_fired_total").inc();
-                } else {
-                    m.counter("spider_watch_alerts_resolved_total").inc();
-                }
-            }
-        }
-        if telemetry.enabled() {
-            telemetry
-                .metrics()
-                .gauge("spider_watch_alerts_firing")
-                .set(self.firing().len() as f64);
         }
         transitions
+    }
+
+    /// Write the engine's metrics into `snap`, read when called:
+    /// `spider_watch_alerts_fired_total` / `_resolved_total` (transitions
+    /// so far) and the `spider_watch_alerts_firing` gauge.
+    pub fn write_metrics(&self, snap: &mut MetricsSnapshot) {
+        snap.counter("spider_watch_alerts_fired_total", self.fired);
+        snap.counter("spider_watch_alerts_resolved_total", self.resolved);
+        let firing = self.firing.values().filter(|&&f| f).count();
+        snap.gauge("spider_watch_alerts_firing", firing as f64);
     }
 }
 
@@ -665,12 +656,17 @@ impl HealthMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
 
     fn snap_with_counter(name: &str, v: u64) -> MetricsSnapshot {
-        let r = MetricsRegistry::new();
-        r.counter(name).add(v);
-        r.snapshot()
+        let mut snap = MetricsSnapshot::default();
+        snap.counter(name, v);
+        snap
+    }
+
+    fn snap_with_gauge(name: &str, v: f64) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::default();
+        snap.gauge(name, v);
+        snap
     }
 
     #[test]
@@ -680,26 +676,29 @@ mod tests {
             assert_eq!(s.record(snap_with_counter("spider_x_total", i)), i);
         }
         assert_eq!(s.len(), 3);
-        assert_eq!(s.evicted_points(), 2);
-        assert_eq!(s.oldest_tick(), Some(2));
         assert_eq!(s.latest().unwrap().tick, 4);
+        // Ticks 0 and 1 were evicted, oldest first; 2..=4 remain.
+        assert!(s.at(0).is_none());
         assert!(s.at(1).is_none());
-        assert!(s.at(3).is_some());
+        assert!((2..=4).all(|tick| s.at(tick).is_some()));
     }
 
     #[test]
     fn window_deltas_counters_and_histograms_and_keeps_gauges() {
         let mut s = SnapshotSeries::new(8);
-        let r = MetricsRegistry::new();
-        r.counter("spider_c_total").add(10);
-        r.gauge("spider_watch_depth").set(3.0);
-        r.histogram("spider_wait_us").record(100.0);
-        s.record(r.snapshot());
-        r.counter("spider_c_total").add(15);
-        r.gauge("spider_watch_depth").set(7.0);
-        r.histogram("spider_wait_us").record(400.0);
-        r.histogram("spider_wait_us").record(900.0);
-        s.record(r.snapshot());
+        let mut snap = MetricsSnapshot::default();
+        let mut wait = LogHistogram::default();
+        snap.counter("spider_c_total", 10);
+        snap.gauge("spider_watch_depth", 3.0);
+        wait.record(100.0);
+        snap.histogram("spider_wait_us", wait);
+        s.record(snap.clone());
+        snap.counter("spider_c_total", 25);
+        snap.gauge("spider_watch_depth", 7.0);
+        wait.record(400.0);
+        wait.record(900.0);
+        snap.histogram("spider_wait_us", wait);
+        s.record(snap);
 
         let w = s.window(0).unwrap();
         assert_eq!((w.from_tick, w.to_tick), (0, 1));
@@ -734,11 +733,7 @@ mod tests {
             "spider_watch_depth",
             5.0,
         )]);
-        let gauge = |v: f64| {
-            let r = MetricsRegistry::new();
-            r.gauge("spider_watch_depth").set(v);
-            r.snapshot()
-        };
+        let gauge = |v: f64| snap_with_gauge("spider_watch_depth", v);
         s.record(gauge(3.0));
         assert!(e.evaluate(&s).is_empty());
         s.record(gauge(9.0));
@@ -786,20 +781,24 @@ mod tests {
         let rule = AlertRule::burn_rate("victim-slo", "spider_wait_us", slo, 2.0, 4, 1);
         let mut s = SnapshotSeries::new(16);
         let mut e = AlertEngine::new(vec![rule]);
-        let r = MetricsRegistry::new();
-        let h = r.histogram("spider_wait_us");
+        let mut h = LogHistogram::default();
+        let snap = |h: LogHistogram| {
+            let mut snap = MetricsSnapshot::default();
+            snap.histogram("spider_wait_us", h);
+            snap
+        };
         // Tick 0: clean traffic.
         for _ in 0..10 {
             h.record(10.0);
         }
-        s.record(r.snapshot());
+        s.record(snap(h));
         assert!(e.evaluate(&s).is_empty());
         // Ticks 1-2: every request blows the threshold → burn 10× budget.
         for tick in 0..2 {
             for _ in 0..10 {
                 h.record(1000.0);
             }
-            s.record(r.snapshot());
+            s.record(snap(h));
             let t = e.evaluate(&s);
             if tick == 0 {
                 assert_eq!(t.len(), 1, "fires on the first bad window");
@@ -813,7 +812,7 @@ mod tests {
         for _ in 0..10 {
             h.record(10.0);
         }
-        s.record(r.snapshot());
+        s.record(snap(h));
         let t = e.evaluate(&s);
         assert_eq!(t.len(), 1);
         assert!(!t[0].firing);
@@ -824,11 +823,7 @@ mod tests {
         let telemetry = Telemetry::default();
         let mut s = SnapshotSeries::new(4);
         let mut e = AlertEngine::new(vec![AlertRule::threshold("hot", "spider_watch_load", 1.0)]);
-        let gauge = |v: f64| {
-            let r = MetricsRegistry::new();
-            r.gauge("spider_watch_load").set(v);
-            r.snapshot()
-        };
+        let gauge = |v: f64| snap_with_gauge("spider_watch_load", v);
         s.record(gauge(5.0));
         e.evaluate_recorded(&s, &telemetry);
         s.record(gauge(0.0));
@@ -841,7 +836,8 @@ mod tests {
         assert!(events
             .iter()
             .any(|ev| matches!(ev.kind, EventKind::AlertResolved { rule: r, .. } if r == rule)));
-        let m = telemetry.metrics().snapshot();
+        let mut m = MetricsSnapshot::default();
+        e.write_metrics(&mut m);
         assert_eq!(m.counter_value("spider_watch_alerts_fired_total"), 1);
         assert_eq!(m.counter_value("spider_watch_alerts_resolved_total"), 1);
         assert_eq!(m.gauge_value("spider_watch_alerts_firing"), 0.0);

@@ -90,9 +90,9 @@ fn bad_metric_name_fixture_is_caught_per_problem() {
 
 #[test]
 fn bad_snapshot_writer_names_are_caught() {
-    // Exports write struct-owned values through `MetricsSnapshot`'s
-    // `counter`/`histogram` writers; those names are linted like registry
-    // handles.
+    // Exports write owned values through `MetricsSnapshot`'s
+    // `counter`/`histogram` writers; those names are linted like any other
+    // metric call.
     let src = fixture("bad_snapshot_metric_name.rs");
     let vs = lint_source("crates/runtime/src/fixture.rs", &src, &cfg());
     let tokens: Vec<&str> = vs

@@ -1,5 +1,5 @@
 //! Property tests for the telemetry layer: every admitted request reaches
-//! exactly one terminal trace event, spans nest without orphan exits, the
+//! exactly one terminal trace event, its spans nest inside its lifetime, the
 //! bounded trace ring drops oldest-first while counting what it dropped,
 //! and — the invariant everything else rests on — telemetry being on or off
 //! never changes a single output bit or perf counter.
@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use spider::prelude::*;
-use spider::telemetry::{Event, EventKind, Phase, Terminal, TraceLog};
+use spider::telemetry::{Event, EventKind, Terminal, TraceLog};
 
 fn kernel_for(which: u8) -> StencilKernel {
     match which % 4 {
@@ -85,8 +85,10 @@ proptest! {
 
     /// Through the async scheduler — including cancellations and shed
     /// arrivals — every ticket's request id still gets exactly one terminal
-    /// event, and spans nest: every `SpanExit` matches the innermost open
-    /// `SpanEnter` of the same request, and nothing stays open at drain.
+    /// event, and spans nest: each `SpanExit`'s interval
+    /// `[wall_s − elapsed_s, wall_s]` lies between the request's first
+    /// event and its terminal event, and no two of a request's spans
+    /// partly overlap (1 µs tolerance for the stamps' rounding).
     #[test]
     fn scheduler_traces_terminate_once_and_spans_nest(
         picks in prop::collection::vec((0u8..4, 0u8..8), 1..10),
@@ -121,21 +123,41 @@ proptest! {
                 1,
                 "request {} terminal count", req.id
             );
-            // Span nesting: a stack walk in seq order.
-            let mut open: Vec<Phase> = Vec::new();
-            for e in stream {
-                match e.kind {
-                    EventKind::SpanEnter { phase } => open.push(phase),
-                    EventKind::SpanExit { phase, .. } => {
-                        prop_assert_eq!(
-                            open.pop(), Some(phase),
-                            "orphan span exit on request {}", req.id
-                        );
-                    }
-                    _ => {}
+            // Span nesting: every span inside the request's lifetime, and
+            // any two spans either disjoint or one inside the other.
+            const TOL_S: f64 = 1e-6;
+            let first = stream[0].wall_s;
+            let terminal = stream
+                .iter()
+                .find(|e| e.kind.terminal().is_some())
+                .map(|e| e.wall_s)
+                .unwrap();
+            let spans: Vec<(f64, f64)> = stream
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::SpanExit { elapsed_s, .. } => Some((e.wall_s - elapsed_s, e.wall_s)),
+                    _ => None,
+                })
+                .collect();
+            for &(start, end) in &spans {
+                prop_assert!(
+                    start >= first - TOL_S && end <= terminal + TOL_S,
+                    "request {} span [{}, {}] outside its lifetime [{}, {}]",
+                    req.id, start, end, first, terminal
+                );
+            }
+            for (i, &(a0, a1)) in spans.iter().enumerate() {
+                for &(b0, b1) in &spans[i + 1..] {
+                    let disjoint = a1 <= b0 + TOL_S || b1 <= a0 + TOL_S;
+                    let nested = (a0 >= b0 - TOL_S && a1 <= b1 + TOL_S)
+                        || (b0 >= a0 - TOL_S && b1 <= a1 + TOL_S);
+                    prop_assert!(
+                        disjoint || nested,
+                        "request {} spans [{}, {}] and [{}, {}] partly overlap",
+                        req.id, a0, a1, b0, b1
+                    );
                 }
             }
-            prop_assert!(open.is_empty(), "request {} left spans open: {:?}", req.id, open);
             // The rendered timeline exists and names the terminal verdict.
             let rendered = sched.timeline(*ticket).expect("telemetry on: timeline renders");
             prop_assert!(rendered.contains("complete:"));
@@ -206,7 +228,6 @@ proptest! {
         // The off runtime observed nothing.
         prop_assert!(!off.telemetry().enabled());
         prop_assert!(off.telemetry().trace().is_empty());
-        prop_assert!(off.telemetry().metrics().snapshot().values.is_empty());
         prop_assert!(off.metrics_snapshot().values.is_empty());
         prop_assert!(off.telemetry().profiler().snapshot().is_empty());
         prop_assert!(report_off.profile.is_empty());

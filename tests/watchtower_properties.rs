@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use spider::prelude::*;
-use spider::telemetry::{validate_json, EventKind};
+use spider::telemetry::{validate_json, EventKind, MetricsSnapshot};
 
 /// Paused start, no aging: queues build deterministically and
 /// nothing dispatches until the harness says so.
@@ -345,7 +345,8 @@ fn tenant_burn_rate_alert_fires_and_resolves() {
             .count(),
         1
     );
-    let snap = telemetry.metrics().snapshot();
+    let mut snap = MetricsSnapshot::default();
+    engine.write_metrics(&mut snap);
     assert_eq!(snap.counter_value("spider_watch_alerts_fired_total"), 1);
     assert_eq!(snap.counter_value("spider_watch_alerts_resolved_total"), 1);
     assert_eq!(snap.gauge_value("spider_watch_alerts_firing"), 0.0);
