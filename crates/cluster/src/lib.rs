@@ -19,7 +19,7 @@
 //!      │              │              │              │
 //!      └──────┬───────┴──────┬───────┴──────────────┘
 //!             ▼              ▼
-//!       work stealing   shared PlanStore (plans + per-spec tuner memos)
+//!       work stealing   shared PlanStore (per-spec tuner memos)
 //!       (cancel → requeue on the least-loaded device)
 //! ```
 //!
@@ -36,10 +36,10 @@
 //!    guarantees no started work is touched) and resubmitting them to the
 //!    least-loaded shard. A moved request executes exactly once.
 //! 3. **Persistent warm starts.** With a shared
-//!    [`spider_runtime::PlanStore`], compiles write through to disk and
-//!    tuner memos persist per spec fingerprint, so a restarted (or
-//!    scaled-out) cluster serves its first batch with loaded plans and
-//!    memoized tilings instead of compiles and dry-runs.
+//!    [`spider_runtime::PlanStore`], tuner memos persist per spec
+//!    fingerprint, so a restarted (or scaled-out) cluster serves its first
+//!    batch with memoized tilings instead of dry-runs. Its plans compile,
+//!    which costs less than loading them from disk would.
 //!
 //! Execution inside each device is exactly the single-runtime path, so a
 //! sharded cluster is bit-identical to one runtime serving the same

@@ -40,7 +40,7 @@ pub struct DeviceReport {
     /// Requests the router originally assigned to this device (before any
     /// work stealing moved them).
     pub routed: u64,
-    /// Plan-cache counters, including [`CacheStats::store_hits`].
+    /// Plan-cache counters.
     pub cache: CacheStats,
     /// Plan-store traffic (zeros when the cluster has no store).
     pub store: StoreStats,
@@ -221,8 +221,8 @@ impl ClusterReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<10} {:>7} {:>7} {:>6} {:>9} {:>11} {:>11} {:>12}\n",
-            "device", "routed", "done", "fail", "hit rate", "store hits", "sim busy", "GStencil/s"
+            "{:<10} {:>7} {:>7} {:>6} {:>9} {:>11} {:>12}\n",
+            "device", "routed", "done", "fail", "hit rate", "sim busy", "GStencil/s"
         ));
         for (d, gone) in self
             .devices
@@ -231,13 +231,12 @@ impl ClusterReport {
             .chain(self.departed.iter().map(|d| (d, true)))
         {
             out.push_str(&format!(
-                "{:<10} {:>7} {:>7} {:>6} {:>8.0}% {:>11} {:>9.1}us {:>12.2}{}\n",
+                "{:<10} {:>7} {:>7} {:>6} {:>8.0}% {:>9.1}us {:>12.2}{}\n",
                 d.name,
                 d.routed,
                 d.report.outcomes.len(),
                 d.report.failures.len(),
                 d.cache.hit_rate() * 100.0,
-                d.cache.store_hits,
                 d.report.simulated_busy_s() * 1e6,
                 d.report.simulated_gstencils_per_sec(),
                 if gone { "  (departed)" } else { "" },

@@ -22,7 +22,7 @@ use spider_stencil::dim3::{Grid3D, Kernel3D};
 use spider_stencil::BoundaryCondition;
 
 /// Compiled 3D plan: one 2D plan per non-zero kernel slice, plus the source
-/// kernel for identity (fingerprinting, store validation, serialization).
+/// kernel for identity (fingerprinting).
 #[derive(Debug, Clone)]
 pub struct Spider3DPlan {
     kernel: Kernel3D,
@@ -43,18 +43,11 @@ impl Spider3DPlan {
         if slices.is_empty() {
             return Err(PlanError::EmptyKernel);
         }
-        Ok(Self::from_parts(kernel.clone(), slices))
-    }
-
-    /// Reassemble a plan from already-compiled slices — the deserialization
-    /// entry point ([`Self::from_bytes`]); never runs the compile pipeline.
-    pub(crate) fn from_parts(kernel: Kernel3D, slices: Vec<(isize, SpiderPlan)>) -> Self {
-        debug_assert!(!slices.is_empty(), "from_parts requires at least one slice");
-        Self {
+        Ok(Self {
+            kernel: kernel.clone(),
             radius: kernel.radius(),
-            kernel,
             slices,
-        }
+        })
     }
 
     /// The source 3D kernel this plan was compiled from.

@@ -44,7 +44,6 @@ pub mod plan;
 pub mod pool;
 pub mod row_swap;
 pub mod schedule;
-pub mod serial;
 pub mod swap;
 pub mod sync;
 pub mod tiling;
@@ -53,7 +52,6 @@ pub use exec::{BatchFeedback, ExecConfig, ExecMode, SpiderExecutor};
 pub use plan::SpiderPlan;
 pub use pool::{BufferPool, PoolStats};
 pub use row_swap::RowSwapStrategy;
-pub use serial::SerialError;
 pub use swap::SwapParity;
 pub use sync::{LockRank, OrderedMutex, OrderedRwLock};
 pub use tiling::TilingConfig;

@@ -141,36 +141,21 @@ impl SpiderPlan {
         if units.is_empty() {
             return Err(PlanError::EmptyKernel);
         }
-        Ok(Self::from_parts(kernel.clone(), units, parity))
-    }
-
-    /// Assemble a plan from its compiled units, recomputing the derived
-    /// tables (swap permutation, gather offsets, the sparse tap schedule).
-    /// Shared by
-    /// [`Self::compile_with_parity`] and the on-disk deserializer in
-    /// [`crate::serial`] — the derived tables are pure arithmetic over
-    /// `(parity, units)`, so they are never stored, only re-derived.
-    pub(crate) fn from_parts(
-        kernel: StencilKernel,
-        units: Vec<PlanUnit>,
-        parity: SwapParity,
-    ) -> Self {
-        debug_assert!(!units.is_empty(), "from_parts requires at least one unit");
         let perm: [usize; K_PAD] = std::array::from_fn(|j| swap_perm(j, M_TILE, parity));
         let gathers: Vec<UnitGather> = units
             .iter()
             .map(|u| UnitGather::compile(&perm, u.dy, u.radius))
             .collect();
         let schedule = TapSchedule::sparse(&units, &gathers);
-        Self {
-            kernel,
+        Ok(Self {
+            kernel: kernel.clone(),
             units,
             parity,
             perm,
             gathers,
             schedule,
             dense_schedule: OnceLock::new(),
-        }
+        })
     }
 
     pub fn kernel(&self) -> &StencilKernel {

@@ -23,14 +23,18 @@
 //!
 //! ## The free-list bound
 //!
-//! A take that finds no free buffer large enough drops the largest free one
-//! (too small, by definition) before it allocates. So a miss only adds to
-//! the buffers in existence when none is free, and the pool never holds
-//! more buffers than were ever taken at once. A served request holds at
-//! most two at a time — its input and its scratch (a volume and its
-//! `next`), three on the 3D emulated path — so a runtime's free list holds
-//! at most two buffers per job of its widest wave, each no larger than the
-//! largest grid it served: the largest wave's live bytes. The bound is
+//! The pool tracks its high-water length: the largest `len` any take has
+//! asked for. A take that finds no free buffer large enough drops the
+//! largest free one (too small, by definition) and allocates room for the
+//! high-water length, and [`BufferPool::put`] drops any buffer shorter than
+//! it. So a miss only adds to the buffers in existence when none is free,
+//! the pool never holds more buffers than were ever taken at once, and
+//! once the largest grid has been served every buffer fits every take: a
+//! warm pool misses only when more buffers are out at once than ever were.
+//! A served request holds at most two at a time — its input and its
+//! scratch (a volume and its `next`), three on the 3D emulated path — so a
+//! runtime's free list holds at most two buffers per job of its widest
+//! wave, each no larger than the largest grid it served. The bound is
 //! derived, not configured; there is no capacity knob.
 //!
 //! Concurrency tradeoff: one global `Mutex` over a capacity-sorted free
@@ -40,7 +44,7 @@
 //! the runtime's job counts. If profiles ever disagree, per-size-class
 //! freelists are the next step — behind the same API.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::sync::{LockRank, OrderedMutex};
@@ -60,6 +64,9 @@ struct PoolInner {
     /// binary search instead of a linear scan under the lock (`take` runs
     /// once per simulated block on the hot path).
     free: OrderedMutex<Vec<Vec<f32>>>,
+    /// The largest `len` any take has asked for (see the module docs on
+    /// the free-list bound).
+    high_water: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -68,6 +75,7 @@ impl Default for PoolInner {
     fn default() -> Self {
         Self {
             free: OrderedMutex::new(LockRank::BufferPool, "pool.free", Vec::new()),
+            high_water: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -77,9 +85,11 @@ impl Default for PoolInner {
 impl PoolInner {
     /// Pop the smallest free buffer whose capacity is at least `len` (best
     /// fit); `None` when nothing fits, after dropping the largest free
-    /// buffer, so the caller's fresh allocation replaces it (see the module
-    /// docs on the free-list bound). Counts the hit/miss.
+    /// buffer, so the caller's [`Self::fresh`] buffer replaces it (see the
+    /// module docs on the free-list bound). Raises the high-water length to
+    /// `len` and counts the hit/miss.
     fn reuse(&self, len: usize) -> Option<Vec<f32>> {
+        self.high_water.fetch_max(len, Ordering::Relaxed);
         let (reused, outgrown) = {
             let mut free = self.free.lock();
             let idx = free.partition_point(|b| b.capacity() < len);
@@ -94,6 +104,14 @@ impl PoolInner {
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         reused
+    }
+
+    /// A zero-filled buffer of `len` elements with room for the high-water
+    /// length, so it fits every take the pool has seen.
+    fn fresh(&self, len: usize) -> Vec<f32> {
+        let mut buf = vec![0.0; self.high_water.load(Ordering::Relaxed).max(len)];
+        buf.truncate(len);
+        buf
     }
 }
 
@@ -120,7 +138,7 @@ impl BufferPool {
                 buf.resize(len, 0.0);
                 buf
             }
-            None => vec![0.0; len],
+            None => self.inner.fresh(len),
         }
     }
 
@@ -134,7 +152,7 @@ impl BufferPool {
                 buf.resize(len, 0.0);
                 buf
             }
-            None => vec![0.0; len],
+            None => self.inner.fresh(len),
         }
     }
 
@@ -161,10 +179,11 @@ impl BufferPool {
         buf
     }
 
-    /// Return a buffer to the pool for reuse. Zero-capacity buffers are
-    /// dropped (nothing to recycle).
+    /// Return a buffer to the pool for reuse. Buffers shorter than the
+    /// high-water length are dropped (see the module docs on the free-list
+    /// bound), and so are zero-capacity ones (nothing to recycle).
     pub fn put(&self, buf: Vec<f32>) {
-        if buf.capacity() == 0 {
+        if buf.capacity() == 0 || buf.capacity() < self.inner.high_water.load(Ordering::Relaxed) {
             return;
         }
         let mut free = self.inner.free.lock();
@@ -275,6 +294,25 @@ mod tests {
             pool.put(b);
         }
         assert_eq!(pool.stats().misses, 8, "warm: every size hits");
+        assert_eq!(pool.free_buffers(), 2);
+    }
+
+    /// Buffers sized for a smaller grid are replaced as soon as a larger
+    /// one is served, not one at a time whenever a later wave first needs
+    /// more large buffers at once than exist.
+    #[test]
+    fn a_pool_that_served_its_largest_grid_fits_every_take() {
+        let pool = BufferPool::new();
+        pool.put(pool.take(10));
+        pool.put(pool.take(1000));
+        let (a, b) = (pool.take(10), pool.take(10));
+        pool.put(a);
+        pool.put(b);
+        let misses = pool.stats().misses;
+        let (a, b) = (pool.take(1000), pool.take(1000));
+        assert_eq!(pool.stats().misses, misses, "both large takes hit");
+        pool.put(a);
+        pool.put(b);
         assert_eq!(pool.free_buffers(), 2);
     }
 

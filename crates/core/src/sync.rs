@@ -29,9 +29,8 @@
 //! | 400 | `SchedulerState` | trace ring, profiler (dispatch accounting) |
 //! | 500 | `PlanCache` | nothing — compiles run outside the lock (PR 5) |
 //! | 520 | `TunerMemo` | memo slots (`export_memos` try-locks) |
-//! | 540 | `TunerSlot` | buffer pool (dry runs execute under the slot) |
+//! | 540 | `TunerSlot` | nothing (dry runs only charge counters, through `estimate_*`) |
 //! | 560 | `StoreMemoWrite` | store stats |
-//! | 570 | `StoreGc` | store stats |
 //! | 580 | `StoreStats` | nothing (leaf) |
 //! | 650 | `BufferPool` | nothing (leaf) |
 //! | 700 | `TraceRing` | nothing (leaf) |
@@ -69,8 +68,8 @@ pub enum LockRank {
     /// `SpiderScheduler` queue state; telemetry (trace/profiler) is recorded
     /// while it is held.
     SchedulerState = 400,
-    /// `PlanCache` map. Compiles and store loads run *outside* this lock —
-    /// the PR 5 bug class the lint's lock-discipline rule now patrols.
+    /// `PlanCache` map. Compiles run *outside* this lock — holding it
+    /// across one is the bug class the lint's lock-discipline rule patrols.
     PlanCache = 500,
     /// `AutoTuner` memo table.
     TunerMemo = 520,
@@ -78,8 +77,6 @@ pub enum LockRank {
     TunerSlot = 540,
     /// `PlanStore` memo-save serialization lock.
     StoreMemoWrite = 560,
-    /// `PlanStore` GC single-pass lock.
-    StoreGc = 570,
     /// `PlanStore` counters.
     StoreStats = 580,
     /// `BufferPool` free list.

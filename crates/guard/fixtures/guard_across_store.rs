@@ -1,31 +1,27 @@
 //! Seeded-bad fixture: lock guards held across plan-store calls.
 //! Linted by tests/guard_properties.rs; excluded from workspace scans.
 
-/// A cache miss served from the store with the cache lock held.
-fn load_under_lock(cache: &Cache, store: &PlanStore, key: u64) -> Option<CachedPlan> {
-    let mut inner = cache.inner.lock();
-    let (plan, _) = store.load_plan(key)?; // BAD: `inner` live here
-    inner.insert(key, plan.clone());
-    Some(plan)
+/// A warm start's memo import with the tuner lock held.
+fn load_under_lock(tuner: &Tuner, store: &PlanStore, spec_key: u64) {
+    let mut memo = tuner.memo.lock();
+    let memos = store.load_memos(spec_key); // BAD: `memo` live here
+    memo.import(memos);
 }
 
-/// A write-through with the cache lock held.
-fn save_under_lock(cache: &Cache, store: &PlanStore, key: u64, plan: &CachedPlan) {
-    let inner = cache.inner.lock();
-    let _ = store.save_plan(key, plan); // BAD: `inner` live here
-    inner.note_saved(key);
+/// A persist with the tuner lock held.
+fn save_under_lock(tuner: &Tuner, store: &PlanStore, spec_key: u64) {
+    let memo = tuner.memo.lock();
+    let _ = store.save_memos(spec_key, &memo.export()); // BAD: `memo` live here
+    memo.note_saved();
 }
 
 /// Clean shape: the guard's block ends before the store is touched.
-fn clean(cache: &Cache, store: &PlanStore, key: u64) -> Option<CachedPlan> {
-    let hit = {
-        let inner = cache.inner.lock();
-        inner.get(key)
+fn clean(tuner: &Tuner, store: &PlanStore, spec_key: u64) {
+    let memos = {
+        let memo = tuner.memo.lock();
+        memo.export()
     };
-    if hit.is_some() {
-        return hit;
-    }
-    let (plan, _) = store.load_plan(key)?; // fine: no guard live
-    let _ = store.save_plan(key, &plan); // fine
-    Some(plan)
+    let _ = store.save_memos(spec_key, &memos); // fine: no guard live
+    let loaded = store.load_memos(spec_key); // fine
+    tuner.import(loaded);
 }

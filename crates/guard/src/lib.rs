@@ -6,7 +6,7 @@
 //! rules ([`rules`]):
 //!
 //! * **lock-discipline** — no lock guard live across an expensive call
-//!   (`compile*`, `load_plan*`, `save_*`, `submit`/`try_submit`,
+//!   (`compile*`, `load_memos`, `save_*`, `submit`/`try_submit`,
 //!   `steal`/`rebalance`, `fail_device`): the PR 5 plan-cache-held-across-
 //!   compile bug class.
 //! * **metric-naming** — literals passed to `counter()`/`gauge()`/

@@ -55,7 +55,7 @@ const GUARD_METHODS: &[&str] = &[
 /// is the PR 5 bug class (prefix entries end in `*`).
 const EXPENSIVE_CALLS: &[&str] = &[
     "compile*",
-    "load_plan*",
+    "load_memos",
     "save_*",
     "try_submit",
     "submit",

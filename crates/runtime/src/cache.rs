@@ -12,16 +12,15 @@
 //!
 //! ## Lock scope
 //!
-//! Compilation and store loads run **outside** the cache mutex. The lock
-//! guards only the map lookups and the statistics, so a slow compile (or a
-//! disk read) for one key never blocks concurrent hits or distinct-key
-//! misses. Two threads missing the *same* key may both compile; the
-//! double-checked re-insert makes the first writer win — the loser drops
-//! its plan and returns the winner's `Arc`, so exactly one insertion (and
-//! one write-through) happens per key. An earlier revision held the lock
-//! across compile+load, which serialized the whole runtime behind any one
-//! slow resolution; `slow_resolves_do_not_block_unrelated_lookups` pins
-//! the fix.
+//! Compilation runs **outside** the cache mutex. The lock guards only the
+//! map lookups and the statistics, so a slow compile for one key never
+//! blocks concurrent hits or distinct-key misses. Two threads missing the
+//! *same* key may both compile; the double-checked re-insert makes the
+//! first writer win — the loser drops its plan and returns the winner's
+//! `Arc`, so exactly one insertion happens per key. An earlier revision
+//! held the lock across the compile, which serialized the whole runtime
+//! behind any one slow resolution;
+//! `slow_resolves_do_not_block_unrelated_lookups` pins the fix.
 //!
 //! ## Tenancy
 //!
@@ -65,14 +64,6 @@ impl CachedPlan {
         })
     }
 
-    /// Stable content fingerprint of the underlying plan.
-    pub fn fingerprint(&self) -> u64 {
-        match self {
-            CachedPlan::Planar(p) => p.fingerprint(),
-            CachedPlan::Volumetric(p) => p.fingerprint(),
-        }
-    }
-
     /// Tap-schedule steps per output of one sweep under `mode` (every
     /// slice's, for a volume): a sweep's step-points are its outputs times
     /// this.
@@ -102,16 +93,6 @@ impl CachedPlan {
             CachedPlan::Volumetric(p) => Some(p),
         }
     }
-
-    /// Whether this plan was compiled from exactly `kernel` — the
-    /// filename ↔ content binding check the store-load path uses.
-    pub fn matches_kernel(&self, kernel: &RequestKernel) -> bool {
-        match (self, kernel) {
-            (CachedPlan::Planar(p), RequestKernel::Planar(k)) => p.kernel() == k,
-            (CachedPlan::Volumetric(p), RequestKernel::Volumetric(k)) => p.kernel() == k,
-            _ => false,
-        }
-    }
 }
 
 /// Monotonic counters describing cache behaviour since construction.
@@ -121,12 +102,6 @@ pub struct CacheStats {
     pub misses: u64,
     pub insertions: u64,
     pub evictions: u64,
-    /// Misses satisfied by deserializing a persisted plan (via the loader
-    /// hook of [`PlanCache::get_or_compile_for_tenant`]) instead of
-    /// compiling. Always ≤ `misses`; `misses - store_hits` bounds the
-    /// number of compilations (a lost same-key race can compile a plan
-    /// that is then discarded, never inserted).
-    pub store_hits: u64,
 }
 
 impl CacheStats {
@@ -288,62 +263,55 @@ impl PlanCache {
         key: u64,
         kernel: &RequestKernel,
     ) -> Result<(CachedPlan, bool), PlanError> {
-        self.get_or_compile_for_tenant(key, kernel, TenantId::ANONYMOUS, None)
-            .map(|(plan, hit, _)| (plan, hit))
+        self.get_or_compile_for_tenant(key, kernel, TenantId::ANONYMOUS)
     }
 
-    /// Look up `key` for `tenant`, with an optional second-level lookup: on
-    /// a memory miss, `loader` (typically a [`crate::PlanStore`] read) is
-    /// consulted before compiling. A loaded plan is inserted and counted as
-    /// a `store_hit`; only when the loader also comes up empty does the
-    /// kernel compile. An inserted entry is owned by `tenant` for eviction
-    /// accounting — `tenant`'s cap forces it to evict its own LRU, and
-    /// victim selection skips entries whose owner is at or below its
-    /// reserve.
+    /// Look up `key` for `tenant`, compiling `kernel` on a miss. Returns the
+    /// shared plan and whether the lookup was a hit. An inserted entry is
+    /// owned by `tenant` for eviction accounting — `tenant`'s cap forces it
+    /// to evict its own LRU, and victim selection skips entries whose owner
+    /// is at or below its reserve.
     ///
-    /// Returns `(plan, memory_hit, compiled)` — `compiled` is `true` exactly
-    /// when this call inserted a freshly compiled plan, which is the
-    /// caller's cue to write it through to the store.
-    ///
-    /// The loader and the compiler both run with the cache **unlocked**;
-    /// concurrent same-key misses resolve the key independently and the
-    /// first writer's plan wins (one insertion, losers adopt it and report
-    /// `compiled = false`).
-    #[allow(clippy::type_complexity)]
+    /// The compile runs with the cache **unlocked**; concurrent same-key
+    /// misses compile independently and the first writer's plan wins (one
+    /// insertion, losers adopt it).
     pub fn get_or_compile_for_tenant(
         &self,
         key: u64,
         kernel: &RequestKernel,
         tenant: TenantId,
-        loader: Option<&dyn Fn(u64) -> Option<CachedPlan>>,
-    ) -> Result<(CachedPlan, bool, bool), PlanError> {
+    ) -> Result<(CachedPlan, bool), PlanError> {
+        self.get_or_resolve(key, tenant, || CachedPlan::compile(kernel))
+    }
+
+    /// [`Self::get_or_compile_for_tenant`] with the miss path's resolver
+    /// passed in, so a test can hold a resolve open.
+    fn get_or_resolve(
+        &self,
+        key: u64,
+        tenant: TenantId,
+        resolve: impl FnOnce() -> Result<CachedPlan, PlanError>,
+    ) -> Result<(CachedPlan, bool), PlanError> {
         {
             let mut inner = self.inner.lock();
             if let Some(entry) = inner.map.get(&key) {
                 let plan = entry.plan.clone();
                 inner.touch(key);
                 inner.stats.hits += 1;
-                return Ok((plan, true, false));
+                return Ok((plan, true));
             }
             inner.stats.misses += 1;
         }
-        // Resolve outside the lock: neither a slow disk load nor a compile
-        // may stall unrelated lookups.
-        let (plan, loaded) = match loader.and_then(|load| load(key)) {
-            Some(loaded) => (loaded, true),
-            None => (CachedPlan::compile(kernel)?, false),
-        };
+        // Resolve outside the lock: a compile may not stall unrelated
+        // lookups.
+        let plan = resolve()?;
         let mut inner = self.inner.lock();
         if inner.map.contains_key(&key) {
             // Another thread resolved the same key while we were unlocked:
-            // first writer wins. Adopt its plan (ours is dropped), report
-            // no fresh compile so the caller does not double write-through.
+            // first writer wins. Adopt its plan (ours is dropped).
             let winner = inner.map.get(&key).expect("present").plan.clone(); // guard: losing the insert race means the winner is present
             inner.touch(key);
-            return Ok((winner, false, false));
-        }
-        if loaded {
-            inner.stats.store_hits += 1;
+            return Ok((winner, false));
         }
         // A tenant at its cap makes room from its *own* entries first, so
         // its churn never pressures the rest of the fleet.
@@ -375,18 +343,7 @@ impl PlanCache {
         inner.recency.insert(tick, key);
         *inner.owned.entry(tenant).or_insert(0) += 1;
         inner.stats.insertions += 1;
-        Ok((plan, false, !loaded))
-    }
-
-    /// Snapshot of every cached `(key, plan)` pair, in no particular order —
-    /// the iteration [`crate::SpiderRuntime::persist`] writes to the store.
-    pub fn entries(&self) -> Vec<(u64, CachedPlan)> {
-        let inner = self.inner.lock();
-        inner
-            .map
-            .iter()
-            .map(|(&k, e)| (k, e.plan.clone()))
-            .collect()
+        Ok((plan, false))
     }
 
     /// Peek without compiling or recording a hit/miss (test/introspection).
@@ -455,8 +412,6 @@ mod tests {
         let (a, hit) = cache.get_or_compile(k3.fingerprint(), &k3).unwrap();
         assert!(!hit);
         assert!(a.volumetric().is_some() && a.planar().is_none());
-        assert!(a.matches_kernel(&k3));
-        assert!(!a.matches_kernel(&kernel(7)));
         let (b, hit) = cache.get_or_compile(k3.fingerprint(), &k3).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(
@@ -506,38 +461,8 @@ mod tests {
         assert_eq!(cache.stats().insertions, 0);
     }
 
-    #[test]
-    fn loader_satisfies_misses_without_compiling() {
-        let cache = PlanCache::new(4);
-        let k = kernel(3);
-        let persisted = CachedPlan::compile(&k).unwrap();
-        let loader = |_key: u64| Some(persisted.clone());
-        let (plan, hit, compiled) = cache
-            .get_or_compile_for_tenant(k.fingerprint(), &k, TenantId::ANONYMOUS, Some(&loader))
-            .unwrap();
-        assert!(!hit && !compiled, "miss served by the loader");
-        assert_eq!(plan.fingerprint(), persisted.fingerprint());
-        assert_eq!(cache.stats().store_hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-        // Second lookup is a plain memory hit; the loader is not consulted.
-        let never = |_key: u64| -> Option<CachedPlan> { panic!("hit must not load") };
-        let (_, hit, compiled) = cache
-            .get_or_compile_for_tenant(k.fingerprint(), &k, TenantId::ANONYMOUS, Some(&never))
-            .unwrap();
-        assert!(hit && !compiled);
-        // A key the loader misses compiles (and reports it).
-        let k2 = kernel(4);
-        let empty = |_key: u64| -> Option<CachedPlan> { None };
-        let (_, hit, compiled) = cache
-            .get_or_compile_for_tenant(k2.fingerprint(), &k2, TenantId::ANONYMOUS, Some(&empty))
-            .unwrap();
-        assert!(!hit && compiled);
-        assert_eq!(cache.stats().store_hits, 1);
-        assert_eq!(cache.entries().len(), 2);
-    }
-
-    /// Regression for the lock-scope bug: with a resolver (loader/compile)
-    /// parked mid-flight for key A, hits and misses on *other* keys must
+    /// Regression for the lock-scope bug: with a resolve parked mid-flight
+    /// for key A, hits and misses on *other* keys must
     /// proceed. Under the old hold-the-lock-across-compile behaviour this
     /// test deadlocks.
     #[test]
@@ -554,18 +479,13 @@ mod tests {
             let cache = Arc::clone(&cache);
             let ka = ka.clone();
             std::thread::spawn(move || {
-                let loader = |_k: u64| -> Option<CachedPlan> {
+                let resolve = || {
                     entered_tx.send(()).unwrap();
                     release_rx.recv().unwrap(); // park inside the resolver
-                    None
+                    CachedPlan::compile(&ka)
                 };
                 cache
-                    .get_or_compile_for_tenant(
-                        ka.fingerprint(),
-                        &ka,
-                        TenantId::ANONYMOUS,
-                        Some(&loader),
-                    )
+                    .get_or_resolve(ka.fingerprint(), TenantId::ANONYMOUS, resolve)
                     .unwrap()
             })
         };
@@ -577,8 +497,8 @@ mod tests {
         let (_, hit) = cache.get_or_compile(kc.fingerprint(), &kc).unwrap();
         assert!(!hit, "unrelated miss must not wait either");
         release_tx.send(()).unwrap();
-        let (_, hit, compiled) = slow.join().unwrap();
-        assert!(!hit && compiled, "the slow resolve still lands its compile");
+        let (_, hit) = slow.join().unwrap();
+        assert!(!hit, "the slow resolve still lands its compile");
         assert_eq!(cache.stats().insertions, 3);
     }
 
@@ -632,7 +552,7 @@ mod tests {
     fn insert_for(cache: &PlanCache, seed: u64, tenant: TenantId) -> u64 {
         let k = kernel(seed);
         cache
-            .get_or_compile_for_tenant(k.fingerprint(), &k, tenant, None)
+            .get_or_compile_for_tenant(k.fingerprint(), &k, tenant)
             .unwrap();
         k.fingerprint()
     }

@@ -125,5 +125,5 @@ pub use scheduler::{
     BackpressurePolicy, FailureReason, KillReport, RequestStatus, SchedulerOptions,
     SpiderScheduler, Submit, SubmitError, TenantConfig, Ticket, DONE_RETENTION,
 };
-pub use store::{PersistedMemo, PlanStore, StoreGcPolicy, StoreStats};
+pub use store::{PersistedMemo, PlanStore, StoreStats};
 pub use tuner::{AutoTuner, TuneOutcome};

@@ -25,7 +25,7 @@ use spider_telemetry::{
 
 use crate::cache::{CacheStats, CachedPlan, PlanCache};
 use crate::report::{RequestOutcome, RuntimeReport};
-use crate::request::{GridSpec, RequestKernel, StencilRequest, TenantId};
+use crate::request::{GridSpec, StencilRequest, TenantId};
 use crate::scheduler::drr_cost;
 use crate::store::{PersistedMemo, PlanStore, StoreStats};
 use crate::tuner::AutoTuner;
@@ -124,9 +124,8 @@ pub struct SpiderRuntime {
     /// runtime configures, so ping-pong grids and 3D plane scratch are
     /// recycled *across requests* — a warm runtime stops allocating.
     pool: BufferPool,
-    /// Optional durable plan + memo storage. When attached, plan-cache
-    /// misses consult the store before compiling, fresh compiles write
-    /// through, and [`Self::persist`] snapshots cache + tuner memos.
+    /// Optional durable tuner-memo storage: memos are imported at
+    /// construction and written back by [`Self::persist`].
     store: Option<Arc<PlanStore>>,
     /// Observability: trace ring and phase profiler. `Arc` so the
     /// scheduler (and cluster) can share the same sinks.
@@ -162,12 +161,12 @@ impl SpiderRuntime {
         Self::new(device, RuntimeOptions::default())
     }
 
-    /// A runtime backed by a durable [`PlanStore`]: plan-cache misses
-    /// consult the store before compiling (a store hit deserializes and
-    /// never runs the pipeline), compiles write through, and tuner memos
-    /// persisted by a previous process for this device's spec fingerprint
-    /// are imported immediately — the warm-start path a restarted or
-    /// scaled-out fleet takes.
+    /// A runtime backed by a durable [`PlanStore`]: tuner memos persisted by
+    /// a previous process for this device's spec fingerprint are imported
+    /// immediately, so every persisted scenario tunes without a dry-run —
+    /// the warm-start path a restarted or scaled-out fleet takes. Plans are
+    /// not persisted: a cache miss compiles, which costs less than reading
+    /// a compiled plan back from disk would.
     pub fn with_store(device: GpuDevice, options: RuntimeOptions, store: Arc<PlanStore>) -> Self {
         let mut rt = Self::new(device, options);
         let spec_key = rt.device.specs().fingerprint();
@@ -191,18 +190,13 @@ impl SpiderRuntime {
         self.store.as_ref().map(|s| s.stats()).unwrap_or_default()
     }
 
-    /// Snapshot every cached plan and every settled tuner memo into the
-    /// attached store. Returns the number of plans written, or 0 when no
-    /// store is attached. Write errors are returned — persistence is an
-    /// explicit operation, unlike the best-effort write-through on compile.
+    /// Write every settled tuner memo into the attached store. Returns the
+    /// number of memos written, or 0 when no store is attached. Write
+    /// errors are returned.
     pub fn persist(&self) -> std::io::Result<usize> {
         let Some(store) = &self.store else {
             return Ok(0);
         };
-        let entries = self.cache.entries();
-        for (key, plan) in &entries {
-            store.save_plan(*key, plan)?;
-        }
         let memos: Vec<PersistedMemo> = self
             .tuner
             .export_memos()
@@ -214,7 +208,7 @@ impl SpiderRuntime {
             })
             .collect();
         store.save_memos(self.device.specs().fingerprint(), &memos)?;
-        Ok(entries.len())
+        Ok(memos.len())
     }
 
     /// Register (or replace) `tenant`'s plan-cache policy: a `reserve`
@@ -229,68 +223,6 @@ impl SpiderRuntime {
     /// Plan-cache entries currently owned by each tenant.
     pub fn tenant_cache_footprint(&self) -> Vec<(TenantId, usize)> {
         self.cache.tenant_footprint()
-    }
-
-    /// Resolve a plan (planar or volumetric): memory cache, then the
-    /// attached store, then compile (writing the fresh plan through to the
-    /// store). Returns the plan, whether the *memory* lookup hit — store
-    /// hits surface in [`CacheStats::store_hits`], not here, so hit-rate
-    /// accounting stays comparable with store-less runtimes — and the
-    /// [`ResolveSource`] recorded in the request's trace. An inserted entry
-    /// is owned by `tenant` for the cache's reserve/cap accounting.
-    fn resolve_plan(
-        &self,
-        key: u64,
-        kernel: &RequestKernel,
-        tenant: TenantId,
-    ) -> Result<(CachedPlan, bool, ResolveSource), PlanError> {
-        match &self.store {
-            None => {
-                let (plan, hit, _) = self
-                    .cache
-                    .get_or_compile_for_tenant(key, kernel, tenant, None)?;
-                let source = if hit {
-                    ResolveSource::CacheHit
-                } else {
-                    ResolveSource::Compile
-                };
-                Ok((plan, hit, source))
-            }
-            Some(store) => {
-                // The on-disk format validates its *internal* consistency;
-                // the filename → content binding is validated here: a
-                // misplaced (renamed, restored-from-backup) artifact whose
-                // kernel is not the requested one must degrade to a
-                // compile, never silently serve wrong numerics.
-                let loader = |k: u64| {
-                    store
-                        .load_plan(k)
-                        .filter(|(p, _)| p.matches_kernel(kernel))
-                        .map(|(p, bytes)| {
-                            if self.telemetry.enabled() {
-                                self.telemetry.profiler().add_store_load(k, bytes);
-                            }
-                            p
-                        })
-                };
-                let (plan, hit, compiled) =
-                    self.cache
-                        .get_or_compile_for_tenant(key, kernel, tenant, Some(&loader))?;
-                if compiled {
-                    // Best-effort write-through: a full disk must not fail
-                    // the request the plan was compiled for.
-                    let _ = store.save_plan(key, &plan);
-                }
-                let source = if compiled {
-                    ResolveSource::Compile
-                } else if hit {
-                    ResolveSource::CacheHit
-                } else {
-                    ResolveSource::StoreHit
-                };
-                Ok((plan, hit, source))
-            }
-        }
     }
 
     pub fn device(&self) -> &GpuDevice {
@@ -366,7 +298,6 @@ impl SpiderRuntime {
         snap.counter("spider_plan_cache_misses_total", cache.misses);
         snap.counter("spider_plan_cache_insertions_total", cache.insertions);
         snap.counter("spider_plan_cache_evictions_total", cache.evictions);
-        snap.counter("spider_plan_cache_store_hits_total", cache.store_hits);
         snap.gauge("spider_runtime_cached_plans", self.cache.len() as f64);
         snap.gauge("spider_tuner_memo_entries", self.tuner.memo_len() as f64);
         let pool = self.pool.stats();
@@ -522,10 +453,17 @@ impl SpiderRuntime {
                 continue;
             }
             let span = t.span(who, Phase::Resolve);
-            let resolved = self.resolve_plan(who.plan_key, &req.kernel, req.tenant);
+            let resolved =
+                self.cache
+                    .get_or_compile_for_tenant(who.plan_key, &req.kernel, req.tenant);
             span.exit();
             lookups.push(match resolved {
-                Ok((p, hit, source)) => {
+                Ok((p, hit)) => {
+                    let source = if hit {
+                        ResolveSource::CacheHit
+                    } else {
+                        ResolveSource::Compile
+                    };
                     t.record(who, EventKind::PlanResolve { source }, 0.0);
                     plan = Some(p);
                     Ok(hit)
@@ -1425,53 +1363,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_after_store_gc_degrades_to_compile() {
-        use crate::store::StoreGcPolicy;
-        let dir = std::env::temp_dir().join(format!(
-            "spider-runtime-gc-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Room for exactly one plan artifact: serving two kernels must
-        // evict the older one on write-through.
-        let store = Arc::new(
-            crate::PlanStore::open_with_gc(
-                &dir,
-                StoreGcPolicy {
-                    max_plans: 1,
-                    max_bytes: 0,
-                },
-            )
-            .unwrap(),
-        );
-        let opts = RuntimeOptions::default();
-        let rt1 = SpiderRuntime::with_store(GpuDevice::a100(), opts, Arc::clone(&store));
-        let req_a = StencilRequest::new_2d(1, StencilKernel::gaussian_2d(1), 64, 64).with_seed(1);
-        let req_b = StencilRequest::new_2d(2, StencilKernel::jacobi_2d(), 64, 64).with_seed(2);
-        let first_a = rt1.execute(&req_a).unwrap();
-        let first_b = rt1.execute(&req_b).unwrap();
-        assert_eq!(store.plans_on_disk(), 1, "GC held the bound");
-        assert!(store.stats().plan_evictions >= 1);
-
-        // A restarted runtime over the GC'd store: the surviving plan
-        // (req_b's — the later save evicted req_a's) loads, the evicted one
-        // recompiles, outputs stay bit-identical — eviction degrades warm
-        // starts, never corrupts them. Read the survivor first: req_a's
-        // recompile write-through would GC it.
-        let rt2 = SpiderRuntime::with_store(GpuDevice::a100(), opts, Arc::clone(&store));
-        let again_b = rt2.execute(&req_b).unwrap();
-        let again_a = rt2.execute(&req_a).unwrap();
-        assert_eq!(again_a.checksum, first_a.checksum);
-        assert_eq!(again_b.checksum, first_b.checksum);
-        let stats = rt2.cache_stats();
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.store_hits, 1, "survivor loads, victim compiles");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn warm_start_from_store_skips_compile_and_tuning() {
+    fn warm_start_from_store_skips_tuning() {
         let dir = std::env::temp_dir().join(format!(
             "spider-runtime-store-{}-{:?}",
             std::process::id(),
@@ -1491,12 +1383,15 @@ mod tests {
         assert!(!first.cache_hit && !first.tuner_memo_hit);
         let persisted = rt1.persist().unwrap();
         assert!(persisted >= 1);
-        // Write-through already put the compiled plan on disk before persist.
-        assert!(store.stats().plan_saves >= 2);
+        // The store holds tuner memos and nothing else.
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name();
+            assert!(name.to_string_lossy().starts_with("memos-"), "{name:?}");
+        }
 
-        // "Process 2": a fresh runtime over the same store. The plan comes
-        // from disk (store hit, no compile), the tuning from the imported
-        // memo (memo hit, no dry-runs), and the output is bit-identical.
+        // "Process 2": a fresh runtime over the same store. The plan
+        // compiles, the tuning comes from the imported memo (memo hit, no
+        // dry-runs), and the output is bit-identical.
         let rt2 = SpiderRuntime::with_store(
             GpuDevice::a100(),
             RuntimeOptions::default(),
@@ -1505,13 +1400,13 @@ mod tests {
         assert_eq!(rt2.tuned_scenarios(), 1, "memos imported at construction");
         let again = rt2.execute(&req).unwrap();
         assert!(!again.cache_hit, "memory cache is cold");
-        assert_eq!(rt2.cache_stats().store_hits, 1, "plan loaded, not compiled");
         assert!(again.tuner_memo_hit, "tuning restored from the store");
         assert_eq!(
             again.checksum, first.checksum,
             "round-trip is bit-identical"
         );
         assert_eq!(again.tiling, first.tiling);
+        assert_eq!(again.report.counters, first.report.counters);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

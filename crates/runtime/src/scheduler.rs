@@ -87,9 +87,10 @@
 //! dispatched ones, and a ticket's slot only its verdict. `finish` gives
 //! every verdict, counts it in the tenant's row and records it: the
 //! ticket's one `Complete` trace event and the runtime's completion meters
-//! (`SpiderRuntime::conclude`). A queued ticket that will not run (shed,
-//! cancelled, killed or expired) gets there through `leave_queue`, and a
-//! kill fails exactly the running set. The wave that was running a killed
+//! (`SpiderRuntime::conclude`). Every ticket leaves the queue through
+//! `dequeue`, which measures its wait and records its queue span; one that
+//! will not run (shed, cancelled, killed or expired) then gets its verdict
+//! through `leave_queue`, and a kill fails exactly the running set. The wave that was running a killed
 //! ticket may still trace its execution after that verdict, but never a
 //! second one.
 //!
@@ -816,7 +817,7 @@ impl SpiderScheduler {
                         self.shared.idle.notify_all();
                         return Ok(Ticket { seq: ticket });
                     }
-                    leave_queue(&mut st, rt, victim, now, Slot::Shed);
+                    leave_queue(&mut st, rt, victim, Slot::Shed);
                     self.shared.idle.notify_all();
                 }
             }
@@ -892,8 +893,7 @@ impl SpiderScheduler {
         let mut st = self.lock();
         // Only queued tickets are in the queue: running, terminal and
         // unknown ones fall through here.
-        let now = Instant::now();
-        if leave_queue(&mut st, &self.runtime, ticket.seq, now, Slot::Cancelled).is_none() {
+        if leave_queue(&mut st, &self.runtime, ticket.seq, Slot::Cancelled).is_none() {
             return false;
         }
         drop(st);
@@ -931,9 +931,9 @@ impl SpiderScheduler {
         }
         st.killed = true;
         st.shutdown = true;
-        let (now, mut unstarted, mut lost) = (Instant::now(), Vec::new(), Vec::new());
+        let (mut unstarted, mut lost) = (Vec::new(), Vec::new());
         for seq in st.queue.entries.keys().copied().collect::<Vec<_>>() {
-            if let Some(req) = leave_queue(&mut st, rt, seq, now, Slot::Cancelled) {
+            if let Some(req) = leave_queue(&mut st, rt, seq, Slot::Cancelled) {
                 unstarted.push((Ticket { seq }, req));
             }
         }
@@ -1167,7 +1167,7 @@ impl Drop for SpiderScheduler {
 
 /// Admit a request into the queue (capacity already checked by the
 /// caller): open its ticket and enqueue it. Its queue span starts at
-/// `submitted`; dispatch or [`leave_queue`] records it.
+/// `submitted`; [`dequeue`] records it when the ticket leaves.
 fn admit(st: &mut State, req: StencilRequest, t: &Telemetry) -> u64 {
     let ticket = open_ticket(st, &req, t);
     let who = st.slots[ticket as usize].who;
@@ -1232,28 +1232,40 @@ fn finish(st: &mut State, rt: &SpiderRuntime, ticket: u64, verdict: Slot) {
     st.last_terminal = Some(Instant::now());
 }
 
-/// Take a queued ticket that will not run out of the queue: record its
-/// queue span, labelling its plan's profile (it may have no executed
-/// group to do so), and [`finish`] it with `verdict`. The one exit of a
-/// shed victim, a cancel, a kill and an expiry. Returns the request, or
-/// `None` if the ticket is not queued.
+/// Take a ticket out of the queue and record its queue span, from its
+/// admission to now. Returns the request and its wait in seconds (the
+/// span's length), or `None` if the ticket is not queued. The queue's one
+/// exit: a dispatched ticket and one that [`leave_queue`]s both take it.
+fn dequeue(st: &mut State, t: &Telemetry, ticket: u64) -> Option<(StencilRequest, f64)> {
+    let QueuedEntry { req, submitted } = st.queue.remove(ticket)?;
+    // Measured right before the record stamps the span's exit, so the span
+    // `[wall_s − elapsed_s, wall_s]` starts when the ticket was queued.
+    let wait = submitted.elapsed().as_secs_f64();
+    let queue = EventKind::SpanExit {
+        phase: Phase::Queue,
+        elapsed_s: wait,
+    };
+    t.record(st.slots[ticket as usize].who, queue, 0.0);
+    Some((req, wait))
+}
+
+/// Take a queued ticket that will not run out of the queue ([`dequeue`]),
+/// label its plan's profile (it may have no executed group to do so), and
+/// [`finish`] it with `verdict`. The one exit of a shed victim, a cancel, a
+/// kill and an expiry. Returns the request, or `None` if the ticket is not
+/// queued.
 fn leave_queue(
     st: &mut State,
     rt: &SpiderRuntime,
     ticket: u64,
-    now: Instant,
     verdict: Slot,
 ) -> Option<StencilRequest> {
-    let QueuedEntry { req, submitted } = st.queue.remove(ticket)?;
-    let (t, who) = (rt.telemetry(), st.slots[ticket as usize].who);
+    let t = rt.telemetry();
+    let (req, _) = dequeue(st, t, ticket)?;
     if t.enabled() {
-        t.profiler().touch(who.plan_key, &req.scenario());
+        let plan_key = st.slots[ticket as usize].who.plan_key;
+        t.profiler().touch(plan_key, &req.scenario());
     }
-    let queue = EventKind::SpanExit {
-        phase: Phase::Queue,
-        elapsed_s: now.saturating_duration_since(submitted).as_secs_f64(),
-    };
-    t.record(who, queue, 0.0);
     finish(st, rt, ticket, verdict);
     Some(req)
 }
@@ -1285,7 +1297,7 @@ fn expire_due(shared: &Shared, st: &mut State, rt: &SpiderRuntime) {
         return;
     }
     for ticket in lapsed {
-        leave_queue(st, rt, ticket, now, Slot::Expired);
+        leave_queue(st, rt, ticket, Slot::Expired);
     }
     // Retiring due work is progress too — lazy expiry driven by a poll or
     // submit must keep the heartbeat advancing.
@@ -1448,22 +1460,15 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
             wave.push(WaveGroup::default());
             wave.len() - 1
         });
-        let entry = st.queue.remove(ticket).expect("wave members are queued"); // guard: members were read from the queue under this lock
-        let wait = now.saturating_duration_since(entry.submitted).as_secs_f64();
-        let ts = st.tenant_stats_mut(entry.req.tenant);
+        let (req, wait) = dequeue(st, telemetry, ticket).expect("wave members are queued"); // guard: members were read from the queue under this lock
+        let ts = st.tenant_stats_mut(req.tenant);
         ts.total_wait_s += wait;
         ts.max_wait_s = ts.max_wait_s.max(wait);
         ts.wait_hist.record(wait * 1e6);
-        ts.served_cost += drr_cost(&entry.req);
-        // The queue span, from admission to now.
-        let queue = EventKind::SpanExit {
-            phase: Phase::Queue,
-            elapsed_s: wait,
-        };
-        telemetry.record(who, queue, 0.0);
+        ts.served_cost += drr_cost(&req);
         st.running.insert(ticket);
         wave[g].tickets.push(ticket);
-        wave[g].requests.push(entry.req);
+        wave[g].requests.push(req);
     }
     st.beats += 1;
     st.dispatch_waves += 1;
@@ -2658,6 +2663,69 @@ mod tests {
             free <= 2 * jobs as usize,
             "{free} free buffers, {jobs} jobs"
         );
+    }
+
+    /// Every queue span of a wave starts when its request was queued: a
+    /// member's wait is measured as it leaves the queue, right before its
+    /// span's exit is stamped, not against one clock read taken before the
+    /// wave's members are read.
+    #[test]
+    fn queue_spans_start_when_their_requests_were_queued() {
+        // About ten events per request: the wave's fit the 4096-event ring.
+        const WAVE: u64 = 64;
+        const TOLERANCE_S: f64 = 50e-6;
+        // The first request whose queue span starts off its `Queued` event.
+        let attempt = || -> Result<(), String> {
+            let s = sched(SchedulerOptions {
+                start_paused: true,
+                aging_step: None,
+                ..SchedulerOptions::default()
+            });
+            for id in 0..WAVE {
+                s.submit(req(id, Priority::Normal)).unwrap();
+            }
+            s.resume();
+            s.drain();
+            assert_eq!(s.queue_stats().dispatch_waves, 1, "one wave");
+            let trace = s.runtime().telemetry().trace();
+            assert_eq!(trace.dropped_events(), 0);
+            for id in 0..WAVE {
+                let events = trace.timeline(id);
+                let queued = events
+                    .iter()
+                    .find(|e| matches!(e.kind, EventKind::Queued))
+                    .map(|e| e.wall_s);
+                let start = events.iter().find_map(|e| match e.kind {
+                    EventKind::SpanExit {
+                        phase: Phase::Queue,
+                        elapsed_s,
+                    } => Some(e.wall_s - elapsed_s),
+                    _ => None,
+                });
+                let (Some(queued), Some(start)) = (queued, start) else {
+                    panic!("request {id}: no queued event or queue span: {events:?}");
+                };
+                if (start - queued).abs() >= TOLERANCE_S {
+                    return Err(format!(
+                        "request {id}: queued at {queued:.6} s, its queue span starts at {start:.6} s"
+                    ));
+                }
+            }
+            Ok(())
+        };
+        // A thread preempted between a clock read and the stamp beside it
+        // shifts one span by its stall; a shift that survives three fresh
+        // schedulers is the code's.
+        let mut last = Ok(());
+        for _ in 0..3 {
+            last = attempt();
+            if last.is_ok() {
+                break;
+            }
+        }
+        if let Err(e) = last {
+            panic!("{e}");
+        }
     }
 
     #[test]

@@ -253,7 +253,7 @@ impl Kernel3D {
     }
 
     /// Rebuild a kernel from its radius and dense coefficient cube (the
-    /// inverse of [`Self::coeffs`]) — the deserialization entry point.
+    /// inverse of [`Self::coeffs`]).
     pub fn from_coeffs(radius: usize, coeffs: Vec<f64>) -> Self {
         assert!(radius >= 1);
         let d = 2 * radius + 1;

@@ -1,12 +1,11 @@
 //! Shared FNV-1a hashing primitive.
 //!
 //! Every stable content fingerprint in the workspace (kernels, plans,
-//! plan-cache keys, serialization trailers) is FNV-1a over a fixed byte
-//! serialization — platform-, process- and compiler-independent, so the
-//! values are safe to persist. This module is the single definition of the
-//! offset/prime constants and the xor-then-multiply byte loop; hand-rolled
-//! variations of the mixing are exactly how the runtime's plan-key
-//! collision bug happened.
+//! plan-cache keys) is FNV-1a over a fixed byte serialization — platform-,
+//! process- and compiler-independent, so the values are safe to persist.
+//! This module is the single definition of the offset/prime constants and
+//! the xor-then-multiply byte loop; hand-rolled variations of the mixing
+//! are exactly how the runtime's plan-key collision bug happened.
 
 /// Incremental FNV-1a hasher (64-bit).
 #[derive(Debug, Clone, Copy)]

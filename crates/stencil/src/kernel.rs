@@ -105,23 +105,6 @@ impl StencilKernel {
         }
     }
 
-    /// Rebuild a kernel from a shape and its *raw* coefficient table — the
-    /// bit-exact inverse of [`Self::coeffs`], used by plan deserialization
-    /// (`spider-core`'s on-disk format round-trips kernels through this, so
-    /// it must not renormalize, requantize or zero anything).
-    pub fn from_coeffs(shape: StencilShape, coeffs: Vec<f64>) -> Self {
-        let expect = match shape.dim {
-            Dim::D1 => shape.diameter(),
-            Dim::D2 => shape.diameter() * shape.diameter(),
-        };
-        assert_eq!(
-            coeffs.len(),
-            expect,
-            "coefficient table length does not match the shape"
-        );
-        Self { shape, coeffs }
-    }
-
     /// Build a 2D kernel from a function of the relative offset `(di, dj)`.
     /// Offsets outside the shape are forced to zero.
     pub fn from_fn_2d(shape: StencilShape, mut f: impl FnMut(isize, isize) -> f64) -> Self {

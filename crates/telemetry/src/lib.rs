@@ -21,9 +21,8 @@
 //! * [`PhaseProfiler`] — the trace's fold, per plan_key: [`Telemetry::record`]
 //!   adds each span exit to its phase's time (queue/resolve/tune/exec), each
 //!   fresh compile to the compiles and each done request to the requests and
-//!   simulated time, so the profiler never disagrees with the trace. Store
-//!   bytes and scenario labels are the only values written to it directly.
-//!   It renders a `top plans` table and folded-stack flamegraph export.
+//!   simulated time, so the profiler never disagrees with the trace.
+//!   Scenario labels are the only values written to it directly. It renders a `top plans` table and folded-stack flamegraph export.
 //!
 //! Counts are exported as [`MetricsSnapshot`]s (Prometheus text and flat
 //! JSON, with log-scale [`LogHistogram`]s for p50/p90/p99): each layer's

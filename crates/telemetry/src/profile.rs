@@ -3,11 +3,10 @@
 //! Answers "which plan is burning the budget, and in which phase" — the
 //! serving-layer analogue of the simulator's swap/pack/MMA/launch breakdown.
 //! Each plan fingerprint accumulates wall time per lifecycle phase
-//! (queue/resolve/tune/exec), simulated execution time, compile counts and
-//! persistent-store load bytes. All but the store bytes and the label are a
-//! fold of the trace: `Telemetry::record` adds in each event it appends, so
-//! serving code attributes a phase by opening its span and calls nothing
-//! here for it. Exports:
+//! (queue/resolve/tune/exec), simulated execution time and compile counts.
+//! All but the label are a fold of the trace: `Telemetry::record` adds in
+//! each event it appends, so serving code attributes a phase by opening its
+//! span and calls nothing here for it. Exports:
 //!
 //! * [`PhaseProfiler::top`] — the heaviest plans, for the `top plans`
 //!   table in drain reports ([`render_top_profiles`]);
@@ -26,7 +25,7 @@ pub struct PhaseStats {
     pub requests: u64,
     /// Admission-queue residence, seconds (scheduler path only).
     pub queue_s: f64,
-    /// Plan lookup / store load / compile wall time, seconds.
+    /// Plan lookup / compile wall time, seconds.
     pub resolve_s: f64,
     /// Tiling-selection wall time, seconds.
     pub tune_s: f64,
@@ -36,10 +35,6 @@ pub struct PhaseStats {
     pub exec_sim_s: f64,
     /// Fresh compiles charged to this plan.
     pub compiles: u64,
-    /// Plan loads served by the persistent store.
-    pub store_hits: u64,
-    /// Bytes read from the persistent store for this plan.
-    pub store_bytes: u64,
 }
 
 impl PhaseStats {
@@ -68,8 +63,6 @@ impl PhaseStats {
         self.exec_wall_s += other.exec_wall_s;
         self.exec_sim_s += other.exec_sim_s;
         self.compiles += other.compiles;
-        self.store_hits += other.store_hits;
-        self.store_bytes += other.store_bytes;
     }
 }
 
@@ -134,14 +127,6 @@ impl PhaseProfiler {
     /// Count one fresh compile.
     pub(crate) fn add_compile(&self, plan_key: u64) {
         self.with_entry(plan_key, |(_, s)| s.compiles += 1);
-    }
-
-    /// Count one persistent-store plan load of `bytes` bytes.
-    pub fn add_store_load(&self, plan_key: u64, bytes: u64) {
-        self.with_entry(plan_key, |(_, s)| {
-            s.store_hits += 1;
-            s.store_bytes += bytes;
-        });
     }
 
     /// All profiles, heaviest (total wall time) first; ties break by plan
@@ -238,12 +223,12 @@ pub fn render_top_profiles(profiles: &[PlanProfile]) -> String {
         return String::new();
     }
     let mut out = format!(
-        "top plans by wall time:\n{:>18}  {:<22} {:>5} {:>10} {:>10} {:>10} {:>10} {:>11} {:>8} {:>10}\n",
-        "plan", "scenario", "reqs", "queue", "resolve", "tune", "exec", "sim", "compile", "store"
+        "top plans by wall time:\n{:>18}  {:<22} {:>5} {:>10} {:>10} {:>10} {:>10} {:>11} {:>8}\n",
+        "plan", "scenario", "reqs", "queue", "resolve", "tune", "exec", "sim", "compile"
     );
     for p in profiles {
         out.push_str(&format!(
-            "{:#018x}  {:<22} {:>5} {:>8.3}ms {:>8.3}ms {:>8.3}ms {:>8.3}ms {:>9.3}\u{b5}s {:>8} {:>9}B\n",
+            "{:#018x}  {:<22} {:>5} {:>8.3}ms {:>8.3}ms {:>8.3}ms {:>8.3}ms {:>9.3}\u{b5}s {:>8}\n",
             p.plan_key,
             p.label,
             p.stats.requests,
@@ -253,7 +238,6 @@ pub fn render_top_profiles(profiles: &[PlanProfile]) -> String {
             p.stats.exec_wall_s * 1e3,
             p.stats.exec_sim_s * 1e6,
             p.stats.compiles,
-            p.stats.store_bytes,
         ));
     }
     out
@@ -271,7 +255,6 @@ mod tests {
         prof.add_phase(1, Phase::Exec, 0.010);
         prof.add_request(1, 50e-6);
         prof.add_compile(1);
-        prof.add_store_load(1, 4096);
         prof.add_phase(2, Phase::Exec, 0.001);
 
         let snap = prof.snapshot();
@@ -282,8 +265,6 @@ mod tests {
         let s = snap[0].stats;
         assert_eq!(s.requests, 1);
         assert_eq!(s.compiles, 1);
-        assert_eq!(s.store_hits, 1);
-        assert_eq!(s.store_bytes, 4096);
         assert!((s.resolve_s - 0.002).abs() < 1e-12);
         assert!((s.total_wall_s() - 0.012).abs() < 1e-12);
         assert!((s.exec_sim_s - 50e-6).abs() < 1e-12);

@@ -3,7 +3,7 @@
 //! Every serving-layer action on a request appends one [`Event`]:
 //!
 //! ```text
-//! admit → queued → plan-resolve{cache_hit|store_hit|compile}
+//! admit → queued → plan-resolve{cache_hit|compile}
 //!       → tune{memo_hit|dry_run} → launch/execute{wave, coalesced, share}
 //!       → complete{done|failed|expired|shed|cancelled}
 //! ```
@@ -30,8 +30,6 @@ use std::fmt;
 pub enum ResolveSource {
     /// In-memory `PlanCache` hit.
     CacheHit,
-    /// Loaded (and validated) from the persistent `PlanStore`.
-    StoreHit,
     /// Compiled fresh on this request.
     Compile,
 }
@@ -40,7 +38,6 @@ impl fmt::Display for ResolveSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ResolveSource::CacheHit => "cache-hit",
-            ResolveSource::StoreHit => "store-hit",
             ResolveSource::Compile => "compile",
         })
     }
@@ -51,7 +48,7 @@ impl fmt::Display for ResolveSource {
 pub enum Phase {
     /// Admission-queue residence (scheduler path only).
     Queue,
-    /// Plan lookup / store load / compile.
+    /// Plan lookup / compile.
     Resolve,
     /// Tiling selection (memo lookup or dry runs).
     Tune,
@@ -114,7 +111,7 @@ pub enum EventKind {
     Admit,
     /// Request entered the scheduler's admission queue.
     Queued,
-    /// Plan resolved (cache / store / fresh compile).
+    /// Plan resolved (cache hit or fresh compile).
     PlanResolve { source: ResolveSource },
     /// Tiling selected (`memo_hit`: served from the tuner's memo table;
     /// `dry_runs`: simulator dry runs paid on this resolution).

@@ -14,8 +14,8 @@
 //!    rebalance pass cancels its queued tail and requeues it on idle
 //!    shards; nothing is lost or duplicated.
 //! 4. **Warm start** — a second cluster over the first one's `PlanStore`
-//!    serves with zero compiles and fully memoized tilings, bit-identical
-//!    outputs included.
+//!    serves with zero tuner dry-runs (fully memoized tilings),
+//!    bit-identical outputs and counters included.
 //!
 //! ```text
 //! cargo run --release --example cluster_serving
@@ -153,44 +153,38 @@ fn scene_4_warm_start() {
     let store = Arc::new(PlanStore::open(&dir).unwrap());
     let cold = SpiderCluster::with_store(specs(2), ClusterOptions::default(), store);
     let cold_report = cold.run_batch(&workload).unwrap();
-    let cold_compiles: u64 = cold_report
-        .devices
-        .iter()
-        .map(|d| d.cache.misses - d.cache.store_hits)
-        .sum();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let name = entry.unwrap().file_name();
+        assert!(name.to_string_lossy().starts_with("memos-"), "{name:?}");
+    }
 
     // "Second process": a fresh cluster over the same directory.
     let store2 = Arc::new(PlanStore::open(&dir).unwrap());
     let warm = SpiderCluster::with_store(specs(2), ClusterOptions::default(), store2);
     let warm_report = warm.run_batch(&workload).unwrap();
-    let warm_compiles: u64 = warm_report
-        .devices
-        .iter()
-        .map(|d| d.cache.misses - d.cache.store_hits)
-        .sum();
-    let store_hits: u64 = warm_report.devices.iter().map(|d| d.cache.store_hits).sum();
-    let memo_hits = warm_report
-        .devices
-        .iter()
-        .flat_map(|d| d.report.outcomes.iter())
-        .filter(|o| o.tuner_memo_hit)
-        .count();
-    println!(
-        "  cold: {cold_compiles} compiles | warm: {warm_compiles} compiles, {store_hits} store loads, {memo_hits}/{} memoized tilings",
-        workload.len()
-    );
-    assert_eq!(warm_compiles, 0, "warm start must not compile");
-    assert_eq!(memo_hits, workload.len(), "every tiling restored");
-    let sum = |r: &ClusterReport| -> std::collections::BTreeMap<u64, u64> {
+    let outcomes = |r: &ClusterReport| -> std::collections::BTreeMap<u64, RequestOutcome> {
         r.devices
             .iter()
             .flat_map(|d| d.report.outcomes.iter())
-            .map(|o| (o.id, o.checksum))
+            .map(|o| (o.id, o.clone()))
             .collect()
     };
-    assert_eq!(sum(&cold_report), sum(&warm_report), "bit-identical");
+    let (cold_out, warm_out) = (outcomes(&cold_report), outcomes(&warm_report));
+    let memo_hits = warm_out.values().filter(|o| o.tuner_memo_hit).count();
+    println!(
+        "  warm: {memo_hits}/{} memoized tilings, zero dry-runs",
+        workload.len()
+    );
+    assert_eq!(memo_hits, workload.len(), "every tiling restored");
+    assert_eq!(cold_out.len(), warm_out.len());
+    for (id, w) in &warm_out {
+        let c = &cold_out[id];
+        assert_eq!(c.checksum, w.checksum, "request {id}: bit-identical");
+        assert_eq!(c.tiling, w.tiling, "request {id}: same tiling");
+        assert_eq!(c.report.counters, w.report.counters, "request {id}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
-    println!("  ok: zero-compile warm start, outputs bit-identical\n");
+    println!("  ok: zero-dry-run warm start, outputs and counters bit-identical\n");
 }
 
 fn main() {

@@ -107,7 +107,7 @@ pub mod prelude {
         BackpressurePolicy, CacheStats, Deadline, FailureReason, GridSpec, PlanStore, Priority,
         QueueStats, RequestKernel, RequestOutcome, RequestStatus, RuntimeOptions, RuntimeReport,
         SchedulerOptions, SpiderRuntime, SpiderScheduler, StencilRequest, StencilRequestBuilder,
-        StoreGcPolicy, StoreStats, Submit, SubmitError, TenantConfig, TenantId, Ticket,
+        StoreStats, Submit, SubmitError, TenantConfig, TenantId, Ticket,
     };
     pub use spider_stencil::{
         dim3::{Grid3D, Kernel3D},

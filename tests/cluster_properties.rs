@@ -1,11 +1,10 @@
 //! Property tests for the cluster layer: sharding must be invisible in the
 //! data (a cluster's outputs are bit-identical to a single runtime's for
-//! every routing policy), and the plan store's serialize → deserialize →
-//! execute round trip must preserve outputs and performance counters
-//! exactly.
+//! every routing policy), and a warm start from the plan store must serve
+//! the same outputs and performance counters without a tuner dry-run.
 
 use proptest::prelude::*;
-use spider::core::{ExecMode, SpiderExecutor, SpiderPlan};
+use spider::core::ExecMode;
 use spider::prelude::*;
 
 fn arb_shape() -> impl Strategy<Value = StencilShape> {
@@ -220,76 +219,14 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// PlanStore round trip: a plan that went through `to_bytes` →
-    /// `from_bytes` executes bit-identically to the freshly compiled one —
-    /// same output grid bits *and* same `PerfCounters` (the simulated
-    /// machine cannot tell the plans apart).
-    #[test]
-    fn plan_serialization_roundtrip_preserves_execution(
-        shape in arb_shape(),
-        kseed in any::<u64>(),
-        rows in 24usize..72,
-        cols in 32usize..96,
-        gseed in any::<u64>(),
-    ) {
-        let kernel = StencilKernel::random(shape, kseed);
-        let compiled = SpiderPlan::compile(&kernel).unwrap();
-        let restored = SpiderPlan::from_bytes(&compiled.to_bytes()).unwrap();
-        prop_assert_eq!(compiled.fingerprint(), restored.fingerprint());
-
-        let device = GpuDevice::a100();
-        let radius = kernel.radius();
-        let mut grid_a = Grid2D::<f32>::random(rows, cols, radius, gseed);
-        let mut grid_b = grid_a.clone();
-        let exec = SpiderExecutor::new(&device, ExecMode::SparseTcOptimized);
-        let ra = exec.run_2d(&compiled, &mut grid_a, 2).unwrap();
-        let rb = exec.run_2d(&restored, &mut grid_b, 2).unwrap();
-        prop_assert_eq!(grid_a.padded(), grid_b.padded(), "grid bits diverged");
-        prop_assert_eq!(ra.counters, rb.counters, "counters diverged");
-        prop_assert_eq!(ra.points, rb.points);
-    }
-
-    /// The 3D container round trip preserves execution exactly: a
-    /// `Spider3DPlan` restored from bytes sweeps a volume bit-identically
-    /// to the freshly compiled plan, counters included.
-    #[test]
-    fn plan3d_serialization_roundtrip_preserves_execution(
-        radius in 1usize..=2,
-        kseed in any::<u64>(),
-        planes in 2usize..4,
-        rows in 18usize..36,
-        cols in 20usize..40,
-        gseed in any::<u64>(),
-    ) {
-        let kernel = Kernel3D::random_box(radius, kseed);
-        let compiled = Spider3DPlan::compile(&kernel).unwrap();
-        let restored = Spider3DPlan::from_bytes(&compiled.to_bytes()).unwrap();
-        prop_assert_eq!(compiled.fingerprint(), restored.fingerprint());
-
-        let device = GpuDevice::a100();
-        let mut vol_a = Grid3D::<f32>::random(planes, rows, cols, radius, gseed);
-        let mut vol_b = vol_a.clone();
-        let exec = Spider3DExecutor::new(&device, ExecMode::SparseTcOptimized);
-        let ra = exec.run(&compiled, &mut vol_a, 2).unwrap();
-        let rb = exec.run(&restored, &mut vol_b, 2).unwrap();
-        prop_assert_eq!(vol_a.padded(), vol_b.padded(), "volume bits diverged");
-        prop_assert_eq!(ra.counters, rb.counters, "counters diverged");
-        prop_assert_eq!(ra.points, rb.points);
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The tentpole acceptance property: a *restarted* store-backed runtime
-    /// serves a 3D batch with **zero compiles** (every plan loads from
-    /// disk, every tiling from a persisted memo) and the outputs are
+    /// A *restarted* store-backed runtime serves a 3D batch with **zero
+    /// dry-runs** (every tiling from a persisted memo) and the outputs are
     /// bit-identical to direct `Spider3DExecutor::run` on freshly compiled
     /// plans.
     #[test]
-    fn restarted_runtime_serves_3d_with_zero_compiles(
+    fn restarted_runtime_serves_3d_with_zero_dry_runs(
         kseed in 0u64..100,
         planes in 2usize..4,
         rows in 20usize..36,
@@ -308,23 +245,24 @@ proptest! {
             .collect();
         let opts = RuntimeOptions::default();
 
-        // Process 1 serves and persists (write-through + explicit persist).
+        // Process 1 serves and persists its memos.
         let store = std::sync::Arc::new(PlanStore::open(&dir).unwrap());
         let rt1 = SpiderRuntime::with_store(GpuDevice::a100(), opts, store);
         let first = rt1.run_batch(&batch);
         prop_assert!(first.failures.is_empty());
         rt1.persist().unwrap();
 
-        // Process 2: fresh store handle, fresh runtime — zero compiles.
+        // The store holds tuner memos and nothing else.
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name();
+            prop_assert!(name.to_string_lossy().starts_with("memos-"), "{:?}", name);
+        }
+
+        // Process 2: fresh store handle, fresh runtime — zero dry-runs.
         let store2 = std::sync::Arc::new(PlanStore::open(&dir).unwrap());
         let rt2 = SpiderRuntime::with_store(GpuDevice::a100(), opts, store2);
         let second = rt2.run_batch(&batch);
         prop_assert!(second.failures.is_empty());
-        let stats = rt2.cache_stats();
-        prop_assert_eq!(
-            stats.misses - stats.store_hits, 0,
-            "a restarted runtime must not compile 3D plans"
-        );
         prop_assert!(
             second.outcomes.iter().all(|o| o.tuner_memo_hit),
             "every plane tiling must come from a persisted memo"
@@ -357,9 +295,8 @@ proptest! {
 }
 
 /// End-to-end persistence: a store-backed cluster that served a workload
-/// warm-starts a *second* cluster over the same directory — plans load
-/// instead of compiling, tilings come from imported memos, and the outputs
-/// are bit-identical.
+/// warm-starts a *second* cluster over the same directory — tilings come
+/// from imported memos, and the outputs are bit-identical.
 #[test]
 fn cluster_warm_start_from_store_is_bit_identical() {
     let dir = std::env::temp_dir().join(format!("spider-cluster-store-{}", std::process::id()));
@@ -385,20 +322,17 @@ fn cluster_warm_start_from_store_is_bit_identical() {
     let report1 = first.run_batch(&workload).unwrap();
     assert_eq!(report1.total_completed(), workload.len());
     let want = checksums(&report1);
+    // The store holds tuner memos and nothing else.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let name = entry.unwrap().file_name();
+        assert!(name.to_string_lossy().starts_with("memos-"), "{name:?}");
+    }
 
     // "Second process": fresh store handle over the same directory.
     let store2 = std::sync::Arc::new(PlanStore::open(&dir).unwrap());
     let second = SpiderCluster::with_store(specs(2), ClusterOptions::default(), store2);
     let report2 = second.run_batch(&workload).unwrap();
     assert_eq!(&checksums(&report2), &want, "warm start changed outputs");
-    let store_hits: u64 = report2.devices.iter().map(|d| d.cache.store_hits).sum();
-    let compiles: u64 = report2
-        .devices
-        .iter()
-        .map(|d| d.cache.misses - d.cache.store_hits)
-        .sum();
-    assert!(store_hits >= 3, "cold caches must load from the store");
-    assert_eq!(compiles, 0, "warm start must not compile anything");
     let memo_hits = report2
         .devices
         .iter()

@@ -59,11 +59,11 @@ fn guard_across_store_fixture_is_caught_on_load_and_save() {
         .filter(|v| v.rule == RULE_LOCK_DISCIPLINE)
         .map(|v| v.token.as_str())
         .collect();
-    // The store's one load and one save, each under a live cache guard;
+    // The store's one load and one save, each under a live tuner guard;
     // the `clean` shape stays silent.
-    assert_eq!(tokens, ["load_plan", "save_plan"], "{vs:?}");
+    assert_eq!(tokens, ["load_memos", "save_memos"], "{vs:?}");
     assert!(
-        vs.iter().all(|v| v.message.contains("`inner`")),
+        vs.iter().all(|v| v.message.contains("`memo`")),
         "violations should name the live guard: {vs:?}"
     );
 }

@@ -228,7 +228,7 @@ proptest! {
         let insert = |tenant: TenantId, seed: u64| {
             let k = kernel_for(seed);
             cache
-                .get_or_compile_for_tenant(k.fingerprint(), &k, tenant, None)
+                .get_or_compile_for_tenant(k.fingerprint(), &k, tenant)
                 .unwrap();
         };
         let footprint = |tenant: TenantId| {
