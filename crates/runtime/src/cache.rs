@@ -22,16 +22,14 @@
 //! behind any one slow resolution;
 //! `slow_resolves_do_not_block_unrelated_lookups` pins the fix.
 //!
-//! ## Tenancy
+//! ## One LRU for every tenant
 //!
-//! Every entry records the [`TenantId`] that inserted it. Two per-tenant
-//! policy knobs bound multi-tenant interference ([`PlanCache::set_tenant_policy`]):
-//! a **reserve** — other tenants may never evict a tenant below that many
-//! owned entries — and a **cap** — a tenant at its cap evicts its *own*
-//! least-recently-used plan on insert instead of pressuring everyone
-//! else's. Reserves should sum to less than the capacity; if every entry
-//! is reserve-protected the cache admits over capacity rather than violate
-//! a reserve.
+//! The key holds no tenant, so tenants running one kernel share one plan,
+//! and a full cache evicts its least-recently-used entry whoever inserted
+//! it. Tenancy is the scheduler's concern (weights, admission quotas and
+//! per-tenant rows). An evicted plan costs its next user one compile, tens
+//! of microseconds; the tuner's memos, which hold the costlier dry-runs,
+//! are not evicted with it.
 
 use spider_core::sync::{LockRank, OrderedMutex};
 use std::collections::{BTreeMap, HashMap};
@@ -41,7 +39,7 @@ use spider_core::exec3d::Spider3DPlan;
 use spider_core::plan::{PlanError, SpiderPlan};
 use spider_core::ExecMode;
 
-use crate::request::{RequestKernel, TenantId};
+use crate::request::RequestKernel;
 
 /// A cached compiled artifact: one entry per plan key, planar or
 /// volumetric. Cloning is cheap (`Arc` bumps).
@@ -116,21 +114,10 @@ impl CacheStats {
     }
 }
 
-/// Per-tenant eviction policy (see the module docs on tenancy).
-#[derive(Debug, Clone, Copy, Default)]
-struct TenantPolicy {
-    /// Other tenants may never evict this tenant below this many entries.
-    reserve: usize,
-    /// Owning this many entries forces self-eviction on insert.
-    cap: Option<usize>,
-}
-
 struct Entry {
     plan: CachedPlan,
     /// Recency tick of the most recent touch; also the key into `recency`.
     tick: u64,
-    /// The tenant that inserted this entry (eviction accounting).
-    owner: TenantId,
 }
 
 struct Inner {
@@ -139,10 +126,6 @@ struct Inner {
     /// tick → cache key, ordered oldest-first (the eviction order).
     recency: BTreeMap<u64, u64>,
     stats: CacheStats,
-    /// Registered per-tenant reserves and caps.
-    policies: HashMap<TenantId, TenantPolicy>,
-    /// Entries currently owned per tenant.
-    owned: HashMap<TenantId, usize>,
 }
 
 impl Inner {
@@ -156,50 +139,12 @@ impl Inner {
         self.map.get_mut(&key).expect("entry vanished").tick = tick; // guard: map and recency mutate in lockstep under one lock
     }
 
-    fn reserve_of(&self, tenant: TenantId) -> usize {
-        self.policies.get(&tenant).map_or(0, |p| p.reserve)
-    }
-
-    fn cap_of(&self, tenant: TenantId) -> Option<usize> {
-        self.policies.get(&tenant).and_then(|p| p.cap)
-    }
-
-    fn owned_count(&self, tenant: TenantId) -> usize {
-        self.owned.get(&tenant).copied().unwrap_or(0)
-    }
-
-    /// Remove `key` and account the eviction.
-    fn evict_key(&mut self, key: u64) {
-        let entry = self.map.remove(&key).expect("evicted entry exists"); // guard: evict_key() is fed keys from the recency index
-        self.recency.remove(&entry.tick);
-        if let Some(n) = self.owned.get_mut(&entry.owner) {
-            *n = n.saturating_sub(1);
+    /// Evict the least-recently-used entry.
+    fn evict_oldest(&mut self) {
+        if let Some((_, key)) = self.recency.pop_first() {
+            self.map.remove(&key);
+            self.stats.evictions += 1;
         }
-        self.stats.evictions += 1;
-    }
-
-    /// Oldest entry that may be evicted on behalf of `for_tenant`: a
-    /// tenant's own entries are always fair game to itself; anyone else's
-    /// only while its owner stays above its reserve. `None` when every
-    /// entry is reserve-protected.
-    fn pick_victim(&self, for_tenant: TenantId) -> Option<u64> {
-        for &key in self.recency.values() {
-            let owner = self.map.get(&key).expect("recency entry exists").owner; // guard: recency holds only keys present in map
-            let evictable = for_tenant == owner || self.owned_count(owner) > self.reserve_of(owner);
-            if evictable {
-                return Some(key);
-            }
-        }
-        None
-    }
-
-    /// The `for_tenant`'s own least-recently-used entry, if it owns any.
-    fn own_lru(&self, tenant: TenantId) -> Option<u64> {
-        self.recency
-            .values()
-            .copied()
-            // guard: recency holds only keys present in map
-            .find(|k| self.map.get(k).expect("recency entry exists").owner == tenant)
     }
 }
 
@@ -224,72 +169,30 @@ impl PlanCache {
                     map: HashMap::new(),
                     recency: BTreeMap::new(),
                     stats: CacheStats::default(),
-                    policies: HashMap::new(),
-                    owned: HashMap::new(),
                 },
             ),
         }
     }
 
-    /// Register (or replace) `tenant`'s eviction policy: a `reserve` other
-    /// tenants can never evict it below, and an optional `cap` at which it
-    /// evicts its own LRU entry on insert. See the module docs on tenancy.
-    pub fn set_tenant_policy(&self, tenant: TenantId, reserve: usize, cap: Option<usize>) {
-        if let Some(cap) = cap {
-            assert!(cap >= 1, "tenant cache cap must be at least 1");
-        }
-        let mut inner = self.inner.lock();
-        inner.policies.insert(tenant, TenantPolicy { reserve, cap });
-    }
-
-    /// Entries currently owned by each tenant (sorted by tenant id).
-    pub fn tenant_footprint(&self) -> Vec<(TenantId, usize)> {
-        let inner = self.inner.lock();
-        let mut v: Vec<_> = inner
-            .owned
-            .iter()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(&t, &n)| (t, n))
-            .collect();
-        v.sort_unstable_by_key(|&(t, _)| t.as_u64());
-        v
-    }
-
     /// Look up `key`, compiling `kernel` on a miss. Returns the shared plan
-    /// and whether the lookup was a hit. Anonymous-tenant shorthand for
-    /// [`Self::get_or_compile_for_tenant`].
+    /// and whether the lookup was a hit.
+    ///
+    /// The compile runs with the cache **unlocked**; concurrent same-key
+    /// misses compile independently and the first writer's plan wins (one
+    /// insertion, losers adopt it).
     pub fn get_or_compile(
         &self,
         key: u64,
         kernel: &RequestKernel,
     ) -> Result<(CachedPlan, bool), PlanError> {
-        self.get_or_compile_for_tenant(key, kernel, TenantId::ANONYMOUS)
+        self.get_or_resolve(key, || CachedPlan::compile(kernel))
     }
 
-    /// Look up `key` for `tenant`, compiling `kernel` on a miss. Returns the
-    /// shared plan and whether the lookup was a hit. An inserted entry is
-    /// owned by `tenant` for eviction accounting — `tenant`'s cap forces it
-    /// to evict its own LRU, and victim selection skips entries whose owner
-    /// is at or below its reserve.
-    ///
-    /// The compile runs with the cache **unlocked**; concurrent same-key
-    /// misses compile independently and the first writer's plan wins (one
-    /// insertion, losers adopt it).
-    pub fn get_or_compile_for_tenant(
-        &self,
-        key: u64,
-        kernel: &RequestKernel,
-        tenant: TenantId,
-    ) -> Result<(CachedPlan, bool), PlanError> {
-        self.get_or_resolve(key, tenant, || CachedPlan::compile(kernel))
-    }
-
-    /// [`Self::get_or_compile_for_tenant`] with the miss path's resolver
-    /// passed in, so a test can hold a resolve open.
+    /// [`Self::get_or_compile`] with the miss path's resolver passed in,
+    /// so a test can hold a resolve open.
     fn get_or_resolve(
         &self,
         key: u64,
-        tenant: TenantId,
         resolve: impl FnOnce() -> Result<CachedPlan, PlanError>,
     ) -> Result<(CachedPlan, bool), PlanError> {
         {
@@ -313,22 +216,8 @@ impl PlanCache {
             inner.touch(key);
             return Ok((winner, false));
         }
-        // A tenant at its cap makes room from its *own* entries first, so
-        // its churn never pressures the rest of the fleet.
-        if let Some(cap) = inner.cap_of(tenant) {
-            while inner.owned_count(tenant) >= cap {
-                match inner.own_lru(tenant) {
-                    Some(victim) if victim != key => inner.evict_key(victim),
-                    _ => break,
-                }
-            }
-        }
         if inner.map.len() >= self.capacity {
-            // Respect reserves; if every entry is protected, admit over
-            // capacity rather than violate one.
-            if let Some(victim) = inner.pick_victim(tenant) {
-                inner.evict_key(victim);
-            }
+            inner.evict_oldest();
         }
         let tick = inner.next_tick;
         inner.next_tick += 1;
@@ -337,11 +226,9 @@ impl PlanCache {
             Entry {
                 plan: plan.clone(),
                 tick,
-                owner: tenant,
             },
         );
         inner.recency.insert(tick, key);
-        *inner.owned.entry(tenant).or_insert(0) += 1;
         inner.stats.insertions += 1;
         Ok((plan, false))
     }
@@ -360,21 +247,9 @@ impl PlanCache {
         self.len() == 0
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
         self.inner.lock().stats
-    }
-
-    /// Drop every entry (statistics are preserved).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        inner.recency.clear();
-        inner.owned.clear();
     }
 }
 
@@ -484,9 +359,7 @@ mod tests {
                     release_rx.recv().unwrap(); // park inside the resolver
                     CachedPlan::compile(&ka)
                 };
-                cache
-                    .get_or_resolve(ka.fingerprint(), TenantId::ANONYMOUS, resolve)
-                    .unwrap()
+                cache.get_or_resolve(ka.fingerprint(), resolve).unwrap()
             })
         };
         entered_rx.recv().unwrap(); // the slow resolver is in flight...
@@ -536,78 +409,5 @@ mod tests {
         assert_eq!(stats.insertions, 1, "first writer wins exactly once");
         assert_eq!(stats.hits + stats.misses, THREADS as u64);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn clear_keeps_statistics() {
-        let cache = PlanCache::new(2);
-        let k = kernel(5);
-        cache.get_or_compile(k.fingerprint(), &k).unwrap();
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().insertions, 1);
-        assert!(cache.tenant_footprint().is_empty());
-    }
-
-    fn insert_for(cache: &PlanCache, seed: u64, tenant: TenantId) -> u64 {
-        let k = kernel(seed);
-        cache
-            .get_or_compile_for_tenant(k.fingerprint(), &k, tenant)
-            .unwrap();
-        k.fingerprint()
-    }
-
-    /// A protected tenant's reserve survives another tenant's churn: once
-    /// the bully can no longer evict the victim below its reserve, it
-    /// starts eating its own entries instead.
-    #[test]
-    fn tenant_reserve_protects_entries() {
-        let cache = PlanCache::new(4);
-        let victim = TenantId::new(1);
-        let bully = TenantId::new(2);
-        cache.set_tenant_policy(victim, 2, None);
-        let a = insert_for(&cache, 1, victim);
-        let b = insert_for(&cache, 2, victim);
-        // The bully churns through far more keys than the capacity.
-        for s in 10..20 {
-            insert_for(&cache, s, bully);
-            assert!(
-                cache.peek(a).is_some() && cache.peek(b).is_some(),
-                "reserve-protected entries must never be evicted by another tenant"
-            );
-        }
-        assert_eq!(cache.len(), 4);
-        let footprint = cache.tenant_footprint();
-        assert_eq!(footprint, vec![(victim, 2), (bully, 2)]);
-    }
-
-    /// A capped tenant at its cap evicts its own LRU on insert; everyone
-    /// else's entries are untouched even without reserves.
-    #[test]
-    fn tenant_cap_forces_self_eviction() {
-        let cache = PlanCache::new(8);
-        let capped = TenantId::new(3);
-        cache.set_tenant_policy(capped, 0, Some(2));
-        let other = insert_for(&cache, 1, TenantId::ANONYMOUS);
-        let first = insert_for(&cache, 10, capped);
-        insert_for(&cache, 11, capped);
-        insert_for(&cache, 12, capped); // third insert: evicts `first`
-        assert!(
-            cache.peek(first).is_none(),
-            "cap evicts the tenant's own LRU"
-        );
-        assert!(cache.peek(other).is_some(), "unrelated entries survive");
-        assert_eq!(
-            cache
-                .tenant_footprint()
-                .iter()
-                .find(|&&(t, _)| t == capped)
-                .map(|&(_, n)| n),
-            Some(2)
-        );
-        // The cache is nowhere near capacity — these evictions were purely
-        // cap-driven.
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.stats().evictions, 1);
     }
 }

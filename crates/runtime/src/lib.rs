@@ -50,8 +50,10 @@
 //!
 //! * [`cache::PlanCache`] — content-addressed plan storage. Keys are the
 //!   request's [`StencilRequest::plan_key`]: a stable FNV-1a fingerprint of
-//!   the kernel coefficients, shape and execution mode. LRU-bounded, with
-//!   exact hit/miss/eviction counters ([`cache::CacheStats`]).
+//!   the kernel coefficients, shape and execution mode, never the tenant,
+//!   so tenants share plans. One LRU bound over all entries, with exact
+//!   hit/miss/eviction counters ([`cache::CacheStats`]); tenancy (weights,
+//!   quotas, per-tenant rows) lives in the scheduler alone.
 //! * [`tuner::AutoTuner`] — per-(plan, grid) tiling selection: enumerate a
 //!   candidate lattice, pre-rank with the closed-form
 //!   [`spider_analysis::tuning`] score, dry-run the short list (plus the
@@ -117,9 +119,7 @@ pub mod tuner;
 
 pub use cache::{CacheStats, CachedPlan, PlanCache};
 pub use report::{QueueStats, RequestOutcome, RuntimeReport};
-pub use request::{
-    Deadline, GridSpec, Priority, RequestKernel, StencilRequest, StencilRequestBuilder, TenantId,
-};
+pub use request::{Deadline, GridSpec, Priority, RequestKernel, StencilRequest, TenantId};
 pub use runtime::{output_checksum, RuntimeError, RuntimeOptions, SpiderRuntime};
 pub use scheduler::{
     BackpressurePolicy, FailureReason, KillReport, RequestStatus, SchedulerOptions,

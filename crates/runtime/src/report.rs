@@ -20,8 +20,6 @@ pub struct RequestOutcome {
     pub scenario: Arc<str>,
     /// Whether the plan lookup hit the cache.
     pub cache_hit: bool,
-    /// Whether the tiling came from the autotuner (vs. the default config).
-    pub tuned: bool,
     /// Whether the tuner outcome was served from its memo table.
     pub tuner_memo_hit: bool,
     /// Whether the request executed through a shared (coalesced) executor
@@ -272,16 +270,15 @@ impl RuntimeReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:>6}  {:<22} {:>5} {:>6} {:>12} {:>14}\n",
-            "id", "scenario", "cache", "tuned", "sim time", "GStencil/s"
+            "{:>6}  {:<22} {:>5} {:>12} {:>14}\n",
+            "id", "scenario", "cache", "sim time", "GStencil/s"
         ));
         for o in &self.outcomes {
             out.push_str(&format!(
-                "{:>6}  {:<22} {:>5} {:>6} {:>10.3}us {:>14.2}\n",
+                "{:>6}  {:<22} {:>5} {:>10.3}us {:>14.2}\n",
                 o.id,
                 o.scenario,
                 if o.cache_hit { "hit" } else { "miss" },
-                if o.tuned { "yes" } else { "no" },
                 o.report.time_s() * 1e6,
                 o.report.gstencils_per_sec()
             ));

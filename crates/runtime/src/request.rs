@@ -54,11 +54,11 @@ impl std::fmt::Display for Priority {
 
 /// Identity of the tenant a request is submitted on behalf of.
 ///
-/// Tenancy is a *serving* concept: the scheduler's weighted-fair dispatcher,
-/// admission quotas and the plan cache's per-tenant accounting all key on
-/// it, but — like [`Priority`] and [`Deadline`] — it never leaks into
+/// Tenancy is a *scheduling* concept: the scheduler's weighted-fair
+/// dispatcher, admission quotas and per-tenant counters key on it, but —
+/// like [`Priority`] and [`Deadline`] — it never leaks into
 /// [`StencilRequest::plan_key`] or [`StencilRequest::exec_key`], so two
-/// tenants running the same kernel still share one compiled plan.
+/// tenants running the same kernel share one compiled plan.
 ///
 /// `TenantId::default()` is [`TenantId::ANONYMOUS`] (id 0): traffic that
 /// never mentions tenancy behaves exactly as before this type existed.
@@ -286,61 +286,52 @@ pub struct StencilRequest {
 }
 
 impl StencilRequest {
-    /// Start building a request from its identity triple — id, kernel
-    /// (planar or volumetric) and grid — with serving defaults for every
-    /// optional knob: one sweep, the optimized sparse arm, `seed = id`,
-    /// normal priority, no deadline, anonymous tenant.
+    /// A request from its identity triple — id, kernel (planar or
+    /// volumetric) and grid — with serving defaults for every optional
+    /// knob, which the `with_*` methods set: one sweep, the optimized
+    /// sparse arm, `seed = id`, normal priority, no deadline, anonymous
+    /// tenant.
     ///
     /// ```
     /// # use spider_runtime::{GridSpec, StencilRequest, Priority, TenantId};
     /// # use spider_stencil::StencilKernel;
-    /// let req = StencilRequest::builder(7, StencilKernel::jacobi_2d(), GridSpec::D2 { rows: 64, cols: 64 })
-    ///     .tenant(TenantId::new(3))
-    ///     .priority(Priority::High)
-    ///     .steps(2)
-    ///     .build();
+    /// let req = StencilRequest::new(7, StencilKernel::jacobi_2d(), GridSpec::D2 { rows: 64, cols: 64 })
+    ///     .with_tenant(TenantId::new(3))
+    ///     .with_priority(Priority::High)
+    ///     .with_steps(2);
     /// assert_eq!(req.tenant, TenantId::new(3));
     /// ```
-    pub fn builder(
-        id: u64,
-        kernel: impl Into<RequestKernel>,
-        grid: GridSpec,
-    ) -> StencilRequestBuilder {
-        StencilRequestBuilder {
-            req: Self {
-                id,
-                kernel: kernel.into(),
-                grid,
-                steps: 1,
-                mode: ExecMode::SparseTcOptimized,
-                seed: id,
-                priority: Priority::Normal,
-                deadline: None,
-                tenant: TenantId::ANONYMOUS,
-                attempt: 0,
-            },
+    pub fn new(id: u64, kernel: impl Into<RequestKernel>, grid: GridSpec) -> Self {
+        Self {
+            id,
+            kernel: kernel.into(),
+            grid,
+            steps: 1,
+            mode: ExecMode::SparseTcOptimized,
+            seed: id,
+            priority: Priority::Normal,
+            deadline: None,
+            tenant: TenantId::ANONYMOUS,
+            attempt: 0,
         }
     }
 
     /// A 2D request with serving defaults: one sweep, optimized sparse arm.
-    /// Thin wrapper over [`StencilRequest::builder`].
     pub fn new_2d(id: u64, kernel: StencilKernel, rows: usize, cols: usize) -> Self {
-        Self::builder(id, kernel, GridSpec::D2 { rows, cols }).build()
+        Self::new(id, kernel, GridSpec::D2 { rows, cols })
     }
 
-    /// A 1D request with serving defaults. Thin wrapper over
-    /// [`StencilRequest::builder`].
+    /// A 1D request with serving defaults.
     pub fn new_1d(id: u64, kernel: StencilKernel, len: usize) -> Self {
-        Self::builder(id, kernel, GridSpec::D1 { len }).build()
+        Self::new(id, kernel, GridSpec::D1 { len })
     }
 
     /// A 3D (volumetric) request with serving defaults. Served through the
     /// plane decomposition: each sweep runs as one batched-launch wave of
     /// per-plane 2D stencils, all sharing one cached
-    /// [`spider_core::exec3d::Spider3DPlan`]. Thin wrapper over
-    /// [`StencilRequest::builder`].
+    /// [`spider_core::exec3d::Spider3DPlan`].
     pub fn new_3d(id: u64, kernel: Kernel3D, planes: usize, rows: usize, cols: usize) -> Self {
-        Self::builder(id, kernel, GridSpec::D3 { planes, rows, cols }).build()
+        Self::new(id, kernel, GridSpec::D3 { planes, rows, cols })
     }
 
     pub fn with_steps(mut self, steps: usize) -> Self {
@@ -494,59 +485,6 @@ impl StencilRequest {
     }
 }
 
-/// Fluent builder returned by [`StencilRequest::builder`].
-///
-/// Every optional per-request knob — tenancy, priority, deadline, sweep
-/// count, execution mode, seed — is set here, so growing the serving
-/// surface stops growing `StencilRequest`'s constructor signatures.
-#[derive(Debug, Clone)]
-pub struct StencilRequestBuilder {
-    req: StencilRequest,
-}
-
-impl StencilRequestBuilder {
-    /// Bill the request to `tenant` (default: [`TenantId::ANONYMOUS`]).
-    pub fn tenant(mut self, tenant: impl Into<TenantId>) -> Self {
-        self.req.tenant = tenant.into();
-        self
-    }
-
-    /// Scheduling priority (default: [`Priority::Normal`]).
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.req.priority = priority;
-        self
-    }
-
-    /// Completion deadline (default: none).
-    pub fn deadline(mut self, deadline: Deadline) -> Self {
-        self.req.deadline = Some(deadline);
-        self
-    }
-
-    /// Number of sweeps, ≥ 1 (default: 1).
-    pub fn steps(mut self, steps: usize) -> Self {
-        assert!(steps >= 1, "a request must run at least one sweep");
-        self.req.steps = steps;
-        self
-    }
-
-    /// Executor arm (default: [`ExecMode::SparseTcOptimized`]).
-    pub fn mode(mut self, mode: ExecMode) -> Self {
-        self.req.mode = mode;
-        self
-    }
-
-    /// Seed for the deterministic initial grid (default: the request id).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.req.seed = seed;
-        self
-    }
-
-    pub fn build(self) -> StencilRequest {
-        self.req
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,6 +496,14 @@ mod tests {
         let a = StencilRequest::new_2d(1, k.clone(), 256, 256);
         let b = StencilRequest::new_2d(2, k.clone(), 512, 128); // different grid
         assert_eq!(a.plan_key(), b.plan_key(), "grid must not affect the key");
+        // Two tenants running one kernel share one plan and one executor.
+        let tenanted = a.clone().with_tenant(42);
+        assert_eq!(
+            a.plan_key(),
+            tenanted.plan_key(),
+            "tenant must not affect the key"
+        );
+        assert_eq!(a.exec_key(), tenanted.exec_key());
         let c = StencilRequest::new_2d(3, k, 256, 256).with_mode(ExecMode::DenseTc);
         assert_ne!(a.plan_key(), c.plan_key(), "mode must affect the key");
         let d = StencilRequest::new_2d(
@@ -681,38 +627,15 @@ mod tests {
             .with_deadline(Deadline::within(Duration::from_secs(1)));
         assert_eq!(plain.plan_key(), urgent.plan_key());
         assert_eq!(plain.exec_key(), urgent.exec_key());
-        // …and neither must tenancy: two tenants running the same kernel
-        // share one compiled plan and one coalesced executor.
-        let tenanted = plain.clone().with_tenant(42);
-        assert_eq!(plain.plan_key(), tenanted.plan_key());
-        assert_eq!(plain.exec_key(), tenanted.exec_key());
     }
 
     #[test]
     fn builder_matches_the_thin_constructors() {
-        let k = StencilKernel::gaussian_2d(1);
-        let built = StencilRequest::builder(5, k.clone(), GridSpec::D2 { rows: 96, cols: 64 })
-            .steps(3)
-            .mode(ExecMode::DenseTc)
-            .seed(77)
-            .priority(Priority::High)
-            .tenant(TenantId::new(9))
-            .build();
-        let chained = StencilRequest::new_2d(5, k, 96, 64)
-            .with_steps(3)
-            .with_mode(ExecMode::DenseTc)
-            .with_seed(77)
-            .with_priority(Priority::High)
-            .with_tenant(9);
-        assert_eq!(built.plan_key(), chained.plan_key());
-        assert_eq!(built.exec_key(), chained.exec_key());
-        assert_eq!(built.seed, chained.seed);
-        assert_eq!(built.priority, chained.priority);
-        assert_eq!(built.tenant, chained.tenant);
-        // Builder defaults are the serving defaults.
-        let plain =
-            StencilRequest::builder(1, StencilKernel::jacobi_2d(), GridSpec::D1 { len: 128 })
-                .build();
+        let plain = StencilRequest::new(1, StencilKernel::jacobi_2d(), GridSpec::D1 { len: 128 });
+        let thin = StencilRequest::new_1d(1, StencilKernel::jacobi_2d(), 128);
+        assert_eq!(plain.plan_key(), thin.plan_key());
+        assert_eq!(plain.exec_key(), thin.exec_key());
+        // `new`'s defaults are the serving defaults.
         assert_eq!(plain.steps, 1);
         assert_eq!(plain.mode, ExecMode::SparseTcOptimized);
         assert_eq!(plain.seed, 1);

@@ -25,10 +25,10 @@ use spider_telemetry::{
 
 use crate::cache::{CacheStats, CachedPlan, PlanCache};
 use crate::report::{RequestOutcome, RuntimeReport};
-use crate::request::{GridSpec, StencilRequest, TenantId};
+use crate::request::{GridSpec, StencilRequest};
 use crate::scheduler::drr_cost;
 use crate::store::{PersistedMemo, PlanStore, StoreStats};
-use crate::tuner::AutoTuner;
+use crate::tuner::{AutoTuner, TuneOutcome};
 
 /// Errors a request can fail with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,8 +69,6 @@ impl From<PlanError> for RuntimeError {
 pub struct RuntimeOptions {
     /// Plan-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Whether to autotune tilings (`false` = always the default config).
-    pub autotune: bool,
     /// Point cap on the extent a tuner dry-run charges.
     pub tuner_dry_run_cap: usize,
     /// Candidates (beyond the default) the tuner dry-runs per scenario.
@@ -88,7 +86,6 @@ impl Default for RuntimeOptions {
     fn default() -> Self {
         Self {
             cache_capacity: 64,
-            autotune: true,
             tuner_dry_run_cap: 1 << 14,
             tuner_shortlist: 4,
             tuner_memo_capacity: 1024,
@@ -211,20 +208,6 @@ impl SpiderRuntime {
         Ok(memos.len())
     }
 
-    /// Register (or replace) `tenant`'s plan-cache policy: a `reserve`
-    /// other tenants can never evict it below and an optional `cap` at
-    /// which it evicts its own LRU plan on insert. Called by
-    /// [`crate::SpiderScheduler`] for every registered tenant; usable
-    /// directly on a standalone runtime too.
-    pub fn configure_tenant_cache(&self, tenant: TenantId, reserve: usize, cap: Option<usize>) {
-        self.cache.set_tenant_policy(tenant, reserve, cap);
-    }
-
-    /// Plan-cache entries currently owned by each tenant.
-    pub fn tenant_cache_footprint(&self) -> Vec<(TenantId, usize)> {
-        self.cache.tenant_footprint()
-    }
-
     pub fn device(&self) -> &GpuDevice {
         &self.device
     }
@@ -331,29 +314,16 @@ impl SpiderRuntime {
         results.pop().expect("one result per request") // guard: run_group returns one result per input
     }
 
-    /// Resolve the tiling for a request against an already-resolved plan.
+    /// Tune the tiling for a request against an already-resolved plan.
     /// Volumes tune their *plane* tiling through the 3D plan's
-    /// representative slice (every plane sweep shares it). The last tuple
-    /// element is the dry-run count the tune call paid (0 on a memo hit or
-    /// with autotuning off) — traced, never decision-relevant.
-    fn select_tiling(
-        &self,
-        plan: &CachedPlan,
-        req: &StencilRequest,
-        plan_key: u64,
-    ) -> (TilingConfig, bool, bool, u64) {
-        if self.options.autotune {
-            let rep = match plan {
-                CachedPlan::Planar(p) => p.as_ref(),
-                CachedPlan::Volumetric(p) => p.representative_slice(),
-            };
-            let t = self
-                .tuner
-                .tune(&self.device, rep, req.mode, req.grid, plan_key);
-            (t.tiling, true, t.memoized, t.dry_runs as u64)
-        } else {
-            (TilingConfig::default(), false, false, 0)
-        }
+    /// representative slice (every plane sweep shares it).
+    fn select_tiling(&self, plan: &CachedPlan, req: &StencilRequest, plan_key: u64) -> TuneOutcome {
+        let rep = match plan {
+            CachedPlan::Planar(p) => p.as_ref(),
+            CachedPlan::Volumetric(p) => p.representative_slice(),
+        };
+        self.tuner
+            .tune(&self.device, rep, req.mode, req.grid, plan_key)
     }
 
     /// Execute a plan-key-coalesced group of requests through shared
@@ -453,9 +423,7 @@ impl SpiderRuntime {
                 continue;
             }
             let span = t.span(who, Phase::Resolve);
-            let resolved =
-                self.cache
-                    .get_or_compile_for_tenant(who.plan_key, &req.kernel, req.tenant);
+            let resolved = self.cache.get_or_compile(who.plan_key, &req.kernel);
             span.exit();
             lookups.push(match resolved {
                 Ok((p, hit)) => {
@@ -481,19 +449,17 @@ impl SpiderRuntime {
             for members in contiguous_key_runs(&order, |i| requests[i].exec_key()) {
                 let head = whos[members[0]];
                 let span = t.span(head, Phase::Tune);
-                let (tiling, tuned, head_memo_hit, head_dry_runs) =
-                    self.select_tiling(plan, &requests[members[0]], head.plan_key);
+                let tuned = self.select_tiling(plan, &requests[members[0]], head.plan_key);
                 span.exit();
                 let sub = Subgroup {
                     members: members.to_vec(),
-                    tiling,
-                    tuned,
-                    head_memo_hit,
+                    tiling: tuned.tiling,
+                    head_memo_hit: tuned.memoized,
                 };
                 for (slot, &i) in members.iter().enumerate() {
                     let tune = EventKind::Tune {
                         memo_hit: sub.memo_hit(slot),
-                        dry_runs: if slot == 0 { head_dry_runs } else { 0 },
+                        dry_runs: if slot == 0 { tuned.dry_runs as u64 } else { 0 },
                     };
                     t.record(whos[i], tune, 0.0);
                 }
@@ -555,7 +521,6 @@ impl SpiderRuntime {
                     id: req.id,
                     scenario: req.scenario().into(),
                     cache_hit: matches!(g.lookups[i], Ok(true)),
-                    tuned: sub.tuned,
                     tuner_memo_hit: sub.memo_hit(slot),
                     coalesced,
                     volumetric: req.is_volumetric(),
@@ -767,7 +732,6 @@ pub const MIN_WAVE_JOB_COST: u64 = 1 << 15;
 struct Subgroup {
     members: Vec<usize>,
     tiling: TilingConfig,
-    tuned: bool,
     head_memo_hit: bool,
 }
 
@@ -778,7 +742,7 @@ impl Subgroup {
     /// tuner memoizes per plan/grid/mode, and the subgroup shares all
     /// three).
     fn memo_hit(&self, slot: usize) -> bool {
-        self.tuned && (slot > 0 || self.head_memo_hit)
+        slot > 0 || self.head_memo_hit
     }
 }
 
@@ -1118,28 +1082,6 @@ mod tests {
         assert_eq!(report.failures.len(), 2);
         let failed_ids: Vec<u64> = report.failures.iter().map(|f| f.0).collect();
         assert!(failed_ids.contains(&999) && failed_ids.contains(&998));
-    }
-
-    #[test]
-    fn autotune_off_uses_default_tiling() {
-        let rt = SpiderRuntime::new(
-            GpuDevice::a100(),
-            RuntimeOptions {
-                autotune: false,
-                ..RuntimeOptions::default()
-            },
-        );
-        let out = rt
-            .execute(&StencilRequest::new_2d(
-                1,
-                StencilKernel::jacobi_2d(),
-                64,
-                64,
-            ))
-            .unwrap();
-        assert!(!out.tuned);
-        assert_eq!(out.tiling, TilingConfig::default());
-        assert_eq!(rt.tuned_scenarios(), 0);
     }
 
     #[test]

@@ -72,7 +72,7 @@
 //! | `submit`, `try_submit` | O(log n); picking a `ShedLowestPriority` victim adds O(L log n) |
 //! | `cancel`, and the expiry of each lapsed request | O(log n) |
 //! | one dispatch wave that selects m requests | O(L + m log n) |
-//! | `poll` of a queued ticket | O(its position) |
+//! | `poll` of a queued ticket | O(log n) |
 //! | `poll` of any other ticket | O(1) |
 //! | `kill`, with r requests running | O((n + r) log n) |
 //!
@@ -154,10 +154,8 @@ pub enum BackpressurePolicy {
 /// is proportional to its weight. `admission_quota` bounds how many of the
 /// tenant's requests may sit in the admission queue at once — the knob that
 /// keeps a noisy neighbor from monopolizing queue capacity regardless of
-/// the global [`BackpressurePolicy`]. The cache fields bound the tenant's
-/// footprint in the runtime's [`crate::PlanCache`]: `cache_reserve` entries
-/// are protected from eviction by *other* tenants, `cache_cap` forces the
-/// tenant to evict its own least-recently-used plan once it owns that many.
+/// the global [`BackpressurePolicy`]. Tenants share the runtime's
+/// [`crate::PlanCache`]: the plan key holds no tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantConfig {
     /// Weighted-fair share (≥ 1; 0 is treated as 1).
@@ -165,11 +163,6 @@ pub struct TenantConfig {
     /// Max queued (not yet dispatched) requests for this tenant; `None` =
     /// bounded only by the global queue capacity.
     pub admission_quota: Option<usize>,
-    /// Plan-cache entries other tenants may never evict this tenant below.
-    pub cache_reserve: usize,
-    /// Plan-cache entries this tenant may own before it starts evicting its
-    /// own LRU plan on insert; `None` = bounded only by the cache capacity.
-    pub cache_cap: Option<usize>,
 }
 
 impl Default for TenantConfig {
@@ -177,8 +170,6 @@ impl Default for TenantConfig {
         Self {
             weight: 1,
             admission_quota: None,
-            cache_reserve: 0,
-            cache_cap: None,
         }
     }
 }
@@ -194,16 +185,6 @@ impl TenantConfig {
 
     pub fn with_admission_quota(mut self, quota: usize) -> Self {
         self.admission_quota = Some(quota);
-        self
-    }
-
-    pub fn with_cache_reserve(mut self, reserve: usize) -> Self {
-        self.cache_reserve = reserve;
-        self
-    }
-
-    pub fn with_cache_cap(mut self, cap: usize) -> Self {
-        self.cache_cap = Some(cap);
         self
     }
 }
@@ -331,8 +312,6 @@ impl std::fmt::Display for FailureReason {
 pub enum RequestStatus {
     /// Waiting in the admission queue.
     Queued {
-        /// Position in the queue (0 = oldest).
-        position: usize,
         /// Priority after aging, as of this poll.
         effective_priority: Priority,
     },
@@ -708,10 +687,6 @@ impl SpiderScheduler {
             space: Condvar::new(),
             idle: Condvar::new(),
         });
-        // Registered cache reserves/caps apply to the runtime's plan cache.
-        for (tenant, config) in &options.tenants {
-            runtime.configure_tenant_cache(*tenant, config.cache_reserve, config.cache_cap);
-        }
         let dispatcher = {
             let shared = Arc::clone(&shared);
             let runtime = Arc::clone(&runtime);
@@ -862,7 +837,6 @@ impl SpiderScheduler {
             // running set does.
             None => match st.queue.entries.get(&ticket.seq) {
                 Some(queued) => RequestStatus::Queued {
-                    position: st.queue.entries.range(..ticket.seq).count(),
                     effective_priority: Priority::from_level(effective_level(
                         queued.req.priority.level(),
                         queued.submitted,
@@ -2201,34 +2175,22 @@ mod tests {
     }
 
     #[test]
-    fn registered_tenant_policies_reach_the_plan_cache() {
-        // SpiderScheduler::new forwards cache_reserve/cache_cap to the
-        // runtime's plan cache; serve one request per tenant and check the
-        // footprint attribution.
+    fn tenants_share_compiled_plans() {
+        // The plan key holds no tenant: a kernel one tenant compiled is a
+        // cache hit for every other.
         let s = sched(
             SchedulerOptions::default()
-                .with_tenant(1u64, TenantConfig::default().with_cache_reserve(2))
-                .with_tenant(2u64, TenantConfig::default().with_cache_cap(1)),
+                .with_tenant(1u64, TenantConfig::weighted(2))
+                .with_tenant(2u64, TenantConfig::weighted(1)),
         );
-        s.submit(
-            StencilRequest::new_2d(1, StencilKernel::jacobi_2d(), 48, 64)
-                .with_seed(1)
-                .with_tenant(1u64),
-        )
-        .unwrap();
-        s.submit(
-            StencilRequest::new_2d(2, StencilKernel::heat_2d(0.12), 48, 64)
-                .with_seed(2)
-                .with_tenant(2u64),
-        )
-        .unwrap();
-        s.drain();
-        let footprint = s.runtime().tenant_cache_footprint();
-        assert_eq!(
-            footprint,
-            vec![(TenantId::new(1), 1), (TenantId::new(2), 1)],
-            "each tenant owns the plan it compiled"
-        );
+        for tenant in [1u64, 2] {
+            s.submit(req(tenant, Priority::Normal).with_tenant(tenant))
+                .unwrap();
+            s.drain();
+        }
+        let cache = s.runtime().cache_stats();
+        assert_eq!((cache.misses, cache.hits), (1, 1), "{cache:?}");
+        assert_eq!(s.runtime().cached_plans(), 1);
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn mixed_traffic() -> Vec<StencilRequest> {
                 _ => Priority::High,
             };
             reqs.push(
-                StencilRequest::builder(
+                StencilRequest::new(
                     id,
                     kernel.clone(),
                     GridSpec::D2 {
@@ -63,9 +63,8 @@ fn mixed_traffic() -> Vec<StencilRequest> {
                         cols: 160,
                     },
                 )
-                .seed(500 + id)
-                .priority(priority)
-                .build(),
+                .with_seed(500 + id)
+                .with_priority(priority),
             );
             id += 1;
         }
@@ -146,9 +145,8 @@ fn scene_2_deadlines() {
     let doomed_kernel = StencilKernel::random(StencilShape::box_2d(3), 0xDEAD);
     let doomed = sched
         .submit(
-            StencilRequest::builder(100, doomed_kernel, GridSpec::D2 { rows: 96, cols: 96 })
-                .deadline(Deadline::within(Duration::ZERO))
-                .build(),
+            StencilRequest::new(100, doomed_kernel, GridSpec::D2 { rows: 96, cols: 96 })
+                .with_deadline(Deadline::within(Duration::ZERO)),
         )
         .unwrap();
     let live = sched
@@ -224,13 +222,12 @@ fn scene_3_backpressure() {
     );
     let low = shed
         .submit(
-            StencilRequest::builder(
+            StencilRequest::new(
                 10,
                 StencilKernel::jacobi_2d(),
                 GridSpec::D2 { rows: 64, cols: 64 },
             )
-            .priority(Priority::Low)
-            .build(),
+            .with_priority(Priority::Low),
         )
         .unwrap();
     shed.submit(StencilRequest::new_2d(

@@ -124,14 +124,13 @@ fn scene_2_burn_rate_alert_round_trip() {
         .with_tenant(victim, TenantConfig::weighted(1)),
     );
     let request = |id: u64, tenant: TenantId| {
-        StencilRequest::builder(
+        StencilRequest::new(
             id,
             StencilKernel::jacobi_2d(),
             GridSpec::D2 { rows: 40, cols: 56 },
         )
-        .seed(id)
-        .tenant(tenant)
-        .build()
+        .with_seed(id)
+        .with_tenant(tenant)
     };
     // The victim's SLO: 90% of requests wait under ~4ms in queue.
     let slo = SloObjective {

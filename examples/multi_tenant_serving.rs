@@ -1,21 +1,22 @@
 //! Multi-tenant SLO serving demo: weighted-fair scheduling, admission
-//! quotas, tenant-aware plan caching and per-tenant telemetry.
+//! quotas and per-tenant telemetry.
 //!
-//! Four scenes, each asserting one tenancy guarantee:
+//! Four scenes, each asserting one tenancy guarantee on deterministic
+//! quantities (completion positions and counts, never wall-clock waits):
 //!
 //! 1. **Weighted fairness** — two saturating tenants at 4:1 weights: each
 //!    dispatch wave serves exactly 4 heavy requests per light one, and the
 //!    drained served-cost ratio equals the weight ratio.
-//! 2. **Noisy neighbor** — the traffic harness's canonical scene (a paced
-//!    victim vs a closed-loop bully) twice: tenant-unaware FIFO lets the
-//!    bully inflate the victim's p99 wait; weights + an admission quota
-//!    bound it.
+//! 2. **Noisy neighbor** — a bully's 96-request blast queued ahead of a
+//!    victim's 24 requests, twice: tenant-unaware FIFO finishes the victim
+//!    last, at completion position 120; victim weight 4:1 plus a bully
+//!    admission quota of 16 refuses 80 of the blast and finishes the
+//!    victim at position 30.
 //! 3. **Admission quotas** — an over-quota tenant is *refused* (a typed
 //!    [`SubmitError::QuotaExceeded`], never a block), through the same
 //!    [`Submit`] trait the cluster implements.
-//! 4. **Tenant-aware cache + telemetry** — a cache reserve keeps a
-//!    protected tenant's plans resident under bully churn, and every
-//!    per-tenant counter exports with a `tenant="…"` label.
+//! 4. **Tenant-labelled telemetry** — every per-tenant counter exports
+//!    with a `tenant="…"` label.
 //!
 //! ```text
 //! cargo run --release --example multi_tenant_serving
@@ -29,14 +30,13 @@ use spider_bench::traffic;
 /// Equal-cost requests (one kernel, one extent): DRR costs are uniform, so
 /// served-work ratios read directly as request-count ratios.
 fn uniform_request(id: u64, tenant: TenantId) -> StencilRequest {
-    StencilRequest::builder(
+    StencilRequest::new(
         id,
         StencilKernel::jacobi_2d(),
         GridSpec::D2 { rows: 48, cols: 64 },
     )
-    .seed(500 + id)
-    .tenant(tenant)
-    .build()
+    .with_seed(500 + id)
+    .with_tenant(tenant)
 }
 
 /// An 8-plan runtime; a scheduler over it completes each wave's groups in
@@ -100,33 +100,60 @@ fn scene_1_weighted_fairness() {
     );
 }
 
+/// Queue the bully's 96-request blast, then the victim's 24 requests, on a
+/// paused scheduler without aging, and serve them. Every request shares
+/// one plan key, so each wave is one group that completes in submission
+/// order. Returns the victim's last completion position (1-based) and how
+/// many bully submissions the admission quota refused.
+fn blast_then_victim(options: SchedulerOptions) -> (usize, usize) {
+    let sched = SpiderScheduler::new(
+        runtime(),
+        SchedulerOptions {
+            start_paused: true,
+            aging_step: None,
+            ..options
+        },
+    );
+    let mut refused = 0;
+    for i in 0..96u64 {
+        match sched.submit(uniform_request(i, traffic::NOISY)) {
+            Ok(_) => {}
+            Err(SubmitError::QuotaExceeded { .. }) => refused += 1,
+            Err(e) => panic!("bully submission {i}: {e}"),
+        }
+    }
+    let victim: Vec<Ticket> = (0..24u64)
+        .map(|i| sched.submit(uniform_request(1000 + i, traffic::VICTIM)))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    sched.resume();
+    sched.drain();
+    let order = sched.completion_order();
+    let last = victim
+        .iter()
+        .map(|t| order.iter().position(|x| x == t).unwrap() + 1)
+        .max()
+        .unwrap();
+    (last, refused)
+}
+
 fn scene_2_noisy_neighbor() {
     println!("── scene 2: noisy neighbor, FIFO vs weighted + quota ───────────");
-    let spec = traffic::noisy_neighbor_spec(24, 96);
-
     // Tenant-unaware baseline: no registered tenants, pure FIFO waves.
-    let fifo = traffic::run(&spec, SchedulerOptions::default());
+    let (fifo_last, fifo_refused) = blast_then_victim(SchedulerOptions::default());
+    println!("  FIFO: victim finishes at completion position {fifo_last} (behind the whole blast)");
+    assert_eq!((fifo_last, fifo_refused), (120, 0));
     // Tenant-aware: victim weighted 4:1 and the bully's queue depth capped.
-    let fair = traffic::run(&spec, traffic::noisy_neighbor_options(Some(16)));
-
-    let p99 =
-        |out: &traffic::TrafficOutcome, t: TenantId| out.tenant(t).map_or(0.0, |s| s.p99_wait_us);
-    let fifo_victim = p99(&fifo, traffic::VICTIM);
-    let fair_victim = p99(&fair, traffic::VICTIM);
-    println!("  victim p99 wait: FIFO {fifo_victim:9.0}us (unbounded — queued behind the blast)");
+    let (fair_last, fair_refused) = blast_then_victim(traffic::noisy_neighbor_options(Some(16)));
     println!(
-        "  victim p99 wait: fair {fair_victim:9.0}us ({} bully submissions refused by quota)",
-        fair.tenant(traffic::NOISY).unwrap().rejected
+        "  fair: victim finishes at completion position {fair_last} \
+         ({fair_refused} bully submissions refused by quota 16)"
     );
-    assert_eq!(fair.tenant(traffic::VICTIM).unwrap().completed, 24);
-    assert!(
-        fair.tenant(traffic::NOISY).unwrap().rejected > 0,
-        "a 96-request blast must trip quota 16"
-    );
-    assert!(
-        fair_victim <= fifo_victim,
-        "weights + quota must not serve the victim worse than FIFO \
-         (fair {fair_victim}us vs fifo {fifo_victim}us)"
+    assert_eq!(
+        (fair_last, fair_refused),
+        (30, 80),
+        "quota 16 admits 16 of the blast; each wave then serves 4 victim \
+         requests per bully one, so the victim's 24 finish in 6 waves of 5"
     );
     println!();
 }
@@ -167,49 +194,20 @@ fn scene_3_admission_quota() {
     println!("  resubmission after drain admitted\n");
 }
 
-fn scene_4_cache_and_telemetry() {
-    println!("── scene 4: cache reserves and tenant-labelled telemetry ───────");
-    let protected = TenantId::new(1);
-    let bully = TenantId::new(2);
+fn scene_4_tenant_telemetry() {
+    println!("── scene 4: tenant-labelled telemetry ──────────────────────────");
+    let (first, second) = (TenantId::new(1), TenantId::new(2));
     let sched = SpiderScheduler::new(
-        runtime(), // capacity 8
+        runtime(),
         SchedulerOptions::default()
-            .with_tenant(protected, TenantConfig::weighted(1).with_cache_reserve(2))
-            .with_tenant(bully, TenantConfig::weighted(1)),
+            .with_tenant(first, TenantConfig::weighted(1))
+            .with_tenant(second, TenantConfig::weighted(1)),
     );
-    // The protected tenant warms two plans, then the bully churns eight
-    // distinct kernels through the 8-entry cache.
-    for (i, radius) in [(0u64, 1usize), (1, 2)] {
-        let k = StencilKernel::gaussian_2d(radius);
-        sched
-            .submit(
-                StencilRequest::builder(i, k, GridSpec::D2 { rows: 48, cols: 64 })
-                    .tenant(protected)
-                    .build(),
-            )
-            .unwrap();
-    }
-    for i in 0..8u64 {
-        let k = StencilKernel::random(StencilShape::box_2d(1), 7_000 + i);
-        sched
-            .submit(
-                StencilRequest::builder(100 + i, k, GridSpec::D2 { rows: 48, cols: 64 })
-                    .tenant(bully)
-                    .build(),
-            )
-            .unwrap();
+    for i in 0..4u64 {
+        let tenant = if i % 2 == 0 { first } else { second };
+        sched.submit(uniform_request(i, tenant)).unwrap();
     }
     sched.drain();
-    let footprint = sched.runtime().tenant_cache_footprint();
-    println!("  cache footprint after churn: {footprint:?}");
-    let protected_entries = footprint
-        .iter()
-        .find(|(t, _)| *t == protected)
-        .map_or(0, |&(_, n)| n);
-    assert!(
-        protected_entries >= 2,
-        "the reserve must keep both protected plans resident"
-    );
 
     let prom = sched.tenant_prometheus_text();
     let labelled = prom
@@ -227,6 +225,6 @@ fn main() {
     scene_1_weighted_fairness();
     scene_2_noisy_neighbor();
     scene_3_admission_quota();
-    scene_4_cache_and_telemetry();
+    scene_4_tenant_telemetry();
     println!("multi-tenant serving demo: all scenes passed");
 }

@@ -106,8 +106,8 @@ pub mod prelude {
     pub use spider_runtime::{
         BackpressurePolicy, CacheStats, Deadline, FailureReason, GridSpec, PlanStore, Priority,
         QueueStats, RequestKernel, RequestOutcome, RequestStatus, RuntimeOptions, RuntimeReport,
-        SchedulerOptions, SpiderRuntime, SpiderScheduler, StencilRequest, StencilRequestBuilder,
-        StoreStats, Submit, SubmitError, TenantConfig, TenantId, Ticket,
+        SchedulerOptions, SpiderRuntime, SpiderScheduler, StencilRequest, StoreStats, Submit,
+        SubmitError, TenantConfig, TenantId, Ticket,
     };
     pub use spider_stencil::{
         dim3::{Grid3D, Kernel3D},

@@ -557,13 +557,7 @@ fn pool_reaches_steady_state_after_warmup() {
 /// *across requests*: a second identical batch adds hits but no misses.
 #[test]
 fn runtime_pool_survives_across_requests() {
-    let rt = SpiderRuntime::new(
-        GpuDevice::a100(),
-        RuntimeOptions {
-            autotune: false,
-            ..RuntimeOptions::default()
-        },
-    );
+    let rt = SpiderRuntime::with_defaults(GpuDevice::a100());
     // Distinct steps ⇒ distinct exec keys ⇒ one subgroup per request, and
     // a batch's grids sweep one after another, so the pool's take/put
     // sequence is the same in both batches.

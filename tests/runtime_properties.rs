@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use spider::core::{ExecMode, SpiderExecutor, SpiderPlan};
+use spider::core::{ExecConfig, ExecMode, SpiderExecutor, SpiderPlan};
 use spider::prelude::*;
 use spider::runtime::PlanCache;
 
@@ -37,10 +37,7 @@ proptest! {
         cols in 17usize..70,
     ) {
         let kernel = StencilKernel::random(shape, seed);
-        let rt = SpiderRuntime::new(
-            GpuDevice::a100(),
-            RuntimeOptions { autotune: false, ..RuntimeOptions::default() },
-        );
+        let rt = SpiderRuntime::with_defaults(GpuDevice::a100());
         let req = StencilRequest::new_2d(seed, kernel.clone(), rows, cols).with_seed(seed + 1);
 
         // First execution compiles and fills the cache; second one must hit.
@@ -53,7 +50,8 @@ proptest! {
         // Fresh pipeline, no runtime: same grid, same executor settings.
         let plan = SpiderPlan::compile(&kernel).unwrap();
         let mut grid = req.materialize_2d();
-        SpiderExecutor::new(rt.device(), ExecMode::SparseTcOptimized)
+        let config = ExecConfig { tiling: cold.tiling, ..ExecConfig::default() };
+        SpiderExecutor::with_config(rt.device(), ExecMode::SparseTcOptimized, config)
             .run_2d(&plan, &mut grid, 1)
             .unwrap();
         let fresh_hash = spider::runtime::output_checksum(grid.padded());
@@ -139,10 +137,7 @@ proptest! {
         steps in 1usize..=2,
     ) {
         let kernel = Kernel3D::random_box(radius, kseed);
-        let rt = SpiderRuntime::new(
-            GpuDevice::a100(),
-            RuntimeOptions { autotune: false, ..RuntimeOptions::default() },
-        );
+        let rt = SpiderRuntime::with_defaults(GpuDevice::a100());
         let req = StencilRequest::new_3d(1, kernel.clone(), planes, rows, cols)
             .with_steps(steps)
             .with_seed(kseed + 7);
@@ -153,10 +148,11 @@ proptest! {
         prop_assert_eq!(cold.checksum, warm.checksum);
         prop_assert_eq!(&cold.report.counters, &warm.report.counters);
 
-        // Fresh pipeline, no runtime.
+        // Fresh pipeline, no runtime, under the runtime's plane tiling.
         let plan = Spider3DPlan::compile(&kernel).unwrap();
         let mut volume = req.materialize_3d();
-        let fresh = Spider3DExecutor::new(rt.device(), ExecMode::SparseTcOptimized)
+        let config = ExecConfig { tiling: cold.tiling, ..ExecConfig::default() };
+        let fresh = Spider3DExecutor::with_config(rt.device(), ExecMode::SparseTcOptimized, config)
             .run(&plan, &mut volume, steps)
             .unwrap();
         prop_assert_eq!(

@@ -332,10 +332,9 @@ proptest! {
                 }
             } else {
                 let (tenant, cols) = (TenantId::new(tenant), 16 * (1 + extent));
-                let mut req = StencilRequest::builder(i as u64, kernel(k), GridSpec::D2 { rows: 16, cols })
-                    .tenant(tenant)
-                    .priority(Priority::from_level(level))
-                    .build();
+                let mut req = StencilRequest::new(i as u64, kernel(k), GridSpec::D2 { rows: 16, cols })
+                    .with_tenant(tenant)
+                    .with_priority(Priority::from_level(level));
                 if doom == 0 {
                     req = req.with_deadline(Deadline::within(Duration::ZERO));
                 }

@@ -1,27 +1,24 @@
 //! Property tests for multi-tenant serving: weighted-fair dispatch must be
-//! invisible in the data (bit-identical to the blocking path), visible in
-//! the schedule (served work tracks configured weights, a victim's
+//! invisible in the data (bit-identical to the blocking path) and visible
+//! in the schedule (served work tracks configured weights, a victim's
 //! completion position is bounded regardless of a noisy neighbor's
-//! backlog), and the plan cache must never evict a protected tenant below
-//! its reserve.
+//! backlog).
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use spider::prelude::*;
-use spider::runtime::{PlanCache, RequestKernel};
 
 /// Equal-cost requests (one kernel, one extent) so deficit-round-robin
 /// costs are uniform and served-work ratios read as request-count ratios.
 fn uniform_request(id: u64, tenant: TenantId) -> StencilRequest {
-    StencilRequest::builder(
+    StencilRequest::new(
         id,
         StencilKernel::jacobi_2d(),
         GridSpec::D2 { rows: 40, cols: 56 },
     )
-    .seed(1000 + id)
-    .tenant(tenant)
-    .build()
+    .with_seed(1000 + id)
+    .with_tenant(tenant)
 }
 
 /// A small-cache runtime with a short tuner shortlist; a scheduler over it
@@ -203,61 +200,5 @@ proptest! {
         );
         prop_assert_eq!(report.tenant_queue(victim).unwrap().completed, n_victim as u64);
         prop_assert_eq!(report.tenant_queue(noisy).unwrap().completed, n_noisy as u64);
-    }
-
-    /// The plan cache never evicts a protected tenant below its reserve,
-    /// no matter how a bully churns: after the victim owns `reserve`
-    /// entries, its footprint never dips below that floor, while the
-    /// global capacity bound still holds.
-    #[test]
-    fn cache_reserve_is_never_violated(
-        capacity in 2usize..6,
-        reserve_excess in 0usize..2,
-        churn in 8usize..30,
-        pick_bits in any::<u64>(),
-    ) {
-        let reserve = (capacity - 1).min(1 + reserve_excess);
-        let victim = TenantId::new(1);
-        let bully = TenantId::new(2);
-        let cache = PlanCache::new(capacity);
-        cache.set_tenant_policy(victim, reserve, None);
-
-        let kernel_for = |seed: u64| {
-            RequestKernel::Planar(StencilKernel::random(StencilShape::box_2d(1), seed))
-        };
-        let insert = |tenant: TenantId, seed: u64| {
-            let k = kernel_for(seed);
-            cache
-                .get_or_compile_for_tenant(k.fingerprint(), &k, tenant)
-                .unwrap();
-        };
-        let footprint = |tenant: TenantId| {
-            cache
-                .tenant_footprint()
-                .iter()
-                .find(|(t, _)| *t == tenant)
-                .map_or(0, |&(_, n)| n)
-        };
-
-        // Victim establishes its protected working set.
-        for i in 0..reserve as u64 {
-            insert(victim, 100 + i);
-        }
-        prop_assert_eq!(footprint(victim), reserve);
-
-        // Arbitrary interleaving of bully churn and further victim inserts.
-        for op in 0..churn as u64 {
-            if (pick_bits >> (op % 64)) & 1 == 0 {
-                insert(bully, 9000 + op); // always a fresh key: pure churn
-            } else {
-                insert(victim, 100 + (op % 5)); // revisits + a few new keys
-            }
-            prop_assert!(
-                footprint(victim) >= reserve,
-                "victim footprint {} below reserve {reserve} after op {op}",
-                footprint(victim)
-            );
-            prop_assert!(cache.len() <= capacity, "capacity exceeded");
-        }
     }
 }

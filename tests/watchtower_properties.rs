@@ -262,14 +262,13 @@ fn tenant_burn_rate_alert_fires_and_resolves() {
         .with_tenant(victim, TenantConfig::weighted(1)),
     );
     let request = |id: u64, tenant: TenantId| {
-        StencilRequest::builder(
+        StencilRequest::new(
             id,
             StencilKernel::jacobi_2d(),
             GridSpec::D2 { rows: 40, cols: 56 },
         )
-        .seed(id)
-        .tenant(tenant)
-        .build()
+        .with_seed(id)
+        .with_tenant(tenant)
     };
 
     // The victim's SLO: 90% of requests under ~4ms queue wait. Saturation
