@@ -40,25 +40,20 @@ use spider_telemetry::{
     HealthMonitor, HealthPolicy, HealthState, HealthTransition, MetricValue, MetricsSnapshot,
 };
 
-use crate::elastic::{FaultEvent, FaultPlan, RecoveryReport, RetryPolicy};
+use crate::elastic::{FaultEvent, FaultPlan, RecoveryReport};
 use crate::report::{ClusterReport, DeviceReport};
-use crate::router::{Router, RoutingPolicy};
+use crate::router::Router;
 use crate::spec::DeviceSpec;
 
 /// Construction-time knobs for [`SpiderCluster`].
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterOptions {
-    /// How requests map to devices.
-    pub policy: RoutingPolicy,
     /// Work-stealing skew trigger: a device is *overloaded* when its queue
     /// depth reaches `steal_skew ×` the mean depth (mean floored at one, so
     /// shallow queues never churn). [`SpiderCluster::rebalance`] steals its
     /// youngest queued requests down to the mean. Values `< 1.0` are
     /// treated as `1.0`.
     pub steal_skew: f64,
-    /// What happens to in-flight casualties when a device dies (see
-    /// [`RetryPolicy`]).
-    pub retry: RetryPolicy,
     /// Missed-heartbeat thresholds for [`SpiderCluster::health_tick`];
     /// [`HealthPolicy::disabled`] makes every health tick a no-op —
     /// exactly the pre-watchtower behavior.
@@ -68,9 +63,7 @@ pub struct ClusterOptions {
 impl Default for ClusterOptions {
     fn default() -> Self {
         Self {
-            policy: RoutingPolicy::FingerprintAffinity,
             steal_skew: 2.0,
-            retry: RetryPolicy::default(),
             health: HealthPolicy::default(),
         }
     }
@@ -183,13 +176,13 @@ struct Membership {
 }
 
 impl Membership {
-    fn rebuild_router(&mut self, policy: RoutingPolicy) {
+    fn rebuild_router(&mut self) {
         let names: Vec<String> = self
             .routable
             .iter()
             .map(|&s| self.slots[s].spec.name.clone())
             .collect();
-        self.router = Router::new(policy, &names);
+        self.router = Router::new(&names);
     }
 
     /// Slot index of the live (non-departed) device named `name`.
@@ -209,7 +202,7 @@ struct Pending {
     req: StencilRequest,
     device: usize,
     ticket: Ticket,
-    /// Device-loss retries consumed so far (see [`RetryPolicy`]).
+    /// Device-loss retries consumed so far: 0 or 1.
     attempts: u32,
     /// Prior `(slot, ticket)` segments this submission lived at before
     /// steals/requeues/retries moved it — oldest first. Departed slots
@@ -246,7 +239,7 @@ struct ClusterState {
     steal_failures: u64,
     /// Unstarted requests moved off departing/failed devices exactly-once.
     requeued: u64,
-    /// In-flight casualties re-routed under the retry policy.
+    /// In-flight casualties re-routed for their one retry.
     retried: u64,
     /// Requeues and retries no survivor admitted (see [`Pending::lost`]).
     unplaced: u64,
@@ -324,9 +317,10 @@ fn key_chunks<T>(items: Vec<T>, key: impl Fn(&T) -> u64) -> Vec<Vec<T>> {
 }
 
 /// Multi-device sharded serving: one [`SpiderRuntime`] + [`SpiderScheduler`]
-/// per [`DeviceSpec`], a [`Router`] assigning requests by policy, work
-/// stealing to flatten queue skew, and (optionally) a shared [`PlanStore`]
-/// every device warm-starts from and persists into.
+/// per [`DeviceSpec`], a [`Router`] assigning each request to the device
+/// its plan key hashes to, work stealing to flatten queue skew, and
+/// (optionally) a shared [`PlanStore`] every device warm-starts from and
+/// persists into.
 ///
 /// Membership is **elastic**: [`Self::add_device`] joins a device live,
 /// [`Self::remove_device`] drains one out gracefully, and
@@ -337,7 +331,7 @@ fn key_chunks<T>(items: Vec<T>, key: impl Fn(&T) -> u64) -> Vec<Vec<T>> {
 /// Execution on a device is exactly the single-runtime path — same plan
 /// cache, tuner, coalescing and pooling — so a sharded cluster's outputs
 /// are bit-identical to one runtime serving the same requests (the property
-/// tests pin this for every routing policy, membership churn included).
+/// tests pin this, steals and membership churn included).
 pub struct SpiderCluster {
     membership: OrderedRwLock<Membership>,
     options: ClusterOptions,
@@ -391,7 +385,7 @@ impl SpiderCluster {
                 LockRank::ClusterMembership,
                 "cluster.membership",
                 Membership {
-                    router: Router::new(options.policy, &names),
+                    router: Router::new(&names),
                     slots,
                     routable,
                 },
@@ -479,22 +473,12 @@ impl SpiderCluster {
         self.membership.write()
     }
 
-    /// Pick the destination device for `req` under the configured policy.
-    /// Only the load-aware policy pays for a fleet-wide depth snapshot
-    /// (N scheduler locks); affinity and round-robin ignore loads.
-    /// Returns the slot index and a handle that outlives membership
-    /// changes.
+    /// The destination device for `req`: the routable device its plan key
+    /// rendezvous-hashes to. Returns the slot index and a handle that
+    /// outlives membership changes.
     fn route(&self, req: &StencilRequest) -> (usize, Arc<ClusterDevice>) {
         let m = self.read_membership();
-        let loads = if m.router.policy() == RoutingPolicy::LeastLoaded {
-            m.routable
-                .iter()
-                .map(|&s| m.slots[s].scheduler.queue_depth())
-                .collect()
-        } else {
-            vec![0; m.routable.len()]
-        };
-        let slot = m.routable[m.router.route(req, &loads)];
+        let slot = m.routable[m.router.rendezvous(req.plan_key())];
         (slot, Arc::clone(&m.slots[slot]))
     }
 
@@ -621,8 +605,8 @@ impl SpiderCluster {
                 // requeue exactly-once (the sweep didn't know this seq, so
                 // only we can).
                 RequestStatus::Cancelled => (p.req.clone(), Move::Requeue),
-                // Died mid-flight: retry under the policy.
-                RequestStatus::Failed { .. } => match self.retry(p) {
+                // Died mid-flight: retry it, unless this was its retry.
+                RequestStatus::Failed { .. } => match Self::retry(p) {
                     Some(req) => (req, Move::Retry),
                     None => return,
                 },
@@ -764,14 +748,13 @@ impl SpiderCluster {
     }
 
     /// The one retry decision for an in-flight casualty of a device loss:
-    /// within [`ClusterOptions::retry`]'s budget, stamp the next attempt on
-    /// the request and return it for placement (`attempt` never feeds
-    /// `plan_key`, so the retry is bit-identical, and the chained timeline
-    /// keeps both lives); past the budget, `None` — the failure stays
-    /// surfaced.
-    fn retry(&self, p: &mut Pending) -> Option<StencilRequest> {
-        (p.attempts < self.options.retry.max_attempts).then(|| {
-            p.req.attempt = p.attempts + 1;
+    /// a first casualty gets `attempt` 1 stamped on its request and is
+    /// returned for placement (`attempt` never feeds `plan_key`, so the
+    /// retry is bit-identical, and the chained timeline keeps both lives);
+    /// a retry that dies too returns `None` — the failure stays surfaced.
+    fn retry(p: &mut Pending) -> Option<StencilRequest> {
+        (p.attempts == 0).then(|| {
+            p.req.attempt = 1;
             p.req.clone()
         })
     }
@@ -931,7 +914,7 @@ impl SpiderCluster {
         }
         m.slots.push(dev);
         m.routable.push(slot);
-        m.rebuild_router(self.options.policy);
+        m.rebuild_router();
         Ok(())
     }
 
@@ -982,7 +965,7 @@ impl SpiderCluster {
             }
             if let Some(pos) = m.routable.iter().position(|&s| s == slot) {
                 m.routable.remove(pos);
-                m.rebuild_router(self.options.policy);
+                m.rebuild_router();
             }
             (slot, Arc::clone(&m.slots[slot]))
         };
@@ -1027,10 +1010,10 @@ impl SpiderCluster {
     ///   own order list (not the cluster's lifetime history);
     /// * its **queued** requests are requeued on survivors exactly-once
     ///   (they never started — [`spider_runtime::KillReport::unstarted`]);
-    /// * its **in-flight** requests are casualties, retried at most
-    ///   [`RetryPolicy::max_attempts`] times (the retry executes the same
-    ///   content-addressed plan, so outcomes stay bit-identical) or left
-    ///   surfacing [`spider_runtime::FailureReason::DeviceLost`];
+    /// * its **in-flight** requests are casualties, retried once (the retry
+    ///   executes the same content-addressed plan, so outcomes stay
+    ///   bit-identical); a retry that dies too is abandoned, surfacing
+    ///   [`spider_runtime::FailureReason::DeviceLost`];
     /// * requeues and retries both take the one placement path steals
     ///   take, keeping each plan-key chunk on one survivor;
     /// * the slot departs into the report roll-up, still pollable.
@@ -1048,7 +1031,7 @@ impl SpiderCluster {
             dev.departed.store(true, Ordering::SeqCst);
             if let Some(pos) = m.routable.iter().position(|&s| s == slot) {
                 m.routable.remove(pos);
-                m.rebuild_router(self.options.policy);
+                m.rebuild_router();
             }
             (slot, dev)
         };
@@ -1077,7 +1060,7 @@ impl SpiderCluster {
             let mut retries = Vec::new();
             for &seq in kr.lost.iter().filter_map(|t| by_ticket.get(t)) {
                 let p = st.pending.get_mut(&seq).expect("mapped entry exists"); // guard: by_ticket maps only seqs found in pending under this lock
-                match self.retry(p) {
+                match Self::retry(p) {
                     Some(req) => retries.push((seq, req)),
                     None => report.abandoned += 1,
                 }
@@ -1461,7 +1444,6 @@ impl Submit for SpiderCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elastic::{FaultPlan, RetryPolicy};
     use spider_runtime::{BackpressurePolicy, Priority, SchedulerOptions};
     use spider_stencil::{StencilKernel, StencilShape};
 
@@ -1475,6 +1457,19 @@ mod tests {
                 })
             })
             .collect()
+    }
+
+    /// A box r2 kernel whose plan key rendezvous routes to `names[slot]`.
+    fn kernel_on(names: &[&str], slot: usize) -> StencilKernel {
+        let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        let router = Router::new(&names);
+        (0..)
+            .map(|seed| StencilKernel::random(StencilShape::box_2d(2), seed))
+            .find(|k| {
+                let key = StencilRequest::new_2d(0, k.clone(), 32, 32).plan_key();
+                router.rendezvous(key) == slot
+            })
+            .expect("an unbounded search finds a kernel")
     }
 
     fn mixed_requests(n: usize) -> Vec<StencilRequest> {
@@ -1578,16 +1573,12 @@ mod tests {
 
     #[test]
     fn rebalance_below_skew_is_a_no_op() {
-        let cluster = SpiderCluster::new(
-            specs(2, true),
-            ClusterOptions {
-                policy: RoutingPolicy::RoundRobin,
-                ..ClusterOptions::default()
-            },
-        );
-        for (i, req) in mixed_requests(6).into_iter().enumerate() {
+        let cluster = SpiderCluster::new(specs(2, true), ClusterOptions::default());
+        let kernels = [0, 1].map(|slot| kernel_on(&["dev0", "dev1"], slot));
+        for i in 0..6u64 {
+            let req = StencilRequest::new_2d(i, kernels[i as usize % 2].clone(), 64, 96);
             cluster
-                .submit(req.with_priority(if i % 2 == 0 {
+                .submit(req.with_seed(i).with_priority(if i % 2 == 0 {
                     Priority::Normal
                 } else {
                     Priority::High
@@ -1834,8 +1825,9 @@ mod tests {
         }
     }
 
-    /// Three paused devices of capacity 14 under `Reject`, round robin,
-    /// with 40 requests accepted: 14, 13 and 13 queued.
+    /// Three paused devices of capacity 14 under `Reject`, with 40
+    /// requests accepted, of three kernels routed one to each device: 14,
+    /// 13 and 13 queued.
     fn full_rejecting_fleet() -> (SpiderCluster, Vec<ClusterTicket>) {
         let specs: Vec<DeviceSpec> = (0..3)
             .map(|i| {
@@ -1847,14 +1839,14 @@ mod tests {
                 })
             })
             .collect();
-        let options = ClusterOptions {
-            policy: RoutingPolicy::RoundRobin,
-            ..ClusterOptions::default()
-        };
-        let cluster = SpiderCluster::new(specs, options);
-        let tickets: Vec<ClusterTicket> = mixed_requests(40)
-            .into_iter()
-            .map(|r| cluster.submit(r).unwrap())
+        let cluster = SpiderCluster::new(specs, ClusterOptions::default());
+        let kernels = [0, 1, 2].map(|slot| kernel_on(&["dev0", "dev1", "dev2"], slot));
+        let tickets: Vec<ClusterTicket> = (0..40u64)
+            .map(|i| {
+                let k = kernels[i as usize % 3].clone();
+                let req = StencilRequest::new_2d(i, k, 64, 96).with_seed(i);
+                cluster.submit(req).unwrap()
+            })
             .collect();
         assert_eq!(cluster.queue_depths(), vec![14, 13, 13]);
         (cluster, tickets)
@@ -1984,15 +1976,9 @@ mod tests {
                 s => panic!("reference must complete: {s:?}"),
             }
         }
-        // Cluster with retries enabled: kill a device mid-flight; the
-        // casualties re-route and their checksums match the reference.
-        let cluster = SpiderCluster::new(
-            specs(3, false),
-            ClusterOptions {
-                retry: RetryPolicy { max_attempts: 2 },
-                ..ClusterOptions::default()
-            },
-        );
+        // Kill a device mid-flight: the casualties re-route once and their
+        // checksums match the reference.
+        let cluster = SpiderCluster::new(specs(3, false), ClusterOptions::default());
         let tickets: Vec<(u64, ClusterTicket)> = reqs
             .iter()
             .map(|r| (r.id, cluster.submit(r.clone()).unwrap()))
@@ -2005,12 +1991,7 @@ mod tests {
                 RequestStatus::Done(c) => {
                     assert_eq!(c.checksum, want[&id], "retries stay bit-identical");
                 }
-                RequestStatus::Failed {
-                    reason: FailureReason::DeviceLost,
-                } => {
-                    // Only possible once the retry budget is spent.
-                }
-                s => panic!("unresolved ticket after recovery: {s:?}"),
+                s => panic!("not done after one kill: {s:?}"),
             }
         }
     }
@@ -2023,19 +2004,17 @@ mod tests {
     fn a_failed_device_counts_each_completion_once() {
         let cluster = SpiderCluster::new(
             vec![DeviceSpec::a100("gpu0"), DeviceSpec::a100("gpu1")],
-            ClusterOptions {
-                policy: RoutingPolicy::RoundRobin,
-                retry: RetryPolicy { max_attempts: 2 },
-                ..ClusterOptions::default()
-            },
+            ClusterOptions::default(),
         );
+        let kernels = [0, 1].map(|slot| kernel_on(&["gpu0", "gpu1"], slot));
         let tickets: Vec<ClusterTicket> = (0..4u64)
             .map(|i| {
-                let req = StencilRequest::new_2d(i, StencilKernel::gaussian_2d(2), 1024, 1024);
+                let k = kernels[i as usize % 2].clone();
+                let req = StencilRequest::new_2d(i, k, 1024, 1024);
                 cluster.submit(req.with_steps(3).with_seed(i)).unwrap()
             })
             .collect();
-        // Round robin places the first request on gpu0.
+        // The first request's kernel routes to gpu0.
         let start = Instant::now();
         while !matches!(cluster.poll(tickets[0]), RequestStatus::Running) {
             assert!(start.elapsed().as_secs() < 30, "never ran");
@@ -2053,6 +2032,69 @@ mod tests {
             .counter_value("spider_runtime_requests_completed_total");
         let completed = report.total_completed() as u64;
         assert_eq!((profiled, exported), (completed, completed));
+    }
+
+    /// The slot and name of the device serving `t`.
+    fn serving(cluster: &SpiderCluster, t: ClusterTicket) -> (usize, String) {
+        let slot = cluster.lock().pending[&t.seq].device;
+        (
+            slot,
+            cluster.read_membership().slots[slot].spec.name.clone(),
+        )
+    }
+
+    /// The retry bound: a request whose device dies while it runs is
+    /// retried once, and when the device its retry runs on dies too, it is
+    /// abandoned — once — and polls `Failed { DeviceLost }`. Its first
+    /// life's events carry `attempt` 0 and its retry's carry 1.
+    #[test]
+    fn a_retry_that_dies_too_is_abandoned_once() {
+        let cluster = SpiderCluster::new(specs(3, false), ClusterOptions::default());
+        let req = StencilRequest::new_2d(0, StencilKernel::gaussian_2d(2), 1024, 1024);
+        let t = cluster.submit(req.with_steps(3)).unwrap();
+        // Wait until the request runs, then kill the device it runs on.
+        let kill_where_it_runs = || {
+            let start = Instant::now();
+            while !matches!(cluster.poll(t), RequestStatus::Running) {
+                assert!(start.elapsed().as_secs() < 30, "never ran");
+                std::thread::yield_now();
+            }
+            let (slot, name) = serving(&cluster, t);
+            (slot, cluster.fail_device(&name).unwrap())
+        };
+        let recovery = |retried, abandoned| RecoveryReport {
+            retried,
+            abandoned,
+            ..RecoveryReport::default()
+        };
+        let (first, lost) = kill_where_it_runs();
+        assert_eq!(lost, recovery(1, 0));
+        let (second, lost) = kill_where_it_runs();
+        assert_eq!(lost, recovery(0, 1));
+        assert_ne!(first, second);
+        assert!(matches!(
+            cluster.poll(t),
+            RequestStatus::Failed {
+                reason: FailureReason::DeviceLost
+            }
+        ));
+        let report = cluster.drain_all();
+        assert_eq!((report.retried, report.devices_failed), (1, 2));
+        assert_eq!(report.total_completed(), 0);
+        let m = cluster.read_membership();
+        let attempts = |slot: usize| -> Vec<u32> {
+            let trace = m.slots[slot].runtime.telemetry().trace().timeline(0);
+            trace.iter().map(|e| e.attempt).collect()
+        };
+        let (lived, retried) = (attempts(first), attempts(second));
+        assert!(
+            !lived.is_empty() && lived.iter().all(|&a| a == 0),
+            "{lived:?}"
+        );
+        assert!(
+            !retried.is_empty() && retried.iter().all(|&a| a == 1),
+            "{retried:?}"
+        );
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!          │
 //!          ▼
 //!   ┌─── Router ───────────────────────────────────────────────┐
-//!   │ FingerprintAffinity (rendezvous hash of plan_key)        │
-//!   │ LeastLoaded · RoundRobin                                 │
+//!   │ fingerprint affinity (rendezvous hash of plan_key)       │
 //!   └──┬──────────────┬──────────────┬──────────────┬──────────┘
 //!      ▼              ▼              ▼              ▼
 //!   device 0       device 1       device 2       device 3
@@ -30,7 +29,7 @@
 //!    `plan_key → device` partitions the key space across shards, so each
 //!    device's plan cache and memo table stay as hot as a single device's
 //!    would — the cluster scales throughput without multiplying compiles.
-//! 2. **Steal-and-requeue.** Affinity concentrates hot kernels; the router
+//! 2. **Steal-and-requeue.** Affinity concentrates hot kernels; the cluster
 //!    flattens the resulting skew by cancelling still-queued requests on an
 //!    overloaded device ([`spider_runtime::SpiderScheduler::cancel`]
 //!    guarantees no started work is touched) and resubmitting them to the
@@ -43,7 +42,7 @@
 //!
 //! Execution inside each device is exactly the single-runtime path, so a
 //! sharded cluster is bit-identical to one runtime serving the same
-//! requests — under every routing policy (property-tested).
+//! requests — steals, drains and retries included (property-tested).
 //!
 //! ## Elasticity and failure tolerance
 //!
@@ -55,12 +54,10 @@
 //! waves waited out), and [`SpiderCluster::fail_device`] — or an armed
 //! [`FaultPlan`] — hard-kills one mid-batch with exactly-once recovery:
 //! unstarted work is requeued, in-flight casualties surface as
-//! `Failed { reason: DeviceLost }` and re-route under a bounded
-//! [`RetryPolicy`]. The [`AutoScaler`] drives the same membership calls
-//! from queue-wait/depth signals (`step()` is explicit, so a harness
-//! replays scale curves deterministically). Departed devices keep their
-//! cumulative counters in the fleet reports' `departed` roll-up. See the
-//! [`cluster`] module docs for the slot and locking model.
+//! `Failed { reason: DeviceLost }` and re-route once; a retry that dies
+//! too stays failed. Departed devices keep their cumulative counters in
+//! the fleet reports' `departed` roll-up. See the [`cluster`] module docs
+//! for the slot and locking model.
 //!
 //! ## Quickstart
 //!
@@ -91,12 +88,9 @@ pub mod router;
 pub mod spec;
 
 pub use cluster::{ClusterError, ClusterOptions, ClusterTicket, HealthReport, SpiderCluster};
-pub use elastic::{
-    AutoScaler, FaultEvent, FaultPlan, KillTrigger, RecoveryReport, RetryPolicy, ScaleAction,
-    ScalePolicy,
-};
+pub use elastic::{FaultEvent, FaultPlan, KillTrigger, RecoveryReport};
 pub use report::{ClusterReport, DeviceReport};
-pub use router::{Router, RoutingPolicy};
+pub use router::Router;
 pub use spec::DeviceSpec;
 // The watchtower types cluster callers configure and consume (the cluster
 // side of `spider-telemetry`'s health machinery).

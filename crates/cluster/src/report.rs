@@ -78,7 +78,7 @@ pub struct ClusterReport {
     pub steal_failures: u64,
     /// Unstarted requests moved off departing/failed devices exactly-once.
     pub requeued: u64,
-    /// In-flight device-loss casualties re-routed under the retry policy.
+    /// In-flight device-loss casualties re-routed for their one retry.
     pub retried: u64,
     /// Requeues and retries that no survivor admitted (every queue full
     /// under a refusing backpressure policy); their tickets poll

@@ -28,8 +28,7 @@
 //! | 300 | `ClusterHealth` | scheduler state (progress beats) |
 //! | 400 | `SchedulerState` | trace ring, profiler (dispatch accounting) |
 //! | 500 | `PlanCache` | nothing — compiles run outside the lock (PR 5) |
-//! | 520 | `TunerMemo` | memo slots (`export_memos` try-locks) |
-//! | 540 | `TunerSlot` | nothing (dry runs only charge counters, through `estimate_*`) |
+//! | 520 | `TunerMemo` | nothing — dry runs run outside the lock |
 //! | 560 | `StoreMemoWrite` | store stats |
 //! | 580 | `StoreStats` | nothing (leaf) |
 //! | 650 | `BufferPool` | nothing (leaf) |
@@ -71,10 +70,9 @@ pub enum LockRank {
     /// `PlanCache` map. Compiles run *outside* this lock — holding it
     /// across one is the bug class the lint's lock-discipline rule patrols.
     PlanCache = 500,
-    /// `AutoTuner` memo table.
+    /// `AutoTuner` memo table. Dry runs run *outside* this lock, as
+    /// compiles run outside the plan cache's.
     TunerMemo = 520,
-    /// One `AutoTuner` memo slot; held across the dry-run it serializes.
-    TunerSlot = 540,
     /// `PlanStore` memo-save serialization lock.
     StoreMemoWrite = 560,
     /// `PlanStore` counters.
@@ -206,33 +204,6 @@ impl<T> OrderedMutex<T> {
                 name,
             },
             Err(_) => {
-                #[cfg(debug_assertions)]
-                held::release(rank, name);
-                panic!("ordered lock `{name}` poisoned")
-            }
-        }
-    }
-
-    /// Non-blocking acquire; `None` if the lock is contended. Rank order is
-    /// enforced exactly as for [`Self::lock`] — a `try_lock` can never
-    /// deadlock, but letting it invert would make the documented order a
-    /// fiction.
-    pub fn try_lock(&self) -> Option<OrderedMutexGuard<'_, T>> {
-        let (rank, name) = meta_of!(self);
-        #[cfg(debug_assertions)]
-        held::acquire(rank, name);
-        match self.inner.try_lock() {
-            Ok(raw) => Some(OrderedMutexGuard {
-                raw: Some(raw),
-                rank,
-                name,
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                #[cfg(debug_assertions)]
-                held::release(rank, name);
-                None
-            }
-            Err(std::sync::TryLockError::Poisoned(_)) => {
                 #[cfg(debug_assertions)]
                 held::release(rank, name);
                 panic!("ordered lock `{name}` poisoned")
@@ -453,35 +424,15 @@ mod tests {
     fn out_of_order_release_keeps_stack_consistent() {
         let low = OrderedMutex::new(LockRank::PlanCache, "test.low", ());
         let mid = OrderedMutex::new(LockRank::TunerMemo, "test.mid", ());
-        let high = OrderedMutex::new(LockRank::TunerSlot, "test.high", ());
+        let high = OrderedMutex::new(LockRank::StoreMemoWrite, "test.high", ());
         let a = low.lock();
         let b = mid.lock();
         drop(a); // release the *outer* guard first
-        let c = high.lock(); // still legal: mid (520) < high (540)
+        let c = high.lock(); // still legal: mid (520) < high (560)
         drop(b);
         drop(c);
         // And the stack is empty again: re-acquiring from the bottom works.
         let _a = low.lock();
-    }
-
-    #[test]
-    fn try_lock_contended_returns_none_and_pops_rank() {
-        let m = Arc::new(OrderedMutex::new(LockRank::TunerSlot, "test.slot", 7u32));
-        let held = m.lock();
-        let m2 = Arc::clone(&m);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                assert!(m2.try_lock().is_none());
-                // The failed try_lock must not leave a stale rank entry:
-                // taking a lower rank afterwards would otherwise panic.
-                let lower = OrderedMutex::new(LockRank::PlanCache, "test.lower", ());
-                let _g = lower.lock();
-            })
-            .join()
-            .expect("no stale rank after failed try_lock");
-        });
-        drop(held);
-        assert_eq!(*m.lock(), 7);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * **lock-discipline** — no lock guard live across an expensive call
 //!   (`compile*`, `load_memos`, `save_*`, `submit`/`try_submit`,
-//!   `steal`/`rebalance`, `fail_device`): the PR 5 plan-cache-held-across-
-//!   compile bug class.
+//!   `steal`/`rebalance`, `fail_device`, `tune_uncached`): the PR 5
+//!   plan-cache-held-across-compile bug class.
 //! * **metric-naming** — literals passed to `counter()`/`gauge()`/
 //!   `histogram()` must be `spider_<subsystem>_…`, `_total` on counters,
 //!   `_us` on time histograms.

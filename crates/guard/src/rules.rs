@@ -62,6 +62,7 @@ const EXPENSIVE_CALLS: &[&str] = &[
     "steal",
     "rebalance",
     "fail_device",
+    "tune_uncached",
 ];
 
 fn is_expensive(ident: &str) -> bool {

@@ -1235,8 +1235,8 @@ mod tests {
 
     /// Four threads start together and execute the same 1D/2D/3D requests
     /// on one runtime, each from a different offset, so plan compiles and
-    /// tuner slots race under the ranked-lock checker. Every outcome matches
-    /// a sequential run on a fresh runtime, and every lookup is counted once.
+    /// tunes race under the ranked-lock checker. Every outcome matches a
+    /// sequential run on a fresh runtime, and every lookup is counted once.
     #[test]
     fn concurrent_callers_share_one_runtime() {
         use spider_stencil::dim3::Kernel3D;

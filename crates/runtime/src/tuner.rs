@@ -18,7 +18,7 @@
 //! example asserts per scenario.
 
 use spider_core::sync::{LockRank, OrderedMutex};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use spider_analysis::tuning::{assess_1d, assess_2d, TuningProblem};
 use spider_core::exec::{ExecConfig, ExecMode, SpiderExecutor};
@@ -47,6 +47,12 @@ pub struct TuneOutcome {
 
 /// Memoizing autotuner. One instance serves one device (the memo key does
 /// not include the GPU because a [`crate::SpiderRuntime`] owns exactly one).
+///
+/// The memo follows the plan cache's lock rule: look up under the table
+/// lock, tune with no lock held, and let the first writer win. Callers
+/// that miss one scenario at once each dry-run it and all return the
+/// first outcome settled; no serving path does that, because a wave tunes
+/// on its dispatcher thread before it fans out.
 pub struct AutoTuner {
     memo: OrderedMutex<MemoTable>,
     /// Point cap on the extent a dry-run charges; small by design.
@@ -57,31 +63,32 @@ pub struct AutoTuner {
 
 type ScenarioKey = (u64, GridSpec);
 
-/// Per-scenario memo slot. The outer map hands out `Arc`s so concurrent
-/// callers tuning the *same* scenario serialize on the slot (the second
-/// blocks briefly, then reads the winner) instead of duplicating the
-/// simulator dry-runs, while distinct scenarios never contend.
-type MemoSlot = std::sync::Arc<OrderedMutex<Option<TuneOutcome>>>;
-
-/// A fresh memo slot (ranked just above the memo table it lives in, because
-/// `tune` locks table-then-slot and `export_memos` try-locks slots under the
-/// table lock).
-fn new_slot(initial: Option<TuneOutcome>) -> MemoSlot {
-    std::sync::Arc::new(OrderedMutex::new(
-        LockRank::TunerSlot,
-        "tuner.slot",
-        initial,
-    ))
-}
-
 /// FIFO-bounded memo table (a long-lived runtime serving many distinct
 /// scenarios must not grow without bound; FIFO is enough because tuning a
 /// re-arriving scenario again is merely a few dry-runs, not a correctness
 /// issue).
 struct MemoTable {
     capacity: usize,
-    slots: HashMap<ScenarioKey, MemoSlot>,
-    arrival: std::collections::VecDeque<ScenarioKey>,
+    outcomes: HashMap<ScenarioKey, TuneOutcome>,
+    arrival: VecDeque<ScenarioKey>,
+}
+
+impl MemoTable {
+    /// Settle `outcome` for `key` unless it has one (first writer wins),
+    /// evicting the oldest scenario at capacity; returns what is settled.
+    fn settle(&mut self, key: ScenarioKey, outcome: TuneOutcome) -> TuneOutcome {
+        if let Some(&winner) = self.outcomes.get(&key) {
+            return winner;
+        }
+        if self.outcomes.len() >= self.capacity {
+            if let Some(victim) = self.arrival.pop_front() {
+                self.outcomes.remove(&victim);
+            }
+        }
+        self.outcomes.insert(key, outcome);
+        self.arrival.push_back(key);
+        outcome
+    }
 }
 
 impl AutoTuner {
@@ -97,8 +104,8 @@ impl AutoTuner {
                 "tuner.memo",
                 MemoTable {
                     capacity: memo_capacity.max(1),
-                    slots: HashMap::new(),
-                    arrival: std::collections::VecDeque::new(),
+                    outcomes: HashMap::new(),
+                    arrival: VecDeque::new(),
                 },
             ),
             dry_run_cap: dry_run_cap.max(1),
@@ -108,22 +115,18 @@ impl AutoTuner {
 
     /// Scenarios tuned so far.
     pub fn memo_len(&self) -> usize {
-        self.memo.lock().slots.len()
+        self.memo.lock().outcomes.len()
     }
 
     /// Snapshot every settled memo as `((plan_key, grid), outcome)`, in
     /// arrival order — the iteration the runtime persists through
-    /// [`crate::PlanStore::save_memos`]. Scenarios whose slot is still being
-    /// tuned by another thread are skipped rather than waited for.
+    /// [`crate::PlanStore::save_memos`]. A scenario still being tuned has
+    /// no memo yet.
     pub fn export_memos(&self) -> Vec<((u64, GridSpec), TuneOutcome)> {
         let memo = self.memo.lock();
         memo.arrival
             .iter()
-            .filter_map(|key| {
-                let slot = memo.slots.get(key)?;
-                let guard = slot.try_lock()?;
-                (*guard).map(|outcome| (*key, outcome))
-            })
+            .filter_map(|key| memo.outcomes.get(key).map(|&outcome| (*key, outcome)))
             .collect()
     }
 
@@ -136,18 +139,7 @@ impl AutoTuner {
     pub fn import_memos(&self, memos: impl IntoIterator<Item = ((u64, GridSpec), TuneOutcome)>) {
         let mut memo = self.memo.lock();
         for ((plan_key, grid), outcome) in memos {
-            let key = (plan_key, Self::memo_grid(grid));
-            if memo.slots.contains_key(&key) {
-                continue;
-            }
-            if memo.slots.len() >= memo.capacity {
-                if let Some(victim) = memo.arrival.pop_front() {
-                    memo.slots.remove(&victim);
-                }
-            }
-            let slot = new_slot(Some(outcome));
-            memo.slots.insert(key, slot);
-            memo.arrival.push_back(key);
+            memo.settle((plan_key, Self::memo_grid(grid)), outcome);
         }
     }
 
@@ -178,33 +170,15 @@ impl AutoTuner {
         plan_key: u64,
     ) -> TuneOutcome {
         let key: ScenarioKey = (plan_key, Self::memo_grid(grid));
-        let slot: MemoSlot = {
-            let mut memo = self.memo.lock();
-            if let Some(slot) = memo.slots.get(&key) {
-                std::sync::Arc::clone(slot)
-            } else {
-                if memo.slots.len() >= memo.capacity {
-                    if let Some(victim) = memo.arrival.pop_front() {
-                        memo.slots.remove(&victim);
-                    }
-                }
-                let slot = new_slot(None);
-                memo.slots.insert(key, std::sync::Arc::clone(&slot));
-                memo.arrival.push_back(key);
-                slot
-            }
-        };
-        // Outer lock released: other scenarios proceed freely. Same-scenario
-        // callers serialize here; whoever arrives second reads the winner.
-        let mut guard = slot.lock();
-        if let Some(done) = *guard {
-            let mut out = done;
-            out.memoized = true;
-            return out;
+        if let Some(&done) = self.memo.lock().outcomes.get(&key) {
+            return TuneOutcome {
+                memoized: true,
+                ..done
+            };
         }
+        // Tune outside the lock: dry-runs may not stall other lookups.
         let outcome = self.tune_uncached(device, plan, mode, grid);
-        *guard = Some(outcome);
-        outcome
+        self.memo.lock().settle(key, outcome)
     }
 
     fn tune_uncached(
@@ -465,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_same_scenario_tunes_once() {
+    fn concurrent_same_scenario_callers_settle_one_memo() {
         let dev = GpuDevice::a100();
         let tuner = AutoTuner::new(1 << 12, 2);
         let p = plan(StencilShape::box_2d(2), 9);
@@ -473,19 +447,28 @@ mod tests {
             rows: 256,
             cols: 256,
         };
+        let barrier = std::sync::Barrier::new(4);
         let outcomes: Vec<TuneOutcome> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| tuner.tune(&dev, &p, ExecMode::SparseTcOptimized, grid, 5)))
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        tuner.tune(&dev, &p, ExecMode::SparseTcOptimized, grid, 5)
+                    })
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        // Exactly one thread did the dry-runs; the rest read its winner.
-        let fresh = outcomes.iter().filter(|o| !o.memoized).count();
-        assert_eq!(fresh, 1, "dry-run tuning must not be duplicated");
-        for o in &outcomes {
-            assert_eq!(o.tiling, outcomes[0].tiling);
-        }
+        // Whoever dry-ran returns the first settled outcome: one memo
+        // entry, one tiling, and later callers read it memoized.
         assert_eq!(tuner.memo_len(), 1);
+        let settled = tuner.tune(&dev, &p, ExecMode::SparseTcOptimized, grid, 5);
+        assert!(settled.memoized);
+        for o in &outcomes {
+            assert_eq!(o.tiling, settled.tiling);
+            assert_eq!(o.predicted_time_s, settled.predicted_time_s);
+        }
+        assert_eq!(tuner.export_memos().len(), 1);
     }
 
     #[test]

@@ -126,8 +126,8 @@ impl LogHistogram {
 
     /// Bucket-wise difference against an `earlier` snapshot of the same
     /// cumulative histogram — the observation *window* between two metric
-    /// snapshots (what the autoscaler and the burn-rate monitors evaluate
-    /// instead of lifetime history). Saturating: a cumulative series only
+    /// snapshots (what the burn-rate monitors evaluate instead of lifetime
+    /// history). Saturating: a cumulative series only
     /// grows, but defensive clamping keeps a never-expected shrink (e.g. a
     /// restarted owner) from panicking.
     pub fn saturating_delta(&self, earlier: &Self) -> Self {

@@ -8,8 +8,8 @@
 //! * [`SnapshotSeries`] — a bounded ring of periodic [`MetricsSnapshot`]s
 //!   with [`SnapshotSeries::window`] delta queries. Cumulative counters
 //!   and histograms become *windows* ("what happened since tick N"), the
-//!   form every trend decision wants. It is the single data source for
-//!   both the [`AlertEngine`] and the cluster autoscaler.
+//!   form every trend decision wants. It is the [`AlertEngine`]'s data
+//!   source.
 //! * [`AlertRule`] / [`AlertEngine`] — a small deterministic rule engine
 //!   over any registered series: absolute thresholds, per-window deltas,
 //!   and multi-window SLO **burn rates** over latency histograms. Firing
@@ -47,7 +47,7 @@ pub struct SeriesPoint {
 }
 
 /// A bounded ring of periodic metric snapshots — the metric time-series
-/// behind the alert engine and the autoscaler.
+/// behind the alert engine.
 ///
 /// Retention is by count: at `capacity` points the oldest is evicted,
 /// like the trace ring. Ticks are the series' own monotone clock,

@@ -1,9 +1,8 @@
-//! Elastic cluster demo: live membership changes, graceful drains,
-//! mid-batch device failure with exactly-once recovery, and the
-//! autoscaler's 2→8→2 curve — all with zero lost requests and
-//! bit-identical outputs.
+//! Elastic cluster demo: live membership changes, graceful drains and
+//! mid-batch device failure with exactly-once recovery — all with zero
+//! lost requests and bit-identical outputs.
 //!
-//! Four scenes, each asserting one elasticity guarantee:
+//! Three scenes, each asserting one elasticity guarantee:
 //!
 //! 1. **Live add under load** — a 2-device fleet takes traffic, a third
 //!    device joins mid-stream, and the batch completes with nothing lost;
@@ -14,17 +13,12 @@
 //!    device's counters stay in the fleet report's `departed` roll-up.
 //! 3. **Mid-batch kill + recovery** — a `FaultPlan` hard-kills a device
 //!    after its first dispatch wave; unstarted work requeues exactly-once,
-//!    in-flight casualties re-route under the retry policy, and every
-//!    ticket resolves (`Done` bit-identical, or a typed `DeviceLost`).
-//! 4. **Autoscaler 2→8→2** — queue-wait pressure grows the fleet to its
-//!    max, quiet queues shrink it back, and every request submitted across
-//!    the whole curve completes.
+//!    in-flight casualties re-route once, and every ticket resolves
+//!    (`Done` bit-identical, or a typed `DeviceLost`).
 //!
 //! ```text
 //! cargo run --release --example elastic_cluster
 //! ```
-
-use std::time::Duration;
 
 use spider::prelude::*;
 
@@ -155,13 +149,7 @@ fn scene_2_graceful_drain() {
 
 fn scene_3_mid_batch_kill() {
     println!("── scene 3: mid-batch device kill with recovery ────────────────");
-    let cluster = SpiderCluster::new(
-        specs(3),
-        ClusterOptions {
-            retry: RetryPolicy { max_attempts: 2 },
-            ..ClusterOptions::default()
-        },
-    );
+    let cluster = SpiderCluster::new(specs(3), ClusterOptions::default());
     // Reference checksums from a lone runtime.
     let workload = diverse_workload(6);
     let solo = SpiderRuntime::with_defaults(GpuDevice::a100());
@@ -211,72 +199,9 @@ fn scene_3_mid_batch_kill() {
     );
 }
 
-fn scene_4_autoscaler_curve() {
-    println!("── scene 4: autoscaler 2→8→2 curve ─────────────────────────────");
-    let cluster = SpiderCluster::new(specs(2), ClusterOptions::default());
-    let mut scaler = AutoScaler::new(
-        ScalePolicy {
-            p99_wait_hi: Duration::from_micros(20),
-            depth_lo: 1,
-            cooldown: 0,
-            min_devices: 2,
-            max_devices: 8,
-        },
-        DeviceSpec::a100("auto"),
-    );
-    let mut tickets = Vec::new();
-    let mut curve = vec![cluster.devices()];
-    let mut id = 10_000u64;
-    // Pressure phase: steady traffic pulses; queue waits push p99 over the
-    // threshold and the fleet grows toward max_devices. The short sleep
-    // lets dispatch waves run between pulses so the wait histogram the
-    // scaler diffs actually moves.
-    for _ in 0..12 {
-        for mut req in diverse_workload(2) {
-            req.id = id;
-            id += 1;
-            tickets.push(submit_elastic(&cluster, req));
-        }
-        std::thread::sleep(Duration::from_millis(3));
-        match scaler.step(&cluster) {
-            ScaleAction::ScaledUp(name) => println!("  + scaled up: {name}"),
-            ScaleAction::ScaledDown(name) => println!("  - scaled down: {name}"),
-            ScaleAction::Hold => {}
-        }
-        curve.push(cluster.devices());
-    }
-    let peak = *curve.iter().max().unwrap();
-    // Quiet phase: drain the backlog, then idle steps shrink the fleet.
-    cluster.drain_all();
-    for _ in 0..12 {
-        match scaler.step(&cluster) {
-            ScaleAction::ScaledUp(name) => println!("  + scaled up: {name}"),
-            ScaleAction::ScaledDown(name) => println!("  - scaled down: {name}"),
-            ScaleAction::Hold => {}
-        }
-        curve.push(cluster.devices());
-    }
-    println!("  device curve: {curve:?}");
-    let report = cluster.drain_all();
-    assert!(peak > 2, "pressure must grow the fleet (peak {peak})");
-    assert_eq!(cluster.devices(), 2, "quiet queues must shrink back to min");
-    let lost = tickets
-        .iter()
-        .filter(|t| !matches!(cluster.poll(**t), RequestStatus::Done(_)))
-        .count();
-    assert_eq!(lost, 0, "the scale curve must lose zero requests");
-    println!(
-        "  peak {peak} devices, back to {}, {} requests served, 0 lost\n",
-        cluster.devices(),
-        tickets.len()
-    );
-    assert_eq!(report.total_failed(), 0);
-}
-
 fn main() {
     scene_1_live_add_under_load();
     scene_2_graceful_drain();
     scene_3_mid_batch_kill();
-    scene_4_autoscaler_curve();
     println!("All elasticity invariants held.");
 }

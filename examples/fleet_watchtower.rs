@@ -1,8 +1,8 @@
 //! Fleet watchtower demo: the observability layer watching a cluster —
-//! heartbeat health detection, SLO burn-rate alerts, metric time-series,
-//! and an exportable Chrome trace timeline.
+//! heartbeat health detection, SLO burn-rate alerts over metric
+//! time-series, and an exportable Chrome trace timeline.
 //!
-//! Four scenes, each asserting one watchtower guarantee:
+//! Three scenes, each asserting one watchtower guarantee:
 //!
 //! 1. **Silent failure detection** — a device hangs mid-batch *without
 //!    any operator declaration*; `health_tick()` walks it
@@ -13,10 +13,7 @@
 //!    alert fires; once contention ends the short window recovers and the
 //!    alert resolves. Both transitions land as structured trace events and
 //!    exported `spider_watch_*` metrics.
-//! 3. **Time-series-driven autoscaling** — the `AutoScaler` now reads the
-//!    same [`SnapshotSeries`] windows the alert engine does; queue-wait
-//!    pressure grows the fleet, quiet windows shrink it back.
-//! 4. **Trace export** — the fleet's trace rings export as Chrome
+//! 3. **Trace export** — the fleet's trace rings export as Chrome
 //!    trace-event JSON (one track per device, coalesced waves as batched
 //!    slices), ready for `chrome://tracing` or Perfetto.
 //!
@@ -191,70 +188,8 @@ fn scene_2_burn_rate_alert_round_trip() {
     assert_eq!((fired, resolved), (1, 1));
 }
 
-fn scene_3_series_driven_autoscaler() {
-    println!("── scene 3: autoscaler driven by snapshot time-series ──────────");
-    let cluster = SpiderCluster::new(
-        (0..2)
-            .map(|i| DeviceSpec::a100(format!("dev{i}")))
-            .collect(),
-        ClusterOptions::default(),
-    );
-    let mut scaler = AutoScaler::new(
-        ScalePolicy {
-            p99_wait_hi: Duration::from_micros(20),
-            depth_lo: 1,
-            cooldown: 0,
-            min_devices: 2,
-            max_devices: 6,
-        },
-        DeviceSpec::a100("auto"),
-    );
-    let kernels = [
-        StencilKernel::heat_2d(0.12),
-        StencilKernel::gaussian_2d(2),
-        StencilKernel::jacobi_2d(),
-        StencilKernel::random(StencilShape::star_2d(2), 7),
-    ];
-    let mut curve = vec![cluster.devices()];
-    let mut id = 0u64;
-    for _ in 0..10 {
-        for kernel in &kernels {
-            for _ in 0..3 {
-                cluster
-                    .submit(StencilRequest::new_2d(id, kernel.clone(), 96, 128).with_seed(id))
-                    .unwrap();
-                id += 1;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(3));
-        // Each step records a fleet snapshot into the scaler's internal
-        // SnapshotSeries and reads the windowed p99 delta — the same data
-        // path the alert engine evaluates.
-        match scaler.step(&cluster) {
-            ScaleAction::ScaledUp(name) => println!("  + scaled up: {name}"),
-            ScaleAction::ScaledDown(name) => println!("  - scaled down: {name}"),
-            ScaleAction::Hold => {}
-        }
-        curve.push(cluster.devices());
-    }
-    let peak = *curve.iter().max().unwrap();
-    cluster.drain_all();
-    for _ in 0..10 {
-        match scaler.step(&cluster) {
-            ScaleAction::ScaledUp(name) => println!("  + scaled up: {name}"),
-            ScaleAction::ScaledDown(name) => println!("  - scaled down: {name}"),
-            ScaleAction::Hold => {}
-        }
-        curve.push(cluster.devices());
-    }
-    println!("  device curve: {curve:?}");
-    assert!(peak > 2, "pressure grew the fleet");
-    assert_eq!(*curve.last().unwrap(), 2, "quiet windows shrank it back");
-    println!();
-}
-
-fn scene_4_trace_export() {
-    println!("── scene 4: Chrome trace export ────────────────────────────────");
+fn scene_3_trace_export() {
+    println!("── scene 3: Chrome trace export ────────────────────────────────");
     let cluster = SpiderCluster::new(paused_specs(3), ClusterOptions::default());
     let kernels = [
         StencilKernel::heat_2d(0.12),
@@ -287,7 +222,6 @@ fn scene_4_trace_export() {
 fn main() {
     scene_1_silent_failure_detection();
     scene_2_burn_rate_alert_round_trip();
-    scene_3_series_driven_autoscaler();
-    scene_4_trace_export();
+    scene_3_trace_export();
     println!("fleet watchtower: all scenes passed");
 }

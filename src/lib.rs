@@ -88,9 +88,8 @@ pub use spider_telemetry as telemetry;
 /// Commonly used items across the workspace.
 pub mod prelude {
     pub use spider_cluster::{
-        AutoScaler, ClusterError, ClusterOptions, ClusterReport, ClusterTicket, DeviceSpec,
-        FaultPlan, HealthReport, KillTrigger, RecoveryReport, RetryPolicy, RoutingPolicy,
-        ScaleAction, ScalePolicy, SpiderCluster,
+        ClusterError, ClusterOptions, ClusterReport, ClusterTicket, DeviceSpec, FaultPlan,
+        HealthReport, KillTrigger, RecoveryReport, SpiderCluster,
     };
     pub use spider_core::{
         encode::Sparse24Kernel,

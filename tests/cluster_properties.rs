@@ -1,7 +1,8 @@
 //! Property tests for the cluster layer: sharding must be invisible in the
-//! data (a cluster's outputs are bit-identical to a single runtime's for
-//! every routing policy), and a warm start from the plan store must serve
-//! the same outputs and performance counters without a tuner dry-run.
+//! data (a cluster's outputs are bit-identical to a single runtime's, also
+//! for requests that steals, drains and retries move across devices), and
+//! a warm start from the plan store must serve the same outputs and
+//! performance counters without a tuner dry-run.
 
 use proptest::prelude::*;
 use spider::core::ExecMode;
@@ -44,15 +45,12 @@ fn arb_workload() -> impl Strategy<Value = Vec<StencilRequest>> {
     })
 }
 
-fn cluster_of(n: usize, policy: RoutingPolicy) -> SpiderCluster {
+fn cluster_of(n: usize) -> SpiderCluster {
     SpiderCluster::new(
         (0..n)
             .map(|i| DeviceSpec::a100(format!("dev{i}")))
             .collect(),
-        ClusterOptions {
-            policy,
-            ..ClusterOptions::default()
-        },
+        ClusterOptions::default(),
     )
 }
 
@@ -73,9 +71,9 @@ fn checksums(report: &ClusterReport) -> std::collections::BTreeMap<u64, u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Sharding invisibility: for every routing policy, a multi-device
-    /// cluster completes exactly the submitted requests with checksums
-    /// bit-identical to a lone `SpiderRuntime` executing the same batch.
+    /// Sharding invisibility: a multi-device cluster completes exactly the
+    /// submitted requests with checksums bit-identical to a lone
+    /// `SpiderRuntime` executing the same batch.
     #[test]
     fn sharded_cluster_matches_single_runtime(
         workload in arb_workload(),
@@ -90,24 +88,17 @@ proptest! {
             .map(|o| (o.id, o.checksum))
             .collect();
 
-        for policy in [
-            RoutingPolicy::FingerprintAffinity,
-            RoutingPolicy::LeastLoaded,
-            RoutingPolicy::RoundRobin,
-        ] {
-            let cluster = cluster_of(devices, policy);
-            let report = cluster.run_batch(&workload).expect("Block policy admits");
-            prop_assert_eq!(report.total_completed(), workload.len(), "policy {}", policy);
-            prop_assert_eq!(report.total_failed(), 0);
-            let got = checksums(&report);
-            prop_assert_eq!(&got, &want, "policy {} diverged from single runtime", policy);
-            prop_assert!(report.rates_are_finite());
-        }
+        let report = cluster_of(devices).run_batch(&workload).expect("Block policy admits");
+        prop_assert_eq!(report.total_completed(), workload.len());
+        prop_assert_eq!(report.total_failed(), 0);
+        prop_assert_eq!(&checksums(&report), &want, "diverged from single runtime");
+        prop_assert!(report.rates_are_finite());
     }
 
     /// Work stealing preserves the data too: force total skew (every
     /// request shares one plan key, so affinity stacks one device), steal,
-    /// and compare against the single-runtime checksums.
+    /// so the key serves on several devices, and compare against the
+    /// single-runtime checksums.
     #[test]
     fn stealing_rebalance_is_bit_identical(
         kseed in 0u64..8,
@@ -156,7 +147,7 @@ proptest! {
 
     /// Volumetric sharding invisibility: a mixed 2D/3D workload served by a
     /// multi-device cluster is bit-identical — outputs *and* `PerfCounters`
-    /// — to a lone `SpiderRuntime`, under every routing policy.
+    /// — to a lone `SpiderRuntime`.
     #[test]
     fn sharded_3d_matches_single_runtime_all_policies(
         n_2d in 2usize..5,
@@ -191,30 +182,20 @@ proptest! {
             .map(|o| (o.id, (o.checksum, o.report.counters)))
             .collect();
 
-        for policy in [
-            RoutingPolicy::FingerprintAffinity,
-            RoutingPolicy::LeastLoaded,
-            RoutingPolicy::RoundRobin,
-        ] {
-            let cluster = cluster_of(devices, policy);
-            let report = cluster.run_batch(&workload).expect("Block policy admits");
-            prop_assert_eq!(report.total_completed(), workload.len(), "policy {}", policy);
-            prop_assert_eq!(report.total_volumetric(), n_3d, "policy {}", policy);
-            for d in &report.devices {
-                for o in &d.report.outcomes {
-                    let (checksum, counters) = want.get(&o.id).expect("known id");
-                    prop_assert_eq!(
-                        o.checksum, *checksum,
-                        "policy {}: request {} output diverged", policy, o.id
-                    );
-                    prop_assert_eq!(
-                        &o.report.counters, counters,
-                        "policy {}: request {} counters diverged", policy, o.id
-                    );
-                }
+        let report = cluster_of(devices).run_batch(&workload).expect("Block policy admits");
+        prop_assert_eq!(report.total_completed(), workload.len());
+        prop_assert_eq!(report.total_volumetric(), n_3d);
+        for d in &report.devices {
+            for o in &d.report.outcomes {
+                let (checksum, counters) = want.get(&o.id).expect("known id");
+                prop_assert_eq!(o.checksum, *checksum, "request {} output diverged", o.id);
+                prop_assert_eq!(
+                    &o.report.counters, counters,
+                    "request {} counters diverged", o.id
+                );
             }
-            prop_assert!(report.rates_are_finite());
         }
+        prop_assert!(report.rates_are_finite());
     }
 }
 
@@ -359,11 +340,11 @@ fn checksums_all(report: &ClusterReport) -> std::collections::BTreeMap<u64, u64>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Failure tolerance: kill a random device mid-batch under each router
-    /// policy. Every ticket must resolve — `Done` bit-identical to the
-    /// single-runtime reference, or `Failed { DeviceLost }` exactly when it
-    /// was in flight on the victim with the retry budget spent — and no
-    /// request may execute twice (requeue is exactly-once).
+    /// Failure tolerance: kill a random device mid-batch. Every ticket must
+    /// end `Done`, bit-identical to the single-runtime reference — queued
+    /// work requeues and each in-flight casualty's one retry lands on a
+    /// survivor — and no request may execute twice (requeue is
+    /// exactly-once).
     #[test]
     fn killing_a_random_device_mid_batch_resolves_every_ticket(
         workload in arb_workload(),
@@ -376,62 +357,42 @@ proptest! {
             .map(|o| (o.id, o.checksum))
             .collect();
 
-        for policy in [
-            RoutingPolicy::FingerprintAffinity,
-            RoutingPolicy::LeastLoaded,
-            RoutingPolicy::RoundRobin,
-        ] {
-            let cluster = SpiderCluster::new(
-                (0..3)
-                    .map(|i| {
-                        DeviceSpec::a100(format!("dev{i}")).with_scheduler_options(
-                            SchedulerOptions {
-                                aging_step: None,
-                                ..SchedulerOptions::default()
-                            },
-                        )
+        let cluster = SpiderCluster::new(
+            (0..3)
+                .map(|i| {
+                    DeviceSpec::a100(format!("dev{i}")).with_scheduler_options(SchedulerOptions {
+                        aging_step: None,
+                        ..SchedulerOptions::default()
                     })
-                    .collect(),
-                ClusterOptions {
-                    policy,
-                    ..ClusterOptions::default()
-                },
-            );
-            let tickets: Vec<(u64, spider::cluster::ClusterTicket)> = workload
-                .iter()
-                .map(|r| (r.id, cluster.submit(r.clone()).expect("Block policy admits")))
-                .collect();
-            // Mid-batch: dispatchers are already running; kill now.
-            let victim = cluster.device_names()[victim_idx].clone();
-            cluster.fail_device(&victim).expect("3 devices: never the last");
-            let report = cluster.drain_all();
-            prop_assert_eq!(report.devices_failed, 1, "policy {}", policy);
+                })
+                .collect(),
+            ClusterOptions::default(),
+        );
+        let tickets: Vec<(u64, spider::cluster::ClusterTicket)> = workload
+            .iter()
+            .map(|r| (r.id, cluster.submit(r.clone()).expect("Block policy admits")))
+            .collect();
+        // Mid-batch: dispatchers are already running; kill now.
+        let victim = cluster.device_names()[victim_idx].clone();
+        cluster.fail_device(&victim).expect("3 devices: never the last");
+        let report = cluster.drain_all();
+        prop_assert_eq!(report.devices_failed, 1);
 
-            // Exactly-once: no id may complete twice anywhere in the fleet.
-            let mut seen = std::collections::BTreeSet::new();
-            for o in report.all_devices().flat_map(|d| d.report.outcomes.iter()) {
-                prop_assert!(
-                    seen.insert(o.id),
-                    "policy {}: request {} executed twice", policy, o.id
-                );
-            }
+        // Exactly-once: no id may complete twice anywhere in the fleet.
+        let mut seen = std::collections::BTreeSet::new();
+        for o in report.all_devices().flat_map(|d| d.report.outcomes.iter()) {
+            prop_assert!(seen.insert(o.id), "request {} executed twice", o.id);
+        }
 
-            // Every ticket resolves, and Done stays bit-identical.
-            for (id, t) in tickets {
-                match cluster.poll(t) {
-                    RequestStatus::Done(o) => {
-                        prop_assert_eq!(
-                            o.checksum, want[&id],
-                            "policy {}: request {} diverged after recovery", policy, id
-                        );
-                    }
-                    RequestStatus::Failed { reason: FailureReason::DeviceLost } => {
-                        // In flight on the victim, retry budget spent.
-                    }
-                    s => return Err(TestCaseError::fail(format!(
-                        "policy {policy}: ticket {id} unresolved after kill: {s:?}"
-                    ))),
+        // Every ticket completes, bit-identical.
+        for (id, t) in tickets {
+            match cluster.poll(t) {
+                RequestStatus::Done(o) => {
+                    prop_assert_eq!(o.checksum, want[&id], "request {} diverged after recovery", id);
                 }
+                s => return Err(TestCaseError::fail(format!(
+                    "ticket {id} not done after one kill: {s:?}"
+                ))),
             }
         }
     }

@@ -156,6 +156,20 @@ fn panic_audit_flags_only_unannotated_serving_code() {
     assert!(vs.iter().all(|v| v.rule != RULE_PANIC_AUDIT), "{vs:?}");
 }
 
+/// The tuner's dry-runs run with no memo guard live: a guard held across
+/// them is caught.
+#[test]
+fn tuner_memo_guard_across_dry_runs_is_caught() {
+    let src = "fn tune(&self, key: Key) -> TuneOutcome {\n    let mut memo = self.memo.lock();\n    let outcome = self.tune_uncached(key);\n    memo.settle(key, outcome)\n}\n";
+    let vs = lint_source("crates/runtime/src/fixture.rs", src, &cfg());
+    assert_eq!(vs.len(), 1, "{vs:?}");
+    assert_eq!(
+        (vs[0].rule, vs[0].token.as_str()),
+        (RULE_LOCK_DISCIPLINE, "tune_uncached")
+    );
+    assert!(vs[0].message.contains("`memo`"), "{}", vs[0]);
+}
+
 #[test]
 fn guard_passed_as_a_parameter_is_caught() {
     let src = fixture("guard_param.rs");
