@@ -89,10 +89,7 @@ fn specs(n: usize) -> Vec<DeviceSpec> {
 /// queue skew, so the bench exercises both together — which is also how
 /// a production deployment would run.
 fn options() -> ClusterOptions {
-    ClusterOptions {
-        steal_skew: 1.2,
-        ..ClusterOptions::default()
-    }
+    ClusterOptions { steal_skew: 1.2 }
 }
 
 /// One deterministic batch: paused submit, one rebalance pass, drain.

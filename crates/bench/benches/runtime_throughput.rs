@@ -199,46 +199,6 @@ fn emit_json() {
         ..options()
     });
 
-    // Watchtower overhead guard: the same warm workload with the full
-    // watch machinery running in the serving loop — a `SnapshotSeries`
-    // recording every batch, a burn-rate `AlertEngine` evaluated against
-    // it, and a `HealthMonitor` observed + ticked per batch. Pairs with
-    // `telemetry_on_requests_per_sec` above under the gated `_per_sec`
-    // suffix, so the watchtower creeping past the 15% tolerance fails the
-    // bench gate.
-    let watchtower_on_rps = {
-        use spider_telemetry::{
-            AlertEngine, AlertRule, HealthMonitor, HealthPolicy, SloObjective, SnapshotSeries,
-        };
-        let rt = SpiderRuntime::new(GpuDevice::a100(), options());
-        rt.run_batch(&build_batch(0, 1)); // populate caches
-        let mut series = SnapshotSeries::new(64);
-        let mut engine = AlertEngine::new(vec![AlertRule::burn_rate(
-            "warm-wait-slo",
-            "spider_runtime_wait_us",
-            SloObjective {
-                threshold_us: 4096.0,
-                objective: 0.99,
-            },
-            10.0,
-            4,
-            1,
-        )]);
-        let mut monitor = HealthMonitor::new(HealthPolicy::default());
-        let mut wall = 0.0;
-        let mut requests = 0usize;
-        for b in 1..=WARM_BATCHES {
-            let r = rt.run_batch(&build_batch(30_000 * b as u64, 2));
-            wall += r.wall_s;
-            requests += r.outcomes.len();
-            series.record(rt.metrics_snapshot());
-            engine.evaluate_recorded(&series, rt.telemetry());
-            monitor.observe("bench-dev", b as u64, true);
-            monitor.tick();
-        }
-        requests as f64 / wall
-    };
-
     // Multi-tenant SLO scene: the canonical noisy-neighbor traffic (paced
     // victim vs closed-loop bully) under weights + admission quota. The
     // victim's p99 wait carries the inverted-gate `_p99_wait_us` suffix —
@@ -286,7 +246,6 @@ fn emit_json() {
             ),
             ("telemetry_on_requests_per_sec", telemetry_on_rps, 3),
             ("telemetry_off_requests_per_sec", telemetry_off_rps, 3),
-            ("watchtower_on_requests_per_sec", watchtower_on_rps, 3),
             ("traffic_victim_p99_wait_us", victim.p99_wait_us, 1),
             ("traffic_noisy_p99_wait_ms", noisy.p99_wait_us / 1e3, 3),
             ("traffic_victim_completed", victim.completed as f64, 0),

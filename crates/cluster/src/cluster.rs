@@ -34,13 +34,12 @@ use std::time::Instant;
 
 use spider_runtime::{
     FailureReason, PlanStore, RequestStatus, SpiderRuntime, SpiderScheduler, StencilRequest,
-    Submit, SubmitError, Ticket,
+    SubmitError, Ticket,
 };
-use spider_telemetry::{
-    HealthMonitor, HealthPolicy, HealthState, HealthTransition, MetricValue, MetricsSnapshot,
-};
+use spider_telemetry::{MetricValue, MetricsSnapshot};
 
 use crate::elastic::{FaultEvent, FaultPlan, RecoveryReport};
+use crate::health::{HealthMonitor, HealthState, HealthTransition};
 use crate::report::{ClusterReport, DeviceReport};
 use crate::router::Router;
 use crate::spec::DeviceSpec;
@@ -54,18 +53,11 @@ pub struct ClusterOptions {
     /// youngest queued requests down to the mean. Values `< 1.0` are
     /// treated as `1.0`.
     pub steal_skew: f64,
-    /// Missed-heartbeat thresholds for [`SpiderCluster::health_tick`];
-    /// [`HealthPolicy::disabled`] makes every health tick a no-op —
-    /// exactly the pre-watchtower behavior.
-    pub health: HealthPolicy,
 }
 
 impl Default for ClusterOptions {
     fn default() -> Self {
-        Self {
-            steal_skew: 2.0,
-            health: HealthPolicy::default(),
-        }
+        Self { steal_skew: 2.0 }
     }
 }
 
@@ -395,7 +387,7 @@ impl SpiderCluster {
             health: OrderedMutex::new(
                 LockRank::ClusterHealth,
                 "cluster.health",
-                HealthMonitor::new(options.health),
+                HealthMonitor::default(),
             ),
             options,
         }
@@ -1103,7 +1095,7 @@ impl SpiderCluster {
     /// mid-batch by construction.
     pub fn fault_tick(&self) -> Option<FaultEvent> {
         // Hang trigger: pause + silence, no event (a silent failure
-        // announces nothing — detection is the watchtower's job).
+        // announces nothing — detection is `health_tick`'s job).
         let hung = {
             let m = self.read_membership();
             let mut st = self.lock();
@@ -1145,16 +1137,19 @@ impl SpiderCluster {
 
     /// One heartbeat-detection round: observe every live shard's progress
     /// beat ([`SpiderScheduler::last_progress`]) and busy flag, classify
-    /// (`Healthy → Suspect → Dead` under [`ClusterOptions::health`]), and
-    /// recover every shard declared `Dead` through the standard
-    /// [`Self::fail_device`] kill/requeue/retry path — detection-triggered
-    /// recovery is the *same code* an operator-declared kill runs, so
-    /// outcomes stay bit-identical.
+    /// (`Suspect` after [`SUSPECT_AFTER_TICKS`] beatless-while-busy ticks,
+    /// `Dead` after [`DEAD_AFTER_TICKS`]), and recover every shard declared
+    /// `Dead` through the standard [`Self::fail_device`] kill/requeue/retry
+    /// path — detection-triggered recovery is the *same code* an
+    /// operator-declared kill runs, so outcomes stay bit-identical.
     ///
     /// Deterministic and explicit, like [`Self::fault_tick`]: nothing runs
-    /// from a background thread, and a disabled [`HealthPolicy`] makes
-    /// this a no-op. Space ticks further apart than the longest healthy
-    /// dispatch wave (the thresholds count *ticks*, not wall time).
+    /// from a background thread, so a cluster that is never health-ticked
+    /// is never classified. Space ticks further apart than the longest
+    /// healthy dispatch wave (the thresholds count *ticks*, not wall time).
+    ///
+    /// [`SUSPECT_AFTER_TICKS`]: crate::SUSPECT_AFTER_TICKS
+    /// [`DEAD_AFTER_TICKS`]: crate::DEAD_AFTER_TICKS
     pub fn health_tick(&self) -> HealthReport {
         let mut report = HealthReport::default();
         let (suspects, dead): (u64, Vec<String>) = {
@@ -1208,8 +1203,7 @@ impl SpiderCluster {
     }
 
     /// Every monitored shard's current health classification
-    /// (name-sorted; empty before the first [`Self::health_tick`] or when
-    /// detection is disabled).
+    /// (name-sorted; empty before the first [`Self::health_tick`]).
     pub fn health_states(&self) -> Vec<(String, HealthState)> {
         self.health.lock().states()
     }
@@ -1426,24 +1420,10 @@ fn make_device(spec: DeviceSpec, store: Option<&Arc<PlanStore>>) -> ClusterDevic
     }
 }
 
-/// The cluster front door satisfies the same [`Submit`] contract as a
-/// single-device [`SpiderScheduler`], so serving code can be generic over
-/// "something I can submit stencil requests to".
-impl Submit for SpiderCluster {
-    type Ticket = ClusterTicket;
-
-    fn submit(&self, req: StencilRequest) -> Result<ClusterTicket, SubmitError> {
-        SpiderCluster::submit(self, req)
-    }
-
-    fn try_submit(&self, req: StencilRequest) -> Result<ClusterTicket, SubmitError> {
-        SpiderCluster::try_submit(self, req)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::{DEAD_AFTER_TICKS, SUSPECT_AFTER_TICKS};
     use spider_runtime::{BackpressurePolicy, Priority, SchedulerOptions};
     use spider_stencil::{StencilKernel, StencilShape};
 
@@ -2034,15 +2014,6 @@ mod tests {
         assert_eq!((profiled, exported), (completed, completed));
     }
 
-    /// The slot and name of the device serving `t`.
-    fn serving(cluster: &SpiderCluster, t: ClusterTicket) -> (usize, String) {
-        let slot = cluster.lock().pending[&t.seq].device;
-        (
-            slot,
-            cluster.read_membership().slots[slot].spec.name.clone(),
-        )
-    }
-
     /// The retry bound: a request whose device dies while it runs is
     /// retried once, and when the device its retry runs on dies too, it is
     /// abandoned — once — and polls `Failed { DeviceLost }`. Its first
@@ -2059,7 +2030,8 @@ mod tests {
                 assert!(start.elapsed().as_secs() < 30, "never ran");
                 std::thread::yield_now();
             }
-            let (slot, name) = serving(&cluster, t);
+            let slot = cluster.lock().pending[&t.seq].device;
+            let name = cluster.read_membership().slots[slot].spec.name.clone();
             (slot, cluster.fail_device(&name).unwrap())
         };
         let recovery = |retried, abandoned| RecoveryReport {
@@ -2198,13 +2170,12 @@ mod tests {
                 break;
             }
         }
-        let policy = HealthPolicy::default();
         assert_eq!(
             suspected_at,
-            Some(policy.suspect_after as usize),
-            "suspect after the configured missed beats (baseline tick first)"
+            Some(SUSPECT_AFTER_TICKS as usize),
+            "suspect after the threshold's missed beats (baseline tick first)"
         );
-        assert_eq!(dead_at, Some(policy.dead_after as usize));
+        assert_eq!(dead_at, Some(DEAD_AFTER_TICKS as usize));
         // The dead shard was forgotten after recovery; survivors stay
         // monitored and healthy.
         let states = cluster.health_states();
@@ -2229,23 +2200,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_health_monitor_changes_nothing() {
-        // Same hang, detection off: ticks observe nothing, classify
-        // nothing, kill nothing — and drain_all (which resumes every live
-        // scheduler) serves the backlog exactly as before the watchtower.
-        let (cluster, victim, tickets) = loaded_cluster(
-            8,
-            ClusterOptions {
-                health: HealthPolicy::disabled(),
-                ..ClusterOptions::default()
-            },
-        );
+    fn an_unticked_health_monitor_changes_nothing() {
+        // Same hang, never health-ticked: nothing is classified or killed,
+        // and drain_all (which resumes every live scheduler) serves the
+        // backlog.
+        let (cluster, victim, tickets) = loaded_cluster(8, ClusterOptions::default());
         cluster.inject_faults(FaultPlan::hang_after(&victim, 0));
         cluster.fault_tick();
         cluster.resume_all();
-        for _ in 0..10 {
-            assert!(cluster.health_tick().is_quiet());
-        }
         assert!(cluster.health_states().is_empty());
         assert_eq!(cluster.devices(), 3, "nothing was killed");
         let report = cluster.drain_all();
@@ -2347,13 +2309,7 @@ mod tests {
         // destination (three injected steal faults divert the kill's first
         // placements), and the last rebalance steals from what the
         // evacuations piled up. One digit per request: the slot serving it.
-        let cluster = SpiderCluster::new(
-            specs(6, true),
-            ClusterOptions {
-                steal_skew: 1.2,
-                ..ClusterOptions::default()
-            },
-        );
+        let cluster = SpiderCluster::new(specs(6, true), ClusterOptions { steal_skew: 1.2 });
         let kernels: Vec<StencilKernel> = (0..6)
             .map(|s| StencilKernel::random(StencilShape::box_2d(1), s))
             .collect();
@@ -2468,13 +2424,7 @@ mod tests {
         let mut fleet = specs(2, true);
         fleet[1].scheduler.queue_capacity = 2;
         fleet[1].scheduler.policy = spider_runtime::BackpressurePolicy::Reject;
-        let cluster = SpiderCluster::new(
-            fleet,
-            ClusterOptions {
-                steal_skew: 1.2,
-                ..ClusterOptions::default()
-            },
-        );
+        let cluster = SpiderCluster::new(fleet, ClusterOptions { steal_skew: 1.2 });
         let kernels: Vec<StencilKernel> = (0..8)
             .map(|s| StencilKernel::random(StencilShape::box_2d(1), s))
             .collect();

@@ -44,7 +44,7 @@ pub struct FaultPlan {
     /// [`crate::SpiderCluster::resume_all`]) until
     /// [`crate::SpiderCluster::health_tick`] notices the missed heartbeats and
     /// kills the device through the standard recovery path — the failure
-    /// mode the watchtower exists to catch.
+    /// mode heartbeat detection exists to catch.
     pub hang: Option<KillTrigger>,
     /// Inject this many submit-path refusals: the next `fail_submits`
     /// cluster submits return [`spider_runtime::SubmitError::QueueFull`]

@@ -56,8 +56,11 @@
 //! unstarted work is requeued, in-flight casualties surface as
 //! `Failed { reason: DeviceLost }` and re-route once; a retry that dies
 //! too stays failed. Departed devices keep their cumulative counters in
-//! the fleet reports' `departed` roll-up. See the [`cluster`] module docs
-//! for the slot and locking model.
+//! the fleet reports' `departed` roll-up. A device that hangs without any
+//! declaration is caught by [`SpiderCluster::health_tick`]: suspected after
+//! [`SUSPECT_AFTER_TICKS`] ticks without a heartbeat while busy, declared
+//! dead after [`DEAD_AFTER_TICKS`] and recovered through `fail_device`.
+//! See the [`cluster`] module docs for the slot and locking model.
 //!
 //! ## Quickstart
 //!
@@ -83,15 +86,14 @@
 
 pub mod cluster;
 pub mod elastic;
+mod health;
 pub mod report;
 pub mod router;
 pub mod spec;
 
 pub use cluster::{ClusterError, ClusterOptions, ClusterTicket, HealthReport, SpiderCluster};
 pub use elastic::{FaultEvent, FaultPlan, KillTrigger, RecoveryReport};
+pub use health::{HealthState, HealthTransition, DEAD_AFTER_TICKS, SUSPECT_AFTER_TICKS};
 pub use report::{ClusterReport, DeviceReport};
 pub use router::Router;
 pub use spec::DeviceSpec;
-// The watchtower types cluster callers configure and consume (the cluster
-// side of `spider-telemetry`'s health machinery).
-pub use spider_telemetry::{HealthPolicy, HealthState, HealthTransition};

@@ -9,9 +9,10 @@
 //!   (`compile*`, `load_memos`, `save_*`, `submit`/`try_submit`,
 //!   `steal`/`rebalance`, `fail_device`, `tune_uncached`): the PR 5
 //!   plan-cache-held-across-compile bug class.
-//! * **metric-naming** — literals passed to `counter()`/`gauge()`/
-//!   `histogram()` must be `spider_<subsystem>_…`, `_total` on counters,
-//!   `_us` on time histograms.
+//! * **metric-naming** — names passed to `counter()`/`gauge()`/
+//!   `histogram()` are string literals outside tests, and must be
+//!   `spider_<subsystem>_…`, `_total` on counters, `_us` on time
+//!   histograms.
 //! * **determinism** — no `Instant`/`SystemTime`/`HashMap`/`HashSet` in
 //!   the simulation/plan/bench-deterministic modules.
 //! * **panic-audit** — `.unwrap()`/`.expect()` in the serving crates'

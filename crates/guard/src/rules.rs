@@ -179,11 +179,15 @@ pub fn lint_source(path: &str, src: &str, cfg: &GuardConfig) -> Vec<Violation> {
 /// same block — the exact PR 5 bug class. One linear pass:
 ///
 /// * `let [mut] <name> = …` pushes a *pending* binding; if a guard-method
-///   call (`.lock()`, `.read()`, …) appears in its direct right-hand side
-///   (same brace depth — a call nested in an inner block or closure binds
-///   someone else), the binding becomes a live guard when its `;` closes
-///   the statement. Nested `let`s inside block RHSes are handled by the
-///   same pass, so `let plan = { let g = m.lock(); … };` tracks `g`.
+///   call (`.lock()`, `.read()`, …) in its direct right-hand side (same
+///   brace depth — a call nested in an inner block or closure binds
+///   someone else) ends that right-hand side (see [`ends_statement`]), or
+///   the right-hand side starts with `&` (temporary lifetime extension
+///   keeps `&m.lock().field`'s guard alive with the binding), the binding
+///   becomes a live guard when its `;` closes the statement. A guard that
+///   is only projected through (`m.lock().queue.len()`) is a temporary,
+///   dropped at the `;`. Nested `let`s inside block RHSes are handled by
+///   the same pass, so `let plan = { let g = m.lock(); … };` tracks `g`.
 /// * a live guard dies at `drop(<name>)`, a shadowing rebind, or the `}`
 ///   closing the block it was bound in.
 /// * a `fn` parameter `name: &T` or `name: &mut T`, where the file holds
@@ -200,6 +204,8 @@ fn lock_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
         name: String,
         depth: i32,
         line: u32,
+        /// The right-hand side starts with `&`.
+        borrowed: bool,
         saw_guard_method: bool,
     }
     let toks: Vec<&Token<'_>> = ctx.tokens.iter().filter(|t| !t.is_comment()).collect();
@@ -255,10 +261,15 @@ fn lock_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                 }
                 if let Some(tok) = toks.get(j) {
                     if tok.kind == TokenKind::Ident && tok.text != "Some" && tok.text != "Ok" {
+                        let eq = (j..toks.len()).find(|&k| matches!(toks[k].text, "=" | ";"));
+                        let borrowed = eq.is_some_and(|k| {
+                            toks[k].text == "=" && toks.get(k + 1).is_some_and(|n| n.text == "&")
+                        });
                         pending.push(PendingLet {
                             name: tok.text.to_string(),
                             depth,
                             line: t.line,
+                            borrowed,
                             saw_guard_method: false,
                         });
                     }
@@ -284,7 +295,7 @@ fn lock_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                     && GUARD_METHODS.contains(&t.text)
                 {
                     if let Some(p) = pending.last_mut() {
-                        if p.depth == depth {
+                        if p.depth == depth && (p.borrowed || ends_statement(&toks, i + 1)) {
                             p.saw_guard_method = true;
                         }
                     }
@@ -310,6 +321,46 @@ fn lock_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Index of the `)` closing the `(` at `toks[open]`.
+fn close_paren(toks: &[&Token<'_>], open: usize) -> Option<usize> {
+    let mut nest = 0;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        match t.text {
+            "(" => nest += 1,
+            ")" => {
+                nest -= 1;
+                if nest == 0 {
+                    return Some(k);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Does the call whose argument list opens at `toks[open]` end its
+/// statement? After its `)` may come only `?`, `.unwrap()` or
+/// `.expect(…)`, and then the `;`.
+fn ends_statement(toks: &[&Token<'_>], open: usize) -> bool {
+    let text = |k: usize| toks.get(k).map_or("", |t| t.text);
+    let Some(mut k) = close_paren(toks, open).map(|c| c + 1) else {
+        return false;
+    };
+    loop {
+        match text(k) {
+            "?" => k += 1,
+            "." if matches!(text(k + 1), "unwrap" | "expect") && text(k + 2) == "(" => {
+                match close_paren(toks, k + 2) {
+                    Some(c) => k = c + 1,
+                    None => return false,
+                }
+            }
+            end => return end == ";",
         }
     }
 }
@@ -373,11 +424,18 @@ fn param_guards<'a>(toks: &[&Token<'a>]) -> Vec<(usize, &'a str, u32)> {
 
 /// Rule (b): string literals passed to `counter()`/`gauge()`/`histogram()`
 /// must be `spider_<subsystem>_…` (at least two segments after `spider`),
-/// with `_total` on counters and `_us` on (time) histograms.
+/// with `_total` on counters and `_us` on (time) histograms. Outside test
+/// regions the name must be a literal: a name built at run time is one
+/// this rule cannot check.
 fn metric_naming(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    let toks: Vec<&Token<'_>> = ctx.tokens.iter().filter(|t| !t.is_comment()).collect();
+    let toks: Vec<(usize, &Token<'_>)> = ctx
+        .tokens
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| !t.is_comment())
+        .collect();
     for i in 0..toks.len() {
-        let t = toks[i];
+        let (orig_idx, t) = toks[i];
         if t.kind != TokenKind::Ident {
             continue;
         }
@@ -386,14 +444,43 @@ fn metric_naming(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
             _ => continue,
         };
         // Method definitions (`fn counter(`) are not call sites.
-        if i > 0 && toks[i - 1].text == "fn" {
+        if i > 0 && toks[i - 1].1.text == "fn" {
             continue;
         }
         let (open, lit) = match (toks.get(i + 1), toks.get(i + 2)) {
-            (Some(o), Some(l)) => (o, l),
+            (Some(o), Some(l)) => (o.1, l.1),
             _ => continue,
         };
-        if open.text != "(" || lit.kind != TokenKind::Str {
+        if open.text != "(" || lit.text == ")" {
+            continue;
+        }
+        if lit.kind != TokenKind::Str {
+            if !ctx.in_test[orig_idx] {
+                let mut nest = 0;
+                let arg: String = toks[i + 2..]
+                    .iter()
+                    .map(|(_, a)| a.text)
+                    .take_while(|&a| {
+                        nest += match a {
+                            "(" | "[" | "{" => 1,
+                            ")" | "]" | "}" => -1,
+                            _ => 0,
+                        };
+                        nest >= 0 && !(nest == 0 && a == ",")
+                    })
+                    .collect();
+                out.push(Violation {
+                    file: ctx.path.to_string(),
+                    line: lit.line,
+                    rule: RULE_METRIC_NAMING,
+                    token: arg.clone(),
+                    message: format!(
+                        "metric name `{arg}` passed to {kind}() is not a string literal; \
+                         name the metric with a literal (label a per-entity series at \
+                         export instead)"
+                    ),
+                });
+            }
             continue;
         }
         let name = lit.text.trim_matches('"');

@@ -123,7 +123,7 @@ pub use request::{Deadline, GridSpec, Priority, RequestKernel, StencilRequest, T
 pub use runtime::{output_checksum, RuntimeError, RuntimeOptions, SpiderRuntime};
 pub use scheduler::{
     BackpressurePolicy, FailureReason, KillReport, RequestStatus, SchedulerOptions,
-    SpiderScheduler, Submit, SubmitError, TenantConfig, Ticket, DONE_RETENTION,
+    SpiderScheduler, SubmitError, TenantConfig, Ticket, DONE_RETENTION,
 };
 pub use store::{PersistedMemo, PlanStore, StoreStats};
 pub use tuner::{AutoTuner, TuneOutcome};

@@ -357,8 +357,7 @@ impl RequestStatus {
 }
 
 /// Why a submission was not admitted — the one error vocabulary shared by
-/// every submission surface (scheduler and cluster) through the
-/// [`Submit`] trait.
+/// both submission surfaces, the scheduler and the cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// `Reject` policy and the queue is at capacity.
@@ -372,7 +371,7 @@ pub enum SubmitError {
     /// are refused (never silently dropped) until the drain completes and
     /// the router stops mapping keys to it. Produced by the cluster front
     /// door, not by a single scheduler — it lives in the shared error
-    /// vocabulary so `Submit`-generic callers can match it.
+    /// vocabulary so callers of either surface match one type.
     DeviceDraining { device: String },
     /// The scheduler is shutting down.
     ShuttingDown,
@@ -396,24 +395,6 @@ impl std::fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
-
-/// The unified submission surface: submit work, get an opaque ticket,
-/// fail with a [`SubmitError`]. Implemented by [`SpiderScheduler`]
-/// (single-device serving) and `spider_cluster::SpiderCluster` (routed
-/// fleet serving), so traffic generators and demos can drive either
-/// through one trait bound.
-pub trait Submit {
-    /// The opaque completion handle this surface hands back.
-    type Ticket;
-
-    /// Submit under the surface's configured backpressure policy (may
-    /// block, shed or reject — see the implementor's docs).
-    fn submit(&self, req: StencilRequest) -> Result<Self::Ticket, SubmitError>;
-
-    /// Non-blocking capacity probe: admit the request only if there is room
-    /// right now; never parks the caller and never sheds queued work.
-    fn try_submit(&self, req: StencilRequest) -> Result<Self::Ticket, SubmitError>;
-}
 
 /// A ticket's verdict (the non-public side of a terminal
 /// [`RequestStatus`]). A ticket without one is queued, and the queue holds
@@ -1007,21 +988,16 @@ impl SpiderScheduler {
     }
 
     /// Every metric this scheduler's device exports, read when called: the
-    /// runtime's [`SpiderRuntime::metrics_snapshot`], the scheduler-wide
+    /// runtime's [`SpiderRuntime::metrics_snapshot`] and the scheduler-wide
     /// queue row ([`Self::queue_stats`]) with its waves, groups and peak
-    /// depth, and each tenant row's wait histogram as
-    /// `spider_scheduler_tenant_{id}_wait_us` (anonymous traffic as
-    /// `spider_scheduler_anonymous_wait_us`) — the series tenant SLO
-    /// burn-rate monitors watch. Live between drains; empty when telemetry
-    /// is disabled.
+    /// depth. Per-tenant rows export through
+    /// [`Self::tenant_prometheus_text`]. Live between drains; empty when
+    /// telemetry is disabled.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         if !self.runtime.telemetry().enabled() {
             return MetricsSnapshot::default();
         }
-        let (queue, rows) = {
-            let st = self.lock();
-            (st.queue_stats(), st.tenant_rows())
-        };
+        let queue = self.queue_stats();
         let mut snap = self.runtime.metrics_snapshot();
         queue.write_metrics(&mut snap);
         snap.counter(
@@ -1034,20 +1010,13 @@ impl SpiderScheduler {
             queue.coalesced_groups,
         );
         snap.gauge("spider_scheduler_max_depth", queue.max_depth as f64);
-        for (tenant, row) in rows {
-            let name = format!(
-                "spider_scheduler_{}_wait_us",
-                tenant.label().replace('-', "_")
-            );
-            snap.histogram(&name, row.wait_hist);
-        }
         snap
     }
 
     /// Monotone progress beat: advances on every admission, dispatched
     /// wave, completed execution group and productive expiry sweep. The
-    /// heartbeat a fleet health monitor samples — see
-    /// `spider_telemetry::watch::HealthMonitor`.
+    /// heartbeat a fleet health check samples — see
+    /// `spider_cluster::SpiderCluster::health_tick`.
     pub fn last_progress(&self) -> u64 {
         self.lock().beats
     }
@@ -1115,18 +1084,6 @@ impl SpiderScheduler {
 
     fn lock(&self) -> OrderedMutexGuard<'_, State> {
         self.shared.state.lock()
-    }
-}
-
-impl Submit for SpiderScheduler {
-    type Ticket = Ticket;
-
-    fn submit(&self, req: StencilRequest) -> Result<Ticket, SubmitError> {
-        SpiderScheduler::submit(self, req)
-    }
-
-    fn try_submit(&self, req: StencilRequest) -> Result<Ticket, SubmitError> {
-        SpiderScheduler::try_submit(self, req)
     }
 }
 
@@ -2139,9 +2096,55 @@ mod tests {
         assert_eq!(cache.hits, 3, "one miss per kernel");
         assert_eq!(snap.counter_value("spider_plan_cache_hits_total"), 3);
         let wait = snap
-            .histogram_value("spider_scheduler_anonymous_wait_us")
-            .expect("per-tenant wait histogram");
+            .histogram_value("spider_scheduler_wait_us")
+            .expect("folded wait histogram");
         assert_eq!(wait.count(), 6);
+    }
+
+    #[test]
+    fn metrics_snapshot_exports_a_fixed_vocabulary() {
+        // Tenants never name a metric: per-tenant rows export only through
+        // `tenant_prometheus_text`, as labels.
+        let s = sched(SchedulerOptions::default().with_tenant(1u64, TenantConfig::weighted(3)));
+        s.submit(req(1, Priority::Normal).with_tenant(1u64))
+            .unwrap();
+        s.submit(req(2, Priority::Normal)).unwrap();
+        s.drain();
+        let snap = s.metrics_snapshot();
+        let names: Vec<&str> = snap.values.keys().map(String::as_str).collect();
+        assert_eq!(
+            names,
+            [
+                "spider_plan_cache_evictions_total",
+                "spider_plan_cache_hits_total",
+                "spider_plan_cache_insertions_total",
+                "spider_plan_cache_misses_total",
+                "spider_pool_hits_total",
+                "spider_pool_misses_total",
+                "spider_runtime_cached_plans",
+                "spider_runtime_plan_compiles_total",
+                "spider_runtime_requests_completed_total",
+                "spider_runtime_requests_failed_total",
+                "spider_runtime_service_time_us",
+                "spider_runtime_sim_exec_us",
+                "spider_runtime_volumetric_completed_total",
+                "spider_scheduler_cancelled_total",
+                "spider_scheduler_coalesced_groups_total",
+                "spider_scheduler_completed_total",
+                "spider_scheduler_dispatch_waves_total",
+                "spider_scheduler_expired_total",
+                "spider_scheduler_failed_total",
+                "spider_scheduler_max_depth",
+                "spider_scheduler_rejected_total",
+                "spider_scheduler_served_cost_total",
+                "spider_scheduler_shed_total",
+                "spider_scheduler_submitted_total",
+                "spider_scheduler_wait_us",
+                "spider_scheduler_wave_jobs_total",
+                "spider_telemetry_dropped_events_total",
+                "spider_tuner_memo_entries",
+            ]
+        );
     }
 
     #[test]
@@ -2157,21 +2160,6 @@ mod tests {
         assert!(text.contains("spider_scheduler_submitted_total"));
         assert!(text.contains("spider_scheduler_served_cost_total"));
         assert!(text.contains("spider_scheduler_wait_us"));
-    }
-
-    #[test]
-    fn submit_trait_drives_the_scheduler_generically() {
-        fn pump<S: Submit>(surface: &S, reqs: Vec<StencilRequest>) -> Vec<S::Ticket> {
-            reqs.into_iter()
-                .map(|r| surface.submit(r).expect("admitted"))
-                .collect()
-        }
-        let s = sched(SchedulerOptions::default());
-        let tickets = pump(&s, (0..3).map(|i| req(i, Priority::Normal)).collect());
-        s.drain();
-        for t in tickets {
-            assert!(matches!(s.poll(t), RequestStatus::Done(_)));
-        }
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //! * each [`EventKind::Launch`] becomes one slice spanning the *simulated*
 //!   kernel time of the whole coalesced wave — batched waves appear as
 //!   single slices (`wave 3 ×4`), exactly how the executor billed them;
-//! * terminal [`EventKind::Complete`] events and alert transitions become
-//!   instants (alerts globally scoped — they belong to the fleet, not a
-//!   track).
+//! * terminal [`EventKind::Complete`] events become instants on their
+//!   track.
 //!
 //! Per-member `Execute`/`Admit`/`Queued` bookkeeping events are deliberately
 //! not emitted as slices: the span and wave slices already carry the time,
@@ -114,16 +113,6 @@ pub fn chrome_trace_json(tracks: &[(String, Vec<Event>)]) -> String {
                      \"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{tid},\
                      \"ts\":{ts_us:.3},\"args\":{{{}}}}}",
                     common_args(e)
-                )),
-                EventKind::AlertFired { rule, value } => Some(format!(
-                    "{{\"name\":\"alert-fired {rule:#018x}\",\"cat\":\"alert\",\
-                     \"ph\":\"i\",\"s\":\"g\",\"pid\":0,\"tid\":{tid},\
-                     \"ts\":{ts_us:.3},\"args\":{{\"value\":{value:.6}}}}}"
-                )),
-                EventKind::AlertResolved { rule, value } => Some(format!(
-                    "{{\"name\":\"alert-resolved {rule:#018x}\",\"cat\":\"alert\",\
-                     \"ph\":\"i\",\"s\":\"g\",\"pid\":0,\"tid\":{tid},\
-                     \"ts\":{ts_us:.3},\"args\":{{\"value\":{value:.6}}}}}"
                 )),
                 _ => None,
             };
@@ -371,11 +360,10 @@ mod tests {
             (
                 "dev\"1\"".to_string(), // exercises escaping
                 vec![ev(
-                    0,
+                    2,
                     0.004,
-                    EventKind::AlertFired {
-                        rule: 0xab,
-                        value: 3.0,
+                    EventKind::Complete {
+                        terminal: Terminal::Failed,
                     },
                 )],
             ),
@@ -393,9 +381,15 @@ mod tests {
         // The queue span became a complete slice starting at exit−elapsed.
         assert!(json.contains("\"name\":\"queue\""), "{json}");
         assert!(json.contains("\"ts\":500.000,\"dur\":500.000"), "{json}");
-        // Tracks get distinct tids; the alert instant is globally scoped.
+        // Tracks get distinct tids; each terminal is an instant on its own
+        // track.
         assert!(json.contains("\"tid\":1"), "{json}");
-        assert!(json.contains("\"s\":\"g\""), "{json}");
+        assert_eq!(
+            json.matches("\"ph\":\"i\",\"s\":\"t\"").count(),
+            2,
+            "{json}"
+        );
+        assert!(json.contains("\"name\":\"complete: failed\""), "{json}");
     }
 
     #[test]

@@ -126,10 +126,9 @@ impl LogHistogram {
 
     /// Bucket-wise difference against an `earlier` snapshot of the same
     /// cumulative histogram — the observation *window* between two metric
-    /// snapshots (what the burn-rate monitors evaluate instead of lifetime
-    /// history). Saturating: a cumulative series only
-    /// grows, but defensive clamping keeps a never-expected shrink (e.g. a
-    /// restarted owner) from panicking.
+    /// snapshots, instead of lifetime history. Saturating: a cumulative
+    /// series only grows, but defensive clamping keeps a never-expected
+    /// shrink (e.g. a restarted owner) from panicking.
     pub fn saturating_delta(&self, earlier: &Self) -> Self {
         let mut out = Self::default();
         for i in 0..Self::BUCKETS {
@@ -140,10 +139,9 @@ impl LogHistogram {
     }
 
     /// Count of recorded values in buckets whose *lower bound* is at least
-    /// `threshold` — the "bad event" numerator of an SLO burn rate
-    /// ("requests that waited ≥ threshold µs"). Bucket-granular: values
-    /// inside the bucket containing `threshold` are not split, so choose
-    /// thresholds at power-of-two boundaries for exact counts.
+    /// `threshold` ("requests that waited ≥ threshold µs"). Bucket-granular:
+    /// values inside the bucket containing `threshold` are not split, so
+    /// choose thresholds at power-of-two boundaries for exact counts.
     pub fn count_ge(&self, threshold: f64) -> u64 {
         self.buckets
             .iter()

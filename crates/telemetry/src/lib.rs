@@ -27,9 +27,9 @@
 //! Counts are exported as [`MetricsSnapshot`]s (Prometheus text and flat
 //! JSON, with log-scale [`LogHistogram`]s for p50/p90/p99): each layer's
 //! `metrics_snapshot()` writes in the counts its stats structs, meters and
-//! profiler own, read when it is taken, and
-//! [`AlertEngine::write_metrics`] writes the alert counts; per-device
-//! snapshots merge into fleet ones.
+//! profiler own, read when it is taken; per-device snapshots merge into
+//! fleet ones. [`chrome_trace_json`] renders trace rings as a Chrome
+//! trace-event timeline.
 //!
 //! ## Quickstart
 //!
@@ -60,7 +60,6 @@ pub mod hist;
 pub mod metrics;
 pub mod profile;
 pub mod trace;
-pub mod watch;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -70,10 +69,6 @@ pub use hist::LogHistogram;
 pub use metrics::{MetricValue, MetricsSnapshot};
 pub use profile::{merge_profiles, render_top_profiles, PhaseProfiler, PhaseStats, PlanProfile};
 pub use trace::{Event, EventKind, Phase, ResolveSource, Terminal, TraceLog, Who};
-pub use watch::{
-    alert_rule_id, AlertEngine, AlertKind, AlertRule, AlertTransition, HealthMonitor, HealthPolicy,
-    HealthState, HealthTransition, SeriesPoint, SeriesWindow, SloObjective, SnapshotSeries,
-};
 
 /// Telemetry configuration, carried inside `RuntimeOptions`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

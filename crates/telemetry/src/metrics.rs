@@ -1,7 +1,8 @@
 //! Metric snapshots: the one unit every layer exports its counts in.
 //!
 //! Naming convention (Prometheus-flavoured, linted by `spider-guard` at
-//! every `counter(…)`/`gauge(…)`/`histogram(…)` call with a literal name):
+//! every `counter(…)`/`gauge(…)`/`histogram(…)` call, whose name must be a
+//! string literal):
 //!
 //! * every metric starts with `spider_` and a subsystem segment —
 //!   `spider_runtime_…`, `spider_plan_cache_…`, `spider_scheduler_…`,
@@ -14,15 +15,12 @@
 //!
 //! Every exported number has one owner, and an export reads it when it is
 //! taken: the runtime's request meters, the profiler's folds of the trace,
-//! the cache, pool, store, queue and cluster stats structs, and the alert
-//! engine's transition counts. The `metrics_snapshot()` of a runtime,
-//! scheduler or cluster (and [`AlertEngine::write_metrics`]) writes those
+//! and the cache, pool, store, queue and cluster stats structs. The
+//! `metrics_snapshot()` of a runtime, scheduler or cluster writes those
 //! values into a [`MetricsSnapshot`] through its
 //! [`counter`](MetricsSnapshot::counter)/[`gauge`](MetricsSnapshot::gauge)/
 //! [`histogram`](MetricsSnapshot::histogram) writers. Nothing is copied
 //! between owners, so an export is never stale.
-//!
-//! [`AlertEngine::write_metrics`]: crate::AlertEngine::write_metrics
 
 use std::collections::BTreeMap;
 

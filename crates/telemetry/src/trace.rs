@@ -134,13 +134,6 @@ pub enum EventKind {
     /// A [`Span`](crate::Span) for `phase` closed; `elapsed_s` is its wall
     /// duration, so it opened at `wall_s − elapsed_s`.
     SpanExit { phase: Phase, elapsed_s: f64 },
-    /// An alert rule transitioned to *firing* (`rule` is the stable FNV
-    /// hash of the rule name — see `watch::alert_rule_id` — and `value`
-    /// the observation that crossed the threshold). Recorded with
-    /// `request_id = 0`: alerts belong to the fleet, not one request.
-    AlertFired { rule: u64, value: f64 },
-    /// The matching alert rule transitioned back to *resolved*.
-    AlertResolved { rule: u64, value: f64 },
 }
 
 impl EventKind {
@@ -184,12 +177,6 @@ impl EventKind {
             EventKind::SpanExit { phase, elapsed_s } => {
                 format!("\u{25c0} {phase} ({:.3}ms)", elapsed_s * 1e3)
             }
-            EventKind::AlertFired { rule, value } => {
-                format!("alert-fired: rule {rule:#018x} (value {value:.3})")
-            }
-            EventKind::AlertResolved { rule, value } => {
-                format!("alert-resolved: rule {rule:#018x} (value {value:.3})")
-            }
         }
     }
 }
@@ -197,9 +184,8 @@ impl EventKind {
 /// The request an event belongs to, named once: the serving layer that
 /// owns a request builds its `Who` when it takes the request and passes
 /// that copy to every [`Telemetry::record`](crate::Telemetry::record) and
-/// [`Telemetry::span`](crate::Telemetry::span) call. Fleet events (alerts)
-/// use `Who::default()`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// [`Telemetry::span`](crate::Telemetry::span) call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Who {
     pub request_id: u64,
     /// Plan fingerprint the request resolves to.
@@ -496,33 +482,5 @@ mod tests {
             "{text}"
         );
         assert!(fail_at < banner1 && banner1 < done_at, "{text}");
-    }
-
-    #[test]
-    fn alert_transitions_describe_with_rule_ids() {
-        let log = TraceLog::new(4);
-        log.push(ev(
-            0,
-            EventKind::AlertFired {
-                rule: 0xab,
-                value: 3.5,
-            },
-        ));
-        log.push(ev(
-            0,
-            EventKind::AlertResolved {
-                rule: 0xab,
-                value: 0.1,
-            },
-        ));
-        let text = log.render_timeline(0).unwrap();
-        assert!(
-            text.contains("alert-fired: rule 0x00000000000000ab (value 3.500)"),
-            "{text}"
-        );
-        assert!(
-            text.contains("alert-resolved: rule 0x00000000000000ab (value 0.100)"),
-            "{text}"
-        );
     }
 }

@@ -82,7 +82,6 @@ fn scene_1_affinity_sharding() {
         specs(4),
         ClusterOptions {
             steal_skew: f64::INFINITY,
-            ..ClusterOptions::default()
         },
     );
     let report = cluster.run_batch(&diverse_workload(6)).unwrap();

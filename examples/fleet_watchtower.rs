@@ -1,19 +1,13 @@
-//! Fleet watchtower demo: the observability layer watching a cluster —
-//! heartbeat health detection, SLO burn-rate alerts over metric
-//! time-series, and an exportable Chrome trace timeline.
+//! Fleet watchtower demo: watching a cluster — heartbeat health detection
+//! and an exportable Chrome trace timeline.
 //!
-//! Three scenes, each asserting one watchtower guarantee:
+//! Two scenes, each asserting one watchtower guarantee:
 //!
 //! 1. **Silent failure detection** — a device hangs mid-batch *without
 //!    any operator declaration*; `health_tick()` walks it
 //!    Healthy → Suspect → Dead on missed heartbeats and recovers its whole
 //!    queue through the standard kill/requeue path. Zero lost requests.
-//! 2. **Burn-rate alert round trip** — a noisy neighbor saturates the
-//!    queue, the victim tenant's p99-wait SLO burns >10× budget and the
-//!    alert fires; once contention ends the short window recovers and the
-//!    alert resolves. Both transitions land as structured trace events and
-//!    exported `spider_watch_*` metrics.
-//! 3. **Trace export** — the fleet's trace rings export as Chrome
+//! 2. **Trace export** — the fleet's trace rings export as Chrome
 //!    trace-event JSON (one track per device, coalesced waves as batched
 //!    slices), ready for `chrome://tracing` or Perfetto.
 //!
@@ -21,11 +15,9 @@
 //! cargo run --release --example fleet_watchtower
 //! ```
 
-use std::sync::Arc;
-use std::time::Duration;
-
+use spider::cluster::DEAD_AFTER_TICKS;
 use spider::prelude::*;
-use spider::telemetry::{validate_json, EventKind};
+use spider::telemetry::validate_json;
 
 fn paused_specs(n: usize) -> Vec<DeviceSpec> {
     (0..n)
@@ -65,8 +57,7 @@ fn scene_1_silent_failure_detection() {
     assert!(cluster.fault_tick().is_none(), "a hang announces nothing");
     cluster.resume_all();
     println!("  {victim} silenced; nothing declared the failure");
-    let policy = HealthPolicy::default();
-    for round in 0..=(policy.dead_after as usize + 1) {
+    for round in 0..=(DEAD_AFTER_TICKS as usize + 1) {
         let report = cluster.health_tick();
         for t in &report.transitions {
             println!(
@@ -105,91 +96,8 @@ fn scene_1_silent_failure_detection() {
     println!("    ...\n");
 }
 
-fn scene_2_burn_rate_alert_round_trip() {
-    println!("── scene 2: SLO burn-rate alert fires and resolves ─────────────");
-    let noisy = TenantId::new(1);
-    let victim = TenantId::new(2);
-    let runtime = Arc::new(SpiderRuntime::with_defaults(GpuDevice::a100()));
-    let sched = SpiderScheduler::new(
-        Arc::clone(&runtime),
-        SchedulerOptions {
-            start_paused: true,
-            aging_step: None,
-            ..SchedulerOptions::default()
-        }
-        .with_tenant(noisy, TenantConfig::weighted(1))
-        .with_tenant(victim, TenantConfig::weighted(1)),
-    );
-    let request = |id: u64, tenant: TenantId| {
-        StencilRequest::new(
-            id,
-            StencilKernel::jacobi_2d(),
-            GridSpec::D2 { rows: 40, cols: 56 },
-        )
-        .with_seed(id)
-        .with_tenant(tenant)
-    };
-    // The victim's SLO: 90% of requests wait under ~4ms in queue.
-    let slo = SloObjective {
-        threshold_us: 4096.0,
-        objective: 0.9,
-    };
-    let mut engine = AlertEngine::new(vec![AlertRule::burn_rate(
-        "victim-wait-slo",
-        "spider_scheduler_tenant_2_wait_us",
-        slo,
-        3.0,
-        2,
-        1,
-    )]);
-    let mut series = SnapshotSeries::new(16);
-    let telemetry = runtime.telemetry();
-    series.record(sched.metrics_snapshot());
-
-    // Saturation: the noisy neighbor floods the paused queue; every victim
-    // request waits far past the threshold.
-    for i in 0..12u64 {
-        sched.submit(request(i, noisy)).unwrap();
-    }
-    for i in 12..16u64 {
-        sched.submit(request(i, victim)).unwrap();
-    }
-    std::thread::sleep(Duration::from_millis(15));
-    sched.resume();
-    sched.drain();
-    series.record(sched.metrics_snapshot());
-    for t in engine.evaluate_recorded(&series, telemetry) {
-        println!("  FIRING  {} (burn {:.1}× budget)", t.rule, t.value);
-    }
-    assert!(engine.is_firing("victim-wait-slo"));
-
-    // Contention ends: victim-only traffic is served immediately, the
-    // short window recovers, the alert resolves.
-    for i in 16..22u64 {
-        let t = sched.submit(request(i, victim)).unwrap();
-        sched.drain();
-        assert!(matches!(sched.poll(t), RequestStatus::Done(_)));
-    }
-    series.record(sched.metrics_snapshot());
-    for t in engine.evaluate_recorded(&series, telemetry) {
-        println!("  resolved {} (burn {:.3}× budget)", t.rule, t.value);
-    }
-    assert!(!engine.is_firing("victim-wait-slo"));
-    let events = telemetry.trace().snapshot();
-    let fired = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::AlertFired { .. }))
-        .count();
-    let resolved = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::AlertResolved { .. }))
-        .count();
-    println!("  trace ring recorded {fired} fired + {resolved} resolved transition events\n");
-    assert_eq!((fired, resolved), (1, 1));
-}
-
-fn scene_3_trace_export() {
-    println!("── scene 3: Chrome trace export ────────────────────────────────");
+fn scene_2_trace_export() {
+    println!("── scene 2: Chrome trace export ────────────────────────────────");
     let cluster = SpiderCluster::new(paused_specs(3), ClusterOptions::default());
     let kernels = [
         StencilKernel::heat_2d(0.12),
@@ -221,7 +129,6 @@ fn scene_3_trace_export() {
 
 fn main() {
     scene_1_silent_failure_detection();
-    scene_2_burn_rate_alert_round_trip();
-    scene_3_trace_export();
+    scene_2_trace_export();
     println!("fleet watchtower: all scenes passed");
 }

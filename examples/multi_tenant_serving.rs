@@ -13,8 +13,7 @@
 //!    admission quota of 16 refuses 80 of the blast and finishes the
 //!    victim at position 30.
 //! 3. **Admission quotas** — an over-quota tenant is *refused* (a typed
-//!    [`SubmitError::QuotaExceeded`], never a block), through the same
-//!    [`Submit`] trait the cluster implements.
+//!    [`SubmitError::QuotaExceeded`], never a block).
 //! 4. **Tenant-labelled telemetry** — every per-tenant counter exports
 //!    with a `tenant="…"` label.
 //!
@@ -169,15 +168,9 @@ fn scene_3_admission_quota() {
         }
         .with_tenant(capped, TenantConfig::weighted(1).with_admission_quota(2)),
     );
-
-    // Generic over the `Submit` trait — the same code drives a
-    // `SpiderCluster` (which also implements it).
-    fn offer<S: Submit>(target: &S, req: StencilRequest) -> Result<S::Ticket, SubmitError> {
-        target.submit(req)
-    }
-    offer(&sched, uniform_request(0, capped)).unwrap();
-    offer(&sched, uniform_request(1, capped)).unwrap();
-    let refused = offer(&sched, uniform_request(2, capped));
+    sched.submit(uniform_request(0, capped)).unwrap();
+    sched.submit(uniform_request(1, capped)).unwrap();
+    let refused = sched.submit(uniform_request(2, capped));
     let Err(SubmitError::QuotaExceeded { tenant, quota }) = refused else {
         panic!("third submission must be refused, got {refused:?}");
     };
@@ -187,7 +180,7 @@ fn scene_3_admission_quota() {
     let row = report.tenant_queue(capped).unwrap();
     assert_eq!((row.completed, row.rejected), (2, 1));
     // Quota frees as the queue drains: the refused request resubmits fine.
-    offer(&sched, uniform_request(2, capped)).unwrap();
+    sched.submit(uniform_request(2, capped)).unwrap();
     let report = sched.drain();
     // Counters are cumulative: 3 completed across both drains, 1 refusal.
     assert_eq!(report.tenant_queue(capped).unwrap().completed, 3);

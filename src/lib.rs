@@ -89,7 +89,7 @@ pub use spider_telemetry as telemetry;
 pub mod prelude {
     pub use spider_cluster::{
         ClusterError, ClusterOptions, ClusterReport, ClusterTicket, DeviceSpec, FaultPlan,
-        HealthReport, KillTrigger, RecoveryReport, SpiderCluster,
+        HealthReport, HealthState, KillTrigger, RecoveryReport, SpiderCluster,
     };
     pub use spider_core::{
         encode::Sparse24Kernel,
@@ -105,8 +105,8 @@ pub mod prelude {
     pub use spider_runtime::{
         BackpressurePolicy, CacheStats, Deadline, FailureReason, GridSpec, PlanStore, Priority,
         QueueStats, RequestKernel, RequestOutcome, RequestStatus, RuntimeOptions, RuntimeReport,
-        SchedulerOptions, SpiderRuntime, SpiderScheduler, StencilRequest, StoreStats, Submit,
-        SubmitError, TenantConfig, TenantId, Ticket,
+        SchedulerOptions, SpiderRuntime, SpiderScheduler, StencilRequest, StoreStats, SubmitError,
+        TenantConfig, TenantId, Ticket,
     };
     pub use spider_stencil::{
         dim3::{Grid3D, Kernel3D},
@@ -115,8 +115,5 @@ pub mod prelude {
         kernel::StencilKernel,
         shape::{ShapeKind, StencilShape},
     };
-    pub use spider_telemetry::{
-        AlertEngine, AlertRule, HealthMonitor, HealthPolicy, HealthState, SloObjective,
-        SnapshotSeries, Telemetry, TelemetryConfig,
-    };
+    pub use spider_telemetry::{Telemetry, TelemetryConfig};
 }

@@ -112,6 +112,24 @@ fn bad_snapshot_writer_names_are_caught() {
 }
 
 #[test]
+fn run_time_metric_names_are_caught_outside_tests() {
+    // A name built at run time is one the naming rule cannot check: only
+    // the non-test `&name` site is flagged. The literal, the nameless
+    // accessor and the test region stay silent.
+    let src = fixture("runtime_metric_name.rs");
+    let vs = lint_source("crates/runtime/src/fixture.rs", &src, &cfg());
+    let metrics: Vec<_> = vs.iter().filter(|v| v.rule == RULE_METRIC_NAMING).collect();
+    assert_eq!(metrics.len(), 1, "{vs:?}");
+    assert_eq!(metrics[0].token, "&name");
+    let bad_line = src
+        .lines()
+        .position(|l| l.contains("// BAD"))
+        .expect("fixture marks its bad site") as u32
+        + 1;
+    assert_eq!(metrics[0].line, bad_line, "{}", metrics[0]);
+}
+
+#[test]
 fn nondeterminism_fixture_is_caught_only_under_sim_paths() {
     let src = fixture("instant_in_sim.rs");
     // Armed: a gpu-sim path. Instant at two non-test sites, HashMap at
@@ -183,6 +201,47 @@ fn guard_passed_as_a_parameter_is_caught() {
     assert_eq!(locks.len(), 1, "{vs:?}");
     assert_eq!(locks[0].token, "submit");
     assert!(locks[0].message.contains("`st`"), "{}", locks[0]);
+}
+
+#[test]
+fn a_guard_the_let_only_projects_through_is_a_temporary() {
+    let src = fixture("guard_temporary.rs");
+    let vs = lint_source("crates/cluster/src/fixture.rs", &src, &cfg());
+    let locks: Vec<_> = vs
+        .iter()
+        .filter(|v| v.rule == RULE_LOCK_DISCIPLINE)
+        .collect();
+    // Only `held`'s submit: `projected` and `method_value` drop their
+    // guard at the `;` that ends the `let`.
+    assert_eq!(locks.len(), 1, "{vs:?}");
+    assert_eq!(locks[0].token, "submit");
+    assert!(locks[0].message.contains("`st`"), "{}", locks[0]);
+}
+
+/// A guard call that ends the `let` after `?`, `.unwrap()` or
+/// `.expect(…)` binds the guard, and so does a borrow of a projection
+/// through it: temporary lifetime extension keeps that guard alive with
+/// the binding.
+#[test]
+fn unwrapped_and_borrowed_guards_stay_live() {
+    for rhs in [
+        "c.lock()?",
+        "c.try_lock().unwrap()",
+        "c.lock().expect(\"poisoned\")",
+        "&c.lock().queue",
+        "&mut c.lock().queue",
+    ] {
+        let src = format!(
+            "fn f(c: &Cluster, req: Request) -> Result<(), E> {{\n    let st = {rhs};\n    c.submit(req);\n    Ok(())\n}}\n"
+        );
+        let vs = lint_source("crates/cluster/src/fixture.rs", &src, &cfg());
+        let locks: Vec<_> = vs
+            .iter()
+            .filter(|v| v.rule == RULE_LOCK_DISCIPLINE)
+            .collect();
+        assert_eq!(locks.len(), 1, "{rhs}: {vs:?}");
+        assert!(locks[0].message.contains("`st`"), "{rhs}: {}", locks[0]);
+    }
 }
 
 /// `SpiderCluster::place` runs under the cluster state guard it receives

@@ -3,18 +3,16 @@
 //! declaration is detected by `health_tick` within the missed-beat
 //! threshold and recovered through the *same* kill/requeue/retry path an
 //! operator-declared `fail_device` runs — zero lost requests, bit-identical
-//! outputs), a disabled monitor must reproduce pre-watchtower behavior
-//! exactly, tenant SLO burn-rate alerts must fire and resolve as structured
-//! events, and the exported Chrome trace must be schema-valid JSON with one
-//! track per device.
+//! outputs), and the exported Chrome trace must be schema-valid JSON with
+//! one track per device.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use spider::cluster::DEAD_AFTER_TICKS;
 use spider::prelude::*;
-use spider::telemetry::{validate_json, EventKind, MetricsSnapshot};
+use spider::telemetry::validate_json;
 
 /// Paused start, no aging: queues build deterministically and
 /// nothing dispatches until the harness says so.
@@ -60,20 +58,17 @@ fn single_runtime() -> SpiderRuntime {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tentpole acceptance property. Three twins serve one workload:
+    /// The tentpole acceptance property. Two twins serve one workload:
     ///
     /// * **A** — the victim is silenced mid-batch by a hang trigger
     ///   (nothing declares the failure); `health_tick` must detect it in
-    ///   exactly `dead_after` ticks after the baseline and recover through
-    ///   the standard requeue path.
+    ///   exactly [`DEAD_AFTER_TICKS`] ticks after the baseline and recover
+    ///   through the standard requeue path.
     /// * **B** — the same device is killed by an explicit operator
     ///   `fail_device`.
-    /// * **C** — the same hang with the [`HealthMonitor`] disabled: ticks
-    ///   observe and classify nothing, and today's behavior is reproduced
-    ///   exactly (the backlog simply drains once the harness resumes it).
     ///
-    /// A and B must lose zero requests and produce checksums bit-identical
-    /// to each other and to a single-runtime reference.
+    /// Both must lose zero requests and produce checksums bit-identical to
+    /// each other and to a single-runtime reference.
     #[test]
     fn silent_hang_recovery_matches_explicit_kill(workload in arb_single_key_workload()) {
         let n = workload.len();
@@ -98,9 +93,8 @@ proptest! {
         watched.inject_faults(FaultPlan::hang_after(&victim, 0));
         prop_assert!(watched.fault_tick().is_none(), "a hang announces nothing");
         watched.resume_all(); // survivors run (they are idle); the victim ignores this
-        let policy = HealthPolicy::default();
         let mut recovered_at = None;
-        for round in 0..(policy.dead_after as usize + 3) {
+        for round in 0..(DEAD_AFTER_TICKS as usize + 3) {
             let report = watched.health_tick();
             for t in &report.transitions {
                 prop_assert_eq!(&t.shard, &victim, "only the hung shard transitions");
@@ -115,8 +109,9 @@ proptest! {
             }
         }
         // Tick 0 establishes the beat baseline; the verdict lands exactly
-        // `dead_after` ticks later — within the threshold, never before.
-        prop_assert_eq!(recovered_at, Some(policy.dead_after as usize));
+        // `DEAD_AFTER_TICKS` ticks later — within the threshold, never
+        // before.
+        prop_assert_eq!(recovered_at, Some(DEAD_AFTER_TICKS as usize));
         let report_a = watched.drain_all();
         prop_assert_eq!(report_a.total_completed(), n, "detection loses zero requests");
         prop_assert_eq!(report_a.devices_failed, 1);
@@ -148,29 +143,6 @@ proptest! {
         // life (victim, then survivor).
         let tl = watched.timeline(tickets_a[0].1).expect("timeline renders");
         prop_assert_eq!(tl.matches("\u{2500}\u{2500} device ").count(), 2, "{}", tl);
-
-        // Twin C: same hang, detection disabled — pre-watchtower behavior.
-        let blind = SpiderCluster::new(
-            paused_specs(3),
-            ClusterOptions {
-                health: HealthPolicy::disabled(),
-                ..ClusterOptions::default()
-            },
-        );
-        for r in &workload {
-            blind.submit(r.clone()).unwrap();
-        }
-        blind.inject_faults(FaultPlan::hang_after(&victim, 0));
-        blind.fault_tick();
-        blind.resume_all();
-        for _ in 0..10 {
-            prop_assert!(blind.health_tick().is_quiet(), "disabled monitor is a no-op");
-        }
-        prop_assert!(blind.health_states().is_empty());
-        prop_assert_eq!(blind.devices(), 3, "nothing was killed");
-        let report_c = blind.drain_all(); // drain resumes the hung scheduler
-        prop_assert_eq!(report_c.total_completed(), n);
-        prop_assert_eq!(report_c.devices_failed, 0);
     }
 }
 
@@ -239,116 +211,6 @@ fn in_flight_casualty_chains_attempts_across_devices() {
         json.contains("\"attempt\":1"),
         "retry events carry attempt 1"
     );
-}
-
-/// Alert round trip: a noisy neighbor saturates the queue and the victim
-/// tenant's burn-rate alert fires; once contention ends (quotas throttle
-/// the noisy tenant), the short window recovers and the alert resolves —
-/// both transitions recorded as structured trace events and exported
-/// metrics.
-#[test]
-fn tenant_burn_rate_alert_fires_and_resolves() {
-    let noisy = TenantId::new(1);
-    let victim = TenantId::new(2);
-    let runtime = Arc::new(SpiderRuntime::with_defaults(GpuDevice::a100()));
-    let sched = SpiderScheduler::new(
-        Arc::clone(&runtime),
-        SchedulerOptions {
-            start_paused: true,
-            aging_step: None,
-            ..SchedulerOptions::default()
-        }
-        .with_tenant(noisy, TenantConfig::weighted(1))
-        .with_tenant(victim, TenantConfig::weighted(1)),
-    );
-    let request = |id: u64, tenant: TenantId| {
-        StencilRequest::new(
-            id,
-            StencilKernel::jacobi_2d(),
-            GridSpec::D2 { rows: 40, cols: 56 },
-        )
-        .with_seed(id)
-        .with_tenant(tenant)
-    };
-
-    // The victim's SLO: 90% of requests under ~4ms queue wait. Saturation
-    // burns >10× budget; uncontended traffic burns ~0.
-    let slo = SloObjective {
-        threshold_us: 4096.0,
-        objective: 0.9,
-    };
-    let mut engine = AlertEngine::new(vec![AlertRule::burn_rate(
-        "victim-wait-slo",
-        "spider_scheduler_tenant_2_wait_us",
-        slo,
-        3.0,
-        2, // long window: ticks
-        1, // short window: ticks
-    )]);
-    let mut series = SnapshotSeries::new(16);
-    let telemetry = runtime.telemetry();
-
-    // Baseline tick: no tenant rows yet, nothing fires.
-    series.record(sched.metrics_snapshot());
-    assert!(engine.evaluate_recorded(&series, telemetry).is_empty());
-
-    // Phase 1 — saturation: the noisy neighbor floods the paused queue,
-    // every victim request provably waits far past the SLO threshold.
-    for i in 0..12u64 {
-        sched.submit(request(i, noisy)).unwrap();
-    }
-    for i in 12..16u64 {
-        sched.submit(request(i, victim)).unwrap();
-    }
-    std::thread::sleep(Duration::from_millis(15));
-    sched.resume();
-    sched.drain();
-    series.record(sched.metrics_snapshot());
-    let fired = engine.evaluate_recorded(&series, telemetry);
-    assert_eq!(fired.len(), 1, "saturation fires the victim's alert");
-    assert!(fired[0].firing);
-    assert!(
-        fired[0].value > 3.0,
-        "burn {} must exceed max",
-        fired[0].value
-    );
-    assert!(engine.is_firing("victim-wait-slo"));
-
-    // Phase 2 — quotas end the contention: victim-only traffic served
-    // immediately. The short window recovers; the alert resolves.
-    for i in 16..22u64 {
-        let t = sched.submit(request(i, victim)).unwrap();
-        sched.drain();
-        assert!(matches!(sched.poll(t), RequestStatus::Done(_)));
-    }
-    series.record(sched.metrics_snapshot());
-    let resolved = engine.evaluate_recorded(&series, telemetry);
-    assert_eq!(resolved.len(), 1, "recovery resolves the alert");
-    assert!(!resolved[0].firing);
-    assert!(!engine.is_firing("victim-wait-slo"));
-
-    // Both transitions are structured events in the trace ring and
-    // exported metrics.
-    let events = telemetry.trace().snapshot();
-    assert_eq!(
-        events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::AlertFired { .. }))
-            .count(),
-        1
-    );
-    assert_eq!(
-        events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::AlertResolved { .. }))
-            .count(),
-        1
-    );
-    let mut snap = MetricsSnapshot::default();
-    engine.write_metrics(&mut snap);
-    assert_eq!(snap.counter_value("spider_watch_alerts_fired_total"), 1);
-    assert_eq!(snap.counter_value("spider_watch_alerts_resolved_total"), 1);
-    assert_eq!(snap.gauge_value("spider_watch_alerts_firing"), 0.0);
 }
 
 /// The fleet trace export is loadable Chrome trace-event JSON: strictly
