@@ -34,28 +34,34 @@ pub const VALUE_BYTES_PER_SLICE: u64 = 16 * 8 * 2;
 /// Bytes of metadata per MMA slice (16 rows × 16 bits).
 pub const META_BYTES_PER_SLICE: u64 = 16 * 2;
 
+/// One warp access: a byte address per lane, all lanes active.
+pub type WarpAddrs = [Option<u64>; fragment::WARP as usize];
+
+/// A warp access whose lane `l` reads `addr(l)`.
+fn warp(addr: impl Fn(u64) -> u64) -> WarpAddrs {
+    std::array::from_fn(|lane| Some(addr(lane as u64)))
+}
+
 /// Per-lane global byte addresses for loading one slice's A-fragment values
 /// in the *naive* (unpacked, fragment-order) layout of Fig 8(a).
 ///
 /// The value matrix is stored row-major per slice; each lane needs elements
 /// at `(group + 8·⌊i/2⌋, 2·tig + (i&1))`, fetched as two 4-byte loads (the
-/// even/odd column pairs). Returns the two per-lane address vectors.
-pub fn naive_value_addresses(slice_base: u64) -> [Vec<Option<u64>>; 2] {
+/// even/odd column pairs). Returns the two per-lane address arrays.
+pub fn naive_value_addresses(slice_base: u64) -> [WarpAddrs; 2] {
     std::array::from_fn(|half| {
-        (0..32u32)
-            .map(|lane| {
-                let (row, col) = fragment::a_sparse(lane, 2 * half as u32);
-                Some(slice_base + (row as u64 * 8 + col as u64) * 2)
-            })
-            .collect()
+        warp(|lane| {
+            let (row, col) = fragment::a_sparse(lane as u32, 2 * half as u32);
+            slice_base + (row as u64 * 8 + col as u64) * 2
+        })
     })
 }
 
 /// Per-lane global byte addresses for the *packed* layout of Fig 8(b): each
 /// lane's four FP16 values for a slice are contiguous (one 8-byte load),
 /// and consecutive slices follow each other lane-major.
-pub fn packed_value_addresses(slice_base: u64) -> Vec<Option<u64>> {
-    (0..32u64).map(|lane| Some(slice_base + lane * 8)).collect()
+pub fn packed_value_addresses(slice_base: u64) -> WarpAddrs {
+    warp(|lane| slice_base + lane * 8)
 }
 
 /// Metadata registers each thread must hold for `slices` MMA invocations.
@@ -79,9 +85,7 @@ pub fn charge_operand_loads(c: &mut PerfCounters, slices: usize, packed: bool) {
         }
         // Metadata: one 4 B load per lane per *four* slices.
         for g in 0..slices.div_ceil(4) as u64 {
-            let addrs: Vec<Option<u64>> = (0..32u64)
-                .map(|lane| Some(slices as u64 * VALUE_BYTES_PER_SLICE + g * 32 * 4 + lane * 4))
-                .collect();
+            let addrs = warp(|lane| slices as u64 * VALUE_BYTES_PER_SLICE + g * 32 * 4 + lane * 4);
             cached_read(c, &addrs, 4);
         }
     } else {
@@ -94,9 +98,7 @@ pub fn charge_operand_loads(c: &mut PerfCounters, slices: usize, packed: bool) {
             // matrix-row stride — the non-contiguous per-thread access
             // Fig 9's first packing stage removes.
             let meta_base = slices as u64 * VALUE_BYTES_PER_SLICE + s * 8 * 16;
-            let addrs: Vec<Option<u64>> = (0..32u64)
-                .map(|lane| Some(meta_base + (lane % 8) * 16))
-                .collect();
+            let addrs = warp(|lane| meta_base + (lane % 8) * 16);
             cached_read(c, &addrs, 4);
         }
     }
@@ -110,12 +112,10 @@ pub fn charge_operand_loads_dense(c: &mut PerfCounters, slices: usize) {
     for s in 0..slices as u64 {
         let base = s * 2 * VALUE_BYTES_PER_SLICE;
         for pair in 0..4u32 {
-            let addrs: Vec<Option<u64>> = (0..32u32)
-                .map(|lane| {
-                    let (row, col) = fragment::a_dense(lane, 2 * pair);
-                    Some(base + (row as u64 * 16 + col as u64) * 2)
-                })
-                .collect();
+            let addrs = warp(|lane| {
+                let (row, col) = fragment::a_dense(lane as u32, 2 * pair);
+                base + (row as u64 * 16 + col as u64) * 2
+            });
             cached_read(c, &addrs, 4);
         }
     }

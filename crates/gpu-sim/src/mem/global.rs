@@ -8,27 +8,38 @@
 //! eliminates, and what lets the simulator reproduce its effect.
 
 use crate::counters::PerfCounters;
+use crate::fragment::WARP;
 
 /// Sector size in bytes (L2<->DRAM granularity on Ampere).
 pub const SECTOR_BYTES: u64 = 32;
 
-/// Number of distinct 32-byte sectors touched by per-lane byte addresses.
-/// `None` marks inactive (predicated-off) lanes. Elements may straddle a
-/// sector boundary, in which case both sectors are counted.
+/// Number of distinct 32-byte sectors touched by per-lane byte addresses
+/// of one warp (at most [`WARP`] lanes). `None` marks inactive
+/// (predicated-off) lanes. Elements may straddle a sector boundary, in
+/// which case both sectors are counted. Allocates nothing: the sectors are
+/// sorted in a warp-sized array.
 pub fn sectors_touched(addrs: &[Option<u64>], elem_bytes: u64) -> u64 {
     debug_assert!(elem_bytes > 0);
-    let mut sectors: Vec<u64> = Vec::with_capacity(addrs.len() * 2);
+    assert!(
+        addrs.len() <= WARP as usize,
+        "a warp access has at most {WARP} lanes"
+    );
+    let mut sectors = [0u64; 2 * WARP as usize];
+    let mut n = 0;
     for addr in addrs.iter().flatten() {
         let first = addr / SECTOR_BYTES;
         let last = (addr + elem_bytes - 1) / SECTOR_BYTES;
-        sectors.push(first);
+        sectors[n] = first;
+        n += 1;
         if last != first {
-            sectors.push(last);
+            sectors[n] = last;
+            n += 1;
         }
     }
+    let sectors = &mut sectors[..n];
     sectors.sort_unstable();
-    sectors.dedup();
-    sectors.len() as u64
+    let repeats = sectors.windows(2).filter(|w| w[0] == w[1]).count();
+    (n - repeats) as u64
 }
 
 /// Record a warp-wide global read at the given per-lane byte addresses.

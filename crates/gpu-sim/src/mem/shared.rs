@@ -7,34 +7,38 @@
 //! this model is what lets the reproduction check that claim.
 
 use crate::counters::PerfCounters;
+use crate::fragment::WARP;
 
 /// Number of banks (Ampere: 32 banks × 4 bytes).
 pub const NUM_BANKS: usize = 32;
 /// Bank word width in bytes.
 pub const BANK_BYTES: u64 = 4;
 
-/// Waves needed to service per-lane *byte* addresses into shared memory.
-/// `None` marks inactive lanes. Returns at least 1 for any active access.
+/// Waves needed to service per-lane *byte* addresses of one warp (at most
+/// [`WARP`] lanes) into shared memory: the most distinct words any one
+/// bank serves. `None` marks inactive lanes. Returns at least 1 for any
+/// active access and 0 for none. Allocates nothing: the words are sorted
+/// in a warp-sized array.
 pub fn waves_for(addrs: &[Option<u64>]) -> u64 {
-    let mut per_bank: [Vec<u64>; NUM_BANKS] = std::array::from_fn(|_| Vec::new());
-    let mut any = false;
+    assert!(
+        addrs.len() <= WARP as usize,
+        "a warp access has at most {WARP} lanes"
+    );
+    let mut words = [0u64; WARP as usize];
+    let mut n = 0;
     for addr in addrs.iter().flatten() {
-        let word = addr / BANK_BYTES;
-        let bank = (word % NUM_BANKS as u64) as usize;
-        if !per_bank[bank].contains(&word) {
-            per_bank[bank].push(word);
+        words[n] = addr / BANK_BYTES;
+        n += 1;
+    }
+    let words = &mut words[..n];
+    words.sort_unstable();
+    let mut per_bank = [0u64; NUM_BANKS];
+    for (i, &word) in words.iter().enumerate() {
+        if i == 0 || words[i - 1] != word {
+            per_bank[(word % NUM_BANKS as u64) as usize] += 1;
         }
-        any = true;
     }
-    if !any {
-        return 0;
-    }
-    per_bank
-        .iter()
-        .map(|w| w.len() as u64)
-        .max()
-        .unwrap_or(0)
-        .max(1)
+    per_bank.into_iter().max().unwrap_or(0)
 }
 
 /// A block-local shared-memory tile of `T` elements.

@@ -85,7 +85,8 @@
 //!   prevent starvation) and an optional [`request::Deadline`] (expired
 //!   requests never execute). Each dispatch wave takes the top-priority
 //!   cohort (one deficit-round-robin round of it when tenants are
-//!   registered), groups it by plan key and runs it as one wave, the way
+//!   registered, filled up to one job's work for a tenant alone in it),
+//!   groups it by plan key and runs it as one wave, the way
 //!   `run_batch` does, with the dispatcher thread as one of its jobs. The
 //!   queue is indexed, so a wave costs O(wave), not O(queue). Every ticket
 //!   enters through one admission path and gets its verdict, counted in

@@ -405,7 +405,7 @@ impl SpiderRuntime {
             .collect();
         if t.enabled() && !requests.is_empty() {
             t.profiler()
-                .touch(whos[0].plan_key, &requests[0].scenario());
+                .touch(whos[0].plan_key, || requests[0].scenario());
         }
         let mut plan: Option<CachedPlan> = None;
         let mut lookups = Vec::with_capacity(requests.len());
@@ -725,6 +725,13 @@ impl SpiderRuntime {
 /// medians of 200 `execute` calls each, three processes), so 32 768 units
 /// take 225–240 µs. A wave of 16×16 requests needs 256 of them to fan out;
 /// `mixed_warm`'s waves of about ten 10⁴–2.6·10⁵-point requests always do.
+///
+/// It is also the scheduler's fill: a tenant alone in the top cohort
+/// refills its deficit-round-robin deficit with at least this much, so its
+/// wave takes up to one job's work (128 requests of 16×16) and still runs
+/// as one job. A tenant that arrives meanwhile waits for at most that wave:
+/// `max(weight × largest queued cost, MIN_WAVE_JOB_COST)` of work, about
+/// 1 ms of 16×16 requests on the host above.
 pub const MIN_WAVE_JOB_COST: u64 = 1 << 15;
 
 /// One exec-key subgroup of a prepared group: its members (indices into

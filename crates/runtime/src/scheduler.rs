@@ -77,7 +77,10 @@
 //! | `kill`, with r requests running | O((n + r) log n) |
 //!
 //! The m selected requests are the whole top cohort without tenants and
-//! one DRR round of it with them; all of them dispatch.
+//! one DRR round of it with them; all of them dispatch. A tenant alone in
+//! the cohort fills its round up to one job's work,
+//! [`crate::runtime::MIN_WAVE_JOB_COST`], so a newcomer tenant waits for
+//! at most one such wave (see `drr_round`).
 //!
 //! ## One way in, one way out
 //!
@@ -130,7 +133,7 @@ use spider_telemetry::{EventKind, MetricsSnapshot, Phase, Telemetry, Terminal, W
 
 use crate::report::{QueueStats, RequestOutcome, RuntimeReport};
 use crate::request::{Priority, StencilRequest, TenantId};
-use crate::runtime::{RuntimeError, SpiderRuntime};
+use crate::runtime::{RuntimeError, SpiderRuntime, MIN_WAVE_JOB_COST};
 
 /// What `submit` does when the admission queue is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1195,7 +1198,7 @@ fn leave_queue(
     let (req, _) = dequeue(st, t, ticket)?;
     if t.enabled() {
         let plan_key = st.slots[ticket as usize].who.plan_key;
-        t.profiler().touch(plan_key, &req.scenario());
+        t.profiler().touch(plan_key, || req.scenario());
     }
     finish(st, rt, ticket, verdict);
     Some(req)
@@ -1327,6 +1330,18 @@ fn wave_members(st: &mut State, options: &SchedulerOptions, now: Instant) -> Vec
 /// queue forfeits the remainder (classic DRR — credit must not accumulate
 /// while idle).
 ///
+/// A tenant alone in the cohort has no one to share the wave with, so its
+/// refill is `max(weight × quantum, MIN_WAVE_JOB_COST)`: the wave takes its
+/// oldest requests up to one job's work (128 requests of 16×16) instead of
+/// one weight's worth, and their plan-key groups coalesce. Its carried
+/// deficit is under one request's cost, so while requests cost less than
+/// [`MIN_WAVE_JOB_COST`] a filled wave holds under two jobs' work and runs
+/// as one job, in cohort order. The fill's price is the newcomer bound: a
+/// tenant that arrives while a filled wave runs waits for that wave, at
+/// most `max(weight × largest queued cost, MIN_WAVE_JOB_COST)` of work
+/// (about 1 ms of 16×16 requests on a 2-vCPU x86-64 host) rather than one
+/// request. Rounds of two or more tenants are plain DRR.
+///
 /// Returns the selected tickets, tenant by tenant.
 fn drr_round(
     cohort: &[CohortLane<'_>],
@@ -1341,11 +1356,15 @@ fn drr_round(
         .map(|(&(_, cost), _)| cost)
         .max()
         .unwrap_or(1);
+    let floor = match cohort.iter().all(|lane| lane.0 == cohort[0].0) {
+        true => MIN_WAVE_JOB_COST,
+        false => 0,
+    };
     let mut selected = Vec::new();
     // Lanes are keyed (tenant, level), so a tenant's lanes are adjacent.
     for lanes in cohort.chunk_by(|a, b| a.0 == b.0) {
         let tenant = lanes[0].0;
-        let refill = options.weight_of(tenant).saturating_mul(quantum);
+        let refill = options.weight_of(tenant).saturating_mul(quantum).max(floor);
         let deficit = deficits.entry(tenant).or_insert(0);
         *deficit = deficit.saturating_add(refill);
         let mut heads: Vec<_> = lanes
@@ -2560,6 +2579,62 @@ mod tests {
         let q = report.queue.unwrap();
         assert_eq!((q.dispatch_waves, q.coalesced_groups), (1, 4));
         assert_eq!(q.wave_jobs, 1);
+    }
+
+    /// The members of each traced launch, in trace order. A group of one
+    /// exec key launches once, so with one plan these are the wave sizes.
+    fn launch_sizes(s: &SpiderScheduler) -> Vec<usize> {
+        let trace = s.runtime().telemetry().trace();
+        assert_eq!(trace.dropped_events(), 0);
+        let members = |e: &spider_telemetry::Event| match e.kind {
+            EventKind::Launch { members, .. } => Some(members),
+            _ => None,
+        };
+        trace.snapshot().iter().filter_map(members).collect()
+    }
+
+    /// A tenant alone in the queue fills its wave up to one job's work:
+    /// 300 16×16 requests of the weight-1 tenant go out as waves of 128,
+    /// 128 and 44 (one weight's worth would be 300 waves of one), each one
+    /// job. A request of the weight-4 tenant queued behind a backlog goes
+    /// out in the next round, which two tenants share under plain DRR: 4
+    /// and 1 quanta, so its wave holds it and the backlog's oldest request.
+    #[test]
+    fn a_lone_tenant_fills_its_wave_up_to_one_job() {
+        const { assert!(128 * 256 == crate::runtime::MIN_WAVE_JOB_COST) };
+        let tenants = || {
+            sched(
+                SchedulerOptions {
+                    start_paused: true,
+                    aging_step: None,
+                    queue_capacity: 512,
+                    ..SchedulerOptions::default()
+                }
+                .with_tenant(1u64, TenantConfig::weighted(4))
+                .with_tenant(2u64, TenantConfig::weighted(1)),
+            )
+        };
+        let tiny = |id: u64, tenant: u64| {
+            StencilRequest::new_2d(id, StencilKernel::jacobi_2d(), 16, 16)
+                .with_seed(id)
+                .with_tenant(tenant)
+        };
+
+        let s = tenants();
+        for id in 0..300 {
+            s.submit(tiny(id, 2)).unwrap();
+        }
+        let q = s.drain().queue.unwrap();
+        assert_eq!((q.completed, q.dispatch_waves, q.wave_jobs), (300, 3, 3));
+        assert_eq!(launch_sizes(&s), [128, 128, 44]);
+
+        let s = tenants();
+        let backlog: Vec<Ticket> = (0..200).map(|id| s.submit(tiny(id, 2)).unwrap()).collect();
+        let newcomer = s.submit(tiny(200, 1)).unwrap();
+        let q = s.drain().queue.unwrap();
+        assert_eq!((q.completed, q.dispatch_waves, q.wave_jobs), (201, 3, 3));
+        assert_eq!(launch_sizes(&s), [2, 128, 71]);
+        assert_eq!(s.completion_order()[..2], [backlog[0], newcomer]);
     }
 
     /// Every request grid comes from the runtime's one pool, and each job

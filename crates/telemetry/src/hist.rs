@@ -124,33 +124,6 @@ impl LogHistogram {
         self.sum += other.sum;
     }
 
-    /// Bucket-wise difference against an `earlier` snapshot of the same
-    /// cumulative histogram — the observation *window* between two metric
-    /// snapshots, instead of lifetime history. Saturating: a cumulative
-    /// series only grows, but defensive clamping keeps a never-expected
-    /// shrink (e.g. a restarted owner) from panicking.
-    pub fn saturating_delta(&self, earlier: &Self) -> Self {
-        let mut out = Self::default();
-        for i in 0..Self::BUCKETS {
-            out.buckets[i] = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        out.sum = (self.sum - earlier.sum).max(0.0);
-        out
-    }
-
-    /// Count of recorded values in buckets whose *lower bound* is at least
-    /// `threshold` ("requests that waited ≥ threshold µs"). Bucket-granular:
-    /// values inside the bucket containing `threshold` are not split, so
-    /// choose thresholds at power-of-two boundaries for exact counts.
-    pub fn count_ge(&self, threshold: f64) -> u64 {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| Self::bucket_lower(i) as f64 >= threshold.max(0.0))
-            .map(|(_, &c)| c)
-            .sum()
-    }
-
     /// Human label for a microsecond bound: `750µs`, `32ms`, `2s`.
     fn label_us(us: u64) -> String {
         if us >= 1_000_000 {
@@ -268,34 +241,6 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert!((a.sum - 106.0).abs() < 1e-9);
         assert!((a.mean() - 106.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn saturating_delta_is_the_window() {
-        let mut then = LogHistogram::default();
-        then.record(10.0);
-        let mut now = then;
-        now.record(100.0);
-        now.record(200.0);
-        let d = now.saturating_delta(&then);
-        assert_eq!(d.count(), 2);
-        assert!(d.p99() >= 100.0);
-        // Shrinks clamp instead of panicking.
-        let z = then.saturating_delta(&now);
-        assert_eq!(z.count(), 0);
-        assert_eq!(z.sum, 0.0);
-    }
-
-    #[test]
-    fn count_ge_counts_whole_buckets() {
-        let mut h = LogHistogram::default();
-        h.record(3.0); // [2,4)
-        h.record(100.0); // [64,128)
-        h.record(150.0); // [128,256)
-        assert_eq!(h.count_ge(0.0), 3);
-        assert_eq!(h.count_ge(64.0), 2);
-        assert_eq!(h.count_ge(128.0), 1);
-        assert_eq!(h.count_ge(1e9), 0);
     }
 
     #[test]

@@ -101,11 +101,12 @@ impl PhaseProfiler {
 
     /// Ensure the plan exists and label it (first label wins; labels are
     /// scenarios like `Box-2D2R@96x128`, identical for every request that
-    /// shares a plan key).
-    pub fn touch(&self, plan_key: u64, label: &str) {
+    /// shares a plan key). `label` is called only while the plan has no
+    /// label, so a labelled plan's hot path formats nothing.
+    pub fn touch(&self, plan_key: u64, label: impl FnOnce() -> String) {
         self.with_entry(plan_key, |(l, _)| {
             if l.is_empty() {
-                *l = label.to_string();
+                *l = label();
             }
         });
     }
@@ -250,7 +251,9 @@ mod tests {
     #[test]
     fn accumulates_phases_per_plan() {
         let prof = PhaseProfiler::new();
-        prof.touch(1, "Box-2D1R@64x64");
+        prof.touch(1, || "Box-2D1R@64x64".into());
+        // The first label wins: a labelled plan builds no other.
+        prof.touch(1, || unreachable!("plan 1 is labelled"));
         prof.add_phase(1, Phase::Resolve, 0.002);
         prof.add_phase(1, Phase::Exec, 0.010);
         prof.add_request(1, 50e-6);
@@ -287,7 +290,7 @@ mod tests {
     #[test]
     fn folded_stacks_emit_per_phase_lines() {
         let prof = PhaseProfiler::new();
-        prof.touch(1, "Star-2D1R@32x32");
+        prof.touch(1, || "Star-2D1R@32x32".into());
         prof.add_phase(1, Phase::Resolve, 150e-6);
         prof.add_phase(1, Phase::Exec, 2.5e-3);
         let folded = prof.folded();
@@ -338,7 +341,7 @@ mod tests {
     fn render_top_is_empty_for_no_profiles() {
         assert_eq!(render_top_profiles(&PhaseProfiler::new().top(5)), "");
         let prof = PhaseProfiler::new();
-        prof.touch(0xdead, "Box-2D1R@64x64");
+        prof.touch(0xdead, || "Box-2D1R@64x64".into());
         prof.add_phase(0xdead, Phase::Exec, 1e-3);
         let table = render_top_profiles(&prof.top(5));
         assert!(table.contains("top plans by wall time:"), "{table}");

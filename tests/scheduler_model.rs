@@ -7,7 +7,8 @@
 //! the backpressure policy; `ShedLowestPriority` evicts the lowest level,
 //! then the youngest; a kill cancels every queued request and refuses every
 //! later submit; and each wave takes the top-level cohort, cuts it to one
-//! deficit-round-robin round when tenants are registered, and groups it by
+//! deficit-round-robin round when tenants are registered (a tenant alone
+//! in the cohort fills its round up to one job's work), and groups it by
 //! plan key. The queue is a plain `Vec` scanned on every operation, so the
 //! model is obviously right and obviously slow.
 //!
@@ -183,6 +184,11 @@ impl Model {
                 .or_default()
                 .push_back(i);
         }
+        // A tenant alone in the cohort fills the wave up to one job's work.
+        let floor = match per_tenant.len() {
+            1 => spider::runtime::runtime::MIN_WAVE_JOB_COST,
+            _ => 0,
+        };
         let mut selected = Vec::new();
         for (tenant, mut pending) in per_tenant {
             let weight = self
@@ -191,7 +197,7 @@ impl Model {
                 .find(|w| w.0 == tenant)
                 .map_or(1, |w| w.1);
             let deficit = self.deficits.entry(tenant).or_insert(0);
-            *deficit += weight * quantum;
+            *deficit += (weight * quantum).max(floor);
             while let Some(&i) = pending.front() {
                 if *deficit < self.queue[i].cost {
                     break;
