@@ -1,30 +1,17 @@
-//! Cluster scaling: the device-count throughput curve and the PlanStore
-//! warm-start comparison, written to `BENCH_cluster.json`.
+//! Cluster scaling: the device-count throughput curve and the elasticity
+//! scene, written to `BENCH_cluster.json`.
 //!
-//! Two clock domains, kept strictly apart (see `ClusterReport`'s docs):
-//!
-//! * The **scaling curve** (`cluster_warm_<n>dev_requests_per_sec`) is
-//!   *simulated*: completed requests over the fleet's simulated makespan.
-//!   It is deterministic — same workload, same routing, same stealing —
-//!   which is what lets the bench gate enforce it by the `*_per_sec`
-//!   suffix convention without wall-clock noise. The paused-submit →
-//!   rebalance → drain discipline pins the steal decisions too.
-//! * The **warm-start comparison** (`planstore_*`) is *host wall-clock*:
-//!   the first-batch latency of a cold cluster (compiles + tuner dry-runs
-//!   everywhere) versus one warm-started from the tuner memos a prior
-//!   cluster persisted (compiles only). Each key is the median of
-//!   [`WARM_START_ROUNDS`] alternating cold/warm rounds, after a throwaway
-//!   round that pays the process's first-touch costs. Wall-clock numbers
-//!   are machine-sensitive, so they carry no gated suffix — the gate sees
-//!   only the ratio-free rates above.
-
-use std::path::Path;
-use std::sync::Arc;
-use std::time::Instant;
+//! The **scaling curve** (`cluster_warm_<n>dev_requests_per_sec`) is
+//! *simulated*: completed requests over the fleet's simulated makespan
+//! (see `ClusterReport`'s docs for the two clock domains). It is
+//! deterministic — same workload, same routing, same stealing — which is
+//! what lets the bench gate enforce it by the `*_per_sec` suffix
+//! convention without wall-clock noise. The paused-submit → rebalance →
+//! drain discipline pins the steal decisions too.
 
 use criterion::{criterion_group, Criterion};
 use spider_cluster::{ClusterOptions, ClusterReport, DeviceSpec, SpiderCluster};
-use spider_runtime::{PlanStore, SchedulerOptions, StencilRequest};
+use spider_runtime::{SchedulerOptions, StencilRequest};
 use spider_stencil::{StencilKernel, StencilShape};
 
 /// Distinct stencil kernels in the plan-diverse workload.
@@ -32,9 +19,6 @@ const DISTINCT_PLANS: usize = 16;
 
 /// Requests per measured batch.
 const BATCH: usize = 96;
-
-/// Timed cold/warm round pairs behind each `planstore_*` median.
-const WARM_START_ROUNDS: usize = 5;
 
 /// 16 *distinct* plans (random coefficient sets ⇒ distinct fingerprints ⇒
 /// distinct rendezvous keys) of *equal cost* (same shape and radius, and
@@ -166,22 +150,6 @@ fn measure_elastic() -> (f64, u64) {
     (report.simulated_requests_per_sec(), lost as u64)
 }
 
-/// Host wall time of the first batch of a fresh 4-device cluster over the
-/// store in `dir` (construction, and so the memo import, untimed), with
-/// its report.
-fn first_batch(dir: &Path) -> (f64, ClusterReport) {
-    let store = Arc::new(PlanStore::open(dir).expect("open store"));
-    let cluster = SpiderCluster::with_store(specs(4), options(), store);
-    let t = Instant::now();
-    let report = run(&cluster, 0);
-    (t.elapsed().as_secs_f64(), report)
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn bench_cluster(c: &mut Criterion) {
     let mut group = c.benchmark_group("cluster_scaling");
     group.bench_function("warm_batch_4dev", |b| {
@@ -221,32 +189,6 @@ fn emit_json() {
             .expect("measured")
     };
 
-    // Warm-start comparison (host wall clock): a cold cluster's first batch
-    // (its drain persists the tuner memos) against a fresh cluster's first
-    // batch over the same directory. Round 0 is a throwaway that pays the
-    // process's first-touch costs; every round starts on a fresh directory.
-    let root = std::env::temp_dir().join(format!("spider-bench-store-{}", std::process::id()));
-    let (mut cold, mut warm) = (Vec::new(), Vec::new());
-    for round in 0..=WARM_START_ROUNDS {
-        let dir = root.join(format!("round-{round}"));
-        let (cold_s, _) = first_batch(&dir);
-        let (warm_s, report) = first_batch(&dir);
-        assert!(
-            report
-                .devices
-                .iter()
-                .flat_map(|d| &d.report.outcomes)
-                .all(|o| o.tuner_memo_hit),
-            "every warm tiling must come from a persisted memo"
-        );
-        if round > 0 {
-            cold.push(cold_s);
-            warm.push(warm_s);
-        }
-    }
-    let _ = std::fs::remove_dir_all(&root);
-    let (cold_first_batch_s, warm_first_batch_s) = (median(cold), median(warm));
-
     // Elasticity scene: 2→8→2 under pulsed load. The lost-request count is
     // a hard zero — the gate fails the build on any other value.
     let (elastic_rps, elastic_lost) = measure_elastic();
@@ -273,17 +215,6 @@ fn emit_json() {
             ("cluster_warm_4dev_steals", steals_4dev as f64, 0),
             ("elastic_requests_per_sec", elastic_rps, 1),
             ("elastic_lost_requests", elastic_lost as f64, 0),
-            ("planstore_cold_first_batch_ms", cold_first_batch_s * 1e3, 3),
-            (
-                "planstore_warmstart_first_batch_ms",
-                warm_first_batch_s * 1e3,
-                3,
-            ),
-            (
-                "planstore_warm_start_speedup",
-                cold_first_batch_s / warm_first_batch_s,
-                3,
-            ),
         ],
     );
 }

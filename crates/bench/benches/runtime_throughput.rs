@@ -127,8 +127,17 @@ fn emit_json() {
         .unwrap_or(0.0);
     // Scheduler (async submit/poll) throughput over the same warm runtime:
     // submit WARM_BATCHES batches, drain, measure completed requests over
-    // the first-submit → last-completion wall clock.
-    let sched = SpiderScheduler::new(Arc::new(rt), SchedulerOptions::default());
+    // the first-submit → last-completion wall clock. The scheduler starts
+    // paused and `drain` resumes it, so all 60 requests form one wave and
+    // the wait keys time that wave's queue, not a race between this
+    // thread's submits and a running dispatcher.
+    let sched = SpiderScheduler::new(
+        Arc::new(rt),
+        SchedulerOptions {
+            start_paused: true,
+            ..SchedulerOptions::default()
+        },
+    );
     for b in 0..WARM_BATCHES {
         for req in build_batch(10_000 * (b as u64 + 1), 2) {
             sched.submit(req).expect("Block policy admits everything");

@@ -33,8 +33,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spider_runtime::{
-    FailureReason, PlanStore, RequestStatus, SpiderRuntime, SpiderScheduler, StencilRequest,
-    SubmitError, Ticket,
+    FailureReason, RequestStatus, SpiderRuntime, SpiderScheduler, StencilRequest, SubmitError,
+    Ticket,
 };
 use spider_telemetry::{MetricValue, MetricsSnapshot};
 
@@ -310,9 +310,7 @@ fn key_chunks<T>(items: Vec<T>, key: impl Fn(&T) -> u64) -> Vec<Vec<T>> {
 
 /// Multi-device sharded serving: one [`SpiderRuntime`] + [`SpiderScheduler`]
 /// per [`DeviceSpec`], a [`Router`] assigning each request to the device
-/// its plan key hashes to, work stealing to flatten queue skew, and
-/// (optionally) a shared [`PlanStore`] every device warm-starts from and
-/// persists into.
+/// its plan key hashes to, and work stealing to flatten queue skew.
 ///
 /// Membership is **elastic**: [`Self::add_device`] joins a device live,
 /// [`Self::remove_device`] drains one out gracefully, and
@@ -327,9 +325,6 @@ fn key_chunks<T>(items: Vec<T>, key: impl Fn(&T) -> u64) -> Vec<Vec<T>> {
 pub struct SpiderCluster {
     membership: OrderedRwLock<Membership>,
     options: ClusterOptions,
-    /// The shared store new devices warm-start from (None = no
-    /// persistence).
-    store: Option<Arc<PlanStore>>,
     state: OrderedMutex<ClusterState>,
     /// Missed-heartbeat detector over the live shards, driven by explicit
     /// [`Self::health_tick`] calls (leaf lock: taken after `membership`,
@@ -338,33 +333,13 @@ pub struct SpiderCluster {
 }
 
 impl SpiderCluster {
-    /// Stand up one runtime + scheduler per spec, no persistence.
+    /// Stand up one runtime + scheduler per spec.
     pub fn new(specs: Vec<DeviceSpec>, options: ClusterOptions) -> Self {
-        Self::build(specs, options, None)
-    }
-
-    /// Stand up the cluster over a shared [`PlanStore`]: tuner memos import
-    /// per spec fingerprint at construction, and [`Self::drain_all`]
-    /// persists each device's memos back. Devices added later warm-start
-    /// from the same store.
-    pub fn with_store(
-        specs: Vec<DeviceSpec>,
-        options: ClusterOptions,
-        store: Arc<PlanStore>,
-    ) -> Self {
-        Self::build(specs, options, Some(store))
-    }
-
-    fn build(
-        specs: Vec<DeviceSpec>,
-        options: ClusterOptions,
-        store: Option<Arc<PlanStore>>,
-    ) -> Self {
         assert!(!specs.is_empty(), "a cluster needs at least one device");
         let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
         let slots: Vec<Arc<ClusterDevice>> = specs
             .into_iter()
-            .map(|spec| Arc::new(make_device(spec, store.as_ref())))
+            .map(|spec| Arc::new(make_device(spec)))
             .collect();
         let state = ClusterState {
             device_order: vec![Vec::new(); slots.len()],
@@ -382,7 +357,6 @@ impl SpiderCluster {
                     routable,
                 },
             ),
-            store,
             state: OrderedMutex::new(LockRank::ClusterState, "cluster.state", state),
             health: OrderedMutex::new(
                 LockRank::ClusterHealth,
@@ -882,12 +856,11 @@ impl SpiderCluster {
         lost
     }
 
-    /// Join a new device live: it starts serving (and warm-starts from the
-    /// shared store, when one is attached) immediately, and the rendezvous
-    /// router moves exactly the plan keys that hash to it — every existing
-    /// device keeps its partition. Queued work already placed elsewhere is
-    /// *not* moved automatically; run [`Self::rebalance`] to shed backlog
-    /// onto the newcomer.
+    /// Join a new device live: it starts serving immediately, and the
+    /// rendezvous router moves exactly the plan keys that hash to it —
+    /// every existing device keeps its partition. Queued work already
+    /// placed elsewhere is *not* moved automatically; run
+    /// [`Self::rebalance`] to shed backlog onto the newcomer.
     pub fn add_device(&self, spec: DeviceSpec) -> Result<(), ClusterError> {
         let mut m = self.write_membership();
         if m.slots
@@ -896,7 +869,7 @@ impl SpiderCluster {
         {
             return Err(ClusterError::DuplicateName(spec.name));
         }
-        let dev = Arc::new(make_device(spec, self.store.as_ref()));
+        let dev = Arc::new(make_device(spec));
         let slot = m.slots.len();
         {
             let mut st = self.lock();
@@ -941,8 +914,7 @@ impl SpiderCluster {
     ///    plan-key chunk on one survivor (exactly-once: cancel-true ⇒
     ///    never started).
     /// 3. **Wait out in-flight waves** — `scheduler.drain()`.
-    /// 4. **Persist** what the device learned (when a store is attached).
-    /// 5. **Retire** — the dispatcher thread exits; the slot stays
+    /// 4. **Retire** — the dispatcher thread exits; the slot stays
     ///    pollable and rolls into the `departed` report section.
     ///
     /// Returns the departed device's final report slice.
@@ -976,9 +948,6 @@ impl SpiderCluster {
         // Wait out in-flight waves (and any stragglers that raced the
         // draining flag — they simply execute here before retirement).
         dev.scheduler.drain();
-        if dev.runtime.store().is_some() {
-            let _ = dev.runtime.persist();
-        }
         dev.scheduler.retire();
         dev.departed.store(true, Ordering::SeqCst);
         self.lock().devices_removed += 1;
@@ -1216,7 +1185,6 @@ impl SpiderCluster {
         DeviceReport {
             name: dev.spec.name.clone(),
             cache: dev.runtime.cache_stats(),
-            store: dev.runtime.store_stats(),
             routed,
             report,
         }
@@ -1225,20 +1193,12 @@ impl SpiderCluster {
     /// Block until every live device's queue is empty, then aggregate the
     /// fleet report — departed devices included in the `departed` roll-up,
     /// so a removed device's served work never vanishes from fleet totals.
-    /// When a [`PlanStore`] is attached, each live device persists its
-    /// tuner memos first (best effort), so the next process tunes nothing
-    /// this one already tuned.
     pub fn drain_all(&self) -> ClusterReport {
         let m = self.read_membership();
         let mut devices = Vec::new();
         let mut departed = Vec::new();
         for dev in m.slots.iter().filter(|d| !d.departed()) {
             dev.scheduler.drain();
-        }
-        for dev in m.slots.iter().filter(|d| !d.departed()) {
-            if dev.runtime.store().is_some() {
-                let _ = dev.runtime.persist();
-            }
         }
         for (slot, dev) in m.slots.iter().enumerate() {
             let report = self.device_report(slot, dev);
@@ -1283,20 +1243,15 @@ impl SpiderCluster {
     /// Fleet-wide metrics snapshot, read when called. Every device's
     /// [`SpiderScheduler::metrics_snapshot`] (departed ones included —
     /// their final counters must not vanish from fleet totals) is merged:
-    /// counters and gauges add, histograms merge bucket-wise. Every device
-    /// reports the one shared [`PlanStore`], so its `spider_plan_store_*`
-    /// counters are then written once, over that sum. Last come the
+    /// counters and gauges add, histograms merge bucket-wise. Last come the
     /// cluster's own lifecycle counters (`spider_cluster_*`, from its
     /// state), each once it has counted. Device metrics are absent when
-    /// telemetry is disabled on every device; the store and lifecycle
-    /// counters are not.
+    /// telemetry is disabled on every device; the lifecycle counters are
+    /// not.
     pub fn fleet_metrics(&self) -> MetricsSnapshot {
         let mut fleet = MetricsSnapshot::default();
         for d in &self.read_membership().slots {
             fleet.merge(&d.scheduler.metrics_snapshot());
-        }
-        if let Some(store) = &self.store {
-            store.stats().write_metrics(&mut fleet);
         }
         let mut lifecycle = MetricsSnapshot::default();
         {
@@ -1403,12 +1358,9 @@ impl SpiderCluster {
     }
 }
 
-fn make_device(spec: DeviceSpec, store: Option<&Arc<PlanStore>>) -> ClusterDevice {
+fn make_device(spec: DeviceSpec) -> ClusterDevice {
     let device = spider_gpu_sim::GpuDevice::new(spec.specs.clone());
-    let runtime = Arc::new(match store {
-        Some(store) => SpiderRuntime::with_store(device, spec.runtime, Arc::clone(store)),
-        None => SpiderRuntime::new(device, spec.runtime),
-    });
+    let runtime = Arc::new(SpiderRuntime::new(device, spec.runtime));
     let scheduler = SpiderScheduler::new(Arc::clone(&runtime), spec.scheduler.clone());
     ClusterDevice {
         spec,
@@ -2079,41 +2031,6 @@ mod tests {
         assert_eq!(snap.counter_value("spider_cluster_device_removed_total"), 1);
         let text = cluster.fleet_prometheus_text();
         assert!(text.contains("spider_cluster_device_added_total 1"));
-    }
-
-    #[test]
-    fn fleet_metrics_count_a_shared_store_once() {
-        let dir =
-            std::env::temp_dir().join(format!("spider-cluster-fleet-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(PlanStore::open(&dir).unwrap());
-        let cluster = SpiderCluster::with_store(
-            specs(3, false),
-            ClusterOptions::default(),
-            Arc::clone(&store),
-        );
-        let kernels = [
-            StencilKernel::heat_2d(0.12),
-            StencilKernel::gaussian_2d(2),
-            StencilKernel::jacobi_2d(),
-        ];
-        let requests: Vec<StencilRequest> = (0..12u64)
-            .map(|i| {
-                let k = kernels[i as usize % kernels.len()].clone();
-                StencilRequest::new_2d(i, k, 64, 96).with_seed(i)
-            })
-            .collect();
-        assert_eq!(cluster.run_batch(&requests).unwrap().total_completed(), 12);
-        let fleet = cluster.fleet_metrics();
-        let s = store.stats();
-        assert!(s.memo_saves > 0, "{s:?}");
-        for (name, want) in [
-            ("spider_plan_store_memo_loads_total", s.memo_loads),
-            ("spider_plan_store_memo_saves_total", s.memo_saves),
-        ] {
-            assert_eq!(fleet.get(name), Some(&MetricValue::Counter(want)), "{name}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One kernel → one plan key → affinity concentrates every request on

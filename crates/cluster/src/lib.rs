@@ -16,13 +16,13 @@
 //!   SpiderScheduler (async queue, priorities, deadlines, cancel)
 //!   SpiderRuntime   (plan cache · autotuner · coalescing · pool)
 //!      │              │              │              │
-//!      └──────┬───────┴──────┬───────┴──────────────┘
-//!             ▼              ▼
-//!       work stealing   shared PlanStore (per-spec tuner memos)
+//!      └──────┬───────┴──────────────┴──────────────┘
+//!             ▼
+//!       work stealing
 //!       (cancel → requeue on the least-loaded device)
 //! ```
 //!
-//! Three ideas carry the design:
+//! Two ideas carry the design:
 //!
 //! 1. **Fingerprint affinity.** Plans are content-addressed and device-
 //!    independent; tuner memos are per device spec. Rendezvous-hashing
@@ -34,11 +34,6 @@
 //!    overloaded device ([`spider_runtime::SpiderScheduler::cancel`]
 //!    guarantees no started work is touched) and resubmitting them to the
 //!    least-loaded shard. A moved request executes exactly once.
-//! 3. **Persistent warm starts.** With a shared
-//!    [`spider_runtime::PlanStore`], tuner memos persist per spec
-//!    fingerprint, so a restarted (or scaled-out) cluster serves its first
-//!    batch with memoized tilings instead of dry-runs. Its plans compile,
-//!    which costs less than loading them from disk would.
 //!
 //! Execution inside each device is exactly the single-runtime path, so a
 //! sharded cluster is bit-identical to one runtime serving the same
@@ -47,9 +42,9 @@
 //! ## Elasticity and failure tolerance
 //!
 //! Membership is not fixed at construction: [`SpiderCluster::add_device`]
-//! joins a device live (warm-starting from the shared store when one is
-//! attached), [`SpiderCluster::remove_device`] performs a graceful drain
-//! (typed [`spider_runtime::SubmitError::DeviceDraining`] refusals, queued
+//! joins a device live, [`SpiderCluster::remove_device`] performs a
+//! graceful drain (typed [`spider_runtime::SubmitError::DeviceDraining`]
+//! refusals, queued
 //! work stolen to survivors exactly-once in plan-key chunks, in-flight
 //! waves waited out), and [`SpiderCluster::fail_device`] — or an armed
 //! [`FaultPlan`] — hard-kills one mid-batch with exactly-once recovery:

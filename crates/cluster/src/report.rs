@@ -27,7 +27,7 @@
 //! [`spider_runtime::RuntimeReport::rates_are_finite`] checks to the
 //! aggregates.
 
-use spider_runtime::{CacheStats, RuntimeReport, StoreStats};
+use spider_runtime::{CacheStats, RuntimeReport};
 
 /// One device's slice of a [`ClusterReport`].
 #[derive(Debug, Clone)]
@@ -42,8 +42,6 @@ pub struct DeviceReport {
     pub routed: u64,
     /// Plan-cache counters.
     pub cache: CacheStats,
-    /// Plan-store traffic (zeros when the cluster has no store).
-    pub store: StoreStats,
 }
 
 /// Aggregate of one [`crate::SpiderCluster::drain_all`].
@@ -305,7 +303,6 @@ mod tests {
             },
             routed: 0,
             cache: CacheStats::default(),
-            store: StoreStats::default(),
         }
     }
 

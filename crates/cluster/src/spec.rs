@@ -6,8 +6,8 @@ use spider_runtime::{RuntimeOptions, SchedulerOptions};
 /// Everything needed to stand up one cluster device: the simulated
 /// hardware constants plus the runtime and scheduler knobs of the serving
 /// stack in front of it. Heterogeneous clusters are first-class — every
-/// device carries its own spec, and tuner memos persist per spec
-/// fingerprint so an A100 shard never inherits tilings measured for a
+/// device carries its own spec, and each device's runtime tunes its own
+/// tilings, so an A100 shard never inherits tilings measured for a
 /// different device.
 #[derive(Debug, Clone)]
 pub struct DeviceSpec {
@@ -40,13 +40,6 @@ impl DeviceSpec {
         self.scheduler = options;
         self
     }
-
-    /// The device-spec fingerprint tuner memos are filed under in a
-    /// [`spider_runtime::PlanStore`] (see
-    /// [`spider_gpu_sim::GpuSpecs::fingerprint`]).
-    pub fn spec_key(&self) -> u64 {
-        self.specs.fingerprint()
-    }
 }
 
 #[cfg(test)]
@@ -54,9 +47,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a100_spec_carries_its_name_and_spec_key() {
+    fn a100_spec_carries_its_name() {
         let s = DeviceSpec::a100("dev0");
         assert_eq!(s.name, "dev0");
-        assert_eq!(s.spec_key(), GpuSpecs::a100_pcie_80gb().fingerprint());
+        assert_eq!(s.specs.name, GpuSpecs::a100_pcie_80gb().name);
     }
 }

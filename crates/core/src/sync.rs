@@ -29,8 +29,6 @@
 //! | 400 | `SchedulerState` | trace ring, profiler (dispatch accounting) |
 //! | 500 | `PlanCache` | nothing — compiles run outside the lock (PR 5) |
 //! | 520 | `TunerMemo` | nothing — dry runs run outside the lock |
-//! | 560 | `StoreMemoWrite` | store stats |
-//! | 580 | `StoreStats` | nothing (leaf) |
 //! | 650 | `BufferPool` | nothing (leaf) |
 //! | 700 | `TraceRing` | nothing (leaf) |
 //! | 740 | `RuntimeMeters` | nothing (leaf) |
@@ -73,10 +71,6 @@ pub enum LockRank {
     /// `AutoTuner` memo table. Dry runs run *outside* this lock, as
     /// compiles run outside the plan cache's.
     TunerMemo = 520,
-    /// `PlanStore` memo-save serialization lock.
-    StoreMemoWrite = 560,
-    /// `PlanStore` counters.
-    StoreStats = 580,
     /// `BufferPool` free list.
     BufferPool = 650,
     /// Telemetry trace ring buffer.
@@ -424,11 +418,11 @@ mod tests {
     fn out_of_order_release_keeps_stack_consistent() {
         let low = OrderedMutex::new(LockRank::PlanCache, "test.low", ());
         let mid = OrderedMutex::new(LockRank::TunerMemo, "test.mid", ());
-        let high = OrderedMutex::new(LockRank::StoreMemoWrite, "test.high", ());
+        let high = OrderedMutex::new(LockRank::BufferPool, "test.high", ());
         let a = low.lock();
         let b = mid.lock();
         drop(a); // release the *outer* guard first
-        let c = high.lock(); // still legal: mid (520) < high (560)
+        let c = high.lock(); // still legal: mid (520) < high (650)
         drop(b);
         drop(c);
         // And the stack is empty again: re-acquiring from the bottom works.

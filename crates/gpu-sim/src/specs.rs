@@ -60,45 +60,6 @@ impl GpuSpecs {
         }
     }
 
-    /// Stable content fingerprint of the device constants (FNV-1a over the
-    /// name and every numeric field's bit pattern).
-    ///
-    /// Tuning decisions are only transferable between devices with equal
-    /// constants — the timing model reads nothing else — so this is the key
-    /// persisted tuner memos are filed under: two processes (or two cluster
-    /// devices) share memos exactly when their specs fingerprint equal.
-    pub fn fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = 0xcbf29ce484222325u64;
-        let mut eat = |byte: u8| {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        };
-        for b in self.name.bytes() {
-            eat(b);
-        }
-        for v in [
-            self.sm_count as u64,
-            self.clock_ghz.to_bits(),
-            self.dense_tc_fp16_flops.to_bits(),
-            self.sparse_tc_fp16_flops.to_bits(),
-            self.dense_tc_fp64_flops.to_bits(),
-            self.cuda_fp32_flops.to_bits(),
-            self.cuda_fp64_flops.to_bits(),
-            self.hbm_bytes_per_s.to_bits(),
-            self.smem_bytes_per_sm as u64,
-            self.smem_banks as u64,
-            self.launch_overhead_s.to_bits(),
-            self.blocks_per_sm_for_peak as u64,
-            self.tc_utilization.to_bits(),
-        ] {
-            for b in v.to_le_bytes() {
-                eat(b);
-            }
-        }
-        h
-    }
-
     /// Aggregate shared-memory bandwidth (bytes/s): each SM services one
     /// 32-lane × 4-byte wave per clock.
     pub fn smem_bytes_per_s(&self) -> f64 {
@@ -147,18 +108,6 @@ mod tests {
         let bw = s.smem_bytes_per_s();
         // ~19.5 TB/s for A100.
         assert!(bw > 15e12 && bw < 25e12, "smem bw {bw}");
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_content_sensitive() {
-        let a = GpuSpecs::a100_pcie_80gb();
-        assert_eq!(a.fingerprint(), GpuSpecs::a100_pcie_80gb().fingerprint());
-        let mut b = GpuSpecs::a100_pcie_80gb();
-        b.sm_count = 64;
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        let mut c = GpuSpecs::a100_pcie_80gb();
-        c.tc_utilization = 0.31;
-        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
     #[test]

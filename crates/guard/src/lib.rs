@@ -6,9 +6,9 @@
 //! rules ([`rules`]):
 //!
 //! * **lock-discipline** — no lock guard live across an expensive call
-//!   (`compile*`, `load_memos`, `save_*`, `submit`/`try_submit`,
-//!   `steal`/`rebalance`, `fail_device`, `tune_uncached`): the PR 5
-//!   plan-cache-held-across-compile bug class.
+//!   (`compile*`, `submit`/`try_submit`, `steal`/`rebalance`,
+//!   `fail_device`, `tune_uncached`): the plan-cache-held-across-compile
+//!   bug class.
 //! * **metric-naming** — names passed to `counter()`/`gauge()`/
 //!   `histogram()` are string literals outside tests, and must be
 //!   `spider_<subsystem>_…`, `_total` on counters, `_us` on time

@@ -55,8 +55,6 @@ const GUARD_METHODS: &[&str] = &[
 /// is the PR 5 bug class (prefix entries end in `*`).
 const EXPENSIVE_CALLS: &[&str] = &[
     "compile*",
-    "load_memos",
-    "save_*",
     "try_submit",
     "submit",
     "steal",

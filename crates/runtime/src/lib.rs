@@ -115,7 +115,6 @@ pub mod report;
 pub mod request;
 pub mod runtime;
 pub mod scheduler;
-pub mod store;
 pub mod tuner;
 
 pub use cache::{CacheStats, CachedPlan, PlanCache};
@@ -126,5 +125,4 @@ pub use scheduler::{
     BackpressurePolicy, FailureReason, KillReport, RequestStatus, SchedulerOptions,
     SpiderScheduler, SubmitError, TenantConfig, Ticket, DONE_RETENTION,
 };
-pub use store::{PersistedMemo, PlanStore, StoreStats};
 pub use tuner::{AutoTuner, TuneOutcome};

@@ -182,7 +182,7 @@ impl GridSpec {
 /// [`spider_core::plan::SpiderPlan`], or a volumetric (3D) kernel served
 /// through [`spider_core::exec3d::Spider3DPlan`]'s plane decomposition.
 /// Both carry stable content fingerprints, so either kind addresses the
-/// plan cache, the store and the cluster router the same way.
+/// plan cache and the cluster router the same way.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestKernel {
     Planar(StencilKernel),

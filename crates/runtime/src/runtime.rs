@@ -27,7 +27,6 @@ use crate::cache::{CacheStats, CachedPlan, PlanCache};
 use crate::report::{RequestOutcome, RuntimeReport};
 use crate::request::{GridSpec, StencilRequest};
 use crate::scheduler::drr_cost;
-use crate::store::{PersistedMemo, PlanStore, StoreStats};
 use crate::tuner::{AutoTuner, TuneOutcome};
 
 /// Errors a request can fail with.
@@ -121,9 +120,6 @@ pub struct SpiderRuntime {
     /// runtime configures, so ping-pong grids and 3D plane scratch are
     /// recycled *across requests* — a warm runtime stops allocating.
     pool: BufferPool,
-    /// Optional durable tuner-memo storage: memos are imported at
-    /// construction and written back by [`Self::persist`].
-    store: Option<Arc<PlanStore>>,
     /// Observability: trace ring and phase profiler. `Arc` so the
     /// scheduler (and cluster) can share the same sinks.
     telemetry: Arc<Telemetry>,
@@ -143,7 +139,6 @@ impl SpiderRuntime {
             device,
             options,
             pool: BufferPool::new(),
-            store: None,
             telemetry,
             meters: OrderedMutex::new(
                 LockRank::RuntimeMeters,
@@ -156,56 +151,6 @@ impl SpiderRuntime {
     /// A runtime with default options on the given device.
     pub fn with_defaults(device: GpuDevice) -> Self {
         Self::new(device, RuntimeOptions::default())
-    }
-
-    /// A runtime backed by a durable [`PlanStore`]: tuner memos persisted by
-    /// a previous process for this device's spec fingerprint are imported
-    /// immediately, so every persisted scenario tunes without a dry-run —
-    /// the warm-start path a restarted or scaled-out fleet takes. Plans are
-    /// not persisted: a cache miss compiles, which costs less than reading
-    /// a compiled plan back from disk would.
-    pub fn with_store(device: GpuDevice, options: RuntimeOptions, store: Arc<PlanStore>) -> Self {
-        let mut rt = Self::new(device, options);
-        let spec_key = rt.device.specs().fingerprint();
-        rt.tuner.import_memos(
-            store
-                .load_memos(spec_key)
-                .into_iter()
-                .map(|m| ((m.plan_key, m.grid), m.outcome)),
-        );
-        rt.store = Some(store);
-        rt
-    }
-
-    /// The attached plan store, if any.
-    pub fn store(&self) -> Option<&Arc<PlanStore>> {
-        self.store.as_ref()
-    }
-
-    /// Store traffic counters (zeros when no store is attached).
-    pub fn store_stats(&self) -> StoreStats {
-        self.store.as_ref().map(|s| s.stats()).unwrap_or_default()
-    }
-
-    /// Write every settled tuner memo into the attached store. Returns the
-    /// number of memos written, or 0 when no store is attached. Write
-    /// errors are returned.
-    pub fn persist(&self) -> std::io::Result<usize> {
-        let Some(store) = &self.store else {
-            return Ok(0);
-        };
-        let memos: Vec<PersistedMemo> = self
-            .tuner
-            .export_memos()
-            .into_iter()
-            .map(|((plan_key, grid), outcome)| PersistedMemo {
-                plan_key,
-                grid,
-                outcome,
-            })
-            .collect();
-        store.save_memos(self.device.specs().fingerprint(), &memos)?;
-        Ok(memos.len())
     }
 
     pub fn device(&self) -> &GpuDevice {
@@ -253,10 +198,10 @@ impl SpiderRuntime {
 
     /// Every metric this runtime exports, read when called: its request
     /// meters, the completions and compiles the profiler folded from the
-    /// trace, plus the cache, tuner, pool, trace-drop and store
-    /// values read from the structs that own them ([`CacheStats`],
-    /// [`PoolStats`], [`StoreStats`]), so the export reconciles exactly
-    /// with them at any moment. Empty when telemetry is disabled.
+    /// trace, plus the cache, tuner, pool and trace-drop values read
+    /// from the structs that own them ([`CacheStats`], [`PoolStats`]), so
+    /// the export reconciles exactly with them at any moment. Empty when
+    /// telemetry is disabled.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         if !self.telemetry.enabled() {
             return MetricsSnapshot::default();
@@ -293,9 +238,6 @@ impl SpiderRuntime {
             "spider_telemetry_dropped_events_total",
             self.telemetry.trace().dropped_events(),
         );
-        if let Some(store) = &self.store {
-            store.stats().write_metrics(&mut snap);
-        }
         snap
     }
 
@@ -1309,54 +1251,6 @@ mod tests {
             assert_eq!(g.report.counters, w.report.counters);
             assert_eq!(g.report.time_s().to_bits(), w.report.time_s().to_bits());
         }
-    }
-
-    #[test]
-    fn warm_start_from_store_skips_tuning() {
-        let dir = std::env::temp_dir().join(format!(
-            "spider-runtime-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(crate::PlanStore::open(&dir).unwrap());
-
-        // "Process 1": serve a batch, persist.
-        let rt1 = SpiderRuntime::with_store(
-            GpuDevice::a100(),
-            RuntimeOptions::default(),
-            Arc::clone(&store),
-        );
-        let req = StencilRequest::new_2d(1, StencilKernel::gaussian_2d(2), 96, 128).with_seed(9);
-        let first = rt1.execute(&req).unwrap();
-        assert!(!first.cache_hit && !first.tuner_memo_hit);
-        let persisted = rt1.persist().unwrap();
-        assert!(persisted >= 1);
-        // The store holds tuner memos and nothing else.
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let name = entry.unwrap().file_name();
-            assert!(name.to_string_lossy().starts_with("memos-"), "{name:?}");
-        }
-
-        // "Process 2": a fresh runtime over the same store. The plan
-        // compiles, the tuning comes from the imported memo (memo hit, no
-        // dry-runs), and the output is bit-identical.
-        let rt2 = SpiderRuntime::with_store(
-            GpuDevice::a100(),
-            RuntimeOptions::default(),
-            Arc::clone(&store),
-        );
-        assert_eq!(rt2.tuned_scenarios(), 1, "memos imported at construction");
-        let again = rt2.execute(&req).unwrap();
-        assert!(!again.cache_hit, "memory cache is cold");
-        assert!(again.tuner_memo_hit, "tuning restored from the store");
-        assert_eq!(
-            again.checksum, first.checksum,
-            "round-trip is bit-identical"
-        );
-        assert_eq!(again.tiling, first.tiling);
-        assert_eq!(again.report.counters, first.report.counters);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -118,36 +118,11 @@ impl AutoTuner {
         self.memo.lock().outcomes.len()
     }
 
-    /// Snapshot every settled memo as `((plan_key, grid), outcome)`, in
-    /// arrival order — the iteration the runtime persists through
-    /// [`crate::PlanStore::save_memos`]. A scenario still being tuned has
-    /// no memo yet.
-    pub fn export_memos(&self) -> Vec<((u64, GridSpec), TuneOutcome)> {
-        let memo = self.memo.lock();
-        memo.arrival
-            .iter()
-            .filter_map(|key| memo.outcomes.get(key).map(|&outcome| (*key, outcome)))
-            .collect()
-    }
-
-    /// Seed the memo table from a persisted snapshot (warm start). Entries
-    /// for scenarios already tuned in this process are ignored — a decision
-    /// made against the live simulator wins over a restored one — and the
-    /// FIFO capacity bound applies as if the imports had been tuned here.
-    /// Restored entries report `memoized = true` when served, because the
-    /// dry-runs they stand for were already paid in a previous process.
-    pub fn import_memos(&self, memos: impl IntoIterator<Item = ((u64, GridSpec), TuneOutcome)>) {
-        let mut memo = self.memo.lock();
-        for ((plan_key, grid), outcome) in memos {
-            memo.settle((plan_key, Self::memo_grid(grid)), outcome);
-        }
-    }
-
     /// Memo-key normalization: a volume's tuned *plane* tiling provably
     /// does not depend on the plane count — only `rows`/`cols` feed the
     /// cost model and the dry-run sweeps a single plane — so volumes
-    /// differing only in depth share one memo slot (and one persisted
-    /// record) instead of re-tuning per depth.
+    /// differing only in depth share one memo slot instead of re-tuning
+    /// per depth.
     fn memo_grid(grid: GridSpec) -> GridSpec {
         match grid {
             GridSpec::D3 { rows, cols, .. } => GridSpec::D3 {
@@ -468,54 +443,6 @@ mod tests {
             assert_eq!(o.tiling, settled.tiling);
             assert_eq!(o.predicted_time_s, settled.predicted_time_s);
         }
-        assert_eq!(tuner.export_memos().len(), 1);
-    }
-
-    #[test]
-    fn export_import_roundtrip_serves_as_memoized() {
-        let dev = GpuDevice::a100();
-        let tuner = AutoTuner::new(1 << 12, 2);
-        let p = plan(StencilShape::box_2d(2), 3);
-        let grid = GridSpec::D2 {
-            rows: 320,
-            cols: 256,
-        };
-        let first = tuner.tune(&dev, &p, ExecMode::SparseTcOptimized, grid, 77);
-        let exported = tuner.export_memos();
-        assert_eq!(exported.len(), 1);
-        assert_eq!(exported[0].0, (77, grid));
-        assert_eq!(exported[0].1.tiling, first.tiling);
-
-        // A fresh tuner warm-started from the export serves the scenario
-        // from the memo — no dry-runs — and reports it as memoized.
-        let warm = AutoTuner::new(1 << 12, 2);
-        warm.import_memos(exported.clone());
-        assert_eq!(warm.memo_len(), 1);
-        let served = warm.tune(&dev, &p, ExecMode::SparseTcOptimized, grid, 77);
-        assert!(served.memoized, "imported memo must serve as memoized");
-        assert_eq!(served.tiling, first.tiling);
-
-        // Imports never overwrite live decisions.
-        let mut stale = exported;
-        stale[0].1.predicted_time_s = 1e9;
-        warm.import_memos(stale);
-        let again = warm.tune(&dev, &p, ExecMode::SparseTcOptimized, grid, 77);
-        assert_eq!(again.predicted_time_s, first.predicted_time_s);
-    }
-
-    #[test]
-    fn import_respects_capacity() {
-        let tuner = AutoTuner::with_memo_capacity(1 << 10, 1, 2);
-        let outcome = TuneOutcome {
-            tiling: TilingConfig::default(),
-            predicted_time_s: 1.0,
-            default_time_s: 1.0,
-            candidates: 1,
-            dry_runs: 1,
-            memoized: false,
-        };
-        tuner.import_memos((0..5u64).map(|i| ((i, GridSpec::D1 { len: 1024 }), outcome)));
-        assert_eq!(tuner.memo_len(), 2, "FIFO bound applies to imports");
     }
 
     #[test]

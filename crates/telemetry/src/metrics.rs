@@ -6,7 +6,7 @@
 //!
 //! * every metric starts with `spider_` and a subsystem segment —
 //!   `spider_runtime_…`, `spider_plan_cache_…`, `spider_scheduler_…`,
-//!   `spider_plan_store_…`, `spider_tuner_…`, `spider_pool_…`;
+//!   `spider_tuner_…`, `spider_pool_…`;
 //! * monotone counters end in `_total`;
 //! * time-valued histograms end in `_us` (recorded in microseconds — the
 //!   log₂ bucket scheme loses everything below 1 unit, so seconds would
@@ -15,7 +15,7 @@
 //!
 //! Every exported number has one owner, and an export reads it when it is
 //! taken: the runtime's request meters, the profiler's folds of the trace,
-//! and the cache, pool, store, queue and cluster stats structs. The
+//! and the cache, pool, queue and cluster stats structs. The
 //! `metrics_snapshot()` of a runtime, scheduler or cluster writes those
 //! values into a [`MetricsSnapshot`] through its
 //! [`counter`](MetricsSnapshot::counter)/[`gauge`](MetricsSnapshot::gauge)/

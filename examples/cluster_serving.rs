@@ -1,7 +1,7 @@
 //! Cluster serving demo: sharded multi-device serving with a
-//! fingerprint-affinity router, work stealing and persistent warm starts.
+//! fingerprint-affinity router and work stealing.
 //!
-//! Four scenes, each asserting one cluster guarantee:
+//! Three scenes, each asserting one cluster guarantee:
 //!
 //! 1. **Affinity sharding** — a plan-diverse workload over 4 devices:
 //!    every plan key serves on exactly one shard, so per-device hit rates
@@ -13,15 +13,10 @@
 //! 3. **Work stealing** — a single hot kernel stacks one shard; a
 //!    rebalance pass cancels its queued tail and requeues it on idle
 //!    shards; nothing is lost or duplicated.
-//! 4. **Warm start** — a second cluster over the first one's `PlanStore`
-//!    serves with zero tuner dry-runs (fully memoized tilings),
-//!    bit-identical outputs and counters included.
 //!
 //! ```text
 //! cargo run --release --example cluster_serving
 //! ```
-
-use std::sync::Arc;
 
 use spider::prelude::*;
 
@@ -143,53 +138,9 @@ fn scene_3_work_stealing() {
     assert_eq!(report.steals, moved as u64);
 }
 
-fn scene_4_warm_start() {
-    println!("── scene 4: persistent warm start from the PlanStore ───────────");
-    let dir = std::env::temp_dir().join(format!("spider-cluster-demo-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let workload = diverse_workload(3);
-
-    let store = Arc::new(PlanStore::open(&dir).unwrap());
-    let cold = SpiderCluster::with_store(specs(2), ClusterOptions::default(), store);
-    let cold_report = cold.run_batch(&workload).unwrap();
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let name = entry.unwrap().file_name();
-        assert!(name.to_string_lossy().starts_with("memos-"), "{name:?}");
-    }
-
-    // "Second process": a fresh cluster over the same directory.
-    let store2 = Arc::new(PlanStore::open(&dir).unwrap());
-    let warm = SpiderCluster::with_store(specs(2), ClusterOptions::default(), store2);
-    let warm_report = warm.run_batch(&workload).unwrap();
-    let outcomes = |r: &ClusterReport| -> std::collections::BTreeMap<u64, RequestOutcome> {
-        r.devices
-            .iter()
-            .flat_map(|d| d.report.outcomes.iter())
-            .map(|o| (o.id, o.clone()))
-            .collect()
-    };
-    let (cold_out, warm_out) = (outcomes(&cold_report), outcomes(&warm_report));
-    let memo_hits = warm_out.values().filter(|o| o.tuner_memo_hit).count();
-    println!(
-        "  warm: {memo_hits}/{} memoized tilings, zero dry-runs",
-        workload.len()
-    );
-    assert_eq!(memo_hits, workload.len(), "every tiling restored");
-    assert_eq!(cold_out.len(), warm_out.len());
-    for (id, w) in &warm_out {
-        let c = &cold_out[id];
-        assert_eq!(c.checksum, w.checksum, "request {id}: bit-identical");
-        assert_eq!(c.tiling, w.tiling, "request {id}: same tiling");
-        assert_eq!(c.report.counters, w.report.counters, "request {id}");
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-    println!("  ok: zero-dry-run warm start, outputs and counters bit-identical\n");
-}
-
 fn main() {
     scene_1_affinity_sharding();
     scene_2_device_scaling();
     scene_3_work_stealing();
-    scene_4_warm_start();
     println!("cluster serving demo: all scenes passed");
 }

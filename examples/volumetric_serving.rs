@@ -4,17 +4,14 @@
 //! SPIDER's 3D kernels decompose into `2r+1` 2D plane slices, and every
 //! step of a volume executes as one batched-launch wave of plane sweeps —
 //! exactly the shape the serving stack exploits. This demo walks the full
-//! 3D request lifecycle in four scenes:
+//! 3D request lifecycle in three scenes:
 //!
 //! 1. **Runtime**: a batch of volumes through `run_batch` — one 3D plan
 //!    compile per kernel, cache hits for every repeat, bit-identical to a
 //!    direct `Spider3DExecutor` run.
 //! 2. **Scheduler**: mixed 2D/3D traffic through one async queue — volumes
 //!    coalesce into plan-key waves next to planes.
-//! 3. **Persistence**: a "restarted" runtime serves the same volumes with
-//!    zero tuner dry-runs (tilings from persisted memos; plans recompile,
-//!    which is cheaper than loading them).
-//! 4. **Cluster**: affinity-sharded volumes across devices, with work
+//! 3. **Cluster**: affinity-sharded volumes across devices, with work
 //!    stealing flattening a stacked queue, losslessly.
 
 use std::sync::Arc;
@@ -69,7 +66,6 @@ fn options() -> RuntimeOptions {
 fn main() {
     scene_runtime();
     scene_scheduler();
-    scene_persistence();
     scene_cluster();
     println!("\nall volumetric serving scenes passed");
 }
@@ -154,51 +150,9 @@ fn scene_scheduler() {
     println!("mixed wave coalescing: ok\n");
 }
 
-/// Scene 3: zero-dry-run warm start for volumes from a `PlanStore`.
-fn scene_persistence() {
-    println!("=== scene 3: restarted runtime serves volumes with zero dry-runs ===");
-    let dir =
-        std::env::temp_dir().join(format!("spider-volumetric-serving-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let batch = volume_batch(0, 2);
-
-    // "Process 1" serves and persists its tuner memos.
-    let store = Arc::new(PlanStore::open(&dir).unwrap());
-    let rt1 = SpiderRuntime::with_store(GpuDevice::a100(), options(), Arc::clone(&store));
-    let first = rt1.run_batch(&batch);
-    assert!(first.failures.is_empty());
-    let memos = rt1.persist().unwrap();
-    println!(
-        "process 1: {} compiles, {memos} tuner memos persisted",
-        rt1.cache_stats().misses
-    );
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let name = entry.unwrap().file_name();
-        assert!(name.to_string_lossy().starts_with("memos-"), "{name:?}");
-    }
-
-    // "Process 2": fresh runtime over the same directory.
-    let store2 = Arc::new(PlanStore::open(&dir).unwrap());
-    let rt2 = SpiderRuntime::with_store(GpuDevice::a100(), options(), store2);
-    let second = rt2.run_batch(&batch);
-    println!(
-        "process 2: {} compiles, {} memoized tilings",
-        rt2.cache_stats().misses,
-        second.outcomes.iter().filter(|o| o.tuner_memo_hit).count(),
-    );
-    assert!(second.outcomes.iter().all(|o| o.tuner_memo_hit));
-    for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
-        assert_eq!(a.checksum, b.checksum, "warm start changed volume bits");
-        assert_eq!(a.tiling, b.tiling, "warm start changed a tiling");
-        assert_eq!(a.report.counters, b.report.counters);
-    }
-    println!("zero-dry-run warm start: ok\n");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Scene 4: volumes across a sharded cluster with stealing.
+/// Scene 3: volumes across a sharded cluster with stealing.
 fn scene_cluster() {
-    println!("=== scene 4: affinity-sharded volumes with work stealing ===");
+    println!("=== scene 3: affinity-sharded volumes with work stealing ===");
     let specs: Vec<DeviceSpec> = (0..3)
         .map(|i| {
             DeviceSpec::a100(format!("dev{i}")).with_scheduler_options(SchedulerOptions {

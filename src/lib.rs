@@ -103,9 +103,9 @@ pub mod prelude {
         counters::PerfCounters, specs::GpuSpecs, timing::KernelReport, GpuDevice,
     };
     pub use spider_runtime::{
-        BackpressurePolicy, CacheStats, Deadline, FailureReason, GridSpec, PlanStore, Priority,
-        QueueStats, RequestKernel, RequestOutcome, RequestStatus, RuntimeOptions, RuntimeReport,
-        SchedulerOptions, SpiderRuntime, SpiderScheduler, StencilRequest, StoreStats, SubmitError,
+        BackpressurePolicy, CacheStats, Deadline, FailureReason, GridSpec, Priority, QueueStats,
+        RequestKernel, RequestOutcome, RequestStatus, RuntimeOptions, RuntimeReport,
+        SchedulerOptions, SpiderRuntime, SpiderScheduler, StencilRequest, SubmitError,
         TenantConfig, TenantId, Ticket,
     };
     pub use spider_stencil::{

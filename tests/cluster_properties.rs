@@ -1,8 +1,8 @@
 //! Property tests for the cluster layer: sharding must be invisible in the
 //! data (a cluster's outputs are bit-identical to a single runtime's, also
 //! for requests that steals, drains and retries move across devices), and
-//! a warm start from the plan store must serve the same outputs and
-//! performance counters without a tuner dry-run.
+//! a restarted runtime must re-tune to the same tilings and serve the same
+//! outputs and performance counters.
 
 use proptest::prelude::*;
 use spider::core::ExecMode;
@@ -202,52 +202,37 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// A *restarted* store-backed runtime serves a 3D batch with **zero
-    /// dry-runs** (every tiling from a persisted memo) and the outputs are
-    /// bit-identical to direct `Spider3DExecutor::run` on freshly compiled
-    /// plans.
+    /// A *restarted* runtime keeps no memos: it tunes each 3D scenario
+    /// afresh, reaches the same plane tilings as the process before it,
+    /// and its outputs are bit-identical to direct `Spider3DExecutor::run`
+    /// on freshly compiled plans.
     #[test]
-    fn restarted_runtime_serves_3d_with_zero_dry_runs(
+    fn restarted_runtime_retunes_3d_to_the_same_plane_tilings(
         kseed in 0u64..100,
         planes in 2usize..4,
         rows in 20usize..36,
         cols in 24usize..40,
     ) {
-        let dir = std::env::temp_dir().join(format!(
-            "spider-3d-warm-{}-{kseed}-{planes}x{rows}x{cols}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
         let batch: Vec<StencilRequest> = (0..4u64)
             .map(|i| {
                 let k3 = Kernel3D::random_box(1, kseed + (i % 2));
                 StencilRequest::new_3d(i, k3, planes, rows, cols).with_seed(i * 3)
             })
             .collect();
-        let opts = RuntimeOptions::default();
-
-        // Process 1 serves and persists its memos.
-        let store = std::sync::Arc::new(PlanStore::open(&dir).unwrap());
-        let rt1 = SpiderRuntime::with_store(GpuDevice::a100(), opts, store);
-        let first = rt1.run_batch(&batch);
+        let first = SpiderRuntime::with_defaults(GpuDevice::a100()).run_batch(&batch);
         prop_assert!(first.failures.is_empty());
-        rt1.persist().unwrap();
 
-        // The store holds tuner memos and nothing else.
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let name = entry.unwrap().file_name();
-            prop_assert!(name.to_string_lossy().starts_with("memos-"), "{:?}", name);
-        }
-
-        // Process 2: fresh store handle, fresh runtime — zero dry-runs.
-        let store2 = std::sync::Arc::new(PlanStore::open(&dir).unwrap());
-        let rt2 = SpiderRuntime::with_store(GpuDevice::a100(), opts, store2);
-        let second = rt2.run_batch(&batch);
+        // Process 2: a fresh runtime. Each of the batch's two scenarios
+        // tunes again (its first request misses the memo; the copy that
+        // coalesces with it reads the memo its head settled, as in process
+        // 1) and picks the same tiling.
+        let second = SpiderRuntime::with_defaults(GpuDevice::a100()).run_batch(&batch);
         prop_assert!(second.failures.is_empty());
-        prop_assert!(
-            second.outcomes.iter().all(|o| o.tuner_memo_hit),
-            "every plane tiling must come from a persisted memo"
-        );
+        prop_assert!(!second.outcomes[0].tuner_memo_hit && !second.outcomes[1].tuner_memo_hit);
+        for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
+            prop_assert_eq!(b.tiling, a.tiling, "request {} re-tuned differently", b.id);
+            prop_assert_eq!(b.tuner_memo_hit, a.tuner_memo_hit, "request {}", b.id);
+        }
         // Bit-identity against direct execution of fresh compiles, under
         // the tiling the runtime actually used.
         let device = GpuDevice::a100();
@@ -271,61 +256,7 @@ proptest! {
             );
             prop_assert_eq!(&out.report.counters, &direct.counters);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
-}
-
-/// End-to-end persistence: a store-backed cluster that served a workload
-/// warm-starts a *second* cluster over the same directory — tilings come
-/// from imported memos, and the outputs are bit-identical.
-#[test]
-fn cluster_warm_start_from_store_is_bit_identical() {
-    let dir = std::env::temp_dir().join(format!("spider-cluster-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let workload: Vec<StencilRequest> = (0..10u64)
-        .map(|i| {
-            let k = match i % 3 {
-                0 => StencilKernel::heat_2d(0.12),
-                1 => StencilKernel::gaussian_2d(2),
-                _ => StencilKernel::jacobi_2d(),
-            };
-            StencilRequest::new_2d(i, k, 64, 96).with_seed(i * 7)
-        })
-        .collect();
-    let specs = |n: usize| -> Vec<DeviceSpec> {
-        (0..n)
-            .map(|i| DeviceSpec::a100(format!("dev{i}")))
-            .collect()
-    };
-
-    let store = std::sync::Arc::new(PlanStore::open(&dir).unwrap());
-    let first = SpiderCluster::with_store(specs(2), ClusterOptions::default(), store);
-    let report1 = first.run_batch(&workload).unwrap();
-    assert_eq!(report1.total_completed(), workload.len());
-    let want = checksums(&report1);
-    // The store holds tuner memos and nothing else.
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let name = entry.unwrap().file_name();
-        assert!(name.to_string_lossy().starts_with("memos-"), "{name:?}");
-    }
-
-    // "Second process": fresh store handle over the same directory.
-    let store2 = std::sync::Arc::new(PlanStore::open(&dir).unwrap());
-    let second = SpiderCluster::with_store(specs(2), ClusterOptions::default(), store2);
-    let report2 = second.run_batch(&workload).unwrap();
-    assert_eq!(&checksums(&report2), &want, "warm start changed outputs");
-    let memo_hits = report2
-        .devices
-        .iter()
-        .flat_map(|d| d.report.outcomes.iter())
-        .filter(|o| o.tuner_memo_hit)
-        .count();
-    assert_eq!(
-        memo_hits,
-        workload.len(),
-        "every tiling must come from a persisted memo"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// id → checksum across the whole fleet, departed devices included.

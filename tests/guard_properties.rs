@@ -51,24 +51,6 @@ fn guard_across_compile_fixture_is_caught_in_both_shapes() {
 }
 
 #[test]
-fn guard_across_store_fixture_is_caught_on_load_and_save() {
-    let src = fixture("guard_across_store.rs");
-    let vs = lint_source("crates/runtime/src/fixture.rs", &src, &cfg());
-    let tokens: Vec<&str> = vs
-        .iter()
-        .filter(|v| v.rule == RULE_LOCK_DISCIPLINE)
-        .map(|v| v.token.as_str())
-        .collect();
-    // The store's one load and one save, each under a live tuner guard;
-    // the `clean` shape stays silent.
-    assert_eq!(tokens, ["load_memos", "save_memos"], "{vs:?}");
-    assert!(
-        vs.iter().all(|v| v.message.contains("`memo`")),
-        "violations should name the live guard: {vs:?}"
-    );
-}
-
-#[test]
 fn bad_metric_name_fixture_is_caught_per_problem() {
     let src = fixture("bad_metric_name.rs");
     let vs = lint_source("crates/telemetry/src/fixture.rs", &src, &cfg());
@@ -340,7 +322,7 @@ const FRAGMENTS: &[&str] = &[
     "fn f<'a>(x: &'a str) -> &'a str { x }",
     "let s = \"compile(\\\"escaped\\\")\";",
     "let c = 'a'; let nl = '\\n';",
-    "let r = r#\"save_plan( within \"raw\" quotes \"#;",
+    "let r = r#\"compile_plan( within \"raw\" quotes \"#;",
     "let n = 1.5e3 + 0x_ff;",
     "let b = b\"try_submit(\"; let bc = b'\\t';",
     "ident_only",
@@ -384,7 +366,7 @@ proptest! {
         for t in &toks {
             if t.kind == TokenKind::Ident {
                 prop_assert!(
-                    !matches!(t.text, "compile" | "submit" | "try_submit" | "save_plan"),
+                    !matches!(t.text, "compile" | "submit" | "try_submit" | "compile_plan"),
                     "expensive-call spelling leaked from a literal: {:?} at byte {}",
                     t.text,
                     t.start
