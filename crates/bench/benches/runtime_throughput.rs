@@ -5,7 +5,9 @@
 //! `BENCH_runtime.json` — the machine-readable requests/sec + GStencil/s
 //! data point for the performance trajectory.
 
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use spider_bench::traffic;
@@ -105,6 +107,56 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(4)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_runtime
+}
+
+/// Telemetry's cost per event, in ns: warm 16×16 box r1 requests over
+/// eight plans, batches of 32 (one job per wave), served by a
+/// telemetry-on and a telemetry-off runtime in this process, alternating
+/// which goes first. The median over `ROUNDS` of the on-minus-off time of
+/// one pass, divided by the events the on runtime recorded in a pass. An
+/// absolute cost, because an on/off ratio reads a cheaper base as more
+/// overhead.
+fn telemetry_ns_per_event() -> f64 {
+    const ROUNDS: usize = 31;
+    let batches: Vec<Vec<StencilRequest>> = (0..16u64)
+        .map(|b| {
+            (32 * b..32 * (b + 1))
+                .map(|id| {
+                    let kernel = StencilKernel::random(StencilShape::box_2d(1), id % 8);
+                    StencilRequest::new_2d(id, kernel, 16, 16).with_seed(id)
+                })
+                .collect()
+        })
+        .collect();
+    let on = SpiderRuntime::new(GpuDevice::a100(), options());
+    let off = SpiderRuntime::new(
+        GpuDevice::a100(),
+        RuntimeOptions {
+            telemetry: spider_telemetry::TelemetryConfig::disabled(),
+            ..options()
+        },
+    );
+    let pass = |rt: &SpiderRuntime| {
+        let start = Instant::now();
+        for batch in &batches {
+            black_box(rt.run_batch(batch));
+        }
+        start.elapsed().as_secs_f64()
+    };
+    let events = || on.telemetry().trace().len() as u64 + on.telemetry().trace().dropped_events();
+    // Warm both: plans compiled and tuned, pools at their high water.
+    pass(&on);
+    pass(&off);
+    let before = events();
+    let mut extra: Vec<f64> = (0..ROUNDS)
+        .map(|round| match round % 2 {
+            0 => pass(&on) - pass(&off),
+            _ => -(pass(&off) - pass(&on)),
+        })
+        .collect();
+    let per_pass = (events() - before) as f64 / ROUNDS as f64;
+    extra.sort_by(f64::total_cmp);
+    extra[ROUNDS / 2] / per_pass * 1e9
 }
 
 /// Direct measurement written to `BENCH_runtime.json` (no criterion
@@ -207,6 +259,7 @@ fn emit_json() {
         telemetry: spider_telemetry::TelemetryConfig::disabled(),
         ..options()
     });
+    let telemetry_ns = telemetry_ns_per_event();
 
     // Multi-tenant SLO scene: the canonical noisy-neighbor traffic (paced
     // victim vs closed-loop bully) under weights + admission quota. The
@@ -255,6 +308,7 @@ fn emit_json() {
             ),
             ("telemetry_on_requests_per_sec", telemetry_on_rps, 3),
             ("telemetry_off_requests_per_sec", telemetry_off_rps, 3),
+            ("telemetry_ns_per_event", telemetry_ns, 1),
             ("traffic_victim_p99_wait_us", victim.p99_wait_us, 1),
             ("traffic_noisy_p99_wait_ms", noisy.p99_wait_us / 1e3, 3),
             ("traffic_victim_completed", victim.completed as f64, 0),

@@ -11,7 +11,11 @@
 //! ## Host computation
 //!
 //! The simulated kernel is still the MMA tiling above: the counters are
-//! charged in closed form per block, warp and tile. The host does not
+//! charged in closed form per block, warp and tile, once per (plan,
+//! extent, tiling, mode, row-swap): they never depend on grid data, so the
+//! plan memoizes them ([`SpiderPlan::charge_misses`] counts the charges)
+//! and a warm request, a 3D slice or a repeated dry-run charges nothing.
+//! The host does not
 //! emulate every `mma.sp` slot to produce the output bits, though. It runs
 //! the plan's exact-order tap schedule ([`crate::schedule`]): the MMA
 //! chain's non-zero FMAs, in the chain's order, as contiguous vector FMAs
@@ -54,7 +58,7 @@
 //!   metadata packing.
 
 use crate::packing;
-use crate::plan::{PlanUnit, SpiderPlan};
+use crate::plan::{ChargeKey, Extent, PlanUnit, SpiderPlan};
 use crate::pool::BufferPool;
 use crate::row_swap::RowSwapStrategy;
 use crate::schedule::{run_span, TapStep};
@@ -683,10 +687,29 @@ impl<'d> SpiderExecutor<'d> {
         })
     }
 
-    /// The counters of one 2D sweep over a `rows × cols` grid: the sum of
-    /// its blocks' charges. Counters depend only on block shapes, the plan,
-    /// the mode and the row-swap strategy — never on grid data.
+    /// The counters of one 2D sweep over a `rows × cols` grid, memoized
+    /// in the plan ([`SpiderPlan::charged`]): they depend only on the
+    /// extent, the tiling, the mode and the row-swap strategy — never on
+    /// grid data.
     pub(crate) fn charge_2d(&self, plan: &SpiderPlan, rows: usize, cols: usize) -> PerfCounters {
+        plan.charged(self.charge_key(Extent::Plane(rows, cols)), || {
+            self.closed_form_2d(plan, rows, cols)
+        })
+    }
+
+    /// What this executor's sweeps over `extent` are charged under.
+    fn charge_key(&self, extent: Extent) -> ChargeKey {
+        ChargeKey {
+            extent,
+            tiling: self.config.tiling,
+            mode: self.mode,
+            row_swap: self.config.row_swap,
+        }
+    }
+
+    /// [`Self::charge_2d`] derived afresh: the sum of the sweep's blocks'
+    /// charges.
+    fn closed_form_2d(&self, plan: &SpiderPlan, rows: usize, cols: usize) -> PerfCounters {
         let t = self.config.tiling;
         let r = plan.radius();
         let bg = BlockGrid::new(rows, cols, t.block_x, t.block_y);
@@ -815,6 +838,13 @@ impl<'d> SpiderExecutor<'d> {
 
     /// 1D counterpart of [`Self::charge_2d`].
     fn charge_1d(&self, plan: &SpiderPlan, n: usize) -> PerfCounters {
+        plan.charged(self.charge_key(Extent::Line(n)), || {
+            self.closed_form_1d(plan, n)
+        })
+    }
+
+    /// 1D counterpart of [`Self::closed_form_2d`].
+    fn closed_form_1d(&self, plan: &SpiderPlan, n: usize) -> PerfCounters {
         let t = self.config.tiling;
         let r = plan.radius();
         let probe = WaveProbe::new(plan, &t, self.mode, self.config.row_swap);
@@ -884,10 +914,11 @@ impl<'d> SpiderExecutor<'d> {
     }
 }
 
-/// A sweep's per-warp and per-tile counter deltas, computed once per step:
-/// every charge depends only on block shape, plan, mode and row-swap
-/// strategy, so a block's counters are these deltas scaled by its warp and
-/// tile counts ([`PerfCounters::scaled`] by `(n, 1)` is exact).
+/// A sweep's per-warp and per-tile counter deltas, computed once per
+/// closed-form charge: every charge depends only on block shape, plan,
+/// mode and row-swap strategy, so a block's counters are these deltas
+/// scaled by its warp and tile counts ([`PerfCounters::scaled`] by `(n, 1)`
+/// is exact).
 struct WaveProbe {
     /// One warp's kernel-operand loads (operands live in registers, so
     /// each warp loads them once per block).

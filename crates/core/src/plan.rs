@@ -10,9 +10,13 @@
 use crate::encode::Sparse24Kernel;
 use crate::exec::ExecMode;
 use crate::kernel_matrix;
+use crate::row_swap::RowSwapStrategy;
 use crate::schedule::TapSchedule;
 use crate::swap::{swap_perm, SwapParity};
+use crate::sync::{LockRank, OrderedMutex};
+use crate::tiling::TilingConfig;
 use crate::{K_PAD, M_TILE};
+use spider_gpu_sim::counters::PerfCounters;
 use spider_gpu_sim::half::F16;
 use spider_stencil::{Dim, StencilKernel};
 use std::sync::OnceLock;
@@ -80,6 +84,63 @@ pub struct SpiderPlan {
     /// The `DenseTc` arm's tap schedule, derived on first use (serving
     /// never runs that arm).
     dense_schedule: OnceLock<TapSchedule>,
+    /// One sweep's counters per charge key, derived on first use.
+    charges: ChargeMemo,
+}
+
+/// The extent one charged sweep covers: a line of `n` outputs or a
+/// `rows × cols` plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Extent {
+    Line(usize),
+    Plane(usize, usize),
+}
+
+/// Everything one sweep's counters depend on besides the plan: never grid
+/// data, so one charge serves every sweep of every request that shares it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ChargeKey {
+    pub(crate) extent: Extent,
+    pub(crate) tiling: TilingConfig,
+    pub(crate) mode: ExecMode,
+    pub(crate) row_swap: RowSwapStrategy,
+}
+
+/// Charge keys one plan memoizes; beyond it the least recently used entry
+/// goes. A tune dry-runs at most five tilings of one scenario (on an
+/// extent that is the served one for grids under its cap), so a served
+/// entry outlives two other scenarios' tunes between its uses.
+const CHARGE_MEMO_ENTRIES: usize = 16;
+
+/// A plan's swept counters: `(key, counters, last use)` rows, at most
+/// [`CHARGE_MEMO_ENTRIES`], plus the closed-form charges it has paid.
+#[derive(Debug)]
+struct ChargeMemo(OrderedMutex<ChargeTable>);
+
+#[derive(Debug, Default)]
+struct ChargeTable {
+    rows: Vec<(ChargeKey, PerfCounters, u64)>,
+    /// Lookups so far, the use stamp of the latest.
+    uses: u64,
+    /// Lookups that charged in closed form.
+    misses: u64,
+}
+
+impl ChargeMemo {
+    fn new() -> Self {
+        Self(OrderedMutex::new(
+            LockRank::PlanCharges,
+            "plan.charges",
+            ChargeTable::default(),
+        ))
+    }
+}
+
+/// A clone starts with an empty memo: it charges the same counters again.
+impl Clone for ChargeMemo {
+    fn clone(&self) -> Self {
+        Self::new()
+    }
 }
 
 /// Errors surfaced during plan compilation.
@@ -155,6 +216,7 @@ impl SpiderPlan {
             gathers,
             schedule,
             dense_schedule: OnceLock::new(),
+            charges: ChargeMemo::new(),
         })
     }
 
@@ -190,6 +252,44 @@ impl SpiderPlan {
         } else {
             &self.schedule
         }
+    }
+
+    /// One sweep's counters under `key`: memoized, or derived by `charge`
+    /// outside the memo's lock and kept, evicting the least recently used
+    /// entry beyond [`CHARGE_MEMO_ENTRIES`]. `charge` must be the closed
+    /// form of `key`, so a racing sweep that charges it too keeps the same
+    /// value.
+    pub(crate) fn charged(
+        &self,
+        key: ChargeKey,
+        charge: impl FnOnce() -> PerfCounters,
+    ) -> PerfCounters {
+        let mut memo = self.charges.0.lock();
+        memo.uses += 1;
+        let used = memo.uses;
+        if let Some(row) = memo.rows.iter_mut().find(|row| row.0 == key) {
+            row.2 = used;
+            return row.1;
+        }
+        drop(memo);
+        let counters = charge();
+        let mut memo = self.charges.0.lock();
+        memo.misses += 1;
+        if memo.rows.iter().all(|row| row.0 != key) {
+            if memo.rows.len() == CHARGE_MEMO_ENTRIES {
+                let coldest = (0..memo.rows.len()).min_by_key(|&i| memo.rows[i].2);
+                memo.rows
+                    .swap_remove(coldest.expect("a full memo has rows")); // guard: CHARGE_MEMO_ENTRIES > 0
+            }
+            memo.rows.push((key, counters, used));
+        }
+        counters
+    }
+
+    /// How many sweeps' counters this plan derived in closed form, rather
+    /// than finding them memoized: a warm request adds none.
+    pub fn charge_misses(&self) -> u64 {
+        self.charges.0.lock().misses
     }
 
     /// Stable content fingerprint of the compiled plan: the source kernel's

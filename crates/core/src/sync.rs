@@ -29,6 +29,7 @@
 //! | 400 | `SchedulerState` | trace ring, profiler (dispatch accounting) |
 //! | 500 | `PlanCache` | nothing — compiles run outside the lock (PR 5) |
 //! | 520 | `TunerMemo` | nothing — dry runs run outside the lock |
+//! | 600 | `PlanCharges` | nothing — counters are charged outside the lock |
 //! | 650 | `BufferPool` | nothing (leaf) |
 //! | 700 | `TraceRing` | nothing (leaf) |
 //! | 740 | `RuntimeMeters` | nothing (leaf) |
@@ -71,6 +72,9 @@ pub enum LockRank {
     /// `AutoTuner` memo table. Dry runs run *outside* this lock, as
     /// compiles run outside the plan cache's.
     TunerMemo = 520,
+    /// A `SpiderPlan`'s memo of swept counters. Counters are charged
+    /// *outside* this lock, as compiles run outside the plan cache's.
+    PlanCharges = 600,
     /// `BufferPool` free list.
     BufferPool = 650,
     /// Telemetry trace ring buffer.

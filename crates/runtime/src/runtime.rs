@@ -19,7 +19,7 @@ use spider_stencil::dim3::Grid3D;
 use spider_stencil::fnv::Fnv1a;
 use spider_stencil::{Grid1D, Grid2D};
 use spider_telemetry::{
-    EventKind, LogHistogram, MetricsSnapshot, Phase, PhaseStats, ResolveSource, Telemetry,
+    EventBatch, EventKind, MetricsSnapshot, Phase, PhaseStats, ResolveSource, Telemetry,
     TelemetryConfig, Terminal, Who,
 };
 
@@ -93,21 +93,24 @@ impl Default for RuntimeOptions {
     }
 }
 
-/// The request meters only the runtime counts: written where a request
-/// concludes or fails (never when telemetry is disabled) and read by
-/// [`SpiderRuntime::metrics_snapshot`] when it is taken. Completions and
-/// compiles are not here: the profiler folds them from the trace.
+/// The request counts only the runtime keeps: written where a request
+/// concludes failed or volumetric (never when telemetry is disabled) and
+/// read by [`SpiderRuntime::metrics_snapshot`] when it is taken.
+/// Completions, compiles and the service and simulated-time histograms are
+/// not here: the profiler folds them from each flushed batch.
 #[derive(Debug, Clone, Copy, Default)]
 struct RuntimeMeters {
     /// `spider_runtime_requests_failed_total`.
     failed: u64,
     /// `spider_runtime_volumetric_completed_total`.
     volumetric: u64,
-    /// `spider_runtime_service_time_us`.
-    service_us: LogHistogram,
-    /// `spider_runtime_sim_exec_us`.
-    sim_exec_us: LogHistogram,
 }
+
+/// Events a served group records per request in each of its two batches,
+/// at most: preparing it, a resolve exit, a plan-resolve, a tune and its
+/// subgroup's tune exit; executing it, an execute, a complete and its
+/// subgroup's launch and exec exit.
+const EVENTS_PER_REQUEST: usize = 4;
 
 /// The serving layer: owns one simulated device, a plan cache and an
 /// autotuner, and executes single requests or heterogeneous batches.
@@ -213,10 +216,11 @@ impl SpiderRuntime {
             "spider_runtime_volumetric_completed_total",
             meters.volumetric,
         );
-        snap.histogram("spider_runtime_service_time_us", meters.service_us);
-        snap.histogram("spider_runtime_sim_exec_us", meters.sim_exec_us);
+        let profiler = self.telemetry.profiler();
+        snap.histogram("spider_runtime_service_time_us", profiler.service_us());
+        snap.histogram("spider_runtime_sim_exec_us", profiler.sim_exec_us());
         let mut folded = PhaseStats::default();
-        for plan in self.telemetry.profiler().snapshot() {
+        for plan in profiler.snapshot() {
             folded.merge(&plan.stats);
         }
         snap.counter("spider_runtime_requests_completed_total", folded.requests);
@@ -251,8 +255,10 @@ impl SpiderRuntime {
     /// telemetry is disabled and none of it touching the numerics.
     pub fn execute(&self, req: &StencilRequest) -> Result<RequestOutcome, RuntimeError> {
         let who = Who::new(req.id, req.plan_key(), req.attempt);
-        self.telemetry.record(who, EventKind::Admit, 0.0);
-        let mut results = self.run_group(std::slice::from_ref(req));
+        let mut log = self.telemetry.batch(EVENTS_PER_REQUEST + 1);
+        let admitted = log.now_s();
+        log.record(who, EventKind::Admit, 0.0, admitted);
+        let mut results = self.serve_group(std::slice::from_ref(req), log, admitted);
         results.pop().expect("one result per request") // guard: run_group returns one result per input
     }
 
@@ -286,71 +292,95 @@ impl SpiderRuntime {
     /// to the request's run alone — a one-request group, which is what
     /// [`Self::execute`] runs: the executor holds no cross-grid state, so
     /// sharing it cannot change a single output bit (the scheduler property
-    /// tests pin this down).
+    /// tests pin this down). The group's events are recorded in one batch
+    /// and reach the trace, and the profiler, before it returns.
     pub fn run_group(
         &self,
         requests: &[StencilRequest],
     ) -> Vec<Result<RequestOutcome, RuntimeError>> {
-        let group = self.prepare_group(requests);
-        let results = self.execute_group(&group);
-        for (&who, result) in group.whos.iter().zip(&results) {
-            self.conclude(who, result.as_ref().map_err(|_| Terminal::Failed));
-        }
-        results
+        let log = self.telemetry.batch(EVENTS_PER_REQUEST * requests.len());
+        let start = log.now_s();
+        self.serve_group(requests, log, start)
     }
 
-    /// Record a request's verdict: its one `Complete` event and the
-    /// completion meters. `Ok` is a done request's outcome; `Err` names any
-    /// other terminal. Only the request's owner calls it: the scheduler's
-    /// `finish` for every ticket, and [`Self::run_group`] and
-    /// [`Self::run_batch`] for requests no scheduler owns.
-    pub(crate) fn conclude(&self, who: Who, verdict: Result<&RequestOutcome, Terminal>) {
+    /// [`Self::run_group`] on a batch that may already hold events, from
+    /// the stamp `start_s` on: prepare, execute, conclude every request and
+    /// flush the batch.
+    fn serve_group(
+        &self,
+        requests: &[StencilRequest],
+        log: EventBatch,
+        start_s: f64,
+    ) -> Vec<Result<RequestOutcome, RuntimeError>> {
+        let group = self.prepare_group(requests, log, start_s);
+        let mut run = self.execute_group(&group);
+        let now = run.log.now_s();
+        for (&who, result) in group.whos.iter().zip(&run.results) {
+            let verdict = result.as_ref().map_err(|_| Terminal::Failed);
+            self.conclude(who, verdict, &mut run.log, now);
+        }
+        run.flush(&self.telemetry);
+        run.results
+    }
+
+    /// Record a request's verdict in `log`, stamped `now_s`: its one
+    /// `Complete` event (whose flush counts a done request and its
+    /// simulated time) and the failure and volumetric counts. `Ok` is a
+    /// done request's outcome; `Err` names any other terminal. Only the
+    /// request's owner calls it: the scheduler's `finish` for every ticket,
+    /// and [`Self::run_group`] and [`Self::run_batch`] for requests no
+    /// scheduler owns.
+    pub(crate) fn conclude(
+        &self,
+        who: Who,
+        verdict: Result<&RequestOutcome, Terminal>,
+        log: &mut EventBatch,
+        now_s: f64,
+    ) {
         let sim_s = verdict.map_or(0.0, |outcome| outcome.report.time_s());
         let terminal = verdict.err().unwrap_or(Terminal::Done);
-        self.telemetry
-            .record(who, EventKind::Complete { terminal }, sim_s);
-        if !self.telemetry.enabled() {
+        log.record(who, EventKind::Complete { terminal }, sim_s, now_s);
+        if !log.enabled() {
             return;
         }
         match verdict {
-            Ok(outcome) => {
-                let mut meters = self.meters.lock();
-                meters.volumetric += u64::from(outcome.volumetric);
-                meters.sim_exec_us.record(sim_s * 1e6);
-            }
+            Ok(outcome) if outcome.volumetric => self.meters.lock().volumetric += 1,
             Err(Terminal::Failed) => self.meters.lock().failed += 1,
-            Err(_) => {}
+            _ => {}
         }
     }
 
-    /// Record the service time of a request that failed, and hand the
-    /// error back as its result.
-    fn fail(&self, start: Instant, e: RuntimeError) -> RuntimeError {
-        if self.telemetry.enabled() {
-            let service_us = start.elapsed().as_secs_f64() * 1e6;
-            self.meters.lock().service_us.record(service_us);
+    /// Label `req`'s plan in the profiler with its scenario: done when the
+    /// group compiles or fails, so every plan row is labelled once and a
+    /// warm group formats nothing.
+    fn label(&self, log: &EventBatch, who: Who, req: &StencilRequest) {
+        if log.enabled() {
+            self.telemetry
+                .profiler()
+                .touch(who.plan_key, || req.scenario());
         }
-        e
     }
 
     /// The first half of [`Self::run_group`]: check each request's
     /// dimensions, resolve the plan (per request, for hit/miss parity with
     /// `run_batch`), split the group into exec-key subgroups (keys sort
     /// deterministically) and tune each subgroup's head. All a wave needs
-    /// to size its fan-out, before any grid exists.
-    fn prepare_group<'a>(&self, requests: &'a [StencilRequest]) -> PreparedGroup<'a> {
-        let start = Instant::now();
-        let t = &self.telemetry;
+    /// to size its fan-out, before any grid exists. Its events go into
+    /// `log` from the stamp `start_s` on, each span opening where the last
+    /// closed.
+    fn prepare_group<'a>(
+        &self,
+        requests: &'a [StencilRequest],
+        mut log: EventBatch,
+        start_s: f64,
+    ) -> PreparedGroup<'a> {
         let whos: Vec<Who> = requests
             .iter()
             .map(|req| Who::new(req.id, req.plan_key(), req.attempt))
             .collect();
-        if t.enabled() && !requests.is_empty() {
-            t.profiler()
-                .touch(whos[0].plan_key, || requests[0].scenario());
-        }
         let mut plan: Option<CachedPlan> = None;
         let mut lookups = Vec::with_capacity(requests.len());
+        let mut at = start_s;
         for (req, &who) in requests.iter().zip(&whos) {
             debug_assert_eq!(
                 who.plan_key, whos[0].plan_key,
@@ -361,24 +391,29 @@ impl SpiderRuntime {
                     id: req.id,
                     scenario: req.scenario(),
                 };
-                lookups.push(Err(self.fail(start, e)));
+                self.label(&log, who, req);
+                let service_s = log.now_s() - start_s;
+                lookups.push(Err(fail(&mut log, service_s, e)));
                 continue;
             }
-            let span = t.span(who, Phase::Resolve);
             let resolved = self.cache.get_or_compile(who.plan_key, &req.kernel);
-            span.exit();
+            at = log.exit(who, Phase::Resolve, at);
             lookups.push(match resolved {
                 Ok((p, hit)) => {
                     let source = if hit {
                         ResolveSource::CacheHit
                     } else {
+                        self.label(&log, who, req);
                         ResolveSource::Compile
                     };
-                    t.record(who, EventKind::PlanResolve { source }, 0.0);
+                    log.record(who, EventKind::PlanResolve { source }, 0.0, at);
                     plan = Some(p);
                     Ok(hit)
                 }
-                Err(e) => Err(self.fail(start, e.into())),
+                Err(e) => {
+                    self.label(&log, who, req);
+                    Err(fail(&mut log, at - start_s, e.into()))
+                }
             });
         }
 
@@ -390,9 +425,8 @@ impl SpiderRuntime {
             order.sort_by_key(|&i| (requests[i].exec_key(), i));
             for members in contiguous_key_runs(&order, |i| requests[i].exec_key()) {
                 let head = whos[members[0]];
-                let span = t.span(head, Phase::Tune);
                 let tuned = self.select_tiling(plan, &requests[members[0]], head.plan_key);
-                span.exit();
+                at = log.exit(head, Phase::Tune, at);
                 let sub = Subgroup {
                     members: members.to_vec(),
                     tiling: tuned.tiling,
@@ -403,7 +437,7 @@ impl SpiderRuntime {
                         memo_hit: sub.memo_hit(slot),
                         dry_runs: if slot == 0 { tuned.dry_runs as u64 } else { 0 },
                     };
-                    t.record(whos[i], tune, 0.0);
+                    log.record(whos[i], tune, 0.0, at);
                 }
                 subgroups.push(sub);
             }
@@ -411,29 +445,36 @@ impl SpiderRuntime {
         PreparedGroup {
             requests,
             whos,
-            start,
+            start_s,
+            ready_s: at,
             lookups,
             plan,
             subgroups,
+            log,
         }
     }
 
     /// The second half of [`Self::run_group`]: run each exec-key subgroup,
-    /// member by member, and record every outcome.
-    fn execute_group(&self, g: &PreparedGroup<'_>) -> Vec<Result<RequestOutcome, RuntimeError>> {
+    /// member by member, and record every outcome in a batch of its own
+    /// (a wave's jobs share the prepared groups). Each subgroup's exec span
+    /// opens where the last closed, and its members' `Execute` events and
+    /// service times share its exit's clock read.
+    fn execute_group<'g>(&self, g: &'g PreparedGroup<'_>) -> GroupRun<'g> {
         let t = &self.telemetry;
+        let mut log = t.batch(EVENTS_PER_REQUEST * g.requests.len());
         let mut results: Vec<Option<Result<RequestOutcome, RuntimeError>>> = g
             .lookups
             .iter()
             .map(|l| l.as_ref().err().map(|e| Err(e.clone())))
             .collect();
+        let mut at = log.now_s();
         for sub in &g.subgroups {
             let members = sub.members.len();
             let coalesced = members > 1;
             let wave_id = t.next_wave_id();
-            let exec_span = t.span(g.whos[sub.members[0]], Phase::Exec);
-            let run = self.run_subgroup(g, sub, wave_id);
-            exec_span.exit();
+            let (open, head) = (at, g.whos[sub.members[0]]);
+            let run = self.run_subgroup(g, sub, wave_id, &mut log, open);
+            at = log.exit(head, Phase::Exec, open);
             let done = match run {
                 Ok(done) => done,
                 Err(e) => {
@@ -441,12 +482,14 @@ impl SpiderRuntime {
                     // member: the whole subgroup ran under one launch plan.
                     for &i in &sub.members {
                         let e = RuntimeError::Exec(e.clone());
-                        results[i] = Some(Err(self.fail(g.start, e)));
+                        results[i] = Some(Err(fail(&mut log, at - g.start_s, e)));
                     }
                     continue;
                 }
             };
             let launch_share = 1.0 / members as f64;
+            // Every member shares the head's kernel and extent.
+            let scenario: Arc<str> = g.requests[sub.members[0]].scenario().into();
             for ((slot, &i), (checksum, report)) in sub.members.iter().enumerate().zip(done) {
                 let req = &g.requests[i];
                 let execute = EventKind::Execute {
@@ -454,14 +497,11 @@ impl SpiderRuntime {
                     coalesced,
                     launch_share,
                 };
-                t.record(g.whos[i], execute, report.time_s());
-                if t.enabled() {
-                    let service_us = g.start.elapsed().as_secs_f64() * 1e6;
-                    self.meters.lock().service_us.record(service_us);
-                }
+                log.record(g.whos[i], execute, report.time_s(), at);
+                log.service((at - g.start_s) * 1e6);
                 results[i] = Some(Ok(RequestOutcome {
                     id: req.id,
-                    scenario: req.scenario().into(),
+                    scenario: Arc::clone(&scenario),
                     cache_hit: matches!(g.lookups[i], Ok(true)),
                     tuner_memo_hit: sub.memo_hit(slot),
                     coalesced,
@@ -472,19 +512,28 @@ impl SpiderRuntime {
                 }));
             }
         }
-        results
+        let results = results
             .into_iter()
             .map(|r| r.expect("every request resolved")) // guard: every request resolved by the phases above
-            .collect()
+            .collect();
+        GroupRun {
+            results,
+            log,
+            prepared: &g.log,
+        }
     }
 
     /// Run one exec-key subgroup through one configured executor, member by
-    /// member ([`run_each`]). Returns each member's checksum and report.
+    /// member ([`run_each`]); a planar subgroup's batched launch is traced
+    /// on its head, stamped `open_s`. Returns each member's checksum and
+    /// report.
     fn run_subgroup(
         &self,
         g: &PreparedGroup<'_>,
         sub: &Subgroup,
         wave_id: u64,
+        log: &mut EventBatch,
+        open_s: f64,
     ) -> Result<Vec<(u64, KernelReport)>, String> {
         let plan = g.plan.as_ref().expect("a subgroup has a plan"); // guard: prepare_group builds subgroups only once a plan resolved
         let head = &g.requests[sub.members[0]];
@@ -494,14 +543,13 @@ impl SpiderRuntime {
             tiling: sub.tiling,
             ..ExecConfig::default()
         };
-        let planar = || {
-            // The subgroup's batched launch, traced on its head.
+        let mut planar = || {
             let launch = EventKind::Launch {
                 wave_id,
                 members,
                 launch_share: 1.0 / members as f64,
             };
-            self.telemetry.record(g.whos[sub.members[0]], launch, 0.0);
+            log.record(g.whos[sub.members[0]], launch, 0.0, open_s);
             SpiderExecutor::with_shared_pool(&self.device, head.mode, config, pool.clone())
         };
         match (plan, head.grid) {
@@ -557,8 +605,20 @@ impl SpiderRuntime {
     /// ([`split_jobs`]), and one job whenever a sweep of the wave would
     /// split by itself ([`jobs_for`]), so there is one level of
     /// parallelism.
+    /// Each group records into a batch of its own; the stamp one group's
+    /// preparation ends at is where the next one's starts.
     pub(crate) fn prepare_wave<'a>(&self, groups: &[&'a [StencilRequest]]) -> Wave<'_, 'a> {
-        let groups: Vec<PreparedGroup<'a>> = groups.iter().map(|g| self.prepare_group(g)).collect();
+        let mut at = None;
+        let groups: Vec<PreparedGroup<'a>> = groups
+            .iter()
+            .map(|requests| {
+                let log = self.telemetry.batch(EVENTS_PER_REQUEST * requests.len());
+                let start = at.unwrap_or_else(|| log.now_s());
+                let group = self.prepare_group(requests, log, start);
+                at = Some(group.ready_s);
+                group
+            })
+            .collect();
         let costs: Vec<u64> = groups
             .iter()
             .map(|g| g.requests.iter().map(drr_cost).sum())
@@ -605,9 +665,12 @@ impl SpiderRuntime {
             .iter()
             .map(|req| Who::new(req.id, req.plan_key(), req.attempt))
             .collect();
+        let mut admits = self.telemetry.batch(requests.len());
+        let admitted = admits.stamp(start);
         for &who in &whos {
-            self.telemetry.record(who, EventKind::Admit, 0.0);
+            admits.record(who, EventKind::Admit, 0.0, admitted);
         }
+        self.telemetry.flush(&[&admits]);
 
         // Group by plan key to amortize compile + tuning within the batch.
         let mut order: Vec<usize> = (0..requests.len()).collect();
@@ -619,12 +682,15 @@ impl SpiderRuntime {
             .collect();
         let slices: Vec<&[StencilRequest]> = reqs.iter().map(Vec::as_slice).collect();
         // No scheduler owns these requests: the batch records each verdict
-        // as its group finishes.
-        let per_group = self.prepare_wave(&slices).run(|g, results| {
-            for (&i, result) in groups[g].iter().zip(&results) {
-                self.conclude(whos[i], result.as_ref().map_err(|_| Terminal::Failed));
+        // as its group finishes, and flushes the group's events.
+        let per_group = self.prepare_wave(&slices).run(|g, mut run| {
+            let now = run.log.now_s();
+            for (&i, result) in groups[g].iter().zip(&run.results) {
+                let verdict = result.as_ref().map_err(|_| Terminal::Failed);
+                self.conclude(whos[i], verdict, &mut run.log, now);
             }
-            results
+            run.flush(&self.telemetry);
+            run.results
         });
 
         let mut results: Vec<Option<Result<RequestOutcome, RuntimeError>>> =
@@ -654,6 +720,13 @@ impl SpiderRuntime {
             profile: self.telemetry.profiler().top(8),
         }
     }
+}
+
+/// Record the service time of a request that failed `service_s` after its
+/// group started, and hand the error back as its result.
+fn fail(log: &mut EventBatch, service_s: f64, e: RuntimeError) -> RuntimeError {
+    log.service(service_s * 1e6);
+    e
 }
 
 /// Work a wave must hold per job before it fans out, in deficit-round-robin
@@ -700,12 +773,35 @@ struct PreparedGroup<'a> {
     requests: &'a [StencilRequest],
     /// Per request: who its trace events name (its plan key hashed once).
     whos: Vec<Who>,
-    start: Instant,
+    /// When the group started, the origin of its service times.
+    start_s: f64,
+    /// When its preparation ended (its last stamp).
+    ready_s: f64,
     /// Per request: whether its plan lookup hit the memory cache, or the
     /// failure that ended it before execution.
     lookups: Vec<Result<bool, RuntimeError>>,
     plan: Option<CachedPlan>,
     subgroups: Vec<Subgroup>,
+    /// The group's events so far.
+    log: EventBatch,
+}
+
+/// An executed group ([`SpiderRuntime::execute_group`]): each request's
+/// result, in input order, and the group's events: its preparation's, and
+/// its execution's in `log`, verdicts not yet recorded. Its owner
+/// concludes every request in `log`, then flushes both.
+pub(crate) struct GroupRun<'g> {
+    pub(crate) results: Vec<Result<RequestOutcome, RuntimeError>>,
+    pub(crate) log: EventBatch,
+    prepared: &'g EventBatch,
+}
+
+impl GroupRun<'_> {
+    /// Flush the group's events, its preparation's first: one ring lock
+    /// and one profiler lock for the whole group.
+    pub(crate) fn flush(&self, telemetry: &Telemetry) {
+        telemetry.flush(&[self.prepared, &self.log]);
+    }
 }
 
 impl PreparedGroup<'_> {
@@ -738,19 +834,17 @@ impl Wave<'_, '_> {
     }
 
     /// Execute every group: `jobs` workers ([`fan_out`]) claim groups from
-    /// one counter, in claim order, and call `done(group, results)` as each
-    /// group finishes, so a group's verdicts are recorded while the wave's
-    /// other groups still run. Returns `done`'s values in group order.
-    pub(crate) fn run<R: Send>(
-        self,
-        done: impl Fn(usize, Vec<Result<RequestOutcome, RuntimeError>>) -> R + Sync,
-    ) -> Vec<R> {
+    /// one counter, in claim order, and call `done(group, run)` as each
+    /// group finishes, so a group's verdicts are recorded, and its events
+    /// flushed, while the wave's other groups still run. Returns `done`'s
+    /// values in group order.
+    pub(crate) fn run<R: Send>(self, done: impl Fn(usize, GroupRun<'_>) -> R + Sync) -> Vec<R> {
         let next = AtomicUsize::new(0);
         let finished = fan_out(self.jobs, || {
             let mut mine = Vec::new();
             while let Some(&g) = self.order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let results = self.runtime.execute_group(&self.groups[g]);
-                mine.push((g, done(g, results)));
+                let run = self.runtime.execute_group(&self.groups[g]);
+                mine.push((g, done(g, run)));
             }
             mine
         });
@@ -853,6 +947,7 @@ pub fn output_checksum(data: &[f32]) -> u64 {
 mod tests {
     use super::*;
     use spider_core::ExecMode;
+    use spider_stencil::dim3::Kernel3D;
     use spider_stencil::{StencilKernel, StencilShape};
 
     fn runtime() -> SpiderRuntime {
@@ -1316,6 +1411,38 @@ mod tests {
         ]
         .map(f32::from_bits);
         assert_eq!(output_checksum(&special), 0xb835_f6ff_2be8_e695);
+    }
+
+    /// Closed-form charges `plan` has paid, a volume's slices included.
+    fn charge_misses(plan: &CachedPlan) -> u64 {
+        match plan {
+            CachedPlan::Planar(p) => p.charge_misses(),
+            CachedPlan::Volumetric(v) => v.slices().iter().map(|(_, p)| p.charge_misses()).sum(),
+        }
+    }
+
+    /// Counters are charged once per (plan, extent, tiling, mode,
+    /// row-swap): a warm runtime serves an identical request's counters
+    /// from its plan's memo, on 1D, 2D and 3D plans, and reports the same.
+    #[test]
+    fn a_warm_repeat_charges_no_counters() {
+        let rt = runtime();
+        let requests = [
+            StencilRequest::new_2d(1, StencilKernel::random(StencilShape::box_2d(1), 3), 16, 16),
+            StencilRequest::new_2d(2, StencilKernel::gaussian_2d(2), 96, 128).with_steps(2),
+            StencilRequest::new_1d(3, StencilKernel::wave_1d(2), 5000),
+            StencilRequest::new_3d(4, Kernel3D::random_box(1, 4), 3, 20, 24),
+        ];
+        for req in requests {
+            let first = rt.execute(&req).unwrap();
+            let plan = rt.cache.peek(req.plan_key()).expect("cached");
+            let paid = charge_misses(&plan);
+            assert!(paid > 0, "{}: the first request charged", first.scenario);
+            let again = rt.execute(&req).unwrap();
+            assert_eq!(charge_misses(&plan), paid, "{}", first.scenario);
+            assert_eq!(again.report, first.report);
+            assert_eq!(again.checksum, first.checksum);
+        }
     }
 
     #[test]

@@ -93,9 +93,16 @@
 //! (`SpiderRuntime::conclude`). Every ticket leaves the queue through
 //! `dequeue`, which measures its wait and records its queue span; one that
 //! will not run (shed, cancelled, killed or expired) then gets its verdict
-//! through `leave_queue`, and a kill fails exactly the running set. The wave that was running a killed
-//! ticket may still trace its execution after that verdict, but never a
-//! second one.
+//! through `leave_queue`, and a kill fails exactly the running set. The
+//! wave that was running a killed ticket may still trace its execution
+//! after that verdict, but never a second one.
+//!
+//! Events are recorded in batches ([`spider_telemetry::EventBatch`]) that
+//! reach the trace before the state lock is released: a submission's
+//! `Admit` and `Queued`, a wave's queue spans, and a group's events from
+//! plan resolution to its verdicts, so a ticket's `Complete` event is in
+//! the ring before its verdict can be polled. The events of one moment
+//! share one clock read, with the queue's own timestamps too.
 //!
 //! ## Ticket retention
 //!
@@ -129,11 +136,11 @@ use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use spider_telemetry::{EventKind, MetricsSnapshot, Phase, Telemetry, Terminal, Who};
+use spider_telemetry::{EventBatch, EventKind, MetricsSnapshot, Phase, Telemetry, Terminal, Who};
 
 use crate::report::{QueueStats, RequestOutcome, RuntimeReport};
 use crate::request::{Priority, StencilRequest, TenantId};
-use crate::runtime::{RuntimeError, SpiderRuntime, MIN_WAVE_JOB_COST};
+use crate::runtime::{GroupRun, SpiderRuntime, MIN_WAVE_JOB_COST};
 
 /// What `submit` does when the admission queue is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -768,15 +775,18 @@ impl SpiderScheduler {
                         .queue
                         .victim(now, self.options.aging_step)
                         .expect("full queue has a victim"); // guard: branch is only taken when the queue is full
+                    let mut log = rt.telemetry().batch(2);
                     if req.priority.level() <= victim_level {
                         // The newcomer is the least important: shed on
                         // arrival, but still hand back a pollable ticket.
-                        let ticket = open_ticket(&mut st, &req, rt.telemetry());
-                        finish(&mut st, rt, ticket, Slot::Shed);
+                        let ticket = open_ticket(&mut st, &req, &mut log, now);
+                        finish(&mut st, rt, ticket, Slot::Shed, &mut log, now);
+                        rt.telemetry().flush(&[&log]);
                         self.shared.idle.notify_all();
                         return Ok(Ticket { seq: ticket });
                     }
-                    leave_queue(&mut st, rt, victim, Slot::Shed);
+                    leave_queue(&mut st, rt, victim, Slot::Shed, &mut log, now);
+                    rt.telemetry().flush(&[&log]);
                     self.shared.idle.notify_all();
                 }
             }
@@ -848,10 +858,20 @@ impl SpiderScheduler {
     /// not and will not execute here, so resubmitting it elsewhere cannot
     /// double-execute.
     pub fn cancel(&self, ticket: Ticket) -> bool {
-        let mut st = self.lock();
+        let t = self.runtime.telemetry();
+        let (mut st, mut log, now) = (self.lock(), t.batch(2), Instant::now());
         // Only queued tickets are in the queue: running, terminal and
         // unknown ones fall through here.
-        if leave_queue(&mut st, &self.runtime, ticket.seq, Slot::Cancelled).is_none() {
+        let left = leave_queue(
+            &mut st,
+            &self.runtime,
+            ticket.seq,
+            Slot::Cancelled,
+            &mut log,
+            now,
+        );
+        t.flush(&[&log]);
+        if left.is_none() {
             return false;
         }
         drop(st);
@@ -890,15 +910,19 @@ impl SpiderScheduler {
         st.killed = true;
         st.shutdown = true;
         let (mut unstarted, mut lost) = (Vec::new(), Vec::new());
+        let now = Instant::now();
+        let mut log = rt.telemetry().batch(2 * st.queue.len() + st.running.len());
         for seq in st.queue.entries.keys().copied().collect::<Vec<_>>() {
-            if let Some(req) = leave_queue(&mut st, rt, seq, Slot::Cancelled) {
+            if let Some(req) = leave_queue(&mut st, rt, seq, Slot::Cancelled, &mut log, now) {
                 unstarted.push((Ticket { seq }, req));
             }
         }
         for seq in std::mem::take(&mut st.running) {
-            finish(&mut st, rt, seq, Slot::Failed(FailureReason::DeviceLost));
+            let lost_device = Slot::Failed(FailureReason::DeviceLost);
+            finish(&mut st, rt, seq, lost_device, &mut log, now);
             lost.push(Ticket { seq });
         }
+        rt.telemetry().flush(&[&log]);
         drop(st);
         self.retire();
         KillReport { unstarted, lost }
@@ -1100,15 +1124,18 @@ impl Drop for SpiderScheduler {
 }
 
 /// Admit a request into the queue (capacity already checked by the
-/// caller): open its ticket and enqueue it. Its queue span starts at
-/// `submitted`; [`dequeue`] records it when the ticket leaves.
+/// caller): open its ticket and enqueue it. Its `Admit` and `Queued`
+/// events share one clock read with `submitted`, where its queue span
+/// starts; [`dequeue`] records the span when the ticket leaves.
 fn admit(st: &mut State, req: StencilRequest, t: &Telemetry) -> u64 {
-    let ticket = open_ticket(st, &req, t);
-    let who = st.slots[ticket as usize].who;
     let now = Instant::now();
+    let mut log = t.batch(2);
+    let ticket = open_ticket(st, &req, &mut log, now);
+    let who = st.slots[ticket as usize].who;
     st.first_submit.get_or_insert(now);
     st.beats += 1;
-    t.record(who, EventKind::Queued, 0.0);
+    log.record(who, EventKind::Queued, 0.0, log.stamp(now));
+    t.flush(&[&log]);
     let tenant = req.tenant;
     st.queue.push(
         ticket,
@@ -1124,9 +1151,9 @@ fn admit(st: &mut State, req: StencilRequest, t: &Telemetry) -> u64 {
     ticket
 }
 
-/// Open a ticket for an accepted submission: its slot, its `submitted`
-/// count and its `Admit` event (it is not enqueued).
-fn open_ticket(st: &mut State, req: &StencilRequest, t: &Telemetry) -> u64 {
+/// Open a ticket for an accepted submission at `now`: its slot, its
+/// `submitted` count and its `Admit` event (it is not enqueued).
+fn open_ticket(st: &mut State, req: &StencilRequest, log: &mut EventBatch, now: Instant) -> u64 {
     let ticket = st.slots.len() as u64;
     let who = Who::new(req.id, req.plan_key(), req.attempt);
     st.slots.push(SlotEntry {
@@ -1135,14 +1162,23 @@ fn open_ticket(st: &mut State, req: &StencilRequest, t: &Telemetry) -> u64 {
         verdict: None,
     });
     st.tenant_stats_mut(req.tenant).submitted += 1;
-    t.record(who, EventKind::Admit, 0.0);
+    log.record(who, EventKind::Admit, 0.0, log.stamp(now));
     ticket
 }
 
-/// Give a queued or running ticket its verdict, count it in its tenant's
-/// row and record it ([`SpiderRuntime::conclude`]): the only place any of
-/// the three happens.
-fn finish(st: &mut State, rt: &SpiderRuntime, ticket: u64, verdict: Slot) {
+/// Give a queued or running ticket its verdict at `now`, count it in its
+/// tenant's row and record it in `log` ([`SpiderRuntime::conclude`]): the
+/// only place any of the three happens. The caller flushes `log` before
+/// it releases the state lock, so the `Complete` event is in the ring
+/// before the verdict can be polled.
+fn finish(
+    st: &mut State,
+    rt: &SpiderRuntime,
+    ticket: u64,
+    verdict: Slot,
+    log: &mut EventBatch,
+    now: Instant,
+) {
     let entry = &mut st.slots[ticket as usize];
     debug_assert!(entry.verdict.is_none(), "one verdict per ticket");
     let terminal = verdict.terminal();
@@ -1152,6 +1188,8 @@ fn finish(st: &mut State, rt: &SpiderRuntime, ticket: u64, verdict: Slot) {
             Slot::Done { outcome, .. } => Ok(outcome),
             _ => Err(terminal),
         },
+        log,
+        log.stamp(now),
     );
     let row = st.tenant_stats.entry(entry.tenant).or_default();
     *match terminal {
@@ -1163,44 +1201,51 @@ fn finish(st: &mut State, rt: &SpiderRuntime, ticket: u64, verdict: Slot) {
     } += 1;
     entry.verdict = Some(verdict);
     st.completion_order.push(ticket);
-    st.last_terminal = Some(Instant::now());
+    st.last_terminal = Some(now);
 }
 
-/// Take a ticket out of the queue and record its queue span, from its
-/// admission to now. Returns the request and its wait in seconds (the
-/// span's length), or `None` if the ticket is not queued. The queue's one
-/// exit: a dispatched ticket and one that [`leave_queue`]s both take it.
-fn dequeue(st: &mut State, t: &Telemetry, ticket: u64) -> Option<(StencilRequest, f64)> {
+/// Take a ticket out of the queue at `now` and record its queue span, from
+/// its admission to `now`, in `log`. Returns the request and its wait in
+/// seconds (the span's length), or `None` if the ticket is not queued. The
+/// queue's one exit: a dispatched ticket and one that [`leave_queue`]s
+/// both take it.
+fn dequeue(
+    st: &mut State,
+    ticket: u64,
+    log: &mut EventBatch,
+    now: Instant,
+) -> Option<(StencilRequest, f64)> {
     let QueuedEntry { req, submitted } = st.queue.remove(ticket)?;
-    // Measured right before the record stamps the span's exit, so the span
+    // The wait and the exit's stamp read one clock, so the span
     // `[wall_s − elapsed_s, wall_s]` starts when the ticket was queued.
-    let wait = submitted.elapsed().as_secs_f64();
+    let wait = now.saturating_duration_since(submitted).as_secs_f64();
     let queue = EventKind::SpanExit {
         phase: Phase::Queue,
         elapsed_s: wait,
     };
-    t.record(st.slots[ticket as usize].who, queue, 0.0);
+    log.record(st.slots[ticket as usize].who, queue, 0.0, log.stamp(now));
     Some((req, wait))
 }
 
-/// Take a queued ticket that will not run out of the queue ([`dequeue`]),
-/// label its plan's profile (it may have no executed group to do so), and
-/// [`finish`] it with `verdict`. The one exit of a shed victim, a cancel, a
-/// kill and an expiry. Returns the request, or `None` if the ticket is not
-/// queued.
+/// Take a queued ticket that will not run out of the queue ([`dequeue`])
+/// at `now`, label its plan's profile (it may have no executed group to do
+/// so), and [`finish`] it with `verdict`, its events in `log`. The one exit
+/// of a shed victim, a cancel, a kill and an expiry. Returns the request,
+/// or `None` if the ticket is not queued.
 fn leave_queue(
     st: &mut State,
     rt: &SpiderRuntime,
     ticket: u64,
     verdict: Slot,
+    log: &mut EventBatch,
+    now: Instant,
 ) -> Option<StencilRequest> {
-    let t = rt.telemetry();
-    let (req, _) = dequeue(st, t, ticket)?;
-    if t.enabled() {
+    let (req, _) = dequeue(st, ticket, log, now)?;
+    if log.enabled() {
         let plan_key = st.slots[ticket as usize].who.plan_key;
-        t.profiler().touch(plan_key, || req.scenario());
+        rt.telemetry().profiler().touch(plan_key, || req.scenario());
     }
-    finish(st, rt, ticket, verdict);
+    finish(st, rt, ticket, verdict, log, now);
     Some(req)
 }
 
@@ -1230,9 +1275,11 @@ fn expire_due(shared: &Shared, st: &mut State, rt: &SpiderRuntime) {
     if lapsed.is_empty() {
         return;
     }
+    let mut log = rt.telemetry().batch(2 * lapsed.len());
     for ticket in lapsed {
-        leave_queue(st, rt, ticket, Slot::Expired);
+        leave_queue(st, rt, ticket, Slot::Expired, &mut log, now);
     }
+    rt.telemetry().flush(&[&log]);
     // Retiring due work is progress too — lazy expiry driven by a poll or
     // submit must keep the heartbeat advancing.
     st.beats += 1;
@@ -1399,18 +1446,21 @@ fn drr_round(
 }
 
 /// Take the next wave off the queue: its members, grouped by plan key
-/// (oldest group first), move from the queue to the running set.
+/// (oldest group first), move from the queue to the running set. Their
+/// queue spans end at one clock read and reach the trace in one batch.
 fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) -> Vec<WaveGroup> {
     let now = Instant::now();
     let mut wave: Vec<WaveGroup> = Vec::new();
     let mut group_of: HashMap<u64, usize> = HashMap::new();
-    for ticket in wave_members(st, options, now) {
+    let members = wave_members(st, options, now);
+    let mut log = telemetry.batch(members.len());
+    for ticket in members {
         let who = st.slots[ticket as usize].who;
         let g = *group_of.entry(who.plan_key).or_insert_with(|| {
             wave.push(WaveGroup::default());
             wave.len() - 1
         });
-        let (req, wait) = dequeue(st, telemetry, ticket).expect("wave members are queued"); // guard: members were read from the queue under this lock
+        let (req, wait) = dequeue(st, ticket, &mut log, now).expect("wave members are queued"); // guard: members were read from the queue under this lock
         let ts = st.tenant_stats_mut(req.tenant);
         ts.total_wait_s += wait;
         ts.max_wait_s = ts.max_wait_s.max(wait);
@@ -1420,6 +1470,7 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
         wave[g].tickets.push(ticket);
         wave[g].requests.push(req);
     }
+    telemetry.flush(&[&log]);
     st.beats += 1;
     st.dispatch_waves += 1;
     st.coalesced_groups += wave.len() as u64;
@@ -1450,20 +1501,23 @@ fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &Scheduler
         let groups: Vec<&[StencilRequest]> = wave.iter().map(|g| g.requests.as_slice()).collect();
         let prepared = runtime.prepare_wave(&groups);
         shared.state.lock().wave_jobs += prepared.jobs() as u64;
-        prepared.run(|g, results| record_verdicts(shared, runtime, &wave[g], results));
+        prepared.run(|g, run| record_verdicts(shared, runtime, &wave[g], run));
     }
 }
 
-/// Mark one finished wave group's tickets with their verdicts.
+/// Mark one finished wave group's tickets with their verdicts, stamped at
+/// one clock read, and flush the group's events, verdicts included, before
+/// the state lock is released.
 fn record_verdicts(
     shared: &Shared,
     runtime: &SpiderRuntime,
     group: &WaveGroup,
-    results: Vec<Result<RequestOutcome, RuntimeError>>,
+    mut run: GroupRun<'_>,
 ) {
     let mut st = shared.state.lock();
+    let now = Instant::now();
     let mut finished = 0u64;
-    for (&ticket, result) in group.tickets.iter().zip(results) {
+    for (&ticket, result) in group.tickets.iter().zip(run.results.drain(..)) {
         // A kill that landed while the wave was in flight has failed every
         // running ticket (`DeviceLost`) and emptied the running set: the
         // simulated device died under us, so the result is discarded.
@@ -1477,9 +1531,10 @@ fn record_verdicts(
             },
             Err(e) => Slot::Failed(FailureReason::Execution(e.to_string())),
         };
-        finish(&mut st, runtime, ticket, verdict);
+        finish(&mut st, runtime, ticket, verdict, &mut run.log, now);
         finished += 1;
     }
+    run.flush(runtime.telemetry());
     if finished > 0 {
         // Completions are progress; a kill that already discarded the
         // results (finished == 0) is not — the corpse must not look
@@ -2750,6 +2805,123 @@ mod tests {
         }
         if let Err(e) = last {
             panic!("{e}");
+        }
+    }
+
+    /// Lifecycle position of an event in one request's stream.
+    fn lifecycle_rank(kind: EventKind) -> u8 {
+        match kind {
+            EventKind::Admit => 0,
+            EventKind::Queued => 1,
+            EventKind::SpanExit { phase, .. } => match phase {
+                Phase::Queue => 2,
+                Phase::Resolve => 3,
+                Phase::Tune => 5,
+                Phase::Exec => 8,
+            },
+            EventKind::PlanResolve { .. } => 4,
+            EventKind::Tune { .. } => 6,
+            EventKind::Launch { .. } => 7,
+            EventKind::Execute { .. } => 9,
+            EventKind::Complete { .. } => 10,
+        }
+    }
+
+    /// A group's events reach the ring in one batch, yet no verdict can be
+    /// polled before its `Complete` event: while the dispatcher serves
+    /// bursts of small requests, a polling thread renders each ticket's
+    /// timeline at its first `Done` poll. Each request's events keep their
+    /// lifecycle order and their stamps' order, and its spans nest inside
+    /// its lifetime (the telemetry property tests' 1 µs tolerance).
+    #[test]
+    fn a_first_done_poll_finds_the_complete_event_in_the_ring() {
+        const REQUESTS: u64 = 400;
+        const TOL_S: f64 = 1e-6;
+        // Up to 11 events a request (one-request groups): none dropped.
+        let telemetry = spider_telemetry::TelemetryConfig {
+            trace_capacity: 1 << 14,
+            ..Default::default()
+        };
+        let rt = SpiderRuntime::new(
+            GpuDevice::a100(),
+            RuntimeOptions {
+                telemetry,
+                ..RuntimeOptions::default()
+            },
+        );
+        let s = Arc::new(SpiderScheduler::new(
+            Arc::new(rt),
+            SchedulerOptions::default(),
+        ));
+        let (tx, rx) = std::sync::mpsc::channel::<Ticket>();
+        let poller = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || {
+                let (mut pending, mut done) = (Vec::new(), 0);
+                while done < REQUESTS {
+                    pending.extend(rx.try_iter());
+                    pending.retain(|&t| match s.poll(t) {
+                        RequestStatus::Done(_) => {
+                            let timeline = s.timeline(t).expect("telemetry is on");
+                            assert!(timeline.contains("complete: done"), "{timeline}");
+                            done += 1;
+                            false
+                        }
+                        RequestStatus::Queued { .. } | RequestStatus::Running => true,
+                        other => panic!("{t:?}: {other:?}"),
+                    });
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let kernels = [
+            StencilKernel::heat_2d(0.12),
+            StencilKernel::jacobi_2d(),
+            StencilKernel::gaussian_2d(1),
+            StencilKernel::random(spider_stencil::StencilShape::box_2d(1), 9),
+        ];
+        for id in 0..REQUESTS {
+            let kernel = kernels[id as usize % kernels.len()].clone();
+            let r = StencilRequest::new_2d(id, kernel, 16, 16).with_seed(id);
+            tx.send(s.submit(r).unwrap()).unwrap();
+            std::thread::yield_now();
+        }
+        poller
+            .join()
+            .expect("every first Done poll found its Complete event");
+        s.drain();
+        let trace = s.runtime().telemetry().trace();
+        assert_eq!(trace.dropped_events(), 0);
+        for id in 0..REQUESTS {
+            let events = trace.timeline(id);
+            for pair in events.windows(2) {
+                let (a, b) = (&pair[0], &pair[1]);
+                assert!(
+                    lifecycle_rank(a.kind) < lifecycle_rank(b.kind) && a.wall_s <= b.wall_s,
+                    "request {id}: {a:?} before {b:?}"
+                );
+            }
+            let (first, terminal) = (events[0].wall_s, events[events.len() - 1].wall_s);
+            assert!(events[events.len() - 1].kind.terminal().is_some());
+            let spans: Vec<(f64, f64)> = events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::SpanExit { elapsed_s, .. } => Some((e.wall_s - elapsed_s, e.wall_s)),
+                    _ => None,
+                })
+                .collect();
+            for (i, &(a0, a1)) in spans.iter().enumerate() {
+                assert!(
+                    a0 >= first - TOL_S && a1 <= terminal + TOL_S,
+                    "request {id}"
+                );
+                for &(b0, b1) in &spans[i + 1..] {
+                    let disjoint = a1 <= b0 + TOL_S || b1 <= a0 + TOL_S;
+                    let nested = (a0 >= b0 - TOL_S && a1 <= b1 + TOL_S)
+                        || (b0 >= a0 - TOL_S && b1 <= a1 + TOL_S);
+                    assert!(disjoint || nested, "request {id}: spans partly overlap");
+                }
+            }
         }
     }
 

@@ -4,9 +4,12 @@
 //! serving-layer analogue of the simulator's swap/pack/MMA/launch breakdown.
 //! Each plan fingerprint accumulates wall time per lifecycle phase
 //! (queue/resolve/tune/exec), simulated execution time and compile counts.
-//! All but the label are a fold of the trace: `Telemetry::record` adds in
-//! each event it appends, so serving code attributes a phase by opening its
-//! span and calls nothing here for it. Exports:
+//! All but the label are a fold of the trace: `Telemetry::flush` folds in
+//! each event it appends, under one lock per batch, so serving code
+//! attributes a phase by closing its span and calls nothing here for it.
+//! The same fold keeps two runtime-wide histograms: each done request's
+//! simulated time, and each request's service time, which its batch
+//! carries beside its events. Exports:
 //!
 //! * [`PhaseProfiler::top`] — the heaviest plans, for the `top plans`
 //!   table in drain reports ([`render_top_profiles`]);
@@ -16,7 +19,8 @@
 use spider_core::sync::{LockRank, OrderedMutex};
 use std::collections::HashMap;
 
-use crate::trace::Phase;
+use crate::hist::LogHistogram;
+use crate::trace::{Event, EventKind, Phase, ResolveSource, Terminal};
 
 /// Accumulated per-plan phase totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -78,15 +82,38 @@ pub struct PlanProfile {
 /// Thread-safe per-plan_key accumulator.
 #[derive(Debug)]
 pub struct PhaseProfiler {
-    inner: OrderedMutex<HashMap<u64, (String, PhaseStats)>>,
+    inner: OrderedMutex<Table>,
+}
+
+#[derive(Debug, Default)]
+struct Table {
+    plans: HashMap<u64, (String, PhaseStats)>,
+    /// Each request's service time, µs.
+    service_us: LogHistogram,
+    /// Each done request's simulated execution time, µs.
+    sim_exec_us: LogHistogram,
 }
 
 impl Default for PhaseProfiler {
     fn default() -> Self {
         Self {
-            inner: OrderedMutex::new(LockRank::Profiler, "profiler.table", HashMap::new()),
+            inner: OrderedMutex::new(LockRank::Profiler, "profiler.table", Table::default()),
         }
     }
+}
+
+/// Whether the profiler folds an event of this kind.
+fn folds(kind: &EventKind) -> bool {
+    matches!(
+        kind,
+        EventKind::SpanExit { .. }
+            | EventKind::PlanResolve {
+                source: ResolveSource::Compile
+            }
+            | EventKind::Complete {
+                terminal: Terminal::Done
+            }
+    )
 }
 
 impl PhaseProfiler {
@@ -94,47 +121,80 @@ impl PhaseProfiler {
         Self::default()
     }
 
-    fn with_entry(&self, plan_key: u64, f: impl FnOnce(&mut (String, PhaseStats))) {
-        let mut map = self.inner.lock();
-        f(map.entry(plan_key).or_default())
-    }
-
     /// Ensure the plan exists and label it (first label wins; labels are
     /// scenarios like `Box-2D2R@96x128`, identical for every request that
     /// shares a plan key). `label` is called only while the plan has no
-    /// label, so a labelled plan's hot path formats nothing.
+    /// label, so a labelled plan formats nothing.
     pub fn touch(&self, plan_key: u64, label: impl FnOnce() -> String) {
-        self.with_entry(plan_key, |(l, _)| {
-            if l.is_empty() {
-                *l = label();
+        let mut table = self.inner.lock();
+        let (l, _) = table.plans.entry(plan_key).or_default();
+        if l.is_empty() {
+            *l = label();
+        }
+    }
+
+    /// Fold batches under one lock: a span exit adds its wall time to
+    /// its plan's phase, a `PlanResolve { Compile }` counts a compile, and
+    /// a `Complete { Done }` counts a request with its simulated time. The
+    /// batch's service times add in. One row lookup per run of events that
+    /// share a plan key (a serving group's are one run).
+    pub(crate) fn fold<'e>(
+        &self,
+        parts: impl IntoIterator<Item = &'e [Event]>,
+        service_us: impl IntoIterator<Item = &'e LogHistogram>,
+    ) {
+        let mut table = self.inner.lock();
+        let Table {
+            plans,
+            service_us: service,
+            sim_exec_us,
+        } = &mut *table;
+        service_us.into_iter().for_each(|h| service.merge(h));
+        let runs = parts
+            .into_iter()
+            .flat_map(|events| events.chunk_by(|a, b| a.plan_key == b.plan_key));
+        for run in runs {
+            if !run.iter().any(|e| folds(&e.kind)) {
+                continue;
             }
-        });
+            let (_, stats) = plans.entry(run[0].plan_key).or_default();
+            for e in run {
+                match e.kind {
+                    EventKind::SpanExit { phase, elapsed_s } => stats.add_phase(phase, elapsed_s),
+                    EventKind::PlanResolve {
+                        source: ResolveSource::Compile,
+                    } => stats.compiles += 1,
+                    EventKind::Complete {
+                        terminal: Terminal::Done,
+                    } => {
+                        stats.requests += 1;
+                        stats.exec_sim_s += e.sim_s.max(0.0);
+                        sim_exec_us.record(e.sim_s * 1e6);
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 
-    /// Attribute `secs` of wall time in `phase` to `plan_key`.
-    pub(crate) fn add_phase(&self, plan_key: u64, phase: Phase, secs: f64) {
-        self.with_entry(plan_key, |(_, s)| s.add_phase(phase, secs));
+    /// Every request's service time so far, µs (the runtime's
+    /// `spider_runtime_service_time_us`).
+    pub fn service_us(&self) -> LogHistogram {
+        self.inner.lock().service_us
     }
 
-    /// Count one finished request under `plan_key`, with its simulated
-    /// execution time.
-    pub(crate) fn add_request(&self, plan_key: u64, sim_s: f64) {
-        self.with_entry(plan_key, |(_, s)| {
-            s.requests += 1;
-            s.exec_sim_s += sim_s.max(0.0);
-        });
-    }
-
-    /// Count one fresh compile.
-    pub(crate) fn add_compile(&self, plan_key: u64) {
-        self.with_entry(plan_key, |(_, s)| s.compiles += 1);
+    /// Every done request's simulated execution time so far, µs (the
+    /// runtime's `spider_runtime_sim_exec_us`).
+    pub fn sim_exec_us(&self) -> LogHistogram {
+        self.inner.lock().sim_exec_us
     }
 
     /// All profiles, heaviest (total wall time) first; ties break by plan
     /// key so the order is deterministic.
     pub fn snapshot(&self) -> Vec<PlanProfile> {
-        let map = self.inner.lock();
-        let mut out: Vec<PlanProfile> = map
+        let table = self.inner.lock();
+        let mut out: Vec<PlanProfile> = table
+            .plans
             .iter()
             .map(|(&plan_key, (label, stats))| PlanProfile {
                 plan_key,
@@ -142,7 +202,7 @@ impl PhaseProfiler {
                 stats: *stats,
             })
             .collect();
-        drop(map);
+        drop(table);
         sort_profiles(&mut out);
         out
     }
@@ -247,6 +307,36 @@ pub fn render_top_profiles(profiles: &[PlanProfile]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Who;
+    use crate::Telemetry;
+
+    /// Events of `who` folded as one flushed batch would be.
+    fn fold(prof: &PhaseProfiler, who: Who, kinds: &[(EventKind, f64)]) {
+        let events: Vec<Event> = kinds
+            .iter()
+            .map(|&(kind, sim_s)| Event {
+                seq: 0,
+                request_id: who.request_id,
+                plan_key: who.plan_key,
+                wall_s: 0.0,
+                sim_s,
+                attempt: who.attempt,
+                kind,
+            })
+            .collect();
+        prof.fold([events.as_slice()], []);
+    }
+
+    fn exit(phase: Phase, elapsed_s: f64) -> (EventKind, f64) {
+        (EventKind::SpanExit { phase, elapsed_s }, 0.0)
+    }
+
+    const DONE: EventKind = EventKind::Complete {
+        terminal: Terminal::Done,
+    };
+    const COMPILE: EventKind = EventKind::PlanResolve {
+        source: ResolveSource::Compile,
+    };
 
     #[test]
     fn accumulates_phases_per_plan() {
@@ -254,11 +344,18 @@ mod tests {
         prof.touch(1, || "Box-2D1R@64x64".into());
         // The first label wins: a labelled plan builds no other.
         prof.touch(1, || unreachable!("plan 1 is labelled"));
-        prof.add_phase(1, Phase::Resolve, 0.002);
-        prof.add_phase(1, Phase::Exec, 0.010);
-        prof.add_request(1, 50e-6);
-        prof.add_compile(1);
-        prof.add_phase(2, Phase::Exec, 0.001);
+        let one = Who::new(9, 1, 0);
+        fold(
+            &prof,
+            one,
+            &[
+                exit(Phase::Resolve, 0.002),
+                (COMPILE, 0.0),
+                exit(Phase::Exec, 0.010),
+                (DONE, 50e-6),
+            ],
+        );
+        fold(&prof, Who::new(9, 2, 0), &[exit(Phase::Exec, 0.001)]);
 
         let snap = prof.snapshot();
         assert_eq!(snap.len(), 2);
@@ -271,6 +368,7 @@ mod tests {
         assert!((s.resolve_s - 0.002).abs() < 1e-12);
         assert!((s.total_wall_s() - 0.012).abs() < 1e-12);
         assert!((s.exec_sim_s - 50e-6).abs() < 1e-12);
+        assert_eq!(prof.sim_exec_us().count(), 1);
         // Unlabeled plan 2 still profiles.
         assert_eq!(snap[1].plan_key, 2);
         assert_eq!(snap[1].label, "");
@@ -278,10 +376,27 @@ mod tests {
     }
 
     #[test]
+    fn events_that_fold_nothing_make_no_row() {
+        let prof = PhaseProfiler::new();
+        let cache_hit = EventKind::PlanResolve {
+            source: ResolveSource::CacheHit,
+        };
+        fold(
+            &prof,
+            Who::new(1, 3, 0),
+            &[(EventKind::Admit, 0.0), (cache_hit, 0.0)],
+        );
+        assert!(prof.snapshot().is_empty());
+    }
+
+    #[test]
     fn negative_durations_clamp_to_zero() {
         let prof = PhaseProfiler::new();
-        prof.add_phase(1, Phase::Queue, -1.0);
-        prof.add_request(1, -1.0);
+        fold(
+            &prof,
+            Who::new(1, 1, 0),
+            &[exit(Phase::Queue, -1.0), (DONE, -1.0)],
+        );
         let s = prof.snapshot()[0].stats;
         assert_eq!(s.queue_s, 0.0);
         assert_eq!(s.exec_sim_s, 0.0);
@@ -291,8 +406,11 @@ mod tests {
     fn folded_stacks_emit_per_phase_lines() {
         let prof = PhaseProfiler::new();
         prof.touch(1, || "Star-2D1R@32x32".into());
-        prof.add_phase(1, Phase::Resolve, 150e-6);
-        prof.add_phase(1, Phase::Exec, 2.5e-3);
+        fold(
+            &prof,
+            Who::new(1, 1, 0),
+            &[exit(Phase::Resolve, 150e-6), exit(Phase::Exec, 2.5e-3)],
+        );
         let folded = prof.folded();
         assert!(folded.contains("Star-2D1R@32x32;resolve 150\n"), "{folded}");
         assert!(folded.contains("Star-2D1R@32x32;exec 2500\n"), "{folded}");
@@ -340,10 +458,14 @@ mod tests {
     #[test]
     fn render_top_is_empty_for_no_profiles() {
         assert_eq!(render_top_profiles(&PhaseProfiler::new().top(5)), "");
-        let prof = PhaseProfiler::new();
-        prof.touch(0xdead, || "Box-2D1R@64x64".into());
-        prof.add_phase(0xdead, Phase::Exec, 1e-3);
-        let table = render_top_profiles(&prof.top(5));
+        let t = Telemetry::default();
+        t.profiler().touch(0xdead, || "Box-2D1R@64x64".into());
+        fold(
+            t.profiler(),
+            Who::new(1, 0xdead, 0),
+            &[exit(Phase::Exec, 1e-3)],
+        );
+        let table = render_top_profiles(&t.profiler().top(5));
         assert!(table.contains("top plans by wall time:"), "{table}");
         assert!(table.contains("0x000000000000dead"), "{table}");
         assert!(table.contains("Box-2D1R@64x64"), "{table}");

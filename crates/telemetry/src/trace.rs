@@ -8,9 +8,9 @@
 //!       → complete{done|failed|expired|shed|cancelled}
 //! ```
 //!
-//! interleaved with one `span-exit` per closed [`Span`], which carries the
-//! phase's wall duration, so the span covers `[wall_s − elapsed_s, wall_s]`
-//! and needs no opening event. Events carry both the host wall clock
+//! interleaved with one `span-exit` per closed span
+//! ([`EventBatch::exit`]), which carries the phase's wall duration, so the
+//! span covers `[wall_s − elapsed_s, wall_s]` and needs no opening event. Events carry both the host wall clock
 //! (seconds since the owning `Telemetry`'s epoch) and the simulated GPU
 //! clock where one exists (`Execute`/`Launch` events carry the simulated
 //! kernel time; other events stamp 0).
@@ -19,7 +19,7 @@
 //! and counts the drops ([`TraceLog::dropped_events`]) — a serving system
 //! must never let its own observability grow without bound.
 //!
-//! [`Span`]: crate::Span
+//! [`EventBatch::exit`]: crate::EventBatch::exit
 
 use spider_core::sync::{LockRank, OrderedMutex};
 use std::collections::VecDeque;
@@ -43,7 +43,8 @@ impl fmt::Display for ResolveSource {
     }
 }
 
-/// Lifecycle phase a [`Span`](crate::Span) can cover.
+/// Lifecycle phase a span ([`EventBatch::exit`](crate::EventBatch::exit))
+/// can cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Admission-queue residence (scheduler path only).
@@ -131,8 +132,8 @@ pub enum EventKind {
     },
     /// Lifecycle ended.
     Complete { terminal: Terminal },
-    /// A [`Span`](crate::Span) for `phase` closed; `elapsed_s` is its wall
-    /// duration, so it opened at `wall_s − elapsed_s`.
+    /// A span for `phase` closed; `elapsed_s` is its wall duration, so it
+    /// opened at `wall_s − elapsed_s`.
     SpanExit { phase: Phase, elapsed_s: f64 },
 }
 
@@ -183,8 +184,7 @@ impl EventKind {
 
 /// The request an event belongs to, named once: the serving layer that
 /// owns a request builds its `Who` when it takes the request and passes
-/// that copy to every [`Telemetry::record`](crate::Telemetry::record) and
-/// [`Telemetry::span`](crate::Telemetry::span) call.
+/// that copy to every [`EventBatch`](crate::EventBatch) call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Who {
     pub request_id: u64,
@@ -235,9 +235,9 @@ struct TraceInner {
 }
 
 /// Bounded, thread-safe ring buffer of [`Event`]s. One short mutexed append
-/// per event — "lock-cheap" in the sense that the critical section is a
-/// `VecDeque` push plus at most one pop, never an allocation once the ring
-/// has reached capacity.
+/// per [`EventBatch`](crate::EventBatch) — the critical section is a
+/// `VecDeque` push plus at most one pop per event, never an allocation once
+/// the ring has reached capacity.
 #[derive(Debug)]
 pub struct TraceLog {
     inner: OrderedMutex<TraceInner>,
@@ -270,6 +270,25 @@ impl TraceLog {
         }
         inner.ring.push_back(event);
         event.seq
+    }
+
+    /// Append `parts`' events in order under one lock, leaving the ring as
+    /// [`Self::push`] would one by one, but making room and copying a part
+    /// at a time.
+    pub(crate) fn extend<'e>(&self, parts: impl IntoIterator<Item = &'e [Event]>) {
+        let mut inner = self.inner.lock();
+        for events in parts {
+            // Of a part longer than the ring only its tail stays.
+            let skip = events.len().saturating_sub(self.capacity);
+            let keep = &events[skip..];
+            let over = (inner.ring.len() + keep.len()).saturating_sub(self.capacity);
+            inner.ring.drain(..over);
+            let first = inner.next_seq + skip as u64;
+            let stamped = keep.iter().zip(first..).map(|(e, seq)| Event { seq, ..*e });
+            inner.ring.extend(stamped);
+            inner.next_seq += events.len() as u64;
+            inner.dropped += (skip + over) as u64;
+        }
     }
 
     /// Events currently resident.
@@ -379,6 +398,39 @@ mod tests {
             [2, 3, 4]
         );
         assert_eq!(snap.iter().map(|e| e.seq).collect::<Vec<_>>(), [2, 3, 4]);
+    }
+
+    #[test]
+    fn extend_leaves_the_ring_as_pushes_would() {
+        for capacity in [1, 3, 8] {
+            let (pushed, extended) = (TraceLog::new(capacity), TraceLog::new(capacity));
+            let parts: Vec<Vec<Event>> = [2usize, 0, 5, 1, 9]
+                .iter()
+                .scan(0u64, |id, &n| {
+                    let part = (*id..*id + n as u64)
+                        .map(|i| ev(i, EventKind::Admit))
+                        .collect();
+                    *id += n as u64;
+                    Some(part)
+                })
+                .collect();
+            for part in &parts {
+                part.iter().for_each(|&e| {
+                    pushed.push(e);
+                });
+            }
+            let slices: Vec<&[Event]> = parts.iter().map(Vec::as_slice).collect();
+            extended.extend(slices[..2].iter().copied());
+            extended.extend(slices[2..].iter().copied());
+            assert_eq!(
+                extended.snapshot(),
+                pushed.snapshot(),
+                "capacity {capacity}"
+            );
+            assert_eq!(extended.dropped_events(), pushed.dropped_events());
+            let next = |log: &TraceLog| log.push(ev(99, EventKind::Queued));
+            assert_eq!(next(&extended), next(&pushed));
+        }
     }
 
     #[test]

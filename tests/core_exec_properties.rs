@@ -19,7 +19,7 @@ use spider::core::exec::{BatchFeedback, ExecConfig, ExecMode, SpiderExecutor};
 use spider::core::exec3d::{Spider3DExecutor, Spider3DPlan};
 use spider::core::plan::SpiderPlan;
 use spider::core::tiling::TilingConfig;
-use spider::core::SwapParity;
+use spider::core::{RowSwapStrategy, SwapParity};
 use spider::gpu_sim::timing::KernelReport;
 use spider::prelude::*;
 use spider::stencil::dim3::{Grid3D, Kernel3D};
@@ -163,6 +163,109 @@ proptest! {
         let plan = SpiderPlan::compile(&kernel).unwrap();
         let grid = Grid1D::<f32>::random(n, radius, seed + 1);
         assert_1d_matches_emulation(ExecMode::SparseTcOptimized, &plan, &grid, steps);
+    }
+}
+
+/// The default tiling, a small one and a wide one (block and 1D chunk
+/// sizes all differ), for the counter memo's keys.
+const TILINGS: [TilingConfig; 3] = [
+    TilingConfig {
+        block_x: 32,
+        block_y: 64,
+        warp_x: 16,
+        warp_y: 32,
+        block_1d: 2048,
+    },
+    TilingConfig {
+        block_x: 8,
+        block_y: 16,
+        warp_x: 8,
+        warp_y: 16,
+        block_1d: 512,
+    },
+    TilingConfig {
+        block_x: 16,
+        block_y: 128,
+        warp_x: 16,
+        warp_y: 64,
+        block_1d: 4096,
+    },
+];
+
+/// A 2D, a 1D and a 3D plan of one radius.
+fn plans(radius: usize, seed: u64) -> (SpiderPlan, SpiderPlan, Spider3DPlan) {
+    let plane = StencilKernel::random(StencilShape::box_2d(radius), seed);
+    let line = StencilKernel::random(StencilShape::d1(radius), seed);
+    let volume = Kernel3D::random_box(radius.min(2), seed);
+    (
+        SpiderPlan::compile(&plane).unwrap(),
+        SpiderPlan::compile(&line).unwrap(),
+        Spider3DPlan::compile(&volume).unwrap(),
+    )
+}
+
+/// Closed-form charges a plan triple has paid, its 3D slices included.
+fn charge_misses((plane, line, volume): &(SpiderPlan, SpiderPlan, Spider3DPlan)) -> u64 {
+    let slices: u64 = volume.slices().iter().map(|(_, p)| p.charge_misses()).sum();
+    plane.charge_misses() + line.charge_misses() + slices
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Counters are memoized per (plan, extent, tiling, mode, row-swap).
+    /// A plan that has charged more keys than its memo holds (so the least
+    /// recently used went) reports for a key it charges again exactly what
+    /// a freshly compiled plan charges in closed form, and pays no charge
+    /// for the repeat: 1D, 2D and 3D plans, every mode, row-swap strategy
+    /// and tiling, runs and estimates (one over the measure cap), on
+    /// extents that are not block multiples.
+    #[test]
+    fn memoized_counters_equal_a_fresh_charge(
+        radius in 1usize..=3,
+        rows in 3usize..100,
+        cols in 3usize..150,
+        n in 3usize..6000,
+        planes in 1usize..4,
+        seed in 0u64..500,
+    ) {
+        let dev = GpuDevice::a100();
+        let warm = plans(radius, seed);
+        let strategies = [
+            RowSwapStrategy::Implicit,
+            RowSwapStrategy::ExplicitCopy,
+            RowSwapStrategy::None,
+        ];
+        for (mode, row_swap, tiling) in MODES.into_iter().flat_map(|m| {
+            strategies
+                .into_iter()
+                .flat_map(move |s| TILINGS.into_iter().map(move |t| (m, s, t)))
+        }) {
+            let config = ExecConfig { tiling, row_swap, ..ExecConfig::default() };
+            let exec = SpiderExecutor::with_config(&dev, mode, config);
+            let exec_3d = Spider3DExecutor::with_config(&dev, mode, config);
+            let charge = |(plane, line, volume): &(SpiderPlan, SpiderPlan, Spider3DPlan)| {
+                let mut g2 = Grid2D::<f32>::random(rows, cols, radius, seed);
+                let mut g1 = Grid1D::<f32>::random(n, radius, seed);
+                let (r3, side) = (volume.radius(), rows.min(24));
+                let mut g3 = Grid3D::<f32>::random(planes, side, cols.min(24), r3, seed);
+                [
+                    exec.run_2d(plane, &mut g2, 2).unwrap(),
+                    exec.estimate_2d(plane, 7 * rows, 5 * cols),
+                    exec.estimate_2d(plane, 1100 + rows, 1000 + cols),
+                    exec.run_1d(line, &mut g1, 1).unwrap(),
+                    exec.estimate_1d(line, 3 * n),
+                    exec_3d.run(volume, &mut g3, 2).unwrap(),
+                ]
+            };
+            let fresh = charge(&plans(radius, seed));
+            let first = charge(&warm);
+            let paid = charge_misses(&warm);
+            let again = charge(&warm);
+            prop_assert_eq!(charge_misses(&warm), paid, "{:?} {:?} {:?}", mode, row_swap, tiling);
+            prop_assert_eq!(&first, &fresh);
+            prop_assert_eq!(&again, &fresh);
+        }
     }
 }
 
