@@ -31,14 +31,17 @@
 //!
 //! ## One level of parallelism
 //!
-//! A serving wave fans out too, over its plan-key groups, with the same
-//! rule ([`split_jobs`]) through [`fan_out`], but only when none of its
-//! sweeps would split by itself ([`jobs_for`] is 1 for each). So a core
-//! is never asked for two levels at once: a wave's jobs each sweep on
-//! their own thread, and a sweep large enough to split runs in a wave of
-//! one job. Each job holds at most one input and one scratch grid, both
-//! from the runtime's one [`BufferPool`], and [`SpiderExecutor::run_2d_in_batch`]
-//! lets it run a coalesced group one member at a time.
+//! A serving wave fans out too, over its requests, with the same rule
+//! ([`split_jobs`]) through [`fan_out`], but only when none of its sweeps
+//! would split by itself ([`jobs_for`] is 1 for each). So a core is never
+//! asked for two levels at once: a wave's jobs each sweep on their own
+//! thread, and a sweep large enough to split runs in a wave of one job.
+//! The jobs claim single requests, so the members of one coalesced group
+//! may run on different jobs: [`SpiderExecutor::run_2d_in_batch`] runs
+//! each member alone, billed its share of the group's one batched launch.
+//! Each job holds at most one input and one scratch grid, both from the
+//! runtime's one [`BufferPool`], which the wave stocks with two per job
+//! before its jobs start ([`BufferPool::reserve`]).
 //!
 //! The emulated MMA path (`compute_block_*` over `mma_tile_2d` and
 //! `gather_1d`) remains for the one case where the two differ: a sweep whose
@@ -140,7 +143,7 @@ pub fn jobs_for(step_points: usize) -> usize {
 
 /// Run `job` on `jobs` workers and return each worker's value: the calling
 /// thread is one worker, and the rayon shim starts a helper thread for
-/// each other. The fan-out of a serving wave, whose jobs claim its groups;
+/// each other. The fan-out of a serving wave, whose jobs claim its requests;
 /// a sweep fans out over its own rows instead
 /// (`SpiderExecutor::sweep_rows`).
 pub fn fan_out<R: Send>(jobs: usize, job: impl Fn() -> R + Sync) -> Vec<R> {

@@ -23,19 +23,23 @@
 //!
 //! ## The free-list bound
 //!
-//! The pool tracks its high-water length: the largest `len` any take has
-//! asked for. A take that finds no free buffer large enough drops the
-//! largest free one (too small, by definition) and allocates room for the
-//! high-water length, and [`BufferPool::put`] drops any buffer shorter than
-//! it. So a miss only adds to the buffers in existence when none is free,
-//! the pool never holds more buffers than were ever taken at once, and
-//! once the largest grid has been served every buffer fits every take: a
-//! warm pool misses only when more buffers are out at once than ever were.
-//! A served request holds at most two at a time — its input and its
-//! scratch (a volume and its `next`), three on the 3D emulated path — so a
-//! runtime's free list holds at most two buffers per job of its widest
-//! wave, each no larger than the largest grid it served. The bound is
-//! derived, not configured; there is no capacity knob.
+//! The pool tracks its high-water length: the largest `len` any take (or
+//! reserve) has asked for. A take that finds no free buffer large enough
+//! drops the largest free one (too small, by definition) and allocates
+//! room for the high-water length, and [`BufferPool::put`] drops any
+//! buffer shorter than it. So a miss only adds to the buffers in existence
+//! when none is free, the pool never holds more buffers than were ever
+//! taken (or reserved) at once, and once the largest grid has been served
+//! every buffer fits every take: a warm pool misses only when more buffers
+//! are out at once than ever were. A served request holds at most two at a
+//! time — its input and its scratch (a volume and its `next`), three on
+//! the 3D emulated path — and a runtime's fanned-out wave reserves two per
+//! job before its jobs start ([`BufferPool::reserve`]). So, the 3D
+//! emulated path aside, a runtime's free list holds at most two buffers
+//! per job of its widest wave, each no larger than the largest grid it
+//! served, and a repeated wave allocates nothing however its jobs' sweeps
+//! overlap. The bound is derived, not configured; there is no capacity
+//! knob.
 //!
 //! Concurrency tradeoff: one global `Mutex` over a capacity-sorted free
 //! list. Lookup is a binary search and the critical section is sub-µs,
@@ -54,7 +58,8 @@ use crate::sync::{LockRank, OrderedMutex};
 pub struct PoolStats {
     /// `take` calls served from a recycled buffer (no allocation).
     pub hits: u64,
-    /// `take` calls that had to allocate a fresh buffer.
+    /// Buffers the pool had to allocate: `take` calls that found none free
+    /// that fit, and [`BufferPool::reserve`]'s shortfalls.
     pub misses: u64,
 }
 
@@ -191,6 +196,33 @@ impl BufferPool {
         free.insert(idx, buf);
     }
 
+    /// Make sure at least `buffers` free buffers hold `len` elements each,
+    /// allocating the shortfall (each a miss): for a caller about to take
+    /// that many at once from several threads, whose first round would
+    /// otherwise allocate only as many as happened to be out together.
+    /// Raises the high-water length to `len`, as a take does, and drops the
+    /// free buffers shorter than it, as a miss would. A reserved buffer is
+    /// empty, so a reserve touches no memory: the take that first uses it
+    /// zero-fills what it takes, as a fresh buffer comes zeroed.
+    pub fn reserve(&self, buffers: usize, len: usize) {
+        let high_water = self
+            .inner
+            .high_water
+            .fetch_max(len, Ordering::Relaxed)
+            .max(len);
+        let (fit, outgrown) = {
+            let mut free = self.inner.free.lock();
+            let short = free.partition_point(|b| b.capacity() < high_water);
+            let outgrown: Vec<Vec<f32>> = free.drain(..short).collect();
+            (free.len(), outgrown)
+        };
+        drop(outgrown);
+        for _ in fit..buffers {
+            self.inner.misses.fetch_add(1, Ordering::Relaxed);
+            self.put(Vec::with_capacity(high_water));
+        }
+    }
+
     /// Buffers currently sitting in the free list.
     pub fn free_buffers(&self) -> usize {
         self.inner.free.lock().len()
@@ -314,6 +346,26 @@ mod tests {
         pool.put(a);
         pool.put(b);
         assert_eq!(pool.free_buffers(), 2);
+    }
+
+    /// A reserve allocates only what the free list lacks, keeps no buffer
+    /// too small for it, and the takes it was made for then hit, however
+    /// many are out at once.
+    #[test]
+    fn a_reserve_allocates_the_shortfall_once() {
+        let pool = BufferPool::new();
+        pool.put(vec![0.0; 10]);
+        pool.reserve(2, 100);
+        assert_eq!(pool.stats().misses, 2);
+        assert_eq!(pool.free_buffers(), 2, "the outgrown buffer is dropped");
+        pool.reserve(3, 100);
+        assert_eq!(pool.stats().misses, 3, "only the shortfall");
+        let held: Vec<Vec<f32>> = (0..3).map(|_| pool.take_any(100)).collect();
+        assert_eq!(pool.stats().misses, 3, "all three hit");
+        held.into_iter().for_each(|b| pool.put(b));
+        pool.reserve(3, 80);
+        assert_eq!(pool.stats().misses, 3, "a warm reserve allocates nothing");
+        assert_eq!(pool.free_buffers(), 3);
     }
 
     #[test]

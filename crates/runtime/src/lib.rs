@@ -24,7 +24,7 @@
 //!  │  group by plan_key ──► prepare_wave: steps 1–2 for every group on    │
 //!  │                        │  the caller, then step 3 as one job per     │
 //!  │                        │  MIN_WAVE_JOB_COST of work (at most one per │
-//!  │                        │  group and per core)                        │
+//!  │                        │  request and per core)                      │
 //!  │                        ▼                                             │
 //!  │ ┌───────────┐   ┌─────────────────┐   run_group, per group:          │
 //!  │ │ PlanCache │◄──┤ 1. plan lookup  │   fingerprint(kernel, mode)      │
@@ -36,7 +36,8 @@
 //!  │ │ memoized  │──►│                 │   + simulator dry-run            │
 //!  │ └───────────┘   ├─────────────────┤                                  │
 //!  │                 │ 3. execute      │   run_{1d,2d}_in_batch (3D: run) │
-//!  │                 │    (simulated)  │   member by member per exec-key  │
+//!  │                 │    (simulated)  │   per request, on any job, as a  │
+//!  │                 │                 │   member of its exec-key         │
 //!  │                 │                 │   subgroup → KernelReport +      │
 //!  │                 │                 │   checksum each                  │
 //!  │                 └─────────────────┘                                  │
@@ -67,16 +68,20 @@
 //!   group member pays compile+tune and the rest hit; results aggregate
 //!   into a [`report::RuntimeReport`]. `run_batch` runs its groups as one
 //!   wave, as the scheduler runs each dispatch: `prepare_wave` resolves
-//!   and tunes every group on the calling thread, then runs the groups as
-//!   one job per [`runtime::MIN_WAVE_JOB_COST`] of work, at most one per
-//!   group and per core, so a wave of small requests stays on the calling
-//!   thread. There is one level of parallelism: a wave one of whose sweeps
-//!   would split by itself (at [`spider_core::exec::MIN_JOB_STEP_POINTS`]
+//!   and tunes every group on the calling thread, then runs the requests
+//!   as one job per [`runtime::MIN_WAVE_JOB_COST`] of work, at most one
+//!   per request and per core, so a wave of small requests stays on the
+//!   calling thread. A fanned-out wave's jobs claim single requests,
+//!   largest first, so one group's members may run on different jobs, and
+//!   the wave reserves two pooled buffers per job before they start.
+//!   There is one level of parallelism: a wave one of whose sweeps would
+//!   split by itself (at [`spider_core::exec::MIN_JOB_STEP_POINTS`]
 //!   step-points, which no `mixed_warm` request reaches) runs as one job.
-//!   Each exec-key subgroup shares one executor and runs member by member
-//!   through [`spider_core::SpiderExecutor::run_2d_in_batch`] (or its 1D
-//!   twin; volumes through `Spider3DExecutor::run`), each member billed its
-//!   share of one batched launch.
+//!   Each member of an exec-key subgroup runs alone, through its claim's
+//!   executor, configured with the subgroup's tiling
+//!   ([`spider_core::SpiderExecutor::run_2d_in_batch`], its 1D twin, or
+//!   `Spider3DExecutor::run` for volumes), billed its share of the
+//!   subgroup's one batched launch.
 //! * [`scheduler::SpiderScheduler`] — the async front end: `submit` returns
 //!   a [`scheduler::Ticket`] immediately, `poll` reports progress, `drain`
 //!   blocks until quiescence. A bounded admission queue applies a

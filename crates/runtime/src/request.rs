@@ -447,6 +447,17 @@ impl StencilRequest {
         self.materialize_3d_in(&BufferPool::new())
     }
 
+    /// Elements of the request's grid with its kernel's halo: what its
+    /// input holds, and each scratch grid of its sweeps.
+    pub(crate) fn padded_len(&self) -> usize {
+        let pad = |n: usize| n + 2 * self.kernel.radius();
+        match self.grid {
+            GridSpec::D1 { len } => pad(len),
+            GridSpec::D2 { rows, cols } => pad(rows) * pad(cols),
+            GridSpec::D3 { planes, rows, cols } => pad(planes) * pad(rows) * pad(cols),
+        }
+    }
+
     /// [`Self::materialize_1d`] in a buffer taken from `pool` (the same
     /// grid, bit for bit): the serving path, which returns the buffer once
     /// the output is checksummed.
@@ -454,7 +465,7 @@ impl StencilRequest {
         let h = self.kernel.radius();
         match self.grid {
             GridSpec::D1 { len } => {
-                Grid1D::random_in(pool.take_any(len + 2 * h), len, h, self.seed)
+                Grid1D::random_in(pool.take_any(self.padded_len()), len, h, self.seed)
             }
             _ => panic!("materialize_1d on a non-1D request"),
         }
@@ -465,7 +476,7 @@ impl StencilRequest {
         let h = self.kernel.radius();
         match self.grid {
             GridSpec::D2 { rows, cols } => {
-                let buf = pool.take_any((rows + 2 * h) * (cols + 2 * h));
+                let buf = pool.take_any(self.padded_len());
                 Grid2D::random_in(buf, rows, cols, h, self.seed)
             }
             _ => panic!("materialize_2d on a non-2D request"),
@@ -477,7 +488,7 @@ impl StencilRequest {
         let h = self.kernel.radius();
         match self.grid {
             GridSpec::D3 { planes, rows, cols } => {
-                let buf = pool.take_any((planes + 2 * h) * (rows + 2 * h) * (cols + 2 * h));
+                let buf = pool.take_any(self.padded_len());
                 Grid3D::random_in(buf, planes, rows, cols, h, self.seed)
             }
             _ => panic!("materialize_3d on a non-3D request"),

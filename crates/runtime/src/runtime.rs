@@ -1,23 +1,21 @@
 //! The runtime itself: plan cache + autotuner + the one request path
 //! ([`SpiderRuntime::run_group`]), behind one handle.
 
-use std::sync::Arc;
+use std::cmp::Reverse;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use std::cmp::Reverse;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use spider_core::exec::{fan_out, jobs_for, split_jobs, ExecConfig, SpiderExecutor};
-use spider_core::exec3d::Spider3DExecutor;
-use spider_core::plan::PlanError;
+use spider_core::exec3d::{Spider3DExecutor, Spider3DPlan};
+use spider_core::plan::{PlanError, SpiderPlan};
 use spider_core::pool::{BufferPool, PoolStats};
 use spider_core::sync::{LockRank, OrderedMutex};
 use spider_core::tiling::TilingConfig;
 use spider_gpu_sim::timing::KernelReport;
 use spider_gpu_sim::GpuDevice;
-use spider_stencil::dim3::Grid3D;
 use spider_stencil::fnv::Fnv1a;
-use spider_stencil::{Grid1D, Grid2D};
 use spider_telemetry::{
     EventBatch, EventKind, MetricsSnapshot, Phase, PhaseStats, ResolveSource, Telemetry,
     TelemetryConfig, Terminal, Who,
@@ -285,8 +283,10 @@ impl SpiderRuntime {
     /// ([`SpiderExecutor::run_2d_in_batch`]). Members run one at a time:
     /// materialize the input in a pooled buffer, sweep it, checksum it and
     /// return the buffer, so a group holds one input and one scratch grid
-    /// however large it is. Plan lookups are still recorded per request so
-    /// cache statistics stay comparable with [`Self::run_batch`].
+    /// however large it is: the group runs as a wave of one job, through
+    /// the per-request path a fanned-out wave's jobs take. Plan lookups are
+    /// still recorded per request so cache statistics stay comparable with
+    /// [`Self::run_batch`].
     ///
     /// Results come back in input order, and each output is bit-identical
     /// to the request's run alone — a one-request group, which is what
@@ -304,8 +304,8 @@ impl SpiderRuntime {
     }
 
     /// [`Self::run_group`] on a batch that may already hold events, from
-    /// the stamp `start_s` on: prepare, execute, conclude every request and
-    /// flush the batch.
+    /// the stamp `start_s` on: prepare the group, run it as a wave of one
+    /// job, conclude every request and flush the batch.
     fn serve_group(
         &self,
         requests: &[StencilRequest],
@@ -313,9 +313,15 @@ impl SpiderRuntime {
         start_s: f64,
     ) -> Vec<Result<RequestOutcome, RuntimeError>> {
         let group = self.prepare_group(requests, log, start_s);
-        let mut run = self.execute_group(&group);
+        let mut done = Wave::new(self, vec![group], 1).run(|_, run| self.conclude_group(run));
+        done.pop().expect("a wave of one group") // guard: run returns one value per group
+    }
+
+    /// Conclude every request of an executed group no scheduler owns, at
+    /// one clock read, flush the group's events and hand back its results.
+    fn conclude_group(&self, mut run: GroupRun<'_>) -> Vec<Result<RequestOutcome, RuntimeError>> {
         let now = run.log.now_s();
-        for (&who, result) in group.whos.iter().zip(&run.results) {
+        for (&who, result) in run.whos.iter().zip(&run.results) {
             let verdict = result.as_ref().map_err(|_| Terminal::Failed);
             self.conclude(who, verdict, &mut run.log, now);
         }
@@ -443,6 +449,8 @@ impl SpiderRuntime {
             }
         }
         PreparedGroup {
+            runs: requests.iter().map(|_| OnceLock::new()).collect(),
+            left: AtomicUsize::new(0),
             requests,
             whos,
             start_s,
@@ -454,12 +462,77 @@ impl SpiderRuntime {
         }
     }
 
-    /// The second half of [`Self::run_group`]: run each exec-key subgroup,
-    /// member by member, and record every outcome in a batch of its own
-    /// (a wave's jobs share the prepared groups). Each subgroup's exec span
-    /// opens where the last closed, and its members' `Execute` events and
-    /// service times share its exit's clock read.
-    fn execute_group<'g>(&self, g: &'g PreparedGroup<'_>) -> GroupRun<'g> {
+    /// The executor a claim of `sub` runs through: configured with the
+    /// subgroup's mode and tuned tiling, drawing on the runtime's pool, and
+    /// paired with the group's plan. A wave of one job builds one per
+    /// exec-key subgroup.
+    fn executor<'e>(&'e self, g: &'e PreparedGroup<'_>, sub: &Subgroup) -> Executor<'e> {
+        let mode = g.requests[sub.members[0]].mode;
+        let config = ExecConfig {
+            tiling: sub.tiling,
+            ..ExecConfig::default()
+        };
+        let (device, pool) = (&self.device, self.pool.clone());
+        // guard: prepare_group builds subgroups only once a plan resolved
+        match g.plan.as_ref().expect("a subgroup has a plan") {
+            CachedPlan::Planar(p) => Executor::Planar(
+                SpiderExecutor::with_shared_pool(device, mode, config, pool),
+                p,
+            ),
+            // A volume's sweep is already a batched launch (see
+            // `Spider3DExecutor`), so the subgroup's volumes share the plan,
+            // tuned plane tiling and pool, and each report stays
+            // bit-identical to a solo run.
+            CachedPlan::Volumetric(p) => Executor::Volumetric(
+                Spider3DExecutor::with_shared_pool(device, mode, config, pool),
+                p,
+            ),
+        }
+    }
+
+    /// Run one request alone as one of the `members` of its exec-key
+    /// subgroup's batched launch: materialize its input in a pooled buffer,
+    /// sweep it through its claim's executor, checksum the output and
+    /// return the buffer. Every served request runs here, so a job holds
+    /// one input and one scratch grid at a time. Returns the checksum and
+    /// report.
+    fn run_member(
+        &self,
+        exec: &Executor<'_>,
+        req: &StencilRequest,
+        members: usize,
+    ) -> Result<(u64, Arc<KernelReport>), String> {
+        let (steps, pool) = (req.steps, &self.pool);
+        let (run, buffer) = match (exec, req.grid) {
+            (Executor::Planar(exec, p), GridSpec::D1 { .. }) => {
+                let mut grid = req.materialize_1d_in(pool);
+                let run = exec.run_1d_in_batch(p, &mut grid, steps, members);
+                (run, grid.into_padded_vec())
+            }
+            (Executor::Planar(exec, p), GridSpec::D2 { .. }) => {
+                let mut grid = req.materialize_2d_in(pool);
+                let run = exec.run_2d_in_batch(p, &mut grid, steps, members);
+                (run, grid.into_padded_vec())
+            }
+            (Executor::Volumetric(exec, p), GridSpec::D3 { .. }) => {
+                let mut grid = req.materialize_3d_in(pool);
+                (exec.run(p, &mut grid, steps), grid.into_padded_vec())
+            }
+            _ => return Err("plan and grid dimensionality differ".into()),
+        };
+        let done = run.map(|report| (output_checksum(&buffer), Arc::new(report)));
+        pool.put(buffer);
+        done
+    }
+
+    /// The outcomes of a group whose every request has run or failed
+    /// before execution, in input order, with its execution's events in a
+    /// batch of its own (a wave's jobs share the prepared groups). Each
+    /// exec-key subgroup records one launch (planar plans) at its first
+    /// member's start and one exec span from there to its last member's
+    /// end, where its members' `Execute` events and service times are
+    /// stamped.
+    fn finish_group<'g>(&self, g: &'g PreparedGroup<'_>) -> GroupRun<'g> {
         let t = &self.telemetry;
         let mut log = t.batch(EVENTS_PER_REQUEST * g.requests.len());
         let mut results: Vec<Option<Result<RequestOutcome, RuntimeError>>> = g
@@ -467,15 +540,32 @@ impl SpiderRuntime {
             .iter()
             .map(|l| l.as_ref().err().map(|e| Err(e.clone())))
             .collect();
-        let mut at = log.now_s();
+        let ran = |i: usize| g.runs[i].get().expect("every member ran"); // guard: the job that took a group's last claim finishes it
         for sub in &g.subgroups {
             let members = sub.members.len();
             let coalesced = members > 1;
             let wave_id = t.next_wave_id();
-            let (open, head) = (at, g.whos[sub.members[0]]);
-            let run = self.run_subgroup(g, sub, wave_id, &mut log, open);
-            at = log.exit(head, Phase::Exec, open);
-            let done = match run {
+            let head = g.whos[sub.members[0]];
+            let (open, at) = sub
+                .members
+                .iter()
+                .map(|&i| ran(i))
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(open, at), run| {
+                    (open.min(run.start_s), at.max(run.end_s))
+                });
+            let launch_share = 1.0 / members as f64;
+            if let Some(CachedPlan::Planar(_)) = g.plan {
+                let launch = EventKind::Launch {
+                    wave_id,
+                    members,
+                    launch_share,
+                };
+                log.record(head, launch, 0.0, open);
+            }
+            log.span(head, Phase::Exec, open, at);
+            let done: Result<Vec<_>, _> =
+                sub.members.iter().map(|&i| ran(i).done.as_ref()).collect();
+            let done = match done {
                 Ok(done) => done,
                 Err(e) => {
                     // A shared-executor failure is attributed to every
@@ -487,7 +577,6 @@ impl SpiderRuntime {
                     continue;
                 }
             };
-            let launch_share = 1.0 / members as f64;
             // Every member shares the head's kernel and extent.
             let scenario: Arc<str> = g.requests[sub.members[0]].scenario().into();
             for ((slot, &i), (checksum, report)) in sub.members.iter().enumerate().zip(done) {
@@ -507,8 +596,8 @@ impl SpiderRuntime {
                     coalesced,
                     volumetric: req.is_volumetric(),
                     tiling: sub.tiling,
-                    report: Arc::new(report),
-                    checksum,
+                    report: Arc::clone(report),
+                    checksum: *checksum,
                 }));
             }
         }
@@ -519,94 +608,25 @@ impl SpiderRuntime {
         GroupRun {
             results,
             log,
+            whos: &g.whos,
             prepared: &g.log,
-        }
-    }
-
-    /// Run one exec-key subgroup through one configured executor, member by
-    /// member ([`run_each`]); a planar subgroup's batched launch is traced
-    /// on its head, stamped `open_s`. Returns each member's checksum and
-    /// report.
-    fn run_subgroup(
-        &self,
-        g: &PreparedGroup<'_>,
-        sub: &Subgroup,
-        wave_id: u64,
-        log: &mut EventBatch,
-        open_s: f64,
-    ) -> Result<Vec<(u64, KernelReport)>, String> {
-        let plan = g.plan.as_ref().expect("a subgroup has a plan"); // guard: prepare_group builds subgroups only once a plan resolved
-        let head = &g.requests[sub.members[0]];
-        let (members, steps, pool) = (sub.members.len(), head.steps, &self.pool);
-        let requests = sub.members.iter().map(|&i| &g.requests[i]);
-        let config = ExecConfig {
-            tiling: sub.tiling,
-            ..ExecConfig::default()
-        };
-        let mut planar = || {
-            let launch = EventKind::Launch {
-                wave_id,
-                members,
-                launch_share: 1.0 / members as f64,
-            };
-            log.record(g.whos[sub.members[0]], launch, 0.0, open_s);
-            SpiderExecutor::with_shared_pool(&self.device, head.mode, config, pool.clone())
-        };
-        match (plan, head.grid) {
-            (CachedPlan::Planar(p), GridSpec::D1 { .. }) => {
-                let exec = planar();
-                run_each(
-                    pool,
-                    requests,
-                    |req| req.materialize_1d_in(pool),
-                    |grid| exec.run_1d_in_batch(p, grid, steps, members),
-                    Grid1D::padded,
-                    Grid1D::into_padded_vec,
-                )
-            }
-            (CachedPlan::Planar(p), GridSpec::D2 { .. }) => {
-                let exec = planar();
-                run_each(
-                    pool,
-                    requests,
-                    |req| req.materialize_2d_in(pool),
-                    |grid| exec.run_2d_in_batch(p, grid, steps, members),
-                    Grid2D::padded,
-                    Grid2D::into_padded_vec,
-                )
-            }
-            // A volume's sweep is already a batched launch (see
-            // `Spider3DExecutor`), so the subgroup's volumes share the plan,
-            // tuned plane tiling and pool, and each report stays
-            // bit-identical to a solo run.
-            (CachedPlan::Volumetric(p), GridSpec::D3 { .. }) => {
-                let exec = Spider3DExecutor::with_shared_pool(
-                    &self.device,
-                    head.mode,
-                    config,
-                    pool.clone(),
-                );
-                run_each(
-                    pool,
-                    requests,
-                    |req| req.materialize_3d_in(pool),
-                    |grid| exec.run(p, grid, steps),
-                    Grid3D::padded,
-                    Grid3D::into_padded_vec,
-                )
-            }
-            _ => Err("plan and grid dimensionality differ".into()),
         }
     }
 
     /// Resolve and tune every plan-key group of a wave, in order, on the
     /// calling thread, and size the wave's fan-out: one job per
-    /// [`MIN_WAVE_JOB_COST`] of work, at most one per group and per core
+    /// [`MIN_WAVE_JOB_COST`] of work, at most one per request and per core
     /// ([`split_jobs`]), and one job whenever a sweep of the wave would
     /// split by itself ([`jobs_for`]), so there is one level of
     /// parallelism.
     /// Each group records into a batch of its own; the stamp one group's
     /// preparation ends at is where the next one's starts.
+    ///
+    /// A fanned-out wave reserves two pooled buffers of its largest grid
+    /// per job, the input and scratch each job holds at a time, before any
+    /// job starts. How many buffers its jobs hold at once depends on how
+    /// their sweeps happen to overlap, so without the reserve a repeat of
+    /// the wave could allocate where the first did not.
     pub(crate) fn prepare_wave<'a>(&self, groups: &[&'a [StencilRequest]]) -> Wave<'_, 'a> {
         let mut at = None;
         let groups: Vec<PreparedGroup<'a>> = groups
@@ -619,33 +639,27 @@ impl SpiderRuntime {
                 group
             })
             .collect();
-        let costs: Vec<u64> = groups
-            .iter()
-            .map(|g| g.requests.iter().map(drr_cost).sum())
-            .collect();
+        let requests = || groups.iter().flat_map(|g| g.requests);
         let jobs = match groups.iter().any(PreparedGroup::sweep_splits) {
             true => 1,
-            false => split_jobs(costs.iter().sum(), MIN_WAVE_JOB_COST, groups.len()),
+            false => split_jobs(
+                requests().map(drr_cost).sum(),
+                MIN_WAVE_JOB_COST,
+                requests().count(),
+            ),
         };
-        // A fanned-out wave starts its largest groups first, so the last
-        // group to finish is a small one; one job keeps cohort order.
-        let mut order: Vec<usize> = (0..groups.len()).collect();
         if jobs > 1 {
-            order.sort_by_key(|&g| Reverse(costs[g]));
+            let largest = requests().map(StencilRequest::padded_len).max();
+            self.pool.reserve(2 * jobs, largest.unwrap_or_default());
         }
-        Wave {
-            runtime: self,
-            groups,
-            order,
-            jobs,
-        }
+        Wave::new(self, groups, jobs)
     }
 
     /// Execute a heterogeneous batch as one wave: its plan-key groups are
     /// resolved and tuned on the calling thread, then run, fanned out as
     /// `prepare_wave` sizes it: one job per [`MIN_WAVE_JOB_COST`] of work,
-    /// at most one per group and per core, and one whenever a sweep of the
-    /// batch would split by itself.
+    /// at most one per request and per core, and one whenever a sweep of
+    /// the batch would split by itself.
     ///
     /// The batch is split into plan-key groups (submission order preserved
     /// within each group) and every group takes the path of
@@ -683,15 +697,9 @@ impl SpiderRuntime {
         let slices: Vec<&[StencilRequest]> = reqs.iter().map(Vec::as_slice).collect();
         // No scheduler owns these requests: the batch records each verdict
         // as its group finishes, and flushes the group's events.
-        let per_group = self.prepare_wave(&slices).run(|g, mut run| {
-            let now = run.log.now_s();
-            for (&i, result) in groups[g].iter().zip(&run.results) {
-                let verdict = result.as_ref().map_err(|_| Terminal::Failed);
-                self.conclude(whos[i], verdict, &mut run.log, now);
-            }
-            run.flush(&self.telemetry);
-            run.results
-        });
+        let per_group = self
+            .prepare_wave(&slices)
+            .run(|_, run| self.conclude_group(run));
 
         let mut results: Vec<Option<Result<RequestOutcome, RuntimeError>>> =
             (0..requests.len()).map(|_| None).collect();
@@ -741,6 +749,14 @@ fn fail(log: &mut EventBatch, service_s: f64, e: RuntimeError) -> RuntimeError {
 /// take 225–240 µs. A wave of 16×16 requests needs 256 of them to fan out;
 /// `mixed_warm`'s waves of about ten 10⁴–2.6·10⁵-point requests always do.
 ///
+/// A fanned-out wave's jobs claim requests, not plan-key groups, so a
+/// wave of one group fans out too. On `mixed_warm`, whose waves hold about
+/// 9.5 requests in 6 groups, claiming groups kept the jobs busy for 0.85 of
+/// their time (job time over jobs × wave time, median of 6 runs): the
+/// helper idled about 210 µs at the end of each wave while the largest
+/// group finished. Claiming requests largest first (by points × sweeps)
+/// raised that to 0.92 (0.90–0.92) on the host above.
+///
 /// It is also the scheduler's fill: a tenant alone in the top cohort
 /// refills its deficit-round-robin deficit with at least this much, so its
 /// wave takes up to one job's work (128 requests of 16×16) and still runs
@@ -768,7 +784,8 @@ impl Subgroup {
     }
 }
 
-/// A plan-key group, resolved and tuned ([`SpiderRuntime::prepare_group`]).
+/// A plan-key group, resolved and tuned ([`SpiderRuntime::prepare_group`]),
+/// with the slots its requests' runs land in.
 struct PreparedGroup<'a> {
     requests: &'a [StencilRequest],
     /// Per request: who its trace events name (its plan key hashed once).
@@ -784,15 +801,33 @@ struct PreparedGroup<'a> {
     subgroups: Vec<Subgroup>,
     /// The group's events so far.
     log: EventBatch,
+    /// Per request: its run, set once by the job that ran it (never for a
+    /// request that failed before execution).
+    runs: Vec<OnceLock<MemberRun>>,
+    /// The group's claims no job has finished yet ([`Wave::new`] counts
+    /// them). The job that takes it to zero finishes the group.
+    left: AtomicUsize,
 }
 
-/// An executed group ([`SpiderRuntime::execute_group`]): each request's
+/// One request's run ([`SpiderRuntime::run_member`]): its checksum and
+/// report, or the executor's failure, and when its claim started and, for
+/// the claim's last member, ended (the others carry the start), in the
+/// trace's stamp domain.
+struct MemberRun {
+    done: Result<(u64, Arc<KernelReport>), String>,
+    start_s: f64,
+    end_s: f64,
+}
+
+/// An executed group ([`SpiderRuntime::finish_group`]): each request's
 /// result, in input order, and the group's events: its preparation's, and
 /// its execution's in `log`, verdicts not yet recorded. Its owner
 /// concludes every request in `log`, then flushes both.
 pub(crate) struct GroupRun<'g> {
     pub(crate) results: Vec<Result<RequestOutcome, RuntimeError>>,
     pub(crate) log: EventBatch,
+    /// Per request: who its events name.
+    whos: &'g [Who],
     prepared: &'g EventBatch,
 }
 
@@ -817,34 +852,136 @@ impl PreparedGroup<'_> {
     }
 }
 
+/// Requests of one group that a wave's job takes at once: a run of one
+/// exec-key subgroup's members (`members` indexes [`Subgroup::members`]),
+/// or, with no subgroup, none, for a group none of whose requests reached
+/// execution.
+struct Claim {
+    group: usize,
+    subgroup: Option<usize>,
+    members: Range<usize>,
+}
+
+impl Claim {
+    /// The claim's requests, as indices into its group, in run order.
+    fn requests<'g>(&self, g: &'g PreparedGroup<'_>) -> &'g [usize] {
+        self.subgroup
+            .map_or(&[], |s| &g.subgroups[s].members[self.members.clone()])
+    }
+}
+
+/// The executor a claim's requests run through, with the plan it runs
+/// ([`SpiderRuntime::executor`]).
+enum Executor<'e> {
+    Planar(SpiderExecutor<'e>, &'e SpiderPlan),
+    Volumetric(Spider3DExecutor<'e>, &'e Spider3DPlan),
+}
+
 /// A dispatch wave's plan-key groups, resolved and tuned, with the jobs
 /// their execution fans out into ([`SpiderRuntime::prepare_wave`]).
 pub(crate) struct Wave<'r, 'a> {
     runtime: &'r SpiderRuntime,
     groups: Vec<PreparedGroup<'a>>,
-    /// Group indices in the order jobs claim them.
-    order: Vec<usize>,
+    /// Every claim of the wave, in the order jobs take them.
+    claims: Vec<Claim>,
     jobs: usize,
 }
 
-impl Wave<'_, '_> {
+impl<'r, 'a> Wave<'r, 'a> {
+    /// A wave of `groups` run as `jobs` jobs. One job claims a whole
+    /// subgroup at a time, in cohort order, group by group. More claim one
+    /// member at a time, largest first (by [`drr_cost`], ties in cohort
+    /// order), so the last request to finish is a small one.
+    fn new(runtime: &'r SpiderRuntime, mut groups: Vec<PreparedGroup<'a>>, jobs: usize) -> Self {
+        let mut claims = Vec::new();
+        for (group, g) in groups.iter_mut().enumerate() {
+            let first = claims.len();
+            for (s, sub) in g.subgroups.iter().enumerate() {
+                let n = sub.members.len();
+                let take = if jobs == 1 { n } else { 1 };
+                claims.extend((0..n).step_by(take).map(|m| Claim {
+                    group,
+                    subgroup: Some(s),
+                    members: m..n.min(m + take),
+                }));
+            }
+            if claims.len() == first {
+                // Nothing to run, but it still finishes in its turn.
+                claims.push(Claim {
+                    group,
+                    subgroup: None,
+                    members: 0..0,
+                });
+            }
+            *g.left.get_mut() = claims.len() - first;
+        }
+        if jobs > 1 {
+            claims.sort_by_key(|c| {
+                let g = &groups[c.group];
+                let cost: u64 = c
+                    .requests(g)
+                    .iter()
+                    .map(|&i| drr_cost(&g.requests[i]))
+                    .sum();
+                Reverse(cost)
+            });
+        }
+        Self {
+            runtime,
+            groups,
+            claims,
+            jobs,
+        }
+    }
+
     /// How many jobs the wave runs as (1: the calling thread alone).
     pub(crate) fn jobs(&self) -> usize {
         self.jobs
     }
 
-    /// Execute every group: `jobs` workers ([`fan_out`]) claim groups from
-    /// one counter, in claim order, and call `done(group, run)` as each
-    /// group finishes, so a group's verdicts are recorded, and its events
-    /// flushed, while the wave's other groups still run. Returns `done`'s
-    /// values in group order.
+    /// Execute every request: `jobs` workers ([`fan_out`]) take claims
+    /// from one counter, in claim order, build one executor per claim and
+    /// run each claimed request alone through it
+    /// ([`SpiderRuntime::run_member`]). The worker that finishes a group's
+    /// last claim finishes the group ([`SpiderRuntime::finish_group`]) and
+    /// calls `done(group, run)`, so a group's verdicts are recorded, and its
+    /// events flushed, while the wave's other requests still run. Returns
+    /// `done`'s values in group order.
+    ///
+    /// A worker reads the clock when a claim's last request ends, the
+    /// stamp its exec span needs: the next claim it runs starts there,
+    /// unless the worker finished a group in between.
     pub(crate) fn run<R: Send>(self, done: impl Fn(usize, GroupRun<'_>) -> R + Sync) -> Vec<R> {
-        let next = AtomicUsize::new(0);
+        let (runtime, next) = (self.runtime, AtomicUsize::new(0));
         let finished = fan_out(self.jobs, || {
             let mut mine = Vec::new();
-            while let Some(&g) = self.order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let run = self.runtime.execute_group(&self.groups[g]);
-                mine.push((g, done(g, run)));
+            let mut at = None;
+            while let Some(claim) = self.claims.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let g = &self.groups[claim.group];
+                if let Some(s) = claim.subgroup {
+                    let (sub, requests) = (&g.subgroups[s], claim.requests(g));
+                    let start_s = at.unwrap_or_else(|| g.log.now_s());
+                    let exec = runtime.executor(g, sub);
+                    for (k, &i) in requests.iter().enumerate() {
+                        let done = runtime.run_member(&exec, &g.requests[i], sub.members.len());
+                        let last = k + 1 == requests.len();
+                        let end_s = if last { g.log.now_s() } else { start_s };
+                        at = Some(end_s);
+                        let run = MemberRun {
+                            done,
+                            start_s,
+                            end_s,
+                        };
+                        let first = g.runs[i].set(run).is_ok();
+                        debug_assert!(first, "a request is claimed once");
+                    }
+                }
+                // The job that takes a group's last claim sees every other
+                // job's runs.
+                if g.left.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    mine.push((claim.group, done(claim.group, runtime.finish_group(g))));
+                    at = None;
+                }
             }
             mine
         });
@@ -853,31 +990,9 @@ impl Wave<'_, '_> {
             out[g] = Some(r);
         }
         out.into_iter()
-            .map(|r| r.expect("every group ran")) // guard: the claim counter hands out every group once
+            .map(|r| r.expect("every group finished")) // guard: every group has a claim, and the job that takes its last finishes it
             .collect()
     }
-}
-
-/// Run one exec-key subgroup member by member: materialize each input in a
-/// pooled buffer, sweep it, checksum the output and return the buffer
-/// before the next member starts. Returns each member's checksum and
-/// report, or the first failure.
-fn run_each<'r, G>(
-    pool: &BufferPool,
-    requests: impl Iterator<Item = &'r StencilRequest>,
-    materialize: impl Fn(&StencilRequest) -> G,
-    run: impl Fn(&mut G) -> Result<KernelReport, String>,
-    padded: impl Fn(&G) -> &[f32],
-    release: impl Fn(G) -> Vec<f32>,
-) -> Result<Vec<(u64, KernelReport)>, String> {
-    requests
-        .map(|req| {
-            let mut grid = materialize(req);
-            let done = run(&mut grid).map(|report| (output_checksum(padded(&grid)), report));
-            pool.put(release(grid));
-            done
-        })
-        .collect()
 }
 
 /// Split a key-sorted index order into its maximal runs of equal keys —

@@ -29,24 +29,30 @@
 //!   the plan cache when their turn comes.
 //! * **One fan-out per wave**: the dispatcher resolves and tunes the
 //!   wave's groups, then runs them as one job per
-//!   [`crate::runtime::MIN_WAVE_JOB_COST`] of work, at most one per group
-//!   and per core, and one job whenever a sweep of the wave would split by
-//!   itself, so there is one level of parallelism. The dispatcher thread is
-//!   one job; the others are helpers started per wave. Jobs claim the
-//!   groups largest first from one counter, and each group's verdicts are
-//!   recorded as soon as it finishes. Every grid a job touches comes from
-//!   the runtime's one [`spider_core::BufferPool`].
+//!   [`crate::runtime::MIN_WAVE_JOB_COST`] of work, at most one per
+//!   request and per core, and one job whenever a sweep of the wave would
+//!   split by itself, so there is one level of parallelism. The dispatcher
+//!   thread is one job; the others are helpers started per wave. The
+//!   jobs of a fanned-out wave claim requests, not groups, from one
+//!   counter, largest first (points × sweeps), so the members of one group
+//!   may run on different jobs and a wave ends with a small request. The
+//!   job that finishes a group's last request records the group's
+//!   verdicts. Every grid a job touches comes from the runtime's one
+//!   [`spider_core::BufferPool`], which the wave stocks with two buffers
+//!   per job before its jobs start.
 //!
 //! ## Ordering guarantees
 //!
 //! Waves are serialized: every request of a higher effective priority
 //! completes before any request of a lower one starts (aging aside), and
-//! no group of a wave starts before the previous wave's last group has
+//! no request of a wave starts before the previous wave's last request has
 //! finished. A wave of one job runs its groups one after another on the
 //! dispatcher thread, in cohort submission order, so their completion
-//! order is deterministic. The groups of a fanned-out wave run
-//! concurrently, largest first, and may finish out of cohort order; within
-//! a group, requests still finish in submission order.
+//! order is deterministic. The requests of a fanned-out wave run
+//! concurrently, largest first, and its groups may finish out of cohort
+//! order. Within a group, requests still finish in submission order: the
+//! group's verdicts are recorded together, in that order, once its last
+//! request has run.
 //!
 //! ## The queue index
 //!
@@ -145,7 +151,12 @@ use crate::runtime::{GroupRun, SpiderRuntime, MIN_WAVE_JOB_COST};
 /// What `submit` does when the admission queue is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {
-    /// Block the submitting thread until a slot frees up.
+    /// Block the submitting thread until a slot frees up. Only a dispatch
+    /// frees one: on a paused scheduler
+    /// ([`SchedulerOptions::start_paused`]), a submit past
+    /// `queue_capacity` blocks until another thread calls
+    /// [`SpiderScheduler::resume`] or [`SpiderScheduler::drain`], and
+    /// forever if the submitter is the thread that would.
     #[default]
     Block,
     /// Refuse the submission with [`SubmitError::QueueFull`].
@@ -211,7 +222,10 @@ pub struct SchedulerOptions {
     pub aging_step: Option<Duration>,
     /// Start with dispatch paused: submissions queue up until
     /// [`SpiderScheduler::resume`]. Lets tests and demos saturate the queue
-    /// deterministically before anything runs.
+    /// deterministically before anything runs. Under
+    /// [`BackpressurePolicy::Block`], a submit past `queue_capacity` then
+    /// blocks until another thread resumes or drains the scheduler; the
+    /// thread that would resume it must not submit that many.
     pub start_paused: bool,
     /// Registered tenants with their weighted-fair serving policies.
     ///
@@ -1480,7 +1494,7 @@ fn form_wave(st: &mut State, options: &SchedulerOptions, telemetry: &Telemetry) 
 /// The dispatcher: form a wave under the state lock, then resolve and tune
 /// its groups on this thread and run them, fanned out over as many jobs as
 /// the wave's work pays for ([`SpiderRuntime::prepare_wave`]), recording
-/// each group's verdicts as soon as it finishes.
+/// each group's verdicts as soon as its last request finishes.
 fn dispatcher_loop(shared: &Shared, runtime: &SpiderRuntime, options: &SchedulerOptions) {
     loop {
         let wave = {
@@ -2562,16 +2576,80 @@ mod tests {
     }
 
     /// The jobs a wave of plenty of work runs as on this host: one per
-    /// core, at most one per group.
-    fn fanned_jobs(groups: usize) -> u64 {
+    /// core, at most one per request.
+    fn fanned_jobs(requests: usize) -> u64 {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        cores.min(groups) as u64
+        cores.min(requests) as u64
+    }
+
+    /// Each exec-key subgroup of a traced wave records one exec span on
+    /// its head, and a planar one one `Launch` at the span's open: the
+    /// span runs from its first member's start to its last member's end,
+    /// so it holds every member's `Execute` stamp (1 µs tolerance), even
+    /// when the members ran on different jobs. Returns the launches seen.
+    fn assert_one_span_per_subgroup(s: &SpiderScheduler, ids: &[u64]) -> usize {
+        const TOL_S: f64 = 1e-6;
+        let trace = s.runtime().telemetry().trace();
+        assert_eq!(trace.dropped_events(), 0);
+        let events = trace.snapshot();
+        let mut members: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+        for e in events.iter().filter(|e| ids.contains(&e.request_id)) {
+            if let EventKind::Execute { wave_id, .. } = e.kind {
+                members.entry(wave_id).or_default().push(e.wall_s);
+            }
+        }
+        let mut launches = 0;
+        for (wave_id, stamps) in members {
+            let launch: Vec<f64> = events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::Launch { wave_id: w, .. } if w == wave_id => Some(e.wall_s),
+                    _ => None,
+                })
+                .collect();
+            assert!(launch.len() <= 1, "subgroup {wave_id}: {launch:?}");
+            launches += launch.len();
+            let head = events
+                .iter()
+                .find(|e| match e.kind {
+                    EventKind::Execute { wave_id: w, .. } => w == wave_id,
+                    _ => false,
+                })
+                .map(|e| e.request_id)
+                .expect("a subgroup has members");
+            let spans: Vec<(f64, f64)> = trace
+                .timeline(head)
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::SpanExit {
+                        phase: Phase::Exec,
+                        elapsed_s,
+                    } => Some((e.wall_s - elapsed_s, e.wall_s)),
+                    _ => None,
+                })
+                .collect();
+            let [(open, exit)] = spans[..] else {
+                panic!("subgroup {wave_id}: exec spans {spans:?}");
+            };
+            if let [at] = launch[..] {
+                assert!((at - open).abs() <= TOL_S, "subgroup {wave_id}");
+            }
+            for at in stamps {
+                assert!(
+                    at >= open - TOL_S && at <= exit + TOL_S,
+                    "subgroup {wave_id}: execute at {at} outside [{open}, {exit}]"
+                );
+            }
+        }
+        launches
     }
 
     /// The nine `mixed_warm` shapes twice, queued on a paused scheduler,
     /// run as one wave of one job per core, and every outcome equals the
     /// blocking `run_batch`'s: checksum, simulated time to the bit,
-    /// counters and tiling.
+    /// counters and tiling. Both run through the same wave code, so each
+    /// checksum and its counters are also held to a fresh runtime's solo
+    /// `execute`, and each subgroup keeps one launch and one exec span.
     #[test]
     fn a_mixed_warm_wave_fans_out_and_matches_run_batch() {
         let s = sched(SchedulerOptions {
@@ -2583,7 +2661,7 @@ mod tests {
         s.drain();
         let q = s.queue_stats();
         assert_eq!((q.dispatch_waves, q.coalesced_groups), (1, 9));
-        assert_eq!(q.wave_jobs, fanned_jobs(9), "one job per core");
+        assert_eq!(q.wave_jobs, fanned_jobs(18), "one job per core");
         let snap = s.metrics_snapshot();
         assert_eq!(
             snap.counter_value("spider_scheduler_wave_jobs_total"),
@@ -2607,6 +2685,74 @@ mod tests {
             assert_eq!(got.tiling, want.tiling);
             assert_eq!(got.coalesced, want.coalesced);
         }
+        let solo = sched(SchedulerOptions::default());
+        for (t, req) in tickets.iter().zip(&reqs) {
+            let RequestStatus::Done(got) = s.poll(*t) else {
+                panic!("request {} did not finish", req.id);
+            };
+            let want = solo.runtime().execute(req).unwrap();
+            assert_eq!(got.checksum, want.checksum, "request {}", req.id);
+            assert_eq!(got.report.counters, want.report.counters);
+        }
+        let ids: Vec<u64> = reqs.iter().map(|r| r.id).collect();
+        assert_eq!(
+            assert_one_span_per_subgroup(&s, &ids),
+            6,
+            "six planar plans"
+        );
+    }
+
+    /// One plan-key group of two requests, each holding a job's work and
+    /// none splitting its sweep, fans out over its members: the wave runs
+    /// as one job per core (at most two), where a job per group would be
+    /// one. Each checksum equals a fresh runtime's solo `execute`, each
+    /// report equals a two-member batched launch's to the bit, and the
+    /// group's verdicts land in submission order.
+    #[test]
+    fn a_one_group_wave_fans_out_over_its_members() {
+        use spider_core::exec::{jobs_for, ExecConfig, SpiderExecutor};
+        use spider_core::plan::SpiderPlan;
+        let s = sched(SchedulerOptions {
+            start_paused: true,
+            ..SchedulerOptions::default()
+        });
+        let kernel = StencilKernel::gaussian_2d(2);
+        let plan = SpiderPlan::compile(&kernel).unwrap();
+        let reqs: Vec<StencilRequest> = (0..2u64)
+            .map(|id| StencilRequest::new_2d(id, kernel.clone(), 192, 256).with_seed(7 + id))
+            .collect();
+        assert!(reqs.iter().map(drr_cost).sum::<u64>() >= 2 * MIN_WAVE_JOB_COST);
+        for r in &reqs {
+            let steps = plan.tap_schedule(r.mode).steps().len();
+            assert_eq!(jobs_for(r.grid.points() as usize * steps), 1);
+        }
+        let tickets: Vec<Ticket> = reqs.iter().map(|r| s.submit(r.clone()).unwrap()).collect();
+        s.drain();
+        let q = s.queue_stats();
+        assert_eq!((q.dispatch_waves, q.coalesced_groups), (1, 1));
+        assert_eq!(q.wave_jobs, fanned_jobs(2), "one job per member");
+        assert_eq!(s.completion_order(), tickets);
+        let solo = sched(SchedulerOptions::default());
+        for (t, req) in tickets.iter().zip(&reqs) {
+            let RequestStatus::Done(got) = s.poll(*t) else {
+                panic!("request {} did not finish", req.id);
+            };
+            assert!(got.coalesced);
+            let want = solo.runtime().execute(req).unwrap();
+            assert_eq!(got.checksum, want.checksum, "request {}", req.id);
+            let config = ExecConfig {
+                tiling: got.tiling,
+                ..ExecConfig::default()
+            };
+            let exec = SpiderExecutor::with_config(s.runtime().device(), req.mode, config);
+            let mut grid = req.materialize_2d();
+            let report = exec
+                .run_2d_in_batch(&plan, &mut grid, req.steps, 2)
+                .unwrap();
+            assert_eq!(*got.report, report, "request {}", req.id);
+            assert_eq!(got.report.time_s().to_bits(), report.time_s().to_bits());
+        }
+        assert_eq!(assert_one_span_per_subgroup(&s, &[0, 1]), 1);
     }
 
     /// `tenant_burst`'s 16×16 requests never pay for waking a core: a wave

@@ -261,9 +261,15 @@ impl EventBatch {
     /// at the same moment share (and the next span may open at).
     pub fn exit(&mut self, who: Who, phase: Phase, open_s: f64) -> f64 {
         let now = self.now_s();
-        let elapsed_s = now - open_s;
-        self.record(who, EventKind::SpanExit { phase, elapsed_s }, 0.0, now);
+        self.span(who, phase, open_s, now);
         now
+    }
+
+    /// Add `who`'s span for `phase` from stamp `open_s` to stamp
+    /// `exit_s`, both already read: its `SpanExit`, stamped `exit_s`.
+    pub fn span(&mut self, who: Who, phase: Phase, open_s: f64, exit_s: f64) {
+        let elapsed_s = exit_s - open_s;
+        self.record(who, EventKind::SpanExit { phase, elapsed_s }, 0.0, exit_s);
     }
 
     /// Add one request's service time, in µs.
